@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Dataset, conditional_cdf_rows
+from .model import ModelParams, Dataset, _cdf_from_moments, conditional_cdf_rows
 
 __all__ = [
     "PIT_EPS",
@@ -221,8 +221,11 @@ def sum_cdf(dist: WeightedUniformSumDist, q: float) -> float:
     Terms are accumulated with exact (Shewchuk) summation because the
     alternating series cancels catastrophically; for weight products too
     small for double precision the ratio is evaluated in log magnitude.
+    A NaN query has no probability and raises.
     """
     q = float(q)
+    if math.isnan(q):
+        raise ValueError("sum_cdf query is NaN")
     if q <= 0.0:
         return 0.0
     if q >= dist.support_end:
@@ -243,10 +246,6 @@ def sum_cdf(dist: WeightedUniformSumDist, q: float) -> float:
         log_val = top + math.log(inner)
         val = math.exp(log_val) if log_val < 0.0 else 1.0
     return min(1.0, max(0.0, val))
-
-
-def _sum_cdf_array(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
-    return np.array([sum_cdf(dist, q) for q in qs])
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +283,24 @@ def as_theta(window: ObservationWindow, params: ModelParams, dist: WeightedUnifo
     return 1.0 - 2.0 * min(f, 1.0 - f)
 
 
+def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
+    """(draws x windows) single-draw scores of every sliding window of the rows."""
+    length = dist.n
+    per_draw = np.empty((sample.n_draws, len(y) - length + 1))
+    for block, alpha, means, sds in sample.moment_blocks(X):
+        u = np.clip(_cdf_from_moments(alpha, means, sds, y), PIT_EPS, 1.0 - PIT_EPS)
+        qs = np.lib.stride_tricks.sliding_window_view(u, length, axis=-1) @ dist.weights.weights
+        f = np.array([sum_cdf(dist, q) for q in qs.ravel()]).reshape(qs.shape)
+        per_draw[block] = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
+    return per_draw
+
+
 def as_posterior(window: ObservationWindow, sample, w: WeightVector) -> float:
     """Posterior-mean anomaly score, averaged over stored parameter draws."""
+    if len(w) != len(window):
+        raise ValueError(f"weight length {len(w)} does not match window length {len(window)}")
     dist = build_sum_dist(w)
-    return float(np.mean([as_theta(window, draw, dist) for draw in sample.draws]))
+    return float(_draw_scores(sample, window.covariates, window.responses, dist).mean())
 
 
 @dataclass(frozen=True)
@@ -334,15 +347,7 @@ def score_series(
     if len(data) < length:
         raise ValueError(f"dataset has {len(data)} rows, need at least {length}")
     w = exp_weights(length, decay if decay is not None else default_decay(k))
-    dist = build_sum_dist(w)
-    draws = sample.draws
-    n_windows = len(data) - k
-    per_draw = np.empty((len(draws), n_windows))
-    for s, draw in enumerate(draws):
-        u = pit_rows(draw, data.covariates, data.responses)
-        qs = np.lib.stride_tricks.sliding_window_view(u, length) @ w.weights
-        f = _sum_cdf_array(dist, qs)
-        per_draw[s] = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
+    per_draw = _draw_scores(sample, data.covariates, data.responses, build_sum_dist(w))
     return AnomalyScoreSeries(
         timestamps=data.timestamps[k:],
         as_values=per_draw.mean(axis=0),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
+from .anomaly import MAX_WINDOW
 from .model import PriorSpec
 from .posterior import SamplerSettings
 
@@ -113,6 +114,8 @@ class PipelineConfig:
             raise ValueError("at least one target index is required")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
+        if not 0 <= self.window_k <= MAX_WINDOW - 1:
+            raise ValueError(f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1]")
         if self.margin_days < 0:

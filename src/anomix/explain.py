@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import fused_moments
 from .posterior import PosteriorSample
 
 __all__ = [
@@ -89,6 +88,12 @@ def _orthogonal_directions(slopes: np.ndarray) -> tuple:
     return tuple(rows)
 
 
+def _correction(slopes: np.ndarray) -> np.ndarray:
+    """2x2 matrix relating the disentangled rows of a two-row slope matrix to the raw ones."""
+    a1, a2 = slopes
+    return np.array([[1.0, -(a1 @ a2) / (a2 @ a2)], [-(a1 @ a2) / (a1 @ a1), 1.0]])
+
+
 def gate_geometry(sample: PosteriorSample) -> GateGeometry:
     """Disentangled gate directions from the posterior-expected gate matrix.
 
@@ -96,8 +101,7 @@ def gate_geometry(sample: PosteriorSample) -> GateGeometry:
     have full row rank; degenerate gates are reported with the achieved
     rank so the caller can fall back to the SVD reduction.
     """
-    mats = np.stack([d.mixing.matrix for d in sample.draws])
-    expected = mats.mean(axis=0)[:-1]
+    expected = sample.mixing.mean(axis=0)[:-1]
     if expected.shape[0] == 0:
         raise ValueError("a single-expert gate has no directions to explain")
     intercepts = expected[:, 0]
@@ -108,17 +112,8 @@ def gate_geometry(sample: PosteriorSample) -> GateGeometry:
             f"expected gate matrix has rank {rank} < {slopes.shape[0]}; "
             "use the SVD reduction instead"
         )
-    a_star = _orthogonal_directions(slopes)
-    correction = None
-    if slopes.shape[0] == 2:
-        a1, a2 = slopes
-        correction = np.array(
-            [
-                [1.0, -(a1 @ a2) / (a2 @ a2)],
-                [-(a1 @ a2) / (a1 @ a1), 1.0],
-            ]
-        )
-    return GateGeometry(slopes, intercepts, a_star, correction)
+    correction = _correction(slopes) if slopes.shape[0] == 2 else None
+    return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), correction)
 
 
 def reduce_svd(slopes: np.ndarray) -> np.ndarray:
@@ -143,8 +138,7 @@ def reduced_geometry(sample: PosteriorSample) -> GateGeometry:
     Grid coordinates are the two principal score directions (centered, so
     intercepts are zero); they no longer correspond to single experts.
     """
-    mats = np.stack([d.mixing.matrix for d in sample.draws])
-    slopes = mats.mean(axis=0)[:-1, 1:]
+    slopes = sample.mixing.mean(axis=0)[:-1, 1:]
     reduced = reduce_svd(slopes)
     return GateGeometry(reduced, np.zeros(2), tuple(reduced), None)
 
@@ -163,14 +157,7 @@ def augment_behavior(geometry: GateGeometry, behavior_coeffs) -> GateGeometry:
     rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
     if rank < 2:
         raise ValueError("behavior row is collinear with the gate row; augmented rank < 2")
-    a1, a2 = slopes
-    correction = np.array(
-        [
-            [1.0, -(a1 @ a2) / (a2 @ a2)],
-            [-(a1 @ a2) / (a1 @ a1), 1.0],
-        ]
-    )
-    return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), correction)
+    return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), _correction(slopes))
 
 
 def default_score_grid(n_directions: int, extent: float = 4.0, points_per_axis: int = 41) -> np.ndarray:
@@ -209,6 +196,32 @@ def embed_grid(geometry: GateGeometry, score_grid, feature_means=None) -> Explan
     return ExplanationMap(grid=grid, points=points, arrows=arrows)
 
 
+def _predictive_summary(sample: PosteriorSample, X, stack: np.ndarray | None = None):
+    """Posterior-mean activations, predictive mean and predictive sd at rows of ``X``.
+
+    The predictive law at a row is the draw-average of the per-draw
+    mixtures, so its variance combines each draw's mixture variance with
+    the spread of the draw means.  A ``stack`` of shape (draws, rows,
+    experts) receives the per-draw activations.
+    """
+    n_rows = len(X)
+    act = np.zeros((n_rows, sample.n_experts))
+    mean_acc = np.zeros(n_rows)
+    second_moment = np.zeros(n_rows)
+    for block, alpha, means, sds in sample.moment_blocks(X):
+        act += alpha.sum(axis=0)
+        m = (alpha * means).sum(axis=-1)
+        v = (alpha * (sds**2 + means**2)).sum(axis=-1) - m**2
+        mean_acc += m.sum(axis=0)
+        second_moment += (v + m**2).sum(axis=0)
+        if stack is not None:
+            stack[block] = alpha
+    n_draws = sample.n_draws
+    predictive_mean = mean_acc / n_draws
+    predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)
+    return act / n_draws, predictive_mean, np.sqrt(predictive_var)
+
+
 def render_map(skeleton: ExplanationMap, sample: PosteriorSample, per_draw: bool = False):
     """Evaluate the model over the embedded grid.
 
@@ -217,30 +230,9 @@ def render_map(skeleton: ExplanationMap, sample: PosteriorSample, per_draw: bool
     the per-draw activation stack is returned alongside the map.
     """
     points = skeleton.points
-    n_grid = len(points)
-    n_experts = sample.draws[0].n_experts
-    act = np.zeros((n_grid, n_experts))
-    mean_acc = np.zeros(n_grid)
-    second_moment = np.zeros(n_grid)
-    stack = np.empty((sample.n_draws, n_grid, n_experts)) if per_draw else None
-    for s, draw in enumerate(sample.draws):
-        alpha, means, sds = fused_moments(draw, points)
-        act += alpha
-        m = (alpha * means).sum(axis=1)
-        v = (alpha * (sds**2 + means**2)).sum(axis=1) - m**2
-        mean_acc += m
-        second_moment += v + m**2
-        if per_draw:
-            stack[s] = alpha
-    n_draws = sample.n_draws
-    predictive_mean = mean_acc / n_draws
-    predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)
-    rendered = replace(
-        skeleton,
-        activations=act / n_draws,
-        predictive_mean=predictive_mean,
-        predictive_sd=np.sqrt(predictive_var),
-    )
+    stack = np.empty((sample.n_draws, len(points), sample.n_experts)) if per_draw else None
+    activations, mean, sd = _predictive_summary(sample, points, stack)
+    rendered = replace(skeleton, activations=activations, predictive_mean=mean, predictive_sd=sd)
     if per_draw:
         return rendered, stack
     return rendered

@@ -109,10 +109,6 @@ class MixingGateParams:
     def n_experts(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_embedded(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class BehaviorGateParams:
@@ -159,6 +155,12 @@ class ModelParams:
     def n_covariates(self) -> int:
         return self.experts[0].n
 
+    def as_arrays(self):
+        """``(coeffs, sds, gate matrix, behavior coeffs)`` as plain arrays."""
+        coeffs = np.array([e.mean_coeffs() for e in self.experts])
+        sds = np.array([e.noise_sd for e in self.experts])
+        return coeffs, sds, self.mixing.matrix, self.behavior.coeffs
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -179,7 +181,7 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned covariate rows, responses and non-decreasing timestamps."""
+    """Aligned finite covariate rows and responses with non-decreasing timestamps."""
 
     covariates: np.ndarray
     responses: np.ndarray
@@ -193,6 +195,8 @@ class Dataset:
             raise ValueError(f"covariates must be a matrix, got shape {x.shape}")
         if not (len(x) == len(y) == len(ts)):
             raise ValueError("covariates, responses and timestamps must align")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("covariates and responses must be finite")
         if len(ts) > 1 and np.any(ts[1:] < ts[:-1]):
             raise ValueError("timestamps must be non-decreasing")
         object.__setattr__(self, "covariates", x)
@@ -222,26 +226,26 @@ def embed(x) -> np.ndarray:
     return np.concatenate(([1.0], x))
 
 
-def _embed_rows(X: np.ndarray) -> np.ndarray:
+def _embed_rows(X) -> np.ndarray:
+    """Affine embedding of every row of the covariate matrix ``X``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a matrix, got shape {X.shape}")
     return np.column_stack([np.ones(len(X)), X])
 
 
-def mixing_weights(params: MixingGateParams, x, embed_fn=embed) -> np.ndarray:
-    """Softmax allocation probabilities over experts at covariate ``x``.
-
-    ``embed_fn`` is a hook for alternative shaping functions; only the
-    affine embedding ships, and the fitted model family assumes it.
-    """
-    logits = params.matrix @ embed_fn(x)
+def mixing_weights(params: MixingGateParams, x) -> np.ndarray:
+    """Softmax allocation probabilities over experts at covariate ``x``."""
+    logits = params.matrix @ embed(x)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite gate logits")
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
 
 
-def behavior_beta(params: BehaviorGateParams, x, embed_fn=embed) -> float:
+def behavior_beta(params: BehaviorGateParams, x) -> float:
     """Logistic output in (0, 1): 1 is pure mixing, 0 is pure blending."""
-    return float(expit(params.coeffs @ embed_fn(x)))
+    return float(expit(params.coeffs @ embed(x)))
 
 
 def fuse_experts(experts, alpha, beta: float) -> list:
@@ -276,44 +280,34 @@ def fuse(params: ModelParams, x) -> list:
     return fuse_experts(params.experts, alpha, beta)
 
 
-def _stacked_experts(params: ModelParams):
-    coeffs = np.stack([e.mean_coeffs() for e in params.experts])
-    sds = np.array([e.noise_sd for e in params.experts])
-    return coeffs, sds
-
-
 def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     """Batch gate weights and fused Gaussian moments from raw arrays.
 
-    ``phi`` holds embedded covariate rows.  Returns ``(alpha, means, sds)``
-    with one row per data point and one column per expert.
+    ``phi`` holds embedded covariate rows.  The parameter arrays may carry
+    any leading (draw) axes in front of their own shapes: ``coeffs`` and
+    ``gate_matrix`` (M, n + 1), ``sds`` (M,), ``behavior_coeffs`` (n + 1,).
+    Returns ``(alpha, means, sds)`` shaped ``(..., rows, M)``.
     """
-    logits = phi @ gate_matrix.T
+    logits = phi @ np.swapaxes(gate_matrix, -1, -2)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite gate logits")
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     alpha = np.exp(logits)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    beta = expit(phi @ behavior_coeffs)[:, None]
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    beta = expit(phi @ behavior_coeffs[..., None])
 
-    base_means = phi @ coeffs.T
+    base_means = phi @ np.swapaxes(coeffs, -1, -2)
     variances = sds**2
-    blend_mean = (alpha * base_means).sum(axis=1, keepdims=True)
-    blend_var = (alpha @ variances)[:, None]
+    blend_mean = (alpha * base_means).sum(axis=-1, keepdims=True)
+    blend_var = alpha @ variances[..., None]
     means = beta * base_means + (1.0 - beta) * blend_mean
-    fused_var = beta * variances[None, :] + (1.0 - beta) * blend_var
+    fused_var = beta * variances[..., None, :] + (1.0 - beta) * blend_var
     return alpha, means, np.sqrt(fused_var)
 
 
 def fused_moments(params: ModelParams, X):
     """Mixing weights and fused per-expert moments at every row of ``X``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a matrix, got shape {X.shape}")
-    coeffs, sds = _stacked_experts(params)
-    return _moments_arrays(
-        coeffs, sds, params.mixing.matrix, params.behavior.coeffs, _embed_rows(X)
-    )
+    return _moments_arrays(*params.as_arrays(), _embed_rows(X))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +319,23 @@ def _logpdf_from_moments(alpha, means, sds, y):
     z = (y[:, None] - means) / sds
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
     with np.errstate(divide="ignore"):
-        return logsumexp(comp + np.log(alpha), axis=1)
+        return logsumexp(comp + np.log(alpha), axis=-1)
+
+
+def _cdf_from_moments(alpha, means, sds, y):
+    return (alpha * ndtr((y[:, None] - means) / sds)).sum(axis=-1)
 
 
 def conditional_logpdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
     y = _as_vector(y, "y")
-    alpha, means, sds = fused_moments(params, X)
-    return _logpdf_from_moments(alpha, means, sds, y)
+    return _logpdf_from_moments(*fused_moments(params, X), y)
 
 
 def conditional_cdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Mixture CDF of each response given the matching covariate row."""
     y = _as_vector(y, "y")
-    alpha, means, sds = fused_moments(params, X)
-    return (alpha * ndtr((y[:, None] - means) / sds)).sum(axis=1)
+    return _cdf_from_moments(*fused_moments(params, X), y)
 
 
 def conditional_logpdf(params: ModelParams, x, y: float) -> float:
@@ -387,25 +383,33 @@ def log_prior(params: ModelParams, spec: PriorSpec) -> float:
     The frozen last gate row carries no prior term; it is a constant of the
     parameterization, not a random quantity.
     """
-    total = 0.0
-    for e in params.experts:
-        if e.noise_sd <= 0.0:
-            raise ValueError("noise_sd must be positive")
-        total += _laplace_logpdf(
-            e.mean_coeffs(), spec.mean_coeff_location, spec.mean_coeff_scale
-        ).sum()
-        total += float(_lognormal_logpdf(e.noise_sd, spec.noise_log_location, spec.noise_log_scale))
-    free_rows = params.mixing.matrix[:-1]
-    total += _laplace_logpdf(free_rows, spec.gate_coeff_location, spec.gate_coeff_scale).sum()
-    total += _laplace_logpdf(
-        params.behavior.coeffs, spec.gate_coeff_location, spec.gate_coeff_scale
-    ).sum()
+    coeffs, sds, gate_matrix, behavior_coeffs = params.as_arrays()
+    if not (sds > 0.0).all():
+        raise ValueError("noise_sd must be positive")
+    gate_coeffs = np.concatenate([gate_matrix[:-1].ravel(), behavior_coeffs])
+    total = (
+        _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale).sum()
+        + _lognormal_logpdf(sds, spec.noise_log_location, spec.noise_log_scale).sum()
+        + _laplace_logpdf(gate_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale).sum()
+    )
     return float(total)
 
 
 # ---------------------------------------------------------------------------
 # Sampling from the conditional law
 # ---------------------------------------------------------------------------
+
+
+def _draw_from_moments(alpha, means, sds, uniforms, normals):
+    """Responses and allocations: ``uniforms`` pick the expert through the
+    mixing weights, ``normals`` are scaled by its fused moments."""
+    cum = np.cumsum(alpha, axis=-1)
+    cum[..., -1] = 1.0  # rounding must not leave a draw above the last bin
+    z = (uniforms[..., None] < cum).argmax(axis=-1)
+    pick = z[..., None]
+    mean = np.take_along_axis(means, pick, axis=-1)[..., 0]
+    sd = np.take_along_axis(sds, pick, axis=-1)[..., 0]
+    return mean + sd * normals, z
 
 
 def sample_conditional(params: ModelParams, X, rng: np.random.Generator, return_experts: bool = False):
@@ -415,13 +419,9 @@ def sample_conditional(params: ModelParams, X, rng: np.random.Generator, return_
     sampled expert's fused Gaussian.  With ``return_experts`` the sampled
     allocation indices are returned alongside the responses.
     """
-    X = np.asarray(X, dtype=float)
     alpha, means, sds = fused_moments(params, X)
-    cum = np.cumsum(alpha, axis=1)
-    cum[:, -1] = 1.0  # rounding must not leave a draw above the last bin
-    z = (rng.random((len(X), 1)) < cum).argmax(axis=1)
-    rows = np.arange(len(X))
-    y = rng.normal(means[rows, z], sds[rows, z])
+    # Arguments evaluate left to right: all uniforms, then all normals.
+    y, z = _draw_from_moments(alpha, means, sds, rng.random(len(alpha)), rng.standard_normal(len(alpha)))
     if return_experts:
         return y, z
     return y

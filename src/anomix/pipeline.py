@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,17 +34,9 @@ from .detection import (
     pool,
     raise_alarms,
 )
-from .explain import default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
-from .model import (
-    BehaviorGateParams,
-    Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
-    fused_moments,
-    sample_conditional,
-)
-from .posterior import PosteriorSample, fit_diagnostics, sample_posterior
+from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
+from .model import Dataset, ModelParams, fused_moments, sample_conditional
+from .posterior import PosteriorSample, fit_diagnostics, sample_posterior, sample_predictive
 
 __all__ = [
     "CsvSchema",
@@ -103,7 +97,7 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
     Returns ``(timestamps, values, rejected)`` where ``values`` maps each
     requested column to a float vector and ``rejected`` lists
     ``(line_number, reason)`` for rows that failed to parse or had missing
-    fields.  Rows are sorted by timestamp, stably, so duplicates keep
+    or non-finite fields.  Rows are sorted by timestamp, stably, so duplicates keep
     their file order.
     """
     path = Path(path)
@@ -138,6 +132,9 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
                     parsed[c] = float(raw)
                 except ValueError:
                     bad = f"bad value {raw!r} in column {c!r}"
+                    break
+                if not math.isfinite(parsed[c]):
+                    bad = f"non-finite value {raw!r} in column {c!r}"
                     break
             if bad:
                 rejected.append((lineno, bad))
@@ -392,31 +389,16 @@ def write_two_index_stream(
         hi_a[onset_index:] += shift_sds * 0.5
         hi_b[onset_index:] += shift_sds * 0.7
 
-    telemetry = out_dir / "telemetry.csv"
-    with open(telemetry, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datetime", "machineID", "load", "hi_a", "hi_b"])
-        for i in range(n_samples):
-            writer.writerow(
-                [
-                    np.datetime_as_string(ts[i], unit="s", timezone="naive").replace("T", " "),
-                    "1",
-                    f"{load[i]:.6f}",
-                    f"{hi_a[i]:.6f}",
-                    f"{hi_b[i]:.6f}",
-                ]
-            )
-    failures = out_dir / "failures.csv"
-    with open(failures, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datetime", "machineID", "component"])
-        writer.writerow(
-            [
-                np.datetime_as_string(ts[failure_index], unit="s", timezone="naive").replace("T", " "),
-                "1",
-                "comp1",
-            ]
-        )
+    telemetry = _write_csv(
+        out_dir / "telemetry.csv",
+        ["datetime", "machineID", "load", "hi_a", "hi_b"],
+        ([t, "1", *_fixed6(row)] for t, row in zip(_timestamp_strings(ts), np.column_stack([load, hi_a, hi_b]))),
+    )
+    failures = _write_csv(
+        out_dir / "failures.csv",
+        ["datetime", "machineID", "component"],
+        [[_timestamp_strings([ts[failure_index]])[0], "1", "comp1"]],
+    )
     return telemetry, failures
 
 
@@ -426,18 +408,14 @@ def write_two_index_stream(
 
 
 def save_posterior(sample: PosteriorSample, path) -> None:
-    """Versioned binary archive of a posterior sample."""
-    coeffs = np.stack([np.stack([e.mean_coeffs() for e in d.experts]) for d in sample.draws])
-    sds = np.stack([np.array([e.noise_sd for e in d.experts]) for d in sample.draws])
-    mixing = np.stack([d.mixing.matrix for d in sample.draws])
-    behavior = np.stack([d.behavior.coeffs for d in sample.draws])
+    """Versioned binary archive of a posterior sample's draw stack."""
     np.savez_compressed(
         path,
         format_version=ARCHIVE_VERSION,
-        expert_coeffs=coeffs,
-        expert_sds=sds,
-        mixing=mixing,
-        behavior=behavior,
+        expert_coeffs=sample.expert_coeffs,
+        expert_sds=sample.expert_sds,
+        mixing=sample.mixing,
+        behavior=sample.behavior,
         acceptance_rate=sample.acceptance_rate,
         chain_count=sample.chain_count,
         seed=sample.seed,
@@ -449,20 +427,11 @@ def load_posterior(path) -> PosteriorSample:
         version = int(archive["format_version"])
         if version != ARCHIVE_VERSION:
             raise ValueError(f"unsupported posterior archive version {version}")
-        coeffs = archive["expert_coeffs"]
-        sds = archive["expert_sds"]
-        mixing = archive["mixing"]
-        behavior = archive["behavior"]
-        draws = tuple(
-            ModelParams(
-                tuple(ExpertParams(c[0], c[1:], sd) for c, sd in zip(cs, ss)),
-                MixingGateParams(mx),
-                BehaviorGateParams(bh),
-            )
-            for cs, ss, mx, bh in zip(coeffs, sds, mixing, behavior)
-        )
         return PosteriorSample(
-            draws,
+            archive["expert_coeffs"],
+            archive["expert_sds"],
+            archive["mixing"],
+            archive["behavior"],
             float(archive["acceptance_rate"]),
             int(archive["chain_count"]),
             int(archive["seed"]),
@@ -474,8 +443,20 @@ def load_posterior(path) -> PosteriorSample:
 # ---------------------------------------------------------------------------
 
 
-def _timestamp_strings(ts: np.ndarray) -> list:
+def _timestamp_strings(ts) -> list:
     return [np.datetime_as_string(t, unit="s").replace("T", " ") for t in np.asarray(ts, dtype="datetime64[s]")]
+
+
+def _fixed6(values) -> list:
+    return [f"{v:.6f}" for v in values]
+
+
+def _write_csv(path, header: list, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _save_split(path, data: Dataset) -> None:
@@ -586,39 +567,28 @@ def stage_diagnose(config: PipelineConfig, run_dir) -> None:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         train = _load_split(run_dir / f"train_{index}.npz")
         diag = fit_diagnostics(sample, train)
-        rows.append(
-            [
-                index,
-                f"{diag.lppd:.4f}",
-                f"{diag.psis_loo:.4f}",
-                f"{diag.psis_loo_se:.4f}",
-                f"{diag.cic95:.4f}",
-                f"{diag.cic95_se:.4f}",
-                f"{diag.pareto_k_max:.4f}",
-            ]
-        )
-    with open(run_dir / "diagnostics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lppd", "psis_loo", "psis_loo_se", "cic95", "cic95_se", "pareto_k_max"])
-        writer.writerows(rows)
-
-
-def _score_one(config: PipelineConfig, run_dir: Path, index: str) -> AnomalyScoreSeries:
-    sample = load_posterior(run_dir / f"posterior_{index}.npz")
-    test = _load_split(run_dir / f"test_{index}.npz")
-    return score_series(
-        test, sample, config.window_k, config.effective_decay(), config.threshold
-    )
+        if diag.pareto_k_max > 0.7:
+            warnings.warn(
+                f"index {index!r}: Pareto k max {diag.pareto_k_max:.2f} > 0.7, "
+                "so its PSIS-LOO estimate is unreliable",
+                RuntimeWarning,
+            )
+        values = (diag.lppd, diag.psis_loo, diag.psis_loo_se, diag.cic95, diag.cic95_se, diag.pareto_k_max)
+        rows.append([index, *(f"{v:.4f}" for v in values)])
+    header = ["index", "lppd", "psis_loo", "psis_loo_se", "cic95", "cic95_se", "pareto_k_max"]
+    _write_csv(run_dir / "diagnostics.csv", header, rows)
 
 
 def _write_series(path, series: AnomalyScoreSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "as_value", "theta_q05", "theta_q95", "threshold"])
-        lo = series.theta_low if series.theta_low is not None else series.as_values
-        hi = series.theta_high if series.theta_high is not None else series.as_values
-        for ts, v, a, b in zip(_timestamp_strings(series.timestamps), series.as_values, lo, hi):
-            writer.writerow([ts, f"{v:.6f}", f"{a:.6f}", f"{b:.6f}", f"{series.threshold:.6f}"])
+    """Score series as CSV; values are written at full precision (``repr``)
+    so that reading them back cannot move a score across the threshold."""
+    lo = series.theta_low if series.theta_low is not None else series.as_values
+    hi = series.theta_high if series.theta_high is not None else series.as_values
+    rows = (
+        [ts, *(repr(float(x)) for x in (v, a, b, series.threshold))]
+        for ts, v, a, b in zip(_timestamp_strings(series.timestamps), series.as_values, lo, hi)
+    )
+    _write_csv(path, ["timestamp", "as_value", "theta_q05", "theta_q95", "threshold"], rows)
 
 
 def _read_series(path) -> AnomalyScoreSeries:
@@ -639,20 +609,15 @@ def _read_series(path) -> AnomalyScoreSeries:
 def stage_score(config: PipelineConfig, run_dir) -> None:
     run_dir = Path(run_dir)
     for index in config.indices:
-        _write_series(run_dir / f"scores_{index}.csv", _score_one(config, run_dir, index))
+        sample = load_posterior(run_dir / f"posterior_{index}.npz")
+        test = _load_split(run_dir / f"test_{index}.npz")
+        series = score_series(test, sample, config.window_k, config.effective_decay(), config.threshold)
+        _write_series(run_dir / f"scores_{index}.csv", series)
 
 
 def _write_alarms(path, alarms: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["onset", "end"])
-        for a in alarms:
-            writer.writerow(
-                [
-                    np.datetime_as_string(np.datetime64(a.onset, "s"), unit="s").replace("T", " "),
-                    np.datetime_as_string(np.datetime64(a.end, "s"), unit="s").replace("T", " "),
-                ]
-            )
+    onsets = _timestamp_strings([a.onset for a in alarms])
+    _write_csv(path, ["onset", "end"], zip(onsets, _timestamp_strings([a.end for a in alarms])))
 
 
 def _read_alarms(path) -> list:
@@ -707,10 +672,9 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
     run_dir = Path(run_dir)
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
-        n_experts = sample.draws[0].n_experts
-        if n_experts == 1:
+        if sample.n_experts == 1:
             continue  # a single-expert gate has no directions to map
-        if n_experts - 1 > 2:
+        if sample.n_experts - 1 > 2:
             geometry = reduced_geometry(sample)
         else:
             try:
@@ -721,31 +685,21 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
         grid = default_score_grid(min(geometry.n_directions, 2))
         skeleton = embed_grid(geometry, grid, train.covariates.mean(axis=0))
         rendered = render_map(skeleton, sample)
-        with open(run_dir / f"explain_{index}_map.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            n_experts = rendered.activations.shape[1]
-            header = (
-                [f"score_{j}" for j in range(rendered.grid.shape[1])]
-                + [f"x_{j}" for j in range(rendered.points.shape[1])]
-                + [f"activation_{j}" for j in range(n_experts)]
-                + ["predictive_mean", "predictive_sd"]
-            )
-            writer.writerow(header)
-            for g, p, a, m, s in zip(
-                rendered.grid, rendered.points, rendered.activations,
-                rendered.predictive_mean, rendered.predictive_sd,
-            ):
-                writer.writerow(
-                    [f"{v:.6f}" for v in g]
-                    + [f"{v:.6f}" for v in p]
-                    + [f"{v:.6f}" for v in a]
-                    + [f"{m:.6f}", f"{s:.6f}"]
-                )
-        with open(run_dir / f"explain_{index}_arrows.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature"] + [f"component_{j}" for j in range(rendered.grid.shape[1])])
-            for j, arrow in enumerate(rendered.arrows):
-                writer.writerow([j] + [f"{v:.6f}" for v in arrow])
+        header = (
+            [f"score_{j}" for j in range(rendered.grid.shape[1])]
+            + [f"x_{j}" for j in range(rendered.points.shape[1])]
+            + [f"activation_{j}" for j in range(sample.n_experts)]
+            + ["predictive_mean", "predictive_sd"]
+        )
+        table = np.column_stack(
+            [rendered.grid, rendered.points, rendered.activations, rendered.predictive_mean, rendered.predictive_sd]
+        )
+        _write_csv(run_dir / f"explain_{index}_map.csv", header, map(_fixed6, table))
+        _write_csv(
+            run_dir / f"explain_{index}_arrows.csv",
+            ["feature"] + [f"component_{j}" for j in range(rendered.grid.shape[1])],
+            ([j, *_fixed6(arrow)] for j, arrow in enumerate(rendered.arrows)),
+        )
 
 
 def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) -> dict:
@@ -795,60 +749,37 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> list:
         test = _load_split(run_dir / f"test_{index}.npz")
         if len(test) == 0:
             continue
-        draws = np.stack([sample_conditional(d, test.covariates, rng) for d in sample.draws])
-        mean = np.zeros(len(test))
-        act = np.zeros((len(test), sample.draws[0].n_experts))
-        for d in sample.draws:
-            alpha, means, _ = fused_moments(d, test.covariates)
-            mean += (alpha * means).sum(axis=1)
-            act += alpha
-        mean /= sample.n_draws
-        act /= sample.n_draws
+        draws = sample_predictive(sample, test.covariates, rng)
+        act, mean, _ = _predictive_summary(sample, test.covariates)
         q05 = np.quantile(draws, 0.05, axis=0)
         q95 = np.quantile(draws, 0.95, axis=0)
 
-        band_path = run_dir / f"plot_band_{index}.csv"
-        with open(band_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "observed", "predictive_mean", "q05", "q95"])
-            for ts, y, m, lo, hi in zip(
-                _timestamp_strings(test.timestamps), test.responses, mean, q05, q95
-            ):
-                writer.writerow([ts, f"{y:.6f}", f"{m:.6f}", f"{lo:.6f}", f"{hi:.6f}"])
-        written.append(band_path)
-
-        act_path = run_dir / f"plot_activations_{index}.csv"
-        with open(act_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp"] + [f"activation_{j}" for j in range(act.shape[1])])
-            for ts, row in zip(_timestamp_strings(test.timestamps), act):
-                writer.writerow([ts] + [f"{v:.6f}" for v in row])
-        written.append(act_path)
+        stamps = _timestamp_strings(test.timestamps)
+        band = np.column_stack([test.responses, mean, q05, q95])
+        written += [
+            _write_csv(
+                run_dir / f"plot_band_{index}.csv",
+                ["timestamp", "observed", "predictive_mean", "q05", "q95"],
+                ([ts, *_fixed6(row)] for ts, row in zip(stamps, band)),
+            ),
+            _write_csv(
+                run_dir / f"plot_activations_{index}.csv",
+                ["timestamp"] + [f"activation_{j}" for j in range(act.shape[1])],
+                ([ts, *_fixed6(row)] for ts, row in zip(stamps, act)),
+            ),
+        ]
 
         series = _read_series(run_dir / f"scores_{index}.csv")
-        alarms = _read_alarms(run_dir / f"alarms_{index}.csv")
-        onsets = {np.datetime64(a.onset, "s") for a in alarms}
-        score_path = run_dir / f"plot_scores_{index}.csv"
-        with open(score_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "as_value", "threshold", "alarm_onset"])
-            for ts, v in zip(series.timestamps, series.as_values):
-                writer.writerow(
-                    [
-                        np.datetime_as_string(ts, unit="s").replace("T", " "),
-                        f"{v:.6f}",
-                        f"{series.threshold:.6f}",
-                        int(np.datetime64(ts, "s") in onsets),
-                    ]
-                )
-        written.append(score_path)
+        onsets = {np.datetime64(a.onset, "s") for a in _read_alarms(run_dir / f"alarms_{index}.csv")}
+        rows = (
+            [text, f"{v:.6f}", f"{series.threshold:.6f}", int(np.datetime64(ts, "s") in onsets)]
+            for text, ts, v in zip(_timestamp_strings(series.timestamps), series.timestamps, series.as_values)
+        )
+        written.append(
+            _write_csv(run_dir / f"plot_scores_{index}.csv", ["timestamp", "as_value", "threshold", "alarm_onset"], rows)
+        )
 
     failures_raw = json.loads((run_dir / "failures.json").read_text())
-    markers_path = run_dir / "plot_failures.csv"
-    with open(markers_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start", "end"])
-        for f in failures_raw:
-            writer.writerow([f["start"].replace("T", " "), f["end"].replace("T", " ")])
-    written.append(markers_path)
+    markers = ([f["start"].replace("T", " "), f["end"].replace("T", " ")] for f in failures_raw)
+    written.append(_write_csv(run_dir / "plot_failures.csv", ["start", "end"], markers))
     return written

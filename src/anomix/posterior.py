@@ -5,7 +5,7 @@ block per parameter group (experts, mixing gate, behavior gate).  Noise
 standard deviations are proposed on the log scale with the matching
 Jacobian term, proposal scales adapt toward a 0.25 acceptance rate during
 burn-in only, and chains run independently on their own RNG streams before
-being concatenated.
+being concatenated into one draw stack (:class:`PosteriorSample`).
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from .model import (
     MixingGateParams,
     ModelParams,
     PriorSpec,
+    _cdf_from_moments,
+    _draw_from_moments,
     _embed_rows,
     _laplace_logpdf,
     _logpdf_from_moments,
     _moments_arrays,
     conditional_cdf,
-    conditional_cdf_rows,
-    conditional_logpdf_rows,
     fused_moments,
 )
 
@@ -48,6 +48,13 @@ __all__ = [
     "sample_predictive",
     "fit_diagnostics",
 ]
+
+# Working-set budget of one blocked pass over a draw stack, counted in
+# (draws x rows x experts) elements.  It bounds the memory a posterior-wide
+# evaluation adds at any row count, from a test split to a dense map grid.
+BLOCK_ELEMENTS = 2**14
+
+_STACK_FIELDS = ("expert_coeffs", "expert_sds", "mixing", "behavior")
 
 
 @dataclass(frozen=True)
@@ -70,24 +77,74 @@ class SamplerSettings:
             raise ValueError("target_acceptance must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorSample:
-    """Retained draws plus the bookkeeping needed to reproduce them."""
+    """Retained draws as one stack, plus the bookkeeping to reproduce them.
 
-    draws: tuple
+    Each parameter group has a leading axis over the S draws:
+    ``expert_coeffs`` (S, M, n + 1, intercept then slopes), ``expert_sds``
+    (S, M), ``mixing`` (S, M, n + 1, last row zero) and ``behavior``
+    (S, n + 1).  The sampler lays its chains out as contiguous, equal-length
+    blocks of draws, so ``array.reshape(chain_count, -1, ...)`` restores
+    the chain axis.
+    """
+
+    expert_coeffs: np.ndarray
+    expert_sds: np.ndarray
+    mixing: np.ndarray
+    behavior: np.ndarray
     acceptance_rate: float
     chain_count: int
     seed: int
 
     def __post_init__(self):
-        draws = tuple(self.draws)
-        if not draws:
-            raise ValueError("a posterior sample needs at least one draw")
-        object.__setattr__(self, "draws", draws)
+        arrays = [np.ascontiguousarray(getattr(self, name), dtype=float) for name in _STACK_FIELDS]
+        coeffs, sds, mixing, behavior = arrays
+        s, m, na = coeffs.shape if coeffs.ndim == 3 else (0, 0, 0)
+        if s * m == 0 or (sds.shape, mixing.shape, behavior.shape) != ((s, m), (s, m, na), (s, na)):
+            shapes = ", ".join(str(a.shape) for a in arrays)
+            raise ValueError(f"draw stack shapes {shapes} are not (S, M, n + 1), (S, M), (S, M, n + 1), (S, n + 1)")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValueError("posterior draws must be finite")
+        if not (sds > 0.0).all():
+            raise ValueError("noise sds must be positive")
+        if (mixing[:, -1] != 0.0).any():
+            raise ValueError("last gate row must be identically zero in every draw")
+        for name, arr in zip(_STACK_FIELDS, arrays):
+            object.__setattr__(self, name, arr)
 
     @property
     def n_draws(self) -> int:
-        return len(self.draws)
+        return self.expert_sds.shape[0]
+
+    @property
+    def n_experts(self) -> int:
+        return self.expert_sds.shape[1]
+
+    def draw(self, s: int) -> ModelParams:
+        """Draw ``s`` as a single parameter point."""
+        experts = tuple(ExpertParams(c[0], c[1:], sd) for c, sd in zip(self.expert_coeffs[s], self.expert_sds[s]))
+        return ModelParams(experts, MixingGateParams(self.mixing[s]), BehaviorGateParams(self.behavior[s]))
+
+    @classmethod
+    def from_draws(cls, draws, acceptance_rate: float, chain_count: int, seed: int) -> "PosteriorSample":
+        """Stack single parameter points, in order, into a posterior sample."""
+        arrays = [d.as_arrays() for d in draws]
+        if not arrays:
+            raise ValueError("a posterior sample needs at least one draw")
+        return cls(*(np.stack(group) for group in zip(*arrays)), acceptance_rate, chain_count, seed)
+
+    def moment_blocks(self, X):
+        """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
+        the slice of draws a block covers and its fused moments at every row
+        of ``X``, shaped (block draws, rows, M), at most ``BLOCK_ELEMENTS``
+        elements (and one draw) per block."""
+        phi = _embed_rows(X)
+        step = max(1, BLOCK_ELEMENTS // max(1, len(phi) * self.n_experts))
+        for start in range(0, self.n_draws, step):
+            block = slice(start, start + step)
+            arrays = (getattr(self, name)[block] for name in _STACK_FIELDS)
+            yield (block, *_moments_arrays(*arrays, phi))
 
 
 @dataclass(frozen=True)
@@ -133,21 +190,16 @@ class _ParamLayout:
         return out
 
     def unpack(self, vec: np.ndarray):
-        ev = vec[self.expert_slice].reshape(self.m, self.na + 1)
-        coeffs = ev[:, : self.na]
-        log_sds = ev[:, self.na]
-        mixing = np.zeros((self.m, self.na))
+        """Parameter arrays of one flat state, or of a stack of them (leading axes)."""
+        lead = vec.shape[:-1]
+        ev = vec[..., self.expert_slice].reshape(*lead, self.m, self.na + 1)
+        coeffs = ev[..., : self.na]
+        log_sds = ev[..., self.na]
+        mixing = np.zeros((*lead, self.m, self.na))
         if self.m > 1:
-            mixing[:-1] = vec[self.mixing_slice].reshape(self.m - 1, self.na)
-        behavior = vec[self.behavior_slice]
+            mixing[..., :-1, :] = vec[..., self.mixing_slice].reshape(*lead, self.m - 1, self.na)
+        behavior = vec[..., self.behavior_slice]
         return coeffs, log_sds, mixing, behavior
-
-    def to_params(self, vec: np.ndarray) -> ModelParams:
-        coeffs, log_sds, mixing, behavior = self.unpack(vec)
-        experts = tuple(
-            ExpertParams(c[0], c[1:], math.exp(s)) for c, s in zip(coeffs, log_sds)
-        )
-        return ModelParams(experts, MixingGateParams(mixing), BehaviorGateParams(behavior))
 
 
 def _make_log_target(data: Dataset, prior: PriorSpec, layout: _ParamLayout):
@@ -246,8 +298,8 @@ def sample_posterior(
     overall = float(np.mean(rates))
     if overall == 0.0:
         raise RuntimeError("no proposals were accepted after burn-in; the chains did not move")
-    draws = tuple(layout.to_params(v) for v in vectors)
-    return PosteriorSample(draws, overall, settings.chains, settings.seed)
+    coeffs, log_sds, mixing, behavior = layout.unpack(np.array(vectors))
+    return PosteriorSample(coeffs, np.exp(log_sds), mixing, behavior, overall, settings.chains, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +309,19 @@ def sample_posterior(
 
 def _pointwise_loglik(sample: PosteriorSample, data: Dataset) -> np.ndarray:
     """(draws x points) conditional log densities."""
-    return np.stack(
-        [conditional_logpdf_rows(d, data.covariates, data.responses) for d in sample.draws]
-    )
+    ll = np.empty((sample.n_draws, len(data)))
+    for block, alpha, means, sds in sample.moment_blocks(data.covariates):
+        ll[block] = _logpdf_from_moments(alpha, means, sds, data.responses)
+    return ll
+
+
+def _lppd(ll: np.ndarray) -> float:
+    return float(np.sum(logsumexp(ll, axis=0) - math.log(ll.shape[0])))
 
 
 def lppd(sample: PosteriorSample, data: Dataset) -> float:
     """Log pointwise predictive density: per point, log of the draw-average density."""
-    if len(data) == 0:
-        return 0.0
-    ll = _pointwise_loglik(sample, data)
-    return float(np.sum(logsumexp(ll, axis=0) - math.log(sample.n_draws)))
+    return _lppd(_pointwise_loglik(sample, data))
 
 
 def _fit_gpd(excesses: np.ndarray):
@@ -334,7 +388,10 @@ def psis_loo(sample: PosteriorSample, data: Dataset):
     larger estimates indicate better fit, and ``pareto_k > 0.7`` flags
     points whose weights are too heavy-tailed to trust.
     """
-    ll = _pointwise_loglik(sample, data)
+    return _psis_loo(_pointwise_loglik(sample, data))
+
+
+def _psis_loo(ll: np.ndarray):
     s, n = ll.shape
     smooth = s >= 100
     if not smooth:
@@ -366,11 +423,11 @@ def cic(sample: PosteriorSample, data: Dataset, level: float = 0.95):
     lo = (1.0 - level) / 2.0
     hi = 1.0 - lo
     per_draw = np.empty(sample.n_draws)
-    for s, draw in enumerate(sample.draws):
+    for block, alpha, means, sds in sample.moment_blocks(data.covariates):
         # y sits inside the central interval exactly when its CDF value
         # falls between the two tail probabilities (the CDF is monotone).
-        u = conditional_cdf_rows(draw, data.covariates, data.responses)
-        per_draw[s] = np.mean((u >= lo) & (u <= hi))
+        u = _cdf_from_moments(alpha, means, sds, data.responses)
+        per_draw[block] = np.mean((u >= lo) & (u <= hi), axis=-1)
     coverage = float(per_draw.mean())
     se = float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0
     return coverage, se
@@ -400,29 +457,36 @@ def credible_interval(params: ModelParams, x, level: float = 0.95):
 
 def posterior_predictive_cdf(sample: PosteriorSample, X, y) -> np.ndarray:
     """Draw-averaged conditional CDF at each covariate/response row."""
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     acc = np.zeros(len(y))
-    for draw in sample.draws:
-        acc += conditional_cdf_rows(draw, X, y)
+    for _, alpha, means, sds in sample.moment_blocks(X):
+        acc += _cdf_from_moments(alpha, means, sds, y).sum(axis=0)
     return acc / sample.n_draws
 
 
 def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> np.ndarray:
-    """(draws x points) responses sampled from the posterior predictive."""
-    from .model import sample_conditional
+    """(draws x points) responses sampled from the posterior predictive.
 
-    X = np.asarray(X, dtype=float)
-    return np.stack([sample_conditional(d, X, rng) for d in sample.draws])
+    All allocation uniforms are drawn first, then all standard normals,
+    each in (draw, point) order.
+    """
+    shape = (sample.n_draws, len(X))
+    uniforms = rng.random(shape)
+    normals = rng.standard_normal(shape)
+    out = np.empty(shape)
+    for block, alpha, means, sds in sample.moment_blocks(X):
+        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
+    return out
 
 
 def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95) -> FitDiagnostics:
     """Bundle LPPD, PSIS-LOO and coverage into one report."""
-    loo, loo_se, k_hat = psis_loo(sample, data)
+    ll = _pointwise_loglik(sample, data)
+    loo, loo_se, k_hat = _psis_loo(ll)
     coverage, coverage_se = cic(sample, data, level)
     finite = k_hat[np.isfinite(k_hat)]
     return FitDiagnostics(
-        lppd=lppd(sample, data),
+        lppd=_lppd(ll),
         psis_loo=loo,
         psis_loo_se=loo_se,
         cic95=coverage,

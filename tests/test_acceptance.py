@@ -226,9 +226,9 @@ def test_criterion_4_posterior_recovery():
     with criterion(4, "posterior recovery", 300.0):
         data, sample, x_new, y_new = recovery_fit()
         assert sample.n_draws == 4000
-        ints = np.array([d.experts[0].intercept for d in sample.draws])
-        slopes = np.array([d.experts[0].slopes[0] for d in sample.draws])
-        sds = np.array([d.experts[0].noise_sd for d in sample.draws])
+        ints = sample.expert_coeffs[:, 0, 0]
+        slopes = sample.expert_coeffs[:, 0, 1]
+        sds = sample.expert_sds[:, 0]
         assert abs(ints.mean() - TRUTH["intercept"]) < 3 * ints.std()
         assert abs(slopes.mean() - TRUTH["slope"]) < 3 * slopes.std()
         assert abs(sds.mean() - TRUTH["sd"]) < 3 * sds.std()
@@ -333,7 +333,7 @@ def test_criterion_7_explainability_geometry():
             gate = np.vstack([np.column_stack([intercepts, slopes]), np.zeros(n + 1)])
             experts = tuple(ExpertParams(0.0, np.zeros(n), 1.0) for _ in range(rows + 1))
             draw = ModelParams(experts, MixingGateParams(gate), BehaviorGateParams(np.zeros(n + 1)))
-            sample = PosteriorSample((draw,), 0.25, 1, 0)
+            sample = PosteriorSample.from_draws((draw,), 0.25, 1, 0)
             geo = gate_geometry(sample)
             scale = np.linalg.norm(slopes)
             for i, star in enumerate(geo.a_star):

@@ -147,6 +147,11 @@ class TestBuildSumDist:
 
 
 class TestSumCdf:
+    def test_nan_query_raises(self):
+        d = build_sum_dist(exp_weights(6, default_decay(5)))
+        with pytest.raises(ValueError, match="NaN"):
+            sum_cdf(d, math.nan)
+
     def test_single_uniform_is_identity(self):
         d = build_sum_dist(WeightVector([1.0]))
         for q in np.linspace(0.0, 1.0, 21):
@@ -344,7 +349,7 @@ class TestAsTheta:
 
 class TestAsPosterior:
     def make_sample(self, draws):
-        return PosteriorSample(tuple(draws), 0.25, 1, 0)
+        return PosteriorSample.from_draws(draws, 0.25, 1, 0)
 
     def test_single_draw_equals_as_theta(self):
         model = std_normal_model()
@@ -379,7 +384,7 @@ class TestAsPosterior:
 
 class TestScoreSeries:
     def make_sample(self, model, copies=3):
-        return PosteriorSample(tuple([model] * copies), 0.25, 1, 0)
+        return PosteriorSample.from_draws([model] * copies, 0.25, 1, 0)
 
     def test_windowless_scores(self):
         model = std_normal_model()

@@ -46,7 +46,7 @@ def sample_from_gate(matrix, n_experts, n_features, n_draws=3):
         ModelParams(experts, MixingGateParams(matrix), BehaviorGateParams(np.zeros(n_features + 1)))
         for _ in range(n_draws)
     ]
-    return PosteriorSample(tuple(draws), 0.25, 1, 0)
+    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
 
 
 def full_gate(slopes, intercepts):
@@ -251,9 +251,9 @@ class TestRenderMap:
         assert rendered.predictive_mean.std() < 0.3  # activation blending only
         const_experts = tuple(ExpertParams(1.0, np.zeros(2), 1.0) for _ in range(2))
         draws = tuple(
-            ModelParams(const_experts, d.mixing, d.behavior) for d in sample.draws
+            ModelParams(const_experts, d.mixing, d.behavior) for d in map(sample.draw, range(sample.n_draws))
         )
-        flat_sample = PosteriorSample(draws, 0.25, 1, 0)
+        flat_sample = PosteriorSample.from_draws(draws, 0.25, 1, 0)
         rendered = render_map(embed_grid(geo, default_score_grid(1)), flat_sample)
         np.testing.assert_allclose(rendered.predictive_mean, 1.0, atol=1e-12)
         np.testing.assert_allclose(rendered.predictive_sd, 1.0, atol=1e-12)
@@ -283,8 +283,8 @@ class TestRenderMap:
             scale = np.linalg.norm(slopes)
             assert logits1[i] > logits0[i]
             assert abs(logits1[other] - logits0[other]) < 1e-10 * scale
-            w0 = mixing_weights(sample.draws[0].mixing, x0)
-            w1 = mixing_weights(sample.draws[0].mixing, x0 + 0.5 * step)
+            w0 = mixing_weights(sample.draw(0).mixing, x0)
+            w1 = mixing_weights(sample.draw(0).mixing, x0 + 0.5 * step)
             assert w1[i] > w0[i]
 
     def test_per_draw_stack(self):

@@ -110,17 +110,6 @@ class TestMixingWeights:
         with pytest.raises(ValueError):
             MixingGateParams([[1.0, 0.0], [0.5, 0.0]])
 
-    def test_embedding_hook(self):
-        # alternative shaping functions plug in per call; affine is the default
-        gate = MixingGateParams([[1.0, 1.0], [0.0, 0.0]])
-        quad = lambda x: np.array([1.0, x[0] ** 2])
-        default = mixing_weights(gate, [2.0])
-        hooked = mixing_weights(gate, [2.0], embed_fn=quad)
-        assert hooked[0] > default[0]  # logit 5 instead of 3
-        assert behavior_beta(BehaviorGateParams([0.0, 1.0]), [2.0], embed_fn=quad) == pytest.approx(
-            1 / (1 + math.exp(-4.0)), abs=1e-12
-        )
-
 
 class TestBehaviorBeta:
     def test_zero_coeffs(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from anomix.anomaly import pit_rows, score_series
+from anomix.anomaly import AnomalyScoreSeries, pit_rows, score_series
 from anomix.config import default_config_text, load_config, parse_config
-from anomix.detection import FailureLog
+from anomix.detection import AlarmPolicy, FailureLog, raise_alarms
 from anomix.model import (
     BehaviorGateParams,
     Dataset,
@@ -22,8 +22,11 @@ from anomix.pipeline import (
     build_splits,
     generate_synthetic,
     ingest_csv,
+    _read_series,
+    _write_series,
     load_posterior,
     read_failures,
+    read_telemetry,
     save_posterior,
     standard_scale,
 )
@@ -128,6 +131,28 @@ class TestIngest:
         data, rejected = ingest_csv(path, azure_schema())
         assert len(data) == 1
         assert [line for line, _ in rejected] == [3, 4, 5]
+
+    def test_non_finite_cells_rejected_with_line_numbers(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(
+            "datetime,load,hi_a\n"
+            "2015-01-01 06:00:00,0.1,1.0\n"
+            "2015-01-01 07:00:00,nan,1.0\n"
+            "2015-01-01 08:00:00,0.3,inf\n"
+        )
+        ts, values, rejected = read_telemetry(path, "datetime", ["load", "hi_a"])
+        assert len(ts) == 1
+        assert values["load"].tolist() == [0.1] and values["hi_a"].tolist() == [1.0]
+        assert [line for line, _ in rejected] == [3, 4]
+        assert "non-finite" in rejected[0][1] and "'load'" in rejected[0][1]
+        assert "'hi_a'" in rejected[1][1]
+
+    def test_dataset_refuses_non_finite_values(self):
+        ts = np.array(["2024-01-01T00:00:00", "2024-01-01T01:00:00"], dtype="datetime64[s]")
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([[0.0], [np.nan]], [1.0, 2.0], ts)
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([[0.0], [1.0]], [1.0, -np.inf], ts)
 
     def test_failure_log_reader(self, tmp_path):
         path = tmp_path / "failures.csv"
@@ -258,7 +283,7 @@ class TestGenerateSynthetic:
             model, [("uniform", -2.0, 2.0)], 200, fault_onset=100, shift_sds=10.0
         )
         data, _ = generate_synthetic(spec, seed=4)
-        sample = PosteriorSample((model,), 0.25, 1, 0)
+        sample = PosteriorSample.from_draws((model,), 0.25, 1, 0)
         series = score_series(data, sample, k=5)
         after = series.as_values[series.timestamps >= data.timestamps[105]]
         assert np.all(after >= 0.99)
@@ -320,10 +345,33 @@ class TestConfig:
             other = parse_config(default_config_text().replace(line, replacement))
             assert other.config_hash() != base.config_hash()
 
+    @pytest.mark.parametrize("window_k", [25, 20, -3])
+    def test_window_k_out_of_range_rejected(self, window_k):
+        with pytest.raises(ValueError, match="window_k"):
+            parse_config(default_config_text(window_k=window_k))
+
+    @pytest.mark.parametrize("window_k", [0, 19])
+    def test_window_k_range_ends_accepted(self, window_k):
+        assert parse_config(default_config_text(window_k=window_k)).window_k == window_k
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(default_config_text(seed=7))
         assert load_config(path).seed == 7
+
+
+class TestScoreHandOff:
+    def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
+        ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
+        series = AnomalyScoreSeries(ts, np.array([0.5, 0.9749996, 0.5]), 0.975)
+        policy = AlarmPolicy(0.975, 1)
+        assert raise_alarms(series, policy) == []
+        path = tmp_path / "scores.csv"
+        _write_series(path, series)
+        back = _read_series(path)
+        np.testing.assert_array_equal(back.as_values, series.as_values)
+        assert back.threshold == series.threshold
+        assert raise_alarms(back, policy) == []
 
 
 class TestPosteriorArchive:
@@ -337,14 +385,14 @@ class TestPosteriorArchive:
             )
             mixing = MixingGateParams(np.vstack([rng.normal(size=(1, 3)), np.zeros(3)]))
             draws.append(ModelParams(experts, mixing, BehaviorGateParams(rng.normal(size=3))))
-        sample = PosteriorSample(tuple(draws), 0.31, 2, 99)
+        sample = PosteriorSample.from_draws(draws, 0.31, 2, 99)
         path = tmp_path / "posterior.npz"
         save_posterior(sample, path)
         back = load_posterior(path)
         assert back.n_draws == 5
         assert back.acceptance_rate == pytest.approx(0.31)
         assert back.chain_count == 2 and back.seed == 99
-        for a, b in zip(sample.draws, back.draws):
+        for a, b in zip(map(sample.draw, range(5)), map(back.draw, range(5))):
             np.testing.assert_array_equal(a.mixing.matrix, b.mixing.matrix)
             np.testing.assert_array_equal(a.behavior.coeffs, b.behavior.coeffs)
             for ea, eb in zip(a.experts, b.experts):

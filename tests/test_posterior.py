@@ -54,7 +54,7 @@ def single_expert(intercept=0.0, slope=0.0, sd=1.0):
 
 
 def make_sample(draws):
-    return PosteriorSample(tuple(draws), 0.25, 1, 0)
+    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
 
 
 SMALL = SamplerSettings(chains=2, iterations=600, burn_in=300, seed=5)
@@ -74,7 +74,7 @@ class TestSampler:
         data = linear_data(40, seed=1)
         a = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=9))
         b = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=9))
-        for da, db in zip(a.draws, b.draws):
+        for da, db in zip(map(a.draw, range(a.n_draws)), map(b.draw, range(b.n_draws))):
             assert np.array_equal(da.mixing.matrix, db.mixing.matrix)
             assert np.array_equal(da.behavior.coeffs, db.behavior.coeffs)
             for ea, eb in zip(da.experts, db.experts):
@@ -86,7 +86,7 @@ class TestSampler:
         data = linear_data(40, seed=1)
         a = sample_posterior(data, PriorSpec(), 1, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=1))
         b = sample_posterior(data, PriorSpec(), 1, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=2))
-        assert a.draws[-1].experts[0].intercept != b.draws[-1].experts[0].intercept
+        assert a.draw(-1).experts[0].intercept != b.draw(-1).experts[0].intercept
 
     def test_zero_iteration_config_rejected(self):
         with pytest.raises(ValueError):
@@ -103,16 +103,16 @@ class TestSampler:
 
     def test_recovers_linear_truth(self, fitted):
         _, sample = fitted
-        ints = np.array([d.experts[0].intercept for d in sample.draws])
-        slopes = np.array([d.experts[0].slopes[0] for d in sample.draws])
-        sds = np.array([d.experts[0].noise_sd for d in sample.draws])
+        ints = sample.expert_coeffs[:, 0, 0]
+        slopes = sample.expert_coeffs[:, 0, 1]
+        sds = sample.expert_sds[:, 0]
         assert abs(ints.mean() - 2.0) < 3 * ints.std()
         assert abs(slopes.mean() - 3.0) < 3 * slopes.std()
         assert abs(sds.mean() - 0.5) < 3 * sds.std()
 
     def test_draw_invariants(self, fitted):
         _, sample = fitted
-        for d in sample.draws:
+        for d in map(sample.draw, range(sample.n_draws)):
             assert np.all(d.mixing.matrix[-1] == 0.0)
             assert all(e.noise_sd > 0 for e in d.experts)
 

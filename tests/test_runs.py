@@ -1,15 +1,21 @@
 """Run-directory and CLI integration tests on a small synthetic stream."""
 
+import shutil
+import warnings
+
 import pytest
 
+from anomix import pipeline
 from anomix.cli import main
 from anomix.config import default_config_text, parse_config
 from anomix.pipeline import (
     StageError,
     emit_plot_data,
     run_experiment,
+    stage_diagnose,
     write_two_index_stream,
 )
+from anomix.posterior import FitDiagnostics
 
 FAST = dict(
     indices=["hi_a", "hi_b"],
@@ -106,6 +112,25 @@ class TestRunExperiment:
         config = parse_config(default_config_text(**FAST))
         with pytest.raises(StageError, match="fit"):
             run_experiment(config, telemetry, tmp_path / "missing.csv", tmp_path / "broken")
+
+
+class TestDiagnoseWarnings:
+    def test_heavy_pareto_tail_warns_with_index(self, finished_run, tmp_path):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        with pytest.warns(RuntimeWarning, match="'hi_a'.*Pareto k"):
+            stage_diagnose(config, copy)
+
+    @pytest.mark.parametrize("k_max, warns", [(0.7, False), (0.76, True)])
+    def test_threshold_is_strictly_above_0_7(self, finished_run, tmp_path, monkeypatch, k_max, warns):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        report = FitDiagnostics(0.0, 0.0, 0.0, 0.95, 0.0, k_max)
+        monkeypatch.setattr(pipeline, "fit_diagnostics", lambda sample, data: report)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stage_diagnose(config, copy)
+        assert [str(w.message)[:13] for w in caught] == (["index 'hi_a':", "index 'hi_b':"] if warns else [])
 
 
 class TestEmitPlotData:

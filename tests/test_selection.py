@@ -44,7 +44,7 @@ def jittered_sample(rng, n_draws=400, sd=1.0):
         single_expert(intercept=rng.normal(0, 0.02), slope=rng.normal(0, 0.02), sd=sd)
         for _ in range(n_draws)
     ]
-    return PosteriorSample(tuple(draws), 0.25, 1, 0)
+    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
 
 
 class TestCoverageCounts:
