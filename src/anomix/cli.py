@@ -28,15 +28,34 @@ from .pipeline import (
 
 __all__ = ["main"]
 
+# verb -> (help, reads the telemetry and failure files, takes detection overrides)
+_VERBS = {
+    "fit": ("ingest, split, scale and sample the posterior", True, False),
+    "diagnose": ("LPPD, PSIS-LOO, coverage and split R-hat on the training split", False, False),
+    "score": ("anomaly score series on the test split", False, True),
+    "detect": ("alarms per index plus the pooled consensus", False, True),
+    "evaluate": ("validity-window detection report", False, True),
+    "explain": ("gate-geometry explanation maps", False, False),
+    "run": ("full protocol and plot data emission", True, True),
+}
 
-def _add_common(parser: argparse.ArgumentParser, data: bool = False, failures: bool = False) -> None:
+# Stage verbs that read and write only the run directory.
+_RUN_DIR_STAGES = {
+    "diagnose": stage_diagnose,
+    "score": stage_score,
+    "detect": stage_detect,
+    "evaluate": stage_evaluate,
+    "explain": stage_explain,
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, inputs: bool) -> None:
     parser.add_argument("--config", required=True, help="experiment configuration file")
     parser.add_argument("--out", required=True, help="run directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--index", default=None, help="restrict to one target index")
-    if data:
+    if inputs:
         parser.add_argument("--data", required=True, help="telemetry CSV")
-    if failures:
         parser.add_argument("--failures", required=True, help="failure log CSV")
 
 
@@ -76,30 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-sds", type=float, default=8.0, help="post-onset mean shift in sd units")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fit", help="ingest, split, scale and sample the posterior")
-    _add_common(p, data=True, failures=True)
-
-    p = sub.add_parser("diagnose", help="LPPD, PSIS-LOO and coverage on the training split")
-    _add_common(p)
-
-    p = sub.add_parser("score", help="anomaly score series on the test split")
-    _add_common(p)
-    _add_detection_overrides(p)
-
-    p = sub.add_parser("detect", help="alarms per index plus the pooled consensus")
-    _add_common(p)
-    _add_detection_overrides(p)
-
-    p = sub.add_parser("evaluate", help="validity-window detection report")
-    _add_common(p)
-    _add_detection_overrides(p)
-
-    p = sub.add_parser("explain", help="gate-geometry explanation maps")
-    _add_common(p)
-
-    p = sub.add_parser("run", help="full protocol and plot data emission")
-    _add_common(p, data=True, failures=True)
-    _add_detection_overrides(p)
+    for verb, (text, inputs, overrides) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        _add_common(p, inputs)
+        if overrides:
+            _add_detection_overrides(p)
     return parser
 
 
@@ -122,19 +122,11 @@ def main(argv=None) -> int:
     try:
         if args.verb == "fit":
             stage_fit(config, args.data, args.failures, run_dir)
-        elif args.verb == "diagnose":
-            stage_diagnose(config, run_dir)
-        elif args.verb == "score":
-            stage_score(config, run_dir)
-        elif args.verb == "detect":
-            stage_detect(config, run_dir)
-        elif args.verb == "evaluate":
-            stage_evaluate(config, run_dir)
-        elif args.verb == "explain":
-            stage_explain(config, run_dir)
         elif args.verb == "run":
             run_experiment(config, args.data, args.failures, run_dir)
             emit_plot_data(config, run_dir)
+        else:
+            _RUN_DIR_STAGES[args.verb](config, run_dir)
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -122,23 +122,11 @@ class PipelineConfig:
             raise ValueError("margin_days must be non-negative")
 
     def prior_spec(self) -> PriorSpec:
-        return PriorSpec(
-            mean_coeff_location=self.mean_coeff_location,
-            mean_coeff_scale=self.mean_coeff_scale,
-            gate_coeff_location=self.gate_coeff_location,
-            gate_coeff_scale=self.gate_coeff_scale,
-            noise_log_location=self.noise_log_location,
-            noise_log_scale=self.noise_log_scale,
-        )
+        return PriorSpec(**{f.name: getattr(self, f.name) for f in fields(PriorSpec)})
 
     def sampler_settings(self, seed_offset: int = 0) -> SamplerSettings:
-        return SamplerSettings(
-            chains=self.chains,
-            iterations=self.iterations,
-            burn_in=self.burn_in,
-            target_acceptance=self.target_acceptance,
-            seed=self.seed + seed_offset,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(SamplerSettings) if f.name != "seed"}
+        return SamplerSettings(**shared, seed=self.seed + seed_offset)
 
     def effective_decay(self) -> float | None:
         return None if self.decay < 0 else self.decay

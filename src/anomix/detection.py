@@ -225,19 +225,7 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
         recall = tp / (tp + fn) if (tp + fn) else 0.0
         precision = tp / (tp + fp) if (tp + fp) else 0.0
         f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
-        rows.append(
-            DetectionRow(
-                w_days=int(w),
-                tp=tp,
-                fn=fn,
-                fp=fp,
-                tn=tn,
-                samples_in_range=int(in_bucket.sum()),
-                precision=precision,
-                recall=recall,
-                f1=f1,
-            )
-        )
+        rows.append(DetectionRow(int(w), tp, fn, fp, tn, int(in_bucket.sum()), precision, recall, f1))
     return DetectionReport(rows)
 
 
@@ -266,24 +254,11 @@ def format_report(report: DetectionReport, grouped: bool = True, delimiter: str 
         delimiter.join(["Days to Event", "Samples in Range", "Prec. [%]", "Rec. [%]", "F1 [%]"])
     ]
     if grouped:
-        for w_max, w_min, samples, p, rec, f1 in group_constant_ranges(report):
-            label = f"{w_max}-{w_min}" if w_max != w_min else f"{w_max}"
-            lines.append(
-                delimiter.join(
-                    [label, str(samples), f"{100 * p:.2f}", f"{100 * rec:.2f}", f"{100 * f1:.2f}"]
-                )
-            )
+        groups = group_constant_ranges(report)
     else:
-        for r in sorted(report.rows, key=lambda r: -r.w_days):
-            lines.append(
-                delimiter.join(
-                    [
-                        str(r.w_days),
-                        str(r.samples_in_range),
-                        f"{100 * r.precision:.2f}",
-                        f"{100 * r.recall:.2f}",
-                        f"{100 * r.f1:.2f}",
-                    ]
-                )
-            )
+        rows = sorted(report.rows, key=lambda r: -r.w_days)
+        groups = [(r.w_days, r.w_days, r.samples_in_range, r.precision, r.recall, r.f1) for r in rows]
+    for w_max, w_min, samples, p, rec, f1 in groups:
+        label = f"{w_max}-{w_min}" if w_max != w_min else f"{w_max}"
+        lines.append(delimiter.join([label, str(samples), f"{100 * p:.2f}", f"{100 * rec:.2f}", f"{100 * f1:.2f}"]))
     return "\n".join(lines) + "\n"

@@ -371,28 +371,31 @@ def _laplace_logpdf(values, loc: float, scale: float):
     return -np.log(2.0 * scale) - np.abs(values - loc) / scale
 
 
-def _lognormal_logpdf(sd, log_loc: float, log_scale: float):
-    sd = np.asarray(sd, dtype=float)
-    z = (np.log(sd) - log_loc) / log_scale
-    return -np.log(sd) - np.log(log_scale) - 0.5 * LOG_2PI - 0.5 * z * z
+def _log_prior_arrays(coeffs, log_sds, gate_matrix, behavior_coeffs, spec: PriorSpec):
+    """Joint log prior over any leading (chain) axes, in log-sd coordinates,
+    where the log-normal prior on each noise sd is a plain normal.  Terms
+    add as mean coefficients, log sds, free gate rows, behavior."""
+    lead = np.shape(log_sds)[:-1]
+    z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
+    terms = (
+        _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale),
+        -np.log(spec.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z,
+        _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale),
+        _laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale),
+    )
+    return sum(t.reshape(*lead, -1).sum(axis=-1) for t in terms)
 
 
 def log_prior(params: ModelParams, spec: PriorSpec) -> float:
     """Joint log prior density of all free parameters.
 
     The frozen last gate row carries no prior term; it is a constant of the
-    parameterization, not a random quantity.
+    parameterization, not a random quantity.  Noise sds carry a log-normal
+    prior: the log-sd kernel less the Jacobian, sum of log sd.
     """
     coeffs, sds, gate_matrix, behavior_coeffs = params.as_arrays()
-    if not (sds > 0.0).all():
-        raise ValueError("noise_sd must be positive")
-    gate_coeffs = np.concatenate([gate_matrix[:-1].ravel(), behavior_coeffs])
-    total = (
-        _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale).sum()
-        + _lognormal_logpdf(sds, spec.noise_log_location, spec.noise_log_scale).sum()
-        + _laplace_logpdf(gate_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale).sum()
-    )
-    return float(total)
+    log_sds = np.log(sds)
+    return float(_log_prior_arrays(coeffs, log_sds, gate_matrix, behavior_coeffs, spec) - log_sds.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .detection import (
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset, ModelParams, fused_moments, sample_conditional
-from .posterior import PosteriorSample, fit_diagnostics, sample_posterior, sample_predictive
+from .posterior import FitDiagnostics, PosteriorSample, fit_diagnostics, sample_posterior, sample_predictive
 
 __all__ = [
     "CsvSchema",
@@ -91,6 +91,20 @@ def _parse_timestamp(raw: str) -> np.datetime64:
     return np.datetime64(dt, "s")
 
 
+def _parse_cell(row: dict, column: str) -> float:
+    """One finite reading; a missing, malformed or non-finite cell raises with the reason."""
+    raw = (row.get(column) or "").strip()
+    if not raw:
+        raise ValueError(f"missing value in column {column!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"bad value {raw!r} in column {column!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r} in column {column!r}")
+    return value
+
+
 def read_telemetry(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
     """Parse a telemetry CSV into sorted arrays.
 
@@ -121,27 +135,14 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
             except (ValueError, TypeError, AttributeError):
                 rejected.append((lineno, f"unparseable timestamp {row.get(timestamp_column)!r}"))
                 continue
-            parsed = {}
-            bad = None
-            for c in columns:
-                raw = (row.get(c) or "").strip()
-                if not raw:
-                    bad = f"missing value in column {c!r}"
-                    break
-                try:
-                    parsed[c] = float(raw)
-                except ValueError:
-                    bad = f"bad value {raw!r} in column {c!r}"
-                    break
-                if not math.isfinite(parsed[c]):
-                    bad = f"non-finite value {raw!r} in column {c!r}"
-                    break
-            if bad:
-                rejected.append((lineno, bad))
+            try:
+                parsed = [_parse_cell(row, c) for c in columns]
+            except ValueError as exc:
+                rejected.append((lineno, str(exc)))
                 continue
             timestamps.append(ts)
-            for c in columns:
-                values[c].append(parsed[c])
+            for c, value in zip(columns, parsed):
+                values[c].append(value)
     if not timestamps:
         raise ValueError(f"{path}: no usable rows")
     ts = np.array(timestamps, dtype="datetime64[s]")
@@ -256,6 +257,15 @@ def _merge_spans(spans: list) -> list:
     return merged
 
 
+def _failure_spans(failures: FailureLog, margin_days: float) -> list:
+    """Merged spans from ``margin_days`` before each failure through its end:
+    the spans the test split is cut from."""
+    margin = np.timedelta64(int(round(margin_days * 86400)), "s")
+    return _merge_spans(
+        [(np.datetime64(fs, "s") - margin, np.datetime64(fe, "s")) for fs, fe in zip(failures.starts, failures.ends)]
+    )
+
+
 def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
     """Train/validation/test splits around the logged failures.
 
@@ -287,14 +297,8 @@ def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
     validation = data.select(sub_idx[spec.train_size : needed])
 
     val_end = validation.timestamps[-1] if len(validation) else train.timestamps[-1]
-    spans = _merge_spans(
-        [
-            (np.datetime64(fs, "s") - margin, np.datetime64(fe, "s"))
-            for fs, fe in zip(failures.starts, failures.ends)
-        ]
-    )
     in_span = np.zeros(len(data), dtype=bool)
-    for start, end in spans:
+    for start, end in _failure_spans(failures, spec.margin_days):
         in_span |= (ts >= start) & (ts <= end)
     test_idx = np.flatnonzero(near_failure & in_span & (ts > np.datetime64(val_end, "s")))
     test = data.select(test_idx)
@@ -567,16 +571,15 @@ def stage_diagnose(config: PipelineConfig, run_dir) -> None:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         train = _load_split(run_dir / f"train_{index}.npz")
         diag = fit_diagnostics(sample, train)
-        if diag.pareto_k_max > 0.7:
-            warnings.warn(
-                f"index {index!r}: Pareto k max {diag.pareto_k_max:.2f} > 0.7, "
-                "so its PSIS-LOO estimate is unreliable",
-                RuntimeWarning,
-            )
-        values = (diag.lppd, diag.psis_loo, diag.psis_loo_se, diag.cic95, diag.cic95_se, diag.pareto_k_max)
-        rows.append([index, *(f"{v:.4f}" for v in values)])
-    header = ["index", "lppd", "psis_loo", "psis_loo_se", "cic95", "cic95_se", "pareto_k_max"]
-    _write_csv(run_dir / "diagnostics.csv", header, rows)
+        checks = (
+            (diag.pareto_k_max, 0.7, "Pareto k max", "its PSIS-LOO estimate is unreliable"),
+            (diag.rhat_max, 1.01, "split R-hat max", "its chains have not mixed"),
+        )
+        for value, bound, name, consequence in checks:
+            if value > bound:
+                warnings.warn(f"index {index!r}: {name} {value:.2f} > {bound}, so {consequence}", RuntimeWarning)
+        rows.append([index, *(f"{v:.4f}" for v in astuple(diag))])
+    _write_csv(run_dir / "diagnostics.csv", ["index", *(f.name for f in fields(FitDiagnostics))], rows)
 
 
 def _write_series(path, series: AnomalyScoreSeries) -> None:
@@ -606,13 +609,33 @@ def _read_series(path) -> AnomalyScoreSeries:
     )
 
 
+def _read_failures_json(run_dir: Path) -> FailureLog:
+    failures_raw = json.loads((run_dir / "failures.json").read_text())
+    return FailureLog(
+        np.array([f["start"] for f in failures_raw], dtype="datetime64[s]"),
+        np.array([f["end"] for f in failures_raw], dtype="datetime64[s]"),
+    )
+
+
 def stage_score(config: PipelineConfig, run_dir) -> None:
+    """Score each failure span of the test split on its own, so that no
+    window reaches across the gap between two spans; spans shorter than one
+    window give no scores."""
     run_dir = Path(run_dir)
+    spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
-        series = score_series(test, sample, config.window_k, config.effective_decay(), config.threshold)
-        _write_series(run_dir / f"scores_{index}.csv", series)
+        parts = []
+        for start, end in spans:
+            rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
+            if len(rows) > config.window_k:
+                parts.append(score_series(rows, sample, config.window_k, config.effective_decay(), config.threshold))
+        if not parts:
+            raise ValueError(f"no failure span of the {index!r} test split holds a window of {config.window_k + 1} rows")
+        names = ("timestamps", "as_values", "theta_low", "theta_high")
+        joined = {name: np.concatenate([getattr(p, name) for p in parts]) for name in names}
+        _write_series(run_dir / f"scores_{index}.csv", AnomalyScoreSeries(threshold=config.threshold, **joined))
 
 
 def _write_alarms(path, alarms: list) -> None:
@@ -650,11 +673,7 @@ def stage_detect(config: PipelineConfig, run_dir) -> None:
 def stage_evaluate(config: PipelineConfig, run_dir) -> None:
     """Detection report against the failure log, per validity window length."""
     run_dir = Path(run_dir)
-    failures_raw = json.loads((run_dir / "failures.json").read_text())
-    failures = FailureLog(
-        np.array([f["start"] for f in failures_raw], dtype="datetime64[s]"),
-        np.array([f["end"] for f in failures_raw], dtype="datetime64[s]"),
-    )
+    failures = _read_failures_json(run_dir)
     pooled_path = run_dir / "pooled_alarms.csv"
     if pooled_path.exists():
         alarms = _read_alarms(pooled_path)
@@ -779,7 +798,7 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> list:
             _write_csv(run_dir / f"plot_scores_{index}.csv", ["timestamp", "as_value", "threshold", "alarm_onset"], rows)
         )
 
-    failures_raw = json.loads((run_dir / "failures.json").read_text())
-    markers = ([f["start"].replace("T", " "), f["end"].replace("T", " ")] for f in failures_raw)
+    failures = _read_failures_json(run_dir)
+    markers = zip(_timestamp_strings(failures.starts), _timestamp_strings(failures.ends))
     written.append(_write_csv(run_dir / "plot_failures.csv", ["start", "end"], markers))
     return written

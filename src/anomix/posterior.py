@@ -3,9 +3,10 @@
 The sampler is an adaptive random-walk Metropolis scheme with one proposal
 block per parameter group (experts, mixing gate, behavior gate).  Noise
 standard deviations are proposed on the log scale with the matching
-Jacobian term, proposal scales adapt toward a 0.25 acceptance rate during
-burn-in only, and chains run independently on their own RNG streams before
-being concatenated into one draw stack (:class:`PosteriorSample`).
+Jacobian term, and proposal scales adapt toward a 0.25 acceptance rate
+during burn-in only.  All chains advance in lockstep, each on its own RNG
+stream, and fill one draw stack (:class:`PosteriorSample`) in contiguous
+chain blocks, from which the fit diagnostics read split R-hat.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from .model import (
     BehaviorGateParams,
@@ -28,7 +29,7 @@ from .model import (
     _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
-    _laplace_logpdf,
+    _log_prior_arrays,
     _logpdf_from_moments,
     _moments_arrays,
     conditional_cdf,
@@ -56,6 +57,9 @@ BLOCK_ELEMENTS = 2**14
 
 _STACK_FIELDS = ("expert_coeffs", "expert_sds", "mixing", "behavior")
 
+# Random-walk step of every proposal block before burn-in adapts it.
+INITIAL_SCALE = 0.1
+
 
 @dataclass(frozen=True)
 class SamplerSettings:
@@ -65,7 +69,6 @@ class SamplerSettings:
     iterations: int = 2000
     burn_in: int = 1000
     target_acceptance: float = 0.25
-    initial_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -155,6 +158,7 @@ class FitDiagnostics:
     cic95: float
     cic95_se: float
     pareto_k_max: float
+    rhat_max: float = math.nan
 
     def __post_init__(self):
         if not 0.0 <= self.cic95 <= 1.0:
@@ -164,112 +168,21 @@ class FitDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Sampler internals: flat vector <-> parameter arrays
+# Sampler
 # ---------------------------------------------------------------------------
 
 
-class _ParamLayout:
-    """Slices of the flat sampler state for the three proposal blocks."""
+def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
+    """Unnormalised log posterior at states with any leading (chain) axes.
 
-    def __init__(self, n_experts: int, n_covariates: int):
-        self.m = n_experts
-        self.n = n_covariates
-        self.na = n_covariates + 1
-        n_expert = self.m * (self.na + 1)  # mean coeffs plus one log sd each
-        n_mix = (self.m - 1) * self.na
-        self.expert_slice = slice(0, n_expert)
-        self.mixing_slice = slice(n_expert, n_expert + n_mix)
-        self.behavior_slice = slice(n_expert + n_mix, n_expert + n_mix + self.na)
-        self.size = n_expert + n_mix + self.na
-
-    def blocks(self):
-        out = [("experts", self.expert_slice)]
-        if self.m > 1:
-            out.append(("mixing", self.mixing_slice))
-        out.append(("behavior", self.behavior_slice))
-        return out
-
-    def unpack(self, vec: np.ndarray):
-        """Parameter arrays of one flat state, or of a stack of them (leading axes)."""
-        lead = vec.shape[:-1]
-        ev = vec[..., self.expert_slice].reshape(*lead, self.m, self.na + 1)
-        coeffs = ev[..., : self.na]
-        log_sds = ev[..., self.na]
-        mixing = np.zeros((*lead, self.m, self.na))
-        if self.m > 1:
-            mixing[..., :-1, :] = vec[..., self.mixing_slice].reshape(*lead, self.m - 1, self.na)
-        behavior = vec[..., self.behavior_slice]
-        return coeffs, log_sds, mixing, behavior
-
-
-def _make_log_target(data: Dataset, prior: PriorSpec, layout: _ParamLayout):
-    phi = _embed_rows(data.covariates)
-    y = data.responses
-
-    def log_target(vec: np.ndarray) -> float:
-        coeffs, log_sds, mixing, behavior = layout.unpack(vec)
-        sds = np.exp(log_sds)
-        alpha, means, fsds = _moments_arrays(coeffs, sds, mixing, behavior, phi)
-        ll = float(_logpdf_from_moments(alpha, means, fsds, y).sum()) if len(y) else 0.0
-        lp = float(
-            _laplace_logpdf(coeffs, prior.mean_coeff_location, prior.mean_coeff_scale).sum()
-        )
-        # Log-normal prior on sd expressed in the sampled log-sd coordinate:
-        # the Jacobian absorbs the 1/sd factor, leaving a plain normal term.
-        z = (log_sds - prior.noise_log_location) / prior.noise_log_scale
-        lp += float((-np.log(prior.noise_log_scale) - 0.5 * math.log(2 * math.pi) - 0.5 * z * z).sum())
-        if layout.m > 1:
-            lp += float(
-                _laplace_logpdf(mixing[:-1], prior.gate_coeff_location, prior.gate_coeff_scale).sum()
-            )
-        lp += float(
-            _laplace_logpdf(behavior, prior.gate_coeff_location, prior.gate_coeff_scale).sum()
-        )
-        return ll + lp
-
-    return log_target
-
-
-def _run_chain(log_target, layout: _ParamLayout, settings: SamplerSettings, prior: PriorSpec, rng):
-    vec = np.zeros(layout.size)
-    ev = vec[layout.expert_slice].reshape(layout.m, layout.na + 1)
-    ev[:, : layout.na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((layout.m, layout.na))
-    ev[:, layout.na] = prior.noise_log_location + 0.1 * rng.standard_normal(layout.m)
-    if layout.m > 1:
-        vec[layout.mixing_slice] = prior.gate_coeff_location + 0.1 * rng.standard_normal(
-            (layout.m - 1) * layout.na
-        )
-    vec[layout.behavior_slice] = prior.gate_coeff_location + 0.1 * rng.standard_normal(layout.na)
-
-    current = log_target(vec)
-    if not math.isfinite(current):
-        raise RuntimeError("non-finite posterior density at initialization")
-
-    blocks = layout.blocks()
-    scales = {name: settings.initial_scale for name, _ in blocks}
-    kept = []
-    accepted = 0
-    proposed = 0
-    for it in range(settings.iterations):
-        for name, sl in blocks:
-            width = sl.stop - sl.start
-            prop = vec.copy()
-            prop[sl] += scales[name] * rng.standard_normal(width)
-            new = log_target(prop)
-            log_ratio = new - current
-            acc_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
-            accept = rng.random() < acc_prob
-            if accept:
-                vec, current = prop, new
-            if it < settings.burn_in:
-                gamma = (it + 1) ** -0.6
-                scales[name] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
-            else:
-                proposed += 1
-                accepted += accept
-        if it >= settings.burn_in:
-            kept.append(vec.copy())
-    return kept, accepted / proposed
+    ``experts`` holds each expert's mean coefficients followed by its log
+    noise sd, (..., M, n + 2); the density is taken over that log-sd
+    coordinate, so the log-sd prior kernel already carries the Jacobian.
+    """
+    coeffs, log_sds = experts[..., :-1], experts[..., -1]
+    alpha, means, sds = _moments_arrays(coeffs, np.exp(log_sds), mixing, behavior, phi)
+    ll = _logpdf_from_moments(alpha, means, sds, y).sum(axis=-1)
+    return ll + _log_prior_arrays(coeffs, log_sds, mixing, behavior, prior)
 
 
 def sample_posterior(
@@ -277,29 +190,71 @@ def sample_posterior(
 ) -> PosteriorSample:
     """Draw from the posterior over all model parameters.
 
-    Chains are independent (seeded from ``settings.seed`` plus the chain
-    index via a SeedSequence spawn) and concatenated after burn-in.  The
-    frozen gate row is never part of the sampled state.
+    The C chains advance in lockstep: the state is ``experts`` (C, M, n + 2),
+    ``mixing`` (C, M, n + 1, last row frozen at zero) and ``behavior``
+    (C, n + 1), and each block proposal is one batched log-target call.
+    Chain c draws from its own generator, child c of a SeedSequence spawn
+    of ``settings.seed``: first its initial state, then per iteration and
+    block the block's normals and one uniform.  Its draws therefore do not
+    depend on how many chains run.  Kept draws fill (C, kept, ...) arrays
+    whose reshape lays the chains out as contiguous blocks of the stack.
     """
     if len(data) < 1:
         raise ValueError("at least one observation is required")
     if n_experts < 1:
         raise ValueError("at least one expert is required")
-    layout = _ParamLayout(n_experts, data.n)
-    log_target = _make_log_target(data, prior, layout)
+    m, na = n_experts, data.n + 1
+    phi = _embed_rows(data.covariates)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(settings.seed).spawn(settings.chains)]
+    state = {
+        "experts": np.empty((settings.chains, m, na + 1)),
+        "mixing": np.zeros((settings.chains, m, na)),
+        "behavior": np.empty((settings.chains, na)),
+    }
+    for c, rng in enumerate(rngs):
+        state["experts"][c, :, :na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((m, na))
+        state["experts"][c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
+        state["mixing"][c, :-1] = prior.gate_coeff_location + 0.1 * rng.standard_normal((m - 1, na))
+        state["behavior"][c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(na)
+    current = _log_target(**state, phi=phi, y=data.responses, prior=prior)
+    if not np.isfinite(current).all():
+        raise RuntimeError("non-finite posterior density at initialization")
 
-    streams = np.random.SeedSequence(settings.seed).spawn(settings.chains)
-    vectors = []
-    rates = []
-    for stream in streams:
-        kept, rate = _run_chain(log_target, layout, settings, prior, np.random.default_rng(stream))
-        vectors.extend(kept)
-        rates.append(rate)
-    overall = float(np.mean(rates))
+    # Each block is the slice of one state array that it moves; the frozen
+    # gate row is never proposed.
+    blocks = [("experts", np.s_[:])] + ([("mixing", np.s_[:, :-1])] if m > 1 else []) + [("behavior", np.s_[:])]
+    scales = {name: np.full(settings.chains, INITIAL_SCALE) for name, _ in blocks}
+    n_kept = settings.iterations - settings.burn_in
+    kept = {name: np.empty((settings.chains, n_kept, *arr.shape[1:])) for name, arr in state.items()}
+    accepted = np.zeros(settings.chains, dtype=int)
+    for it in range(settings.iterations):
+        for name, free in blocks:
+            proposal = {**state, name: state[name].copy()}
+            moved = proposal[name][free]
+            normals = np.stack([rng.standard_normal(moved[0].size) for rng in rngs])
+            moved += (scales[name][:, None] * normals).reshape(moved.shape)
+            new = _log_target(**proposal, phi=phi, y=data.responses, prior=prior)
+            for c, rng in enumerate(rngs):
+                log_ratio = new[c] - current[c]
+                acc_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
+                accept = rng.random() < acc_prob
+                if accept:
+                    state[name][c], current[c] = proposal[name][c], new[c]
+                if it < settings.burn_in:
+                    gamma = (it + 1) ** -0.6
+                    scales[name][c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
+                else:
+                    accepted[c] += accept
+        if it >= settings.burn_in:
+            for name, arr in state.items():
+                kept[name][:, it - settings.burn_in] = arr
+    overall = float(np.mean(accepted / (n_kept * len(blocks))))
     if overall == 0.0:
         raise RuntimeError("no proposals were accepted after burn-in; the chains did not move")
-    coeffs, log_sds, mixing, behavior = layout.unpack(np.array(vectors))
-    return PosteriorSample(coeffs, np.exp(log_sds), mixing, behavior, overall, settings.chains, settings.seed)
+    experts, mixing, behavior = (kept[name].reshape(-1, *kept[name].shape[2:]) for name in state)
+    return PosteriorSample(
+        experts[..., :-1], np.exp(experts[..., -1]), mixing, behavior, overall, settings.chains, settings.seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +434,69 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     return out
 
 
+def _max_ignoring_nan(values: np.ndarray) -> float:
+    """Largest value that is not NaN, or NaN when there is none."""
+    values = values[~np.isnan(values)]
+    return float(values.max()) if values.size else math.nan
+
+
+def _rank_normal(draws: np.ndarray) -> np.ndarray:
+    """Normal scores of each parameter's ranks, pooled over (chains, draws, P);
+    tied draws, as repeated rejected states are, share their average rank."""
+    flat = draws.reshape(-1, draws.shape[-1])
+    ranks = np.empty_like(flat)
+    for j, column in enumerate(flat.T):
+        _, tie_group, counts = np.unique(column, return_inverse=True, return_counts=True)
+        ranks[:, j] = (np.cumsum(counts) - (counts - 1) / 2)[tie_group]
+    return ndtri((ranks - 0.375) / (len(flat) + 0.25)).reshape(draws.shape)
+
+
+def _rhat(z: np.ndarray) -> np.ndarray:
+    """R-hat of each parameter: sqrt of ((n - 1) W / n + B / n) / W."""
+    n = z.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt((n - 1) / n + z.mean(axis=1).var(axis=0, ddof=1) / z.var(axis=1, ddof=1).mean(axis=0))
+
+
+def _split_rhat(chains: np.ndarray) -> np.ndarray:
+    """Rank-normalised split R-hat (Vehtari et al. 2021) of each parameter.
+
+    ``chains`` is (C, N, P).  Each chain is split into its first and last
+    N // 2 draws, and all halves are rank-normalised together.  A parameter
+    reports the larger of the bulk value (R-hat of the normal scores) and
+    the folded one (R-hat of their rank-normalised distances from the
+    median score).  Folding the scores, not the raw draws, keeps both
+    unchanged under a monotone transform such as sd against log sd.
+    """
+    half = chains.shape[1] // 2
+    z = _rank_normal(np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half :]]))
+    folded = _rank_normal(np.abs(z - np.median(z, axis=(0, 1))))
+    return np.maximum(_rhat(z), _rhat(folded))
+
+
+def _rhat_max(sample: PosteriorSample) -> float:
+    """Worst split R-hat over the free parameters, chains read from the
+    contiguous blocks of the stack; NaN unless they split into
+    ``chain_count`` equal blocks of at least 4 draws."""
+    s, c = sample.n_draws, sample.chain_count
+    if s % c or s // c < 4:
+        return math.nan
+    groups = (sample.expert_coeffs, sample.expert_sds, sample.mixing[:, :-1], sample.behavior)
+    free = np.concatenate([g.reshape(s, -1) for g in groups], axis=1)
+    return _max_ignoring_nan(_split_rhat(free.reshape(c, s // c, -1)))
+
+
 def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95) -> FitDiagnostics:
-    """Bundle LPPD, PSIS-LOO and coverage into one report."""
+    """Bundle LPPD, PSIS-LOO, coverage and the worst split R-hat into one report."""
     ll = _pointwise_loglik(sample, data)
     loo, loo_se, k_hat = _psis_loo(ll)
     coverage, coverage_se = cic(sample, data, level)
-    finite = k_hat[np.isfinite(k_hat)]
     return FitDiagnostics(
         lppd=_lppd(ll),
         psis_loo=loo,
         psis_loo_se=loo_se,
         cic95=coverage,
         cic95_se=coverage_se,
-        pareto_k_max=float(finite.max()) if len(finite) else math.nan,
+        pareto_k_max=_max_ignoring_nan(k_hat),
+        rhat_max=_rhat_max(sample),
     )

@@ -11,13 +11,15 @@ likely than the threshold ``nu``.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import binom
 
 from .model import Dataset, PriorSpec
-from .posterior import PosteriorSample, psis_loo, sample_posterior, sample_predictive
+from .posterior import PosteriorSample, _max_ignoring_nan, psis_loo, sample_posterior, sample_predictive
 
 __all__ = [
     "Trial",
@@ -34,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trial:
-    """One fitted configuration with its fit metric and coverage cost."""
+    """One fitted configuration with its fit metric, coverage cost and the
+    largest Pareto k of its PSIS-LOO metric."""
 
     trial_id: int
     hyperparams: dict
@@ -42,6 +45,7 @@ class Trial:
     metric_se: float
     coverage_cost: float
     sample: PosteriorSample | None = field(default=None, compare=False, repr=False)
+    pareto_k_max: float = math.nan
 
     def __post_init__(self):
         if self.metric_se < 0.0:
@@ -168,9 +172,15 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
     """
     prior_kwargs = {k: v for k, v in hyperparams.items() if k != "experts"}
     sample = sample_posterior(data, PriorSpec(**prior_kwargs), hyperparams.get("experts", 1), settings)
-    metric, metric_se, _ = psis_loo(sample, data)
+    metric, metric_se, k_hat = psis_loo(sample, data)
+    k_max = _max_ignoring_nan(k_hat)
+    if k_max > 0.7:
+        warnings.warn(
+            f"trial {trial_id}: Pareto k max {k_max:.2f} > 0.7, so its PSIS-LOO metric is unreliable",
+            RuntimeWarning,
+        )
     grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
-    return Trial(trial_id, dict(hyperparams), metric, metric_se, coverage_cost(grid, len(data)), sample)
+    return Trial(trial_id, dict(hyperparams), metric, metric_se, coverage_cost(grid, len(data)), sample, k_max)
 
 
 def write_trials_csv(trials: list, selected: Trial | None, path) -> None:
@@ -178,7 +188,7 @@ def write_trials_csv(trials: list, selected: Trial | None, path) -> None:
     keys = sorted({k for t in trials for k in t.hyperparams})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial_id", *keys, "metric", "metric_se", "coverage_cost", "selected"])
+        writer.writerow(["trial_id", *keys, "metric", "metric_se", "coverage_cost", "pareto_k_max", "selected"])
         for t in trials:
             writer.writerow(
                 [
@@ -187,6 +197,7 @@ def write_trials_csv(trials: list, selected: Trial | None, path) -> None:
                     f"{t.metric:.6f}",
                     f"{t.metric_se:.6f}",
                     f"{t.coverage_cost:.6f}",
+                    f"{t.pareto_k_max:.6f}",
                     int(selected is not None and t.trial_id == selected.trial_id),
                 ]
             )

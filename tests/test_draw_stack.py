@@ -93,15 +93,21 @@ class TestLayout:
             np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
         assert (sample.n_draws, sample.n_experts) == (7, 3)
 
-    def test_chains_are_contiguous_blocks(self):
+    @pytest.mark.parametrize("chains", [2, 3])
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    def test_chains_are_contiguous_blocks(self, n_experts, chains):
         data = random_rows(np.random.default_rng(1), 40, 1)
-        one = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=3))
-        two = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=2, iterations=60, burn_in=30, seed=3))
-        # Chain c runs on child c of the seed sequence, so the first chain of a
-        # two-chain run is the one-chain run, and it leads the draw axis.
-        by_chain = two.expert_coeffs.reshape(two.chain_count, -1, *two.expert_coeffs.shape[1:])
-        np.testing.assert_array_equal(by_chain[0], one.expert_coeffs)
-        np.testing.assert_array_equal(two.mixing.reshape(2, 30, 2, 2)[0], one.mixing)
+        fewer, more = (
+            sample_posterior(data, PriorSpec(), n_experts, SamplerSettings(chains=c, iterations=60, burn_in=30, seed=3))
+            for c in (chains - 1, chains)
+        )
+        # Chain c runs on child c of the seed sequence, so the chains of a
+        # shorter run are the leading chains of a longer one, and each chain
+        # is one contiguous block of 30 draws along the draw axis.
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            short, long = getattr(fewer, name), getattr(more, name)
+            by_chain = long.reshape(chains, 30, *long.shape[1:])
+            np.testing.assert_array_equal(by_chain[: chains - 1].reshape(short.shape), short)
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -6,6 +6,7 @@ code paths at unit scale.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,12 +18,17 @@ from anomix.model import (
     MixingGateParams,
     ModelParams,
     PriorSpec,
+    _embed_rows,
     log_likelihood,
+    log_prior,
 )
 from anomix.posterior import (
     FitDiagnostics,
     PosteriorSample,
     SamplerSettings,
+    _log_target,
+    _rhat_max,
+    _split_rhat,
     cic,
     credible_interval,
     fit_diagnostics,
@@ -250,3 +256,103 @@ class TestFitDiagnostics:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitDiagnostics(0.0, 0.0, -1.0, 0.5, 0.0, 0.0)
+
+
+class TestLogTarget:
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    def test_matches_model_density_in_log_sd_coordinates(self, n_experts):
+        # The sampler moves log sd, so its target carries the Jacobian
+        # sum(log sd) on top of the likelihood and the prior over sd.
+        rng = np.random.default_rng(40 + n_experts)
+        data = make_dataset(rng.normal(size=(25, 2)), rng.normal(size=25))
+        prior = PriorSpec(mean_coeff_scale=2.0, gate_coeff_scale=0.7, noise_log_location=0.3, noise_log_scale=0.6)
+        chains = 4
+        experts = rng.normal(size=(chains, n_experts, 4))
+        mixing = rng.normal(size=(chains, n_experts, 3))
+        mixing[:, -1] = 0.0
+        behavior = rng.normal(size=(chains, 3))
+        target = _log_target(experts, mixing, behavior, _embed_rows(data.covariates), data.responses, prior)
+        sample = PosteriorSample(experts[..., :-1], np.exp(experts[..., -1]), mixing, behavior, 0.25, chains, 0)
+        for c in range(chains):
+            params = sample.draw(c)
+            expected = log_likelihood(params, data) + log_prior(params, prior) + experts[c, :, -1].sum()
+            assert target[c] == pytest.approx(expected, rel=1e-9)
+
+
+def stack_from_chains(chains):
+    """A one-expert, no-covariate stack whose behavior coefficient holds
+    ``chains`` (C, N) and whose other parameters are iid normal."""
+    c, n = chains.shape
+    rng = np.random.default_rng(8)
+    return PosteriorSample(
+        rng.normal(size=(c * n, 1, 1)),
+        rng.uniform(0.5, 2.0, size=(c * n, 1)),
+        np.zeros((c * n, 1, 1)),
+        chains.reshape(-1, 1),
+        0.25,
+        c,
+        0,
+    )
+
+
+class TestSplitRhat:
+    def test_iid_chains_read_below_1_01(self):
+        sample = stack_from_chains(np.random.default_rng(1).normal(size=(4, 1000)))
+        assert 1.0 <= _rhat_max(sample) < 1.01
+
+    def test_shifted_chain_reads_above_1_01(self):
+        chains = np.random.default_rng(2).normal(size=(4, 1000))
+        chains[3] += 1.0
+        assert _rhat_max(stack_from_chains(chains)) > 1.01
+
+    def test_invariant_under_monotone_transform(self):
+        chains = np.random.default_rng(3).normal(size=(3, 200))
+        chains[1] += 1.0
+        sample = stack_from_chains(chains)
+        transformed = PosteriorSample(
+            sample.expert_coeffs**3,
+            np.log1p(sample.expert_sds),
+            sample.mixing,
+            np.exp(sample.behavior),
+            0.25,
+            3,
+            0,
+        )
+        assert _rhat_max(transformed) == _rhat_max(sample) > 1.01
+
+    def test_matches_hand_computation(self):
+        # Two chains of four draws split into four halves of two:
+        # [0.1, 0.5], [1.2, 0.8], [0.3, 0.9], [1.5, 1.1].
+        chains = np.array([[0.1, 0.5, 0.3, 0.9], [1.2, 0.8, 1.5, 1.1]])[..., None]
+        normal = NormalDist()
+
+        def rhat(halves):
+            n = len(halves[0])
+            means = [sum(h) / n for h in halves]
+            within = sum(sum((v - mu) ** 2 for v in h) / (n - 1) for h, mu in zip(halves, means)) / len(halves)
+            grand = sum(means) / len(means)
+            between = n * sum((mu - grand) ** 2 for mu in means) / (len(means) - 1)
+            return math.sqrt(((n - 1) / n * within + between / n) / within)
+
+        def scores(ranks):
+            return [[normal.inv_cdf((r - 0.375) / 8.25) for r in h] for h in ranks]
+
+        bulk = rhat(scores([[1, 3], [7, 4], [2, 5], [8, 6]]))
+        # The normal scores are symmetric about their median 0, so their
+        # distances from it tie in pairs: ranks 4/5 -> 1.5, 3/6 -> 3.5,
+        # 2/7 -> 5.5 and 1/8 -> 7.5.
+        folded = rhat(scores([[7.5, 3.5], [5.5, 1.5], [5.5, 1.5], [7.5, 3.5]]))
+        assert _split_rhat(chains)[0] == pytest.approx(max(bulk, folded), rel=1e-12)
+
+    @pytest.mark.parametrize("n_draws, chain_count", [(14, 4), (6, 2), (3, 1)])
+    def test_nan_unless_chains_split_into_blocks_of_four(self, n_draws, chain_count):
+        sample = stack_from_chains(np.random.default_rng(4).normal(size=(1, n_draws)))
+        sample = PosteriorSample(
+            sample.expert_coeffs, sample.expert_sds, sample.mixing, sample.behavior, 0.25, chain_count, 0
+        )
+        assert math.isnan(_rhat_max(sample))
+
+    def test_reported_by_fit_diagnostics(self, fitted):
+        data, sample = fitted
+        assert fit_diagnostics(sample, data).rhat_max == _rhat_max(sample)
+        assert math.isnan(FitDiagnostics(0.0, 0.0, 0.0, 0.5, 0.0, 0.0).rhat_max)

@@ -1,8 +1,10 @@
 """Run-directory and CLI integration tests on a small synthetic stream."""
 
+import csv
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from anomix import pipeline
@@ -10,12 +12,17 @@ from anomix.cli import main
 from anomix.config import default_config_text, parse_config
 from anomix.pipeline import (
     StageError,
+    _load_split,
     emit_plot_data,
+    load_posterior,
     run_experiment,
+    save_posterior,
     stage_diagnose,
+    stage_fit,
+    stage_score,
     write_two_index_stream,
 )
-from anomix.posterior import FitDiagnostics
+from anomix.posterior import FitDiagnostics, PosteriorSample
 
 FAST = dict(
     indices=["hi_a", "hi_b"],
@@ -131,6 +138,91 @@ class TestDiagnoseWarnings:
             warnings.simplefilter("always")
             stage_diagnose(config, copy)
         assert [str(w.message)[:13] for w in caught] == (["index 'hi_a':", "index 'hi_b':"] if warns else [])
+
+
+def recorded_warnings(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn()
+    return [str(w.message) for w in caught]
+
+
+def iid_stack(like: PosteriorSample, n_draws: int, shift_second_half: float = 0.0) -> PosteriorSample:
+    """Independent draws around the posterior mean of ``like``; with a shift,
+    the second half of the single chain moves by that many draw sds."""
+    rng = np.random.default_rng(12)
+    shift = np.where(np.arange(n_draws) >= n_draws // 2, shift_second_half, 0.0)
+
+    def around(mean):
+        noise = rng.normal(size=(n_draws, *mean.shape))
+        return mean + 0.01 * (noise + shift.reshape(-1, *[1] * mean.ndim))
+
+    return PosteriorSample(
+        around(like.expert_coeffs.mean(0)),
+        np.exp(around(np.log(like.expert_sds).mean(0))),
+        np.zeros((n_draws, *like.mixing.shape[1:])),  # one expert: its gate row is the frozen one
+        around(like.behavior.mean(0)),
+        0.25,
+        1,
+        0,
+    )
+
+
+class TestDiagnoseRhat:
+    def test_column_follows_the_pareto_k_column(self, finished_run):
+        _, run_dir, _ = finished_run
+        with open(run_dir / "diagnostics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-2:] == ["pareto_k_max", "rhat_max"]
+        assert all(float(row["rhat_max"]) >= 1.0 for row in rows)
+
+    def test_shifted_chain_warns_with_its_index(self, finished_run, tmp_path):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        fitted = load_posterior(copy / "posterior_hi_a.npz")
+        save_posterior(iid_stack(fitted, 2000), copy / "posterior_hi_a.npz")
+        save_posterior(iid_stack(fitted, 2000, shift_second_half=1.0), copy / "posterior_hi_b.npz")
+        messages = [m for m in recorded_warnings(lambda: stage_diagnose(config, copy)) if "R-hat" in m]
+        assert [m[:13] for m in messages] == ["index 'hi_b':"]
+
+    @pytest.mark.parametrize("rhat, warns", [(1.01, False), (1.02, True)])
+    def test_threshold_is_strictly_above_1_01(self, finished_run, tmp_path, monkeypatch, rhat, warns):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        report = FitDiagnostics(0.0, 0.0, 0.0, 0.95, 0.0, 0.5, rhat)
+        monkeypatch.setattr(pipeline, "fit_diagnostics", lambda sample, data: report)
+        messages = recorded_warnings(lambda: stage_diagnose(config, copy))
+        assert [m[:13] for m in messages] == (["index 'hi_a':", "index 'hi_b':"] if warns else [])
+        assert all("R-hat" in m for m in messages)
+
+
+class TestScoreSpans:
+    def test_windows_never_cross_a_gap_between_failure_spans(self, tmp_path):
+        # Failures at rows 1010 and 2010: the test split holds two spans of
+        # 121 hourly rows, five weeks apart.
+        telemetry, failures = write_two_index_stream(
+            tmp_path / "data", n_samples=2400, onset_index=None, failure_index=1010, seed=0
+        )
+        with open(failures, "a", newline="") as fh:
+            csv.writer(fh).writerow(["2024-03-24 18:00:00", "1", "comp1"])
+        config = parse_config(default_config_text(**dict(FAST, iterations=150, burn_in=50)))
+        run_dir = tmp_path / "run"
+        stage_fit(config, telemetry, failures, run_dir)
+        stage_score(config, run_dir)
+        k = config.window_k
+        spans = [
+            (np.datetime64("2024-02-07T02:00:00"), np.datetime64("2024-02-12T02:00:00")),
+            (np.datetime64("2024-03-19T18:00:00"), np.datetime64("2024-03-24T18:00:00")),
+        ]
+        for index in config.indices:
+            test_ts = _load_split(run_dir / f"test_{index}.npz").timestamps
+            span_of = [next(j for j, (a, b) in enumerate(spans) if a <= t <= b) for t in test_ts]
+            with open(run_dir / f"scores_{index}.csv", newline="") as fh:
+                stamps = [np.datetime64(row["timestamp"].replace(" ", "T")) for row in csv.DictReader(fh)]
+            assert len(stamps) == len(test_ts) - len(spans) * k
+            for stamp in stamps:
+                newest = int(np.flatnonzero(test_ts == stamp)[0])
+                assert newest >= k and span_of[newest - k] == span_of[newest], (index, stamp)
 
 
 class TestEmitPlotData:

@@ -1,5 +1,9 @@
 """Selection tests: coverage grid, binomial cost, Cantelli bound, Pareto walk."""
 
+import csv
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -11,7 +15,8 @@ from anomix.model import (
     MixingGateParams,
     ModelParams,
 )
-from anomix.posterior import PosteriorSample
+from anomix import selection
+from anomix.posterior import PosteriorSample, SamplerSettings
 from anomix.selection import (
     CoverageGrid,
     Trial,
@@ -186,8 +191,6 @@ class TestSelectBest:
 
 class TestRunTrial:
     def test_fit_and_score_candidates(self):
-        from anomix.posterior import SamplerSettings
-
         rng = np.random.default_rng(21)
         x = rng.uniform(-2, 2, size=(120, 1))
         y = 1.0 + 0.5 * x[:, 0] + rng.normal(0, 0.4, 120)
@@ -201,6 +204,26 @@ class TestRunTrial:
         best = select_best(trials)
         assert best in trials
         assert best.sample is not None
+
+    @pytest.mark.parametrize("k_max, warns", [(0.7, False), (0.71, True)])
+    def test_pareto_k_is_kept_and_warned_above_0_7(self, monkeypatch, tmp_path, k_max, warns):
+        rng = np.random.default_rng(22)
+        x = rng.uniform(-2, 2, size=(40, 1))
+        data = make_dataset(x, 0.5 * x[:, 0] + rng.normal(0, 0.4, 40))
+        k_hat = np.array([0.1, math.nan, k_max, 0.3])
+        monkeypatch.setattr(selection, "psis_loo", lambda sample, data: (-50.0, 2.0, k_hat))
+        settings = SamplerSettings(chains=1, iterations=200, burn_in=100, seed=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trial = run_trial(3, {"experts": 1}, data, settings)
+        assert trial.pareto_k_max == k_max
+        assert [str(w.message)[:8] for w in caught] == (["trial 3:"] if warns else [])
+        path = tmp_path / "trials.csv"
+        write_trials_csv([trial], trial, path)
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["pareto_k_max"]) == k_max
+        assert row["selected"] == "1"
 
 
 class TestTrialLedgerFile:
