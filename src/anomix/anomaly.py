@@ -23,19 +23,14 @@ from .model import ModelParams, Dataset, _cdf_from_moments, conditional_cdf_rows
 __all__ = [
     "PIT_EPS",
     "MAX_WINDOW",
-    "ObservationWindow",
     "WeightVector",
     "WeightedUniformSumDist",
     "AnomalyScoreSeries",
-    "pit",
     "pit_rows",
     "default_decay",
     "exp_weights",
     "build_sum_dist",
     "sum_cdf",
-    "q_statistic",
-    "as_theta",
-    "as_posterior",
     "score_series",
 ]
 
@@ -51,41 +46,10 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
-class ObservationWindow:
-    """Consecutive covariate/response pairs, ordered oldest to newest."""
-
-    covariates: np.ndarray
-    responses: np.ndarray
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.responses, dtype=float)
-        ts = np.asarray(self.timestamps)
-        if x.ndim != 2 or y.ndim != 1:
-            raise ValueError("window covariates must be a matrix and responses a vector")
-        if not (len(x) == len(y) == len(ts)) or len(y) == 0:
-            raise ValueError("window parts must align and be non-empty")
-        if len(ts) > 1 and np.any(ts[1:] < ts[:-1]):
-            raise ValueError("window must be in chronological order")
-        object.__setattr__(self, "covariates", x)
-        object.__setattr__(self, "responses", y)
-        object.__setattr__(self, "timestamps", ts)
-
-    def __len__(self) -> int:
-        return self.responses.shape[0]
-
-    @classmethod
-    def from_dataset(cls, data: Dataset, start: int, stop: int) -> "ObservationWindow":
-        return cls(data.covariates[start:stop], data.responses[start:stop], data.timestamps[start:stop])
-
-
-@dataclass(frozen=True)
 class WeightVector:
     """Positive weights summing to one, ordered oldest to newest."""
 
     weights: np.ndarray
-    decay: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -122,7 +86,7 @@ def exp_weights(length: int, decay: float) -> WeightVector:
     w = np.exp(-decay * lags)
     if w[0] == 0.0:
         raise ValueError("decay too large for this window: the oldest weight underflows")
-    return WeightVector(w / w.sum(), decay)
+    return WeightVector(w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -259,30 +223,6 @@ def pit_rows(params: ModelParams, X, y) -> np.ndarray:
     return np.clip(u, PIT_EPS, 1.0 - PIT_EPS)
 
 
-def pit(params: ModelParams, x, y: float) -> float:
-    """Probability integral transform of one observation."""
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    x = np.asarray(x, dtype=float)
-    return float(pit_rows(params, x[None, :], [y])[0])
-
-
-def q_statistic(window: ObservationWindow, params: ModelParams, w: WeightVector) -> float:
-    """Weighted combination of the window's PIT values, in (0, 1)."""
-    if len(w) != len(window):
-        raise ValueError(f"weight length {len(w)} does not match window length {len(window)}")
-    u = pit_rows(params, window.covariates, window.responses)
-    return float(w.weights @ u)
-
-
-def as_theta(window: ObservationWindow, params: ModelParams, dist: WeightedUniformSumDist) -> float:
-    """Single-parameter anomaly score ``1 - 2 min(F, 1 - F)`` of the window."""
-    if dist.n != len(window):
-        raise ValueError(f"distribution built for length {dist.n}, window has {len(window)}")
-    f = sum_cdf(dist, q_statistic(window, params, dist.weights))
-    return 1.0 - 2.0 * min(f, 1.0 - f)
-
-
 def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
     """(draws x windows) single-draw scores of every sliding window of the rows."""
     length = dist.n
@@ -293,14 +233,6 @@ def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
         f = np.array([sum_cdf(dist, q) for q in qs.ravel()]).reshape(qs.shape)
         per_draw[block] = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
     return per_draw
-
-
-def as_posterior(window: ObservationWindow, sample, w: WeightVector) -> float:
-    """Posterior-mean anomaly score, averaged over stored parameter draws."""
-    if len(w) != len(window):
-        raise ValueError(f"weight length {len(w)} does not match window length {len(window)}")
-    dist = build_sum_dist(w)
-    return float(_draw_scores(sample, window.covariates, window.responses, dist).mean())
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if len(self.covariate_law) != self.params.n_covariates:
+        if len(self.covariate_law) != self.params.experts[0].n:
             raise ValueError("one covariate law per model dimension is required")
 
 
@@ -352,7 +352,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
     """
     rng = np.random.default_rng(seed)
     x = _draw_covariates(spec.covariate_law, spec.n_samples, rng)
-    y, z = sample_conditional(spec.params, x, rng, return_experts=True)
+    y, z = sample_conditional(spec.params, x, rng)
     if spec.fault_onset is not None:
         _, _, sds = fused_moments(spec.params, x)
         comp_sd = sds[np.arange(len(x)), z]
@@ -619,23 +619,30 @@ def _read_failures_json(run_dir: Path) -> FailureLog:
 
 def stage_score(config: PipelineConfig, run_dir) -> None:
     """Score each failure span of the test split on its own, so that no
-    window reaches across the gap between two spans; spans shorter than one
-    window give no scores."""
+    window reaches across the gap between two spans.  A span shorter than
+    one window gives no scores: it raises a warning and is listed per index
+    under ``skipped_spans`` in the manifest."""
     run_dir = Path(run_dir)
     spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
+    skipped = {}
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
-        parts = []
+        parts, skipped[index] = [], []
         for start, end in spans:
             rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
             if len(rows) > config.window_k:
                 parts.append(score_series(rows, sample, config.window_k, config.effective_decay(), config.threshold))
+                continue
+            skipped[index].append({"start": str(start), "end": str(end), "rows": len(rows)})
+            message = f"failure span {start} to {end} has {len(rows)} test rows, fewer than {config.window_k + 1}"
+            warnings.warn(f"index {index!r}: {message}; skipped", RuntimeWarning)
         if not parts:
             raise ValueError(f"no failure span of the {index!r} test split holds a window of {config.window_k + 1} rows")
         names = ("timestamps", "as_values", "theta_low", "theta_high")
         joined = {name: np.concatenate([getattr(p, name) for p in parts]) for name in names}
         _write_series(run_dir / f"scores_{index}.csv", AnomalyScoreSeries(threshold=config.threshold, **joined))
+    _write_manifest(run_dir, config, {"skipped_spans": skipped})
 
 
 def _write_alarms(path, alarms: list) -> None:

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp, ndtri
 
 from .model import (
@@ -32,8 +31,6 @@ from .model import (
     _log_prior_arrays,
     _logpdf_from_moments,
     _moments_arrays,
-    conditional_cdf,
-    fused_moments,
 )
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "lppd",
     "psis_loo",
     "cic",
-    "credible_interval",
     "posterior_predictive_cdf",
     "sample_predictive",
     "fit_diagnostics",
@@ -386,28 +382,6 @@ def cic(sample: PosteriorSample, data: Dataset, level: float = 0.95):
     coverage = float(per_draw.mean())
     se = float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0
     return coverage, se
-
-
-def credible_interval(params: ModelParams, x, level: float = 0.95):
-    """Equal-tailed interval of the single-draw conditional distribution.
-
-    Bounds come from root-finding the mixture CDF inside a bracket of
-    twelve fused standard deviations around the fused means, checked to
-    1e-10 on the CDF scale.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    x = np.asarray(x, dtype=float)
-    _, means, sds = fused_moments(params, x[None, :])
-    lo_b = float(means.min() - 12.0 * sds.max())
-    hi_b = float(means.max() + 12.0 * sds.max())
-    out = []
-    for q in ((1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0):
-        root = brentq(lambda v: conditional_cdf(params, x, v) - q, lo_b, hi_b, xtol=1e-13, maxiter=200)
-        if abs(conditional_cdf(params, x, root) - q) > 1e-10:
-            raise RuntimeError(f"credible-interval root finding did not reach 1e-10 at quantile {q}")
-        out.append(float(root))
-    return tuple(out)
 
 
 def posterior_predictive_cdf(sample: PosteriorSample, X, y) -> np.ndarray:

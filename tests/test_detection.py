@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomix.anomaly import AnomalyScoreSeries
 from anomix.detection import (
@@ -226,6 +228,26 @@ class TestEvaluate:
         _, failures, days = two_failure_fixture()
         with pytest.raises(ValueError):
             evaluate([], failures, [0], days)
+
+
+class TestEvaluateOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_observed=st.integers(1, 240),
+        n_alarms=st.integers(0, 6),
+        n_failures=st.integers(1, 3),
+    )
+    def test_report_ignores_input_order(self, seed, n_observed, n_alarms, n_failures):
+        rng = np.random.default_rng(seed)
+        stream = hourly("2024-01-01T00:00:00", 24 * 20)
+        observed = np.sort(rng.choice(stream, size=n_observed, replace=False))
+        cuts = np.sort(rng.choice(len(stream), size=2 * n_failures, replace=False))
+        failures = FailureLog(stream[cuts[0::2]], stream[cuts[1::2]])
+        alarms = [AlarmWindow(*np.sort(rng.choice(observed, size=2))) for _ in range(n_alarms)]
+        report = evaluate(alarms, failures, [1, 2, 3], observed)
+        shuffled_alarms = [alarms[i] for i in rng.permutation(n_alarms)]
+        assert evaluate(shuffled_alarms, failures, [1, 2, 3], rng.permutation(observed)) == report
 
 
 class TestGrouping:

@@ -18,7 +18,7 @@ from anomix.model import (
     ExpertParams,
     MixingGateParams,
     ModelParams,
-    mixing_weights,
+    fused_moments,
 )
 from anomix.posterior import PosteriorSample
 
@@ -283,8 +283,7 @@ class TestRenderMap:
             scale = np.linalg.norm(slopes)
             assert logits1[i] > logits0[i]
             assert abs(logits1[other] - logits0[other]) < 1e-10 * scale
-            w0 = mixing_weights(sample.draw(0).mixing, x0)
-            w1 = mixing_weights(sample.draw(0).mixing, x0 + 0.5 * step)
+            (w0, w1), _, _ = fused_moments(sample.draw(0), np.stack([x0, x0 + 0.5 * step]))
             assert w1[i] > w0[i]
 
     def test_per_draw_stack(self):

@@ -14,17 +14,14 @@ from anomix.model import (
     MixingGateParams,
     ModelParams,
     PriorSpec,
-    behavior_beta,
-    conditional_cdf,
-    conditional_logpdf,
+    _embed_rows,
+    conditional_cdf_rows,
+    conditional_logpdf_rows,
     conditional_pdf,
-    embed,
-    fuse,
     fuse_experts,
     fused_moments,
     log_likelihood,
     log_prior,
-    mixing_weights,
 )
 
 
@@ -48,6 +45,24 @@ def two_component_model():
     return make_model([e1, e2], behavior=[40.0, 0.0])
 
 
+def mixing_weights(gate: MixingGateParams, x) -> np.ndarray:
+    """Gate allocation at one covariate point, read from the batched moments."""
+    n = gate.matrix.shape[1] - 1
+    experts = [ExpertParams(0.0, np.zeros(n), 1.0)] * gate.matrix.shape[0]
+    alpha, _, _ = fused_moments(make_model(experts, gate.matrix), np.reshape(x, (1, n)))
+    return alpha[0]
+
+
+def behavior_beta(gate: BehaviorGateParams, x) -> float:
+    """Behavior-gate output at one covariate point, read from the batched
+    moments: with experts at means 0 and 2 under equal allocation, the
+    first fused mean is (1 - beta) times the blend mean 1."""
+    n = len(gate.coeffs) - 1
+    experts = [ExpertParams(0.0, np.zeros(n), 1.0), ExpertParams(2.0, np.zeros(n), 1.0)]
+    _, means, _ = fused_moments(make_model(experts, behavior=gate.coeffs), np.reshape(x, (1, n)))
+    return 1.0 - means[0, 0]
+
+
 def make_dataset(x, y):
     x = np.asarray(x, dtype=float)
     ts = np.full(len(x), np.datetime64("2024-01-01", "s"))
@@ -56,20 +71,16 @@ def make_dataset(x, y):
 
 class TestEmbed:
     def test_empty_covariates(self):
-        assert embed([]).tolist() == [1.0]
+        assert _embed_rows(np.zeros((1, 0))).tolist() == [[1.0]]
 
     def test_definition(self):
-        assert embed([2.0, -1.0]).tolist() == [1.0, 2.0, -1.0]
+        assert _embed_rows([[2.0, -1.0]]).tolist() == [[1.0, 2.0, -1.0]]
 
     def test_zero_covariates(self):
-        out = embed(np.zeros(4))
-        expected = np.zeros(5)
-        expected[0] = 1.0
+        out = _embed_rows(np.zeros((1, 4)))
+        expected = np.zeros((1, 5))
+        expected[0, 0] = 1.0
         assert np.array_equal(out, expected)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            embed(np.zeros((2, 2)))
 
 
 class TestMixingWeights:
@@ -100,7 +111,7 @@ class TestMixingWeights:
         base = mixing_weights(MixingGateParams(rows), x)
         # Adding a constant to every logit is a rank-one shift of the matrix;
         # apply it directly to the logits to keep the frozen-row invariant.
-        phi = embed(x)
+        phi = np.concatenate(([1.0], x))
         logits = rows @ phi + 17.3
         shifted = np.exp(logits - logits.max())
         shifted /= shifted.sum()
@@ -155,9 +166,9 @@ class TestFusion:
 
     def test_fuse_uses_model_gates(self):
         model = two_component_model()
-        fused = fuse(model, [0.0])
+        _, means, sds = fused_moments(model, [[0.0]])
         # behavior intercept 40 saturates beta to 1: base experts come back
-        assert [f.intercept for f in fused] == [1.0, -1.0]
+        assert means.tolist() == [[1.0, -1.0]] and sds.tolist() == [[1.0, 1.0]]
 
     def test_logpdf_continuous_in_beta(self):
         rng = np.random.default_rng(5)
@@ -204,23 +215,22 @@ class TestConditionalDensity:
     def test_logpdf_matches_pdf(self):
         model = two_component_model()
         y = 1.7
-        assert conditional_logpdf(model, [0.3], y) == pytest.approx(
+        assert conditional_logpdf_rows(model, [[0.3]], [y])[0] == pytest.approx(
             math.log(conditional_pdf(model, [0.3], y)), abs=1e-12
         )
 
     def test_rejects_nonfinite_response(self):
         with pytest.raises(ValueError):
-            conditional_logpdf(std_normal_model(), [0.0], math.nan)
+            conditional_pdf(std_normal_model(), [0.0], math.nan)
 
 
 class TestConditionalCdf:
     def test_limits(self):
         model = two_component_model()
-        assert conditional_cdf(model, [0.0], -1e9) == 0.0
-        assert conditional_cdf(model, [0.0], 1e9) == 1.0
+        assert conditional_cdf_rows(model, [[0.0], [0.0]], [-1e9, 1e9]).tolist() == [0.0, 1.0]
 
     def test_median_of_standard_normal(self):
-        assert conditional_cdf(std_normal_model(), [0.0], 0.0) == 0.5
+        assert conditional_cdf_rows(std_normal_model(), [[0.0]], [0.0])[0] == 0.5
 
     def test_matches_pdf_quadrature(self):
         rng = np.random.default_rng(31)
@@ -232,12 +242,12 @@ class TestConditionalCdf:
         lo = means.min() - 12 * sds.max()
         for y in np.linspace(means.min() - 2, means.max() + 2, 7):
             integral, _ = quad(lambda v: conditional_pdf(model, x, v), lo, y, limit=200)
-            assert conditional_cdf(model, x, y) == pytest.approx(integral, abs=1e-8)
+            assert conditional_cdf_rows(model, x[None, :], [y])[0] == pytest.approx(integral, abs=1e-8)
 
     def test_monotone_in_y(self):
         model = two_component_model()
         ys = np.linspace(-6, 6, 301)
-        vals = [conditional_cdf(model, [0.0], y) for y in ys]
+        vals = conditional_cdf_rows(model, np.zeros((len(ys), 1)), ys)
         assert np.all(np.diff(vals) >= 0)
 
 
@@ -250,7 +260,7 @@ class TestLogLikelihood:
         model = std_normal_model()
         data = make_dataset([[0.0]], [1.3])
         assert log_likelihood(model, data) == pytest.approx(
-            conditional_logpdf(model, [0.0], 1.3), abs=1e-14
+            conditional_logpdf_rows(model, [[0.0]], [1.3])[0], abs=1e-14
         )
 
     def test_row_permutation_invariance(self):

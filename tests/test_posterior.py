@@ -10,6 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from anomix.model import (
     BehaviorGateParams,
@@ -19,6 +20,8 @@ from anomix.model import (
     ModelParams,
     PriorSpec,
     _embed_rows,
+    conditional_cdf_rows,
+    fused_moments,
     log_likelihood,
     log_prior,
 )
@@ -30,7 +33,6 @@ from anomix.posterior import (
     _rhat_max,
     _split_rhat,
     cic,
-    credible_interval,
     fit_diagnostics,
     lppd,
     psis_loo,
@@ -61,6 +63,20 @@ def single_expert(intercept=0.0, slope=0.0, sd=1.0):
 
 def make_sample(draws):
     return PosteriorSample.from_draws(draws, 0.25, 1, 0)
+
+
+def root_found_interval(model, x, level):
+    """Equal-tailed interval of one parameter point's conditional law at ``x``,
+    by root-finding its CDF inside twelve fused sds around the fused means."""
+    x = np.asarray(x, dtype=float)[None, :]
+    _, means, sds = fused_moments(model, x)
+    lo, hi = means.min() - 12.0 * sds.max(), means.max() + 12.0 * sds.max()
+    bounds = []
+    for q in ((1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0):
+        root = brentq(lambda v: conditional_cdf_rows(model, x, [v])[0] - q, lo, hi, xtol=1e-13, maxiter=200)
+        assert abs(conditional_cdf_rows(model, x, [root])[0] - q) <= 1e-10
+        bounds.append(root)
+    return tuple(bounds)
 
 
 SMALL = SamplerSettings(chains=2, iterations=600, burn_in=300, seed=5)
@@ -193,11 +209,14 @@ class TestPsisLoo:
 
 class TestCic:
     def test_single_expert_interval_is_gaussian(self):
+        # Responses 1e-6 inside and outside mean -+ 1.96 sd: exactly the
+        # inner two are covered.
         model = single_expert(intercept=1.0, slope=2.0, sd=0.7)
-        lo, hi = credible_interval(model, [0.5], 0.95)
         mean = 1.0 + 2.0 * 0.5
-        assert lo == pytest.approx(mean - 1.959963984540054 * 0.7, abs=1e-6)
-        assert hi == pytest.approx(mean + 1.959963984540054 * 0.7, abs=1e-6)
+        half = 1.959963984540054 * 0.7
+        y = mean + np.array([-half + 1e-6, half - 1e-6, -half - 1e-6, half + 1e-6])
+        coverage, _ = cic(make_sample([model]), make_dataset(np.full((4, 1), 0.5), y), 0.95)
+        assert coverage == 0.5
 
     def test_extreme_level_covers_everything(self):
         model = single_expert()
@@ -234,7 +253,7 @@ class TestCic:
         data = make_dataset(x, y)
         inside = 0
         for xi, yi in zip(x, y):
-            lo, hi = credible_interval(model, xi, 0.95)
+            lo, hi = root_found_interval(model, xi, 0.95)
             inside += lo <= yi <= hi
         coverage, _ = cic(make_sample([model]), data, 0.95)
         assert coverage == pytest.approx(inside / 50, abs=1e-12)

@@ -1,6 +1,7 @@
 """Run-directory and CLI integration tests on a small synthetic stream."""
 
 import csv
+import json
 import shutil
 import warnings
 
@@ -223,6 +224,29 @@ class TestScoreSpans:
             for stamp in stamps:
                 newest = int(np.flatnonzero(test_ts == stamp)[0])
                 assert newest >= k and span_of[newest - k] == span_of[newest], (index, stamp)
+
+    def test_short_span_is_warned_about_and_recorded(self, tmp_path):
+        # The same two failures on a stream cut after row 1899: the second
+        # span keeps only its first 10 rows, one short of a k = 10 window.
+        telemetry, failures = write_two_index_stream(
+            tmp_path / "data", n_samples=1900, onset_index=None, failure_index=1010, seed=0
+        )
+        with open(failures, "a", newline="") as fh:
+            csv.writer(fh).writerow(["2024-03-24 18:00:00", "1", "comp1"])
+        config = parse_config(default_config_text(**dict(FAST, iterations=150, burn_in=50, window_k=10)))
+        run_dir = tmp_path / "run"
+        stage_fit(config, telemetry, failures, run_dir)
+        messages = recorded_warnings(lambda: stage_score(config, run_dir))
+        span = {"start": "2024-03-19T18:00:00", "end": "2024-03-24T18:00:00", "rows": 10}
+        assert messages == [
+            f"index {index!r}: failure span {span['start']} to {span['end']} has 10 test rows, fewer than 11; skipped"
+            for index in config.indices
+        ]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["skipped_spans"] == {index: [span] for index in config.indices}
+        for index in config.indices:
+            scored = (run_dir / f"scores_{index}.csv").read_text().strip().splitlines()[1:]
+            assert len(scored) == 121 - 10
 
 
 class TestEmitPlotData:
