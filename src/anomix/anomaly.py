@@ -13,6 +13,7 @@ whenever the window sits in either tail.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,11 @@ PIT_EPS = 1e-15
 # 2**20 cached subset sums is about 1M entries; beyond that the exact
 # formula stops being a sensible choice.
 MAX_WINDOW = 20
+
+# Most (query, subset sum) terms one chunk of a batched CDF call holds,
+# 128 KB per dense float array; a query whose prefix alone is longer
+# (windows of 15 or more) gets a chunk of its own.
+_CHUNK_ELEMENTS = 2**14
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -122,6 +128,13 @@ def _log_norm(weights: np.ndarray) -> float:
     return math.lgamma(len(weights) + 1) + float(np.log(weights).sum())
 
 
+def _two_sum(a, b):
+    """``a + b`` rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
 def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     """Enumerate and cache all subset sums for the weighted-uniform-sum CDF."""
     n = len(w)
@@ -156,12 +169,8 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     sizes = np.zeros(count, dtype=np.int64)
     for i, wi in enumerate(kept):
         bit = 1 << i
-        a = hi[:bit]
-        s = a + wi
-        z = s - a
-        err = (a - (s - z)) + (wi - z) + lo[:bit]
-        hi[bit : 2 * bit] = s + err
-        lo[bit : 2 * bit] = err - (hi[bit : 2 * bit] - s)
+        s, err = _two_sum(hi[:bit], wi)
+        hi[bit : 2 * bit], lo[bit : 2 * bit] = _two_sum(s, err + lo[:bit])
         sizes[bit : 2 * bit] = sizes[:bit] + 1
     sums = hi
     order = np.argsort(sums, kind="stable")
@@ -179,37 +188,83 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     )
 
 
-def sum_cdf(dist: WeightedUniformSumDist, q: float) -> float:
-    """Exact CDF of the weighted uniform sum at ``q``.
+def _two_sum_columns(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-D array by a pairwise tree of TwoSum additions.
 
-    Terms are accumulated with exact (Shewchuk) summation because the
-    alternating series cancels catastrophically; for weight products too
-    small for double precision the ratio is evaluated in log magnitude.
-    A NaN query has no probability and raises.
+    Each level adds the bottom half of the rows into the top half and keeps
+    every rounding error exactly (Knuth's TwoSum); the errors are summed
+    apart and added back at the end, so the result is as accurate as a sum
+    in twice the working precision.  Halves of rows are contiguous, so each
+    step is a flat vector operation.  ``terms`` is overwritten.
     """
-    q = float(q)
-    if math.isnan(q):
+    errs = np.zeros(terms.shape[1])
+    while len(terms) > 1:
+        h = len(terms) // 2
+        terms[:h], err = _two_sum(terms[:h], terms[len(terms) - h :])
+        errs += err.sum(axis=0)
+        # With an odd row count the middle row has no partner and joins
+        # the next level as it is.
+        terms = terms[: len(terms) - h]
+    return terms[0] + errs
+
+
+def _interior_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
+    """CDF at ascending queries strictly inside the support, chunk by chunk.
+
+    A chunk holds as many queries as fit in ``_CHUNK_ELEMENTS`` terms at
+    its longest prefix of subset sums, and at least one query.
+    """
+    prefix = np.searchsorted(dist.subset_sums, qs, side="left").tolist()
+    vals = np.empty(len(qs))
+    start = 0
+    while start < len(qs):
+        fits = bisect.bisect_right(
+            range(start + 1, len(qs) + 1), _CHUNK_ELEMENTS, key=lambda j: (j - start) * prefix[j - 1]
+        )
+        stop = start + max(1, fits)
+        width = prefix[stop - 1]
+        # Sums at or past a query give a clipped difference of 0, so shorter
+        # prefixes padded to the chunk's width add exact zeros.
+        diffs = np.maximum(qs[start:stop] - dist.subset_sums[:width, None], 0.0)
+        signs = dist.subset_signs[:width, None]
+        if dist.log_norm > _LOG_TINY:
+            # float_power routes through libm pow, which rounds more tightly
+            # than repeated multiplication; the series lives off cancellation.
+            vals[start:stop] = _two_sum_columns(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
+        else:
+            with np.errstate(divide="ignore"):
+                logs = dist.degree * np.log(diffs) - dist.log_norm
+            top = logs.max(axis=0)
+            inner = _two_sum_columns(signs * np.exp(logs - top))
+            log_val = top + np.log(np.where(inner > 0.0, inner, 1.0))
+            vals[start:stop] = np.where(inner > 0.0, np.exp(np.minimum(log_val, 0.0)), 0.0)
+        start = stop
+    return vals
+
+
+def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
+    """CDF of the weighted uniform sum at every query in ``q``.
+
+    ``q`` is a scalar or an array of any shape; a 0-d query returns a
+    ``float`` and any other an array of ``q``'s shape.  Queries inside the
+    support are sorted once and evaluated in chunks of at most
+    ``_CHUNK_ELEMENTS`` (query, subset sum) terms.  Each query's alternating
+    series over the subset sums below it cancels catastrophically, so its
+    terms are added by a compensated pairwise (TwoSum) sum; for weight
+    products too small for double precision the ratio is evaluated in log
+    magnitude.  A NaN anywhere in ``q`` has no probability and raises.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.isnan(q).any():
         raise ValueError("sum_cdf query is NaN")
-    if q <= 0.0:
-        return 0.0
-    if q >= dist.support_end:
-        return 1.0
-    hi = int(np.searchsorted(dist.subset_sums, q, side="left"))
-    diffs = q - dist.subset_sums[:hi]
-    signs = dist.subset_signs[:hi]
-    if dist.log_norm > _LOG_TINY:
-        # float_power routes through libm pow, which rounds more tightly
-        # than repeated multiplication; the series lives off cancellation.
-        val = math.fsum(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
-    else:
-        logs = dist.degree * np.log(diffs) - dist.log_norm
-        top = float(logs.max())
-        inner = math.fsum(signs * np.exp(logs - top))
-        if inner <= 0.0:
-            return 0.0
-        log_val = top + math.log(inner)
-        val = math.exp(log_val) if log_val < 0.0 else 1.0
-    return min(1.0, max(0.0, val))
+    out = np.where(q >= dist.support_end, 1.0, 0.0)
+    inside = (q > 0.0) & (q < dist.support_end)
+    interior = q[inside]
+    order = np.argsort(interior)
+    vals = np.empty(len(order))
+    vals[order] = _interior_cdf(dist, interior[order])
+    out[inside] = np.clip(vals, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +285,7 @@ def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
     for block, alpha, means, sds in sample.moment_blocks(X):
         u = np.clip(_cdf_from_moments(alpha, means, sds, y), PIT_EPS, 1.0 - PIT_EPS)
         qs = np.lib.stride_tricks.sliding_window_view(u, length, axis=-1) @ dist.weights.weights
-        f = np.array([sum_cdf(dist, q) for q in qs.ravel()]).reshape(qs.shape)
+        f = sum_cdf(dist, qs)
         per_draw[block] = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
     return per_draw
 

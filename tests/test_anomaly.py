@@ -6,10 +6,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
+from anomix import anomaly
 from anomix.anomaly import (
     MAX_WINDOW,
     AnomalyScoreSeries,
@@ -194,7 +195,7 @@ class TestSumCdf:
         samples = np.sort(rng.random((10**6, 3)) @ w)
         grid = np.linspace(0.01, 0.99, 99)
         empirical = np.searchsorted(samples, grid) / len(samples)
-        exact = np.array([sum_cdf(d, g) for g in grid])
+        exact = sum_cdf(d, grid)
         assert np.abs(empirical - exact).max() < 0.004
 
     def test_boundaries_and_monotonicity(self):
@@ -204,7 +205,7 @@ class TestSumCdf:
         assert sum_cdf(d, 1.0) == 1.0
         assert sum_cdf(d, 1.1) == 1.0
         qs = np.linspace(0, 1, 500)
-        vals = [sum_cdf(d, q) for q in qs]
+        vals = sum_cdf(d, qs)
         assert np.all(np.diff(vals) >= 0)
 
     def test_strongly_decaying_weights_stay_accurate(self):
@@ -218,6 +219,122 @@ class TestSumCdf:
         for q in (0.1, 0.5, 0.9, 0.99):
             empirical = np.searchsorted(samples, q) / len(samples)
             assert sum_cdf(d, q) == pytest.approx(empirical, abs=0.01)
+
+
+def scalar_sum_cdf(dist, q):
+    """The per-query evaluation ``sum_cdf`` batches: one exactly rounded
+    ``math.fsum`` over the prefix of subset sums below ``q``."""
+    if q <= 0.0:
+        return 0.0
+    if q >= dist.support_end:
+        return 1.0
+    hi = int(np.searchsorted(dist.subset_sums, q, side="left"))
+    diffs = q - dist.subset_sums[:hi]
+    signs = dist.subset_signs[:hi]
+    if dist.log_norm > anomaly._LOG_TINY:
+        val = math.fsum(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
+    else:
+        logs = dist.degree * np.log(diffs) - dist.log_norm
+        top = float(logs.max())
+        inner = math.fsum(signs * np.exp(logs - top))
+        if inner <= 0.0:
+            return 0.0
+        log_val = top + math.log(inner)
+        val = math.exp(log_val) if log_val < 0.0 else 1.0
+    return min(1.0, max(0.0, val))
+
+
+def probe_queries(dist, rng):
+    """Queries at and past both ends of the support, on exact subset sums,
+    deep in both tails, and spread over the inside."""
+    end = dist.support_end
+    picks = rng.choice(len(dist.subset_sums), size=min(64, len(dist.subset_sums)), replace=False)
+    return np.concatenate(
+        [
+            [-1.0, -1e-300, 0.0, end, np.nextafter(end, 2.0), end + 1.0],
+            dist.subset_sums[picks],
+            end * 10.0 ** rng.uniform(-12, -1, size=16),
+            end * (1.0 - 10.0 ** rng.uniform(-12, -1, size=16)),
+            end * rng.random(64),
+        ]
+    )
+
+
+class TestBatchedSumCdf:
+    def assert_matches_scalar(self, w, seed):
+        dist = build_sum_dist(w)
+        qs = probe_queries(dist, np.random.default_rng(seed))
+        batched = sum_cdf(dist, qs)
+        scalar = np.array([scalar_sum_cdf(dist, q) for q in qs])
+        assert batched.shape == qs.shape
+        np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scalar_fsum(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.random(n) + 0.01
+        self.assert_matches_scalar(WeightVector(w / w.sum()), seed)
+
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+    @example(k=11, seed=0)
+    def test_matches_scalar_fsum_default_decay(self, k, seed):
+        self.assert_matches_scalar(exp_weights(k + 1, default_decay(k)), seed)
+
+    def test_matches_scalar_fsum_with_shed_weights(self):
+        # The full weight product underflows; build_sum_dist sheds weights.
+        self.assert_matches_scalar(exp_weights(16, 7.5), 5)
+
+    def test_log_magnitude_branch_matches_scalar(self, monkeypatch):
+        # No weight vector that build_sum_dist accepts keeps a norm below
+        # _LOG_TINY after shedding, so raise the cut-off to reach the branch.
+        dist = build_sum_dist(exp_weights(8, 0.4))
+        monkeypatch.setattr(anomaly, "_LOG_TINY", dist.log_norm + 1.0)
+        qs = probe_queries(dist, np.random.default_rng(8))
+        np.testing.assert_allclose(
+            sum_cdf(dist, qs), [scalar_sum_cdf(dist, q) for q in qs], rtol=0.0, atol=1e-12
+        )
+
+    def test_shape_and_zero_d(self):
+        dist = build_sum_dist(exp_weights(6, default_decay(5)))
+        qs = np.random.default_rng(3).random((3, 4, 5)) * dist.support_end
+        batched = sum_cdf(dist, qs)
+        assert batched.shape == (3, 4, 5)
+        for q, f in zip(qs.ravel(), batched.ravel()):
+            for scalar_query in (q, float(q), np.array(q)):
+                value = sum_cdf(dist, scalar_query)
+                assert type(value) is float and value == f
+        assert sum_cdf(dist, np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("where", [0, 7, -1])
+    def test_one_nan_anywhere_raises(self, where):
+        dist = build_sum_dist(exp_weights(6, default_decay(5)))
+        qs = np.linspace(-0.5, 1.5, 20)
+        qs[where] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            sum_cdf(dist, qs.reshape(4, 5))
+
+    @pytest.mark.parametrize("budget", [1, 2**20])
+    def test_chunking_does_not_change_values(self, monkeypatch, budget):
+        rng = np.random.default_rng(12)
+        dists = [build_sum_dist(exp_weights(n, default_decay(n - 1))) for n in (1, 6, 11)]
+        queries = [probe_queries(d, rng) for d in dists]
+        model = slope_model()
+        x = rng.uniform(-2, 2, size=(60, 1))
+        data = make_dataset(x, sample_conditional(model, x, rng)[0] + np.where(np.arange(60) > 40, 3.0, 0.0))
+        sample = PosteriorSample.from_draws([model, std_normal_model(), model], 0.25, 1, 0)
+
+        def outputs():
+            series = [score_series(data, sample, k) for k in (0, 5, 10)]
+            return [sum_cdf(d, q) for d, q in zip(dists, queries)] + [
+                getattr(s, name) for s in series for name in ("as_values", "theta_low", "theta_high")
+            ]
+
+        default = outputs()
+        monkeypatch.setattr(anomaly, "_CHUNK_ELEMENTS", budget)
+        for got, want in zip(outputs(), default):
+            assert np.array_equal(got, want)
 
 
 class TestPit:
@@ -272,7 +389,7 @@ class TestQStatistic:
         y, _ = sample_conditional(model, x, rng)
         u = pit_rows(model, x, y).reshape(10**4, 4)
         qs = u @ w.weights
-        assert kstest(qs, lambda v: np.array([sum_cdf(dist, q) for q in np.atleast_1d(v)])).pvalue > 0.01
+        assert kstest(qs, lambda v: sum_cdf(dist, v)).pvalue > 0.01
 
 
 class TestAsTheta:
@@ -294,7 +411,7 @@ class TestAsTheta:
         y, _ = sample_conditional(model, x, rng)
         u = pit_rows(model, x, y).reshape(10**4, 6)
         qs = u @ w.weights
-        f = np.array([sum_cdf(dist, q) for q in qs])
+        f = sum_cdf(dist, qs)
         scores = 1 - 2 * np.minimum(f, 1 - f)
         assert kstest(scores, "uniform").pvalue > 0.01
 
@@ -306,7 +423,7 @@ class TestAsTheta:
         x = rng.uniform(-2, 2, size=(6 * 10**4, 1))
         y, _ = sample_conditional(model, x, rng)
         u = pit_rows(model, x, y).reshape(10**4, 6)
-        f = np.array([sum_cdf(dist, q) for q in u @ w.weights])
+        f = sum_cdf(dist, u @ w.weights)
         scores = 1 - 2 * np.minimum(f, 1 - f)
         tau = 0.975
         exceed = int((scores >= tau).sum())

@@ -206,7 +206,7 @@ class TestBatchedMatchesDrawLoop:
         per_draw = []
         for d in draws_of(sample):
             u = pit_rows(d, data.covariates, data.responses)
-            f = np.array([sum_cdf(dist, q) for q in np.lib.stride_tricks.sliding_window_view(u, k + 1) @ w.weights])
+            f = sum_cdf(dist, np.lib.stride_tricks.sliding_window_view(u, k + 1) @ w.weights)
             per_draw.append(1.0 - 2.0 * np.minimum(f, 1.0 - f))
         np.testing.assert_allclose(series.as_values, np.mean(per_draw, axis=0), **TOL)
         np.testing.assert_allclose(series.theta_low, np.quantile(per_draw, 0.05, axis=0), **TOL)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from anomix.anomaly import AnomalyScoreSeries, pit_rows, score_series
 from anomix.config import default_config_text, load_config, parse_config
-from anomix.detection import AlarmPolicy, FailureLog, raise_alarms
+from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
 from anomix.model import (
     BehaviorGateParams,
     Dataset,
@@ -22,7 +24,9 @@ from anomix.pipeline import (
     build_splits,
     generate_synthetic,
     ingest_csv,
+    _read_alarms,
     _read_series,
+    _write_alarms,
     _write_series,
     load_posterior,
     read_failures,
@@ -360,7 +364,45 @@ class TestConfig:
         assert load_config(path).seed == 7
 
 
+# Whole seconds from 1900 to 2200: the artifacts store timestamps to the second.
+timestamps = st.integers(-(70 * 365 * 86400), 230 * 365 * 86400).map(lambda t: np.datetime64(t, "s"))
+
+
+@st.composite
+def score_serieses(draw):
+    # At least one row: the threshold is stored on every row, so a file
+    # with no rows cannot carry it.
+    n = draw(st.integers(1, 30))
+    columns = [draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)) for _ in range(3)]
+    return AnomalyScoreSeries(
+        np.array(draw(st.lists(timestamps, min_size=n, max_size=n)), dtype="datetime64[s]"),
+        np.array(columns[0]),
+        draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        np.array(columns[1]),
+        np.array(columns[2]),
+    )
+
+
 class TestScoreHandOff:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(series=score_serieses())
+    def test_series_round_trip_is_bitwise(self, tmp_path, series):
+        path = tmp_path / "scores.csv"
+        _write_series(path, series)
+        back = _read_series(path)
+        assert back.timestamps.dtype == series.timestamps.dtype
+        np.testing.assert_array_equal(back.timestamps, series.timestamps)
+        for name in ("as_values", "theta_low", "theta_high"):
+            assert getattr(back, name).tobytes() == getattr(series, name).tobytes()
+        assert repr(back.threshold) == repr(series.threshold)
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(alarms=st.lists(st.builds(AlarmWindow, timestamps, timestamps), max_size=12))
+    def test_alarms_round_trip(self, tmp_path, alarms):
+        path = tmp_path / "alarms.csv"
+        _write_alarms(path, alarms)
+        assert _read_alarms(path) == alarms
+
     def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
         ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
         series = AnomalyScoreSeries(ts, np.array([0.5, 0.9749996, 0.5]), 0.975)
