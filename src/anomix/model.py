@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp, ndtr
+from scipy.special import expit, ndtr
 
 __all__ = [
     "ExpertParams",
@@ -266,11 +266,33 @@ def fused_moments(params: ModelParams, X):
 # ---------------------------------------------------------------------------
 
 
+def _logsumexp(a, axis: int = -1):
+    """Log of the sum of ``exp(a)`` along ``axis``, for float64 ``a``.
+
+    This is scipy.special's real-input log-sum-exp arithmetic without its
+    array-API dispatch, so results are bitwise equal to scipy's: the maxima
+    are split out of the sum and the remainder enters through ``log1p``
+    (Blanchard, Higham & Higham 2021). Slices whose result is not finite
+    (all ``-inf``, an ``inf`` or a NaN) fall back to ``log(sum(exp(a)))``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_max = a.max(axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = is_max.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out.squeeze(axis=axis)[()]
+
+
 def _logpdf_from_moments(alpha, means, sds, y):
     z = (y[:, None] - means) / sds
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
     with np.errstate(divide="ignore"):
-        return logsumexp(comp + np.log(alpha), axis=-1)
+        return _logsumexp(comp + np.log(alpha))
 
 
 def _cdf_from_moments(alpha, means, sds, y):

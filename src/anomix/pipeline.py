@@ -597,13 +597,15 @@ def _write_series(path, series: AnomalyScoreSeries) -> None:
 def _read_series(path) -> AnomalyScoreSeries:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        ts, vals, lo, hi, thr = [], [], [], [], 0.5
+        ts, vals, lo, hi = [], [], [], []
         for row in reader:
             ts.append(_parse_timestamp(row["timestamp"]))
             vals.append(float(row["as_value"]))
             lo.append(float(row["theta_q05"]))
             hi.append(float(row["theta_q95"]))
             thr = float(row["threshold"])
+    if not ts:
+        raise ValueError(f"{path}: score file has no rows, so it records no threshold")
     return AnomalyScoreSeries(
         np.array(ts, dtype="datetime64[s]"), np.array(vals), thr, np.array(lo), np.array(hi)
     )

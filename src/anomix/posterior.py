@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .model import (
     BehaviorGateParams,
@@ -30,6 +30,7 @@ from .model import (
     _embed_rows,
     _log_prior_arrays,
     _logpdf_from_moments,
+    _logsumexp,
     _moments_arrays,
 )
 
@@ -267,7 +268,7 @@ def _pointwise_loglik(sample: PosteriorSample, data: Dataset) -> np.ndarray:
 
 
 def _lppd(ll: np.ndarray) -> float:
-    return float(np.sum(logsumexp(ll, axis=0) - math.log(ll.shape[0])))
+    return float(np.sum(_logsumexp(ll, axis=0) - math.log(ll.shape[0])))
 
 
 def lppd(sample: PosteriorSample, data: Dataset) -> float:
@@ -357,7 +358,7 @@ def _psis_loo(ll: np.ndarray):
         lw -= lw.max()
         if smooth and np.ptp(lw) > 1e-12:
             lw, k_hat[i] = _smooth_log_weights(lw)
-        elpd[i] = logsumexp(lw + ll[:, i]) - logsumexp(lw)
+        elpd[i] = _logsumexp(lw + ll[:, i]) - _logsumexp(lw)
     estimate = float(elpd.sum())
     se = float(math.sqrt(n * elpd.var(ddof=1))) if n > 1 else 0.0
     return estimate, se, k_hat

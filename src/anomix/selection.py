@@ -94,11 +94,9 @@ def coverage_counts(
         rng = np.random.default_rng(rng)
     draws = sample_predictive(sample, data.covariates, rng)
     levels = np.arange(1, k_levels) / k_levels
-    counts = np.empty(k_levels - 1, dtype=int)
-    for j, alpha in enumerate(levels):
-        lo = np.quantile(draws, (1.0 - alpha) / 2.0, axis=0)
-        hi = np.quantile(draws, (1.0 + alpha) / 2.0, axis=0)
-        counts[j] = int(np.sum((data.responses >= lo) & (data.responses <= hi)))
+    probs = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
+    lo, hi = np.split(np.quantile(draws, probs, axis=0), 2)
+    counts = ((data.responses >= lo) & (data.responses <= hi)).sum(axis=1)
     return CoverageGrid(k_levels, levels, counts, len(data))
 
 

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from anomix.model import (
@@ -15,6 +18,7 @@ from anomix.model import (
     ModelParams,
     PriorSpec,
     _embed_rows,
+    _logsumexp,
     conditional_cdf_rows,
     conditional_logpdf_rows,
     conditional_pdf,
@@ -249,6 +253,47 @@ class TestConditionalCdf:
         ys = np.linspace(-6, 6, 301)
         vals = conditional_cdf_rows(model, np.zeros((len(ys), 1)), ys)
         assert np.all(np.diff(vals) >= 0)
+
+
+@st.composite
+def lse_inputs(draw):
+    """Float64 arrays of 1-3 dimensions with a reduction axis, values up to a
+    magnitude between 1e-3 and 800, and optionally tied maxima along that
+    axis, scattered -inf entries and whole -inf slices."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    axis = draw(st.sampled_from([-1, 0]))
+    scale = draw(st.floats(1e-3, 800.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = scale * rng.uniform(-1.0, 1.0, size=shape)
+    if draw(st.booleans()):
+        a = np.where(rng.random(shape) < 0.5, a.max(axis=axis, keepdims=True), a)
+    if draw(st.booleans()):
+        a[rng.random(shape) < 0.3] = -np.inf
+    if draw(st.booleans()):
+        idx = [slice(None)] * a.ndim
+        if a.ndim > 1:
+            idx[0 if axis == -1 else -1] = 0
+        a[tuple(idx)] = -np.inf
+    return a, axis
+
+
+class TestLogSumExp:
+    """The in-repo kernel against scipy's logsumexp, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lse_inputs())
+    def test_bitwise_equal_to_scipy(self, case):
+        a, axis = case
+        got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("a", [[np.inf, 0.0], [np.inf, np.inf], [np.nan, 0.0], [-np.inf, np.nan]])
+    def test_non_finite_slices(self, a):
+        a = np.array(a)
+        with np.errstate(invalid="ignore"):
+            want = logsumexp(a)
+        assert np.array_equal(_logsumexp(a), want, equal_nan=True)
 
 
 class TestLogLikelihood:

@@ -1,5 +1,7 @@
 """Pipeline tests: ingestion, scaling, splits, synthetic data, config, stages."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -402,6 +404,13 @@ class TestScoreHandOff:
         path = tmp_path / "alarms.csv"
         _write_alarms(path, alarms)
         assert _read_alarms(path) == alarms
+
+    def test_empty_series_is_refused_on_read(self, tmp_path):
+        # The threshold is stored on each row, so a file with no rows has lost it.
+        path = tmp_path / "scores.csv"
+        _write_series(path, AnomalyScoreSeries(np.array([], dtype="datetime64[s]"), np.array([]), 0.9))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            _read_series(path)
 
     def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
         ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")

@@ -6,12 +6,16 @@ code paths at unit scale.
 """
 
 import math
+from dataclasses import astuple
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
+import anomix.model
+import anomix.posterior
 from anomix.model import (
     BehaviorGateParams,
     Dataset,
@@ -375,3 +379,33 @@ class TestSplitRhat:
         data, sample = fitted
         assert fit_diagnostics(sample, data).rhat_max == _rhat_max(sample)
         assert math.isnan(FitDiagnostics(0.0, 0.0, 0.0, 0.5, 0.0, 0.0).rhat_max)
+
+
+class TestScipyKernelParity:
+    """Swapping the in-repo log-sum-exp kernel back to scipy's moves no draw
+    and no diagnostic by a single bit."""
+
+    @pytest.mark.parametrize("n_experts", [1, 3])
+    def test_draws_and_diagnostics_bitwise_equal(self, n_experts, monkeypatch):
+        data = linear_data(50, seed=2)
+        settings = SamplerSettings(chains=2, iterations=200, burn_in=100, seed=7)
+
+        def fit():
+            sample = sample_posterior(data, PriorSpec(), n_experts, settings)
+            return sample, fit_diagnostics(sample, data)
+
+        ours, ours_diag = fit()
+        calls = []
+
+        def scipy_kernel(a, axis=-1):
+            calls.append(axis)
+            return logsumexp(a, axis=axis)
+
+        monkeypatch.setattr(anomix.model, "_logsumexp", scipy_kernel)
+        monkeypatch.setattr(anomix.posterior, "_logsumexp", scipy_kernel)
+        theirs, theirs_diag = fit()
+        assert 0 in calls and -1 in calls
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert ours.acceptance_rate == theirs.acceptance_rate
+        assert np.array_equal(astuple(ours_diag), astuple(theirs_diag), equal_nan=True)

@@ -81,6 +81,32 @@ class TestCoverageCounts:
         grid = coverage_counts(sample, make_dataset(x, y), k_levels=20, rng=rng)
         assert np.all(np.diff(grid.counts) >= 0)
 
+    @pytest.mark.parametrize("k_levels", [2, 10, 20])
+    def test_matches_per_level_quantile_loop(self, k_levels):
+        from anomix.posterior import sample_predictive
+
+        rng = np.random.default_rng(5)
+        sample = jittered_sample(rng, n_draws=401)
+        x = rng.uniform(-2, 2, size=(300, 1))
+        draws = sample_predictive(sample, x, np.random.default_rng(9))
+        y = rng.normal(0, 1, 300)
+        # With 401 draws every level's interval ends sit on order statistics
+        # whose ranks are multiples of 10; put a third of the responses there.
+        ranks = rng.choice([20, 100, 180, 200, 300, 380], size=100)
+        y[::3] = np.sort(draws, axis=0)[ranks, np.arange(0, 300, 3)]
+        data = make_dataset(x, y)
+
+        levels = np.arange(1, k_levels) / k_levels
+        expected = np.empty(k_levels - 1, dtype=int)
+        for j, alpha in enumerate(levels):
+            lo = np.quantile(draws, (1.0 - alpha) / 2.0, axis=0)
+            hi = np.quantile(draws, (1.0 + alpha) / 2.0, axis=0)
+            expected[j] = int(np.sum((y >= lo) & (y <= hi)))
+
+        grid = coverage_counts(sample, data, k_levels, rng=np.random.default_rng(9))
+        assert np.array_equal(grid.levels, levels)
+        assert np.array_equal(grid.counts, expected)
+
     def test_too_few_draws_rejected(self):
         rng = np.random.default_rng(4)
         sample = jittered_sample(rng, n_draws=50)
