@@ -112,7 +112,6 @@ class WeightedUniformSumDist:
     subset_sums: np.ndarray
     subset_signs: np.ndarray
     norm_const: float
-    log_norm: float
     n: int
     degree: int
     support_end: float
@@ -141,8 +140,7 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     if n > MAX_WINDOW:
         raise ValueError(f"window length {n} exceeds the supported maximum {MAX_WINDOW}")
     kept = w.weights
-    log_norm = _log_norm(kept)
-    if log_norm <= _LOG_TINY:
+    if _log_norm(kept) <= _LOG_TINY:
         # The normalizing constant underflows, so the alternating sum is
         # hopeless as written: shed the smallest weights (at most 1e-6 of
         # total mass) until the sum is representable and conditioned.
@@ -158,7 +156,6 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
                 break
             dropped += kept[0]
             kept = kept[1:]
-        log_norm = _log_norm(kept)
     degree = len(kept)
     count = 1 << degree
     # Subset sums are accumulated in double-double precision so that each
@@ -175,13 +172,11 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     sums = hi
     order = np.argsort(sums, kind="stable")
     signs = np.where(sizes[order] % 2 == 0, 1.0, -1.0)
-    norm = math.factorial(degree) * math.prod(kept.tolist()) if log_norm > _LOG_TINY else 0.0
     return WeightedUniformSumDist(
         weights=w,
         subset_sums=sums[order],
         subset_signs=signs,
-        norm_const=norm,
-        log_norm=log_norm,
+        norm_const=math.factorial(degree) * math.prod(kept.tolist()),
         n=n,
         degree=degree,
         support_end=float(kept.sum()),
@@ -227,17 +222,9 @@ def _interior_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
         # prefixes padded to the chunk's width add exact zeros.
         diffs = np.maximum(qs[start:stop] - dist.subset_sums[:width, None], 0.0)
         signs = dist.subset_signs[:width, None]
-        if dist.log_norm > _LOG_TINY:
-            # float_power routes through libm pow, which rounds more tightly
-            # than repeated multiplication; the series lives off cancellation.
-            vals[start:stop] = _two_sum_columns(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
-        else:
-            with np.errstate(divide="ignore"):
-                logs = dist.degree * np.log(diffs) - dist.log_norm
-            top = logs.max(axis=0)
-            inner = _two_sum_columns(signs * np.exp(logs - top))
-            log_val = top + np.log(np.where(inner > 0.0, inner, 1.0))
-            vals[start:stop] = np.where(inner > 0.0, np.exp(np.minimum(log_val, 0.0)), 0.0)
+        # float_power routes through libm pow, which rounds more tightly
+        # than repeated multiplication; the series lives off cancellation.
+        vals[start:stop] = _two_sum_columns(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
         start = stop
     return vals
 
@@ -250,9 +237,8 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     support are sorted once and evaluated in chunks of at most
     ``_CHUNK_ELEMENTS`` (query, subset sum) terms.  Each query's alternating
     series over the subset sums below it cancels catastrophically, so its
-    terms are added by a compensated pairwise (TwoSum) sum; for weight
-    products too small for double precision the ratio is evaluated in log
-    magnitude.  A NaN anywhere in ``q`` has no probability and raises.
+    terms are added by a compensated pairwise (TwoSum) sum.  A NaN anywhere
+    in ``q`` has no probability and raises.
     """
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
@@ -322,12 +308,11 @@ def score_series(
     k: int,
     decay: float | None = None,
     threshold: float = 0.975,
-    quantiles: tuple = (0.05, 0.95),
 ) -> AnomalyScoreSeries:
     """Posterior-mean anomaly score on every sliding window of length k + 1.
 
     The first k timestamps carry no score.  Alongside the posterior mean,
-    the requested quantiles of the per-draw scores are recorded for band
+    the 5% and 95% quantiles of the per-draw scores are recorded for band
     plots.
     """
     length = k + 1
@@ -339,6 +324,6 @@ def score_series(
         timestamps=data.timestamps[k:],
         as_values=per_draw.mean(axis=0),
         threshold=threshold,
-        theta_low=np.quantile(per_draw, quantiles[0], axis=0),
-        theta_high=np.quantile(per_draw, quantiles[1], axis=0),
+        theta_low=np.quantile(per_draw, 0.05, axis=0),
+        theta_high=np.quantile(per_draw, 0.95, axis=0),
     )

@@ -117,7 +117,11 @@ def main(argv=None) -> int:
         print(f"wrote {telemetry} and {failures}")
         return 0
 
-    config = _load(args)
+    try:
+        config = _load(args)
+    except ValueError as exc:
+        print(f"{args.config}: {exc}", file=sys.stderr)
+        return 2
     run_dir = Path(args.out)
     try:
         if args.verb == "fit":

@@ -1,25 +1,26 @@
 """Flat key-value experiment configuration.
 
-One ``key = value`` assignment per line, ``#`` comments, no nesting.  Every
-key is declared in the schema with a type and (where sensible) a default;
-unknown keys and missing required keys are hard errors so that a typo in a
+One ``key = value`` assignment per line, ``#`` comments, no nesting.  The
+fields of :class:`PipelineConfig` are the schema: each key's type is its
+field's annotation and its default the field's default, and a field without
+a default is a required key.  Unknown keys, missing required keys and
+invalid values are hard errors when the file loads, so that a typo in a
 threshold or patience value cannot silently corrupt an experiment.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
-from .anomaly import MAX_WINDOW
+from .anomaly import MAX_WINDOW, exp_weights
+from .detection import AlarmPolicy, PoolingPolicy
 from .model import PriorSpec
 from .posterior import SamplerSettings
 
-__all__ = ["PipelineConfig", "parse_config", "load_config", "default_config_text"]
+__all__ = ["PipelineConfig", "SplitSpec", "parse_config", "load_config", "default_config_text"]
 
 SCHEMA_VERSION = 1
-
-_REQUIRED = object()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -38,71 +39,65 @@ def _parse_int_list(raw: str) -> list:
     return [int(item) for item in _parse_str_list(raw)]
 
 
-# key -> (parser, default); _REQUIRED means the key must be present.
-_SCHEMA = {
-    "schema_version": (int, _REQUIRED),
-    "timestamp_column": (str, "datetime"),
-    "machine_column": (str, ""),
-    "machine_id": (str, ""),
-    "indices": (_parse_str_list, _REQUIRED),
-    "extra_covariates": (_parse_str_list, []),
-    "experts": (int, 2),
-    "mean_coeff_location": (float, 0.0),
-    "mean_coeff_scale": (float, 1.0),
-    "gate_coeff_location": (float, 0.0),
-    "gate_coeff_scale": (float, 1.0),
-    "noise_log_location": (float, 0.0),
-    "noise_log_scale": (float, 1.0),
-    "chains": (int, 4),
-    "iterations": (int, 2000),
-    "burn_in": (int, 1000),
-    "target_acceptance": (float, 0.25),
-    "window_k": (int, 5),
-    "decay": (float, -1.0),  # negative means "use the default for window_k"
-    "threshold": (float, 0.975),
-    "patience": (int, 10),
-    "quorum": (int, 1),
-    "half_level": (_parse_bool, False),
-    "validity_days": (_parse_int_list, [1, 2, 3, 4]),
-    "margin_days": (float, 5.0),
-    "subsample_fraction": (float, 0.1),
-    "train_size": (int, 200),
-    "validation_size": (int, 100),
-    "seed": (int, 0),
+# Field annotation -> parser of the key's raw text.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "list[str]": _parse_str_list,
+    "list[int]": _parse_int_list,
 }
 
 
 @dataclass(frozen=True)
+class SplitSpec:
+    margin_days: float = 5.0
+    fraction: float = 0.1
+    train_size: int = 200
+    validation_size: int = 100
+
+    def __post_init__(self):
+        if self.margin_days < 0:
+            raise ValueError("margin_days must be non-negative")
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError("fraction must lie in (0, 1]")
+        if self.train_size < 1 or self.validation_size < 0:
+            raise ValueError("split sizes must be positive")
+
+
+# Field order is the canonical text's order, so it fixes every config hash.
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
     schema_version: int
-    timestamp_column: str
-    machine_column: str
-    machine_id: str
-    indices: list
-    extra_covariates: list
-    experts: int
-    mean_coeff_location: float
-    mean_coeff_scale: float
-    gate_coeff_location: float
-    gate_coeff_scale: float
-    noise_log_location: float
-    noise_log_scale: float
-    chains: int
-    iterations: int
-    burn_in: int
-    target_acceptance: float
-    window_k: int
-    decay: float
-    threshold: float
-    patience: int
-    quorum: int
-    half_level: bool
-    validity_days: list
-    margin_days: float
-    subsample_fraction: float
-    train_size: int
-    validation_size: int
-    seed: int
+    timestamp_column: str = "datetime"
+    machine_column: str = ""
+    machine_id: str = ""
+    indices: list[str]
+    extra_covariates: list[str] = field(default_factory=list)
+    experts: int = 2
+    mean_coeff_location: float = 0.0
+    mean_coeff_scale: float = 1.0
+    gate_coeff_location: float = 0.0
+    gate_coeff_scale: float = 1.0
+    noise_log_location: float = 0.0
+    noise_log_scale: float = 1.0
+    chains: int = 4
+    iterations: int = 2000
+    burn_in: int = 1000
+    target_acceptance: float = 0.25
+    window_k: int = 5
+    decay: float = -1.0  # negative means "use the default for window_k"
+    threshold: float = 0.975
+    patience: int = 10
+    quorum: int = 1
+    half_level: bool = False
+    validity_days: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    margin_days: float = 5.0
+    subsample_fraction: float = 0.1
+    train_size: int = 200
+    validation_size: int = 100
+    seed: int = 0
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
@@ -112,14 +107,20 @@ class PipelineConfig:
             )
         if not self.indices:
             raise ValueError("at least one target index is required")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
+        if self.experts < 1:
+            raise ValueError("experts must be at least 1")
         if not 0 <= self.window_k <= MAX_WINDOW - 1:
             raise ValueError(f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
-        if not 0.0 < self.subsample_fraction <= 1.0:
-            raise ValueError("subsample_fraction must lie in (0, 1]")
-        if self.margin_days < 0:
-            raise ValueError("margin_days must be non-negative")
+        if not self.validity_days or min(self.validity_days) < 1:
+            raise ValueError("validity_days must list at least one positive length")
+        # Every other key is checked by the object of the stage that consumes it.
+        if self.decay >= 0:
+            exp_weights(self.window_k + 1, self.decay)
+        self.prior_spec()
+        self.sampler_settings()
+        self.split_spec()
+        AlarmPolicy(self.threshold, self.patience)
+        PoolingPolicy(self.quorum, self.half_level)
 
     def prior_spec(self) -> PriorSpec:
         return PriorSpec(**{f.name: getattr(self, f.name) for f in fields(PriorSpec)})
@@ -127,6 +128,14 @@ class PipelineConfig:
     def sampler_settings(self, seed_offset: int = 0) -> SamplerSettings:
         shared = {f.name: getattr(self, f.name) for f in fields(SamplerSettings) if f.name != "seed"}
         return SamplerSettings(**shared, seed=self.seed + seed_offset)
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(
+            margin_days=self.margin_days,
+            fraction=self.subsample_fraction,
+            train_size=self.train_size,
+            validation_size=self.validation_size,
+        )
 
     def effective_decay(self) -> float | None:
         return None if self.decay < 0 else self.decay
@@ -144,8 +153,14 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 
+def _default(f):
+    """A field's default value; ``MISSING`` for a required key."""
+    return f.default_factory() if f.default_factory is not MISSING else f.default
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse and validate flat ``key = value`` configuration text."""
+    schema = {f.name: f for f in fields(PipelineConfig)}
     seen = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -154,24 +169,18 @@ def parse_config(text: str) -> PipelineConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in schema:
             raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate configuration key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            seen[key] = parser(raw_value)
+            seen[key] = _PARSERS[schema[key].type](raw_value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    values = {}
-    for key, (_, default) in _SCHEMA.items():
-        if key in seen:
-            values[key] = seen[key]
-        elif default is _REQUIRED:
+    for key, f in schema.items():
+        if key not in seen and _default(f) is MISSING:
             raise ValueError(f"missing required configuration key {key!r}")
-        else:
-            values[key] = list(default) if isinstance(default, list) else default
-    return PipelineConfig(**values)
+    return PipelineConfig(**seen)
 
 
 def load_config(path) -> PipelineConfig:
@@ -181,14 +190,11 @@ def load_config(path) -> PipelineConfig:
 
 def default_config_text(**overrides) -> str:
     """Config text with every key spelled out, for scaffolding runs."""
-    values = {key: default for key, (_, default) in _SCHEMA.items() if default is not _REQUIRED}
-    values["schema_version"] = SCHEMA_VERSION
-    values["indices"] = ["hi_a", "hi_b"]
-    values.update(overrides)
+    values = {"schema_version": SCHEMA_VERSION, "indices": ["hi_a", "hi_b"], **overrides}
     lines = []
-    for key in _SCHEMA:
-        value = values[key]
+    for f in fields(PipelineConfig):
+        value = values.get(f.name, _default(f))
         if isinstance(value, list):
             value = ", ".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
+        lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

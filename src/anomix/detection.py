@@ -248,11 +248,9 @@ def group_constant_ranges(report: DetectionReport) -> list:
     return groups[::-1]
 
 
-def format_report(report: DetectionReport, grouped: bool = True, delimiter: str = ",") -> str:
-    """Detection table as delimited text with percentage metrics."""
-    lines = [
-        delimiter.join(["Days to Event", "Samples in Range", "Prec. [%]", "Rec. [%]", "F1 [%]"])
-    ]
+def format_report(report: DetectionReport, grouped: bool = True) -> str:
+    """Detection table as comma-separated text with percentage metrics."""
+    lines = [",".join(["Days to Event", "Samples in Range", "Prec. [%]", "Rec. [%]", "F1 [%]"])]
     if grouped:
         groups = group_constant_ranges(report)
     else:
@@ -260,5 +258,5 @@ def format_report(report: DetectionReport, grouped: bool = True, delimiter: str 
         groups = [(r.w_days, r.w_days, r.samples_in_range, r.precision, r.recall, r.f1) for r in rows]
     for w_max, w_min, samples, p, rec, f1 in groups:
         label = f"{w_max}-{w_min}" if w_max != w_min else f"{w_max}"
-        lines.append(delimiter.join([label, str(samples), f"{100 * p:.2f}", f"{100 * rec:.2f}", f"{100 * f1:.2f}"]))
+        lines.append(",".join([label, str(samples), f"{100 * p:.2f}", f"{100 * rec:.2f}", f"{100 * f1:.2f}"]))
     return "\n".join(lines) + "\n"

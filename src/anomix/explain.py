@@ -8,7 +8,7 @@ the fitted gates into a readable map of expert regions, predictive means
 and predictive spread.
 
 All geometry is computed from the posterior expectation of the gate
-coefficients; per-draw maps are available behind a flag.
+coefficients.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def augment_behavior(geometry: GateGeometry, behavior_coeffs) -> GateGeometry:
     return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), _correction(slopes))
 
 
-def default_score_grid(n_directions: int, extent: float = 4.0, points_per_axis: int = 41) -> np.ndarray:
-    """Regular grid over gate scores, wide enough to reach near-saturation."""
-    axis = np.linspace(-extent, extent, points_per_axis)
+def default_score_grid(n_directions: int, points_per_axis: int = 41) -> np.ndarray:
+    """Regular grid over gate scores on [-4, 4], wide enough to reach near-saturation."""
+    axis = np.linspace(-4.0, 4.0, points_per_axis)
     if n_directions == 1:
         return axis[:, None]
     grids = np.meshgrid(*([axis] * n_directions), indexing="ij")
@@ -196,43 +196,34 @@ def embed_grid(geometry: GateGeometry, score_grid, feature_means=None) -> Explan
     return ExplanationMap(grid=grid, points=points, arrows=arrows)
 
 
-def _predictive_summary(sample: PosteriorSample, X, stack: np.ndarray | None = None):
+def _predictive_summary(sample: PosteriorSample, X):
     """Posterior-mean activations, predictive mean and predictive sd at rows of ``X``.
 
     The predictive law at a row is the draw-average of the per-draw
     mixtures, so its variance combines each draw's mixture variance with
-    the spread of the draw means.  A ``stack`` of shape (draws, rows,
-    experts) receives the per-draw activations.
+    the spread of the draw means.
     """
     n_rows = len(X)
     act = np.zeros((n_rows, sample.n_experts))
     mean_acc = np.zeros(n_rows)
     second_moment = np.zeros(n_rows)
-    for block, alpha, means, sds in sample.moment_blocks(X):
+    for _, alpha, means, sds in sample.moment_blocks(X):
         act += alpha.sum(axis=0)
         m = (alpha * means).sum(axis=-1)
         v = (alpha * (sds**2 + means**2)).sum(axis=-1) - m**2
         mean_acc += m.sum(axis=0)
         second_moment += (v + m**2).sum(axis=0)
-        if stack is not None:
-            stack[block] = alpha
     n_draws = sample.n_draws
     predictive_mean = mean_acc / n_draws
     predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)
     return act / n_draws, predictive_mean, np.sqrt(predictive_var)
 
 
-def render_map(skeleton: ExplanationMap, sample: PosteriorSample, per_draw: bool = False):
+def render_map(skeleton: ExplanationMap, sample: PosteriorSample) -> ExplanationMap:
     """Evaluate the model over the embedded grid.
 
     Fills in posterior-mean expert activations, the predictive mean and the
-    predictive standard deviation at every grid point.  With ``per_draw``
-    the per-draw activation stack is returned alongside the map.
+    predictive standard deviation at every grid point.
     """
-    points = skeleton.points
-    stack = np.empty((sample.n_draws, len(points), sample.n_experts)) if per_draw else None
-    activations, mean, sd = _predictive_summary(sample, points, stack)
-    rendered = replace(skeleton, activations=activations, predictive_mean=mean, predictive_sd=sd)
-    if per_draw:
-        return rendered, stack
-    return rendered
+    activations, mean, sd = _predictive_summary(sample, skeleton.points)
+    return replace(skeleton, activations=activations, predictive_mean=mean, predictive_sd=sd)

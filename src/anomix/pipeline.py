@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .anomaly import AnomalyScoreSeries, score_series
-from .config import PipelineConfig
+from .config import PipelineConfig, SplitSpec
 from .detection import (
     AlarmPolicy,
     AlarmWindow,
@@ -231,22 +231,6 @@ def standard_scale(fit_on: Dataset, apply_to: Dataset):
     return scaler.apply(apply_to), scaler
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    margin_days: float = 5.0
-    fraction: float = 0.1
-    train_size: int = 200
-    validation_size: int = 100
-
-    def __post_init__(self):
-        if self.margin_days < 0:
-            raise ValueError("margin_days must be non-negative")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
-        if self.train_size < 1 or self.validation_size < 0:
-            raise ValueError("split sizes must be positive")
-
-
 def _merge_spans(spans: list) -> list:
     merged = []
     for start, end in sorted(spans):
@@ -300,7 +284,7 @@ def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
     in_span = np.zeros(len(data), dtype=bool)
     for start, end in _failure_spans(failures, spec.margin_days):
         in_span |= (ts >= start) & (ts <= end)
-    test_idx = np.flatnonzero(near_failure & in_span & (ts > np.datetime64(val_end, "s")))
+    test_idx = np.flatnonzero(in_span & (ts > np.datetime64(val_end, "s")))
     test = data.select(test_idx)
     return train, validation, test
 
@@ -529,18 +513,13 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         failures_path, config.timestamp_column, config.machine_column, config.machine_id
     )
     datasets, dropped = _index_datasets(config, data_path)
-    spec = SplitSpec(
-        margin_days=config.margin_days,
-        fraction=config.subsample_fraction,
-        train_size=config.train_size,
-        validation_size=config.validation_size,
-    )
+    spec = config.split_spec()
     split_info = {}
     for offset, index in enumerate(config.indices):
         train, validation, test = build_splits(datasets[index], failures, spec)
         scaled_train, scaler = standard_scale(train, train)
-        scaled_val = scaler.apply(validation) if len(validation) else validation
-        scaled_test = scaler.apply(test) if len(test) else test
+        scaled_val = scaler.apply(validation)
+        scaled_test = scaler.apply(test)
         sample = sample_posterior(
             scaled_train, config.prior_spec(), config.experts, config.sampler_settings(offset)
         )

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
@@ -231,16 +231,7 @@ def scalar_sum_cdf(dist, q):
     hi = int(np.searchsorted(dist.subset_sums, q, side="left"))
     diffs = q - dist.subset_sums[:hi]
     signs = dist.subset_signs[:hi]
-    if dist.log_norm > anomaly._LOG_TINY:
-        val = math.fsum(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
-    else:
-        logs = dist.degree * np.log(diffs) - dist.log_norm
-        top = float(logs.max())
-        inner = math.fsum(signs * np.exp(logs - top))
-        if inner <= 0.0:
-            return 0.0
-        log_val = top + math.log(inner)
-        val = math.exp(log_val) if log_val < 0.0 else 1.0
+    val = math.fsum(signs * np.float_power(diffs, dist.degree)) / dist.norm_const
     return min(1.0, max(0.0, val))
 
 
@@ -286,15 +277,19 @@ class TestBatchedSumCdf:
         # The full weight product underflows; build_sum_dist sheds weights.
         self.assert_matches_scalar(exp_weights(16, 7.5), 5)
 
-    def test_log_magnitude_branch_matches_scalar(self, monkeypatch):
-        # No weight vector that build_sum_dist accepts keeps a norm below
-        # _LOG_TINY after shedding, so raise the cut-off to reach the branch.
-        dist = build_sum_dist(exp_weights(8, 0.4))
-        monkeypatch.setattr(anomaly, "_LOG_TINY", dist.log_norm + 1.0)
-        qs = probe_queries(dist, np.random.default_rng(8))
-        np.testing.assert_allclose(
-            sum_cdf(dist, qs), [scalar_sum_cdf(dist, q) for q in qs], rtol=0.0, atol=1e-12
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.0, 745.0, exclude_min=True))
+    @example(n=16, decay=7.5)
+    @example(n=MAX_WINDOW, decay=40.0)
+    def test_norm_const_is_positive_and_finite(self, n, decay):
+        # After shedding, the kept weights' normalizing constant neither
+        # underflows nor overflows for any window exp_weights accepts, so
+        # sum_cdf can divide by it.
+        try:
+            w = exp_weights(n, decay)
+        except ValueError:
+            assume(False)
+        assert 0.0 < build_sum_dist(w).norm_const < math.inf
 
     def test_shape_and_zero_d(self):
         dist = build_sum_dist(exp_weights(6, default_decay(5)))

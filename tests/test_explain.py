@@ -285,11 +285,3 @@ class TestRenderMap:
             assert abs(logits1[other] - logits0[other]) < 1e-10 * scale
             (w0, w1), _, _ = fused_moments(sample.draw(0), np.stack([x0, x0 + 0.5 * step]))
             assert w1[i] > w0[i]
-
-    def test_per_draw_stack(self):
-        slopes = np.array([[1.0, 0.0]])
-        sample = sample_from_gate(full_gate(slopes, np.zeros(1)), 2, 2, n_draws=4)
-        geo = gate_geometry(sample)
-        rendered, stack = render_map(embed_grid(geo, default_score_grid(1)), sample, per_draw=True)
-        assert stack.shape == (4, 41, 2)
-        np.testing.assert_allclose(stack.mean(axis=0), rendered.activations, atol=1e-12)

@@ -1,6 +1,7 @@
 """Pipeline tests: ingestion, scaling, splits, synthetic data, config, stages."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from anomix.anomaly import AnomalyScoreSeries, pit_rows, score_series
-from anomix.config import default_config_text, load_config, parse_config
+from anomix.config import _PARSERS, PipelineConfig, default_config_text, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
 from anomix.model import (
     BehaviorGateParams,
@@ -26,8 +27,10 @@ from anomix.pipeline import (
     build_splits,
     generate_synthetic,
     ingest_csv,
+    _load_split,
     _read_alarms,
     _read_series,
+    _save_split,
     _write_alarms,
     _write_series,
     load_posterior,
@@ -365,6 +368,41 @@ class TestConfig:
         path.write_text(default_config_text(seed=7))
         assert load_config(path).seed == 7
 
+    def test_default_hash_is_pinned(self):
+        # The canonical text follows the field order, so reordering, renaming
+        # or re-defaulting a key changes every recorded config hash.
+        assert parse_config(default_config_text()).config_hash() == (
+            "d247bf8af45db74a71c3e5c75ed2fbb0e27b89ce970d993669e7b936bc80b4bf"
+        )
+
+    def test_every_field_type_has_a_parser(self):
+        assert {f.type for f in fields(PipelineConfig)} <= set(_PARSERS)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("patience", 0),
+            ("quorum", 0),
+            ("validity_days", [0, 2]),
+            ("validity_days", []),
+            ("burn_in", 3000),
+            ("chains", 0),
+            ("experts", 0),
+            ("gate_coeff_scale", 0.0),
+            ("target_acceptance", 1.5),
+            ("train_size", 0),
+            ("validation_size", -1),
+            ("threshold", 1.0),
+            ("subsample_fraction", 0.0),
+            ("margin_days", -1.0),
+            ("decay", 0.0),
+            ("decay", 200.0),
+        ],
+    )
+    def test_bad_setting_rejected_at_load(self, key, value):
+        with pytest.raises(ValueError):
+            parse_config(default_config_text(**{key: value}))
+
 
 # Whole seconds from 1900 to 2200: the artifacts store timestamps to the second.
 timestamps = st.integers(-(70 * 365 * 86400), 230 * 365 * 86400).map(lambda t: np.datetime64(t, "s"))
@@ -423,6 +461,29 @@ class TestScoreHandOff:
         np.testing.assert_array_equal(back.as_values, series.as_values)
         assert back.threshold == series.threshold
         assert raise_alarms(back, policy) == []
+
+
+@st.composite
+def split_datasets(draw):
+    # Zero rows included: a split may be empty.
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(0, 3))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return Dataset(x, y, np.sort(np.array(draw(st.lists(timestamps, min_size=n, max_size=n)), dtype="datetime64[s]")))
+
+
+class TestSplitHandOff:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=split_datasets())
+    def test_split_round_trip_is_bitwise(self, tmp_path, data):
+        path = tmp_path / "split.npz"
+        _save_split(path, data)
+        back = _load_split(path)
+        for name in ("covariates", "responses", "timestamps"):
+            a, b = getattr(back, name), getattr(data, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestPosteriorArchive:

@@ -334,3 +334,21 @@ class TestCli:
             "--out", str(tmp_path / "run"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (default_config_text(**dict(FAST, quorum=0)), []),
+            (default_config_text(**FAST) + "tau = 0.9\n", []),
+            (default_config_text(**FAST), ["--patience", "0"]),
+        ],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, text, argv):
+        # A bad file or override is reported before any stage runs.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(text)
+        run_dir = tmp_path / "run"
+        assert main(["detect", "--config", str(config_path), "--out", str(run_dir), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{config_path}: ") and "Traceback" not in err
+        assert not run_dir.exists()
