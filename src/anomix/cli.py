@@ -119,6 +119,9 @@ def main(argv=None) -> int:
 
     try:
         config = _load(args)
+    except OSError as exc:
+        print(f"{args.config}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"{args.config}: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ threshold or patience value cannot silently corrupt an experiment.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
 from .anomaly import MAX_WINDOW, exp_weights
@@ -66,6 +67,43 @@ class SplitSpec:
             raise ValueError("split sizes must be positive")
 
 
+class _BadValue(ValueError):
+    """A value refused at load, naming the config keys the refusal rests on."""
+
+    def __init__(self, keys, reason):
+        self.keys = keys
+        names = ", ".join(repr(key) for key in keys)
+        super().__init__(f"bad value{'s' if len(keys) > 1 else ''} for {names}: {reason}")
+
+
+@contextmanager
+def _naming(*keys):
+    """Report a ``ValueError`` raised inside as a refusal of ``keys``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _BadValue(keys, exc) from None
+
+
+# Config key -> (the class that consumes it, its field there).  At load each
+# key is checked by building its consumer from that key alone, the other
+# fields at their defaults, so that a refusal names exactly the key it rests
+# on; keys that a consumer checks against each other are checked together.
+_CONSUMERS = {
+    **{f.name: (PriorSpec, f.name) for f in fields(PriorSpec)},
+    **{f.name: (SamplerSettings, f.name) for f in fields(SamplerSettings) if f.name != "seed"},
+    "margin_days": (SplitSpec, "margin_days"),
+    "subsample_fraction": (SplitSpec, "fraction"),
+    "train_size": (SplitSpec, "train_size"),
+    "validation_size": (SplitSpec, "validation_size"),
+    "threshold": (AlarmPolicy, "threshold"),
+    "patience": (AlarmPolicy, "patience"),
+    "quorum": (PoolingPolicy, "quorum"),
+    "half_level": (PoolingPolicy, "half_level_enabled"),
+}
+_JOINT_KEYS = (("iterations", "burn_in"),)
+
+
 # Field order is the canonical text's order, so it fixes every config hash.
 @dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
@@ -101,41 +139,39 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(
-                f"config schema_version {self.schema_version} is not supported "
-                f"(expected {SCHEMA_VERSION})"
-            )
+            reason = f"schema_version {self.schema_version} is not supported (expected {SCHEMA_VERSION})"
+            raise _BadValue(("schema_version",), reason)
         if not self.indices:
-            raise ValueError("at least one target index is required")
+            raise _BadValue(("indices",), "at least one target index is required")
         if self.experts < 1:
-            raise ValueError("experts must be at least 1")
+            raise _BadValue(("experts",), "experts must be at least 1")
         if not 0 <= self.window_k <= MAX_WINDOW - 1:
-            raise ValueError(f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
+            raise _BadValue(("window_k",), f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
         if not self.validity_days or min(self.validity_days) < 1:
-            raise ValueError("validity_days must list at least one positive length")
+            raise _BadValue(("validity_days",), "validity_days must list at least one positive length")
         # Every other key is checked by the object of the stage that consumes it.
         if self.decay >= 0:
-            exp_weights(self.window_k + 1, self.decay)
-        self.prior_spec()
-        self.sampler_settings()
-        self.split_spec()
-        AlarmPolicy(self.threshold, self.patience)
-        PoolingPolicy(self.quorum, self.half_level)
+            with _naming("window_k", "decay"):
+                exp_weights(self.window_k + 1, self.decay)
+        singles = [(key,) for key in _CONSUMERS if not any(key in group for group in _JOINT_KEYS)]
+        for keys in [*singles, *_JOINT_KEYS]:
+            consumer = _CONSUMERS[keys[0]][0]
+            with _naming(*keys):
+                consumer(**{_CONSUMERS[key][1]: getattr(self, key) for key in keys})
+
+    def _consumer(self, consumer, **extra):
+        """``consumer`` built from the config keys it reads."""
+        values = {name: getattr(self, key) for key, (cls, name) in _CONSUMERS.items() if cls is consumer}
+        return consumer(**values, **extra)
 
     def prior_spec(self) -> PriorSpec:
-        return PriorSpec(**{f.name: getattr(self, f.name) for f in fields(PriorSpec)})
+        return self._consumer(PriorSpec)
 
     def sampler_settings(self, seed_offset: int = 0) -> SamplerSettings:
-        shared = {f.name: getattr(self, f.name) for f in fields(SamplerSettings) if f.name != "seed"}
-        return SamplerSettings(**shared, seed=self.seed + seed_offset)
+        return self._consumer(SamplerSettings, seed=self.seed + seed_offset)
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            margin_days=self.margin_days,
-            fraction=self.subsample_fraction,
-            train_size=self.train_size,
-            validation_size=self.validation_size,
-        )
+        return self._consumer(SplitSpec)
 
     def effective_decay(self) -> float | None:
         return None if self.decay < 0 else self.decay
@@ -161,7 +197,7 @@ def _default(f):
 def parse_config(text: str) -> PipelineConfig:
     """Parse and validate flat ``key = value`` configuration text."""
     schema = {f.name: f for f in fields(PipelineConfig)}
-    seen = {}
+    seen, lines = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -177,10 +213,15 @@ def parse_config(text: str) -> PipelineConfig:
             seen[key] = _PARSERS[schema[key].type](raw_value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        lines[key] = lineno
     for key, f in schema.items():
         if key not in seen and _default(f) is MISSING:
             raise ValueError(f"missing required configuration key {key!r}")
-    return PipelineConfig(**seen)
+    try:
+        return PipelineConfig(**seen)
+    except _BadValue as exc:
+        where = [str(lines[key]) for key in exc.keys if key in lines]
+        raise ValueError(f"line{'s' if len(where) > 1 else ''} {', '.join(where)}: {exc}") from None
 
 
 def load_config(path) -> PipelineConfig:

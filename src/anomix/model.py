@@ -210,15 +210,54 @@ def _embed_rows(X) -> np.ndarray:
     return np.column_stack([np.ones(len(X)), X])
 
 
+def _expert_max(a):
+    """Maximum over the last (expert) axis, taken slice by slice from the left."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+def _expert_sum(a):
+    """Sum over the last (expert) axis, added slice by slice from the left.
+
+    For fewer than 8 experts this is NumPy's own order for ``sum(axis=-1)``,
+    so results are bitwise equal, without the cost of a reduction call over
+    a short axis.  From 8 experts on NumPy sums pairwise and the two can
+    differ in the last bits.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def _softmax_gate(gate_matrix, phi):
+    """Mixing weights (..., rows, M) of the softmax gate at embedded rows ``phi``."""
+    logits = phi @ np.swapaxes(gate_matrix, -1, -2)
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite gate logits")
+    logits -= _expert_max(logits)[..., None]
+    alpha = np.exp(logits)
+    alpha /= _expert_sum(alpha)[..., None]
+    return alpha
+
+
+def _logistic_gate(behavior_coeffs, phi):
+    """Behavior gate output ``beta`` (..., rows, 1) at embedded rows ``phi``."""
+    return expit(phi @ behavior_coeffs[..., None])
+
+
 def _fuse(alpha, beta, means, sds):
     """Fused ``(means, sds)``: each expert's mean and variance move toward
     the ``alpha``-weighted blend, keeping weight ``beta`` on its own.  ``means``
     (..., rows, M) broadcasts against the gates; ``sds`` is (..., M)."""
     variances = sds**2
-    blend_mean = (alpha * means).sum(axis=-1, keepdims=True)
+    blend_mean = _expert_sum(alpha * means)[..., None]
     blend_var = alpha @ variances[..., None]
-    fused = beta * means + (1.0 - beta) * blend_mean
-    fused_var = beta * variances[..., None, :] + (1.0 - beta) * blend_var
+    rest = 1.0 - beta
+    fused = beta * means + rest * blend_mean
+    fused_var = beta * variances[..., None, :] + rest * blend_var
     return fused, np.sqrt(fused_var)
 
 
@@ -230,13 +269,8 @@ def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     ``gate_matrix`` (M, n + 1), ``sds`` (M,), ``behavior_coeffs`` (n + 1,).
     Returns ``(alpha, means, sds)`` shaped ``(..., rows, M)``.
     """
-    logits = phi @ np.swapaxes(gate_matrix, -1, -2)
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite gate logits")
-    logits -= logits.max(axis=-1, keepdims=True)
-    alpha = np.exp(logits)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
-    beta = expit(phi @ behavior_coeffs[..., None])
+    alpha = _softmax_gate(gate_matrix, phi)
+    beta = _logistic_gate(behavior_coeffs, phi)
     return (alpha, *_fuse(alpha, beta, phi @ np.swapaxes(coeffs, -1, -2), sds))
 
 
@@ -288,21 +322,33 @@ def _logsumexp(a, axis: int = -1):
     return out.squeeze(axis=axis)[()]
 
 
-def _logpdf_from_moments(alpha, means, sds, y):
+def _expert_logsumexp(a):
+    """:func:`_logsumexp` over the last (expert) axis, run with that axis
+    leading and contiguous, where NumPy reduces slice by slice."""
+    return _logsumexp(np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1))), axis=0)
+
+
+def _log_weights(alpha):
+    """``log(alpha)``, ``-inf`` where a mixing weight underflowed to zero."""
+    with np.errstate(divide="ignore"):
+        return np.log(alpha)
+
+
+def _logpdf_from_moments(log_alpha, means, sds, y):
     z = (y[:, None] - means) / sds
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
-    with np.errstate(divide="ignore"):
-        return _logsumexp(comp + np.log(alpha))
+    return _expert_logsumexp(comp + log_alpha)
 
 
 def _cdf_from_moments(alpha, means, sds, y):
-    return (alpha * ndtr((y[:, None] - means) / sds)).sum(axis=-1)
+    return _expert_sum(alpha * ndtr((y[:, None] - means) / sds))
 
 
 def conditional_logpdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
     y = _as_vector(y, "y")
-    return _logpdf_from_moments(*fused_moments(params, X), y)
+    alpha, means, sds = fused_moments(params, X)
+    return _logpdf_from_moments(_log_weights(alpha), means, sds, y)
 
 
 def conditional_cdf_rows(params: ModelParams, X, y) -> np.ndarray:
@@ -336,19 +382,25 @@ def _laplace_logpdf(values, loc: float, scale: float):
     return -np.log(2.0 * scale) - np.abs(values - loc) / scale
 
 
-def _log_prior_arrays(coeffs, log_sds, gate_matrix, behavior_coeffs, spec: PriorSpec):
-    """Joint log prior over any leading (chain) axes, in log-sd coordinates,
-    where the log-normal prior on each noise sd is a plain normal.  Terms
-    add as mean coefficients, log sds, free gate rows, behavior."""
-    lead = np.shape(log_sds)[:-1]
-    z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
-    terms = (
-        _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale),
-        -np.log(spec.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z,
-        _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale),
-        _laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale),
-    )
-    return sum(t.reshape(*lead, -1).sum(axis=-1) for t in terms)
+def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix=None, behavior_coeffs=None):
+    """Log prior of the parameter groups given, over any leading (chain)
+    axes, in log-sd coordinates, where the log-normal prior on each noise sd
+    is a plain normal.  Each group's terms are summed on their own, and the
+    sums add as mean coefficients, log sds, free gate rows, behavior; the
+    frozen last gate row carries no term."""
+    terms = []
+    if coeffs is not None:
+        values = _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale)
+        terms.append(values.reshape(*values.shape[:-2], -1))
+    if log_sds is not None:
+        z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
+        terms.append(-np.log(spec.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z)
+    if gate_matrix is not None:
+        values = _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale)
+        terms.append(values.reshape(*values.shape[:-2], -1))
+    if behavior_coeffs is not None:
+        terms.append(_laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale))
+    return sum(t.sum(axis=-1) for t in terms)
 
 
 def log_prior(params: ModelParams, spec: PriorSpec) -> float:
@@ -360,7 +412,10 @@ def log_prior(params: ModelParams, spec: PriorSpec) -> float:
     """
     coeffs, sds, gate_matrix, behavior_coeffs = params.as_arrays()
     log_sds = np.log(sds)
-    return float(_log_prior_arrays(coeffs, log_sds, gate_matrix, behavior_coeffs, spec) - log_sds.sum())
+    log_density = _log_prior_arrays(
+        spec, coeffs=coeffs, log_sds=log_sds, gate_matrix=gate_matrix, behavior_coeffs=behavior_coeffs
+    )
+    return float(log_density - log_sds.sum())
 
 
 # ---------------------------------------------------------------------------

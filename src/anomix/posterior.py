@@ -6,7 +6,9 @@ standard deviations are proposed on the log scale with the matching
 Jacobian term, and proposal scales adapt toward a 0.25 acceptance rate
 during burn-in only.  All chains advance in lockstep, each on its own RNG
 stream, and fill one draw stack (:class:`PosteriorSample`) in contiguous
-chain blocks, from which the fit diagnostics read split R-hat.
+chain blocks, from which the fit diagnostics read split R-hat.  The log
+target is cached per chain in one part per parameter group, so a block
+proposal recomputes only the part of the group it moves.
 """
 
 from __future__ import annotations
@@ -28,10 +30,14 @@ from .model import (
     _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
+    _fuse,
     _log_prior_arrays,
+    _log_weights,
+    _logistic_gate,
     _logpdf_from_moments,
     _logsumexp,
     _moments_arrays,
+    _softmax_gate,
 )
 
 __all__ = [
@@ -169,17 +175,71 @@ class FitDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
-    """Unnormalised log posterior at states with any leading (chain) axes.
+def _experts_part(experts, phi, prior: PriorSpec):
+    """Expert means (C, rows, M), noise sds (C, M) and the group's prior term.
 
     ``experts`` holds each expert's mean coefficients followed by its log
-    noise sd, (..., M, n + 2); the density is taken over that log-sd
+    noise sd, (C, M, n + 2); the density is taken over that log-sd
     coordinate, so the log-sd prior kernel already carries the Jacobian.
     """
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
-    alpha, means, sds = _moments_arrays(coeffs, np.exp(log_sds), mixing, behavior, phi)
-    ll = _logpdf_from_moments(alpha, means, sds, y).sum(axis=-1)
-    return ll + _log_prior_arrays(coeffs, log_sds, mixing, behavior, prior)
+    means = phi @ np.swapaxes(coeffs, -1, -2)
+    return means, np.exp(log_sds), _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
+
+
+def _mixing_part(mixing, phi, prior: PriorSpec):
+    """Mixing weights and their logs (C, rows, M), and the free gate rows' prior term."""
+    alpha = _softmax_gate(mixing, phi)
+    return alpha, _log_weights(alpha), _log_prior_arrays(prior, gate_matrix=mixing)
+
+
+def _behavior_part(behavior, phi, prior: PriorSpec):
+    """Behavior gate output (C, rows, 1) and the behavior prior term."""
+    return _logistic_gate(behavior, phi), _log_prior_arrays(prior, behavior_coeffs=behavior)
+
+
+_PARTS = {"experts": _experts_part, "mixing": _mixing_part, "behavior": _behavior_part}
+
+
+def _total(parts, y):
+    """Log target (C,) from the three parts: the likelihood plus the prior
+    terms in the order experts, mixing, behavior."""
+    means, sds, experts_prior = parts["experts"]
+    alpha, log_alpha, mixing_prior = parts["mixing"]
+    beta, behavior_prior = parts["behavior"]
+    fused_means, fused_sds = _fuse(alpha, beta, means, sds)
+    ll = _logpdf_from_moments(log_alpha, fused_means, fused_sds, y).sum(axis=-1)
+    return ll + (experts_prior + mixing_prior + behavior_prior)
+
+
+def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
+    """Unnormalised log posterior at states with any leading (chain) axes,
+    in log-sd coordinates (see :func:`_experts_part`)."""
+    return _LockstepTarget({"experts": experts, "mixing": mixing, "behavior": behavior}, phi, y, prior).current
+
+
+class _LockstepTarget:
+    """The chains' states, the cached part of the log target for each state
+    group, and the current log target (C,).  A proposal that moves one group
+    recomputes that group's part only; accepting copies the moved state and
+    its part chain by chain, so the cache always equals a fresh evaluation."""
+
+    def __init__(self, state, phi, y, prior: PriorSpec):
+        self.state, self._phi, self._y, self._prior = state, phi, y, prior
+        self.parts = {name: part(state[name], phi, prior) for name, part in _PARTS.items()}
+        self.current = _total(self.parts, y)
+
+    def evaluate(self, name, moved):
+        """Log target with group ``name`` at ``moved``, and that group's part."""
+        part = _PARTS[name](moved, self._phi, self._prior)
+        return _total({**self.parts, name: part}, self._y), part
+
+    def accept(self, name, chains, moved, part, new):
+        """Take ``moved``, its ``part`` and log target ``new`` on the boolean ``chains``."""
+        self.state[name][chains] = moved[chains]
+        self.current[chains] = new[chains]
+        for cached, fresh in zip(self.parts[name], part):
+            cached[chains] = fresh[chains]
 
 
 def sample_posterior(
@@ -189,7 +249,9 @@ def sample_posterior(
 
     The C chains advance in lockstep: the state is ``experts`` (C, M, n + 2),
     ``mixing`` (C, M, n + 1, last row frozen at zero) and ``behavior``
-    (C, n + 1), and each block proposal is one batched log-target call.
+    (C, n + 1).  Each block proposal evaluates the log target of all chains
+    in one batch, recomputing only the part of it that belongs to the moved
+    group and reusing the cached parts of the other two.
     Chain c draws from its own generator, child c of a SeedSequence spawn
     of ``settings.seed``: first its initial state, then per iteration and
     block the block's normals and one uniform.  Its draws therefore do not
@@ -201,7 +263,6 @@ def sample_posterior(
     if n_experts < 1:
         raise ValueError("at least one expert is required")
     m, na = n_experts, data.n + 1
-    phi = _embed_rows(data.covariates)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(settings.seed).spawn(settings.chains)]
     state = {
         "experts": np.empty((settings.chains, m, na + 1)),
@@ -213,8 +274,8 @@ def sample_posterior(
         state["experts"][c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
         state["mixing"][c, :-1] = prior.gate_coeff_location + 0.1 * rng.standard_normal((m - 1, na))
         state["behavior"][c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(na)
-    current = _log_target(**state, phi=phi, y=data.responses, prior=prior)
-    if not np.isfinite(current).all():
+    target = _LockstepTarget(state, _embed_rows(data.covariates), data.responses, prior)
+    if not np.isfinite(target.current).all():
         raise RuntimeError("non-finite posterior density at initialization")
 
     # Each block is the slice of one state array that it moves; the frozen
@@ -224,24 +285,25 @@ def sample_posterior(
     n_kept = settings.iterations - settings.burn_in
     kept = {name: np.empty((settings.chains, n_kept, *arr.shape[1:])) for name, arr in state.items()}
     accepted = np.zeros(settings.chains, dtype=int)
+    accept = np.zeros(settings.chains, dtype=bool)
     for it in range(settings.iterations):
         for name, free in blocks:
-            proposal = {**state, name: state[name].copy()}
-            moved = proposal[name][free]
-            normals = np.stack([rng.standard_normal(moved[0].size) for rng in rngs])
-            moved += (scales[name][:, None] * normals).reshape(moved.shape)
-            new = _log_target(**proposal, phi=phi, y=data.responses, prior=prior)
+            moved = state[name].copy()
+            step = moved[free]
+            normals = np.stack([rng.standard_normal(step[0].size) for rng in rngs])
+            step += (scales[name][:, None] * normals).reshape(step.shape)
+            new, part = target.evaluate(name, moved)
             for c, rng in enumerate(rngs):
-                log_ratio = new[c] - current[c]
+                log_ratio = new[c] - target.current[c]
                 acc_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
-                accept = rng.random() < acc_prob
-                if accept:
-                    state[name][c], current[c] = proposal[name][c], new[c]
+                accept[c] = rng.random() < acc_prob
                 if it < settings.burn_in:
                     gamma = (it + 1) ** -0.6
                     scales[name][c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
-                else:
-                    accepted[c] += accept
+            if accept.any():
+                target.accept(name, accept, moved, part, new)
+            if it >= settings.burn_in:
+                accepted += accept
         if it >= settings.burn_in:
             for name, arr in state.items():
                 kept[name][:, it - settings.burn_in] = arr
@@ -263,7 +325,7 @@ def _pointwise_loglik(sample: PosteriorSample, data: Dataset) -> np.ndarray:
     """(draws x points) conditional log densities."""
     ll = np.empty((sample.n_draws, len(data)))
     for block, alpha, means, sds in sample.moment_blocks(data.covariates):
-        ll[block] = _logpdf_from_moments(alpha, means, sds, data.responses)
+        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses)
     return ll
 
 

@@ -18,6 +18,9 @@ from anomix.model import (
     ModelParams,
     PriorSpec,
     _embed_rows,
+    _expert_logsumexp,
+    _expert_max,
+    _expert_sum,
     _logsumexp,
     conditional_cdf_rows,
     conditional_logpdf_rows,
@@ -275,6 +278,39 @@ def lse_inputs(draw):
             idx[0 if axis == -1 else -1] = 0
         a[tuple(idx)] = -np.inf
     return a, axis
+
+
+@st.composite
+def expert_axis_inputs(draw):
+    """Float64 arrays of 0-2 leading axes and an expert axis of 1-7, values
+    of mixed magnitudes, optionally with tied maxima and scattered -inf,
+    inf and NaN entries."""
+    shape = (*draw(st.lists(st.integers(1, 4), max_size=2)), draw(st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    if draw(st.booleans()):
+        a = np.where(rng.random(shape) < 0.5, a.max(axis=-1, keepdims=True), a)
+    for value in (-np.inf, np.inf, np.nan):
+        if draw(st.booleans()):
+            a[rng.random(shape) < 0.2] = value
+    return a
+
+
+class TestExpertAxis:
+    """Reductions over the short expert axis, run slice by slice, against
+    NumPy's ``axis=-1`` reductions and scipy's logsumexp, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expert_axis_inputs())
+    def test_bitwise_equal_to_numpy_and_scipy(self, a):
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(_expert_max(a), a.max(axis=-1), equal_nan=True)
+            assert np.array_equal(_expert_sum(a), a.sum(axis=-1), equal_nan=True)
+            want = logsumexp(a, axis=-1)
+            assert np.array_equal(_logsumexp(a, axis=-1), want, equal_nan=True)
+        got = _expert_logsumexp(a)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestLogSumExp:

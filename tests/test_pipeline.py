@@ -1,7 +1,7 @@
 """Pipeline tests: ingestion, scaling, splits, synthetic data, config, stages."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -400,8 +400,24 @@ class TestConfig:
         ],
     )
     def test_bad_setting_rejected_at_load(self, key, value):
-        with pytest.raises(ValueError):
-            parse_config(default_config_text(**{key: value}))
+        # A refusal names its key and line; a check across keys names them all.
+        text = default_config_text(**{key: value})
+        named = {"burn_in": ("iterations", "burn_in"), "decay": ("window_k", "decay")}.get(key, (key,))
+        keys = [line.split("=")[0].strip() for line in text.splitlines()]
+        where = ", ".join(str(keys.index(k) + 1) for k in named)
+        plural = "s" if len(named) > 1 else ""
+        with pytest.raises(ValueError) as refused:
+            parse_config(text)
+        names = ", ".join(repr(k) for k in named)
+        assert str(refused.value).startswith(f"line{plural} {where}: bad value{plural} for {names}: ")
+
+    def test_refusal_gives_lines_of_written_keys_only(self):
+        # Only keys written in the text have a line; a config built in code has none.
+        text = "schema_version = 1\nindices = a\nburn_in = 3000\n"
+        with pytest.raises(ValueError, match=r"^line 3: bad values for 'iterations', 'burn_in': "):
+            parse_config(text)
+        with pytest.raises(ValueError, match=r"^bad value for 'patience': patience must be at least 1$"):
+            replace(parse_config(default_config_text()), patience=0)
 
 
 # Whole seconds from 1900 to 2200: the artifacts store timestamps to the second.

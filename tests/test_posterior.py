@@ -12,11 +12,12 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 import anomix.model
 import anomix.posterior
 from anomix.model import (
+    LOG_2PI,
     BehaviorGateParams,
     Dataset,
     ExpertParams,
@@ -33,6 +34,8 @@ from anomix.posterior import (
     FitDiagnostics,
     PosteriorSample,
     SamplerSettings,
+    _LockstepTarget,
+    _PARTS,
     _log_target,
     _rhat_max,
     _split_rhat,
@@ -302,6 +305,85 @@ class TestLogTarget:
             assert target[c] == pytest.approx(expected, rel=1e-9)
 
 
+def reference_log_target(experts, mixing, behavior, phi, y, prior):
+    """The sampler's log target written out with NumPy ``axis=-1``
+    reductions and scipy's logsumexp over the expert axis."""
+    coeffs, log_sds = experts[..., :-1], experts[..., -1]
+    sds = np.exp(log_sds)
+    logits = phi @ np.swapaxes(mixing, -1, -2)
+    logits -= logits.max(axis=-1, keepdims=True)
+    alpha = np.exp(logits)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    beta = expit(phi @ behavior[..., None])
+    means = phi @ np.swapaxes(coeffs, -1, -2)
+    variances = sds**2
+    blend_mean = (alpha * means).sum(axis=-1, keepdims=True)
+    blend_var = alpha @ variances[..., None]
+    fused = beta * means + (1.0 - beta) * blend_mean
+    fused_sds = np.sqrt(beta * variances[..., None, :] + (1.0 - beta) * blend_var)
+    z = (y[:, None] - fused) / fused_sds
+    comp = -0.5 * z * z - np.log(fused_sds) - 0.5 * LOG_2PI
+    with np.errstate(divide="ignore"):
+        ll = logsumexp(comp + np.log(alpha), axis=-1).sum(axis=-1)
+
+    def laplace(values, loc, scale):
+        return -np.log(2.0 * scale) - np.abs(values - loc) / scale
+
+    z = (log_sds - prior.noise_log_location) / prior.noise_log_scale
+    terms = (
+        laplace(coeffs, prior.mean_coeff_location, prior.mean_coeff_scale),
+        -np.log(prior.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z,
+        laplace(mixing[..., :-1, :], prior.gate_coeff_location, prior.gate_coeff_scale),
+        laplace(behavior, prior.gate_coeff_location, prior.gate_coeff_scale),
+    )
+    return ll + sum(t.reshape(*log_sds.shape[:-1], -1).sum(axis=-1) for t in terms)
+
+
+def random_states(rng, chains, n_experts, n):
+    """Chain states (C, M, n + 2), (C, M, n + 1) with a zero last row, (C, n + 1)."""
+    experts = rng.normal(size=(chains, n_experts, n + 2))
+    mixing = rng.normal(size=(chains, n_experts, n + 1))
+    mixing[:, -1] = 0.0
+    return experts, mixing, rng.normal(size=(chains, n + 1))
+
+
+class TestLogTargetParts:
+    PRIOR = PriorSpec(mean_coeff_scale=2.0, gate_coeff_scale=0.7, noise_log_location=0.3, noise_log_scale=0.6)
+
+    @pytest.mark.parametrize("n_experts", range(1, 8))
+    def test_bitwise_equal_to_reference(self, n_experts):
+        rng = np.random.default_rng(60 + n_experts)
+        for chains in range(1, 5):
+            for n in range(4):
+                phi = _embed_rows(rng.normal(size=(30, n)))
+                y = 2.0 * rng.normal(size=30)
+                state = random_states(rng, chains, n_experts, n)
+                got = _log_target(*state, phi, y, self.PRIOR)
+                assert np.array_equal(got, reference_log_target(*state, phi, y, self.PRIOR)), (chains, n)
+
+    @pytest.mark.parametrize("n_experts", [1, 3])
+    def test_cache_matches_a_fresh_evaluation(self, n_experts):
+        # Every block is proposed each round and taken on alternate chains,
+        # so each block sees accepted and rejected proposals on every chain.
+        rng = np.random.default_rng(70 + n_experts)
+        chains, n = 3, 2
+        phi, y = _embed_rows(rng.normal(size=(40, n))), rng.normal(size=40)
+        target = _LockstepTarget(dict(zip(_PARTS, random_states(rng, chains, n_experts, n))), phi, y, self.PRIOR)
+        for round_ in range(6):
+            for name in _PARTS:
+                moved = target.state[name] + 0.3 * rng.normal(size=target.state[name].shape)
+                if name == "mixing":
+                    moved[:, -1] = 0.0
+                new, part = target.evaluate(name, moved)
+                target.accept(name, np.arange(chains) % 2 == round_ % 2, moved, part, new)
+        fresh = _LockstepTarget({name: arr.copy() for name, arr in target.state.items()}, phi, y, self.PRIOR)
+        assert np.array_equal(target.current, _log_target(**target.state, phi=phi, y=y, prior=self.PRIOR))
+        assert np.array_equal(target.current, fresh.current)
+        for name in _PARTS:
+            for cached, recomputed in zip(target.parts[name], fresh.parts[name]):
+                assert np.array_equal(cached, recomputed), name
+
+
 def stack_from_chains(chains):
     """A one-expert, no-covariate stack whose behavior coefficient holds
     ``chains`` (C, N) and whose other parameters are iid normal."""
@@ -398,13 +480,18 @@ class TestScipyKernelParity:
         calls = []
 
         def scipy_kernel(a, axis=-1):
-            calls.append(axis)
+            calls.append((axis, a.shape))
             return logsumexp(a, axis=axis)
 
         monkeypatch.setattr(anomix.model, "_logsumexp", scipy_kernel)
         monkeypatch.setattr(anomix.posterior, "_logsumexp", scipy_kernel)
         theirs, theirs_diag = fit()
-        assert 0 in calls and -1 in calls
+        # The sampler reduces (M, chains, rows) over its leading expert axis,
+        # LPPD the (draws, rows) log densities over draws, and PSIS-LOO one
+        # row's draws at a time.
+        assert (0, (n_experts, settings.chains, len(data))) in calls
+        assert (0, (theirs.n_draws, len(data))) in calls
+        assert (-1, (theirs.n_draws,)) in calls
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert ours.acceptance_rate == theirs.acceptance_rate

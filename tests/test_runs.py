@@ -352,3 +352,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"{config_path}: ") and "Traceback" not in err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("name, reason", [("absent.cfg", "No such file or directory"), ("", "Is a directory")])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, name, reason):
+        config_path = tmp_path / name
+        run_dir = tmp_path / "run"
+        assert main(["detect", "--config", str(config_path), "--out", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"{config_path}: {reason}\n"
+        assert not run_dir.exists()
