@@ -72,7 +72,7 @@ def _load(args) -> object:
         overrides["seed"] = args.seed
     if getattr(args, "index", None):
         if args.index not in config.indices:
-            raise SystemExit(f"unknown index {args.index!r}; config declares {config.indices}")
+            raise ValueError(f"unknown index {args.index!r}; config declares {config.indices}")
         overrides["indices"] = [args.index]
     for name in ("threshold", "patience", "quorum"):
         value = getattr(args, name, None)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,6 +223,58 @@ class TestSumCdf:
             assert sum_cdf(d, q) == pytest.approx(empirical, abs=0.01)
 
 
+def exact_sum_cdf(weights, qs):
+    """Exact rational power-set CDF of float weights at float queries.
+
+    Every float is an integer multiple of 2**-1074, so on that grid the
+    subset sums and the powers are exact integers."""
+    scale = 2**1074
+    ws = [int(Fraction(w) * scale) for w in weights]
+    sums, signs = [0], [1]
+    for w in ws:
+        sums, signs = sums + [s + w for s in sums], signs + [-g for g in signs]
+    n = len(ws)
+    norm = math.factorial(n) * math.prod(ws)
+    out = []
+    for q in qs:
+        big_q = int(Fraction(float(q)) * scale)
+        total = sum(g * (big_q - s) ** n for s, g in zip(sums, signs) if s < big_q)
+        out.append(float(min(max(Fraction(total, norm), Fraction(0)), Fraction(1))))
+    return np.array(out)
+
+
+class TestExactSumCdf:
+    """sum_cdf against an exact rational oracle, on windows whose alternating
+    series cancels badly: the queries it routes to the Taylor table are
+    within 1e-14, and the others are the float series bit for bit."""
+
+    @pytest.mark.parametrize(
+        "w, n_queries",
+        [
+            (exp_weights(6, 3.0), 40),
+            (exp_weights(2, 30.0), 40),
+            (exp_weights(9, default_decay(8)), 30),
+            (exp_weights(11, default_decay(10)), 25),
+            (exp_weights(12, default_decay(11)), 15),
+        ],
+        ids=["exp6-3", "exp2-30", "k8", "k10", "k11"],
+    )
+    def test_routed_queries_are_exact(self, w, n_queries):
+        dist = build_sum_dist(w)
+        assert dist.degree == len(w)
+        rng = np.random.default_rng(n_queries)
+        qs = dist.support_end * np.concatenate(
+            [rng.random(n_queries - 10), 10.0 ** rng.uniform(-6, -1, 5), 1.0 - 10.0 ** rng.uniform(-6, -1, 5)]
+        )
+        got = sum_cdf(dist, qs)
+        with mock.patch.object(anomaly, "_ROUTE_BOUND", math.inf):
+            series = sum_cdf(dist, qs)
+        routed = dist.route_bounds[np.searchsorted(dist.subset_sums, qs) - 1] > anomaly._ROUTE_BOUND
+        assert routed.any()
+        np.testing.assert_allclose(got[routed], exact_sum_cdf(w.weights, qs[routed]), rtol=0.0, atol=1e-14)
+        assert np.array_equal(got[~routed], series[~routed])
+
+
 def scalar_sum_cdf(dist, q):
     """The per-query evaluation ``sum_cdf`` batches: one exactly rounded
     ``math.fsum`` over the prefix of subset sums below ``q``."""
@@ -253,9 +307,12 @@ def probe_queries(dist, rng):
 
 class TestBatchedSumCdf:
     def assert_matches_scalar(self, w, seed):
+        # The float series' batching, on every query: routed queries would
+        # return exact values, which differ from the float reference.
         dist = build_sum_dist(w)
         qs = probe_queries(dist, np.random.default_rng(seed))
-        batched = sum_cdf(dist, qs)
+        with mock.patch.object(anomaly, "_ROUTE_BOUND", math.inf):
+            batched = sum_cdf(dist, qs)
         scalar = np.array([scalar_sum_cdf(dist, q) for q in qs])
         assert batched.shape == qs.shape
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
@@ -540,12 +597,13 @@ class TestScoreProperties:
         y = b0 + rng.uniform(0.1, 5.0) * rng.normal(size=len(x))
         return score_series(make_dataset(x, y), sample, k), score_series(make_dataset(x, 2.0 * b0 - y), sample, k)
 
-    # Windows stop at k = 6: from k = 7 on, sum_cdf's rounding alone breaks
-    # the 1e-9 reflection identity (see test_reflection_on_long_windows).
+    # Windows stop at k = 11, the longest with a Taylor table: on longer
+    # windows sum_cdf's series alone breaks the 1e-9 reflection identity
+    # (see test_reflection_on_long_windows).
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.integers(0, 6),
+        k=st.integers(0, 11),
         n_draws=st.integers(1, 4),
         extra_rows=st.integers(0, 12),
     )

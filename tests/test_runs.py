@@ -313,15 +313,17 @@ class TestCli:
         assert main(["detect", "--config", str(config_path), "--out", str(run_dir)]) == 0
         assert (run_dir / "alarms_hi_a.csv").read_text() == before
 
-    def test_index_restriction(self, finished_run, tmp_path):
+    def test_index_restriction(self, finished_run, tmp_path, capsys):
         config, run_dir, _ = finished_run
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**FAST))
         assert main(["score", "--config", str(config_path), "--out", str(run_dir),
                      "--index", "hi_a"]) == 0
-        with pytest.raises(SystemExit):
-            main(["score", "--config", str(config_path), "--out", str(run_dir),
-                  "--index", "nope"])
+        capsys.readouterr()
+        # An unknown index is a bad override: reported with the config path, status 2.
+        assert main(["score", "--config", str(config_path), "--out", str(run_dir),
+                     "--index", "nope"]) == 2
+        assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
 
     def test_stage_error_exit_code(self, tmp_path):
         config_path = tmp_path / "run.cfg"
