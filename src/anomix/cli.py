@@ -3,50 +3,27 @@
 One verb per pipeline stage plus ``simulate`` for synthetic inputs and
 ``run`` for the whole protocol.  Every verb reads and writes a run
 directory; stage verbs expect the artifacts of the stages before them.
+Exit status: 0 done, 1 a stage failed, 2 bad config, override or
+``simulate`` arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
-from pathlib import Path
 
+from . import pipeline
 from .config import load_config
-from .pipeline import (
-    StageError,
-    emit_plot_data,
-    run_experiment,
-    stage_detect,
-    stage_diagnose,
-    stage_evaluate,
-    stage_explain,
-    stage_fit,
-    stage_score,
-    write_two_index_stream,
-)
+from .pipeline import STAGES, StageError, run_stages, write_two_index_stream
 
 __all__ = ["main"]
 
-# verb -> (help, reads the telemetry and failure files, takes detection overrides)
-_VERBS = {
-    "fit": ("ingest, split, scale and sample the posterior", True, False),
-    "diagnose": ("LPPD, PSIS-LOO, coverage and split R-hat on the training split", False, False),
-    "score": ("anomaly score series on the test split", False, True),
-    "detect": ("alarms per index plus the pooled consensus", False, True),
-    "evaluate": ("validity-window detection report", False, True),
-    "explain": ("gate-geometry explanation maps", False, False),
-    "run": ("full protocol and plot data emission", True, True),
-}
-
-# Stage verbs that read and write only the run directory.
-_RUN_DIR_STAGES = {
-    "diagnose": stage_diagnose,
-    "score": stage_score,
-    "detect": stage_detect,
-    "evaluate": stage_evaluate,
-    "explain": stage_explain,
-}
+# The stage verbs, in protocol order; plot data is written by ``run`` alone.
+_VERBS = [name for name in STAGES if name != "plot"] + ["run"]
+_READS_INPUTS = {"fit", "run"}
+_TAKES_DETECTION_OVERRIDES = {"score", "detect", "evaluate", "run"}
 
 
 def _add_common(parser: argparse.ArgumentParser, inputs: bool) -> None:
@@ -87,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="anomix", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("simulate", help="write a synthetic two-index telemetry stream")
+    p = sub.add_parser("simulate", help="Write a synthetic two-index telemetry stream.")
     p.add_argument("--out", required=True, help="directory for telemetry.csv and failures.csv")
     p.add_argument("--n", type=int, default=2400, help="number of samples")
     p.add_argument("--onset", type=int, default=2232, help="fault onset sample index")
@@ -95,10 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-sds", type=float, default=8.0, help="post-onset mean shift in sd units")
     p.add_argument("--seed", type=int, default=0)
 
-    for verb, (text, inputs, overrides) in _VERBS.items():
-        p = sub.add_parser(verb, help=text)
-        _add_common(p, inputs)
-        if overrides:
+    for verb in _VERBS:
+        function = pipeline.run_experiment if verb == "run" else getattr(pipeline, STAGES[verb])
+        p = sub.add_parser(verb, help=inspect.getdoc(function).split("\n\n")[0])
+        _add_common(p, verb in _READS_INPUTS)
+        if verb in _TAKES_DETECTION_OVERRIDES:
             _add_detection_overrides(p)
     return parser
 
@@ -106,14 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "simulate":
-        telemetry, failures = write_two_index_stream(
-            args.out,
-            n_samples=args.n,
-            onset_index=args.onset,
-            failure_index=args.failure,
-            shift_sds=args.shift_sds,
-            seed=args.seed,
-        )
+        try:
+            telemetry, failures = write_two_index_stream(
+                args.out,
+                n_samples=args.n,
+                onset_index=args.onset,
+                failure_index=args.failure,
+                shift_sds=args.shift_sds,
+                seed=args.seed,
+            )
+        except ValueError as exc:
+            print(f"simulate: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {telemetry} and {failures}")
         return 0
 
@@ -125,19 +107,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"{args.config}: {exc}", file=sys.stderr)
         return 2
-    run_dir = Path(args.out)
+    stages = STAGES if args.verb == "run" else [args.verb]
     try:
-        if args.verb == "fit":
-            stage_fit(config, args.data, args.failures, run_dir)
-        elif args.verb == "run":
-            run_experiment(config, args.data, args.failures, run_dir)
-            emit_plot_data(config, run_dir)
-        else:
-            _RUN_DIR_STAGES[args.verb](config, run_dir)
+        run_stages(stages, config, args.out, getattr(args, "data", None), getattr(args, "failures", None))
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    print(f"{args.verb}: artifacts in {run_dir}")
+    print(f"{args.verb}: artifacts in {args.out}")
     return 0
 
 

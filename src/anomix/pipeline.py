@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -53,6 +53,8 @@ __all__ = [
     "save_posterior",
     "load_posterior",
     "write_two_index_stream",
+    "STAGES",
+    "run_stages",
     "run_experiment",
     "emit_plot_data",
 ]
@@ -168,18 +170,24 @@ def read_failures(path, timestamp_column: str = "datetime", machine_column: str 
     """Failure log CSV (machine id, failure timestamp, component) to windows.
 
     Each record becomes a point failure window; duplicate timestamps
-    collapse to one window.
+    collapse to one window.  A missing column or an unparseable timestamp
+    is an error, since a dropped failure would go unscored.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or timestamp_column not in reader.fieldnames:
-            raise ValueError(f"{path}: missing failure timestamp column {timestamp_column!r}")
+        needed = [timestamp_column] + ([machine_column] if machine_column else [])
+        missing = [c for c in needed if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
         stamps = []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if machine_column and row.get(machine_column, "").strip() != machine_id:
                 continue
-            stamps.append(_parse_timestamp(row[timestamp_column]))
+            try:
+                stamps.append(_parse_timestamp(row[timestamp_column]))
+            except (ValueError, TypeError, AttributeError):
+                raise ValueError(f"{path}: line {lineno}: unparseable timestamp {row[timestamp_column]!r}") from None
     stamps = np.unique(np.array(stamps, dtype="datetime64[s]"))
     return FailureLog(stamps, stamps)
 
@@ -365,6 +373,12 @@ def write_two_index_stream(
     injected fault shifts the indices but not the load, so each per-index
     conditional model sees the deviation.  Returns the two file paths.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not 0 <= failure_index < n_samples:
+        raise ValueError(f"failure index {failure_index} lies outside [0, {n_samples})")
+    if onset_index is not None and not 0 <= onset_index <= failure_index:
+        raise ValueError(f"onset index {onset_index} lies outside [0, {failure_index}]")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -599,10 +613,12 @@ def _read_failures_json(run_dir: Path) -> FailureLog:
 
 
 def stage_score(config: PipelineConfig, run_dir) -> None:
-    """Score each failure span of the test split on its own, so that no
-    window reaches across the gap between two spans.  A span shorter than
-    one window gives no scores: it raises a warning and is listed per index
-    under ``skipped_spans`` in the manifest."""
+    """Anomaly score series per index on the test split.
+
+    Each failure span is scored on its own, so that no window reaches
+    across the gap between two spans.  A span shorter than one window gives
+    no scores: it raises a warning and is listed per index under
+    ``skipped_spans`` in the manifest."""
     run_dir = Path(run_dir)
     spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
     skipped = {}
@@ -641,12 +657,15 @@ def _read_alarms(path) -> list:
 
 
 def stage_detect(config: PipelineConfig, run_dir) -> None:
-    """Per-index alarms plus the pooled consensus score and its alarms."""
+    """Per-index alarms plus the pooled consensus score and its alarms.
+
+    Both use ``config.threshold``, not the threshold the score files were
+    written with, so an override applies to the consensus too."""
     run_dir = Path(run_dir)
     policy = AlarmPolicy(config.threshold, config.patience)
     serieses = []
     for index in config.indices:
-        series = _read_series(run_dir / f"scores_{index}.csv")
+        series = replace(_read_series(run_dir / f"scores_{index}.csv"), threshold=config.threshold)
         serieses.append(series)
         _write_alarms(run_dir / f"alarms_{index}.csv", raise_alarms(series, policy))
     if len(serieses) > 1:
@@ -662,9 +681,8 @@ def stage_evaluate(config: PipelineConfig, run_dir) -> None:
     """Detection report against the failure log, per validity window length."""
     run_dir = Path(run_dir)
     failures = _read_failures_json(run_dir)
-    pooled_path = run_dir / "pooled_alarms.csv"
-    if pooled_path.exists():
-        alarms = _read_alarms(pooled_path)
+    if len(config.indices) > 1:
+        alarms = _read_alarms(run_dir / "pooled_alarms.csv")
         observed = _read_series(run_dir / "pooled_scores.csv").timestamps
     else:
         alarms = _read_alarms(run_dir / f"alarms_{config.indices[0]}.csv")
@@ -709,27 +727,41 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
         )
 
 
-def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) -> dict:
-    """Full protocol: fit, diagnose, score, detect, evaluate, explain.
+# The protocol in order: each stage's name and the function of this module that runs it.
+STAGES = {
+    "fit": "stage_fit",
+    "diagnose": "stage_diagnose",
+    "score": "stage_score",
+    "detect": "stage_detect",
+    "evaluate": "stage_evaluate",
+    "explain": "stage_explain",
+    "plot": "emit_plot_data",
+}
 
-    Any stage failure aborts with the stage name; artifacts written by
-    earlier stages stay in the run directory.
+
+def run_stages(names, config: PipelineConfig, run_dir, data_path=None, failures_path=None) -> None:
+    """Run the named stages in order; only ``fit`` reads the input files.
+
+    Any stage failure aborts with ``StageError`` naming the stage; artifacts
+    written by earlier stages stay in the run directory.  Each function is
+    looked up when its stage starts, so a wrapper set on this module's
+    attribute is the one that runs.
     """
-    run_dir = Path(run_dir)
-    stages = [
-        ("fit", lambda: stage_fit(config, data_path, failures_path, run_dir)),
-        ("diagnose", lambda: stage_diagnose(config, run_dir)),
-        ("score", lambda: stage_score(config, run_dir)),
-        ("detect", lambda: stage_detect(config, run_dir)),
-        ("evaluate", lambda: stage_evaluate(config, run_dir)),
-        ("explain", lambda: stage_explain(config, run_dir)),
-    ]
-    for name, fn in stages:
+    for name in names:
+        stage = globals()[STAGES[name]]
+        inputs = (data_path, failures_path) if name == "fit" else ()
         try:
-            fn()
+            stage(config, *inputs, run_dir)
         except Exception as exc:
             raise StageError(name, exc) from exc
-    return json.loads((run_dir / "manifest.json").read_text())
+
+
+def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) -> dict:
+    """Full protocol, fit through plot data, in one run directory.
+
+    Runs every stage of ``STAGES`` and returns the run manifest."""
+    run_stages(STAGES, config, run_dir, data_path, failures_path)
+    return json.loads((Path(run_dir) / "manifest.json").read_text())
 
 
 # ---------------------------------------------------------------------------

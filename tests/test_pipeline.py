@@ -175,6 +175,18 @@ class TestIngest:
         assert len(log) == 2
         assert str(log.starts[0]).startswith("2015-01-05")
 
+    def test_failure_log_without_machine_column_is_refused(self, tmp_path):
+        path = tmp_path / "failures.csv"
+        path.write_text("datetime,failure\n2015-01-05 06:00:00,comp4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing columns ['machineID']")):
+            read_failures(path, "datetime", "machineID", "1")
+
+    def test_failure_log_bad_timestamp_names_path_and_line(self, tmp_path):
+        path = tmp_path / "failures.csv"
+        path.write_text("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\nnot-a-date,1,comp1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: unparseable timestamp 'not-a-date'")):
+            read_failures(path, "datetime", "machineID", "1")
+
 
 class TestStandardScale:
     def test_self_scaling_normalizes(self):

@@ -1,6 +1,8 @@
 """Run-directory and CLI integration tests on a small synthetic stream."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import shutil
 import warnings
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from anomix import pipeline
-from anomix.cli import main
+from anomix.cli import build_parser, main
 from anomix.config import default_config_text, parse_config
 from anomix.pipeline import (
+    STAGES,
     StageError,
     _load_split,
     emit_plot_data,
@@ -19,6 +22,7 @@ from anomix.pipeline import (
     run_experiment,
     save_posterior,
     stage_diagnose,
+    stage_evaluate,
     stage_fit,
     stage_score,
     write_two_index_stream,
@@ -120,6 +124,22 @@ class TestRunExperiment:
         config = parse_config(default_config_text(**FAST))
         with pytest.raises(StageError, match="fit"):
             run_experiment(config, telemetry, tmp_path / "missing.csv", tmp_path / "broken")
+
+    def test_runner_looks_each_stage_up_when_it_starts(self, monkeypatch, tmp_path):
+        called = []
+        for name, function in STAGES.items():
+            monkeypatch.setattr(pipeline, function, lambda config, *args, name=name: called.append((name, args)))
+
+        def no_room(config, run_dir):
+            raise OSError("no room")
+
+        monkeypatch.setattr(pipeline, "emit_plot_data", no_room)
+        with pytest.raises(StageError, match="stage 'plot' failed: no room") as caught:
+            pipeline.run_stages(STAGES, None, tmp_path, "data.csv", "failures.csv")
+        assert caught.value.stage == "plot"
+        assert called == [("fit", ("data.csv", "failures.csv", tmp_path))] + [
+            (name, (tmp_path,)) for name in list(STAGES)[1:-1]
+        ]
 
 
 class TestDiagnoseWarnings:
@@ -325,17 +345,72 @@ class TestCli:
                      "--index", "nope"]) == 2
         assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
 
-    def test_stage_error_exit_code(self, tmp_path):
+    def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
+        _, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**FAST))
-        code = main([
-            "run",
-            "--config", str(config_path),
-            "--data", str(tmp_path / "absent.csv"),
-            "--failures", str(tmp_path / "absent2.csv"),
-            "--out", str(tmp_path / "run"),
-        ])
-        assert code == 1
+        before = (copy / "pooled_scores.csv").read_text()
+        assert main(["detect", "--config", str(config_path), "--out", str(copy),
+                     "--threshold", "0.3", "--patience", "1"]) == 0
+        assert (copy / "pooled_scores.csv").read_text() != before
+        scores = [pipeline._read_series(copy / f"scores_{index}.csv").as_values for index in FAST["indices"]]
+        pooled = pipeline._read_series(copy / "pooled_scores.csv").as_values
+        np.testing.assert_array_equal(pooled == 1.0, (scores[0] >= 0.3) & (scores[1] >= 0.3))
+
+    def test_single_index_evaluate_ignores_pooled_alarms(self, finished_run, tmp_path):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**FAST))
+        # hi_a's own report, from a directory that holds no pooled files.
+        alone = shutil.copytree(run_dir, tmp_path / "alone")
+        for name in ("pooled_scores.csv", "pooled_alarms.csv"):
+            (alone / name).unlink()
+        stage_evaluate(dataclasses.replace(config, indices=["hi_a"]), alone)
+        expected = (alone / "detection_report.csv").read_text()
+        # A stale pooled file with no alarms must not stand in for hi_a's.
+        (copy / "pooled_alarms.csv").write_text("onset,end\n")
+        assert main(["evaluate", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
+        assert (copy / "detection_report.csv").read_text() == expected
+
+    @pytest.mark.parametrize("verb", ["fit", "diagnose", "score", "detect", "evaluate", "explain", "run"])
+    def test_stage_failure_exit_code(self, stream, tmp_path, capsys, verb):
+        # An empty run directory, and an absent telemetry file for the verbs that read one.
+        _, failures = stream
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**FAST))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        inputs = ["--data", str(tmp_path / "absent.csv"), "--failures", str(failures)]
+        argv = [verb, "--config", str(config_path), "--out", str(run_dir)]
+        assert main(argv + inputs if verb in ("fit", "run") else argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage {'fit' if verb == 'run' else verb!r} failed: ") and "Traceback" not in err
+
+    def test_stage_verbs_are_the_protocol_stages(self):
+        (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(verbs) == ["simulate", *(name for name in STAGES if name != "plot"), "run"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "100"], "failure index 2280 lies outside [0, 100)"),
+            (["--n", "0", "--failure", "0", "--onset", "0"], "n_samples must be at least 1, got 0"),
+            (["--failure", "-1"], "failure index -1 lies outside [0, 2400)"),
+            (["--onset", "2281"], "onset index 2281 lies outside [0, 2280]"),
+            (["--onset", "-1"], "onset index -1 lies outside [0, 2280]"),
+        ],
+    )
+    def test_simulate_refuses_impossible_indices(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "data"
+        assert main(["simulate", "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not out.exists()
+
+    def test_simulate_accepts_the_boundary_indices(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path / "a"), "--n", "10", "--onset", "9", "--failure", "9"]) == 0
+        write_two_index_stream(tmp_path / "b", n_samples=1, onset_index=None, failure_index=0)
 
     @pytest.mark.parametrize(
         "text, argv",
