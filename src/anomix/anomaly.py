@@ -10,11 +10,11 @@ Passing ``Q`` through that CDF and folding around 1/2 produces a score
 that is itself uniform on (0, 1) for healthy data and approaches 1
 whenever the window sits in either tail.
 
-The CDF takes two paths (``sum_cdf``): the alternating power-set series,
-kept wherever its error bound is at most 2.5e-10, so that acceptance
-criteria 1-2 and the README demo stay bit for bit; and, where the series
-cancels further, Horner's rule on a per-knot Taylor table built once per
-weight vector, exact to about 2e-16, for up to 12 kept weights.
+The CDF takes one path per weight vector (``sum_cdf``): up to 12 kept
+weights, Horner's rule on a per-knot Taylor table built once per weight
+vector, within about 2e-16 of the exact CDF; above that, the alternating
+power-set series with a compensated sum, whose cancellation grows with
+the window.
 """
 
 from __future__ import annotations
@@ -59,11 +59,6 @@ _CHUNK_ELEMENTS = 2**14
 # Windows of at most this many kept weights get the per-knot Taylor table:
 # its knot-to-knot build costs O(2**n * n**2) double-double operations.
 _TABLE_DEGREE = 12
-
-# A query whose interval has a series error bound above this is answered
-# by the table.  Acceptance criterion 1's inputs reach 1.9e-10 and the
-# demo's k = 5 windows 7.7e-11, so both stay on the series bit for bit.
-_ROUTE_BOUND = 2.5e-10
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -139,25 +134,6 @@ class WeightedUniformSumDist:
             raise ValueError("expected one subset sum per weight subset")
         if self.subset_sums[0] != 0.0 or abs(self.subset_sums[-1] - self.support_end) > 1e-9:
             raise ValueError("subset sums must run from 0 to the kept-weight total")
-
-    @functools.cached_property
-    def route_bounds(self) -> np.ndarray:
-        """Per knot, eps times the all-plus series at the next knot, over N:
-        the float series' error bound on the interval above the knot, walked
-        knot to knot as in ``taylor_table``.  Zero past the last knot, and
-        everywhere above ``_TABLE_DEGREE``."""
-        n, bounds = self.degree, np.zeros(len(self.subset_sums))
-        if n > _TABLE_DEGREE:
-            return bounds
-        padded = np.zeros(2 * n + 1)
-        window = np.lib.stride_tricks.sliding_window_view(padded, n + 1)
-        padded[n] = math.factorial(n)
-        shifts = np.diff(self.subset_sums)[:, None] ** np.arange(n + 1) / np.cumprod([1, *range(1, n + 1)])
-        for i, shift in enumerate(shifts):
-            padded[: n + 1] = window @ shift
-            bounds[i] = padded[0]
-            padded[n] += math.factorial(n)
-        return bounds * (np.finfo(float).eps / self.norm_const)
 
     @functools.cached_property
     def taylor_table(self) -> np.ndarray:
@@ -318,20 +294,15 @@ def _interior_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _routed_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
-    """CDF at ascending queries strictly inside the support, each by the
-    series or by Horner's rule in its offset from its knot (see sum_cdf)."""
+def _table_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
+    """CDF at queries strictly inside the support, in any order, by Horner's
+    rule on their knot's ``taylor_table`` column in the offset from the knot."""
     knots = np.searchsorted(dist.subset_sums, qs, side="left") - 1
-    routed = dist.route_bounds[knots] > _ROUTE_BOUND
-    vals = np.empty(len(qs))
-    vals[~routed] = _interior_cdf(dist, qs[~routed])
-    if routed.any():
-        knots, table = knots[routed], dist.taylor_table
-        t = (qs[routed] - dist.subset_sums[knots]) - dist.subset_lows[knots]
-        horner = table[-1, knots]
-        for row in table[-2::-1]:
-            horner = horner * t + row[knots]
-        vals[routed] = horner
+    table = dist.taylor_table
+    t = (qs - dist.subset_sums[knots]) - dist.subset_lows[knots]
+    vals = table[-1, knots]
+    for row in table[-2::-1]:
+        vals = vals * t + row[knots]
     return vals
 
 
@@ -340,14 +311,13 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
 
     ``q`` is a scalar or an array of any shape; a 0-d query returns a
     ``float`` and any other an array of ``q``'s shape.  A NaN anywhere in
-    ``q`` has no probability and raises.  A query inside the support whose
-    knot's ``route_bounds`` is at most ``_ROUTE_BOUND`` takes the
-    alternating series over the subset sums below it, added by a
+    ``q`` has no probability and raises.  Queries inside the support take
+    one path, chosen by the number of kept weights: up to
+    ``_TABLE_DEGREE``, Horner's rule on their knot's ``taylor_table``
+    column, within about 2e-16 of the exact CDF; above it, the
+    alternating series over the subset sums below each query, added by a
     compensated pairwise (TwoSum) sum in chunks of ``_CHUNK_ELEMENTS``
-    terms; all of acceptance criteria 1-2 and the README demo do, bit for
-    bit.  The rest, where the series cancels too far, take Horner's rule on
-    their knot's ``taylor_table`` row, within about 2e-16 of the exact CDF.
-    Windows of more than ``_TABLE_DEGREE`` kept weights have no table.
+    terms, whose error grows with the window.
     """
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
@@ -355,9 +325,12 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     out = np.where(q >= dist.support_end, 1.0, 0.0)
     inside = (q > 0.0) & (q < dist.support_end)
     interior = q[inside]
-    order = np.argsort(interior)
-    vals = np.empty(len(order))
-    vals[order] = _routed_cdf(dist, interior[order])
+    if dist.degree <= _TABLE_DEGREE:
+        vals = _table_cdf(dist, interior)
+    else:
+        order = np.argsort(interior)
+        vals = np.empty(len(order))
+        vals[order] = _interior_cdf(dist, interior[order])
     out[inside] = np.clip(vals, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -23,7 +23,7 @@ __all__ = ["main"]
 # The stage verbs, in protocol order; plot data is written by ``run`` alone.
 _VERBS = [name for name in STAGES if name != "plot"] + ["run"]
 _READS_INPUTS = {"fit", "run"}
-_TAKES_DETECTION_OVERRIDES = {"score", "detect", "evaluate", "run"}
+_TAKES_DETECTION_OVERRIDES = {"score", "detect", "run"}
 
 
 def _add_common(parser: argparse.ArgumentParser, inputs: bool) -> None:

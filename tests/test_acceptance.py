@@ -11,6 +11,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,26 +73,30 @@ def criterion(number, name, budget_seconds):
 
 
 def power_set_cdf(weights, q):
-    """Un-cached direct evaluation over the full power set.
+    """Un-cached direct evaluation over the full power set, in exact arithmetic.
 
-    Each subset sum and the alternating series are exactly rounded
-    (``math.fsum``), making this the most accurate double-precision
-    rendering of the formula.
+    Every double is an integer multiple of a power of two, so on the finest
+    grid among the weights and ``q`` each subset sum, each power and the
+    alternating series are exact integers; the only rounding is of the
+    final ratio to the nearest double.
     """
     n = len(weights)
     if q <= 0:
         return 0.0
     if q >= 1:
         return 1.0
-    terms = []
+    fractions = [Fraction(w) for w in weights] + [Fraction(q)]
+    scale = max(f.denominator for f in fractions)  # powers of two: a multiple of every other
+    *ws, big_q = [int(f * scale) for f in fractions]
+    total = 0
     for subset in itertools.chain.from_iterable(
         itertools.combinations(range(n), r) for r in range(n + 1)
     ):
-        s = math.fsum(weights[i] for i in subset)
-        if s < q:
-            terms.append((-1.0) ** len(subset) * (q - s) ** n)
-    val = math.fsum(terms) / (math.factorial(n) * math.prod(weights))
-    return min(1.0, max(0.0, val))
+        s = sum(ws[i] for i in subset)
+        if s < big_q:
+            total += (-1) ** len(subset) * (big_q - s) ** n
+    val = Fraction(total, math.factorial(n) * math.prod(ws))
+    return float(min(Fraction(1), max(Fraction(0), val)))
 
 
 def irwin_hall_cdf(x, n):

@@ -1,10 +1,8 @@
 """Anomaly-scoring tests: weights, exact weighted-uniform-sum CDF, scores."""
 
-import itertools
 import math
 import time
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,21 +49,26 @@ def slope_model():
     )
 
 
-def reference_cdf(weights, q):
-    """Direct power-set evaluation of the weighted-uniform-sum CDF."""
-    n = len(weights)
-    if q <= 0:
-        return 0.0
-    if q >= 1:
-        return 1.0
-    terms = []
-    for subset in itertools.chain.from_iterable(
-        itertools.combinations(range(n), r) for r in range(n + 1)
-    ):
-        s = sum(weights[i] for i in subset)
-        if s < q:
-            terms.append((-1.0) ** len(subset) * (q - s) ** n)
-    return math.fsum(terms) / (math.factorial(n) * math.prod(weights))
+def exact_sum_cdf(weights, qs):
+    """Exact rational power-set CDF of float weights at float queries.
+
+    Every float is an integer multiple of a power of two, so on the finest
+    grid among the weights and queries the subset sums and the powers are
+    exact integers."""
+    fractions = [Fraction(float(x)) for x in (*weights, *qs)]
+    scale = max(f.denominator for f in fractions)  # powers of two: a multiple of every other
+    ws = [int(f * scale) for f in fractions[: len(weights)]]
+    sums, signs = [0], [1]
+    for w in ws:
+        sums, signs = sums + [s + w for s in sums], signs + [-g for g in signs]
+    n = len(ws)
+    norm = math.factorial(n) * math.prod(ws)
+    out = []
+    for q in fractions[len(weights) :]:
+        big_q = int(q * scale)
+        total = sum(g * (big_q - s) ** n for s, g in zip(sums, signs) if s < big_q)
+        out.append(float(min(max(Fraction(total, norm), Fraction(0)), Fraction(1))))
+    return np.array(out)
 
 
 def irwin_hall_cdf(x, n):
@@ -188,7 +191,7 @@ class TestSumCdf:
             w /= w.sum()
             d = build_sum_dist(WeightVector(w))
             for q in rng.random(20):
-                assert abs(sum_cdf(d, q) - reference_cdf(w.tolist(), q)) < 1e-12
+                assert abs(sum_cdf(d, q) - exact_sum_cdf(w, [q])[0]) < 1e-12
 
     def test_monte_carlo_three_uniforms(self):
         rng = np.random.default_rng(23)
@@ -223,30 +226,10 @@ class TestSumCdf:
             assert sum_cdf(d, q) == pytest.approx(empirical, abs=0.01)
 
 
-def exact_sum_cdf(weights, qs):
-    """Exact rational power-set CDF of float weights at float queries.
-
-    Every float is an integer multiple of 2**-1074, so on that grid the
-    subset sums and the powers are exact integers."""
-    scale = 2**1074
-    ws = [int(Fraction(w) * scale) for w in weights]
-    sums, signs = [0], [1]
-    for w in ws:
-        sums, signs = sums + [s + w for s in sums], signs + [-g for g in signs]
-    n = len(ws)
-    norm = math.factorial(n) * math.prod(ws)
-    out = []
-    for q in qs:
-        big_q = int(Fraction(float(q)) * scale)
-        total = sum(g * (big_q - s) ** n for s, g in zip(sums, signs) if s < big_q)
-        out.append(float(min(max(Fraction(total, norm), Fraction(0)), Fraction(1))))
-    return np.array(out)
-
-
 class TestExactSumCdf:
-    """sum_cdf against an exact rational oracle, on windows whose alternating
-    series cancels badly: the queries it routes to the Taylor table are
-    within 1e-14, and the others are the float series bit for bit."""
+    """sum_cdf against an exact rational oracle.  Up to 12 kept weights every
+    query inside the support is answered by the Taylor table, within 1e-14,
+    also on windows whose alternating series cancels badly."""
 
     @pytest.mark.parametrize(
         "w, n_queries",
@@ -266,13 +249,26 @@ class TestExactSumCdf:
         qs = dist.support_end * np.concatenate(
             [rng.random(n_queries - 10), 10.0 ** rng.uniform(-6, -1, 5), 1.0 - 10.0 ** rng.uniform(-6, -1, 5)]
         )
-        got = sum_cdf(dist, qs)
-        with mock.patch.object(anomaly, "_ROUTE_BOUND", math.inf):
-            series = sum_cdf(dist, qs)
-        routed = dist.route_bounds[np.searchsorted(dist.subset_sums, qs) - 1] > anomaly._ROUTE_BOUND
-        assert routed.any()
-        np.testing.assert_allclose(got[routed], exact_sum_cdf(w.weights, qs[routed]), rtol=0.0, atol=1e-14)
-        assert np.array_equal(got[~routed], series[~routed])
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_weights_are_exact(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.random(n) + 0.01
+        dist = build_sum_dist(WeightVector(w / w.sum()))
+        assert dist.degree == n
+        qs = dist.support_end * rng.random(6)
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(dist.weights.weights, qs), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [5, 10, 11])
+    def test_last_bit_moves_stay_last_bit(self, k):
+        # A one-ulp change in a query moves its CDF by about density x ulp,
+        # not by the series' cancellation error.
+        dist = build_sum_dist(exp_weights(k + 1, default_decay(k)))
+        qs = dist.support_end * np.random.default_rng(k).random(20_000)
+        moved = np.abs(sum_cdf(dist, np.nextafter(qs, 2.0)) - sum_cdf(dist, qs))
+        assert moved.max() <= 1e-14
 
 
 def scalar_sum_cdf(dist, q):
@@ -307,14 +303,12 @@ def probe_queries(dist, rng):
 
 class TestBatchedSumCdf:
     def assert_matches_scalar(self, w, seed):
-        # The float series' batching, on every query: routed queries would
-        # return exact values, which differ from the float reference.
+        # The float series' batching, on the sorted probes inside the support.
         dist = build_sum_dist(w)
         qs = probe_queries(dist, np.random.default_rng(seed))
-        with mock.patch.object(anomaly, "_ROUTE_BOUND", math.inf):
-            batched = sum_cdf(dist, qs)
-        scalar = np.array([scalar_sum_cdf(dist, q) for q in qs])
-        assert batched.shape == qs.shape
+        interior = np.sort(qs[(qs > 0.0) & (qs < dist.support_end)])
+        batched = np.clip(anomaly._interior_cdf(dist, interior), 0.0, 1.0)
+        scalar = np.array([scalar_sum_cdf(dist, q) for q in interior])
         np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -333,6 +327,15 @@ class TestBatchedSumCdf:
     def test_matches_scalar_fsum_with_shed_weights(self):
         # The full weight product underflows; build_sum_dist sheds weights.
         self.assert_matches_scalar(exp_weights(16, 7.5), 5)
+
+    def test_long_windows_take_the_series(self):
+        # Above _TABLE_DEGREE, sum_cdf sorts the queries for the series and
+        # returns each value in its query's place, the support's ends included.
+        dist = build_sum_dist(exp_weights(14, default_decay(13)))
+        assert dist.degree > anomaly._TABLE_DEGREE
+        qs = probe_queries(dist, np.random.default_rng(8))
+        scalar = [scalar_sum_cdf(dist, q) for q in qs]
+        np.testing.assert_allclose(sum_cdf(dist, qs), scalar, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.0, 745.0, exclude_min=True))
@@ -370,7 +373,8 @@ class TestBatchedSumCdf:
     @pytest.mark.parametrize("budget", [1, 2**20])
     def test_chunking_does_not_change_values(self, monkeypatch, budget):
         rng = np.random.default_rng(12)
-        dists = [build_sum_dist(exp_weights(n, default_decay(n - 1))) for n in (1, 6, 11)]
+        # Only windows of more than _TABLE_DEGREE kept weights reach the chunks.
+        dists = [build_sum_dist(exp_weights(n, default_decay(n - 1))) for n in (1, 6, 11, 14)]
         queries = [probe_queries(d, rng) for d in dists]
         model = slope_model()
         x = rng.uniform(-2, 2, size=(60, 1))
@@ -378,7 +382,7 @@ class TestBatchedSumCdf:
         sample = PosteriorSample.from_draws([model, std_normal_model(), model], 0.25, 1, 0)
 
         def outputs():
-            series = [score_series(data, sample, k) for k in (0, 5, 10)]
+            series = [score_series(data, sample, k) for k in (0, 5, 10, 13)]
             return [sum_cdf(d, q) for d, q in zip(dists, queries)] + [
                 getattr(s, name) for s in series for name in ("as_values", "theta_low", "theta_high")
             ]

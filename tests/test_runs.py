@@ -374,6 +374,14 @@ class TestCli:
         assert main(["evaluate", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
         assert (copy / "detection_report.csv").read_text() == expected
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--patience", "--quorum"])
+    def test_evaluate_refuses_detection_overrides(self, tmp_path, capsys, flag):
+        # evaluate only reads the alarms detect wrote, so a policy flag would do nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"), flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["fit", "diagnose", "score", "detect", "evaluate", "explain", "run"])
     def test_stage_failure_exit_code(self, stream, tmp_path, capsys, verb):
         # An empty run directory, and an absent telemetry file for the verbs that read one.
