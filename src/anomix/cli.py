@@ -30,10 +30,12 @@ def _add_common(parser: argparse.ArgumentParser, inputs: bool) -> None:
     parser.add_argument("--config", required=True, help="experiment configuration file")
     parser.add_argument("--out", required=True, help="run directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--index", default=None, help="restrict to one target index")
     if inputs:
         parser.add_argument("--data", required=True, help="telemetry CSV")
         parser.add_argument("--failures", required=True, help="failure log CSV")
+    else:
+        # Fitting a subset of the indices would change covariates and seeds.
+        parser.add_argument("--index", default=None, help="restrict to one target index")
 
 
 def _add_detection_overrides(parser: argparse.ArgumentParser) -> None:

@@ -167,8 +167,8 @@ class PipelineConfig:
     def prior_spec(self) -> PriorSpec:
         return self._consumer(PriorSpec)
 
-    def sampler_settings(self, seed_offset: int = 0) -> SamplerSettings:
-        return self._consumer(SamplerSettings, seed=self.seed + seed_offset)
+    def sampler_settings(self) -> SamplerSettings:
+        return self._consumer(SamplerSettings, seed=self.seed)
 
     def split_spec(self) -> SplitSpec:
         return self._consumer(SplitSpec)

@@ -248,17 +248,14 @@ def _logistic_gate(behavior_coeffs, phi):
     return expit(phi @ behavior_coeffs[..., None])
 
 
-def _fuse(alpha, beta, means, sds):
-    """Fused ``(means, sds)``: each expert's mean and variance move toward
-    the ``alpha``-weighted blend, keeping weight ``beta`` on its own.  ``means``
-    (..., rows, M) broadcasts against the gates; ``sds`` is (..., M)."""
-    variances = sds**2
+def _fuse(alpha, beta, rest, means, variances):
+    """Fused means and variances: each expert's mean and variance move toward
+    the ``alpha``-weighted blend, keeping weight ``beta`` on its own and
+    ``rest = 1 - beta`` on the blend.  ``means`` (..., rows, M) broadcasts
+    against the gates; ``variances`` is (..., M)."""
     blend_mean = _expert_sum(alpha * means)[..., None]
     blend_var = alpha @ variances[..., None]
-    rest = 1.0 - beta
-    fused = beta * means + rest * blend_mean
-    fused_var = beta * variances[..., None, :] + rest * blend_var
-    return fused, np.sqrt(fused_var)
+    return beta * means + rest * blend_mean, beta * variances[..., None, :] + rest * blend_var
 
 
 def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
@@ -271,7 +268,8 @@ def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    return (alpha, *_fuse(alpha, beta, phi @ np.swapaxes(coeffs, -1, -2), sds))
+    fused, fused_var = _fuse(alpha, beta, 1.0 - beta, phi @ np.swapaxes(coeffs, -1, -2), sds**2)
+    return alpha, fused, np.sqrt(fused_var)
 
 
 # Kept as an oracle of the acceptance suite's fusion identities.
@@ -285,8 +283,8 @@ def fuse_experts(experts, alpha, beta: float) -> list:
     if beta == 1.0:
         return experts
     coeffs = np.array([e.mean_coeffs() for e in experts])
-    fused, sds = _fuse(alpha, beta, coeffs.T, np.array([e.noise_sd for e in experts]))
-    return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused.T, sds[0])]
+    fused, variances = _fuse(alpha, beta, 1.0 - beta, coeffs.T, np.array([e.noise_sd for e in experts]) ** 2)
+    return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused.T, np.sqrt(variances[0]))]
 
 
 # perfbench's tracer counts calls of this, the *_rows densities and sample_conditional by name.
@@ -323,9 +321,23 @@ def _logsumexp(a, axis: int = -1):
 
 
 def _expert_logsumexp(a):
-    """:func:`_logsumexp` over the last (expert) axis, run with that axis
-    leading and contiguous, where NumPy reduces slice by slice."""
-    return _logsumexp(np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1))), axis=0)
+    """:func:`_logsumexp` over the last (expert) axis, slice by slice from the
+    left (the maximum, the tie count ``m``, the other slices' exp(a - a_max)
+    sum): its arithmetic and, for fewer than 8 experts, its order."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_max = _expert_max(a)
+        tie = a[..., 0] == a_max
+        m = tie.astype(float)
+        s = np.where(tie, 0.0, np.exp(a[..., 0] - a_max))
+        for j in range(1, a.shape[-1]):
+            tie = a[..., j] == a_max
+            m += tie
+            s += np.where(tie, 0.0, np.exp(a[..., j] - a_max))
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(_expert_sum(np.exp(a))))
+    return out[()]
 
 
 def _log_weights(alpha):
@@ -335,7 +347,7 @@ def _log_weights(alpha):
 
 
 def _logpdf_from_moments(log_alpha, means, sds, y):
-    z = (y[:, None] - means) / sds
+    z = (y[..., None] - means) / sds
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
     return _expert_logsumexp(comp + log_alpha)
 

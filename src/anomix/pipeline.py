@@ -36,7 +36,7 @@ from .detection import (
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset, ModelParams, fused_moments, sample_conditional
-from .posterior import FitDiagnostics, PosteriorSample, fit_diagnostics, sample_posterior, sample_predictive
+from .posterior import FitDiagnostics, PosteriorSample, fit_diagnostics, sample_posteriors, sample_predictive
 
 __all__ = [
     "CsvSchema",
@@ -528,26 +528,21 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
     )
     datasets, dropped = _index_datasets(config, data_path)
     spec = config.split_spec()
-    split_info = {}
-    for offset, index in enumerate(config.indices):
+    splits, split_info = {}, {}
+    for index in config.indices:
         train, validation, test = build_splits(datasets[index], failures, spec)
         scaled_train, scaler = standard_scale(train, train)
-        scaled_val = scaler.apply(validation)
-        scaled_test = scaler.apply(test)
-        sample = sample_posterior(
-            scaled_train, config.prior_spec(), config.experts, config.sampler_settings(offset)
-        )
-        save_posterior(sample, run_dir / f"posterior_{index}.npz")
+        splits[index] = {"train": scaled_train, "validation": scaler.apply(validation), "test": scaler.apply(test)}
+        split_info[index] = {name: len(split) for name, split in splits[index].items()}
         (run_dir / f"scaler_{index}.json").write_text(json.dumps(scaler.to_dict()) + "\n")
-        _save_split(run_dir / f"train_{index}.npz", scaled_train)
-        _save_split(run_dir / f"validation_{index}.npz", scaled_val)
-        _save_split(run_dir / f"test_{index}.npz", scaled_test)
-        split_info[index] = {
-            "train": len(train),
-            "validation": len(validation),
-            "test": len(test),
-            "acceptance_rate": sample.acceptance_rate,
-        }
+    # One lockstep run fits every index; index i draws from seed ``config.seed + i``.
+    trains = [splits[index]["train"] for index in config.indices]
+    samples = sample_posteriors(trains, config.prior_spec(), config.experts, config.sampler_settings())
+    for index, sample in zip(config.indices, samples):
+        save_posterior(sample, run_dir / f"posterior_{index}.npz")
+        for name, split in splits[index].items():
+            _save_split(run_dir / f"{name}_{index}.npz", split)
+        split_info[index]["acceptance_rate"] = sample.acceptance_rate
     failures_out = [
         {"start": str(np.datetime64(s, "s")), "end": str(np.datetime64(e, "s"))}
         for s, e in zip(failures.starts, failures.ends)

@@ -4,8 +4,9 @@ The sampler is an adaptive random-walk Metropolis scheme with one proposal
 block per parameter group (experts, mixing gate, behavior gate).  Noise
 standard deviations are proposed on the log scale with the matching
 Jacobian term, and proposal scales adapt toward a 0.25 acceptance rate
-during burn-in only.  All chains advance in lockstep, each on its own RNG
-stream, and fill one draw stack (:class:`PosteriorSample`) in contiguous
+during burn-in only.  All chains, of one dataset or of several fitted
+together, advance in lockstep, each on its own RNG stream, and fill one
+draw stack per dataset (:class:`PosteriorSample`) in contiguous
 chain blocks, from which the fit diagnostics read split R-hat.  The log
 target is cached per chain in one part per parameter group, so a block
 proposal recomputes only the part of the group it moves.
@@ -45,6 +46,7 @@ __all__ = [
     "PosteriorSample",
     "FitDiagnostics",
     "sample_posterior",
+    "sample_posteriors",
     "lppd",
     "psis_loo",
     "cic",
@@ -176,39 +178,40 @@ class FitDiagnostics:
 
 
 def _experts_part(experts, phi, prior: PriorSpec):
-    """Expert means (C, rows, M), noise sds (C, M) and the group's prior term.
+    """Expert means (S, rows, M), noise variances (S, M) and the group's prior term.
 
     ``experts`` holds each expert's mean coefficients followed by its log
-    noise sd, (C, M, n + 2); the density is taken over that log-sd
+    noise sd, (S, M, n + 2); the density is taken over that log-sd
     coordinate, so the log-sd prior kernel already carries the Jacobian.
     """
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
     means = phi @ np.swapaxes(coeffs, -1, -2)
-    return means, np.exp(log_sds), _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
+    return means, np.exp(log_sds) ** 2, _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights and their logs (C, rows, M), and the free gate rows' prior term."""
+    """Mixing weights and their logs (S, rows, M), and the free gate rows' prior term."""
     alpha = _softmax_gate(mixing, phi)
     return alpha, _log_weights(alpha), _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
-    """Behavior gate output (C, rows, 1) and the behavior prior term."""
-    return _logistic_gate(behavior, phi), _log_prior_arrays(prior, behavior_coeffs=behavior)
+    """Behavior gate output ``beta`` and ``1 - beta`` (S, rows, 1), and the behavior prior term."""
+    beta = _logistic_gate(behavior, phi)
+    return beta, 1.0 - beta, _log_prior_arrays(prior, behavior_coeffs=behavior)
 
 
 _PARTS = {"experts": _experts_part, "mixing": _mixing_part, "behavior": _behavior_part}
 
 
 def _total(parts, y):
-    """Log target (C,) from the three parts: the likelihood plus the prior
+    """Log target (S,) from the three parts: the likelihood plus the prior
     terms in the order experts, mixing, behavior."""
-    means, sds, experts_prior = parts["experts"]
+    means, variances, experts_prior = parts["experts"]
     alpha, log_alpha, mixing_prior = parts["mixing"]
-    beta, behavior_prior = parts["behavior"]
-    fused_means, fused_sds = _fuse(alpha, beta, means, sds)
-    ll = _logpdf_from_moments(log_alpha, fused_means, fused_sds, y).sum(axis=-1)
+    beta, rest, behavior_prior = parts["behavior"]
+    fused_means, fused_var = _fuse(alpha, beta, rest, means, variances)
+    ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var), y).sum(axis=-1)
     return ll + (experts_prior + mixing_prior + behavior_prior)
 
 
@@ -219,8 +222,8 @@ def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
 
 
 class _LockstepTarget:
-    """The chains' states, the cached part of the log target for each state
-    group, and the current log target (C,).  A proposal that moves one group
+    """The slots' states, the cached part of the log target for each state
+    group, and the current log target (S,).  A proposal that moves one group
     recomputes that group's part only; accepting copies the moved state and
     its part chain by chain, so the cache always equals a fresh evaluation."""
 
@@ -242,78 +245,93 @@ class _LockstepTarget:
             cached[chains] = fresh[chains]
 
 
-def sample_posterior(
-    data: Dataset, prior: PriorSpec, n_experts: int, settings: SamplerSettings
-) -> PosteriorSample:
-    """Draw from the posterior over all model parameters.
+def sample_posterior(data: Dataset, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> PosteriorSample:
+    """Draw from the posterior over all model parameters: :func:`sample_posteriors` of one dataset."""
+    return sample_posteriors([data], prior, n_experts, settings)[0]
 
-    The C chains advance in lockstep: the state is ``experts`` (C, M, n + 2),
-    ``mixing`` (C, M, n + 1, last row frozen at zero) and ``behavior``
-    (C, n + 1).  Each block proposal evaluates the log target of all chains
-    in one batch, recomputing only the part of it that belongs to the moved
-    group and reusing the cached parts of the other two.
-    Chain c draws from its own generator, child c of a SeedSequence spawn
-    of ``settings.seed``: first its initial state, then per iteration and
-    block the block's normals and one uniform.  Its draws therefore do not
-    depend on how many chains run.  Kept draws fill (C, kept, ...) arrays
-    whose reshape lays the chains out as contiguous blocks of the stack.
+
+def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> list:
+    """One posterior per dataset, all fitted in one lockstep run.
+
+    The datasets must share their row and covariate counts.  Slot i*C + c
+    holds chain c of dataset i, so the state is ``experts`` (S, M, n + 2),
+    ``mixing`` (S, M, n + 1, last row frozen at zero) and ``behavior``
+    (S, n + 1) over S = D*C slots.  Each block proposal evaluates the log
+    target of all slots in one batch, recomputing only the moved group's
+    part.  Slot i*C + c draws from child c of a SeedSequence spawn of
+    ``settings.seed + i``: its initial state, then per iteration and block
+    its normals and one uniform.  Dataset i therefore gets the draws of a
+    lone fit seeded ``settings.seed + i``, whatever the chain count.
     """
-    if len(data) < 1:
-        raise ValueError("at least one observation is required")
+    datasets = list(datasets)
+    if not datasets or len(datasets[0]) < 1:
+        raise ValueError("at least one dataset of at least one observation is required")
+    if any((len(d), d.n) != (len(datasets[0]), datasets[0].n) for d in datasets):
+        raise ValueError("jointly fitted datasets must share their row and covariate counts")
     if n_experts < 1:
         raise ValueError("at least one expert is required")
-    m, na = n_experts, data.n + 1
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(settings.seed).spawn(settings.chains)]
+    chains, seeds = settings.chains, [settings.seed + i for i in range(len(datasets))]
+    slots, m, na = len(datasets) * chains, n_experts, datasets[0].n + 1
+    rngs = [np.random.default_rng(s) for seed in seeds for s in np.random.SeedSequence(seed).spawn(chains)]
     state = {
-        "experts": np.empty((settings.chains, m, na + 1)),
-        "mixing": np.zeros((settings.chains, m, na)),
-        "behavior": np.empty((settings.chains, na)),
+        "experts": np.empty((slots, m, na + 1)),
+        "mixing": np.zeros((slots, m, na)),
+        "behavior": np.empty((slots, na)),
     }
     for c, rng in enumerate(rngs):
         state["experts"][c, :, :na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((m, na))
         state["experts"][c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
         state["mixing"][c, :-1] = prior.gate_coeff_location + 0.1 * rng.standard_normal((m - 1, na))
         state["behavior"][c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(na)
-    target = _LockstepTarget(state, _embed_rows(data.covariates), data.responses, prior)
-    if not np.isfinite(target.current).all():
-        raise RuntimeError("non-finite posterior density at initialization")
+    phi = np.repeat([_embed_rows(d.covariates) for d in datasets], chains, axis=0)
+    y = np.repeat([d.responses for d in datasets], chains, axis=0)
+    target = _LockstepTarget(state, phi, y, prior)
+    prefix = "dataset {}: " if len(datasets) > 1 else ""
+    for i, finite in enumerate(np.isfinite(target.current).reshape(-1, chains).all(axis=1)):
+        if not finite:
+            raise RuntimeError(f"{prefix.format(i)}non-finite posterior density at initialization")
 
     # Each block is the slice of one state array that it moves; the frozen
     # gate row is never proposed.
     blocks = [("experts", np.s_[:])] + ([("mixing", np.s_[:, :-1])] if m > 1 else []) + [("behavior", np.s_[:])]
-    scales = {name: np.full(settings.chains, INITIAL_SCALE) for name, _ in blocks}
+    scales = {name: np.full(slots, INITIAL_SCALE) for name, _ in blocks}
+    normals = {name: np.empty((slots, state[name][free][0].size)) for name, free in blocks}
     n_kept = settings.iterations - settings.burn_in
-    kept = {name: np.empty((settings.chains, n_kept, *arr.shape[1:])) for name, arr in state.items()}
-    accepted = np.zeros(settings.chains, dtype=int)
-    accept = np.zeros(settings.chains, dtype=bool)
+    kept = {name: np.empty((slots, n_kept, *arr.shape[1:])) for name, arr in state.items()}
+    accepted = np.zeros(slots, dtype=int)
+    accept = np.zeros(slots, dtype=bool)
     for it in range(settings.iterations):
+        adapting, gamma = it < settings.burn_in, (it + 1) ** -0.6
         for name, free in blocks:
             moved = state[name].copy()
-            step = moved[free]
-            normals = np.stack([rng.standard_normal(step[0].size) for rng in rngs])
-            step += (scales[name][:, None] * normals).reshape(step.shape)
+            step, scale = moved[free], scales[name]
+            for rng, row in zip(rngs, normals[name]):
+                rng.standard_normal(out=row)
+            step += (scale[:, None] * normals[name]).reshape(step.shape)
             new, part = target.evaluate(name, moved)
-            for c, rng in enumerate(rngs):
-                log_ratio = new[c] - target.current[c]
+            for c, (rng, log_ratio) in enumerate(zip(rngs, (new - target.current).tolist())):
                 acc_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
                 accept[c] = rng.random() < acc_prob
-                if it < settings.burn_in:
-                    gamma = (it + 1) ** -0.6
-                    scales[name][c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
+                if adapting:
+                    scale[c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
             if accept.any():
                 target.accept(name, accept, moved, part, new)
-            if it >= settings.burn_in:
+            if not adapting:
                 accepted += accept
-        if it >= settings.burn_in:
+        if not adapting:
             for name, arr in state.items():
                 kept[name][:, it - settings.burn_in] = arr
-    overall = float(np.mean(accepted / (n_kept * len(blocks))))
-    if overall == 0.0:
-        raise RuntimeError("no proposals were accepted after burn-in; the chains did not move")
-    experts, mixing, behavior = (kept[name].reshape(-1, *kept[name].shape[2:]) for name in state)
-    return PosteriorSample(
-        experts[..., :-1], np.exp(experts[..., -1]), mixing, behavior, overall, settings.chains, settings.seed
-    )
+    rates = (accepted / (n_kept * len(blocks))).reshape(-1, chains)
+    stacks = [arr.reshape(len(datasets), -1, *arr.shape[2:]) for arr in kept.values()]
+    samples = []
+    for i, seed in enumerate(seeds):
+        overall = float(np.mean(rates[i]))
+        if overall == 0.0:
+            raise RuntimeError(f"{prefix.format(i)}no proposals were accepted after burn-in; the chains did not move")
+        experts, mixing, behavior = (stack[i] for stack in stacks)
+        sds = np.exp(experts[..., -1])
+        samples.append(PosteriorSample(experts[..., :-1], sds, mixing, behavior, overall, chains, seed))
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ LOO refits) live in the acceptance suite; these tests exercise the same
 code paths at unit scale.
 """
 
+import dataclasses
 import math
 from dataclasses import astuple
 from statistics import NormalDist
@@ -44,6 +45,7 @@ from anomix.posterior import (
     lppd,
     psis_loo,
     sample_posterior,
+    sample_posteriors,
 )
 
 
@@ -152,6 +154,41 @@ class TestSampler:
         )
         assert sample.n_draws == 100
         assert 0.0 < sample.acceptance_rate <= 1.0
+
+
+class TestJointSampler:
+    """Fitting several datasets in one lockstep run gives each the draws of a
+    lone fit seeded ``seed + i``."""
+
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_equals_separate_fits(self, n_experts, chains, n):
+        rng = np.random.default_rng(100 * n_experts + 10 * chains + n)
+        datasets = [make_dataset(rng.normal(size=(30, n)), rng.normal(i, 1.0 + i, size=30)) for i in range(3)]
+        settings = SamplerSettings(chains=chains, iterations=80, burn_in=40, seed=11)
+        joint = sample_posteriors(datasets, PriorSpec(), n_experts, settings)
+        for i, (data, together) in enumerate(zip(datasets, joint)):
+            alone = sample_posterior(data, PriorSpec(), n_experts, dataclasses.replace(settings, seed=11 + i))
+            for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+                assert np.array_equal(getattr(together, name), getattr(alone, name)), (i, name)
+            assert together.acceptance_rate == alone.acceptance_rate
+            assert (together.seed, together.chain_count) == (alone.seed, alone.chain_count) == (11 + i, chains)
+
+    @pytest.mark.parametrize("rows, n", [(30, 1), (31, 2)])
+    def test_refuses_datasets_of_other_shapes(self, rows, n):
+        rng = np.random.default_rng(3)
+        datasets = [make_dataset(rng.normal(size=(30, 2)), rng.normal(size=30)),
+                    make_dataset(rng.normal(size=(rows, n)), rng.normal(size=rows))]
+        with pytest.raises(ValueError, match="row and covariate counts"):
+            sample_posteriors(datasets, PriorSpec(), 2, SMALL)
+
+    def test_initial_density_is_checked_per_dataset(self):
+        rng = np.random.default_rng(4)
+        healthy = make_dataset(rng.normal(size=(20, 1)), rng.normal(size=20))
+        overflowing = make_dataset(rng.normal(size=(20, 1)), np.full(20, 1e200))
+        with pytest.raises(RuntimeError, match="^dataset 1: non-finite posterior density at initialization"):
+            sample_posteriors([healthy, overflowing], PriorSpec(), 2, SMALL)
 
 
 class TestLppd:
@@ -464,7 +501,7 @@ class TestSplitRhat:
 
 
 class TestScipyKernelParity:
-    """Swapping the in-repo log-sum-exp kernel back to scipy's moves no draw
+    """Swapping the in-repo log-sum-exp kernels back to scipy's moves no draw
     and no diagnostic by a single bit."""
 
     @pytest.mark.parametrize("n_experts", [1, 3])
@@ -477,19 +514,24 @@ class TestScipyKernelParity:
             return sample, fit_diagnostics(sample, data)
 
         ours, ours_diag = fit()
-        calls = []
+        calls, expert_calls = [], []
 
         def scipy_kernel(a, axis=-1):
             calls.append((axis, a.shape))
             return logsumexp(a, axis=axis)
 
+        def scipy_expert_kernel(a):
+            expert_calls.append(a.shape)
+            return logsumexp(a, axis=-1)
+
         monkeypatch.setattr(anomix.model, "_logsumexp", scipy_kernel)
         monkeypatch.setattr(anomix.posterior, "_logsumexp", scipy_kernel)
+        monkeypatch.setattr(anomix.model, "_expert_logsumexp", scipy_expert_kernel)
         theirs, theirs_diag = fit()
-        # The sampler reduces (M, chains, rows) over its leading expert axis,
+        # The sampler reduces (chains, rows, M) over its trailing expert axis,
         # LPPD the (draws, rows) log densities over draws, and PSIS-LOO one
         # row's draws at a time.
-        assert (0, (n_experts, settings.chains, len(data))) in calls
+        assert (settings.chains, len(data), n_experts) in expert_calls
         assert (0, (theirs.n_draws, len(data))) in calls
         assert (-1, (theirs.n_draws,)) in calls
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):

@@ -27,7 +27,7 @@ from anomix.pipeline import (
     stage_score,
     write_two_index_stream,
 )
-from anomix.posterior import FitDiagnostics, PosteriorSample
+from anomix.posterior import FitDiagnostics, PosteriorSample, sample_posterior
 
 FAST = dict(
     indices=["hi_a", "hi_b"],
@@ -87,6 +87,18 @@ class TestRunExperiment:
             "detection_report_grouped.csv",
         ):
             assert (run_dir / name).exists(), name
+
+    def test_index_i_is_fitted_with_seed_plus_i(self, finished_run):
+        # The joint fit gives each index the draws of a lone fit on its train split.
+        config, run_dir, _ = finished_run
+        for i, index in enumerate(config.indices):
+            train = pipeline._load_split(run_dir / f"train_{index}.npz")
+            settings = dataclasses.replace(config.sampler_settings(), seed=config.seed + i)
+            alone = sample_posterior(train, config.prior_spec(), config.experts, settings)
+            archived = pipeline.load_posterior(run_dir / f"posterior_{index}.npz")
+            for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+                assert np.array_equal(getattr(archived, name), getattr(alone, name)), (index, name)
+            assert (archived.seed, archived.acceptance_rate) == (alone.seed, alone.acceptance_rate)
 
     def test_detects_injected_fault(self, finished_run):
         _, run_dir, _ = finished_run
@@ -381,6 +393,19 @@ class TestCli:
             main(["evaluate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"), flag, "1"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["fit", "run"])
+    def test_fitting_verbs_refuse_index(self, stream, tmp_path, capsys, verb):
+        # Fitting one index alone would drop the others as covariates and shift
+        # its seed, under the same posterior archive name.
+        telemetry, failures = stream
+        argv = [verb, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"),
+                "--data", str(telemetry), "--failures", str(failures), "--index", "hi_b"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --index hi_b" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("verb", ["fit", "diagnose", "score", "detect", "evaluate", "explain", "run"])
     def test_stage_failure_exit_code(self, stream, tmp_path, capsys, verb):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from anomix.model import (
@@ -139,6 +141,16 @@ class TestCoverageCost:
     def test_k2_single_term(self):
         grid = CoverageGrid(2, np.array([0.5]), np.array([30]), 60)
         assert coverage_cost(grid, 60) == pytest.approx(float(-binom.logpmf(30, 60, 0.5)), abs=1e-12)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400), st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from(["random", "zero", "full"]))
+    def test_bitwise_equal_to_scipy_binom(self, n, k_levels, seed, counts):
+        levels = np.arange(1, k_levels) / k_levels
+        rng = np.random.default_rng(seed)
+        k = {"random": rng.integers(0, n + 1, k_levels - 1), "zero": np.zeros(k_levels - 1, dtype=int),
+             "full": np.full(k_levels - 1, n)}[counts]
+        assert coverage_cost(CoverageGrid(k_levels, levels, k, n), n) == float(-binom.logpmf(k, n, levels).sum())
 
 
 class TestChebyshevLb:
