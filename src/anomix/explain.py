@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import _expert_sum
 from .posterior import PosteriorSample
 
 __all__ = [
@@ -209,9 +208,9 @@ def _predictive_summary(sample: PosteriorSample, X):
     mean_acc = np.zeros(n_rows)
     second_moment = np.zeros(n_rows)
     for _, alpha, means, sds in sample.moment_blocks(X):
-        act += alpha.sum(axis=0)
-        m = _expert_sum(alpha * means)
-        v = _expert_sum(alpha * (sds**2 + means**2)) - m**2
+        act += alpha.sum(axis=0).T
+        m = (alpha * means).sum(axis=-2)
+        v = (alpha * (sds**2 + means**2)).sum(axis=-2) - m**2
         mean_acc += m.sum(axis=0)
         second_moment += (v + m**2).sum(axis=0)
     n_draws = sample.n_draws

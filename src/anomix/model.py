@@ -210,52 +210,33 @@ def _embed_rows(X) -> np.ndarray:
     return np.column_stack([np.ones(len(X)), X])
 
 
-def _expert_max(a):
-    """Maximum over the last (expert) axis, taken slice by slice from the left."""
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        np.maximum(out, a[..., j], out=out)
-    return out
-
-
-def _expert_sum(a):
-    """Sum over the last (expert) axis, added slice by slice from the left.
-
-    For fewer than 8 experts this is NumPy's own order for ``sum(axis=-1)``,
-    so results are bitwise equal, without the cost of a reduction call over
-    a short axis.  From 8 experts on NumPy sums pairwise and the two can
-    differ in the last bits.
-    """
-    out = a[..., 0].copy()
-    for j in range(1, a.shape[-1]):
-        out += a[..., j]
-    return out
-
-
 def _softmax_gate(gate_matrix, phi):
-    """Mixing weights (..., rows, M) of the softmax gate at embedded rows ``phi``."""
-    logits = phi @ np.swapaxes(gate_matrix, -1, -2)
+    """Mixing weights (..., M, rows) of the softmax gate at embedded rows ``phi``."""
+    logits = gate_matrix @ np.swapaxes(phi, -1, -2)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite gate logits")
-    logits -= _expert_max(logits)[..., None]
+    logits -= logits.max(axis=-2, keepdims=True)
     alpha = np.exp(logits)
-    alpha /= _expert_sum(alpha)[..., None]
+    alpha /= alpha.sum(axis=-2, keepdims=True)
     return alpha
 
 
 def _logistic_gate(behavior_coeffs, phi):
-    """Behavior gate output ``beta`` (..., rows, 1) at embedded rows ``phi``."""
-    return expit(phi @ behavior_coeffs[..., None])
+    """Behavior gate output ``beta`` (..., 1, rows) at embedded rows ``phi``."""
+    return expit(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))
 
 
 def _fuse(alpha, beta, rest, means, variances):
     """Fused means and variances: each expert's mean and variance move toward
     the ``alpha``-weighted blend, keeping weight ``beta`` on its own and
-    ``rest = 1 - beta`` on the blend.  ``means`` (..., rows, M) broadcasts
-    against the gates; ``variances`` is (..., M)."""
-    blend_mean = _expert_sum(alpha * means)[..., None]
-    blend_var = alpha @ variances[..., None]
-    return beta * means + rest * blend_mean, beta * variances[..., None, :] + rest * blend_var
+    ``rest = 1 - beta`` on the blend.  ``means`` (..., M, rows) broadcasts
+    against the gates; ``variances`` is (..., M).  The blend variance
+    contracts M in a matmul over a contiguous (..., rows, M) copy of
+    ``alpha``: ``variances[..., None, :] @ alpha`` rounds differently from
+    three experts on, and would move every draw."""
+    blend_mean = (alpha * means).sum(axis=-2, keepdims=True)
+    blend_var = np.ascontiguousarray(np.swapaxes(alpha, -1, -2)) @ variances[..., None]
+    return beta * means + rest * blend_mean, beta * variances[..., None] + rest * np.swapaxes(blend_var, -1, -2)
 
 
 def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
@@ -264,11 +245,13 @@ def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     ``phi`` holds embedded covariate rows.  The parameter arrays may carry
     any leading (draw) axes in front of their own shapes: ``coeffs`` and
     ``gate_matrix`` (M, n + 1), ``sds`` (M,), ``behavior_coeffs`` (n + 1,).
-    Returns ``(alpha, means, sds)`` shaped ``(..., rows, M)``.
+    Returns ``(alpha, means, sds)`` shaped ``(..., M, rows)``, experts
+    before rows, so that reductions over the experts (axis -2) fold slice
+    by slice from the left.
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    fused, fused_var = _fuse(alpha, beta, 1.0 - beta, phi @ np.swapaxes(coeffs, -1, -2), sds**2)
+    fused, fused_var = _fuse(alpha, beta, 1.0 - beta, coeffs @ np.swapaxes(phi, -1, -2), sds**2)
     return alpha, fused, np.sqrt(fused_var)
 
 
@@ -283,14 +266,14 @@ def fuse_experts(experts, alpha, beta: float) -> list:
     if beta == 1.0:
         return experts
     coeffs = np.array([e.mean_coeffs() for e in experts])
-    fused, variances = _fuse(alpha, beta, 1.0 - beta, coeffs.T, np.array([e.noise_sd for e in experts]) ** 2)
-    return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused.T, np.sqrt(variances[0]))]
+    fused, variances = _fuse(alpha[:, None], beta, 1.0 - beta, coeffs, np.array([e.noise_sd for e in experts]) ** 2)
+    return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused, np.sqrt(variances[:, 0]))]
 
 
 # perfbench's tracer counts calls of this, the *_rows densities and sample_conditional by name.
 def fused_moments(params: ModelParams, X):
-    """Mixing weights and fused per-expert moments at every row of ``X``."""
-    return _moments_arrays(*params.as_arrays(), _embed_rows(X))
+    """Mixing weights and fused per-expert moments at every row of ``X``, each (rows, M)."""
+    return tuple(np.swapaxes(a, -1, -2) for a in _moments_arrays(*params.as_arrays(), _embed_rows(X)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +303,6 @@ def _logsumexp(a, axis: int = -1):
     return out.squeeze(axis=axis)[()]
 
 
-def _expert_logsumexp(a):
-    """:func:`_logsumexp` over the last (expert) axis, slice by slice from the
-    left (the maximum, the tie count ``m``, the other slices' exp(a - a_max)
-    sum): its arithmetic and, for fewer than 8 experts, its order."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_max = _expert_max(a)
-        tie = a[..., 0] == a_max
-        m = tie.astype(float)
-        s = np.where(tie, 0.0, np.exp(a[..., 0] - a_max))
-        for j in range(1, a.shape[-1]):
-            tie = a[..., j] == a_max
-            m += tie
-            s += np.where(tie, 0.0, np.exp(a[..., j] - a_max))
-        out = np.log1p(s / m) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(_expert_sum(np.exp(a))))
-    return out[()]
-
-
 def _log_weights(alpha):
     """``log(alpha)``, ``-inf`` where a mixing weight underflowed to zero."""
     with np.errstate(divide="ignore"):
@@ -347,26 +310,26 @@ def _log_weights(alpha):
 
 
 def _logpdf_from_moments(log_alpha, means, sds, y):
-    z = (y[..., None] - means) / sds
+    z = (y[..., None, :] - means) / sds
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
-    return _expert_logsumexp(comp + log_alpha)
+    return _logsumexp(comp + log_alpha, axis=-2)
 
 
 def _cdf_from_moments(alpha, means, sds, y):
-    return _expert_sum(alpha * ndtr((y[:, None] - means) / sds))
+    return (alpha * ndtr((y[..., None, :] - means) / sds)).sum(axis=-2)
 
 
 def conditional_logpdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
     y = _as_vector(y, "y")
-    alpha, means, sds = fused_moments(params, X)
+    alpha, means, sds = _moments_arrays(*params.as_arrays(), _embed_rows(X))
     return _logpdf_from_moments(_log_weights(alpha), means, sds, y)
 
 
 def conditional_cdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Mixture CDF of each response given the matching covariate row."""
     y = _as_vector(y, "y")
-    return _cdf_from_moments(*fused_moments(params, X), y)
+    return _cdf_from_moments(*_moments_arrays(*params.as_arrays(), _embed_rows(X)), y)
 
 
 # Kept as the acceptance suite's quadrature integrand.
@@ -438,12 +401,12 @@ def log_prior(params: ModelParams, spec: PriorSpec) -> float:
 def _draw_from_moments(alpha, means, sds, uniforms, normals):
     """Responses and allocations: ``uniforms`` pick the expert through the
     mixing weights, ``normals`` are scaled by its fused moments."""
-    cum = np.cumsum(alpha, axis=-1)
-    cum[..., -1] = 1.0  # rounding must not leave a draw above the last bin
-    z = (uniforms[..., None] < cum).argmax(axis=-1)
-    pick = z[..., None]
-    mean = np.take_along_axis(means, pick, axis=-1)[..., 0]
-    sd = np.take_along_axis(sds, pick, axis=-1)[..., 0]
+    cum = np.cumsum(alpha, axis=-2)
+    cum[..., -1, :] = 1.0  # rounding must not leave a draw above the last bin
+    z = (uniforms[..., None, :] < cum).argmax(axis=-2)
+    pick = z[..., None, :]
+    mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
+    sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]
     return mean + sd * normals, z
 
 
@@ -454,6 +417,6 @@ def sample_conditional(params: ModelParams, X, rng: np.random.Generator):
     sampled expert's fused Gaussian.  Returns the responses and the sampled
     allocation indices.
     """
-    alpha, means, sds = fused_moments(params, X)
+    alpha, means, sds = _moments_arrays(*params.as_arrays(), _embed_rows(X))
     # Arguments evaluate left to right: all uniforms, then all normals.
-    return _draw_from_moments(alpha, means, sds, rng.random(len(alpha)), rng.standard_normal(len(alpha)))
+    return _draw_from_moments(alpha, means, sds, rng.random(len(X)), rng.standard_normal(len(X)))

@@ -694,13 +694,11 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         if sample.n_experts == 1:
             continue  # a single-expert gate has no directions to map
-        if sample.n_experts - 1 > 2:
-            geometry = reduced_geometry(sample)
-        else:
-            try:
-                geometry = gate_geometry(sample)
-            except ValueError:
-                continue  # rank-deficient small gate: no exact map exists
+        try:
+            geometry = (reduced_geometry if sample.n_experts > 3 else gate_geometry)(sample)
+        except ValueError as exc:  # a rank-deficient gate has no 2D map
+            warnings.warn(f"index {index!r}: no explanation map, since {exc}", RuntimeWarning)
+            continue
         train = _load_split(run_dir / f"train_{index}.npz")
         grid = default_score_grid(min(geometry.n_directions, 2))
         skeleton = embed_grid(geometry, grid, train.covariates.mean(axis=0))

@@ -145,7 +145,7 @@ class PosteriorSample:
     def moment_blocks(self, X):
         """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
         the slice of draws a block covers and its fused moments at every row
-        of ``X``, shaped (block draws, rows, M), at most ``BLOCK_ELEMENTS``
+        of ``X``, shaped (block draws, M, rows), at most ``BLOCK_ELEMENTS``
         elements (and one draw) per block."""
         phi = _embed_rows(X)
         step = max(1, BLOCK_ELEMENTS // max(1, len(phi) * self.n_experts))
@@ -178,25 +178,25 @@ class FitDiagnostics:
 
 
 def _experts_part(experts, phi, prior: PriorSpec):
-    """Expert means (S, rows, M), noise variances (S, M) and the group's prior term.
+    """Expert means (S, M, rows), noise variances (S, M) and the group's prior term.
 
     ``experts`` holds each expert's mean coefficients followed by its log
     noise sd, (S, M, n + 2); the density is taken over that log-sd
     coordinate, so the log-sd prior kernel already carries the Jacobian.
     """
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
-    means = phi @ np.swapaxes(coeffs, -1, -2)
+    means = coeffs @ np.swapaxes(phi, -1, -2)
     return means, np.exp(log_sds) ** 2, _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights and their logs (S, rows, M), and the free gate rows' prior term."""
+    """Mixing weights and their logs (S, M, rows), and the free gate rows' prior term."""
     alpha = _softmax_gate(mixing, phi)
     return alpha, _log_weights(alpha), _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
-    """Behavior gate output ``beta`` and ``1 - beta`` (S, rows, 1), and the behavior prior term."""
+    """Behavior gate output ``beta`` and ``1 - beta`` (S, 1, rows), and the behavior prior term."""
     beta = _logistic_gate(behavior, phi)
     return beta, 1.0 - beta, _log_prior_arrays(prior, behavior_coeffs=behavior)
 

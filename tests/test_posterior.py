@@ -501,7 +501,7 @@ class TestSplitRhat:
 
 
 class TestScipyKernelParity:
-    """Swapping the in-repo log-sum-exp kernels back to scipy's moves no draw
+    """Swapping the in-repo log-sum-exp kernel back to scipy's moves no draw
     and no diagnostic by a single bit."""
 
     @pytest.mark.parametrize("n_experts", [1, 3])
@@ -514,24 +514,19 @@ class TestScipyKernelParity:
             return sample, fit_diagnostics(sample, data)
 
         ours, ours_diag = fit()
-        calls, expert_calls = [], []
+        calls = []
 
         def scipy_kernel(a, axis=-1):
             calls.append((axis, a.shape))
             return logsumexp(a, axis=axis)
 
-        def scipy_expert_kernel(a):
-            expert_calls.append(a.shape)
-            return logsumexp(a, axis=-1)
-
         monkeypatch.setattr(anomix.model, "_logsumexp", scipy_kernel)
         monkeypatch.setattr(anomix.posterior, "_logsumexp", scipy_kernel)
-        monkeypatch.setattr(anomix.model, "_expert_logsumexp", scipy_expert_kernel)
         theirs, theirs_diag = fit()
-        # The sampler reduces (chains, rows, M) over its trailing expert axis,
-        # LPPD the (draws, rows) log densities over draws, and PSIS-LOO one
-        # row's draws at a time.
-        assert (settings.chains, len(data), n_experts) in expert_calls
+        # The sampler reduces (chains, M, rows) over its expert axis -2, LPPD
+        # the (draws, rows) log densities over draws, and PSIS-LOO one row's
+        # draws at a time.
+        assert (-2, (settings.chains, n_experts, len(data))) in calls
         assert (0, (theirs.n_draws, len(data))) in calls
         assert (-1, (theirs.n_draws,)) in calls
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):

@@ -13,6 +13,7 @@ import pytest
 from anomix import pipeline
 from anomix.cli import build_parser, main
 from anomix.config import default_config_text, parse_config
+from anomix.explain import default_score_grid, embed_grid, gate_geometry, render_map
 from anomix.pipeline import (
     STAGES,
     StageError,
@@ -23,11 +24,12 @@ from anomix.pipeline import (
     save_posterior,
     stage_diagnose,
     stage_evaluate,
+    stage_explain,
     stage_fit,
     stage_score,
     write_two_index_stream,
 )
-from anomix.posterior import FitDiagnostics, PosteriorSample, sample_posterior
+from anomix.posterior import FitDiagnostics, PosteriorSample, fit_diagnostics, sample_posterior
 
 FAST = dict(
     indices=["hi_a", "hi_b"],
@@ -229,6 +231,66 @@ class TestDiagnoseRhat:
         assert all("R-hat" in m for m in messages)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+class TestArtifactRoundTrip:
+    def test_diagnostics_csv(self, finished_run, tmp_path):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        # 60 draws are too few for PSIS smoothing, so hi_b's Pareto k is NaN.
+        fitted = load_posterior(copy / "posterior_hi_b.npz")
+        arrays = (fitted.expert_coeffs, fitted.expert_sds, fitted.mixing, fitted.behavior)
+        save_posterior(PosteriorSample(*(a[:60] for a in arrays), 0.25, 1, 0), copy / "posterior_hi_b.npz")
+        names = [f.name for f in dataclasses.fields(FitDiagnostics)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stage_diagnose(config, copy)
+            header, rows = read_csv(copy / "diagnostics.csv")
+            assert header == ["index", *names]
+            assert [row[0] for row in rows] == config.indices
+            for index, *values in rows:
+                sample = load_posterior(copy / f"posterior_{index}.npz")
+                want = fit_diagnostics(sample, _load_split(copy / f"train_{index}.npz"))
+                np.testing.assert_allclose(np.array(values, dtype=float), dataclasses.astuple(want), rtol=0, atol=5e-5)
+        assert np.isnan(float(rows[1][names.index("pareto_k_max") + 1]))
+
+    def test_explanation_map_csvs(self, finished_run, tmp_path):
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        # Three experts on hi_a's two covariates (hi_b, load) make a 2-D map;
+        # hi_b keeps its single expert, which has none.
+        rng = np.random.default_rng(3)
+        mixing = rng.normal(size=(20, 3, 3))
+        mixing[:, -1] = 0.0
+        sds = np.exp(0.3 * rng.normal(size=(20, 3)))
+        stack = PosteriorSample(rng.normal(size=(20, 3, 3)), sds, mixing, rng.normal(size=(20, 3)), 0.25, 1, 0)
+        save_posterior(stack, copy / "posterior_hi_a.npz")
+        stage_explain(config, copy)
+        assert not (copy / "explain_hi_b_map.csv").exists()
+
+        sample = load_posterior(copy / "posterior_hi_a.npz")
+        means = _load_split(copy / "train_hi_a.npz").covariates.mean(axis=0)
+        rendered = render_map(embed_grid(gate_geometry(sample), default_score_grid(2), means), sample)
+        header, rows = read_csv(copy / "explain_hi_a_map.csv")
+        assert header == [
+            "score_0", "score_1", "x_0", "x_1", "activation_0", "activation_1", "activation_2",
+            "predictive_mean", "predictive_sd",
+        ]
+        want = np.column_stack(
+            [rendered.grid, rendered.points, rendered.activations, rendered.predictive_mean, rendered.predictive_sd]
+        )
+        np.testing.assert_allclose(np.array(rows, dtype=float), want, rtol=0, atol=5e-7)
+        header, rows = read_csv(copy / "explain_hi_a_arrows.csv")
+        assert header == ["feature", "component_0", "component_1"]
+        arrows = np.array(rows, dtype=float)
+        assert np.array_equal(arrows[:, 0], [0, 1])
+        np.testing.assert_allclose(arrows[:, 1:], rendered.arrows, rtol=0, atol=5e-7)
+
+
 class TestScoreSpans:
     def test_windows_never_cross_a_gap_between_failure_spans(self, tmp_path):
         # Failures at rows 1010 and 2010: the test split holds two spans of
@@ -323,6 +385,24 @@ class TestCli:
         assert code == 0
         assert (run_dir / "detection_report.csv").exists()
         assert (run_dir / "plot_failures.csv").exists()
+
+    @pytest.mark.parametrize("experts, reason", [
+        (3, "expected gate matrix has rank 1 < 2"),
+        (4, "fewer than two significant singular values"),
+    ])
+    def test_gate_without_a_2d_map_is_skipped_with_a_warning(self, stream, tmp_path, experts, reason):
+        # On one covariate every gate row points the same way, so neither the
+        # exact geometry (2-3 experts) nor the SVD reduction (4 or more) exists.
+        telemetry, failures = stream
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**{**FAST, "indices": ["hi_a"], "experts": experts}))
+        run_dir = tmp_path / "run"
+        argv = ["run", "--config", str(config_path), "--data", str(telemetry), "--failures", str(failures),
+                "--out", str(run_dir)]
+        with pytest.warns(RuntimeWarning, match=f"index 'hi_a': no explanation map, since {reason}"):
+            assert main(argv) == 0
+        assert not (run_dir / "explain_hi_a_map.csv").exists()
+        assert (run_dir / "plot_band_hi_a.csv").exists()
 
     def test_stage_verbs_rerun(self, stream, finished_run, tmp_path):
         telemetry, failures = stream
