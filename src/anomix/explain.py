@@ -99,7 +99,8 @@ def gate_geometry(sample: PosteriorSample) -> GateGeometry:
 
     Requires the expected slope matrix (frozen reference row dropped) to
     have full row rank; degenerate gates are reported with the achieved
-    rank so the caller can fall back to the SVD reduction.
+    rank, and with more than two gate rows the caller can fall back to the
+    SVD reduction.
     """
     expected = sample.mixing.mean(axis=0)[:-1]
     if expected.shape[0] == 0:
@@ -108,10 +109,9 @@ def gate_geometry(sample: PosteriorSample) -> GateGeometry:
     slopes = expected[:, 1:]
     rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
     if rank < slopes.shape[0]:
-        raise ValueError(
-            f"expected gate matrix has rank {rank} < {slopes.shape[0]}; "
-            "use the SVD reduction instead"
-        )
+        # reduce_svd needs more than two gate rows; with two or fewer no map exists.
+        advice = "use the SVD reduction instead" if slopes.shape[0] > 2 else "no 2-D map exists"
+        raise ValueError(f"expected gate matrix has rank {rank} < {slopes.shape[0]}; {advice}")
     correction = _correction(slopes) if slopes.shape[0] == 2 else None
     return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), correction)
 

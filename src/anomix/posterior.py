@@ -56,8 +56,9 @@ __all__ = [
 ]
 
 # Working-set budget of one blocked pass over a draw stack, counted in
-# (draws x rows x experts) elements.  It bounds the memory a posterior-wide
-# evaluation adds at any row count, from a test split to a dense map grid.
+# (draws x rows x experts) elements, or (draws x points) weights in PSIS-LOO.
+# It bounds the memory a posterior-wide evaluation adds at any row count,
+# from a test split to a dense map grid.
 BLOCK_ELEMENTS = 2**14
 
 _STACK_FIELDS = ("expert_coeffs", "expert_sds", "mixing", "behavior")
@@ -339,12 +340,26 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_loglik(sample: PosteriorSample, data: Dataset) -> np.ndarray:
-    """(draws x points) conditional log densities."""
+def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = None):
+    """One pass over the fused moments at ``data``: the (draws x points)
+    conditional log densities and, given a ``level``, the central ``level``
+    interval coverage averaged over draws and points with its per-draw
+    spread (else None)."""
+    if level is not None and not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
     ll = np.empty((sample.n_draws, len(data)))
+    per_draw = np.empty(sample.n_draws)
     for block, alpha, means, sds in sample.moment_blocks(data.covariates):
         ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses)
-    return ll
+        if level is not None:
+            # y sits inside the central interval exactly when its CDF value
+            # falls between the two tail probabilities (the CDF is monotone).
+            u = _cdf_from_moments(alpha, means, sds, data.responses)
+            lo = (1.0 - level) / 2.0
+            per_draw[block] = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
+    if level is None:
+        return ll, None
+    return ll, (float(per_draw.mean()), float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0)
 
 
 def _lppd(ll: np.ndarray) -> float:
@@ -353,74 +368,20 @@ def _lppd(ll: np.ndarray) -> float:
 
 def lppd(sample: PosteriorSample, data: Dataset) -> float:
     """Log pointwise predictive density: per point, log of the draw-average density."""
-    return _lppd(_pointwise_loglik(sample, data))
-
-
-def _fit_gpd(excesses: np.ndarray):
-    """Zhang & Stephens (2009) posterior-mean estimate of the GPD shape/scale.
-
-    The simple moment estimator cannot produce shapes above 0.5, which
-    would make the heavy-tail diagnostic unreachable; this profile
-    estimator is the standard choice for importance-weight smoothing.
-    """
-    x = np.sort(excesses)
-    n = len(x)
-    m_grid = 30 + int(math.sqrt(n))
-    b = 1.0 - np.sqrt(m_grid / (np.arange(m_grid, dtype=float) + 0.5))
-    b = b / (3.0 * x[(n - 2) // 4]) + 1.0 / x[-1]
-    k = np.log1p(-b[:, None] * x).mean(axis=1)
-    log_lik = n * (np.log(-(b / k)) - k - 1.0)
-    weights = 1.0 / np.exp(log_lik - log_lik[:, None]).sum(axis=1)
-    b_post = float(np.sum(b * weights) / weights.sum())
-    k_post = float(np.log1p(-b_post * x).mean())
-    sigma = -k_post / b_post
-    # Weakly regularize the shape toward 0.5 at small tail sizes.
-    k_hat = (n * k_post + 5.0) / (n + 10.0)
-    return k_hat, sigma
-
-
-def _gpd_quantile(p: np.ndarray, mu: float, sigma: float, k: float) -> np.ndarray:
-    if abs(k) < 1e-12:
-        return mu - sigma * np.log1p(-p)
-    return mu + sigma / k * ((1.0 - p) ** (-k) - 1.0)
-
-
-def _smooth_log_weights(lw: np.ndarray):
-    """Pareto-smooth one point's shifted log importance weights in place."""
-    s = len(lw)
-    tail_len = int(min(math.ceil(0.2 * s), math.ceil(3.0 * math.sqrt(s))))
-    if tail_len < 5:
-        return lw, math.nan
-    order = np.argsort(lw)
-    w = np.exp(lw)
-    mu = w[order[s - tail_len - 1]]
-    tail_idx = order[s - tail_len :]
-    excesses = w[tail_idx] - mu
-    # Chains repeat rejected states, so ties with the threshold weight show
-    # up as sub-ulp excesses; they would wreck the tail fit.
-    positive = excesses[excesses > 1e-10 * excesses.max()]
-    if len(positive) < 5 or np.ptp(positive) < 1e-12 * positive[-1]:
-        return lw, math.nan
-    k_hat, sigma = _fit_gpd(positive)
-    if not (math.isfinite(k_hat) and math.isfinite(sigma)):
-        return lw, math.nan
-    probs = (np.arange(tail_len) + 0.5) / tail_len
-    smoothed = np.minimum(_gpd_quantile(probs, mu, sigma, k_hat), w.max())
-    out = lw.copy()
-    out[tail_idx] = np.log(smoothed)
-    return out, k_hat
+    return _lppd(_pointwise(sample, data)[0])
 
 
 def psis_loo(sample: PosteriorSample, data: Dataset):
     """Leave-one-out predictive fit from one posterior sample.
 
-    Importance ratios are the reciprocal pointwise densities; the largest
-    20% per point are replaced by fitted generalized-Pareto quantiles
-    (truncated at the raw maximum).  Returns ``(estimate, se, pareto_k)``;
-    larger estimates indicate better fit, and ``pareto_k > 0.7`` flags
-    points whose weights are too heavy-tailed to trust.
+    Importance ratios are the reciprocal pointwise densities.  Per point,
+    the largest ``min(ceil(0.2 S), ceil(3 sqrt(S)))`` of its S ratios (85
+    of 800) are replaced by fitted generalized-Pareto quantiles (truncated
+    at the raw maximum).  Returns ``(estimate, se, pareto_k)``; larger
+    estimates indicate better fit, and ``pareto_k > 0.7`` flags points
+    whose weights are too heavy-tailed to trust.
     """
-    return _psis_loo(_pointwise_loglik(sample, data))
+    return _psis_loo(_pointwise(sample, data)[0])
 
 
 def _psis_loo(ll: np.ndarray):
@@ -431,17 +392,66 @@ def _psis_loo(ll: np.ndarray):
             f"only {s} draws available; PSIS smoothing disabled, using raw importance weights",
             RuntimeWarning,
         )
+    tail_len = int(min(math.ceil(0.2 * s), math.ceil(3.0 * math.sqrt(s))))
     elpd = np.empty(n)
     k_hat = np.full(n, math.nan)
-    for i in range(n):
-        lw = -ll[:, i]
-        lw -= lw.max()
-        if smooth and np.ptp(lw) > 1e-12:
-            lw, k_hat[i] = _smooth_log_weights(lw)
-        elpd[i] = _logsumexp(lw + ll[:, i]) - _logsumexp(lw)
+    step = max(1, BLOCK_ELEMENTS // s)
+    for start in range(0, n, step):
+        points = slice(start, start + step)
+        lw = -ll[:, points]
+        lw -= lw.max(axis=0)
+        if smooth and tail_len >= 5:
+            k_hat[points] = _pareto_smooth(lw, tail_len)
+        elpd[points] = _logsumexp(lw + ll[:, points], axis=0) - _logsumexp(lw, axis=0)
     estimate = float(elpd.sum())
     se = float(math.sqrt(n * elpd.var(ddof=1))) if n > 1 else 0.0
     return estimate, se, k_hat
+
+
+def _pareto_smooth(lw: np.ndarray, tail_len: int) -> np.ndarray:
+    """Pareto-smooth in place the top ``tail_len`` of each column of shifted
+    log weights (draws, points), whose maxima are 0; returns each column's
+    k-hat, NaN where its weights are left as they are.
+
+    Each tail takes the Zhang & Stephens (2009) posterior-mean GPD fit, its
+    shape weakly regularised toward 0.5.  The moment estimator cannot give
+    shapes above 0.5, which would make the heavy-tail diagnostic unreachable.
+    """
+    k_hat = np.full(lw.shape[1], math.nan)
+    # Points with a spread; each one's tail and, in row 0, its threshold mu.
+    cols = np.flatnonzero(-lw.min(axis=0) > 1e-12)
+    order = np.argsort(lw[:, cols], axis=0)[len(lw) - tail_len - 1 :]
+    w = np.exp(lw[order, cols])
+    excesses = w[1:] - w[0]
+    # Chains repeat rejected states, so ties with the threshold weight show
+    # up as sub-ulp excesses; they would wreck the tail fit.  The n positive
+    # excesses of a point are a suffix of its sorted tail.
+    n = (excesses > 1e-10 * excesses.max(axis=0)).sum(axis=0)
+    low = excesses[np.minimum(tail_len - n, tail_len - 1), np.arange(len(cols))]
+    fit = (n >= 5) & (excesses[-1] - low >= 1e-12 * excesses[-1])
+    cols, order, w, excesses, n = cols[fit], order[:, fit], w[:, fit], excesses[:, fit], n[fit]
+    x = np.where(np.arange(tail_len)[:, None] >= tail_len - n, excesses, 0.0)  # log1p(-b * 0) adds 0
+    m_grid = 30 + np.sqrt(n).astype(int)
+    grid = np.arange(m_grid.max(initial=30), dtype=float)[:, None]
+    b = 1.0 - np.sqrt(m_grid / (grid + 0.5))
+    b = b / (3.0 * excesses[tail_len - n + (n - 2) // 4, np.arange(len(n))]) + 1.0 / excesses[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.log1p(-b[:, None] * x).sum(axis=1) / n
+        log_lik = np.where(grid < m_grid, n * (np.log(-(b / k)) - k - 1.0), -np.inf)
+        weights = np.exp(log_lik - _logsumexp(log_lik, axis=0))
+        b_post = np.sum(b * weights, axis=0) / weights.sum(axis=0)
+        k_post = np.log1p(-b_post * x).sum(axis=0) / n
+        sigma = -k_post / b_post
+        shape = (n * k_post + 5.0) / (n + 10.0)
+        ok = np.isfinite(shape) & np.isfinite(sigma)
+        cols, order, mu, sigma, shape = cols[ok], order[1:, ok], w[0, ok], sigma[ok], shape[ok]
+        # GPD quantiles at the tail's plotting positions, truncated at the
+        # raw maximum weight exp(0) = 1.
+        p = (np.arange(tail_len)[:, None] + 0.5) / tail_len
+        gpd = np.where(abs(shape) < 1e-12, mu - sigma * np.log1p(-p), mu + sigma / shape * ((1.0 - p) ** -shape - 1.0))
+    lw[order, cols] = np.log(np.minimum(gpd, 1.0))
+    k_hat[cols] = shape
+    return k_hat
 
 
 def cic(sample: PosteriorSample, data: Dataset, level: float = 0.95):
@@ -450,19 +460,7 @@ def cic(sample: PosteriorSample, data: Dataset, level: float = 0.95):
     Returns ``(coverage, se)`` where the standard error is the spread of
     the per-draw coverages.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    lo = (1.0 - level) / 2.0
-    hi = 1.0 - lo
-    per_draw = np.empty(sample.n_draws)
-    for block, alpha, means, sds in sample.moment_blocks(data.covariates):
-        # y sits inside the central interval exactly when its CDF value
-        # falls between the two tail probabilities (the CDF is monotone).
-        u = _cdf_from_moments(alpha, means, sds, data.responses)
-        per_draw[block] = np.mean((u >= lo) & (u <= hi), axis=-1)
-    coverage = float(per_draw.mean())
-    se = float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0
-    return coverage, se
+    return _pointwise(sample, data, level)[1]
 
 
 def posterior_predictive_cdf(sample: PosteriorSample, X, y) -> np.ndarray:
@@ -499,11 +497,14 @@ def _rank_normal(draws: np.ndarray) -> np.ndarray:
     """Normal scores of each parameter's ranks, pooled over (chains, draws, P);
     tied draws, as repeated rejected states are, share their average rank."""
     flat = draws.reshape(-1, draws.shape[-1])
-    ranks = np.empty_like(flat)
-    for j, column in enumerate(flat.T):
-        _, tie_group, counts = np.unique(column, return_inverse=True, return_counts=True)
-        ranks[:, j] = (np.cumsum(counts) - (counts - 1) / 2)[tie_group]
-    return ndtri((ranks - 0.375) / (len(flat) + 0.25)).reshape(draws.shape)
+    n = len(flat)
+    # Tied draws take mirrored places within their group in stable sorts of
+    # the column and of the column reversed, so the two average to its mid-rank.
+    place = np.arange(n, dtype=float)[:, None]
+    up, down = np.empty_like(flat), np.empty_like(flat)
+    np.put_along_axis(up, np.argsort(flat, axis=0, kind="stable"), place, axis=0)
+    np.put_along_axis(down, n - 1 - np.argsort(flat[::-1], axis=0, kind="stable"), place, axis=0)
+    return ndtri(((up + down) / 2 + 1.0 - 0.375) / (n + 0.25)).reshape(draws.shape)
 
 
 def _rhat(z: np.ndarray) -> np.ndarray:
@@ -543,9 +544,8 @@ def _rhat_max(sample: PosteriorSample) -> float:
 
 def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95) -> FitDiagnostics:
     """Bundle LPPD, PSIS-LOO, coverage and the worst split R-hat into one report."""
-    ll = _pointwise_loglik(sample, data)
+    ll, (coverage, coverage_se) = _pointwise(sample, data, level)
     loo, loo_se, k_hat = _psis_loo(ll)
-    coverage, coverage_se = cic(sample, data, level)
     return FitDiagnostics(
         lppd=_lppd(ll),
         psis_loo=loo,

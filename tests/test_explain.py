@@ -104,6 +104,18 @@ class TestGateGeometry:
         with pytest.raises(ValueError, match="rank 1"):
             gate_geometry(sample)
 
+    def test_rank_deficient_advice_follows_the_row_count(self):
+        # Two gate rows: reduce_svd refuses them, so no map is the answer.
+        two = sample_from_gate(full_gate(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2)), 3, 2)
+        with pytest.raises(ValueError, match="rank 1 < 2; no 2-D map exists$"):
+            gate_geometry(two)
+        # Three rows of rank 2: the SVD reduction exists.
+        slopes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        three = sample_from_gate(full_gate(slopes, np.zeros(3)), 4, 3)
+        with pytest.raises(ValueError, match="rank 2 < 3; use the SVD reduction instead$"):
+            gate_geometry(three)
+        assert reduce_svd(slopes).shape == (2, 3)
+
     def test_single_expert_has_no_geometry(self):
         sample = sample_from_gate(np.zeros((1, 3)), 1, 2)
         with pytest.raises(ValueError):

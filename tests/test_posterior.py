@@ -7,13 +7,17 @@ code paths at unit scale.
 
 import dataclasses
 import math
+import warnings
 from dataclasses import astuple
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import psis_loo_per_point, rank_normal_ranks
 from scipy.optimize import brentq
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, ndtri
 
 import anomix.model
 import anomix.posterior
@@ -32,12 +36,15 @@ from anomix.model import (
     log_prior,
 )
 from anomix.posterior import (
+    BLOCK_ELEMENTS,
     FitDiagnostics,
     PosteriorSample,
     SamplerSettings,
     _LockstepTarget,
     _PARTS,
     _log_target,
+    _psis_loo,
+    _rank_normal,
     _rhat_max,
     _split_rhat,
     cic,
@@ -249,6 +256,81 @@ class TestPsisLoo:
         _, _, k = psis_loo(sample, data)
         assert k.shape == (len(data),)
         assert np.nanmax(k) < 0.7  # well-specified model, healthy weights
+
+
+@st.composite
+def loglik_arrays(draw):
+    """(draws x points) log densities: heavy or light tails, optionally
+    repeated draws (tied rows, as Metropolis chains give), constant or
+    nearly constant columns and columns with only a few distinct largest
+    weights."""
+    s = draw(st.sampled_from([40, 99, 100, 160, 224, 225, 400, 800]))
+    step = max(1, BLOCK_ELEMENTS // s)
+    n = draw(st.one_of(st.just(1), st.integers(2, min(3 * step // 2, 300))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = rng.uniform(0.05, 4.0)
+    if draw(st.booleans()):
+        ll = -scale * np.abs(rng.standard_t(2.0, size=(s, n)))
+    else:
+        ll = rng.normal(-1.0, scale, size=(s, n))
+    if draw(st.booleans()):
+        ll = ll[np.sort(rng.integers(0, max(1, s // draw(st.sampled_from([2, 5, 20]))), size=s))]
+    flat = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    # Constant columns, or ones whose spread (below 1e-12) PSIS ignores.
+    ll[:, flat] = -1.5 + draw(st.sampled_from([0.0, 1e-13])) * rng.standard_normal((s, flat.sum()))
+    for j in np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.3]))):
+        # A few draws hold the largest weights, distinct or all equal, and
+        # every other draw ties with the threshold.
+        top = rng.choice(s, size=int(rng.integers(1, 9)), replace=False)
+        ll[:, j] = -1.0
+        ll[top, j] = -2.0 - (rng.uniform(0.5, 3.0, len(top)) if rng.random() < 0.5 else 1.0)
+    return ll
+
+
+class TestBatchedPsisMatchesPerPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(loglik_arrays())
+    def test_estimate_se_and_k_hat(self, ll):
+        s, n = ll.shape
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate, se, k_hat = _psis_loo(ll)
+        disabled = [w for w in caught if "PSIS smoothing disabled" in str(w.message)]
+        assert len(disabled) == (1 if s < 100 else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_estimate, want_se, want_k = psis_loo_per_point(ll)
+        np.testing.assert_allclose(estimate, want_estimate, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=1e-12)
+        assert k_hat.shape == (n,)
+        assert np.array_equal(np.isnan(k_hat), np.isnan(want_k))
+        np.testing.assert_allclose(k_hat, want_k, rtol=0.0, atol=1e-12, equal_nan=True)
+        if s < 100:
+            assert np.isnan(k_hat).all()
+
+    def test_cases_the_guards_catch(self):
+        # Column 0 is constant, column 1 has three distinct largest weights,
+        # column 2 six equal ones, and column 3 a smooth tail.
+        rng = np.random.default_rng(0)
+        ll = np.full((225, 4), -1.0)
+        ll[:3, 1] = [-3.0, -3.5, -4.0]
+        ll[:6, 2] = -3.0
+        ll[:, 3] = rng.normal(size=225)
+        _, _, k_hat = _psis_loo(ll)
+        assert np.isnan(k_hat[:3]).all() and np.isfinite(k_hat[3])
+        assert k_hat[3] == pytest.approx(psis_loo_per_point(ll)[2][3], abs=1e-12)
+
+
+class TestRankNormal:
+    @pytest.mark.parametrize("shape", [(2, 8, 3), (4, 50, 5), (1, 7, 1)])
+    def test_matches_per_column_unique(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        draws = rng.integers(-3, 4, size=shape).astype(float)  # heavy ties
+        draws[..., 0] = np.round(rng.normal(size=shape[:-1]), 1)
+        draws[0, 0, -1] = -0.0  # equal to 0.0, so one tie group with it
+        flat = draws.reshape(-1, shape[-1])
+        want = ndtri((rank_normal_ranks(flat) - 0.375) / (len(flat) + 0.25)).reshape(shape)
+        assert np.array_equal(_rank_normal(draws), want)
 
 
 class TestCic:
@@ -524,11 +606,12 @@ class TestScipyKernelParity:
         monkeypatch.setattr(anomix.posterior, "_logsumexp", scipy_kernel)
         theirs, theirs_diag = fit()
         # The sampler reduces (chains, M, rows) over its expert axis -2, LPPD
-        # the (draws, rows) log densities over draws, and PSIS-LOO one row's
-        # draws at a time.
+        # the (draws, rows) log densities over draws, PSIS-LOO one block of
+        # rows' smoothed weights over draws (twice) and the GPD profile's
+        # log-likelihoods over a grid of at least 30 values.
         assert (-2, (settings.chains, n_experts, len(data))) in calls
-        assert (0, (theirs.n_draws, len(data))) in calls
-        assert (-1, (theirs.n_draws,)) in calls
+        assert calls.count((0, (theirs.n_draws, len(data)))) == 3
+        assert any(axis == 0 and shape[0] >= 30 and shape != (theirs.n_draws, len(data)) for axis, shape in calls)
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert ours.acceptance_rate == theirs.acceptance_rate
