@@ -10,16 +10,14 @@ Passing ``Q`` through that CDF and folding around 1/2 produces a score
 that is itself uniform on (0, 1) for healthy data and approaches 1
 whenever the window sits in either tail.
 
-The CDF takes one path per weight vector (``sum_cdf``): up to 12 kept
-weights, Horner's rule on a per-knot Taylor table built once per weight
-vector, within about 2e-16 of the exact CDF; above that, the alternating
-power-set series with a compensated sum, whose cancellation grows with
-the window.
+``sum_cdf`` answers every query inside the support by Horner's rule on a
+per-knot Taylor table, built once per weight vector, within about 2e-16
+of the exact CDF.  Windows hold at most ``MAX_WINDOW`` weights, because
+the table's build doubles in cost with every added weight.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -47,18 +45,9 @@ __all__ = [
 # continuous on a compact support and must never see an exact endpoint.
 PIT_EPS = 1e-15
 
-# 2**20 cached subset sums is about 1M entries; beyond that the exact
-# formula stops being a sensible choice.
-MAX_WINDOW = 20
-
-# Most (query, subset sum) terms one chunk of a batched CDF call holds,
-# 128 KB per dense float array; a query whose prefix alone is longer
-# (windows of 15 or more) gets a chunk of its own.
-_CHUNK_ELEMENTS = 2**14
-
-# Windows of at most this many kept weights get the per-knot Taylor table:
-# its knot-to-knot build costs O(2**n * n**2) double-double operations.
-_TABLE_DEGREE = 12
+# Longest window: the per-knot Taylor table's knot-to-knot build costs
+# O(2**n * n**2) double-double operations, about 0.4 s at 12 weights.
+MAX_WINDOW = 12
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -113,11 +102,11 @@ class WeightedUniformSumDist:
 
     ``subset_sums`` holds all partial sums of the weights in ascending
     order with matching cardinality-parity signs, and ``subset_lows`` their
-    rounding errors; a series query only touches the prefix of sums
-    strictly below the query point.  ``n`` is the window length; ``degree``
-    is the number of weights actually kept.  Weights are dropped only when
-    double precision cannot represent the normalizing constant, and the
-    dropped mass never exceeds 1e-6, which bounds the resulting CDF shift.
+    rounding errors; they are the knots of ``taylor_table``.  ``n`` is the
+    window length; ``degree`` is the number of weights actually kept.
+    Weights are dropped only when double precision cannot represent the
+    normalizing constant, and the dropped mass never exceeds 1e-6, which
+    bounds the resulting CDF shift.
     """
 
     weights: WeightVector
@@ -205,9 +194,9 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
         raise ValueError(f"window length {n} exceeds the supported maximum {MAX_WINDOW}")
     kept = w.weights
     if _log_norm(kept) <= _LOG_TINY:
-        # The normalizing constant underflows, so the alternating sum is
-        # hopeless as written: shed the smallest weights (at most 1e-6 of
-        # total mass) until the sum is representable and conditioned.
+        # The normalizing constant underflows, so the table cannot be
+        # scaled by it: shed the smallest weights (at most 1e-6 of total
+        # mass) until it is representable and at least 1e6 * 2**(n - 53).
         kept = np.sort(kept)
         dropped = 0.0
         while len(kept) > 1 and dropped + kept[0] <= 1e-6:
@@ -222,9 +211,8 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
             kept = kept[1:]
     degree = len(kept)
     count = 1 << degree
-    # Subset sums are accumulated in double-double precision so that each
-    # cached value is the correctly rounded sum of its weights; the
-    # alternating CDF series is very sensitive to knot placement.
+    # Subset sums are accumulated in double-double precision, so each knot
+    # is its weights' sum as a rounded value plus its exact rounding error.
     hi = np.zeros(count)
     lo = np.zeros(count)
     sizes = np.zeros(count, dtype=np.int64)
@@ -267,57 +255,14 @@ def _two_sum_columns(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms[0], errs
 
 
-def _interior_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
-    """CDF at ascending queries strictly inside the support, chunk by chunk.
-
-    A chunk holds as many queries as fit in ``_CHUNK_ELEMENTS`` terms at
-    its longest prefix of subset sums, and at least one query.
-    """
-    prefix = np.searchsorted(dist.subset_sums, qs, side="left").tolist()
-    vals = np.empty(len(qs))
-    start = 0
-    while start < len(qs):
-        fits = bisect.bisect_right(
-            range(start + 1, len(qs) + 1), _CHUNK_ELEMENTS, key=lambda j: (j - start) * prefix[j - 1]
-        )
-        stop = start + max(1, fits)
-        width = prefix[stop - 1]
-        # Sums at or past a query give a clipped difference of 0, so shorter
-        # prefixes padded to the chunk's width add exact zeros.
-        diffs = np.maximum(qs[start:stop] - dist.subset_sums[:width, None], 0.0)
-        signs = dist.subset_signs[:width, None]
-        # float_power routes through libm pow, which rounds more tightly
-        # than repeated multiplication; the series lives off cancellation.
-        sums, errs = _two_sum_columns(signs * np.float_power(diffs, dist.degree))
-        vals[start:stop] = (sums + errs) / dist.norm_const
-        start = stop
-    return vals
-
-
-def _table_cdf(dist: WeightedUniformSumDist, qs: np.ndarray) -> np.ndarray:
-    """CDF at queries strictly inside the support, in any order, by Horner's
-    rule on their knot's ``taylor_table`` column in the offset from the knot."""
-    knots = np.searchsorted(dist.subset_sums, qs, side="left") - 1
-    table = dist.taylor_table
-    t = (qs - dist.subset_sums[knots]) - dist.subset_lows[knots]
-    vals = table[-1, knots]
-    for row in table[-2::-1]:
-        vals = vals * t + row[knots]
-    return vals
-
-
 def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     """CDF of the weighted uniform sum at every query in ``q``.
 
     ``q`` is a scalar or an array of any shape; a 0-d query returns a
     ``float`` and any other an array of ``q``'s shape.  A NaN anywhere in
-    ``q`` has no probability and raises.  Queries inside the support take
-    one path, chosen by the number of kept weights: up to
-    ``_TABLE_DEGREE``, Horner's rule on their knot's ``taylor_table``
-    column, within about 2e-16 of the exact CDF; above it, the
-    alternating series over the subset sums below each query, added by a
-    compensated pairwise (TwoSum) sum in chunks of ``_CHUNK_ELEMENTS``
-    terms, whose error grows with the window.
+    ``q`` has no probability and raises.  A query inside the support takes
+    Horner's rule on its knot's ``taylor_table`` column in its offset from
+    the knot, within about 2e-16 of the exact CDF.
     """
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
@@ -325,12 +270,12 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     out = np.where(q >= dist.support_end, 1.0, 0.0)
     inside = (q > 0.0) & (q < dist.support_end)
     interior = q[inside]
-    if dist.degree <= _TABLE_DEGREE:
-        vals = _table_cdf(dist, interior)
-    else:
-        order = np.argsort(interior)
-        vals = np.empty(len(order))
-        vals[order] = _interior_cdf(dist, interior[order])
+    knots = np.searchsorted(dist.subset_sums, interior, side="left") - 1
+    t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
+    table = dist.taylor_table
+    vals = table[-1, knots]
+    for row in table[-2::-1]:
+        vals = vals * t + row[knots]
     out[inside] = np.clip(vals, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -91,7 +91,7 @@ def _naming(*keys):
 # on; keys that a consumer checks against each other are checked together.
 _CONSUMERS = {
     **{f.name: (PriorSpec, f.name) for f in fields(PriorSpec)},
-    **{f.name: (SamplerSettings, f.name) for f in fields(SamplerSettings) if f.name != "seed"},
+    **{f.name: (SamplerSettings, f.name) for f in fields(SamplerSettings)},
     "margin_days": (SplitSpec, "margin_days"),
     "subsample_fraction": (SplitSpec, "fraction"),
     "train_size": (SplitSpec, "train_size"),
@@ -159,16 +159,16 @@ class PipelineConfig:
             with _naming(*keys):
                 consumer(**{_CONSUMERS[key][1]: getattr(self, key) for key in keys})
 
-    def _consumer(self, consumer, **extra):
+    def _consumer(self, consumer):
         """``consumer`` built from the config keys it reads."""
         values = {name: getattr(self, key) for key, (cls, name) in _CONSUMERS.items() if cls is consumer}
-        return consumer(**values, **extra)
+        return consumer(**values)
 
     def prior_spec(self) -> PriorSpec:
         return self._consumer(PriorSpec)
 
     def sampler_settings(self) -> SamplerSettings:
-        return self._consumer(SamplerSettings, seed=self.seed)
+        return self._consumer(SamplerSettings)
 
     def split_spec(self) -> SplitSpec:
         return self._consumer(SplitSpec)

@@ -113,8 +113,8 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
     Returns ``(timestamps, values, rejected)`` where ``values`` maps each
     requested column to a float vector and ``rejected`` lists
     ``(line_number, reason)`` for rows that failed to parse or had missing
-    or non-finite fields.  Rows are sorted by timestamp, stably, so duplicates keep
-    their file order.
+    or non-finite fields, the machine cell included.  Rows are sorted by
+    timestamp, stably, so duplicates keep their file order.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -130,8 +130,13 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
         values = {c: [] for c in columns}
         rejected = []
         for lineno, row in enumerate(reader, start=2):
-            if machine_column and row.get(machine_column, "").strip() != machine_id:
-                continue
+            if machine_column:
+                machine = row.get(machine_column)
+                if machine is None:  # the row stops before its machine cell: whose it is is unknown
+                    rejected.append((lineno, f"missing value in column {machine_column!r}"))
+                    continue
+                if machine.strip() != machine_id:
+                    continue
             try:
                 ts = _parse_timestamp(row[timestamp_column])
             except (ValueError, TypeError, AttributeError):
@@ -170,8 +175,9 @@ def read_failures(path, timestamp_column: str = "datetime", machine_column: str 
     """Failure log CSV (machine id, failure timestamp, component) to windows.
 
     Each record becomes a point failure window; duplicate timestamps
-    collapse to one window.  A missing column or an unparseable timestamp
-    is an error, since a dropped failure would go unscored.
+    collapse to one window.  A missing column, a row without its machine
+    cell or an unparseable timestamp is an error, since a dropped failure
+    would go unscored.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -182,8 +188,12 @@ def read_failures(path, timestamp_column: str = "datetime", machine_column: str 
             raise ValueError(f"{path}: missing columns {missing}")
         stamps = []
         for lineno, row in enumerate(reader, start=2):
-            if machine_column and row.get(machine_column, "").strip() != machine_id:
-                continue
+            if machine_column:
+                machine = row.get(machine_column)
+                if machine is None:
+                    raise ValueError(f"{path}: line {lineno}: missing value in column {machine_column!r}")
+                if machine.strip() != machine_id:
+                    continue
             try:
                 stamps.append(_parse_timestamp(row[timestamp_column]))
             except (ValueError, TypeError, AttributeError):

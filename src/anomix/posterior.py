@@ -84,6 +84,8 @@ class SamplerSettings:
             raise ValueError("iterations must exceed burn_in and burn_in must be non-negative")
         if not 0.0 < self.target_acceptance < 1.0:
             raise ValueError("target_acceptance must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -156,6 +156,17 @@ class TestIngest:
         assert "non-finite" in rejected[0][1] and "'load'" in rejected[0][1]
         assert "'hi_a'" in rejected[1][1]
 
+    def test_row_cut_short_before_the_machine_cell_is_rejected(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "datetime,volt,rotate,pressure,vibration,machineID\n"
+            "2015-01-01 06:00:00,176.2,418.5,113.1,45.1,1\n"
+            "2015-01-01 07:00:00,162.9,402.7,95.5,43.4\n"
+        )
+        data, rejected = ingest_csv(path, azure_schema())
+        assert data.responses.tolist() == [45.1]
+        assert rejected == [(3, "missing value in column 'machineID'")]
+
     def test_dataset_refuses_non_finite_values(self):
         ts = np.array(["2024-01-01T00:00:00", "2024-01-01T01:00:00"], dtype="datetime64[s]")
         with pytest.raises(ValueError, match="finite"):
@@ -179,6 +190,12 @@ class TestIngest:
         path = tmp_path / "failures.csv"
         path.write_text("datetime,failure\n2015-01-05 06:00:00,comp4\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing columns ['machineID']")):
+            read_failures(path, "datetime", "machineID", "1")
+
+    def test_failure_log_row_cut_short_names_path_and_line(self, tmp_path):
+        path = tmp_path / "failures.csv"
+        path.write_text("datetime,failure,machineID\n2015-01-05 06:00:00,comp4,1\n2015-03-06 06:00:00,comp1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: missing value in column 'machineID'")):
             read_failures(path, "datetime", "machineID", "1")
 
     def test_failure_log_bad_timestamp_names_path_and_line(self, tmp_path):
@@ -366,12 +383,12 @@ class TestConfig:
             other = parse_config(default_config_text().replace(line, replacement))
             assert other.config_hash() != base.config_hash()
 
-    @pytest.mark.parametrize("window_k", [25, 20, -3])
+    @pytest.mark.parametrize("window_k", [12, 19, 20, 25, -3])
     def test_window_k_out_of_range_rejected(self, window_k):
         with pytest.raises(ValueError, match="window_k"):
             parse_config(default_config_text(window_k=window_k))
 
-    @pytest.mark.parametrize("window_k", [0, 19])
+    @pytest.mark.parametrize("window_k", [0, 11])
     def test_window_k_range_ends_accepted(self, window_k):
         assert parse_config(default_config_text(window_k=window_k)).window_k == window_k
 
@@ -409,6 +426,7 @@ class TestConfig:
             ("margin_days", -1.0),
             ("decay", 0.0),
             ("decay", 200.0),
+            ("seed", -1),
         ],
     )
     def test_bad_setting_rejected_at_load(self, key, value):

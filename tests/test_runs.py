@@ -546,6 +546,21 @@ class TestCli:
         assert err.startswith(f"{config_path}: ") and "Traceback" not in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, argv, key",
+        [({"window_k": 12}, [], "window_k"), ({"seed": -1}, [], "seed"), ({}, ["--seed", "-5"], "seed")],
+        ids=["window_k-12", "seed--1", "seed-override--5"],
+    )
+    def test_fit_refuses_a_bad_key_before_fitting(self, tmp_path, capsys, overrides, argv, key):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**dict(FAST, **overrides)))
+        run_dir = tmp_path / "run"
+        paths = ["--config", str(config_path), "--out", str(run_dir), "--data", "t.csv", "--failures", "f.csv"]
+        assert main(["fit", *paths, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{config_path}: ") and f"bad value for {key!r}: " in err
+        assert not run_dir.exists()
+
     @pytest.mark.parametrize("name, reason", [("absent.cfg", "No such file or directory"), ("", "Is a directory")])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, name, reason):
         config_path = tmp_path / name
