@@ -270,13 +270,14 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     out = np.where(q >= dist.support_end, 1.0, 0.0)
     inside = (q > 0.0) & (q < dist.support_end)
     interior = q[inside]
-    knots = np.searchsorted(dist.subset_sums, interior, side="left") - 1
-    t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
-    table = dist.taylor_table
-    vals = table[-1, knots]
-    for row in table[-2::-1]:
-        vals = vals * t + row[knots]
-    out[inside] = np.clip(vals, 0.0, 1.0)
+    if interior.size:  # the table is built on first use: only queries inside the support need it
+        knots = np.searchsorted(dist.subset_sums, interior, side="left") - 1
+        t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
+        table = dist.taylor_table
+        vals = table[-1, knots]
+        for row in table[-2::-1]:
+            vals = vals * t + row[knots]
+        out[inside] = np.clip(vals, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -353,10 +354,8 @@ def score_series(
         raise ValueError(f"dataset has {len(data)} rows, need at least {length}")
     dist = _window_dist(length, decay if decay is not None else default_decay(k))
     per_draw = _draw_scores(sample, data.covariates, data.responses, dist)
+    low, high = np.quantile(per_draw, [0.05, 0.95], axis=0)
     return AnomalyScoreSeries(
-        timestamps=data.timestamps[k:],
-        as_values=per_draw.mean(axis=0),
-        threshold=threshold,
-        theta_low=np.quantile(per_draw, 0.05, axis=0),
-        theta_high=np.quantile(per_draw, 0.95, axis=0),
+        timestamps=data.timestamps[k:], as_values=per_draw.mean(axis=0), threshold=threshold,
+        theta_low=low, theta_high=high,
     )

@@ -159,6 +159,9 @@ class PriorSpec:
         for name in ("mean_coeff_scale", "gate_coeff_scale", "noise_log_scale"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        # The constant terms of the mean-coefficient, log-sd and gate-coefficient log densities.
+        mean, gate = (-np.log(2.0 * scale) for scale in (self.mean_coeff_scale, self.gate_coeff_scale))
+        object.__setattr__(self, "_log_norms", (mean, -np.log(self.noise_log_scale) - 0.5 * LOG_2PI, gate))
 
 
 @dataclass(frozen=True)
@@ -226,17 +229,19 @@ def _logistic_gate(behavior_coeffs, phi):
     return expit(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))
 
 
-def _fuse(alpha, beta, rest, means, variances):
-    """Fused means and variances: each expert's mean and variance move toward
-    the ``alpha``-weighted blend, keeping weight ``beta`` on its own and
-    ``rest = 1 - beta`` on the blend.  ``means`` (..., M, rows) broadcasts
-    against the gates; ``variances`` is (..., M).  The blend variance
-    contracts M in a matmul over a contiguous (..., rows, M) copy of
-    ``alpha``: ``variances[..., None, :] @ alpha`` rounds differently from
-    three experts on, and would move every draw."""
-    blend_mean = (alpha * means).sum(axis=-2, keepdims=True)
-    blend_var = np.ascontiguousarray(np.swapaxes(alpha, -1, -2)) @ variances[..., None]
-    return beta * means + rest * blend_mean, beta * variances[..., None] + rest * np.swapaxes(blend_var, -1, -2)
+def _blend(alpha, means, variances, alpha_rows=None):
+    """The ``alpha``-weighted blend (..., 1, rows) of the expert means (..., M, rows) and variances (..., M).
+    The variance contracts M in a matmul over ``alpha_rows``, a contiguous (..., rows, M) copy of ``alpha``
+    made here unless given: ``variances[..., None, :] @ alpha`` rounds differently from three experts on."""
+    alpha_rows = np.ascontiguousarray(np.swapaxes(alpha, -1, -2)) if alpha_rows is None else alpha_rows
+    return (alpha * means).sum(axis=-2, keepdims=True), np.swapaxes(alpha_rows @ variances[..., None], -1, -2)
+
+
+def _fuse(beta, rest, means, variances, blend):
+    """Fused means and variances: each expert's move toward the ``blend``,
+    keeping weight ``beta`` on its own and ``rest = 1 - beta`` on the blend."""
+    blend_mean, blend_var = blend
+    return beta * means + rest * blend_mean, beta * variances[..., None] + rest * blend_var
 
 
 def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
@@ -251,7 +256,8 @@ def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    fused, fused_var = _fuse(alpha, beta, 1.0 - beta, coeffs @ np.swapaxes(phi, -1, -2), sds**2)
+    means, variances = coeffs @ np.swapaxes(phi, -1, -2), sds**2
+    fused, fused_var = _fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances))
     return alpha, fused, np.sqrt(fused_var)
 
 
@@ -265,8 +271,8 @@ def fuse_experts(experts, alpha, beta: float) -> list:
         raise ValueError("one mixing weight per expert is required")
     if beta == 1.0:
         return experts
-    coeffs = np.array([e.mean_coeffs() for e in experts])
-    fused, variances = _fuse(alpha[:, None], beta, 1.0 - beta, coeffs, np.array([e.noise_sd for e in experts]) ** 2)
+    coeffs, variances = np.array([e.mean_coeffs() for e in experts]), np.array([e.noise_sd for e in experts]) ** 2
+    fused, variances = _fuse(beta, 1.0 - beta, coeffs, variances, _blend(alpha[:, None], coeffs, variances))
     return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused, np.sqrt(variances[:, 0]))]
 
 
@@ -289,14 +295,14 @@ def _logsumexp(a, axis: int = -1):
     are split out of the sum and the remainder enters through ``log1p``
     (Blanchard, Higham & Higham 2021). Slices whose result is not finite
     (all ``-inf``, an ``inf`` or a NaN) fall back to ``log(sum(exp(a)))``.
+    scipy's ``where(s == 0, s, s / m)`` is a plain ``s / m``: ``s`` is 0 only where ``m`` is at least 1.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=axis, keepdims=True, dtype=float)
         s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+        out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
             out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
@@ -352,9 +358,8 @@ def log_likelihood(params: ModelParams, data: Dataset) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _laplace_logpdf(values, loc: float, scale: float):
-    values = np.asarray(values, dtype=float)
-    return -np.log(2.0 * scale) - np.abs(values - loc) / scale
+def _laplace_logpdf(values, loc: float, scale: float, log_norm):
+    return log_norm - np.abs(values - loc) / scale
 
 
 def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix=None, behavior_coeffs=None):
@@ -363,18 +368,19 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
     is a plain normal.  Each group's terms are summed on their own, and the
     sums add as mean coefficients, log sds, free gate rows, behavior; the
     frozen last gate row carries no term."""
+    mean_norm, noise_norm, gate_norm = spec._log_norms
     terms = []
     if coeffs is not None:
-        values = _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale)
+        values = _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale, mean_norm)
         terms.append(values.reshape(*values.shape[:-2], -1))
     if log_sds is not None:
         z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
-        terms.append(-np.log(spec.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z)
+        terms.append(noise_norm - 0.5 * z * z)
     if gate_matrix is not None:
-        values = _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale)
+        values = _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm)
         terms.append(values.reshape(*values.shape[:-2], -1))
     if behavior_coeffs is not None:
-        terms.append(_laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale))
+        terms.append(_laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm))
     return sum(t.sum(axis=-1) for t in terms)
 
 

@@ -793,8 +793,7 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> list:
             continue
         draws = sample_predictive(sample, test.covariates, rng)
         act, mean, _ = _predictive_summary(sample, test.covariates)
-        q05 = np.quantile(draws, 0.05, axis=0)
-        q95 = np.quantile(draws, 0.95, axis=0)
+        q05, q95 = np.quantile(draws, [0.05, 0.95], axis=0)
 
         stamps = _timestamp_strings(test.timestamps)
         band = np.column_stack([test.responses, mean, q05, q95])

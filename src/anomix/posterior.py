@@ -1,15 +1,16 @@
 """Posterior sampling and fit/coverage diagnostics.
 
 The sampler is an adaptive random-walk Metropolis scheme with one proposal
-block per parameter group (experts, mixing gate, behavior gate).  Noise
-standard deviations are proposed on the log scale with the matching
+block per parameter group (experts, mixing gate, behavior gate); with one
+expert only the experts are proposed, as neither gate can move the
+likelihood.  Noise sds are proposed on the log scale with the matching
 Jacobian term, and proposal scales adapt toward a 0.25 acceptance rate
 during burn-in only.  All chains, of one dataset or of several fitted
-together, advance in lockstep, each on its own RNG stream, and fill one
-draw stack per dataset (:class:`PosteriorSample`) in contiguous
-chain blocks, from which the fit diagnostics read split R-hat.  The log
-target is cached per chain in one part per parameter group, so a block
-proposal recomputes only the part of the group it moves.
+together, advance in lockstep, each on its own RNG stream, and fill one draw
+stack per dataset (:class:`PosteriorSample`) in contiguous chain blocks, from
+which the fit diagnostics read split R-hat.  The log target is cached per
+chain in one part per group, next to the experts' blend, so a proposal
+recomputes only what its group moves: a behavior-gate one reuses the blend.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     MixingGateParams,
     ModelParams,
     PriorSpec,
+    _blend,
     _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
@@ -193,9 +195,10 @@ def _experts_part(experts, phi, prior: PriorSpec):
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights and their logs (S, M, rows), and the free gate rows' prior term."""
+    """Mixing weights, their logs (S, M, rows) and contiguous (S, rows, M) copy, and the free gate rows' prior term."""
     alpha = _softmax_gate(mixing, phi)
-    return alpha, _log_weights(alpha), _log_prior_arrays(prior, gate_matrix=mixing)
+    alpha_rows = np.ascontiguousarray(np.swapaxes(alpha, -1, -2))
+    return alpha, _log_weights(alpha), alpha_rows, _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
@@ -207,13 +210,19 @@ def _behavior_part(behavior, phi, prior: PriorSpec):
 _PARTS = {"experts": _experts_part, "mixing": _mixing_part, "behavior": _behavior_part}
 
 
-def _total(parts, y):
-    """Log target (S,) from the three parts: the likelihood plus the prior
-    terms in the order experts, mixing, behavior."""
+def _parts_blend(parts):
+    """The experts' ``alpha``-weighted blend (``model._blend``) from the parts."""
+    (means, variances, _), (alpha, _, alpha_rows, _) = parts["experts"], parts["mixing"]
+    return _blend(alpha, means, variances, alpha_rows)
+
+
+def _total(parts, blend, y):
+    """Log target (S,) from the three parts and the experts' ``blend``: the likelihood, reduced over the
+    experts by ``model._logsumexp``, plus the prior terms in the order experts, mixing, behavior."""
     means, variances, experts_prior = parts["experts"]
-    alpha, log_alpha, mixing_prior = parts["mixing"]
+    _, log_alpha, _, mixing_prior = parts["mixing"]
     beta, rest, behavior_prior = parts["behavior"]
-    fused_means, fused_var = _fuse(alpha, beta, rest, means, variances)
+    fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
     ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var), y).sum(axis=-1)
     return ll + (experts_prior + mixing_prior + behavior_prior)
 
@@ -225,27 +234,32 @@ def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
 
 
 class _LockstepTarget:
-    """The slots' states, the cached part of the log target for each state
-    group, and the current log target (S,).  A proposal that moves one group
-    recomputes that group's part only; accepting copies the moved state and
-    its part chain by chain, so the cache always equals a fresh evaluation."""
+    """The slots' states, the cached part of the log target for each state group, the experts'
+    blend and the current log target (S,).  A proposal recomputes what its group can move: its
+    part, and the blend unless it is the behavior gate.  Accepting copies the moved state and
+    those arrays chain by chain, so the cache always equals a fresh evaluation."""
 
     def __init__(self, state, phi, y, prior: PriorSpec):
         self.state, self._phi, self._y, self._prior = state, phi, y, prior
         self.parts = {name: part(state[name], phi, prior) for name, part in _PARTS.items()}
-        self.current = _total(self.parts, y)
+        self.blend = _parts_blend(self.parts)
+        self.current = _total(self.parts, self.blend, y)
 
     def evaluate(self, name, moved):
-        """Log target with group ``name`` at ``moved``, and that group's part."""
-        part = _PARTS[name](moved, self._phi, self._prior)
-        return _total({**self.parts, name: part}, self._y), part
+        """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend."""
+        parts = {**self.parts, name: _PARTS[name](moved, self._phi, self._prior)}
+        if name == "behavior":
+            return _total(parts, self.blend, self._y), parts[name]
+        blend = _parts_blend(parts)
+        return _total(parts, blend, self._y), parts[name] + blend
 
-    def accept(self, name, chains, moved, part, new):
-        """Take ``moved``, its ``part`` and log target ``new`` on the boolean ``chains``."""
+    def accept(self, name, chains, moved, fresh, new):
+        """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the boolean ``chains``."""
         self.state[name][chains] = moved[chains]
         self.current[chains] = new[chains]
-        for cached, fresh in zip(self.parts[name], part):
-            cached[chains] = fresh[chains]
+        # After a behavior move ``fresh`` ends with its part, so zip stops before the blend.
+        for cached, value in zip(self.parts[name] + self.blend, fresh):
+            cached[chains] = value[chains]
 
 
 def sample_posterior(data: Dataset, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> PosteriorSample:
@@ -260,8 +274,8 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
     holds chain c of dataset i, so the state is ``experts`` (S, M, n + 2),
     ``mixing`` (S, M, n + 1, last row frozen at zero) and ``behavior``
     (S, n + 1) over S = D*C slots.  Each block proposal evaluates the log
-    target of all slots in one batch, recomputing only the moved group's
-    part.  Slot i*C + c draws from child c of a SeedSequence spawn of
+    target of all slots in one batch, recomputing only what the moved group
+    can change.  Slot i*C + c draws from child c of a SeedSequence spawn of
     ``settings.seed + i``: its initial state, then per iteration and block
     its normals and one uniform.  Dataset i therefore gets the draws of a
     lone fit seeded ``settings.seed + i``, whatever the chain count.
@@ -276,16 +290,20 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
     chains, seeds = settings.chains, [settings.seed + i for i in range(len(datasets))]
     slots, m, na = len(datasets) * chains, n_experts, datasets[0].n + 1
     rngs = [np.random.default_rng(s) for seed in seeds for s in np.random.SeedSequence(seed).spawn(chains)]
+    # Each block is the slice of one state array that it moves.  The frozen gate row is never proposed,
+    # nor at M = 1 the behavior gate: it cannot move the likelihood, so it stays at the prior location.
+    blocks = [("experts", np.s_[:])] + ([("mixing", np.s_[:, :-1]), ("behavior", np.s_[:])] if m > 1 else [])
     state = {
         "experts": np.empty((slots, m, na + 1)),
         "mixing": np.zeros((slots, m, na)),
-        "behavior": np.empty((slots, na)),
+        "behavior": np.full((slots, na), prior.gate_coeff_location),
     }
     for c, rng in enumerate(rngs):
         state["experts"][c, :, :na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((m, na))
         state["experts"][c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
-        state["mixing"][c, :-1] = prior.gate_coeff_location + 0.1 * rng.standard_normal((m - 1, na))
-        state["behavior"][c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(na)
+        for name, free in blocks[1:]:
+            gate = state[name][free]
+            gate[c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(gate.shape[1:])
     phi = np.repeat([_embed_rows(d.covariates) for d in datasets], chains, axis=0)
     y = np.repeat([d.responses for d in datasets], chains, axis=0)
     target = _LockstepTarget(state, phi, y, prior)
@@ -294,9 +312,6 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
         if not finite:
             raise RuntimeError(f"{prefix.format(i)}non-finite posterior density at initialization")
 
-    # Each block is the slice of one state array that it moves; the frozen
-    # gate row is never proposed.
-    blocks = [("experts", np.s_[:])] + ([("mixing", np.s_[:, :-1])] if m > 1 else []) + [("behavior", np.s_[:])]
     scales = {name: np.full(slots, INITIAL_SCALE) for name, _ in blocks}
     normals = {name: np.empty((slots, state[name][free][0].size)) for name, free in blocks}
     n_kept = settings.iterations - settings.burn_in
@@ -533,13 +548,14 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
 
 
 def _rhat_max(sample: PosteriorSample) -> float:
-    """Worst split R-hat over the free parameters, chains read from the
-    contiguous blocks of the stack; NaN unless they split into
-    ``chain_count`` equal blocks of at least 4 draws."""
+    """Worst split R-hat over the parameters the sampler moves (at M = 1 not the behavior gate),
+    chains read from the contiguous blocks of the stack; NaN unless they
+    split into ``chain_count`` equal blocks of at least 4 draws."""
     s, c = sample.n_draws, sample.chain_count
     if s % c or s // c < 4:
         return math.nan
-    groups = (sample.expert_coeffs, sample.expert_sds, sample.mixing[:, :-1], sample.behavior)
+    behavior = sample.behavior if sample.n_experts > 1 else sample.behavior[:, :0]
+    groups = (sample.expert_coeffs, sample.expert_sds, sample.mixing[:, :-1], behavior)
     free = np.concatenate([g.reshape(s, -1) for g in groups], axis=1)
     return _max_ignoring_nan(_split_rhat(free.reshape(c, s // c, -1)))
 

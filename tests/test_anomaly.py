@@ -212,6 +212,21 @@ class TestSumCdf:
         vals = sum_cdf(d, qs)
         assert np.all(np.diff(vals) >= 0)
 
+    def test_queries_outside_the_support_build_no_table(self):
+        # The Taylor table of 12 weights takes about 0.3 s to build; a first
+        # call whose queries all lie outside the open support must not pay it.
+        def dist():
+            return build_sum_dist(exp_weights(12, default_decay(11)))
+
+        lazy, built = dist(), dist()
+        sum_cdf(built, built.support_end / 2)
+        assert "taylor_table" in built.__dict__
+        for q in (2.0, np.array([-0.5, 0.0, lazy.support_end, 2.0]), np.empty((0, 3))):
+            got = sum_cdf(lazy, q)
+            assert "taylor_table" not in lazy.__dict__
+            assert np.shape(got) == np.shape(q) and np.array_equal(got, sum_cdf(built, q))
+        assert sum_cdf(lazy, 2.0) == 1.0
+
     @pytest.mark.parametrize("k", range(MAX_WINDOW))
     def test_every_accepted_window_matches_the_oracle(self, k):
         # window_k runs from 0 to MAX_WINDOW - 1; at the default decay no

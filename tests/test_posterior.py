@@ -154,6 +154,21 @@ class TestSampler:
             assert np.all(d.mixing.matrix[-1] == 0.0)
             assert all(e.noise_sd > 0 for e in d.experts)
 
+    def test_one_expert_proposes_the_experts_alone(self):
+        # With one expert the behavior gate cannot move the likelihood: it
+        # stays at the prior location, and each iteration makes one proposal.
+        data = linear_data(40, seed=1)
+        settings = SamplerSettings(chains=3, iterations=200, burn_in=100, seed=6)
+        sample = sample_posterior(data, PriorSpec(gate_coeff_location=0.3), 1, settings)
+        assert np.array_equal(sample.behavior, np.full((sample.n_draws, 2), 0.3))
+        chains, kept = settings.chains, settings.iterations - settings.burn_in
+        experts = np.concatenate([sample.expert_coeffs[:, 0], sample.expert_sds], axis=1).reshape(chains, kept, -1)
+        # Each accepted step moves the experts; the first kept one moves them
+        # from a burn-in state that the stack does not hold.
+        moves = int((np.diff(experts, axis=1) != 0).any(axis=-1).sum())
+        accepted = round(sample.acceptance_rate * chains * kept)
+        assert 0 < moves <= accepted <= moves + chains
+
     def test_multi_expert_chains_run(self):
         data = linear_data(60, seed=3)
         sample = sample_posterior(
@@ -498,21 +513,26 @@ class TestLogTargetParts:
         fresh = _LockstepTarget({name: arr.copy() for name, arr in target.state.items()}, phi, y, self.PRIOR)
         assert np.array_equal(target.current, _log_target(**target.state, phi=phi, y=y, prior=self.PRIOR))
         assert np.array_equal(target.current, fresh.current)
-        for name in _PARTS:
-            for cached, recomputed in zip(target.parts[name], fresh.parts[name]):
-                assert np.array_equal(cached, recomputed), name
+
+        def cached_arrays(t):
+            return [*t.parts.items(), ("blend", t.blend)]
+
+        for (name, cached), (_, recomputed) in zip(cached_arrays(target), cached_arrays(fresh), strict=True):
+            assert len(cached) == len(recomputed), name
+            for a, b in zip(cached, recomputed):
+                assert np.array_equal(a, b), name
 
 
 def stack_from_chains(chains):
-    """A one-expert, no-covariate stack whose behavior coefficient holds
+    """A one-expert, no-covariate stack whose expert intercept holds
     ``chains`` (C, N) and whose other parameters are iid normal."""
     c, n = chains.shape
     rng = np.random.default_rng(8)
     return PosteriorSample(
-        rng.normal(size=(c * n, 1, 1)),
+        chains.reshape(-1, 1, 1),
         rng.uniform(0.5, 2.0, size=(c * n, 1)),
         np.zeros((c * n, 1, 1)),
-        chains.reshape(-1, 1),
+        rng.normal(size=(c * n, 1)),
         0.25,
         c,
         0,
@@ -575,6 +595,27 @@ class TestSplitRhat:
             sample.expert_coeffs, sample.expert_sds, sample.mixing, sample.behavior, 0.25, chain_count, 0
         )
         assert math.isnan(_rhat_max(sample))
+
+    def test_one_expert_reads_the_expert_coefficients_and_sds_alone(self, fitted):
+        def experts_only(sample):
+            columns = np.concatenate([sample.expert_coeffs.reshape(sample.n_draws, -1), sample.expert_sds], axis=1)
+            return np.nanmax(_split_rhat(columns.reshape(sample.chain_count, -1, columns.shape[1])))
+
+        _, sample = fitted
+        assert _rhat_max(sample) == experts_only(sample)
+        # A behavior chain far from the others moves nothing at one expert
+        # and the reading at two.
+        stack = stack_from_chains(np.random.default_rng(5).normal(size=(4, 300)))
+        shift = np.repeat([0.0, 0.0, 0.0, 5.0], 300)[:, None]
+        shifted = dataclasses.replace(stack, behavior=stack.behavior + shift)
+        assert _rhat_max(shifted) == _rhat_max(stack) == experts_only(stack) < 1.01
+        two = dataclasses.replace(
+            shifted,
+            expert_coeffs=np.repeat(stack.expert_coeffs, 2, axis=1),
+            expert_sds=np.repeat(stack.expert_sds, 2, axis=1),
+            mixing=np.zeros((1200, 2, 1)),
+        )
+        assert _rhat_max(two) > 1.01
 
     def test_reported_by_fit_diagnostics(self, fitted):
         data, sample = fitted
