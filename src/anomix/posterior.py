@@ -255,11 +255,10 @@ class _LockstepTarget:
 
     def accept(self, name, chains, moved, fresh, new):
         """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the boolean ``chains``."""
-        self.state[name][chains] = moved[chains]
-        self.current[chains] = new[chains]
         # After a behavior move ``fresh`` ends with its part, so zip stops before the blend.
-        for cached, value in zip(self.parts[name] + self.blend, fresh):
-            cached[chains] = value[chains]
+        cache = (self.state[name], self.current, *self.parts[name], *self.blend)
+        for cached, value in zip(cache, (moved, new, *fresh)):
+            np.copyto(cached, value, where=chains.reshape(-1, *[1] * (cached.ndim - 1)))
 
 
 def sample_posterior(data: Dataset, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> PosteriorSample:
