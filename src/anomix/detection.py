@@ -121,24 +121,10 @@ def raise_alarms(series: AnomalyScoreSeries, policy: AlarmPolicy) -> list:
     The alarm opens at the patience-th consecutive sample at or above the
     threshold and closes at the first sample below it.
     """
-    alarms = []
-    run = 0
-    onset = None
-    last_above = None
-    for ts, value in zip(series.timestamps, series.as_values):
-        if value >= policy.threshold:
-            run += 1
-            last_above = ts
-            if run == policy.patience:
-                onset = ts
-        else:
-            if onset is not None:
-                alarms.append(AlarmWindow(onset, last_above))
-            run = 0
-            onset = None
-    if onset is not None:
-        alarms.append(AlarmWindow(onset, last_above))
-    return alarms
+    above = np.concatenate(([False], series.as_values >= policy.threshold, [False]))
+    runs = np.flatnonzero(above[1:] != above[:-1]).reshape(-1, 2).tolist()  # [start, stop) of each run
+    ts = series.timestamps
+    return [AlarmWindow(ts[a + policy.patience - 1], ts[b - 1]) for a, b in runs if b - a >= policy.patience]
 
 
 def pool(serieses: list, policy: PoolingPolicy) -> AnomalyScoreSeries:
@@ -163,15 +149,10 @@ def pool(serieses: list, policy: PoolingPolicy) -> AnomalyScoreSeries:
     return AnomalyScoreSeries(base, pooled, POOLED_THRESHOLD)
 
 
-def _active_mask(timestamps: np.ndarray, alarms: list) -> np.ndarray:
-    mask = np.zeros(len(timestamps), dtype=bool)
-    for a in alarms:
-        mask |= (timestamps >= a.onset) & (timestamps <= a.end)
-    return mask
-
-
-def _as_days(timestamps: np.ndarray) -> np.ndarray:
-    return np.asarray(timestamps, dtype="datetime64[s]").astype("datetime64[D]")
+def _covered(n: int, lo, hi) -> np.ndarray:
+    """Mask of the n samples inside any index range [lo, hi), from one difference array."""
+    edges = np.bincount(lo, minlength=n + 1) - np.bincount(np.maximum(lo, hi), minlength=n + 1)
+    return np.cumsum(edges[:-1]) > 0
 
 
 def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> DetectionReport:
@@ -181,17 +162,21 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
     it shrink the effective validity windows, and a window containing no
     observation at all counts as a missed failure.
     """
-    observed = np.asarray(observed, dtype="datetime64[s]")
-    order = np.argsort(observed, kind="stable")
-    observed = observed[order]
-    active = _active_mask(observed, alarms)
-    days = _as_days(observed)
+    observed = np.sort(np.asarray(observed, dtype="datetime64[s]"))
+    n = len(observed)
+    spans = np.array([(a.onset, a.end) for a in alarms], dtype="datetime64").reshape(-1, 2)
+    active = _covered(n, np.searchsorted(observed, spans[:, 0]), np.searchsorted(observed, spans[:, 1], "right"))
     starts = np.asarray(failures.starts, dtype="datetime64[s]")
     ends = np.asarray(failures.ends, dtype="datetime64[s]")
+    in_failure = _covered(n, np.searchsorted(observed, starts), np.searchsorted(observed, ends, "right"))
+    active_before = np.concatenate([[0], np.cumsum(active)])
 
-    in_failure = np.zeros(len(observed), dtype=bool)
-    for fs, fe in zip(starts, ends):
-        in_failure |= (observed >= fs) & (observed <= fe)
+    # Day-level tallying outside validity windows; days touching a
+    # validity window or a failure window are neither healthy nor
+    # pre-failure, so they are excluded from FP/TN.
+    _, first = np.unique(observed.astype("datetime64[D]"), return_index=True)
+    failure_days = np.logical_or.reduceat(in_failure, first)
+    alarmed_days = np.logical_or.reduceat(active, first)
 
     rows = []
     for w in w_days:
@@ -199,33 +184,19 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
             raise ValueError("validity window length must be positive")
         width = np.timedelta64(int(w), "D").astype("timedelta64[s]")
         prev_width = np.timedelta64(int(w - 1), "D").astype("timedelta64[s]")
-        in_validity = np.zeros(len(observed), dtype=bool)
-        in_bucket = np.zeros(len(observed), dtype=bool)
-        tp = 0
-        for fs in starts:
-            members = (observed >= fs - width) & (observed < fs)
-            in_validity |= members
-            in_bucket |= members & (observed < fs - prev_width)
-            if np.any(members & active):
-                tp += 1
+        # Failure f's validity window is [lo, hi); its oldest day, the bucket, is [lo, mid).
+        lo, mid, hi = np.searchsorted(observed, np.stack([starts - width, starts - prev_width, starts]))
+        tp = int(np.count_nonzero(active_before[hi] > active_before[lo]))
         fn = len(failures) - tp
-
-        # Day-level tallying outside validity windows; days touching a
-        # validity window or a failure window are neither healthy nor
-        # pre-failure, so they are excluded from FP/TN.
-        unique_days = np.unique(days)
-        day_validity = np.unique(days[in_validity])
-        day_failure = np.unique(days[in_failure])
-        excluded = np.union1d(day_validity, day_failure)
-        outside = np.setdiff1d(unique_days, excluded)
-        alarmed_days = np.unique(days[active])
-        fp = int(np.isin(outside, alarmed_days).sum())
-        tn = len(outside) - fp
+        outside = ~(np.logical_or.reduceat(_covered(n, lo, hi), first) | failure_days)
+        fp = int(np.count_nonzero(outside & alarmed_days))
+        tn = int(np.count_nonzero(outside)) - fp
 
         recall = tp / (tp + fn) if (tp + fn) else 0.0
         precision = tp / (tp + fp) if (tp + fp) else 0.0
         f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
-        rows.append(DetectionRow(int(w), tp, fn, fp, tn, int(in_bucket.sum()), precision, recall, f1))
+        samples = int(np.count_nonzero(_covered(n, lo, mid)))
+        rows.append(DetectionRow(int(w), tp, fn, fp, tn, samples, precision, recall, f1))
     return DetectionReport(rows)
 
 

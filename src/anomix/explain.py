@@ -40,8 +40,9 @@ class GateGeometry:
 
     ``a_star[i]`` is the component of slope row ``i`` orthogonal to every
     other row; moving along it changes only expert ``i``'s gate logit.
-    ``correction`` is the 2x2 matrix relating the disentangled rows to the
-    raw ones when exactly two rows are present.
+    ``correction`` is the square matrix, one row and column per slope row,
+    that maps the raw rows to the disentangled ones:
+    ``correction @ slopes`` stacks ``a_star``.
     """
 
     slopes: np.ndarray
@@ -75,23 +76,20 @@ class ExplanationMap:
     predictive_sd: np.ndarray | None = None
 
 
-def _orthogonal_directions(slopes: np.ndarray) -> tuple:
-    rows = []
-    for i in range(len(slopes)):
-        others = np.delete(slopes, i, axis=0)
-        a = slopes[i]
-        if len(others):
-            # Component of a orthogonal to the span of the other rows.
-            coef, *_ = np.linalg.lstsq(others.T, a, rcond=None)
-            a = a - others.T @ coef
-        rows.append(a)
-    return tuple(rows)
+def _geometry(slopes: np.ndarray, intercepts: np.ndarray, rank_error: str) -> GateGeometry:
+    """Geometry of a full-row-rank slope matrix, from its Moore-Penrose pseudo-inverse.
 
-
-def _correction(slopes: np.ndarray) -> np.ndarray:
-    """2x2 matrix relating the disentangled rows of a two-row slope matrix to the raw ones."""
-    a1, a2 = slopes
-    return np.array([[1.0, -(a1 @ a2) / (a2 @ a2)], [-(a1 @ a2) / (a1 @ a1), 1.0]])
+    Column i of the pseudo-inverse meets slope row i at 1 and every other
+    row at 0, so it lies along ``a_star[i]``; scaled by its squared norm it
+    is that row's component orthogonal to the others.  A rank-deficient
+    matrix raises ``rank_error``, formatted with the achieved ``rank``.
+    """
+    rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
+    if rank < slopes.shape[0]:
+        raise ValueError(rank_error.format(rank=rank))
+    pinv = np.linalg.pinv(slopes)
+    a_star = pinv.T / (pinv * pinv).sum(axis=0)[:, None]
+    return GateGeometry(slopes, intercepts, tuple(a_star), a_star @ pinv)
 
 
 def gate_geometry(sample: PosteriorSample) -> GateGeometry:
@@ -105,15 +103,10 @@ def gate_geometry(sample: PosteriorSample) -> GateGeometry:
     expected = sample.mixing.mean(axis=0)[:-1]
     if expected.shape[0] == 0:
         raise ValueError("a single-expert gate has no directions to explain")
-    intercepts = expected[:, 0]
-    slopes = expected[:, 1:]
-    rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
-    if rank < slopes.shape[0]:
-        # reduce_svd needs more than two gate rows; with two or fewer no map exists.
-        advice = "use the SVD reduction instead" if slopes.shape[0] > 2 else "no 2-D map exists"
-        raise ValueError(f"expected gate matrix has rank {rank} < {slopes.shape[0]}; {advice}")
-    correction = _correction(slopes) if slopes.shape[0] == 2 else None
-    return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), correction)
+    # reduce_svd needs more than two gate rows; with two or fewer no map exists.
+    advice = "use the SVD reduction instead" if len(expected) > 2 else "no 2-D map exists"
+    message = f"expected gate matrix has rank {{rank}} < {len(expected)}; {advice}"
+    return _geometry(expected[:, 1:], expected[:, 0], message)
 
 
 def reduce_svd(slopes: np.ndarray) -> np.ndarray:
@@ -139,8 +132,7 @@ def reduced_geometry(sample: PosteriorSample) -> GateGeometry:
     intercepts are zero); they no longer correspond to single experts.
     """
     slopes = sample.mixing.mean(axis=0)[:-1, 1:]
-    reduced = reduce_svd(slopes)
-    return GateGeometry(reduced, np.zeros(2), tuple(reduced), None)
+    return _geometry(reduce_svd(slopes), np.zeros(2), "reduced gate matrix has rank {rank} < 2")
 
 
 def augment_behavior(geometry: GateGeometry, behavior_coeffs) -> GateGeometry:
@@ -154,10 +146,7 @@ def augment_behavior(geometry: GateGeometry, behavior_coeffs) -> GateGeometry:
         raise ValueError("behavior augmentation applies to a single-direction geometry")
     slopes = np.vstack([geometry.slopes, coeffs[1:]])
     intercepts = np.concatenate([geometry.intercepts, [coeffs[0]]])
-    rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
-    if rank < 2:
-        raise ValueError("behavior row is collinear with the gate row; augmented rank < 2")
-    return GateGeometry(slopes, intercepts, _orthogonal_directions(slopes), _correction(slopes))
+    return _geometry(slopes, intercepts, "behavior row is collinear with the gate row; augmented rank < 2")
 
 
 def default_score_grid(n_directions: int, points_per_axis: int = 41) -> np.ndarray:

@@ -508,25 +508,15 @@ def _index_datasets(config: PipelineConfig, data_path):
     return datasets, len(rejected)
 
 
-def _write_manifest(run_dir: Path, config: PipelineConfig, extra: dict) -> None:
+def _read_manifest(run_dir: Path) -> dict:
     manifest_path = run_dir / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-    manifest.update(
-        {
-            "config_hash": config.config_hash(),
-            "seed": config.seed,
-            "versions": {
-                "anomix": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-        }
-    )
-    manifest.update(extra)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+
+
+def _write_manifest(run_dir: Path, entries: dict) -> None:
+    """Set ``entries`` in the run manifest, keeping every other recorded key."""
+    manifest = {**_read_manifest(run_dir), **entries}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None:
@@ -558,7 +548,9 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         for s, e in zip(failures.starts, failures.ends)
     ]
     (run_dir / "failures.json").write_text(json.dumps(failures_out) + "\n")
-    _write_manifest(run_dir, config, {"dropped_rows": dropped, "splits": split_info})
+    versions = dict(anomix=__version__, numpy=np.__version__, scipy=scipy.__version__, python=sys.version.split()[0])
+    provenance = {"config_hash": config.config_hash(), "seed": config.seed, "versions": versions}
+    _write_manifest(run_dir, {**provenance, "dropped_rows": dropped, "splits": split_info})
 
 
 def stage_diagnose(config: PipelineConfig, run_dir) -> None:
@@ -623,7 +615,8 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
     Each failure span is scored on its own, so that no window reaches
     across the gap between two spans.  A span shorter than one window gives
     no scores: it raises a warning and is listed per index under
-    ``skipped_spans`` in the manifest."""
+    ``skipped_spans`` in the manifest, which keeps what ``fit`` recorded
+    and the spans of indices not scored here."""
     run_dir = Path(run_dir)
     spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
     skipped = {}
@@ -644,7 +637,7 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
         names = ("timestamps", "as_values", "theta_low", "theta_high")
         joined = {name: np.concatenate([getattr(p, name) for p in parts]) for name in names}
         _write_series(run_dir / f"scores_{index}.csv", AnomalyScoreSeries(threshold=config.threshold, **joined))
-    _write_manifest(run_dir, config, {"skipped_spans": skipped})
+    _write_manifest(run_dir, {"skipped_spans": {**_read_manifest(run_dir).get("skipped_spans", {}), **skipped}})
 
 
 def _write_alarms(path, alarms: list) -> None:
@@ -764,7 +757,7 @@ def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) ->
 
     Runs every stage of ``STAGES`` and returns the run manifest."""
     run_stages(STAGES, config, run_dir, data_path, failures_path)
-    return json.loads((Path(run_dir) / "manifest.json").read_text())
+    return _read_manifest(Path(run_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -218,13 +218,15 @@ def _parts_blend(parts):
 
 def _total(parts, blend, y):
     """Log target (S,) from the three parts and the experts' ``blend``: the likelihood, reduced over the
-    experts by ``model._logsumexp``, plus the prior terms in the order experts, mixing, behavior."""
+    experts by ``model._logsumexp``, plus the prior terms in the order experts, mixing, behavior.  At
+    M = 1 the behavior gate cannot move the likelihood and is never proposed, so its prior term, a
+    constant there, is left out: the target does not depend on the gate prior."""
     means, variances, experts_prior = parts["experts"]
     _, log_alpha, _, mixing_prior = parts["mixing"]
     beta, rest, behavior_prior = parts["behavior"]
     fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
     ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var), y).sum(axis=-1)
-    return ll + (experts_prior + mixing_prior + behavior_prior)
+    return ll + (experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0))
 
 
 def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):

@@ -131,17 +131,12 @@ def chebyshev_lb(metric_a: float, se_a: float, metric_b: float, se_b: float) -> 
 
 def pareto_front(trials: list) -> list:
     """Trials not dominated under (maximize metric, minimize coverage cost)."""
-    front = []
-    for t in trials:
-        dominated = any(
-            u.metric >= t.metric
-            and u.coverage_cost <= t.coverage_cost
-            and (u.metric > t.metric or u.coverage_cost < t.coverage_cost)
-            for u in trials
-        )
-        if not dominated:
-            front.append(t)
-    return front
+    metric = np.array([t.metric for t in trials], dtype=float)
+    cost = np.array([t.coverage_cost for t in trials], dtype=float)
+    # Entry (u, t): trial u is no worse than trial t on both axes and better on one.
+    no_worse = (metric[:, None] >= metric) & (cost[:, None] <= cost)
+    dominated = (no_worse & ((metric[:, None] > metric) | (cost[:, None] < cost))).any(axis=0)
+    return [t for t, d in zip(trials, dominated) if not d]
 
 
 def select_best(trials: list, nu: float = 0.5) -> Trial:

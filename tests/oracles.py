@@ -4,6 +4,13 @@
 of its log weights, one Zhang & Stephens (2009) GPD fit of its tail, and one
 set of GPD quantiles.  The package computes the same thing for blocks of
 points at once (``anomix.posterior._psis_loo``).
+
+``raise_alarms_loop``, ``evaluate_loop``, ``pareto_front_loop`` and
+``orthogonal_directions_lstsq`` are the sample-by-sample alarm state
+machine, the per-failure detection report, the all-pairs frontier walk and
+the per-row least-squares disentangled gate directions that
+``anomix.detection``, ``anomix.selection`` and ``anomix.explain`` replaced
+with one batched computation each.
 """
 
 import math
@@ -11,6 +18,8 @@ import warnings
 
 import numpy as np
 from scipy.special import logsumexp
+
+from anomix.detection import AlarmWindow, DetectionReport, DetectionRow
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -92,3 +101,103 @@ def rank_normal_ranks(draws: np.ndarray) -> np.ndarray:
         _, tie_group, counts = np.unique(column, return_inverse=True, return_counts=True)
         ranks[:, j] = (np.cumsum(counts) - (counts - 1) / 2)[tie_group]
     return ranks
+
+
+def raise_alarms_loop(series, policy) -> list:
+    """Alarm windows by a state machine over the samples: an alarm opens at
+    the patience-th consecutive exceedance and closes at the first sample
+    below the threshold."""
+    alarms = []
+    run = 0
+    onset = None
+    last_above = None
+    for ts, value in zip(series.timestamps, series.as_values):
+        if value >= policy.threshold:
+            run += 1
+            last_above = ts
+            if run == policy.patience:
+                onset = ts
+        else:
+            if onset is not None:
+                alarms.append(AlarmWindow(onset, last_above))
+            run = 0
+            onset = None
+    if onset is not None:
+        alarms.append(AlarmWindow(onset, last_above))
+    return alarms
+
+
+def evaluate_loop(alarms: list, failures, w_days: list, observed) -> DetectionReport:
+    """The detection report from one observation mask per alarm, failure
+    window and validity window."""
+    observed = np.asarray(observed, dtype="datetime64[s]")
+    observed = observed[np.argsort(observed, kind="stable")]
+    active = np.zeros(len(observed), dtype=bool)
+    for a in alarms:
+        active |= (observed >= a.onset) & (observed <= a.end)
+    days = observed.astype("datetime64[D]")
+    starts = np.asarray(failures.starts, dtype="datetime64[s]")
+    ends = np.asarray(failures.ends, dtype="datetime64[s]")
+
+    in_failure = np.zeros(len(observed), dtype=bool)
+    for fs, fe in zip(starts, ends):
+        in_failure |= (observed >= fs) & (observed <= fe)
+
+    rows = []
+    for w in w_days:
+        if w <= 0:
+            raise ValueError("validity window length must be positive")
+        width = np.timedelta64(int(w), "D").astype("timedelta64[s]")
+        prev_width = np.timedelta64(int(w - 1), "D").astype("timedelta64[s]")
+        in_validity = np.zeros(len(observed), dtype=bool)
+        in_bucket = np.zeros(len(observed), dtype=bool)
+        tp = 0
+        for fs in starts:
+            members = (observed >= fs - width) & (observed < fs)
+            in_validity |= members
+            in_bucket |= members & (observed < fs - prev_width)
+            if np.any(members & active):
+                tp += 1
+        fn = len(failures) - tp
+
+        unique_days = np.unique(days)
+        excluded = np.union1d(np.unique(days[in_validity]), np.unique(days[in_failure]))
+        outside = np.setdiff1d(unique_days, excluded)
+        fp = int(np.isin(outside, np.unique(days[active])).sum())
+        tn = len(outside) - fp
+
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
+        rows.append(DetectionRow(int(w), tp, fn, fp, tn, int(in_bucket.sum()), precision, recall, f1))
+    return DetectionReport(rows)
+
+
+def pareto_front_loop(trials: list) -> list:
+    """Trials not dominated under (maximize metric, minimize coverage cost),
+    each checked against every trial in turn."""
+    front = []
+    for t in trials:
+        dominated = any(
+            u.metric >= t.metric
+            and u.coverage_cost <= t.coverage_cost
+            and (u.metric > t.metric or u.coverage_cost < t.coverage_cost)
+            for u in trials
+        )
+        if not dominated:
+            front.append(t)
+    return front
+
+
+def orthogonal_directions_lstsq(slopes: np.ndarray) -> np.ndarray:
+    """Per slope row, its component orthogonal to the span of the other rows,
+    by one least-squares fit against those rows."""
+    rows = []
+    for i in range(len(slopes)):
+        others = np.delete(slopes, i, axis=0)
+        a = slopes[i]
+        if len(others):
+            coef, *_ = np.linalg.lstsq(others.T, a, rcond=None)
+            a = a - others.T @ coef
+        rows.append(a)
+    return np.array(rows)

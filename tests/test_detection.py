@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import evaluate_loop, raise_alarms_loop
+
 from anomix.anomaly import AnomalyScoreSeries
 from anomix.detection import (
     AlarmPolicy,
@@ -248,6 +250,62 @@ class TestEvaluateOrder:
         report = evaluate(alarms, failures, [1, 2, 3], observed)
         shuffled_alarms = [alarms[i] for i in rng.permutation(n_alarms)]
         assert evaluate(shuffled_alarms, failures, [1, 2, 3], rng.permutation(observed)) == report
+
+
+THRESHOLD = 0.9
+EPOCH = np.datetime64("2024-01-01T00:00:00", "s")
+
+
+def at_hours(hours):
+    return EPOCH + np.asarray(hours, dtype=np.int64) * np.timedelta64(3600, "s")
+
+
+@st.composite
+def scored_streams(draw):
+    """Scores on a sorted hourly clock with repeated stamps and gaps of up to
+    two days; a third of the values sit exactly on the threshold."""
+    n = draw(st.integers(0, 60))
+    steps = draw(st.lists(st.sampled_from([0, 1, 1, 1, 7, 48]), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from([0.1, THRESHOLD, 0.95]), min_size=n, max_size=n))
+    return AnomalyScoreSeries(at_hours(np.cumsum(steps, dtype=np.int64)), np.array(values), THRESHOLD)
+
+
+@st.composite
+def detection_cases(draw):
+    """Observations, alarms and failures on one hourly grid of 20 days, so
+    that validity windows of whole days start and end on observations."""
+    hours = st.integers(0, 480)
+    observed = at_hours(draw(st.lists(hours, min_size=0, max_size=120)))
+    spans = draw(st.lists(st.tuples(hours, st.integers(0, 30)), max_size=6))
+    alarms = [AlarmWindow(*at_hours([a, a + length])) for a, length in spans]
+    starts = sorted(draw(st.sets(hours, min_size=1, max_size=4)))
+    lengths = draw(st.lists(st.integers(0, 30), min_size=len(starts), max_size=len(starts)))
+    ends = [min(a + length, b - 1) for a, length, b in zip(starts, lengths, [*starts[1:], 10**6])]
+    failures = FailureLog(at_hours(starts), at_hours(ends))
+    w_days = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True))
+    return alarms, failures, w_days, observed
+
+
+class TestAgainstLoopOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(series=scored_streams(), patience=st.integers(1, 5))
+    def test_alarms_match_the_state_machine(self, series, patience):
+        policy = AlarmPolicy(THRESHOLD, patience)
+        assert raise_alarms(series, policy) == raise_alarms_loop(series, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=detection_cases())
+    def test_report_matches_the_per_failure_loops(self, case):
+        assert evaluate(*case) == evaluate_loop(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(series=scored_streams(), patience=st.integers(1, 4), case=detection_cases())
+    def test_report_on_raised_alarms_matches(self, series, patience, case):
+        alarms = raise_alarms(series, AlarmPolicy(THRESHOLD, patience))
+        _, failures, w_days, _ = case
+        assert evaluate(alarms, failures, w_days, series.timestamps) == evaluate_loop(
+            alarms, failures, w_days, series.timestamps
+        )
 
 
 class TestGrouping:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import orthogonal_directions_lstsq
 
 from anomix.explain import (
     GateGeometry,
@@ -120,6 +123,44 @@ class TestGateGeometry:
         sample = sample_from_gate(np.zeros((1, 3)), 1, 2)
         with pytest.raises(ValueError):
             gate_geometry(sample)
+
+
+def conditioned_slopes(rng, rows, features, cond, scale):
+    """A ``rows`` x ``features`` matrix with 2-norm ``scale`` and condition number ``cond``."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    v, _ = np.linalg.qr(rng.normal(size=(features, rows)))
+    return (u * (scale * np.geomspace(1.0, 1.0 / cond, rows))) @ v.T
+
+
+class TestAgainstLeastSquares:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3),
+        extra_features=st.integers(0, 3),
+        log_cond=st.floats(0.0, 3.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_a_star_matches_per_row_least_squares(self, seed, rows, extra_features, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        slopes = conditioned_slopes(rng, rows, rows + extra_features, 10**log_cond, 10**log_scale)
+        geo = gate_geometry(sample_from_gate(full_gate(slopes, rng.normal(size=rows)), rows + 1, slopes.shape[1]))
+        bound = 1e-12 * np.linalg.norm(geo.slopes, 2)
+        np.testing.assert_allclose(np.stack(geo.a_star), orthogonal_directions_lstsq(geo.slopes), rtol=0, atol=bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["1 row", "2 rows", "3 rows", "augmented", "reduced"]))
+    def test_correction_maps_slopes_to_a_star(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        rows = {"1 row": 1, "2 rows": 2, "3 rows": 3, "augmented": 1, "reduced": 4}[kind]
+        slopes = conditioned_slopes(rng, rows, 5, 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-3, 3))
+        sample = sample_from_gate(full_gate(slopes, rng.normal(size=rows)), rows + 1, 5)
+        geo = (reduced_geometry if kind == "reduced" else gate_geometry)(sample)
+        if kind == "augmented":
+            geo = augment_behavior(geo, rng.normal(size=6))
+        assert geo.correction.shape == (geo.n_directions, geo.n_directions)
+        bound = 1e-12 * np.linalg.norm(geo.slopes, 2)
+        np.testing.assert_allclose(geo.correction @ geo.slopes, np.stack(geo.a_star), rtol=0, atol=bound)
 
 
 class TestEmbedGrid:

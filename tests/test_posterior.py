@@ -436,12 +436,16 @@ class TestLogTarget:
         for c in range(chains):
             params = sample.draw(c)
             expected = log_likelihood(params, data) + log_prior(params, prior) + experts[c, :, -1].sum()
+            if n_experts == 1:  # the frozen behavior gate's prior term is left out
+                z = np.abs(behavior[c] - prior.gate_coeff_location) / prior.gate_coeff_scale
+                expected -= np.sum(-np.log(2.0 * prior.gate_coeff_scale) - z)
             assert target[c] == pytest.approx(expected, rel=1e-9)
 
 
 def reference_log_target(experts, mixing, behavior, phi, y, prior):
     """The sampler's log target written out with NumPy ``axis=-1``
-    reductions and scipy's logsumexp over the expert axis."""
+    reductions and scipy's logsumexp over the expert axis.  At M = 1 the
+    frozen behavior gate carries no prior term."""
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
     sds = np.exp(log_sds)
     logits = phi @ np.swapaxes(mixing, -1, -2)
@@ -468,8 +472,7 @@ def reference_log_target(experts, mixing, behavior, phi, y, prior):
         laplace(coeffs, prior.mean_coeff_location, prior.mean_coeff_scale),
         -np.log(prior.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z,
         laplace(mixing[..., :-1, :], prior.gate_coeff_location, prior.gate_coeff_scale),
-        laplace(behavior, prior.gate_coeff_location, prior.gate_coeff_scale),
-    )
+    ) + ((laplace(behavior, prior.gate_coeff_location, prior.gate_coeff_scale),) if mixing.shape[-2] > 1 else ())
     return ll + sum(t.reshape(*log_sds.shape[:-1], -1).sum(axis=-1) for t in terms)
 
 

@@ -440,6 +440,19 @@ class TestCli:
                      "--index", "nope"]) == 2
         assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
 
+    def test_score_keeps_what_fit_recorded(self, finished_run, tmp_path):
+        # Scoring one index under another seed rewrites that index's skipped
+        # spans and nothing else: seed and config hash stay as fit wrote them.
+        _, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        recorded = json.loads((copy / "manifest.json").read_text())
+        assert set(recorded["skipped_spans"]) == {"hi_a", "hi_b"}
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**FAST))
+        assert main(["score", "--config", str(config_path), "--out", str(copy),
+                     "--index", "hi_a", "--seed", "99"]) == 0
+        assert json.loads((copy / "manifest.json").read_text()) == recorded
+
     def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
         _, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")

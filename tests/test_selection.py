@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pareto_front_loop
 from scipy.stats import binom
 
 from anomix.model import (
@@ -227,6 +228,17 @@ class TestSelectBest:
             select_best([])
 
 
+class TestParetoFront:
+    # Few distinct values, so that trials tie on one axis or on both.
+    AXIS = st.sampled_from([-math.inf, -2.0, -1.0, 0.0, 0.5, math.inf, math.nan])
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(AXIS, AXIS), max_size=8))
+    def test_matches_the_all_pairs_walk(self, points):
+        trials = [Trial(i, {}, metric, 1.0, cost) for i, (metric, cost) in enumerate(points)]
+        assert [t.trial_id for t in pareto_front(trials)] == [t.trial_id for t in pareto_front_loop(trials)]
+
+
 class TestRunTrial:
     def test_fit_and_score_candidates(self):
         rng = np.random.default_rng(21)
@@ -242,6 +254,24 @@ class TestRunTrial:
         best = select_best(trials)
         assert best in trials
         assert best.sample is not None
+
+    def test_single_expert_fit_ignores_the_gate_prior(self):
+        # At M = 1 the behavior gate stays at its prior location and its
+        # prior term is left out, so the gate scale cannot move a single draw.
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-2, 2, size=(60, 2))
+        data = make_dataset(x, 0.5 * x[:, 0] - 0.3 * x[:, 1] + rng.normal(0, 0.4, 60))
+        settings = SamplerSettings(chains=2, iterations=200, burn_in=100, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            narrow, wide = (
+                run_trial(i, {"experts": 1, "gate_coeff_scale": scale}, data, settings)
+                for i, scale in enumerate((0.5, 2.0))
+            )
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            assert np.array_equal(getattr(narrow.sample, name), getattr(wide.sample, name)), name
+        for name in ("metric", "metric_se", "coverage_cost"):
+            assert getattr(narrow, name) == getattr(wide, name), name
 
     @pytest.mark.parametrize("k_max, warns", [(0.7, False), (0.71, True)])
     def test_pareto_k_is_kept_and_warned_above_0_7(self, monkeypatch, tmp_path, k_max, warns):
