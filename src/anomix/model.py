@@ -296,8 +296,27 @@ def _logsumexp(a, axis: int = -1):
     (Blanchard, Higham & Higham 2021). Slices whose result is not finite
     (all ``-inf``, an ``inf`` or a NaN) fall back to ``log(sum(exp(a)))``.
     scipy's ``where(s == 0, s, s / m)`` is a plain ``s / m``: ``s`` is 0 only where ``m`` is at least 1.
+
+    An axis of one or two, the sampler's case at M <= 2, takes that
+    arithmetic with the zero terms dropped, on slices of ``a``.  Of one
+    value ``x`` scipy returns ``log1p(0) + log(1) + x``, which is ``x + 0.0``.
+    Of two, ``hi + log1p(exp(lo - hi))`` with ``hi`` the larger and ``lo``
+    the smaller: without a tie scipy's ``m`` is 1 and its ``s`` is that same
+    ``exp(lo - hi)``; with one ``log1p(exp(0))`` is ``log1p(1)``, which
+    equals scipy's ``log1p(0) + log(2)`` bit for bit.  If any result is not
+    finite, the general formula is run instead.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if 1 <= a.shape[axis] <= 2:
+            lead = (slice(None),) * (axis % a.ndim)
+            first = a[lead + (0,)]
+            if a.shape[axis] == 1:
+                return first + 0.0
+            second = a[lead + (1,)]
+            hi = np.maximum(first, second)
+            out = np.log1p(np.exp(np.minimum(first, second) - hi)) + hi
+            if np.isfinite(out).all():
+                return out
         a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=axis, keepdims=True, dtype=float)
@@ -369,19 +388,20 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
     sums add as mean coefficients, log sds, free gate rows, behavior; the
     frozen last gate row carries no term."""
     mean_norm, noise_norm, gate_norm = spec._log_norms
-    terms = []
+    total = 0.0
     if coeffs is not None:
         values = _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale, mean_norm)
-        terms.append(values.reshape(*values.shape[:-2], -1))
+        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
     if log_sds is not None:
         z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
-        terms.append(noise_norm - 0.5 * z * z)
+        total += np.add.reduce(noise_norm - 0.5 * z * z, axis=-1)
     if gate_matrix is not None:
         values = _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm)
-        terms.append(values.reshape(*values.shape[:-2], -1))
+        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
     if behavior_coeffs is not None:
-        terms.append(_laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm))
-    return sum(t.sum(axis=-1) for t in terms)
+        values = _laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm)
+        total += np.add.reduce(values, axis=-1)
+    return total
 
 
 def log_prior(params: ModelParams, spec: PriorSpec) -> float:

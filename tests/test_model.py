@@ -1,6 +1,7 @@
 """Density-model unit tests: gates, fusion, densities, likelihood, priors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,8 +325,53 @@ class TestExpertAxis:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@st.composite
+def expert_pair_inputs(draw):
+    """(S, M, rows) float64 arrays with M of 1 or 2 and 1-600 rows, values
+    from -1e4 to 1e3 and signed zeros, optionally with exact ties over the
+    experts, one or both entries of a pair ``-inf``, and ``inf`` and NaN
+    entries."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 600)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 0.1, size=shape) * 10.0 ** rng.uniform(-3.0, 4.0, size=shape)
+    a[rng.random(shape) < 0.05] = 0.0
+    a[rng.random(shape) < 0.05] = -0.0
+    if draw(st.booleans()):
+        a[:, -1] = np.where(rng.random(shape[::2]) < 0.5, a[:, 0], a[:, -1])
+    if draw(st.booleans()):
+        a[rng.random(shape) < 0.3] = -np.inf
+    for value in (np.inf, np.nan):
+        if draw(st.booleans()):
+            a[rng.random(shape) < 0.05] = value
+    return a
+
+
+def assert_bitwise_equal(got, want):
+    """Same shape, NaN in the same places and the same bits everywhere else (so -0.0 is not 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
 class TestLogSumExp:
     """The in-repo kernel against scipy's logsumexp, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(expert_pair_inputs())
+    def test_one_or_two_experts_bitwise_equal_to_scipy_without_warnings(self, a):
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error")
+            got = _logsumexp(a, axis=-2)
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=-2)
+        assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("shape, axis", [((3, 0, 5), -2), ((0,), -1), ((0, 3), 0)])
+    def test_empty_axis_is_refused(self, shape, axis):
+        with pytest.raises(ValueError, match="zero-size array"):
+            _logsumexp(np.empty(shape), axis=axis)
 
     @settings(max_examples=300, deadline=None)
     @given(lse_inputs())

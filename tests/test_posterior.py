@@ -630,7 +630,7 @@ class TestScipyKernelParity:
     """Swapping the in-repo log-sum-exp kernel back to scipy's moves no draw
     and no diagnostic by a single bit."""
 
-    @pytest.mark.parametrize("n_experts", [1, 3])
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
     def test_draws_and_diagnostics_bitwise_equal(self, n_experts, monkeypatch):
         data = linear_data(50, seed=2)
         settings = SamplerSettings(chains=2, iterations=200, burn_in=100, seed=7)
