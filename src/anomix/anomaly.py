@@ -12,8 +12,12 @@ whenever the window sits in either tail.
 
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
 per-knot Taylor table, built once per weight vector, within about 2e-16
-of the exact CDF.  Windows hold at most ``MAX_WINDOW`` weights, because
-the table's build doubles in cost with every added weight.
+of the exact CDF.  A query finds its knot in an exact bucket index over
+the sorted knots, also built once: its bucket's first knot, then a
+branch-free bisection over at most the largest bucket's knot count, so it
+lands on the knot a binary search would.  Windows hold at most
+``MAX_WINDOW`` weights, because the table's build doubles in cost with
+every added weight.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelParams, Dataset, _cdf_from_moments, conditional_cdf_rows
+from .model import Dataset, _cdf_from_moments
 
 __all__ = [
     "PIT_EPS",
@@ -33,7 +37,6 @@ __all__ = [
     "WeightVector",
     "WeightedUniformSumDist",
     "AnomalyScoreSeries",
-    "pit_rows",
     "default_decay",
     "exp_weights",
     "build_sum_dist",
@@ -46,8 +49,14 @@ __all__ = [
 PIT_EPS = 1e-15
 
 # Longest window: the per-knot Taylor table's knot-to-knot build costs
-# O(2**n * n**2) double-double operations, about 0.4 s at 12 weights.
+# O(2**n * n**2) double-double operations, 0.31-0.36 s at 12 weights on
+# two cores (0.06-0.09 s at 10, 0.14-0.19 s at 11).
 MAX_WINDOW = 12
+
+# Knot-index buckets per knot, on average.  At 4 no bucket holds more than
+# 3 knots for any accepted window at its default decay; fast decays crowd
+# knots into few buckets, which the bisection in ``_knots`` bounds.
+_BUCKETS_PER_KNOT = 4
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -123,6 +132,10 @@ class WeightedUniformSumDist:
             raise ValueError("expected one subset sum per weight subset")
         if self.subset_sums[0] != 0.0 or abs(self.subset_sums[-1] - self.support_end) > 1e-9:
             raise ValueError("subset sums must run from 0 to the kept-weight total")
+        if np.any(self.subset_sums[1:] < self.subset_sums[:-1]):
+            raise ValueError("subset sums must be non-decreasing: knot lookups rely on their order")
+        if not len(self.subset_lows) == len(self.subset_signs) == len(self.subset_sums):
+            raise ValueError("expected one rounding error and one sign per subset sum")
 
     @functools.cached_property
     def taylor_table(self) -> np.ndarray:
@@ -159,6 +172,22 @@ class WeightedUniformSumDist:
             padded_hi[n] += self.subset_signs[i] * fact  # n! times a sum of signs: exact
             hi[i], lo[i] = padded_hi[: n + 1], padded_lo[: n + 1]
         return np.ascontiguousarray(((hi + lo) / (np.cumprod([1.0, *range(1, n + 1)]) * self.norm_const)).T)
+
+    @functools.cached_property
+    def _knot_index(self) -> tuple[float, np.ndarray, int, np.ndarray]:
+        """``(scale, first, span, knots)``: an exact bucket index over the knots.
+
+        A value x lies in bucket ``int(x * scale)``, ``first[b]`` counts the
+        knots in buckets below b and ``span`` is the most knots one bucket
+        holds; ``knots`` is ``subset_sums`` followed by ``span`` copies of
+        +inf, so ``span`` knots from any ``first`` entry are in the array.
+        """
+        scale = _BUCKETS_PER_KNOT * 2**self.degree / self.support_end
+        buckets = (self.subset_sums * scale).astype(np.intp)
+        # Queries inside the support lie in buckets 0 .. int(support_end * scale).
+        first = np.searchsorted(buckets, np.arange(int(self.support_end * scale) + 1))
+        span = int(np.bincount(buckets).max())
+        return scale, first, span, np.append(self.subset_sums, np.full(span, math.inf))
 
 
 def _log_norm(weights: np.ndarray) -> float:
@@ -271,25 +300,41 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     inside = (q > 0.0) & (q < dist.support_end)
     interior = q[inside]
     if interior.size:  # the table is built on first use: only queries inside the support need it
-        knots = np.searchsorted(dist.subset_sums, interior, side="left") - 1
+        knots = _knots(dist, interior)
         t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
         table = dist.taylor_table
         vals = table[-1, knots]
         for row in table[-2::-1]:
-            vals = vals * t + row[knots]
+            vals *= t
+            vals += row[knots]
         out[inside] = np.clip(vals, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
+    """Index of the last knot below each query in (0, support_end), equal to
+    ``np.searchsorted(dist.subset_sums, interior, side="left") - 1``.
+
+    The bucket map is non-decreasing, so every knot in a lower bucket than
+    a query lies below it and every knot in a higher bucket above it: the
+    answer lies among the ``span`` knots from the first of the query's
+    bucket, which a branch-free bisection finds in ceil(log2(span)) steps.
+    """
+    scale, first, span, knots = dist._knot_index
+    i = first[(interior * scale).astype(np.intp)]
+    while span > 1:
+        half = span // 2
+        ahead = i + half
+        np.copyto(i, ahead, where=knots[ahead] < interior)
+        span -= half
+    i += knots[i] < interior
+    i -= 1
+    return i
 
 
 # ---------------------------------------------------------------------------
 # PIT and scores
 # ---------------------------------------------------------------------------
-
-
-def pit_rows(params: ModelParams, X, y) -> np.ndarray:
-    """Clamped conditional CDF values, one per covariate/response row."""
-    u = conditional_cdf_rows(params, X, y)
-    return np.clip(u, PIT_EPS, 1.0 - PIT_EPS)
 
 
 def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
@@ -315,15 +360,18 @@ class AnomalyScoreSeries:
     theta_high: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.as_values, dtype=float)
         ts = np.asarray(self.timestamps)
-        if vals.ndim != 1 or len(vals) != len(ts):
-            raise ValueError("timestamps and score values must align")
-        if len(vals) and (vals.min() < 0.0 or vals.max() > 1.0):
-            raise ValueError("anomaly scores must lie in [0, 1]")
+        bands = [name for name in ("theta_low", "theta_high") if getattr(self, name) is not None]
+        for name in ("as_values", *bands):
+            vals = np.asarray(getattr(self, name), dtype=float)
+            if vals.ndim != 1 or len(vals) != len(ts):
+                raise ValueError(f"{name} must hold one value per timestamp")
+            # Written so that NaN, which compares false, fails it too.
+            if not np.all((vals >= 0.0) & (vals <= 1.0)):
+                raise ValueError(f"{name} must be finite and lie in [0, 1]")
+            object.__setattr__(self, name, vals)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
-        object.__setattr__(self, "as_values", vals)
         object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:

@@ -596,9 +596,12 @@ def _read_series(path) -> AnomalyScoreSeries:
             thr = float(row["threshold"])
     if not ts:
         raise ValueError(f"{path}: score file has no rows, so it records no threshold")
-    return AnomalyScoreSeries(
-        np.array(ts, dtype="datetime64[s]"), np.array(vals), thr, np.array(lo), np.array(hi)
-    )
+    try:
+        return AnomalyScoreSeries(
+            np.array(ts, dtype="datetime64[s]"), np.array(vals), thr, np.array(lo), np.array(hi)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_failures_json(run_dir: Path) -> FailureLog:

@@ -11,6 +11,12 @@ machine, the per-failure detection report, the all-pairs frontier walk and
 the per-row least-squares disentangled gate directions that
 ``anomix.detection``, ``anomix.selection`` and ``anomix.explain`` replaced
 with one batched computation each.
+
+``sum_cdf_searchsorted`` is ``anomix.anomaly.sum_cdf`` with each query's
+knot found by a binary search over the sorted subset sums, the search the
+package's bucket index replaced; ``pit_rows`` is the clamped PIT of a batch
+of rows under one parameter point, which the package computes per draw
+block inside ``score_series``.
 """
 
 import math
@@ -19,7 +25,9 @@ import warnings
 import numpy as np
 from scipy.special import logsumexp
 
+from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
 from anomix.detection import AlarmWindow, DetectionReport, DetectionRow
+from anomix.model import ModelParams, conditional_cdf_rows
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -201,3 +209,32 @@ def orthogonal_directions_lstsq(slopes: np.ndarray) -> np.ndarray:
             a = a - others.T @ coef
         rows.append(a)
     return np.array(rows)
+
+
+def pit_rows(params: ModelParams, X, y) -> np.ndarray:
+    """Clamped conditional CDF values, one per covariate/response row."""
+    u = conditional_cdf_rows(params, X, y)
+    return np.clip(u, PIT_EPS, 1.0 - PIT_EPS)
+
+
+def searchsorted_knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
+    """Index of the last knot below each query in (0, support_end)."""
+    return np.searchsorted(dist.subset_sums, interior, side="left") - 1
+
+
+def sum_cdf_searchsorted(dist: WeightedUniformSumDist, q) -> np.ndarray:
+    """The sum-CDF at an array of queries: knots by binary search, then
+    Horner's rule on each knot's Taylor column, one new array per step."""
+    q = np.asarray(q, dtype=float)
+    out = np.where(q >= dist.support_end, 1.0, 0.0)
+    inside = (q > 0.0) & (q < dist.support_end)
+    interior = q[inside]
+    if interior.size:
+        knots = searchsorted_knots(dist, interior)
+        t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
+        table = dist.taylor_table
+        vals = table[-1, knots]
+        for row in table[-2::-1]:
+            vals = vals * t + row[knots]
+        out[inside] = np.clip(vals, 0.0, 1.0)
+    return out

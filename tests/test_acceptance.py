@@ -18,12 +18,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, kstest
 
+from oracles import pit_rows
+
 from anomix.anomaly import (
     WeightVector,
     build_sum_dist,
     default_decay,
     exp_weights,
-    pit_rows,
     sum_cdf,
 )
 from anomix.cli import main

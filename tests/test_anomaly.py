@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
+from oracles import pit_rows, searchsorted_knots, sum_cdf_searchsorted
+
+from anomix import anomaly
 from anomix.anomaly import (
     MAX_WINDOW,
     AnomalyScoreSeries,
@@ -17,7 +21,6 @@ from anomix.anomaly import (
     build_sum_dist,
     default_decay,
     exp_weights,
-    pit_rows,
     score_series,
     sum_cdf,
 )
@@ -155,6 +158,21 @@ class TestBuildSumDist:
         with pytest.raises(ValueError):
             build_sum_dist(exp_weights(MAX_WINDOW + 1, 0.1))
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("subset_sums", lambda s: s[[0, 2, 1, 3]]),
+            ("subset_lows", lambda s: s[:-1]),
+            ("subset_signs", lambda s: np.append(s, 1.0)),
+        ],
+        ids=["unsorted-sums", "short-lows", "long-signs"],
+    )
+    def test_knot_arrays_are_checked(self, field, change):
+        # The knot lookup assumes sorted knots with one error and one sign each.
+        d = build_sum_dist(WeightVector([0.25, 0.75]))
+        with pytest.raises(ValueError):
+            replace(d, **{field: change(getattr(d, field))})
+
 
 class TestSumCdf:
     def test_nan_query_raises(self):
@@ -220,10 +238,10 @@ class TestSumCdf:
 
         lazy, built = dist(), dist()
         sum_cdf(built, built.support_end / 2)
-        assert "taylor_table" in built.__dict__
+        assert "taylor_table" in built.__dict__ and "_knot_index" in built.__dict__
         for q in (2.0, np.array([-0.5, 0.0, lazy.support_end, 2.0]), np.empty((0, 3))):
             got = sum_cdf(lazy, q)
-            assert "taylor_table" not in lazy.__dict__
+            assert "taylor_table" not in lazy.__dict__ and "_knot_index" not in lazy.__dict__
             assert np.shape(got) == np.shape(q) and np.array_equal(got, sum_cdf(built, q))
         assert sum_cdf(lazy, 2.0) == 1.0
 
@@ -296,6 +314,43 @@ class TestExactSumCdf:
         qs = dist.support_end * np.random.default_rng(k).random(20_000)
         moved = np.abs(sum_cdf(dist, np.nextafter(qs, 2.0)) - sum_cdf(dist, qs))
         assert moved.max() <= 1e-14
+
+
+class TestKnotLookup:
+    """The bucket index finds the knot a binary search finds, so sum_cdf
+    gives the bits of the binary-search path (tests/oracles.py)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.01, 60.0))
+    @example(n=1, decay=1.0)
+    @example(n=MAX_WINDOW, decay=default_decay(MAX_WINDOW - 1))
+    @example(n=MAX_WINDOW, decay=5.0)  # knots crowd into few buckets
+    @example(n=MAX_WINDOW, decay=12.0)  # weights are shed: degree < n
+    def test_matches_binary_search_bitwise(self, n, decay):
+        try:
+            w = exp_weights(n, decay)
+        except ValueError:
+            assume(False)
+        dist = build_sum_dist(w)
+        s, end = dist.subset_sums, dist.support_end
+        qs = np.concatenate(
+            [
+                s,
+                np.nextafter(s, -math.inf),
+                np.nextafter(s, math.inf),
+                [0.0, end, (s[-1] + end) / 2, np.nextafter(end, 0.0), np.nextafter(end, 2.0), 2.0 * end],
+            ]
+        )
+        interior = qs[(qs > 0.0) & (qs < end)]
+        np.testing.assert_array_equal(anomaly._knots(dist, interior), searchsorted_knots(dist, interior))
+        got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_pair_with_equal_weights(self):
+        # Two equal weights give a repeated knot; the lookup takes the first.
+        dist = build_sum_dist(WeightVector([0.5, 0.5]))
+        qs = np.array([0.25, 0.5, np.nextafter(0.5, 1.0), 0.75])
+        np.testing.assert_array_equal(anomaly._knots(dist, qs), searchsorted_knots(dist, qs))
 
 
 class TestBatchedSumCdf:
@@ -523,6 +578,36 @@ class TestScoreSeries:
             AnomalyScoreSeries(ts, np.array([1.5]), 0.975)
         with pytest.raises(ValueError):
             AnomalyScoreSeries(ts, np.array([0.5]), 1.0)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("as_values", [0.5, math.nan, 0.5]),
+            ("as_values", [0.5, math.inf, 0.5]),
+            ("theta_low", [0.1]),
+            ("theta_low", [0.1, math.nan, 0.1]),
+            ("theta_low", [-0.1, 0.1, 0.1]),
+            ("theta_high", [0.9, 0.9, 0.9, 0.9]),
+            ("theta_high", [0.9, 1.5, 0.9]),
+            ("theta_high", [0.9, -math.inf, 0.9]),
+            ("theta_high", [[0.9, 0.9, 0.9]]),
+        ],
+    )
+    def test_series_refuses_bad_scores_and_bands(self, field, values):
+        # NaN compares false with both ends of [0, 1], so a NaN score would
+        # pass a min/max check and never raise an alarm.
+        ts = np.datetime64("2024-01-01", "s") + np.arange(3) * np.timedelta64(3600, "s")
+        columns = dict(as_values=[0.5, 0.5, 0.5], theta_low=[0.1, 0.1, 0.1], theta_high=[0.9, 0.9, 0.9])
+        columns[field] = values
+        with pytest.raises(ValueError, match=field):
+            AnomalyScoreSeries(ts, threshold=0.975, **{k: np.array(v) for k, v in columns.items()})
+
+    def test_series_bands_are_optional_float_arrays(self):
+        ts = np.datetime64("2024-01-01", "s") + np.arange(2) * np.timedelta64(3600, "s")
+        plain = AnomalyScoreSeries(ts, np.array([0.0, 1.0]), 0.975)
+        assert plain.theta_low is None and plain.theta_high is None
+        banded = AnomalyScoreSeries(ts, [0.5, 0.5], 0.975, [0, 0], [1, 1])
+        assert banded.theta_low.dtype == banded.theta_high.dtype == np.float64
 
 
 class TestScoreProperties:

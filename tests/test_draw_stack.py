@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from oracles import pit_rows
+
 from anomix.anomaly import (
     build_sum_dist,
     default_decay,
     exp_weights,
-    pit_rows,
     score_series,
     sum_cdf,
 )

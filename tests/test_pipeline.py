@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from anomix.anomaly import AnomalyScoreSeries, pit_rows, score_series
+from oracles import pit_rows
+
+from anomix.anomaly import AnomalyScoreSeries, score_series
 from anomix.config import _PARSERS, PipelineConfig, default_config_text, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
 from anomix.model import (
@@ -493,6 +495,21 @@ class TestScoreHandOff:
         # The threshold is stored on each row, so a file with no rows has lost it.
         path = tmp_path / "scores.csv"
         _write_series(path, AnomalyScoreSeries(np.array([], dtype="datetime64[s]"), np.array([]), 0.9))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            _read_series(path)
+
+    @pytest.mark.parametrize("column", ["as_value", "theta_q05", "theta_q95"])
+    def test_nan_cell_is_refused_on_read(self, tmp_path, column):
+        # A NaN score would read back as a score that never alarms.
+        ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
+        values = np.array([0.5, 0.99, 0.5])
+        path = tmp_path / "scores.csv"
+        _write_series(path, AnomalyScoreSeries(ts, values, 0.975, values, values))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = "nan"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
             _read_series(path)
 
