@@ -13,11 +13,9 @@ whenever the window sits in either tail.
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
 per-knot Taylor table, built once per weight vector, within about 2e-16
 of the exact CDF.  A query finds its knot in an exact bucket index over
-the sorted knots, also built once: its bucket's first knot, then a
-branch-free bisection over at most the largest bucket's knot count, so it
-lands on the knot a binary search would.  Windows hold at most
-``MAX_WINDOW`` weights, because the table's build doubles in cost with
-every added weight.
+the knots, also built once, instead of by a binary search.  Windows hold
+at most ``MAX_WINDOW`` weights, because the table's build doubles in cost
+with every added weight.
 """
 
 from __future__ import annotations
@@ -175,13 +173,10 @@ class WeightedUniformSumDist:
 
     @functools.cached_property
     def _knot_index(self) -> tuple[float, np.ndarray, int, np.ndarray]:
-        """``(scale, first, span, knots)``: an exact bucket index over the knots.
-
-        A value x lies in bucket ``int(x * scale)``, ``first[b]`` counts the
-        knots in buckets below b and ``span`` is the most knots one bucket
-        holds; ``knots`` is ``subset_sums`` followed by ``span`` copies of
-        +inf, so ``span`` knots from any ``first`` entry are in the array.
-        """
+        """``(scale, first, span, knots)``: x lies in bucket ``int(x * scale)``,
+        ``first[b]`` counts the knots in buckets below b, ``span`` is the most
+        knots one bucket holds, and ``knots`` pads ``subset_sums`` with
+        ``span`` copies of +inf."""
         scale = _BUCKETS_PER_KNOT * 2**self.degree / self.support_end
         buckets = (self.subset_sums * scale).astype(np.intp)
         # Queries inside the support lie in buckets 0 .. int(support_end * scale).
@@ -312,8 +307,8 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
 
 
 def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
-    """Index of the last knot below each query in (0, support_end), equal to
-    ``np.searchsorted(dist.subset_sums, interior, side="left") - 1``.
+    """``np.searchsorted(dist.subset_sums, interior, side="left") - 1`` for
+    queries in (0, support_end).
 
     The bucket map is non-decreasing, so every knot in a lower bucket than
     a query lies below it and every knot in a higher bucket above it: the
