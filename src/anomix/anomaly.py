@@ -10,6 +10,9 @@ Passing ``Q`` through that CDF and folding around 1/2 produces a score
 that is itself uniform on (0, 1) for healthy data and approaches 1
 whenever the window sits in either tail.
 
+A series keeps the posterior mean of each window's score and the 5%/95%
+band of its per-draw scores, taken from one sort of the draw axis.
+
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
 per-knot Taylor table, built once per weight vector, within about 2e-16
 of the exact CDF.  A query finds its knot in an exact bucket index over
@@ -28,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import Dataset, _cdf_from_moments
+from .posterior import _quantiles
 
 __all__ = [
     "PIT_EPS",
@@ -397,7 +401,7 @@ def score_series(
         raise ValueError(f"dataset has {len(data)} rows, need at least {length}")
     dist = _window_dist(length, decay if decay is not None else default_decay(k))
     per_draw = _draw_scores(sample, data.covariates, data.responses, dist)
-    low, high = np.quantile(per_draw, [0.05, 0.95], axis=0)
+    low, high = _quantiles(per_draw, [0.05, 0.95])
     return AnomalyScoreSeries(
         timestamps=data.timestamps[k:], as_values=per_draw.mean(axis=0), threshold=threshold,
         theta_low=low, theta_high=high,

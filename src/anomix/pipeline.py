@@ -4,7 +4,9 @@ A run lives in a directory: the manifest records the config hash, seed and
 library versions, and every stage persists its artifacts there so stages
 can be re-run individually.  Timestamps are ISO-8601, day bucketing is
 UTC, and the whole pipeline is deterministic given (config, seed, input
-files).
+files).  A posterior archive holds three members: an int64 header, the
+acceptance rate and one draws x parameters matrix; a file that is not such
+an archive is refused with its path.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 import sys
 import warnings
+import zipfile
 from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -36,7 +39,7 @@ from .detection import (
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset, ModelParams, fused_moments, sample_conditional
-from .posterior import FitDiagnostics, PosteriorSample, fit_diagnostics, sample_posteriors, sample_predictive
+from .posterior import FitDiagnostics, PosteriorSample, _quantiles, fit_diagnostics, sample_posteriors, sample_predictive
 
 __all__ = [
     "CsvSchema",
@@ -59,7 +62,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 class StageError(RuntimeError):
@@ -420,34 +423,56 @@ def write_two_index_stream(
 
 
 def save_posterior(sample: PosteriorSample, path) -> None:
-    """Versioned binary archive of a posterior sample's draw stack."""
-    np.savez_compressed(
-        path,
-        format_version=ARCHIVE_VERSION,
-        expert_coeffs=sample.expert_coeffs,
-        expert_sds=sample.expert_sds,
-        mixing=sample.mixing,
-        behavior=sample.behavior,
-        acceptance_rate=sample.acceptance_rate,
-        chain_count=sample.chain_count,
-        seed=sample.seed,
-    )
+    """Versioned binary archive of a posterior sample's draw stack.
+
+    Three members: an int64 ``header`` (version, experts, width n + 1, chain
+    count, seed), the ``acceptance_rate``, and one ``draws`` matrix holding,
+    per draw, the expert coefficients, sds, mixing rows and behavior
+    coefficients, flattened in that order.
+    """
+    s, m, width = sample.expert_coeffs.shape
+    header = np.array([ARCHIVE_VERSION, m, width, sample.chain_count, sample.seed], dtype=np.int64)
+    stacks = (sample.expert_coeffs, sample.expert_sds, sample.mixing, sample.behavior)
+    draws = np.concatenate([stack.reshape(s, -1) for stack in stacks], axis=1)
+    np.savez_compressed(path, header=header, acceptance_rate=sample.acceptance_rate, draws=draws)
 
 
 def load_posterior(path) -> PosteriorSample:
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != ARCHIVE_VERSION:
-            raise ValueError(f"unsupported posterior archive version {version}")
-        return PosteriorSample(
-            archive["expert_coeffs"],
-            archive["expert_sds"],
-            archive["mixing"],
-            archive["behavior"],
-            float(archive["acceptance_rate"]),
-            int(archive["chain_count"]),
-            int(archive["seed"]),
-        )
+    """The posterior sample archived at ``path``; an archive of any other
+    version, or with a member missing or misshapen, is refused by path."""
+    with _open_npz(path) as archive:
+        if "format_version" in archive.files:  # the key of every version-1 archive
+            raise ValueError(f"{path}: written before archive version {ARCHIVE_VERSION}; refit")
+        header, rate, draws = _members(path, archive, ("header", "acceptance_rate", "draws"))
+    if header.dtype != np.int64 or header.shape != (5,) or header[0] != ARCHIVE_VERSION:
+        raise ValueError(f"{path}: header {header.tolist()} is not a posterior archive version {ARCHIVE_VERSION} header")
+    _, m, width, chain_count, seed = header.tolist()
+    if draws.ndim != 2 or m < 1 or width < 1 or draws.shape[1] != m * (2 * width + 1) + width:
+        raise ValueError(f"{path}: a {draws.shape} draws matrix does not hold {m} experts of width {width}")
+    coeffs, sds, mixing, behavior = np.split(draws, np.cumsum([m * width, m, m * width]), axis=1)
+    s = len(draws)
+    return PosteriorSample(
+        coeffs.reshape(s, m, width), sds, mixing.reshape(s, m, width), behavior, float(rate), chain_count, seed
+    )
+
+
+def _open_npz(path):
+    """The npz archive at ``path``; any other file is refused by path."""
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an npz archive ({exc})") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an npz archive")
+    return archive
+
+
+def _members(path, archive, names) -> list:
+    """The arrays ``names`` of an open npz archive, refusing a missing one by path."""
+    missing = [name for name in names if name not in archive.files]
+    if missing:
+        raise ValueError(f"{path}: missing member {', '.join(missing)}")
+    return [archive[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +506,9 @@ def _save_split(path, data: Dataset) -> None:
 
 
 def _load_split(path) -> Dataset:
-    with np.load(path) as archive:
-        return Dataset(
-            archive["covariates"],
-            archive["responses"],
-            archive["timestamps"].astype("datetime64[s]"),
-        )
+    with _open_npz(path) as archive:
+        covariates, responses, timestamps = _members(path, archive, ("covariates", "responses", "timestamps"))
+    return Dataset(covariates, responses, timestamps.astype("datetime64[s]"))
 
 
 def _covariates_for(config: PipelineConfig, index: str) -> list:
@@ -789,7 +811,7 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> list:
             continue
         draws = sample_predictive(sample, test.covariates, rng)
         act, mean, _ = _predictive_summary(sample, test.covariates)
-        q05, q95 = np.quantile(draws, [0.05, 0.95], axis=0)
+        q05, q95 = _quantiles(draws, [0.05, 0.95])
 
         stamps = _timestamp_strings(test.timestamps)
         band = np.column_stack([test.responses, mean, q05, q95])

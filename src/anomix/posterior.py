@@ -11,6 +11,8 @@ stack per dataset (:class:`PosteriorSample`) in contiguous chain blocks, from
 which the fit diagnostics read split R-hat.  The log target is cached per
 chain in one part per group, next to the experts' blend, so a proposal
 recomputes only what its group moves: a behavior-gate one reuses the blend.
+Posterior bands (score, predictive and coverage intervals) take their
+quantiles from one sort of the draw axis, equal to ``np.quantile``.
 """
 
 from __future__ import annotations
@@ -504,6 +506,34 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     out = np.empty(shape)
     for block, alpha, means, sds in sample.moment_blocks(X):
         out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
+    return out
+
+
+def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
+    """``np.quantile(draws, probs, axis=0)`` from one sort of the draw axis.
+
+    NumPy's default "linear" method (Hyndman & Fan's type 7) with its exact
+    arithmetic: the virtual index ``(n - 1) * p``, both neighbours on the
+    last row at or past it, and ``_lerp``'s two-sided interpolation.  A
+    column holding a NaN gives NaN.  Where tied zeros of both signs meet,
+    the sign of a zero result may differ from NumPy's, whose partition
+    leaves their order unspecified.
+    """
+    ordered = np.sort(draws, axis=0)
+    n = len(ordered)
+    virtual = (n - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(virtual)
+    last = virtual >= n - 1
+    below[last] = -1
+    lo = below.astype(np.intp)
+    hi = lo + 1
+    hi[last] = -1
+    t = (virtual - below).reshape(virtual.shape + (1,) * (ordered.ndim - 1))
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    np.copyto(out, ordered[-1], where=np.isnan(ordered[-1]))
     return out
 
 

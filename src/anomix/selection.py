@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .model import Dataset, PriorSpec
-from .posterior import PosteriorSample, _max_ignoring_nan, psis_loo, sample_posterior, sample_predictive
+from .posterior import PosteriorSample, _max_ignoring_nan, _quantiles, psis_loo, sample_posterior, sample_predictive
 
 __all__ = [
     "Trial",
@@ -95,7 +95,7 @@ def coverage_counts(
     draws = sample_predictive(sample, data.covariates, rng)
     levels = np.arange(1, k_levels) / k_levels
     probs = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
-    lo, hi = np.split(np.quantile(draws, probs, axis=0), 2)
+    lo, hi = np.split(_quantiles(draws, probs), 2)
     counts = ((data.responses >= lo) & (data.responses <= hi)).sum(axis=1)
     return CoverageGrid(k_levels, levels, counts, len(data))
 

@@ -2,6 +2,7 @@
 consumer against a loop over the stack's draws, one parameter point at a time,
 through the row-batched model functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,21 +132,31 @@ class TestLayout:
 
 
 class TestArchive:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_draws=st.integers(1, 50),
-        n_experts=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**63 - 1),
+        chain_count=st.integers(1, 2**63 - 1),
+        acceptance_rate=st.floats(0.0, 1.0),
+        n_draws=st.integers(1, 60),
+        n_experts=st.integers(1, 4),
         n_covariates=st.integers(0, 3),
     )
-    def test_load_save_round_trip(self, tmp_path_factory, seed, n_draws, n_experts, n_covariates):
-        sample = random_stack(np.random.default_rng(seed), n_draws, n_experts, n_covariates)
+    def test_load_save_round_trip(
+        self, tmp_path_factory, seed, chain_count, acceptance_rate, n_draws, n_experts, n_covariates
+    ):
+        sample = random_stack(np.random.default_rng(seed % 2**32), n_draws, n_experts, n_covariates)
+        sample = dataclasses.replace(sample, acceptance_rate=acceptance_rate, chain_count=chain_count, seed=seed)
         path = tmp_path_factory.mktemp("archive") / "posterior.npz"
         save_posterior(sample, path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == ["acceptance_rate", "draws", "header"]
         back = load_posterior(path)
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
-        assert (back.acceptance_rate, back.chain_count, back.seed) == (0.25, 1, 0)
+            a, b = getattr(back, name), getattr(sample, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert np.float64(back.acceptance_rate).tobytes() == np.float64(acceptance_rate).tobytes()
+        assert (back.chain_count, back.seed) == (chain_count, seed)
+        assert type(back.chain_count) is int and type(back.seed) is int
 
 
 class _Replay:

@@ -574,3 +574,69 @@ class TestPosteriorArchive:
                 assert ea.intercept == eb.intercept
                 np.testing.assert_array_equal(ea.slopes, eb.slopes)
                 assert ea.noise_sd == eb.noise_sd
+
+    @pytest.fixture
+    def archived(self, tmp_path):
+        """A valid version-2 archive of three draws (M = 2, n = 1), and its members."""
+        mixing = np.zeros((3, 2, 2))
+        mixing[:, 0] = 0.5
+        sample = PosteriorSample(np.ones((3, 2, 2)), np.ones((3, 2)), mixing, np.zeros((3, 2)), 0.3, 1, 5)
+        path = tmp_path / "posterior.npz"
+        save_posterior(sample, path)
+        with np.load(path) as archive:
+            return path, {name: archive[name] for name in archive.files}
+
+    def test_missing_member_is_refused_by_path(self, archived):
+        path, members = archived
+        del members["draws"]
+        np.savez(path, **members)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing member draws")):
+            load_posterior(path)
+
+    def test_split_missing_member_is_refused_by_path(self, tmp_path):
+        path = tmp_path / "split.npz"
+        np.savez(path, covariates=np.zeros((2, 1)), responses=np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing member timestamps")):
+            _load_split(path)
+
+    def test_version_1_archive_is_refused(self, tmp_path):
+        # The member layout of every archive written before version 2.
+        path = tmp_path / "posterior.npz"
+        np.savez_compressed(
+            path, format_version=1, expert_coeffs=np.ones((3, 1, 1)), expert_sds=np.ones((3, 1)),
+            mixing=np.zeros((3, 1, 1)), behavior=np.zeros((3, 1)), acceptance_rate=0.3, chain_count=1, seed=5,
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}: written before archive version 2; refit")):
+            load_posterior(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [[0, 2, 2, 1, 5], [1, 2, 2, 1, 5], [3, 2, 2, 1, 5], [2, 2, 2, 1], np.array([2.0, 2, 2, 1, 5])],
+        ids=["version 0", "version 1", "version 3", "short", "float"],
+    )
+    def test_other_version_is_refused_by_path(self, archived, header):
+        path, members = archived
+        np.savez(path, **{**members, "header": np.asarray(header)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header ") + r".* is not a posterior archive version 2 header"):
+            load_posterior(path)
+
+    @pytest.mark.parametrize("header", [[2, 1, 2, 1, 5], [2, 2, 3, 1, 5], [2, 0, 2, 1, 5]], ids=["experts", "width", "none"])
+    def test_misshapen_draws_are_refused_by_path(self, archived, header):
+        path, members = archived
+        np.savez(path, **{**members, "header": np.array(header)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a (3, 12) draws matrix does not hold")):
+            load_posterior(path)
+
+    @pytest.mark.parametrize("reader", [load_posterior, _load_split])
+    @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated zip"])
+    def test_non_npz_file_is_refused_by_path(self, archived, tmp_path, reader, content):
+        source, _ = archived
+        path = tmp_path / "not_an_archive.npz"
+        if content == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            data = {"text": b"timestamp,value\n", "empty": b"", "truncated zip": source.read_bytes()[:100]}[content]
+            path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not an npz archive")):
+            reader(path)

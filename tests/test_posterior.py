@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import psis_loo_per_point, rank_normal_ranks
 from scipy.optimize import brentq
@@ -44,6 +44,7 @@ from anomix.posterior import (
     _PARTS,
     _log_target,
     _psis_loo,
+    _quantiles,
     _rank_normal,
     _rhat_max,
     _split_rhat,
@@ -660,3 +661,59 @@ class TestScipyKernelParity:
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert ours.acceptance_rate == theirs.acceptance_rate
         assert np.array_equal(astuple(ours_diag), astuple(theirs_diag), equal_nan=True)
+
+
+# The coverage grid's interval ends at 20 levels, as ``coverage_counts`` asks for them.
+_LEVELS = np.arange(1, 20) / 20
+COVERAGE_PROBS = list(np.concatenate([(1.0 - _LEVELS) / 2.0, (1.0 + _LEVELS) / 2.0]))
+
+probabilities = st.one_of(
+    st.just([0.0, 0.5, 1.0]),
+    st.just(COVERAGE_PROBS),
+    st.lists(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0, 1 / 3]), min_size=1, max_size=8),  # repeats, any order
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+
+
+@st.composite
+def draw_matrices(draw):
+    """(draws x columns) matrices mixing continuous values, ties, zeros of
+    both signs and infinities, with NaN in some columns."""
+    n, cols = draw(st.integers(1, 900)), draw(st.integers(0, 40))
+    kinds = sorted(draw(st.sets(st.sampled_from(["normal", "ties", "zeros", "infinities"]), min_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = {
+        "normal": rng.normal(size=(n, cols)),
+        "ties": rng.integers(-2, 3, size=(n, cols)).astype(float),
+        "zeros": rng.choice([-0.0, 0.0], size=(n, cols)),
+        "infinities": rng.choice([-np.inf, np.inf], size=(n, cols)),
+    }
+    x = np.choose(rng.integers(len(kinds), size=(n, cols)), [pools[k] for k in kinds])
+    nan_cols = rng.random(cols) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[rng.integers(n, size=cols)[nan_cols], np.flatnonzero(nan_cols)] = np.nan
+    return x
+
+
+class TestQuantiles:
+    """``_quantiles`` is ``np.quantile(..., axis=0)`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=draw_matrices(), probs=probabilities)
+    @example(x=np.array([[np.inf], [np.inf]]), probs=[0.0, 0.5, 1.0])
+    @example(x=np.array([[-np.inf, 1.0], [np.inf, 1.0]]), probs=[0.25, 1.0])
+    @example(x=np.array([[np.inf, -0.0, np.nan]]), probs=[0.5, 1.0])
+    @example(x=np.array([[-0.0], [-0.0], [2.0]]), probs=[0.0, 0.25, 1.0])
+    @example(x=np.arange(10.0)[:, None] * [1.0, -1.0], probs=COVERAGE_PROBS)
+    def test_matches_numpy(self, x, probs):
+        with np.errstate(invalid="ignore"):
+            got, want = _quantiles(x, probs), np.quantile(x, probs, axis=0)
+        assert got.shape == want.shape == (len(probs), x.shape[1])
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        # Where a column holds zeros of both signs, a sort and NumPy's
+        # partition may leave them in different orders, and so a zero
+        # result with either sign: only there is the sign not compared.
+        zeros = x == 0.0
+        mixed = (zeros & np.signbit(x)).any(axis=0) & (zeros & ~np.signbit(x)).any(axis=0)
+        got, want = (np.where(mixed & (q == 0.0), 0.0, q) for q in (got, want))
+        np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
