@@ -9,7 +9,9 @@ them (``beta -> 0``).
 Everything in this module is a pure, deterministic function of parameters
 and covariates; the sampling, scoring and explanation layers build on top
 of it.  Mixture log-densities go through log-sum-exp so that the extreme
-tail values visited by the anomaly score stay finite.
+tail values visited by the anomaly score stay finite.  The gate, fusion and
+density helpers that the sampler, scoring and explanation share work in
+place on the temporaries they make, never on an argument.
 """
 
 from __future__ import annotations
@@ -215,33 +217,37 @@ def _embed_rows(X) -> np.ndarray:
 
 def _softmax_gate(gate_matrix, phi):
     """Mixing weights (..., M, rows) of the softmax gate at embedded rows ``phi``."""
-    logits = gate_matrix @ np.swapaxes(phi, -1, -2)
+    logits = gate_matrix @ phi.swapaxes(-1, -2)
     if not np.isfinite(logits).all():
         raise ValueError("non-finite gate logits")
     logits -= logits.max(axis=-2, keepdims=True)
-    alpha = np.exp(logits)
+    alpha = np.exp(logits, out=logits)
     alpha /= alpha.sum(axis=-2, keepdims=True)
     return alpha
 
 
 def _logistic_gate(behavior_coeffs, phi):
     """Behavior gate output ``beta`` (..., 1, rows) at embedded rows ``phi``."""
-    return expit(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))
+    logits = behavior_coeffs[..., None, :] @ phi.swapaxes(-1, -2)
+    return expit(logits, out=logits)
 
 
 def _blend(alpha, means, variances, alpha_rows=None):
     """The ``alpha``-weighted blend (..., 1, rows) of the expert means (..., M, rows) and variances (..., M).
     The variance contracts M in a matmul over ``alpha_rows``, a contiguous (..., rows, M) copy of ``alpha``
     made here unless given: ``variances[..., None, :] @ alpha`` rounds differently from three experts on."""
-    alpha_rows = np.ascontiguousarray(np.swapaxes(alpha, -1, -2)) if alpha_rows is None else alpha_rows
-    return (alpha * means).sum(axis=-2, keepdims=True), np.swapaxes(alpha_rows @ variances[..., None], -1, -2)
+    alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2)) if alpha_rows is None else alpha_rows
+    return (alpha * means).sum(axis=-2, keepdims=True), (alpha_rows @ variances[..., None]).swapaxes(-1, -2)
 
 
 def _fuse(beta, rest, means, variances, blend):
     """Fused means and variances: each expert's move toward the ``blend``,
     keeping weight ``beta`` on its own and ``rest = 1 - beta`` on the blend."""
     blend_mean, blend_var = blend
-    return beta * means + rest * blend_mean, beta * variances[..., None] + rest * blend_var
+    fused, fused_var = beta * means, beta * variances[..., None]
+    fused += rest * blend_mean
+    fused_var += rest * blend_var
+    return fused, fused_var
 
 
 def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
@@ -256,9 +262,9 @@ def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    means, variances = coeffs @ np.swapaxes(phi, -1, -2), sds**2
+    means, variances = coeffs @ phi.swapaxes(-1, -2), sds**2
     fused, fused_var = _fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances))
-    return alpha, fused, np.sqrt(fused_var)
+    return alpha, fused, np.sqrt(fused_var, out=fused_var)
 
 
 # Kept as an oracle of the acceptance suite's fusion identities.
@@ -297,26 +303,45 @@ def _logsumexp(a, axis: int = -1):
     (all ``-inf``, an ``inf`` or a NaN) fall back to ``log(sum(exp(a)))``.
     scipy's ``where(s == 0, s, s / m)`` is a plain ``s / m``: ``s`` is 0 only where ``m`` is at least 1.
 
-    An axis of one or two, the sampler's case at M <= 2, takes that
-    arithmetic with the zero terms dropped, on slices of ``a``.  Of one
-    value ``x`` scipy returns ``log1p(0) + log(1) + x``, which is ``x + 0.0``.
-    Of two, ``hi + log1p(exp(lo - hi))`` with ``hi`` the larger and ``lo``
-    the smaller: without a tie scipy's ``m`` is 1 and its ``s`` is that same
-    ``exp(lo - hi)``; with one ``log1p(exp(0))`` is ``log1p(1)``, which
-    equals scipy's ``log1p(0) + log(2)`` bit for bit.  If any result is not
-    finite, the general formula is run instead.
+    An axis of one to three, the sampler's case at M <= 3, takes that
+    arithmetic with the zero terms dropped, on slices of ``a`` and in place
+    on temporaries made here.  Of one value ``x`` scipy returns
+    ``log1p(0) + log(1) + x``, which is ``x + 0.0``.  Of more, a sorting
+    network leaves the largest in ``hi`` and the others in ``lo`` (and
+    ``mid``), and the result is ``hi + log1p(exp(lo - hi) [+ exp(mid - hi)])``.
+    Without a tie for the largest, scipy's ``m`` is 1 and its ``s``,
+    ``(e0 + e1) + e2`` with the largest's term an exact zero, sums the same
+    terms, as IEEE addition is commutative.  Of two values a tie gives
+    ``log1p(1)``, which equals scipy's ``log1p(0) + log(2)`` bit for bit; of
+    three, a tie for the largest takes the general formula, and so does
+    every slice if any ``hi`` is not finite, which is when a result would
+    not be.  A 1-D ``a`` is reduced as one column, so that its slices are arrays.
     """
+    k = a.shape[axis]
+    if 1 <= k <= 3:
+        if a.ndim == 1:
+            return _logsumexp(a[:, None], axis=0)[0]
+        lead = (slice(None),) * (axis % a.ndim)
+        first = a[lead + (0,)]
+        if k == 1:
+            return first + 0.0
+        second = a[lead + (1,)]
+        hi, lo = np.maximum(first, second), np.minimum(first, second)
+        if k == 3:
+            mid = np.minimum(hi, a[lead + (2,)])
+            np.maximum(hi, a[lead + (2,)], out=hi)
+        if np.isfinite(hi).all():  # so no NaN either: np.maximum propagates it, and nothing below warns
+            lo -= hi
+            if k == 3:
+                mid -= hi
+            if k == 2 or (lo.max() < 0.0 and mid.max() < 0.0):
+                np.exp(lo, out=lo)
+                if k == 3:
+                    lo += np.exp(mid, out=mid)
+                np.log1p(lo, out=lo)
+                lo += hi
+                return lo
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if 1 <= a.shape[axis] <= 2:
-            lead = (slice(None),) * (axis % a.ndim)
-            first = a[lead + (0,)]
-            if a.shape[axis] == 1:
-                return first + 0.0
-            second = a[lead + (1,)]
-            hi = np.maximum(first, second)
-            out = np.log1p(np.exp(np.minimum(first, second) - hi)) + hi
-            if np.isfinite(out).all():
-                return out
         a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
         m = is_max.sum(axis=axis, keepdims=True, dtype=float)
@@ -335,9 +360,15 @@ def _log_weights(alpha):
 
 
 def _logpdf_from_moments(log_alpha, means, sds, y):
-    z = (y[..., None, :] - means) / sds
-    comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
-    return _logsumexp(comp + log_alpha, axis=-2)
+    """Mixture log density (..., rows) of responses ``y`` (..., 1, rows) under fused moments (..., M, rows)."""
+    z = y - means
+    z /= sds
+    comp = -0.5 * z
+    comp *= z
+    comp -= np.log(sds, out=z)
+    comp -= 0.5 * LOG_2PI
+    comp += log_alpha
+    return _logsumexp(comp, axis=-2)
 
 
 def _cdf_from_moments(alpha, means, sds, y):
@@ -348,7 +379,7 @@ def conditional_logpdf_rows(params: ModelParams, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
     y = _as_vector(y, "y")
     alpha, means, sds = _moments_arrays(*params.as_arrays(), _embed_rows(X))
-    return _logpdf_from_moments(_log_weights(alpha), means, sds, y)
+    return _logpdf_from_moments(_log_weights(alpha), means, sds, y[None, :])
 
 
 def conditional_cdf_rows(params: ModelParams, X, y) -> np.ndarray:

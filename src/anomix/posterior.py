@@ -11,6 +11,7 @@ stack per dataset (:class:`PosteriorSample`) in contiguous chain blocks, from
 which the fit diagnostics read split R-hat.  The log target is cached per
 chain in one part per group, next to the experts' blend, so a proposal
 recomputes only what its group moves: a behavior-gate one reuses the blend.
+Each evaluation runs through the model's in-place helpers.
 Posterior bands (score, predictive and coverage intervals) take their
 quantiles from one sort of the draw axis, equal to ``np.quantile``.
 """
@@ -192,14 +193,14 @@ def _experts_part(experts, phi, prior: PriorSpec):
     coordinate, so the log-sd prior kernel already carries the Jacobian.
     """
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
-    means = coeffs @ np.swapaxes(phi, -1, -2)
-    return means, np.exp(log_sds) ** 2, _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
+    means, variances = coeffs @ phi.swapaxes(-1, -2), np.exp(log_sds)
+    return means, np.square(variances, out=variances), _log_prior_arrays(prior, coeffs=coeffs, log_sds=log_sds)
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
     """Mixing weights, their logs (S, M, rows) and contiguous (S, rows, M) copy, and the free gate rows' prior term."""
     alpha = _softmax_gate(mixing, phi)
-    alpha_rows = np.ascontiguousarray(np.swapaxes(alpha, -1, -2))
+    alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2))
     return alpha, _log_weights(alpha), alpha_rows, _log_prior_arrays(prior, gate_matrix=mixing)
 
 
@@ -212,29 +213,24 @@ def _behavior_part(behavior, phi, prior: PriorSpec):
 _PARTS = {"experts": _experts_part, "mixing": _mixing_part, "behavior": _behavior_part}
 
 
-def _parts_blend(parts):
-    """The experts' ``alpha``-weighted blend (``model._blend``) from the parts."""
-    (means, variances, _), (alpha, _, alpha_rows, _) = parts["experts"], parts["mixing"]
+def _parts_blend(experts, mixing):
+    """The experts' ``alpha``-weighted blend (``model._blend``) from their parts."""
+    (means, variances, _), (alpha, _, alpha_rows, _) = experts, mixing
     return _blend(alpha, means, variances, alpha_rows)
 
 
-def _total(parts, blend, y):
-    """Log target (S,) from the three parts and the experts' ``blend``: the likelihood, reduced over the
-    experts by ``model._logsumexp``, plus the prior terms in the order experts, mixing, behavior.  At
-    M = 1 the behavior gate cannot move the likelihood and is never proposed, so its prior term, a
-    constant there, is left out: the target does not depend on the gate prior."""
-    means, variances, experts_prior = parts["experts"]
-    _, log_alpha, _, mixing_prior = parts["mixing"]
-    beta, rest, behavior_prior = parts["behavior"]
+def _total(experts, mixing, behavior, blend, y):
+    """Log target (S,) from the three parts, the experts' ``blend`` and the responses ``y`` (S, 1, rows):
+    the likelihood, reduced over the experts by ``model._logsumexp``, plus the prior terms in the order
+    experts, mixing, behavior.  At M = 1 the behavior gate cannot move the likelihood and is never
+    proposed, so its prior term, a constant there, is left out: the target does not depend on the gate prior."""
+    means, variances, experts_prior = experts
+    _, log_alpha, _, mixing_prior = mixing
+    beta, rest, behavior_prior = behavior
     fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
-    ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var), y).sum(axis=-1)
-    return ll + (experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0))
-
-
-def _log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
-    """Unnormalised log posterior at states with any leading (chain) axes,
-    in log-sd coordinates (see :func:`_experts_part`)."""
-    return _LockstepTarget({"experts": experts, "mixing": mixing, "behavior": behavior}, phi, y, prior).current
+    ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var, out=fused_var), y).sum(axis=-1)
+    ll += experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0)
+    return ll
 
 
 class _LockstepTarget:
@@ -244,25 +240,26 @@ class _LockstepTarget:
     those arrays chain by chain, so the cache always equals a fresh evaluation."""
 
     def __init__(self, state, phi, y, prior: PriorSpec):
-        self.state, self._phi, self._y, self._prior = state, phi, y, prior
+        self.state, self._phi, self._y, self._prior = state, phi, y[..., None, :], prior
         self.parts = {name: part(state[name], phi, prior) for name, part in _PARTS.items()}
-        self.blend = _parts_blend(self.parts)
-        self.current = _total(self.parts, self.blend, y)
+        self.blend = _parts_blend(self.parts["experts"], self.parts["mixing"])
+        self.current = _total(*self.parts.values(), self.blend, self._y)
 
     def evaluate(self, name, moved):
         """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend."""
-        parts = {**self.parts, name: _PARTS[name](moved, self._phi, self._prior)}
+        fresh = _PARTS[name](moved, self._phi, self._prior)
+        experts, mixing, behavior = (fresh if key == name else part for key, part in self.parts.items())
         if name == "behavior":
-            return _total(parts, self.blend, self._y), parts[name]
-        blend = _parts_blend(parts)
-        return _total(parts, blend, self._y), parts[name] + blend
+            return _total(experts, mixing, behavior, self.blend, self._y), fresh
+        blend = _parts_blend(experts, mixing)
+        return _total(experts, mixing, behavior, blend, self._y), fresh + blend
 
     def accept(self, name, chains, moved, fresh, new):
-        """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the boolean ``chains``."""
+        """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the slots listed in ``chains``."""
         # After a behavior move ``fresh`` ends with its part, so zip stops before the blend.
         cache = (self.state[name], self.current, *self.parts[name], *self.blend)
         # Row by row: a quarter of the chains accept on average, and a masked copy walks every row.
-        for c in np.flatnonzero(chains).tolist():
+        for c in chains:
             for cached, value in zip(cache, (moved, new, *fresh)):
                 cached[c] = value[c]
 
@@ -321,8 +318,7 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
     normals = {name: np.empty((slots, state[name][free][0].size)) for name, free in blocks}
     n_kept = settings.iterations - settings.burn_in
     kept = {name: np.empty((slots, n_kept, *arr.shape[1:])) for name, arr in state.items()}
-    accepted = np.zeros(slots, dtype=int)
-    accept = np.zeros(slots, dtype=bool)
+    accepted = [0] * slots
     for it in range(settings.iterations):
         adapting, gamma = it < settings.burn_in, (it + 1) ** -0.6
         for name, free in blocks:
@@ -332,19 +328,22 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
                 rng.standard_normal(out=row)
             step += (scale[:, None] * normals[name]).reshape(step.shape)
             new, part = target.evaluate(name, moved)
+            taken = []
             for c, (rng, log_ratio) in enumerate(zip(rngs, (new - target.current).tolist())):
                 acc_prob = 1.0 if log_ratio >= 0 else math.exp(log_ratio)
-                accept[c] = rng.random() < acc_prob
+                if rng.random() < acc_prob:
+                    taken.append(c)
                 if adapting:
                     scale[c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
-            if accept.any():
-                target.accept(name, accept, moved, part, new)
-            if not adapting:
-                accepted += accept
+            if taken:
+                target.accept(name, taken, moved, part, new)
+                if not adapting:
+                    for c in taken:
+                        accepted[c] += 1
         if not adapting:
             for name, arr in state.items():
                 kept[name][:, it - settings.burn_in] = arr
-    rates = (accepted / (n_kept * len(blocks))).reshape(-1, chains)
+    rates = (np.array(accepted) / (n_kept * len(blocks))).reshape(-1, chains)
     stacks = [arr.reshape(len(datasets), -1, *arr.shape[2:]) for arr in kept.values()]
     samples = []
     for i, seed in enumerate(seeds):
@@ -372,7 +371,7 @@ def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = Non
     ll = np.empty((sample.n_draws, len(data)))
     per_draw = np.empty(sample.n_draws)
     for block, alpha, means, sds in sample.moment_blocks(data.covariates):
-        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses)
+        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses[None, :])
         if level is not None:
             # y sits inside the central interval exactly when its CDF value
             # falls between the two tail probabilities (the CDF is monotone).

@@ -17,17 +17,26 @@ knot found by a binary search over the sorted subset sums, the search the
 package's bucket index replaced; ``pit_rows`` is the clamped PIT of a batch
 of rows under one parameter point, which the package computes per draw
 block inside ``score_series``.
+
+``log_target`` is the sampler's unnormalised log posterior at whole states,
+evaluated through one fresh ``anomix.posterior._LockstepTarget``.
+
+``softmax_gate``, ``logistic_gate``, ``fuse`` and ``logpdf_from_moments``
+are the model's gate, fusion and mixture-density helpers written out of
+place, one new array per operation, in the order the package's in-place
+versions run the same operations.
 """
 
 import math
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
 from anomix.detection import AlarmWindow, DetectionReport, DetectionRow
-from anomix.model import ModelParams, conditional_cdf_rows
+from anomix.model import LOG_2PI, ModelParams, PriorSpec, conditional_cdf_rows
+from anomix.posterior import _LockstepTarget
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -238,3 +247,33 @@ def sum_cdf_searchsorted(dist: WeightedUniformSumDist, q) -> np.ndarray:
             vals = vals * t + row[knots]
         out[inside] = np.clip(vals, 0.0, 1.0)
     return out
+
+
+def log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
+    """Unnormalised log posterior at states with any leading (chain) axes, in
+    log-sd coordinates (see ``anomix.posterior._experts_part``)."""
+    return _LockstepTarget({"experts": experts, "mixing": mixing, "behavior": behavior}, phi, y, prior).current
+
+
+def softmax_gate(gate_matrix, phi):
+    logits = gate_matrix @ np.swapaxes(phi, -1, -2)
+    logits = logits - logits.max(axis=-2, keepdims=True)
+    alpha = np.exp(logits)
+    return alpha / alpha.sum(axis=-2, keepdims=True)
+
+
+def logistic_gate(behavior_coeffs, phi):
+    return expit(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))
+
+
+def fuse(beta, rest, means, variances, blend):
+    blend_mean, blend_var = blend
+    return beta * means + rest * blend_mean, beta * variances[..., None] + rest * blend_var
+
+
+def logpdf_from_moments(log_alpha, means, sds, y):
+    """Mixture log density of responses ``y`` (..., rows), reduced over the experts by scipy."""
+    z = (y[..., None, :] - means) / sds
+    comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return logsumexp(comp + log_alpha, axis=-2)

@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,11 @@ from anomix.model import (
     ModelParams,
     PriorSpec,
     _embed_rows,
+    _fuse,
+    _logistic_gate,
+    _logpdf_from_moments,
     _logsumexp,
+    _softmax_gate,
     conditional_cdf_rows,
     conditional_logpdf_rows,
     conditional_pdf,
@@ -326,24 +331,32 @@ class TestExpertAxis:
 
 
 @st.composite
-def expert_pair_inputs(draw):
-    """(S, M, rows) float64 arrays with M of 1 or 2 and 1-600 rows, values
-    from -1e4 to 1e3 and signed zeros, optionally with exact ties over the
-    experts, one or both entries of a pair ``-inf``, and ``inf`` and NaN
-    entries."""
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 600)))
+def few_expert_inputs(draw):
+    """``(a, axis)``: (S, M, rows) float64 arrays reduced over axis -2, or
+    1-D arrays of M values reduced over their only axis, with M of 1-3 and
+    1-600 rows.  Values run from -1e4 to 1e3 with signed zeros, optionally
+    with exact two- or three-way ties over the experts (zeros of both signs
+    among them), ``-inf`` entries, and ``inf`` and NaN entries."""
+    m = draw(st.integers(1, 3))
+    shape = (m,) if draw(st.booleans()) else (draw(st.integers(1, 4)), m, draw(st.integers(1, 600)))
+    axis = draw(st.sampled_from([-1, 0])) if len(shape) == 1 else -2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.uniform(-1.0, 0.1, size=shape) * 10.0 ** rng.uniform(-3.0, 4.0, size=shape)
     a[rng.random(shape) < 0.05] = 0.0
     a[rng.random(shape) < 0.05] = -0.0
+    experts = np.moveaxis(a, axis, 0)  # a view: writes land in ``a``
+    tied = rng.random(experts.shape[1:]) < 0.5
+    for j in range(1, draw(st.integers(1, m))):  # no tie, or a two- or three-way one where ``tied``
+        experts[j] = np.where(tied, experts[0], experts[j])
     if draw(st.booleans()):
-        a[:, -1] = np.where(rng.random(shape[::2]) < 0.5, a[:, 0], a[:, -1])
+        zeros = rng.random(experts.shape) < 0.2
+        experts[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
     if draw(st.booleans()):
         a[rng.random(shape) < 0.3] = -np.inf
     for value in (np.inf, np.nan):
         if draw(st.booleans()):
             a[rng.random(shape) < 0.05] = value
-    return a
+    return a, axis
 
 
 def assert_bitwise_equal(got, want):
@@ -358,14 +371,16 @@ def assert_bitwise_equal(got, want):
 class TestLogSumExp:
     """The in-repo kernel against scipy's logsumexp, bit for bit."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(expert_pair_inputs())
-    def test_one_or_two_experts_bitwise_equal_to_scipy_without_warnings(self, a):
+    @settings(max_examples=500, deadline=None)
+    @given(few_expert_inputs())
+    def test_one_to_three_experts_bitwise_equal_to_scipy_without_warnings(self, case):
+        a, axis = case
         with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
             warnings.simplefilter("error")
-            got = _logsumexp(a, axis=-2)
+            got = _logsumexp(a, axis=axis)
         with np.errstate(all="ignore"):
-            want = logsumexp(a, axis=-2)
+            want = logsumexp(a, axis=axis)
+        assert type(got) is type(want)
         assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("shape, axis", [((3, 0, 5), -2), ((0,), -1), ((0, 3), 0)])
@@ -387,6 +402,86 @@ class TestLogSumExp:
         with np.errstate(invalid="ignore"):
             want = logsumexp(a)
         assert np.array_equal(_logsumexp(a), want, equal_nan=True)
+
+
+@st.composite
+def helper_arguments(draw):
+    """Arguments of the gate, fusion and density helpers: 0-2 leading (draw)
+    axes, 1-4 experts, 1-40 rows and 0-3 covariates, values of mixed
+    magnitudes, gate weights that underflow to 0 (log weight ``-inf``) and
+    behavior outputs of exactly 0 and 1.  The moment arrays are views into
+    larger arrays, as the sampler's state slices are."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m, rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mixed(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+    gate = mixed(*lead, m, n + 1)
+    gate[..., -1, :] = 0.0
+    beta = rng.uniform(size=(*lead, 1, rows))
+    beta[rng.random(beta.shape) < 0.2] = rng.choice([0.0, 1.0])
+    log_alpha = np.log(rng.dirichlet(np.ones(m), size=(*lead, rows))).swapaxes(-1, -2)
+    log_alpha[rng.random(log_alpha.shape) < 0.2] = -np.inf
+    return {
+        "gate": gate,
+        "behavior": mixed(*lead, n + 1),
+        "phi": np.column_stack([np.ones(rows), mixed(rows, n)]),
+        "beta": beta,
+        "rest": 1.0 - beta,
+        "means": mixed(*lead, m + 1, rows)[..., 1:, :],
+        "variances": np.exp(rng.uniform(-6.0, 6.0, size=(*lead, m))),
+        "blend": (mixed(*lead, 1, rows), np.exp(rng.uniform(-6.0, 6.0, size=(*lead, 1, rows)))),
+        "log_alpha": log_alpha,
+        "sds": np.exp(rng.uniform(-3.0, 3.0, size=(*lead, m, 2 * rows)))[..., ::2],
+        "y": mixed(*lead, rows),
+    }
+
+
+def argument_bytes(*args):
+    return [a.tobytes() for arg in args for a in (arg if isinstance(arg, tuple) else (arg,))]
+
+
+class TestInPlaceHelpers:
+    """The gate, fusion and density helpers run in place on temporaries they
+    own: they leave every argument's bytes as they were and return, bit for
+    bit, what the same operations give one new array at a time
+    (``tests/oracles.py``)."""
+
+    CASES = {
+        "softmax_gate": (_softmax_gate, oracles.softmax_gate, ("gate", "phi")),
+        "logistic_gate": (_logistic_gate, oracles.logistic_gate, ("behavior", "phi")),
+        "fuse": (_fuse, oracles.fuse, ("beta", "rest", "means", "variances", "blend")),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(helper_arguments(), st.sampled_from(sorted(CASES)))
+    def test_arguments_untouched_and_results_bitwise_equal(self, kwargs, name):
+        helper, oracle, names = self.CASES[name]
+        args = [kwargs[k] for k in names]
+        before = argument_bytes(*args)
+        got, want = helper(*args), oracle(*args)
+        assert argument_bytes(*args) == before
+        for g, w in zip(*((r if isinstance(r, tuple) else (r,)) for r in (got, want)), strict=True):
+            assert_bitwise_equal(g, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(helper_arguments())
+    def test_logpdf_from_moments(self, kwargs):
+        args = [kwargs[k] for k in ("log_alpha", "means", "sds", "y")]
+        before = argument_bytes(*args)
+        got = _logpdf_from_moments(*args[:3], args[3][..., None, :])
+        assert argument_bytes(*args) == before
+        assert_bitwise_equal(got, oracles.logpdf_from_moments(*args))
+
+    @settings(max_examples=150, deadline=None)
+    @given(few_expert_inputs())
+    def test_logsumexp(self, case):
+        a, axis = case
+        before = a.tobytes()
+        _logsumexp(a, axis=axis)
+        assert a.tobytes() == before
 
 
 class TestLogLikelihood:
