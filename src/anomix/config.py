@@ -19,7 +19,7 @@ from .detection import AlarmPolicy, PoolingPolicy
 from .model import PriorSpec
 from .posterior import SamplerSettings
 
-__all__ = ["PipelineConfig", "SplitSpec", "parse_config", "load_config", "default_config_text"]
+__all__ = ["PipelineConfig", "SplitSpec", "parse_config", "load_config"]
 
 SCHEMA_VERSION = 1
 
@@ -227,15 +227,3 @@ def parse_config(text: str) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def default_config_text(**overrides) -> str:
-    """Config text with every key spelled out, for scaffolding runs."""
-    values = {"schema_version": SCHEMA_VERSION, "indices": ["hi_a", "hi_b"], **overrides}
-    lines = []
-    for f in fields(PipelineConfig):
-        value = values.get(f.name, _default(f))
-        if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

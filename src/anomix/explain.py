@@ -25,7 +25,6 @@ __all__ = [
     "gate_geometry",
     "reduce_svd",
     "reduced_geometry",
-    "augment_behavior",
     "default_score_grid",
     "embed_grid",
     "render_map",
@@ -133,20 +132,6 @@ def reduced_geometry(sample: PosteriorSample) -> GateGeometry:
     """
     slopes = sample.mixing.mean(axis=0)[:-1, 1:]
     return _geometry(reduce_svd(slopes), np.zeros(2), "reduced gate matrix has rank {rank} < 2")
-
-
-def augment_behavior(geometry: GateGeometry, behavior_coeffs) -> GateGeometry:
-    """Append the behavior gate as a second direction (two-expert case).
-
-    Enables a 2D map when the mixing gate alone contributes one row; the
-    augmented matrix must still have full row rank.
-    """
-    coeffs = np.asarray(behavior_coeffs, dtype=float)
-    if geometry.n_directions != 1:
-        raise ValueError("behavior augmentation applies to a single-direction geometry")
-    slopes = np.vstack([geometry.slopes, coeffs[1:]])
-    intercepts = np.concatenate([geometry.intercepts, [coeffs[0]]])
-    return _geometry(slopes, intercepts, "behavior row is collinear with the gate row; augmented rank < 2")
 
 
 def default_score_grid(n_directions: int, points_per_axis: int = 41) -> np.ndarray:

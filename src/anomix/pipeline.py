@@ -38,13 +38,12 @@ from .detection import (
     raise_alarms,
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
-from .model import Dataset, ModelParams, fused_moments, sample_conditional
+from .model import Dataset
 from .posterior import FitDiagnostics, PosteriorSample, _quantiles, fit_diagnostics, sample_posteriors, sample_predictive
 
 __all__ = [
     "CsvSchema",
     "SplitSpec",
-    "SyntheticSpec",
     "Scaler",
     "StageError",
     "ingest_csv",
@@ -52,7 +51,6 @@ __all__ = [
     "read_failures",
     "standard_scale",
     "build_splits",
-    "generate_synthetic",
     "save_posterior",
     "load_posterior",
     "write_two_index_stream",
@@ -315,61 +313,6 @@ def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Generator recipe: ground-truth model, covariate law, optional fault."""
-
-    params: ModelParams
-    covariate_law: list  # per dimension: ("uniform", lo, hi) or ("gaussian", mean, sd)
-    n_samples: int
-    fault_onset: int | None = None
-    shift_sds: float = 0.0
-    drift_per_sample: float = 0.0
-    start: str = "2024-01-01T00:00:00"
-    cadence_seconds: int = 3600
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if len(self.covariate_law) != self.params.experts[0].n:
-            raise ValueError("one covariate law per model dimension is required")
-
-
-def _draw_covariates(law: list, n: int, rng: np.random.Generator) -> np.ndarray:
-    cols = []
-    for kind, a, b in law:
-        if kind == "uniform":
-            cols.append(rng.uniform(a, b, size=n))
-        elif kind == "gaussian":
-            cols.append(rng.normal(a, b, size=n))
-        else:
-            raise ValueError(f"unknown covariate law {kind!r}")
-    return np.column_stack(cols) if cols else np.empty((n, 0))
-
-
-def generate_synthetic(spec: SyntheticSpec, seed: int):
-    """Sample a dataset from the ground-truth conditional law.
-
-    Responses follow the gate-allocated fused Gaussians; after the fault
-    onset each response is shifted by ``shift_sds`` (plus accumulated
-    drift) times the sampled component's fused standard deviation.
-    Returns ``(dataset, expert_indices)``.
-    """
-    rng = np.random.default_rng(seed)
-    x = _draw_covariates(spec.covariate_law, spec.n_samples, rng)
-    y, z = sample_conditional(spec.params, x, rng)
-    if spec.fault_onset is not None:
-        _, _, sds = fused_moments(spec.params, x)
-        comp_sd = sds[np.arange(len(x)), z]
-        idx = np.arange(spec.n_samples)
-        after = idx >= spec.fault_onset
-        magnitude = spec.shift_sds + spec.drift_per_sample * (idx - spec.fault_onset)
-        y = y + after * magnitude * comp_sd
-    start = np.datetime64(spec.start, "s")
-    ts = start + np.arange(spec.n_samples) * np.timedelta64(spec.cadence_seconds, "s")
-    return Dataset(x, y, ts), z
-
-
 def write_two_index_stream(
     out_dir,
     n_samples: int = 2400,
@@ -446,6 +389,8 @@ def load_posterior(path) -> PosteriorSample:
         header, rate, draws = _members(path, archive, ("header", "acceptance_rate", "draws"))
     if header.dtype != np.int64 or header.shape != (5,) or header[0] != ARCHIVE_VERSION:
         raise ValueError(f"{path}: header {header.tolist()} is not a posterior archive version {ARCHIVE_VERSION} header")
+    if rate.shape != () or rate.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: an acceptance_rate of shape {rate.shape} and dtype {rate.dtype} is not a real scalar")
     _, m, width, chain_count, seed = header.tolist()
     if draws.ndim != 2 or m < 1 or width < 1 or draws.shape[1] != m * (2 * width + 1) + width:
         raise ValueError(f"{path}: a {draws.shape} draws matrix does not hold {m} experts of width {width}")
@@ -468,11 +413,14 @@ def _open_npz(path):
 
 
 def _members(path, archive, names) -> list:
-    """The arrays ``names`` of an open npz archive, refusing a missing one by path."""
+    """The arrays ``names`` of an open npz archive, refusing a missing or unreadable one by path."""
     missing = [name for name in names if name not in archive.files]
     if missing:
         raise ValueError(f"{path}: missing member {', '.join(missing)}")
-    return [archive[name] for name in names]
+    try:
+        return [archive[name] for name in names]
+    except ValueError as exc:  # an object array, which is never unpickled
+        raise ValueError(f"{path}: unreadable member ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import (
-    BehaviorGateParams,
     Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
     PriorSpec,
     _blend,
     _cdf_from_moments,
@@ -54,8 +50,6 @@ __all__ = [
     "sample_posteriors",
     "lppd",
     "psis_loo",
-    "cic",
-    "posterior_predictive_cdf",
     "sample_predictive",
     "fit_diagnostics",
 ]
@@ -137,18 +131,13 @@ class PosteriorSample:
     def n_experts(self) -> int:
         return self.expert_sds.shape[1]
 
-    def draw(self, s: int) -> ModelParams:
-        """Draw ``s`` as a single parameter point."""
-        experts = tuple(ExpertParams(c[0], c[1:], sd) for c, sd in zip(self.expert_coeffs[s], self.expert_sds[s]))
-        return ModelParams(experts, MixingGateParams(self.mixing[s]), BehaviorGateParams(self.behavior[s]))
-
     @classmethod
     def from_draws(cls, draws, acceptance_rate: float, chain_count: int, seed: int) -> "PosteriorSample":
-        """Stack single parameter points, in order, into a posterior sample."""
-        arrays = [d.as_arrays() for d in draws]
-        if not arrays:
+        """Stack draws ``(coeffs, sds, gate_matrix, behavior_coeffs)``, in order, into a posterior sample."""
+        draws = list(draws)
+        if not draws:
             raise ValueError("a posterior sample needs at least one draw")
-        return cls(*(np.stack(group) for group in zip(*arrays)), acceptance_rate, chain_count, seed)
+        return cls(*(np.stack(group) for group in zip(*draws)), acceptance_rate, chain_count, seed)
 
     def moment_blocks(self, X):
         """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
@@ -308,7 +297,8 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
             gate[c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(gate.shape[1:])
     phi = np.repeat([_embed_rows(d.covariates) for d in datasets], chains, axis=0)
     y = np.repeat([d.responses for d in datasets], chains, axis=0)
-    target = _LockstepTarget(state, phi, y, prior)
+    with np.errstate(over="ignore"):  # huge responses overflow here; the check below reports them
+        target = _LockstepTarget(state, phi, y, prior)
     prefix = "dataset {}: " if len(datasets) > 1 else ""
     for i, finite in enumerate(np.isfinite(target.current).reshape(-1, chains).all(axis=1)):
         if not finite:
@@ -473,24 +463,6 @@ def _pareto_smooth(lw: np.ndarray, tail_len: int) -> np.ndarray:
     lw[order, cols] = np.log(np.minimum(gpd, 1.0))
     k_hat[cols] = shape
     return k_hat
-
-
-def cic(sample: PosteriorSample, data: Dataset, level: float = 0.95):
-    """Central credible interval coverage, averaged over draws and points.
-
-    Returns ``(coverage, se)`` where the standard error is the spread of
-    the per-draw coverages.
-    """
-    return _pointwise(sample, data, level)[1]
-
-
-def posterior_predictive_cdf(sample: PosteriorSample, X, y) -> np.ndarray:
-    """Draw-averaged conditional CDF at each covariate/response row."""
-    y = np.asarray(y, dtype=float)
-    acc = np.zeros(len(y))
-    for _, alpha, means, sds in sample.moment_blocks(X):
-        acc += _cdf_from_moments(alpha, means, sds, y).sum(axis=0)
-    return acc / sample.n_draws
 
 
 def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> np.ndarray:

@@ -25,18 +25,45 @@ evaluated through one fresh ``anomix.posterior._LockstepTarget``.
 are the model's gate, fusion and mixture-density helpers written out of
 place, one new array per operation, in the order the package's in-place
 versions run the same operations.
+
+A parameter point is one draw of the stack, the tuple ``(coeffs, sds,
+gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
+take.  ``ModelParams``, ``MixingGateParams`` and ``BehaviorGateParams``
+build one from experts and gate rows, ``ExpertParams`` is one expert, and
+``draw`` reads draw ``s`` out of a ``PosteriorSample``.  ``log_likelihood``
+is one point's row log densities summed, as the sampler sums them;
+``fuse_experts``
+fuses experts at fixed gate outputs, ``conditional_pdf`` is one point's
+density (the acceptance suite's quadrature integrand), ``generate_synthetic``
+samples a dataset from one parameter point, ``cic`` and
+``posterior_predictive_cdf`` are a posterior's interval coverage and
+draw-averaged CDF, and ``default_config_text`` spells out every config key.
 """
 
 import math
 import warnings
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
+from anomix.config import SCHEMA_VERSION, PipelineConfig, _default
 from anomix.detection import AlarmWindow, DetectionReport, DetectionRow
-from anomix.model import LOG_2PI, ModelParams, PriorSpec, conditional_cdf_rows
-from anomix.posterior import _LockstepTarget
+from anomix.model import (
+    LOG_2PI,
+    Dataset,
+    PriorSpec,
+    _blend,
+    _cdf_from_moments,
+    _fuse,
+    conditional_cdf_rows,
+    conditional_logpdf_rows,
+    fused_moments,
+    sample_conditional,
+)
+from anomix.posterior import _LockstepTarget, _pointwise
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -220,7 +247,7 @@ def orthogonal_directions_lstsq(slopes: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def pit_rows(params: ModelParams, X, y) -> np.ndarray:
+def pit_rows(params, X, y) -> np.ndarray:
     """Clamped conditional CDF values, one per covariate/response row."""
     u = conditional_cdf_rows(params, X, y)
     return np.clip(u, PIT_EPS, 1.0 - PIT_EPS)
@@ -277,3 +304,116 @@ def logpdf_from_moments(log_alpha, means, sds, y):
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return logsumexp(comp + log_alpha, axis=-2)
+
+
+class ExpertParams(NamedTuple):
+    """One affine Gaussian expert: mean ``intercept + x @ slopes``, sd ``noise_sd``."""
+
+    intercept: float
+    slopes: np.ndarray
+    noise_sd: float
+
+
+def MixingGateParams(matrix) -> np.ndarray:
+    """Softmax gate rows, one per expert, the last one zero."""
+    return np.asarray(matrix, dtype=float)
+
+
+def BehaviorGateParams(coeffs) -> np.ndarray:
+    return np.asarray(coeffs, dtype=float)
+
+
+def ModelParams(experts, mixing, behavior) -> tuple:
+    """The draw ``(coeffs, sds, gate_matrix, behavior_coeffs)`` of experts and both gates."""
+    coeffs = np.array([np.concatenate(([e.intercept], e.slopes)) for e in experts])
+    return coeffs, np.array([e.noise_sd for e in experts], dtype=float), mixing, behavior
+
+
+def draw(sample, s: int) -> tuple:
+    """Draw ``s`` of a ``PosteriorSample`` as one parameter point."""
+    return sample.expert_coeffs[s], sample.expert_sds[s], sample.mixing[s], sample.behavior[s]
+
+
+def log_likelihood(params, data) -> float:
+    return conditional_logpdf_rows(params, data.covariates, data.responses).sum()
+
+
+def fuse_experts(experts, alpha, beta: float) -> list:
+    """Fused experts at fixed gate outputs, mean coefficients taking the place
+    of means in ``anomix.model._fuse``; ``beta == 1`` returns the experts unrounded."""
+    experts = list(experts)
+    if beta == 1.0:
+        return experts
+    coeffs, sds, _, _ = ModelParams(experts, None, None)
+    variances = sds**2
+    alpha = np.asarray(alpha, dtype=float)[:, None]
+    fused, variances = _fuse(beta, 1.0 - beta, coeffs, variances, _blend(alpha, coeffs, variances))
+    return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused, np.sqrt(variances[:, 0]))]
+
+
+def conditional_pdf(params, x, y: float) -> float:
+    """Density of response ``y`` at the covariate vector ``x``."""
+    return math.exp(conditional_logpdf_rows(params, np.asarray(x, dtype=float)[None, :], [y])[0])
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Generator recipe: ground-truth parameter point, covariate law, optional fault."""
+
+    params: tuple
+    covariate_law: list  # per dimension: ("uniform", lo, hi) or ("gaussian", mean, sd)
+    n_samples: int
+    fault_onset: int | None = None
+    shift_sds: float = 0.0
+    drift_per_sample: float = 0.0
+    start: str = "2024-01-01T00:00:00"
+    cadence_seconds: int = 3600
+
+
+def generate_synthetic(spec: SyntheticSpec, seed: int):
+    """Sample a dataset from the ground-truth conditional law.
+
+    Responses follow the gate-allocated fused Gaussians; after the fault
+    onset each response is shifted by ``shift_sds`` (plus accumulated
+    drift) times the sampled component's fused standard deviation.
+    Returns ``(dataset, expert_indices)``.
+    """
+    rng = np.random.default_rng(seed)
+    draw_column = {"uniform": rng.uniform, "gaussian": rng.normal}
+    x = np.column_stack([draw_column[kind](a, b, size=spec.n_samples) for kind, a, b in spec.covariate_law])
+    y, z = sample_conditional(spec.params, x, rng)
+    if spec.fault_onset is not None:
+        _, _, sds = fused_moments(spec.params, x)
+        idx = np.arange(spec.n_samples)
+        magnitude = spec.shift_sds + spec.drift_per_sample * (idx - spec.fault_onset)
+        y = y + (idx >= spec.fault_onset) * magnitude * sds[idx, z]
+    ts = np.datetime64(spec.start, "s") + np.arange(spec.n_samples) * np.timedelta64(spec.cadence_seconds, "s")
+    return Dataset(x, y, ts), z
+
+
+def cic(sample, data, level: float = 0.95):
+    """Central credible interval coverage averaged over draws and points, and
+    the spread of the per-draw coverages: ``fit_diagnostics``' ``cic95`` and
+    ``cic95_se`` at any level."""
+    return _pointwise(sample, data, level)[1]
+
+
+def posterior_predictive_cdf(sample, X, y) -> np.ndarray:
+    """Draw-averaged conditional CDF at each covariate/response row."""
+    y = np.asarray(y, dtype=float)
+    acc = np.zeros(len(y))
+    for _, alpha, means, sds in sample.moment_blocks(X):
+        acc += _cdf_from_moments(alpha, means, sds, y).sum(axis=0)
+    return acc / sample.n_draws
+
+
+def default_config_text(**overrides) -> str:
+    """Config text with every key spelled out."""
+    values = {"schema_version": SCHEMA_VERSION, "indices": ["hi_a", "hi_b"], **overrides}
+    lines = []
+    for f in fields(PipelineConfig):
+        value = values.get(f.name, _default(f))
+        if isinstance(value, list):
+            value = ", ".join(str(v) for v in value)
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"

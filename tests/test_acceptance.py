@@ -18,7 +18,20 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, kstest
 
-from oracles import pit_rows
+from oracles import (
+    BehaviorGateParams,
+    ExpertParams,
+    MixingGateParams,
+    ModelParams,
+    SyntheticSpec,
+    cic,
+    conditional_pdf,
+    default_config_text,
+    fuse_experts,
+    generate_synthetic,
+    pit_rows,
+    posterior_predictive_cdf,
+)
 
 from anomix.anomaly import (
     WeightVector,
@@ -28,30 +41,11 @@ from anomix.anomaly import (
     sum_cdf,
 )
 from anomix.cli import main
-from anomix.config import default_config_text
 from anomix.detection import AlarmWindow, FailureLog, evaluate
 from anomix.explain import default_score_grid, embed_grid, gate_geometry, reduce_svd
-from anomix.model import (
-    BehaviorGateParams,
-    Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
-    PriorSpec,
-    conditional_pdf,
-    fuse_experts,
-    fused_moments,
-)
-from anomix.pipeline import SyntheticSpec, generate_synthetic, write_two_index_stream
-from anomix.posterior import (
-    PosteriorSample,
-    SamplerSettings,
-    cic,
-    lppd,
-    posterior_predictive_cdf,
-    psis_loo,
-    sample_posterior,
-)
+from anomix.model import Dataset, PriorSpec, fused_moments
+from anomix.pipeline import write_two_index_stream
+from anomix.posterior import PosteriorSample, SamplerSettings, lppd, psis_loo, sample_posterior
 from anomix.selection import Trial, pareto_front, select_best
 
 

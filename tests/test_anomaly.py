@@ -11,7 +11,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
-from oracles import pit_rows, searchsorted_knots, sum_cdf_searchsorted
+from oracles import (
+    BehaviorGateParams,
+    ExpertParams,
+    MixingGateParams,
+    ModelParams,
+    pit_rows,
+    searchsorted_knots,
+    sum_cdf_searchsorted,
+)
 
 from anomix import anomaly
 from anomix.anomaly import (
@@ -24,14 +32,7 @@ from anomix.anomaly import (
     score_series,
     sum_cdf,
 )
-from anomix.model import (
-    BehaviorGateParams,
-    Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
-    sample_conditional,
-)
+from anomix.model import Dataset, sample_conditional
 from anomix.posterior import PosteriorSample
 
 

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import orthogonal_directions_lstsq
+from oracles import (
+    BehaviorGateParams,
+    ExpertParams,
+    MixingGateParams,
+    ModelParams,
+    draw,
+    orthogonal_directions_lstsq,
+)
 
 from anomix.explain import (
     GateGeometry,
-    augment_behavior,
     default_score_grid,
     embed_grid,
     gate_geometry,
@@ -16,13 +22,7 @@ from anomix.explain import (
     reduced_geometry,
     render_map,
 )
-from anomix.model import (
-    BehaviorGateParams,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
-    fused_moments,
-)
+from anomix.model import fused_moments
 from anomix.posterior import PosteriorSample
 
 
@@ -149,15 +149,13 @@ class TestAgainstLeastSquares:
         np.testing.assert_allclose(np.stack(geo.a_star), orthogonal_directions_lstsq(geo.slopes), rtol=0, atol=bound)
 
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["1 row", "2 rows", "3 rows", "augmented", "reduced"]))
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["1 row", "2 rows", "3 rows", "reduced"]))
     def test_correction_maps_slopes_to_a_star(self, seed, kind):
         rng = np.random.default_rng(seed)
-        rows = {"1 row": 1, "2 rows": 2, "3 rows": 3, "augmented": 1, "reduced": 4}[kind]
+        rows = {"1 row": 1, "2 rows": 2, "3 rows": 3, "reduced": 4}[kind]
         slopes = conditioned_slopes(rng, rows, 5, 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-3, 3))
         sample = sample_from_gate(full_gate(slopes, rng.normal(size=rows)), rows + 1, 5)
         geo = (reduced_geometry if kind == "reduced" else gate_geometry)(sample)
-        if kind == "augmented":
-            geo = augment_behavior(geo, rng.normal(size=6))
         assert geo.correction.shape == (geo.n_directions, geo.n_directions)
         bound = 1e-12 * np.linalg.norm(geo.slopes, 2)
         np.testing.assert_allclose(geo.correction @ geo.slopes, np.stack(geo.a_star), rtol=0, atol=bound)
@@ -268,32 +266,6 @@ class TestReduceSvd:
         np.testing.assert_allclose(recovered, skeleton.grid, atol=1e-8)
 
 
-class TestAugmentBehavior:
-    def test_collinear_rejected(self):
-        slopes = np.array([[1.0, 2.0]])
-        geo = gate_geometry(sample_from_gate(full_gate(slopes, np.zeros(1)), 2, 2))
-        with pytest.raises(ValueError):
-            augment_behavior(geo, [0.5, 2.0, 4.0])
-
-    def test_orthogonal_rows_preserved(self):
-        slopes = np.array([[1.0, 0.0]])
-        geo = gate_geometry(sample_from_gate(full_gate(slopes, np.array([0.3])), 2, 2))
-        augmented = augment_behavior(geo, [0.1, 0.0, 2.0])
-        np.testing.assert_allclose(augmented.slopes, [[1.0, 0.0], [0.0, 2.0]], atol=1e-14)
-        np.testing.assert_allclose(np.stack(augmented.a_star), augmented.slopes, atol=1e-12)
-
-    def test_round_trip_after_augmentation(self):
-        rng = np.random.default_rng(14)
-        slopes = rng.normal(size=(1, 4))
-        behavior = rng.normal(size=5)
-        geo = gate_geometry(sample_from_gate(full_gate(slopes, rng.normal(size=1)), 2, 4))
-        augmented = augment_behavior(geo, behavior)
-        grid = default_score_grid(2, points_per_axis=4)
-        skeleton = embed_grid(augmented, grid)
-        recovered = skeleton.points @ augmented.slopes.T + augmented.intercepts
-        np.testing.assert_allclose(recovered, grid, atol=1e-8)
-
-
 class TestRenderMap:
     def test_constant_model_flat_surface(self):
         slopes = np.array([[1.0, 0.0]])
@@ -304,7 +276,8 @@ class TestRenderMap:
         assert rendered.predictive_mean.std() < 0.3  # activation blending only
         const_experts = tuple(ExpertParams(1.0, np.zeros(2), 1.0) for _ in range(2))
         draws = tuple(
-            ModelParams(const_experts, d.mixing, d.behavior) for d in map(sample.draw, range(sample.n_draws))
+            ModelParams(const_experts, gate, behavior)
+            for _, _, gate, behavior in (draw(sample, s) for s in range(sample.n_draws))
         )
         flat_sample = PosteriorSample.from_draws(draws, 0.25, 1, 0)
         rendered = render_map(embed_grid(geo, default_score_grid(1)), flat_sample)
@@ -336,5 +309,5 @@ class TestRenderMap:
             scale = np.linalg.norm(slopes)
             assert logits1[i] > logits0[i]
             assert abs(logits1[other] - logits0[other]) < 1e-10 * scale
-            (w0, w1), _, _ = fused_moments(sample.draw(0), np.stack([x0, x0 + 0.5 * step]))
+            (w0, w1), _, _ = fused_moments(draw(sample, 0), np.stack([x0, x0 + 0.5 * step]))
             assert w1[i] > w0[i]

@@ -1,4 +1,7 @@
-"""Density-model unit tests: gates, fusion, densities, likelihood, priors."""
+"""Density-model unit tests: gates, fusion, densities, likelihood, priors.
+
+A parameter point is one draw ``(coeffs, sds, gate_matrix, behavior_coeffs)``,
+built from experts and gate rows by the helpers of ``tests/oracles.py``."""
 
 import math
 import warnings
@@ -8,35 +11,38 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    BehaviorGateParams,
+    ExpertParams,
+    MixingGateParams,
+    ModelParams,
+    conditional_pdf,
+    fuse_experts,
+    log_likelihood,
+)
 from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
 from anomix.model import (
-    BehaviorGateParams,
     Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
     PriorSpec,
     _embed_rows,
     _fuse,
+    _log_prior_arrays,
     _logistic_gate,
     _logpdf_from_moments,
     _logsumexp,
     _softmax_gate,
     conditional_cdf_rows,
     conditional_logpdf_rows,
-    conditional_pdf,
-    fuse_experts,
     fused_moments,
-    log_likelihood,
-    log_prior,
 )
+from anomix.posterior import PosteriorSample
 
 
 def make_model(experts, gate_rows=None, behavior=None):
-    n = experts[0].n
+    n = len(experts[0].slopes)
     if gate_rows is None:
         gate_rows = np.zeros((len(experts), n + 1))
     if behavior is None:
@@ -55,22 +61,27 @@ def two_component_model():
     return make_model([e1, e2], behavior=[40.0, 0.0])
 
 
-def mixing_weights(gate: MixingGateParams, x) -> np.ndarray:
+def mixing_weights(gate, x) -> np.ndarray:
     """Gate allocation at one covariate point, read from the batched moments."""
-    n = gate.matrix.shape[1] - 1
-    experts = [ExpertParams(0.0, np.zeros(n), 1.0)] * gate.matrix.shape[0]
-    alpha, _, _ = fused_moments(make_model(experts, gate.matrix), np.reshape(x, (1, n)))
+    n = gate.shape[1] - 1
+    experts = [ExpertParams(0.0, np.zeros(n), 1.0)] * gate.shape[0]
+    alpha, _, _ = fused_moments(make_model(experts, gate), np.reshape(x, (1, n)))
     return alpha[0]
 
 
-def behavior_beta(gate: BehaviorGateParams, x) -> float:
+def behavior_beta(gate, x) -> float:
     """Behavior-gate output at one covariate point, read from the batched
     moments: with experts at means 0 and 2 under equal allocation, the
     first fused mean is (1 - beta) times the blend mean 1."""
-    n = len(gate.coeffs) - 1
+    n = len(gate) - 1
     experts = [ExpertParams(0.0, np.zeros(n), 1.0), ExpertParams(2.0, np.zeros(n), 1.0)]
-    _, means, _ = fused_moments(make_model(experts, behavior=gate.coeffs), np.reshape(x, (1, n)))
+    _, means, _ = fused_moments(make_model(experts, behavior=gate), np.reshape(x, (1, n)))
     return 1.0 - means[0, 0]
+
+
+def stacked(model):
+    """``model`` as a posterior sample of one draw, which validates it."""
+    return PosteriorSample.from_draws([model], 0.25, 1, 0)
 
 
 def make_dataset(x, y):
@@ -128,8 +139,9 @@ class TestMixingWeights:
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_frozen_row_enforced(self):
-        with pytest.raises(ValueError):
-            MixingGateParams([[1.0, 0.0], [0.5, 0.0]])
+        e = ExpertParams(0.0, [0.0], 1.0)
+        with pytest.raises(ValueError, match="last gate row"):
+            stacked(make_model([e, e], MixingGateParams([[1.0, 0.0], [0.5, 0.0]])))
 
 
 class TestBehaviorBeta:
@@ -228,10 +240,6 @@ class TestConditionalDensity:
         assert conditional_logpdf_rows(model, [[0.3]], [y])[0] == pytest.approx(
             math.log(conditional_pdf(model, [0.3], y)), abs=1e-12
         )
-
-    def test_rejects_nonfinite_response(self):
-        with pytest.raises(ValueError):
-            conditional_pdf(std_normal_model(), [0.0], math.nan)
 
 
 class TestConditionalCdf:
@@ -515,20 +523,33 @@ class TestLogLikelihood:
         assert math.exp(log_likelihood(model, data)) == pytest.approx(product, rel=1e-12)
 
 
+def log_prior(model, spec: PriorSpec) -> float:
+    """The sampler's log prior of one parameter point, in log-sd coordinates."""
+    coeffs, sds, gate_matrix, behavior_coeffs = model
+    return float(
+        _log_prior_arrays(
+            spec, coeffs=coeffs, log_sds=np.log(sds), gate_matrix=gate_matrix, behavior_coeffs=behavior_coeffs
+        )
+    )
+
+
 class TestLogPrior:
+    """In log-sd coordinates the log-normal prior on a noise sd is a normal
+    density of its log, without the Jacobian term -log sd."""
+
     def laplace_term(self, value, loc, scale):
         return -math.log(2 * scale) - abs(value - loc) / scale
 
-    def lognormal_term(self, sd, log_loc, log_scale):
+    def log_normal_term(self, sd, log_loc, log_scale):
         z = (math.log(sd) - log_loc) / log_scale
-        return -math.log(sd) - math.log(log_scale) - 0.5 * math.log(2 * math.pi) - 0.5 * z * z
+        return -math.log(log_scale) - 0.5 * math.log(2 * math.pi) - 0.5 * z * z
 
     def test_closed_form_at_locations(self):
         spec = PriorSpec()
         sd = math.exp(spec.noise_log_location)  # median of the log-normal
         model = make_model([ExpertParams(0.0, [0.0, 0.0], sd)], behavior=[0.0, 0.0, 0.0])
         # M=1: three mean coefficients, no free gate rows, three behavior coeffs.
-        expected = 6 * self.laplace_term(0.0, 0.0, 1.0) + self.lognormal_term(sd, 0.0, 1.0)
+        expected = 6 * self.laplace_term(0.0, 0.0, 1.0) + self.log_normal_term(sd, 0.0, 1.0)
         assert log_prior(model, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_gate_scale_doubling(self):
@@ -552,7 +573,7 @@ class TestLogPrior:
         spec = PriorSpec()
         by_hand = (
             2 * sum(self.laplace_term(v, 0.0, 1.0) for v in (0.3, 0.1))
-            + 2 * self.lognormal_term(1.2, 0.0, 1.0)
+            + 2 * self.log_normal_term(1.2, 0.0, 1.0)
             + sum(self.laplace_term(v, 0.0, 1.0) for v in (0.7, -0.2))  # first row only
             + sum(self.laplace_term(v, 0.0, 1.0) for v in (0.4, -0.9))
         )
@@ -561,12 +582,14 @@ class TestLogPrior:
 
 class TestValidation:
     def test_positive_noise_sd(self):
-        with pytest.raises(ValueError):
-            ExpertParams(0.0, [0.0], 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            stacked(make_model([ExpertParams(0.0, [0.0], 0.0)]))
 
     def test_expert_dimension_consistency(self):
-        with pytest.raises(ValueError):
-            make_model([ExpertParams(0.0, [0.0], 1.0), ExpertParams(0.0, [0.0, 0.0], 1.0)])
+        # Experts of one covariate under gates of two.
+        e = ExpertParams(0.0, [0.0], 1.0)
+        with pytest.raises(ValueError, match="shapes"):
+            stacked(make_model([e, e], np.zeros((2, 3)), np.zeros(3)))
 
     def test_timestamps_must_be_sorted(self):
         ts = np.array(["2024-01-02", "2024-01-01"], dtype="datetime64[s]")

@@ -9,25 +9,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from oracles import pit_rows
-
-from anomix.anomaly import AnomalyScoreSeries, score_series
-from anomix.config import _PARSERS, PipelineConfig, default_config_text, load_config, parse_config
-from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
-from anomix.model import (
+from oracles import (
     BehaviorGateParams,
-    Dataset,
     ExpertParams,
     MixingGateParams,
     ModelParams,
+    SyntheticSpec,
+    default_config_text,
+    generate_synthetic,
+    pit_rows,
 )
+
+from anomix.anomaly import AnomalyScoreSeries, score_series
+from anomix.config import _PARSERS, PipelineConfig, load_config, parse_config
+from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
+from anomix.model import Dataset
 from anomix.pipeline import (
     CsvSchema,
     Scaler,
     SplitSpec,
-    SyntheticSpec,
     build_splits,
-    generate_synthetic,
     ingest_csv,
     _load_split,
     _read_alarms,
@@ -567,13 +568,8 @@ class TestPosteriorArchive:
         assert back.n_draws == 5
         assert back.acceptance_rate == pytest.approx(0.31)
         assert back.chain_count == 2 and back.seed == 99
-        for a, b in zip(map(sample.draw, range(5)), map(back.draw, range(5))):
-            np.testing.assert_array_equal(a.mixing.matrix, b.mixing.matrix)
-            np.testing.assert_array_equal(a.behavior.coeffs, b.behavior.coeffs)
-            for ea, eb in zip(a.experts, b.experts):
-                assert ea.intercept == eb.intercept
-                np.testing.assert_array_equal(ea.slopes, eb.slopes)
-                assert ea.noise_sd == eb.noise_sd
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
 
     @pytest.fixture
     def archived(self, tmp_path):
@@ -625,6 +621,23 @@ class TestPosteriorArchive:
         path, members = archived
         np.savez(path, **{**members, "header": np.array(header)})
         with pytest.raises(ValueError, match=re.escape(f"{path}: a (3, 12) draws matrix does not hold")):
+            load_posterior(path)
+
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            (np.array([0.3, 0.3]), "an acceptance_rate of shape (2,) and dtype float64 is not a real scalar"),
+            (np.array([0.3]), "an acceptance_rate of shape (1,) and dtype float64 is not a real scalar"),
+            (np.array("0.3"), "an acceptance_rate of shape () and dtype <U3 is not a real scalar"),
+            (np.array(0.3 + 0j), "an acceptance_rate of shape () and dtype complex128 is not a real scalar"),
+            (np.array(0.3, dtype=object), "unreadable member (Object arrays cannot be loaded"),
+        ],
+        ids=["shape (2,)", "shape (1,)", "string", "complex", "object"],
+    )
+    def test_misshapen_acceptance_rate_is_refused_by_path(self, archived, rate, message):
+        path, members = archived
+        np.savez(path, **{**members, "acceptance_rate": rate})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_posterior(path)
 
     @pytest.mark.parametrize("reader", [load_posterior, _load_split])

@@ -12,7 +12,9 @@ import pytest
 
 from anomix import pipeline
 from anomix.cli import build_parser, main
-from anomix.config import default_config_text, parse_config
+from oracles import default_config_text
+
+from anomix.config import parse_config
 from anomix.explain import default_score_grid, embed_grid, gate_geometry, render_map
 from anomix.pipeline import (
     STAGES,

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pareto_front_loop
+from oracles import BehaviorGateParams, ExpertParams, MixingGateParams, ModelParams, pareto_front_loop
 from scipy.stats import binom
 
-from anomix.model import (
-    BehaviorGateParams,
-    Dataset,
-    ExpertParams,
-    MixingGateParams,
-    ModelParams,
-)
+from anomix.model import Dataset
 from anomix import selection
 from anomix.posterior import PosteriorSample, SamplerSettings
 from anomix.selection import (
