@@ -295,19 +295,26 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
         raise ValueError("sum_cdf query is NaN")
-    out = np.where(q >= dist.support_end, 1.0, 0.0)
-    inside = (q > 0.0) & (q < dist.support_end)
-    interior = q[inside]
-    if interior.size:  # the table is built on first use: only queries inside the support need it
-        knots = _knots(dist, interior)
-        t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
-        table = dist.taylor_table
-        vals = table[-1, knots]
-        for row in table[-2::-1]:
-            vals *= t
-            vals += row[knots]
-        out[inside] = np.clip(vals, 0.0, 1.0)
+    if q.size and 0.0 < q.min() and q.max() < dist.support_end:  # every query inside: no masks
+        out = _horner(dist, q.ravel()).reshape(q.shape)
+    else:
+        out = np.where(q >= dist.support_end, 1.0, 0.0)
+        inside = (q > 0.0) & (q < dist.support_end)
+        if inside.any():  # the table is built on first use: only queries inside the support need it
+            out[inside] = _horner(dist, q[inside])
     return float(out) if out.ndim == 0 else out
+
+
+def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
+    """The clipped CDF at queries in (0, support_end), a vector."""
+    knots = _knots(dist, interior)
+    t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
+    table = dist.taylor_table
+    vals = table[-1, knots]
+    for row in table[-2::-1]:
+        vals *= t
+        vals += row[knots]
+    return np.clip(vals, 0.0, 1.0, out=vals)
 
 
 def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:

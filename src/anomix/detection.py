@@ -160,8 +160,11 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
 
     ``observed`` holds the timestamps of every scored observation; gaps in
     it shrink the effective validity windows, and a window containing no
-    observation at all counts as a missed failure.
+    observation at all counts as a missed failure.  Rows follow ``w_days``.
     """
+    w = np.asarray(w_days)
+    if (w <= 0).any():
+        raise ValueError("validity window length must be positive")
     observed = np.sort(np.asarray(observed, dtype="datetime64[s]"))
     n = len(observed)
     spans = np.array([(a.onset, a.end) for a in alarms], dtype="datetime64").reshape(-1, 2)
@@ -171,33 +174,31 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
     in_failure = _covered(n, np.searchsorted(observed, starts), np.searchsorted(observed, ends, "right"))
     active_before = np.concatenate([[0], np.cumsum(active)])
 
+    # Failure f's validity window of w days (one row per w) holds the observations
+    # in [start_f - w, start_f), its oldest day (the bucket) those before start_f - (w - 1).
+    days = np.stack([w, w - 1]).astype(np.int64).astype("timedelta64[D]")
+    lo = np.searchsorted(observed, starts - days[0, :, None])
+    tp = np.count_nonzero(active_before[np.searchsorted(observed, starts)] > active_before[lo], axis=-1)
+    fn = len(failures) - tp
+    # So an observation lies in a validity window when a failure starts at
+    # most w days after it, and in a bucket when one starts in (w - 1, w].
+    within, within_prev = np.searchsorted(starts, observed + days[..., None], "right")
+    in_validity = within > np.searchsorted(starts, observed, "right")
+
     # Day-level tallying outside validity windows; days touching a
     # validity window or a failure window are neither healthy nor
     # pre-failure, so they are excluded from FP/TN.
     _, first = np.unique(observed.astype("datetime64[D]"), return_index=True)
-    failure_days = np.logical_or.reduceat(in_failure, first)
-    alarmed_days = np.logical_or.reduceat(active, first)
-
-    rows = []
-    for w in w_days:
-        if w <= 0:
-            raise ValueError("validity window length must be positive")
-        width = np.timedelta64(int(w), "D").astype("timedelta64[s]")
-        prev_width = np.timedelta64(int(w - 1), "D").astype("timedelta64[s]")
-        # Failure f's validity window is [lo, hi); its oldest day, the bucket, is [lo, mid).
-        lo, mid, hi = np.searchsorted(observed, np.stack([starts - width, starts - prev_width, starts]))
-        tp = int(np.count_nonzero(active_before[hi] > active_before[lo]))
-        fn = len(failures) - tp
-        outside = ~(np.logical_or.reduceat(_covered(n, lo, hi), first) | failure_days)
-        fp = int(np.count_nonzero(outside & alarmed_days))
-        tn = int(np.count_nonzero(outside)) - fp
-
-        recall = tp / (tp + fn) if (tp + fn) else 0.0
-        precision = tp / (tp + fp) if (tp + fp) else 0.0
-        f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
-        samples = int(np.count_nonzero(_covered(n, lo, mid)))
-        rows.append(DetectionRow(int(w), tp, fn, fp, tn, samples, precision, recall, f1))
-    return DetectionReport(rows)
+    outside = ~(np.logical_or.reduceat(in_validity, first, axis=-1) | np.logical_or.reduceat(in_failure, first))
+    fp = np.count_nonzero(outside & np.logical_or.reduceat(active, first), axis=-1)
+    tn = np.count_nonzero(outside, axis=-1) - fp
+    # With no true positive every rate reads 0, a 0 / 0 included.
+    recall, precision = tp / np.maximum(tp + fn, 1), tp / np.maximum(tp + fp, 1)
+    f1 = np.divide(2 * recall * precision, recall + precision, out=np.zeros(len(w)), where=tp > 0)
+    samples = np.count_nonzero(within > within_prev, axis=-1)
+    counts = np.stack([w.astype(np.int64), tp, fn, fp, tn, samples], axis=-1).tolist()
+    rates = np.stack([precision, recall, f1], axis=-1).tolist()
+    return DetectionReport(DetectionRow(*c, *r) for c, r in zip(counts, rates))
 
 
 def group_constant_ranges(report: DetectionReport) -> list:

@@ -12,6 +12,8 @@ an archive is refused with its path.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 import sys
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 ARCHIVE_VERSION = 2
+PARSED_ARCHIVES = 8  # posterior parses load_posterior keeps, the least recently used dropped first
 
 
 class StageError(RuntimeError):
@@ -382,45 +385,58 @@ def save_posterior(sample: PosteriorSample, path) -> None:
 
 def load_posterior(path) -> PosteriorSample:
     """The posterior sample archived at ``path``; an archive of any other
-    version, or with a member missing or misshapen, is refused by path."""
-    with _open_npz(path) as archive:
+    version, or with a member missing or misshapen, is refused by path.
+    The file is read on every call but parsed once per content, never per
+    path or mtime: equal bytes give the same sample, with read-only draws."""
+    try:
+        return _parse_posterior(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=PARSED_ARCHIVES)
+def _parse_posterior(data: bytes) -> PosteriorSample:
+    with _open_npz(io.BytesIO(data)) as archive:
         if "format_version" in archive.files:  # the key of every version-1 archive
-            raise ValueError(f"{path}: written before archive version {ARCHIVE_VERSION}; refit")
-        header, rate, draws = _members(path, archive, ("header", "acceptance_rate", "draws"))
+            raise ValueError(f"written before archive version {ARCHIVE_VERSION}; refit")
+        header, rate, draws = _members(archive, ("header", "acceptance_rate", "draws"))
     if header.dtype != np.int64 or header.shape != (5,) or header[0] != ARCHIVE_VERSION:
-        raise ValueError(f"{path}: header {header.tolist()} is not a posterior archive version {ARCHIVE_VERSION} header")
+        raise ValueError(f"header {header.tolist()} is not a posterior archive version {ARCHIVE_VERSION} header")
     if rate.shape != () or rate.dtype.kind not in "iuf":
-        raise ValueError(f"{path}: an acceptance_rate of shape {rate.shape} and dtype {rate.dtype} is not a real scalar")
+        raise ValueError(f"an acceptance_rate of shape {rate.shape} and dtype {rate.dtype} is not a real scalar")
     _, m, width, chain_count, seed = header.tolist()
     if draws.ndim != 2 or m < 1 or width < 1 or draws.shape[1] != m * (2 * width + 1) + width:
-        raise ValueError(f"{path}: a {draws.shape} draws matrix does not hold {m} experts of width {width}")
+        raise ValueError(f"a {draws.shape} draws matrix does not hold {m} experts of width {width}")
     coeffs, sds, mixing, behavior = np.split(draws, np.cumsum([m * width, m, m * width]), axis=1)
     s = len(draws)
-    return PosteriorSample(
+    sample = PosteriorSample(
         coeffs.reshape(s, m, width), sds, mixing.reshape(s, m, width), behavior, float(rate), chain_count, seed
     )
+    for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        getattr(sample, name).flags.writeable = False  # every load of the same bytes shares them
+    return sample
 
 
-def _open_npz(path):
-    """The npz archive at ``path``; any other file is refused by path."""
+def _open_npz(file):
+    """The npz archive in ``file``, a path or a binary file; any other content is refused."""
     try:
-        archive = np.load(path)
+        archive = np.load(file)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not an npz archive ({exc})") from exc
+        raise ValueError(f"not an npz archive ({exc})") from exc
     if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not an npz archive")
+        raise ValueError("not an npz archive")
     return archive
 
 
-def _members(path, archive, names) -> list:
-    """The arrays ``names`` of an open npz archive, refusing a missing or unreadable one by path."""
+def _members(archive, names) -> list:
+    """The arrays ``names`` of an open npz archive, refusing a missing or unreadable one."""
     missing = [name for name in names if name not in archive.files]
     if missing:
-        raise ValueError(f"{path}: missing member {', '.join(missing)}")
+        raise ValueError(f"missing member {', '.join(missing)}")
     try:
         return [archive[name] for name in names]
     except ValueError as exc:  # an object array, which is never unpickled
-        raise ValueError(f"{path}: unreadable member ({exc})") from exc
+        raise ValueError(f"unreadable member ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +470,11 @@ def _save_split(path, data: Dataset) -> None:
 
 
 def _load_split(path) -> Dataset:
-    with _open_npz(path) as archive:
-        covariates, responses, timestamps = _members(path, archive, ("covariates", "responses", "timestamps"))
+    try:
+        with _open_npz(path) as archive:
+            covariates, responses, timestamps = _members(archive, ("covariates", "responses", "timestamps"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return Dataset(covariates, responses, timestamps.astype("datetime64[s]"))
 
 

@@ -120,6 +120,8 @@ class PosteriorSample:
             raise ValueError("noise sds must be positive")
         if (mixing[:, -1] != 0.0).any():
             raise ValueError("last gate row must be identically zero in every draw")
+        if not 0.0 <= self.acceptance_rate <= 1.0:  # NaN fails too
+            raise ValueError(f"acceptance rate {self.acceptance_rate} does not lie in [0, 1]")
         for name, arr in zip(_STACK_FIELDS, arrays):
             object.__setattr__(self, name, arr)
 

@@ -10,7 +10,9 @@ points at once (``anomix.posterior._psis_loo``).
 machine, the per-failure detection report, the all-pairs frontier walk and
 the per-row least-squares disentangled gate directions that
 ``anomix.detection``, ``anomix.selection`` and ``anomix.explain`` replaced
-with one batched computation each.
+with one batched computation each.  ``evaluate_per_window`` is the report
+batched over failures but looped over validity windows, the loop
+``anomix.detection.evaluate`` replaced with one pass over every window.
 
 ``sum_cdf_searchsorted`` is ``anomix.anomaly.sum_cdf`` with each query's
 knot found by a binary search over the sorted subset sums, the search the
@@ -215,6 +217,48 @@ def evaluate_loop(alarms: list, failures, w_days: list, observed) -> DetectionRe
         f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
         rows.append(DetectionRow(int(w), tp, fn, fp, tn, int(in_bucket.sum()), precision, recall, f1))
     return DetectionReport(rows)
+
+
+def evaluate_per_window(alarms: list, failures, w_days: list, observed) -> DetectionReport:
+    """The detection report from one batched pass over the failures per
+    validity window, in the order of ``w_days``."""
+    observed = np.sort(np.asarray(observed, dtype="datetime64[s]"))
+    n = len(observed)
+    spans = np.array([(a.onset, a.end) for a in alarms], dtype="datetime64").reshape(-1, 2)
+    active = _covered(n, np.searchsorted(observed, spans[:, 0]), np.searchsorted(observed, spans[:, 1], "right"))
+    starts = np.asarray(failures.starts, dtype="datetime64[s]")
+    ends = np.asarray(failures.ends, dtype="datetime64[s]")
+    in_failure = _covered(n, np.searchsorted(observed, starts), np.searchsorted(observed, ends, "right"))
+    active_before = np.concatenate([[0], np.cumsum(active)])
+    _, first = np.unique(observed.astype("datetime64[D]"), return_index=True)
+    failure_days = np.logical_or.reduceat(in_failure, first)
+    alarmed_days = np.logical_or.reduceat(active, first)
+
+    rows = []
+    for w in w_days:
+        if w <= 0:
+            raise ValueError("validity window length must be positive")
+        width = np.timedelta64(int(w), "D").astype("timedelta64[s]")
+        prev_width = np.timedelta64(int(w - 1), "D").astype("timedelta64[s]")
+        lo, mid, hi = np.searchsorted(observed, np.stack([starts - width, starts - prev_width, starts]))
+        tp = int(np.count_nonzero(active_before[hi] > active_before[lo]))
+        fn = len(failures) - tp
+        outside = ~(np.logical_or.reduceat(_covered(n, lo, hi), first) | failure_days)
+        fp = int(np.count_nonzero(outside & alarmed_days))
+        tn = int(np.count_nonzero(outside)) - fp
+
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        f1 = 2 * recall * precision / (recall + precision) if (recall + precision) else 0.0
+        samples = int(np.count_nonzero(_covered(n, lo, mid)))
+        rows.append(DetectionRow(int(w), tp, fn, fp, tn, samples, precision, recall, f1))
+    return DetectionReport(rows)
+
+
+def _covered(n: int, lo, hi) -> np.ndarray:
+    """Mask of the n samples inside any index range [lo, hi), from one difference array."""
+    edges = np.bincount(lo, minlength=n + 1) - np.bincount(np.maximum(lo, hi), minlength=n + 1)
+    return np.cumsum(edges[:-1]) > 0
 
 
 def pareto_front_loop(trials: list) -> list:

@@ -346,6 +346,9 @@ class TestKnotLookup:
         np.testing.assert_array_equal(anomaly._knots(dist, interior), searchsorted_knots(dist, interior))
         got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # Queries all inside the support skip the masks, with the same bits.
+        inside = sum_cdf(dist, interior.reshape(1, -1))
+        np.testing.assert_array_equal(inside.ravel().view(np.int64), got[(qs > 0.0) & (qs < end)].view(np.int64))
 
     def test_pair_with_equal_weights(self):
         # Two equal weights give a repeated knot; the lookup takes the first.

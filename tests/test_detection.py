@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evaluate_loop, raise_alarms_loop
+from oracles import evaluate_loop, evaluate_per_window, raise_alarms_loop
 
 from anomix.anomaly import AnomalyScoreSeries
 from anomix.detection import (
@@ -231,6 +231,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], failures, [0], days)
 
+    @pytest.mark.parametrize("w_days", [[-1], [2, 0, 3]], ids=["negative", "among positives"])
+    def test_rejects_any_non_positive_window(self, w_days):
+        _, failures, days = two_failure_fixture()
+        with pytest.raises(ValueError, match="validity window length must be positive"):
+            evaluate([], failures, w_days, days)
+
 
 class TestEvaluateOrder:
     @settings(max_examples=40, deadline=None)
@@ -286,6 +292,21 @@ def detection_cases(draw):
     return alarms, failures, w_days, observed
 
 
+@st.composite
+def window_cases(draw):
+    """Detection cases whose failure log may be empty, whose observations
+    skip a run of whole days, and whose window lengths come unsorted and
+    repeated (or not at all)."""
+    alarms, failures, _, observed = draw(detection_cases())
+    if draw(st.booleans()):
+        failures = FailureLog(at_hours([]), at_hours([]))
+    first_day, skipped = draw(st.integers(0, 20)), draw(st.integers(0, 5))
+    day = (observed - EPOCH) // np.timedelta64(1, "D")
+    observed = observed[(day < first_day) | (day >= first_day + skipped)]
+    w_days = draw(st.lists(st.integers(1, 8), max_size=10))
+    return alarms, failures, w_days, observed
+
+
 class TestAgainstLoopOracles:
     @settings(max_examples=200, deadline=None)
     @given(series=scored_streams(), patience=st.integers(1, 5))
@@ -297,6 +318,11 @@ class TestAgainstLoopOracles:
     @given(case=detection_cases())
     def test_report_matches_the_per_failure_loops(self, case):
         assert evaluate(*case) == evaluate_loop(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=window_cases())
+    def test_one_pass_matches_the_per_window_loop(self, case):
+        assert evaluate(*case) == evaluate_per_window(*case)
 
     @settings(max_examples=100, deadline=None)
     @given(series=scored_streams(), patience=st.integers(1, 4), case=detection_cases())

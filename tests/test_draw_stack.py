@@ -128,6 +128,12 @@ class TestLayout:
         with pytest.raises(ValueError, match=message):
             PosteriorSample(**arrays, acceptance_rate=0.25, chain_count=1, seed=0)
 
+    @pytest.mark.parametrize("rate", [1.7, -0.1, math.nan, math.inf])
+    def test_acceptance_rate_outside_the_unit_interval_is_refused(self, rate):
+        sample = random_stack(np.random.default_rng(2), 4, 2, 2)
+        with pytest.raises(ValueError, match="does not lie in \\[0, 1\\]"):
+            dataclasses.replace(sample, acceptance_rate=rate)
+
 
 class TestArchive:
     @settings(max_examples=40, deadline=None)

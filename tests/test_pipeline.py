@@ -1,5 +1,6 @@
 """Pipeline tests: ingestion, scaling, splits, synthetic data, config, stages."""
 
+import os
 import re
 from dataclasses import fields, replace
 
@@ -23,6 +24,7 @@ from oracles import (
 from anomix.anomaly import AnomalyScoreSeries, score_series
 from anomix.config import _PARSERS, PipelineConfig, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
+from anomix import pipeline
 from anomix.model import Dataset
 from anomix.pipeline import (
     CsvSchema,
@@ -640,6 +642,13 @@ class TestPosteriorArchive:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_posterior(path)
 
+    @pytest.mark.parametrize("rate", [1.7, -0.1, np.nan])
+    def test_acceptance_rate_outside_the_unit_interval_is_refused_by_path(self, archived, rate):
+        path, members = archived
+        np.savez(path, **{**members, "acceptance_rate": np.array(rate)})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: acceptance rate {rate} does not lie in [0, 1]")):
+            load_posterior(path)
+
     @pytest.mark.parametrize("reader", [load_posterior, _load_split])
     @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated zip"])
     def test_non_npz_file_is_refused_by_path(self, archived, tmp_path, reader, content):
@@ -653,3 +662,96 @@ class TestPosteriorArchive:
             path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"{path}: not an npz archive")):
             reader(path)
+
+
+class TestParsedArchives:
+    """load_posterior parses each archive's bytes once and shares the parse."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The archives load_posterior parsed, on an empty cache of parses."""
+        seen = []
+        open_npz = pipeline._open_npz
+
+        def counted(file):
+            seen.append(file)
+            return open_npz(file)
+
+        monkeypatch.setattr(pipeline, "_open_npz", counted)
+        pipeline._parse_posterior.cache_clear()
+        yield seen
+        pipeline._parse_posterior.cache_clear()
+
+    @staticmethod
+    def sample(value: float) -> PosteriorSample:
+        mixing = np.zeros((3, 2, 2))
+        mixing[:, 0] = value
+        return PosteriorSample(np.full((3, 2, 2), value), np.ones((3, 2)), mixing, np.zeros((3, 2)), 0.3, 1, 5)
+
+    def test_an_unchanged_file_is_parsed_once(self, tmp_path, parses):
+        path = tmp_path / "posterior.npz"
+        save_posterior(self.sample(0.5), path)
+        first, second = load_posterior(path), load_posterior(path)
+        assert len(parses) == 1 and second is first
+        np.testing.assert_array_equal(second.expert_coeffs, self.sample(0.5).expert_coeffs)
+
+    def test_a_copy_at_another_path_shares_the_parse(self, tmp_path, parses):
+        path, copy = tmp_path / "posterior.npz", tmp_path / "copy.npz"
+        save_posterior(self.sample(0.5), path)
+        copy.write_bytes(path.read_bytes())
+        assert load_posterior(copy) is load_posterior(path) and len(parses) == 1
+
+    def test_a_rewrite_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "posterior.npz"
+        save_posterior(self.sample(0.5), path)
+        before = path.stat()
+        load_posterior(path)
+        save_posterior(self.sample(0.25), path)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        np.testing.assert_array_equal(load_posterior(path).expert_coeffs, np.full((3, 2, 2), 0.25))
+        assert len(parses) == 2
+
+    def test_draw_arrays_are_read_only(self, tmp_path, parses):
+        path = tmp_path / "posterior.npz"
+        save_posterior(self.sample(0.5), path)
+        sample = load_posterior(path)
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            array = getattr(sample, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        np.testing.assert_array_equal(load_posterior(path).expert_coeffs, np.full((3, 2, 2), 0.5))
+
+    @pytest.mark.parametrize("content", ["truncated zip", "version 1", "acceptance rate"])
+    def test_a_refused_archive_is_refused_on_every_load(self, tmp_path, parses, content):
+        path = tmp_path / "posterior.npz"
+        save_posterior(self.sample(0.5), path)
+        if content == "truncated zip":
+            path.write_bytes(path.read_bytes()[:100])
+        elif content == "version 1":
+            np.savez_compressed(path, format_version=1, acceptance_rate=0.3)
+        else:
+            with np.load(path) as archive:
+                members = {name: archive[name] for name in archive.files}
+            np.savez(path, **{**members, "acceptance_rate": np.array(1.7)})
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+                load_posterior(path)
+        assert len(parses) == 3 and pipeline._parse_posterior.cache_info().currsize == 0
+
+    def test_the_least_recently_used_parse_is_dropped(self, tmp_path, parses):
+        paths = [tmp_path / f"posterior_{i}.npz" for i in range(pipeline.PARSED_ARCHIVES + 1)]
+        for i, path in enumerate(paths):
+            save_posterior(self.sample(1.0 + i), path)
+        for path in paths[:-1]:
+            load_posterior(path)
+        load_posterior(paths[0])  # now the most recently used; paths[1] is the least
+        load_posterior(paths[-1])
+        assert pipeline._parse_posterior.cache_info().currsize == pipeline.PARSED_ARCHIVES
+        assert len(parses) == len(paths)
+        load_posterior(paths[0])
+        assert len(parses) == len(paths)
+        load_posterior(paths[1])
+        assert len(parses) == len(paths) + 1
