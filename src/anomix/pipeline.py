@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 ARCHIVE_VERSION = 2
-PARSED_ARCHIVES = 8  # posterior parses load_posterior keeps, the least recently used dropped first
+PARSED_ARCHIVES = 4  # posterior parses kept, one per index of a run of up to four; least recently used go first
 
 
 class StageError(RuntimeError):
