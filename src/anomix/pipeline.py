@@ -526,6 +526,7 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         (run_dir / f"scaler_{index}.json").write_text(json.dumps(scaler.to_dict()) + "\n")
     # One lockstep run fits every index; index i draws from seed ``config.seed + i``.
     trains = [splits[index]["train"] for index in config.indices]
+    _parse_posterior.cache_clear()  # parses kept from earlier fits would only add to the sampler's memory
     samples = sample_posteriors(trains, config.prior_spec(), config.experts, config.sampler_settings())
     for index, sample in zip(config.indices, samples):
         save_posterior(sample, run_dir / f"posterior_{index}.npz")

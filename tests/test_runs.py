@@ -135,6 +135,14 @@ class TestRunExperiment:
         for name in ("scores_hi_a.csv", "scores_hi_b.csv", "detection_report.csv", "diagnostics.csv"):
             assert (second_dir / name).read_text() == (first_dir / name).read_text(), name
 
+    def test_a_fit_drops_the_kept_posterior_parses(self, stream, finished_run, tmp_path):
+        telemetry, failures = stream
+        config, run_dir, _ = finished_run
+        pipeline.load_posterior(run_dir / "posterior_hi_a.npz")
+        assert pipeline._parse_posterior.cache_info().currsize > 0
+        stage_fit(dataclasses.replace(config, iterations=150, burn_in=50), telemetry, failures, tmp_path / "refit")
+        assert pipeline._parse_posterior.cache_info().currsize == 0
+
     def test_stage_failure_names_stage(self, stream, tmp_path):
         telemetry, _ = stream
         config = parse_config(default_config_text(**FAST))
