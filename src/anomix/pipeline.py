@@ -386,8 +386,8 @@ def save_posterior(sample: PosteriorSample, path) -> None:
 def load_posterior(path) -> PosteriorSample:
     """The posterior sample archived at ``path``; an archive of any other
     version, or with a member missing or misshapen, is refused by path.
-    The file is read on every call but parsed once per content, never per
-    path or mtime: equal bytes give the same sample, with read-only draws."""
+    The file is read on every call but parsed once per content between fits,
+    never per path or mtime: equal bytes give one sample, with read-only draws."""
     try:
         return _parse_posterior(Path(path).read_bytes())
     except ValueError as exc:
