@@ -52,7 +52,7 @@ from scipy.special import expit, logsumexp
 
 from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
 from anomix.config import SCHEMA_VERSION, PipelineConfig, _default
-from anomix.detection import AlarmWindow, DetectionReport, DetectionRow
+from anomix.detection import AlarmWindow, DetectionReport, DetectionRow, _covered
 from anomix.model import (
     LOG_2PI,
     Dataset,
@@ -253,12 +253,6 @@ def evaluate_per_window(alarms: list, failures, w_days: list, observed) -> Detec
         samples = int(np.count_nonzero(_covered(n, lo, mid)))
         rows.append(DetectionRow(int(w), tp, fn, fp, tn, samples, precision, recall, f1))
     return DetectionReport(rows)
-
-
-def _covered(n: int, lo, hi) -> np.ndarray:
-    """Mask of the n samples inside any index range [lo, hi), from one difference array."""
-    edges = np.bincount(lo, minlength=n + 1) - np.bincount(np.maximum(lo, hi), minlength=n + 1)
-    return np.cumsum(edges[:-1]) > 0
 
 
 def pareto_front_loop(trials: list) -> list:
