@@ -187,8 +187,10 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
 
     # Day-level tallying outside validity windows; days touching a
     # validity window or a failure window are neither healthy nor
-    # pre-failure, so they are excluded from FP/TN.
-    _, first = np.unique(observed.astype("datetime64[D]"), return_index=True)
+    # pre-failure, so they are excluded from FP/TN.  A day starts at the first
+    # stamp and wherever the sorted stamps change day.
+    day = observed.astype("datetime64[D]")
+    first = np.flatnonzero(np.concatenate(([n > 0], day[1:] != day[:-1])))
     outside = ~(np.logical_or.reduceat(in_validity, first, axis=-1) | np.logical_or.reduceat(in_failure, first))
     fp = np.count_nonzero(outside & np.logical_or.reduceat(active, first), axis=-1)
     tn = np.count_nonzero(outside, axis=-1) - fp

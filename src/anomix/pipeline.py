@@ -758,16 +758,15 @@ def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) ->
 # ---------------------------------------------------------------------------
 
 
-def emit_plot_data(config: PipelineConfig, run_dir) -> list:
-    """Tabular files for external plotting.
+def emit_plot_data(config: PipelineConfig, run_dir) -> None:
+    """Tabular files for external plotting that no other stage writes.
 
     Per index: a predictive band over the test span (observed response,
-    predictive mean and 5%/95% predictive quantiles), posterior-mean gate
-    activations, and the score series with threshold and alarm onsets.
-    Failure markers are shared.  Returns the list of written paths.
+    predictive mean and 5%/95% predictive quantiles) and the posterior-mean
+    gate activations.  Scores, alarms and failures are plotted from the
+    files of the stages that wrote them.
     """
     run_dir = Path(run_dir)
-    written = []
     rng = np.random.default_rng(config.seed)
     for index in config.indices:
         posterior_path = run_dir / f"posterior_{index}.npz"
@@ -783,30 +782,13 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> list:
 
         stamps = _timestamp_strings(test.timestamps)
         band = np.column_stack([test.responses, mean, q05, q95])
-        written += [
-            _write_csv(
-                run_dir / f"plot_band_{index}.csv",
-                ["timestamp", "observed", "predictive_mean", "q05", "q95"],
-                ([ts, *_fixed6(row)] for ts, row in zip(stamps, band)),
-            ),
-            _write_csv(
-                run_dir / f"plot_activations_{index}.csv",
-                ["timestamp"] + [f"activation_{j}" for j in range(act.shape[1])],
-                ([ts, *_fixed6(row)] for ts, row in zip(stamps, act)),
-            ),
-        ]
-
-        series = _read_series(run_dir / f"scores_{index}.csv")
-        onsets = {np.datetime64(a.onset, "s") for a in _read_alarms(run_dir / f"alarms_{index}.csv")}
-        rows = (
-            [text, f"{v:.6f}", f"{series.threshold:.6f}", int(np.datetime64(ts, "s") in onsets)]
-            for text, ts, v in zip(_timestamp_strings(series.timestamps), series.timestamps, series.as_values)
+        _write_csv(
+            run_dir / f"plot_band_{index}.csv",
+            ["timestamp", "observed", "predictive_mean", "q05", "q95"],
+            ([ts, *_fixed6(row)] for ts, row in zip(stamps, band)),
         )
-        written.append(
-            _write_csv(run_dir / f"plot_scores_{index}.csv", ["timestamp", "as_value", "threshold", "alarm_onset"], rows)
+        _write_csv(
+            run_dir / f"plot_activations_{index}.csv",
+            ["timestamp"] + [f"activation_{j}" for j in range(act.shape[1])],
+            ([ts, *_fixed6(row)] for ts, row in zip(stamps, act)),
         )
-
-    failures = _read_failures_json(run_dir)
-    markers = zip(_timestamp_strings(failures.starts), _timestamp_strings(failures.ends))
-    written.append(_write_csv(run_dir / "plot_failures.csv", ["start", "end"], markers))
-    return written

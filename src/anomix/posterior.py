@@ -48,7 +48,6 @@ __all__ = [
     "FitDiagnostics",
     "sample_posterior",
     "sample_posteriors",
-    "lppd",
     "psis_loo",
     "sample_predictive",
     "fit_diagnostics",
@@ -132,14 +131,6 @@ class PosteriorSample:
     @property
     def n_experts(self) -> int:
         return self.expert_sds.shape[1]
-
-    @classmethod
-    def from_draws(cls, draws, acceptance_rate: float, chain_count: int, seed: int) -> "PosteriorSample":
-        """Stack draws ``(coeffs, sds, gate_matrix, behavior_coeffs)``, in order, into a posterior sample."""
-        draws = list(draws)
-        if not draws:
-            raise ValueError("a posterior sample needs at least one draw")
-        return cls(*(np.stack(group) for group in zip(*draws)), acceptance_rate, chain_count, seed)
 
     def moment_blocks(self, X):
         """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
@@ -377,11 +368,6 @@ def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = Non
 
 def _lppd(ll: np.ndarray) -> float:
     return float(np.sum(_logsumexp(ll, axis=0) - math.log(ll.shape[0])))
-
-
-def lppd(sample: PosteriorSample, data: Dataset) -> float:
-    """Log pointwise predictive density: per point, log of the draw-average density."""
-    return _lppd(_pointwise(sample, data)[0])
 
 
 def psis_loo(sample: PosteriorSample, data: Dataset):

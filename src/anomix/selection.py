@@ -90,9 +90,7 @@ def coverage_counts(
             f"{sample.n_draws} predictive draws cannot resolve a 1/{k_levels} coverage grid; "
             "at least 100 are required"
         )
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    draws = sample_predictive(sample, data.covariates, rng)
+    draws = sample_predictive(sample, data.covariates, np.random.default_rng(rng))
     levels = np.arange(1, k_levels) / k_levels
     probs = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
     lo, hi = np.split(_quantiles(draws, probs), 2)

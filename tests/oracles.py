@@ -31,15 +31,16 @@ versions run the same operations.
 A parameter point is one draw of the stack, the tuple ``(coeffs, sds,
 gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
 take.  ``ModelParams``, ``MixingGateParams`` and ``BehaviorGateParams``
-build one from experts and gate rows, ``ExpertParams`` is one expert, and
-``draw`` reads draw ``s`` out of a ``PosteriorSample``.  ``log_likelihood``
-is one point's row log densities summed, as the sampler sums them;
-``fuse_experts``
+build one from experts and gate rows, ``ExpertParams`` is one expert,
+``stack_draws`` stacks such points into a ``PosteriorSample``, and ``draw``
+reads draw ``s`` back out of one.  ``log_likelihood`` is one point's row log
+densities summed, as the sampler sums them; ``fuse_experts``
 fuses experts at fixed gate outputs, ``conditional_pdf`` is one point's
 density (the acceptance suite's quadrature integrand), ``generate_synthetic``
-samples a dataset from one parameter point, ``cic`` and
-``posterior_predictive_cdf`` are a posterior's interval coverage and
-draw-averaged CDF, and ``default_config_text`` spells out every config key.
+samples a dataset from one parameter point, ``lppd``, ``cic`` and
+``posterior_predictive_cdf`` are a posterior's log pointwise predictive
+density, interval coverage and draw-averaged CDF, and
+``default_config_text`` spells out every config key.
 """
 
 import math
@@ -65,7 +66,7 @@ from anomix.model import (
     fused_moments,
     sample_conditional,
 )
-from anomix.posterior import _LockstepTarget, _pointwise
+from anomix.posterior import PosteriorSample, _LockstepTarget, _lppd, _pointwise
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -367,6 +368,14 @@ def ModelParams(experts, mixing, behavior) -> tuple:
     return coeffs, np.array([e.noise_sd for e in experts], dtype=float), mixing, behavior
 
 
+def stack_draws(draws, acceptance_rate: float, chain_count: int, seed: int) -> PosteriorSample:
+    """Stack draws ``(coeffs, sds, gate_matrix, behavior_coeffs)``, in order, into a posterior sample."""
+    draws = list(draws)
+    if not draws:
+        raise ValueError("a posterior sample needs at least one draw")
+    return PosteriorSample(*(np.stack(group) for group in zip(*draws)), acceptance_rate, chain_count, seed)
+
+
 def draw(sample, s: int) -> tuple:
     """Draw ``s`` of a ``PosteriorSample`` as one parameter point."""
     return sample.expert_coeffs[s], sample.expert_sds[s], sample.mixing[s], sample.behavior[s]
@@ -427,6 +436,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
         y = y + (idx >= spec.fault_onset) * magnitude * sds[idx, z]
     ts = np.datetime64(spec.start, "s") + np.arange(spec.n_samples) * np.timedelta64(spec.cadence_seconds, "s")
     return Dataset(x, y, ts), z
+
+
+def lppd(sample, data) -> float:
+    """Log pointwise predictive density: per point, log of the draw-average
+    density; ``fit_diagnostics``' ``lppd``."""
+    return _lppd(_pointwise(sample, data)[0])
 
 
 def cic(sample, data, level: float = 0.95):

@@ -29,8 +29,10 @@ from oracles import (
     default_config_text,
     fuse_experts,
     generate_synthetic,
+    lppd,
     pit_rows,
     posterior_predictive_cdf,
+    stack_draws,
 )
 
 from anomix.anomaly import (
@@ -45,7 +47,7 @@ from anomix.detection import AlarmWindow, FailureLog, evaluate
 from anomix.explain import default_score_grid, embed_grid, gate_geometry, reduce_svd
 from anomix.model import Dataset, PriorSpec, fused_moments
 from anomix.pipeline import write_two_index_stream
-from anomix.posterior import PosteriorSample, SamplerSettings, lppd, psis_loo, sample_posterior
+from anomix.posterior import SamplerSettings, psis_loo, sample_posterior
 from anomix.selection import Trial, pareto_front, select_best
 
 
@@ -333,7 +335,7 @@ def test_criterion_7_explainability_geometry():
             gate = np.vstack([np.column_stack([intercepts, slopes]), np.zeros(n + 1)])
             experts = tuple(ExpertParams(0.0, np.zeros(n), 1.0) for _ in range(rows + 1))
             draw = ModelParams(experts, MixingGateParams(gate), BehaviorGateParams(np.zeros(n + 1)))
-            sample = PosteriorSample.from_draws((draw,), 0.25, 1, 0)
+            sample = stack_draws((draw,), 0.25, 1, 0)
             geo = gate_geometry(sample)
             scale = np.linalg.norm(slopes)
             for i, star in enumerate(geo.a_star):

@@ -18,6 +18,7 @@ from oracles import (
     ModelParams,
     pit_rows,
     searchsorted_knots,
+    stack_draws,
     sum_cdf_searchsorted,
 )
 
@@ -89,7 +90,7 @@ def make_dataset(x, y):
 
 
 def stack_of(draws):
-    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
+    return stack_draws(draws, 0.25, 1, 0)
 
 
 def window_score(sample, xs, ys, decay=None):
@@ -537,7 +538,7 @@ class TestAsPosterior:
 
 class TestScoreSeries:
     def make_sample(self, model, copies=3):
-        return PosteriorSample.from_draws([model] * copies, 0.25, 1, 0)
+        return stack_draws([model] * copies, 0.25, 1, 0)
 
     def test_windowless_scores(self):
         model = std_normal_model()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import cic, draw, pit_rows, posterior_predictive_cdf
+from oracles import cic, draw, lppd, pit_rows, posterior_predictive_cdf, stack_draws
 
 from anomix.anomaly import (
     build_sum_dist,
@@ -36,7 +36,6 @@ from anomix.posterior import (
     SamplerSettings,
     _psis_loo,
     fit_diagnostics,
-    lppd,
     psis_loo,
     sample_posterior,
     sample_predictive,
@@ -86,7 +85,7 @@ def stacks(draw):
 class TestLayout:
     def test_from_draws_and_draw_invert(self):
         sample = random_stack(np.random.default_rng(0), 7, 3, 2)
-        back = PosteriorSample.from_draws(draws_of(sample), 0.25, 1, 0)
+        back = stack_draws(draws_of(sample), 0.25, 1, 0)
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
             np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
         assert (sample.n_draws, sample.n_experts) == (7, 3)

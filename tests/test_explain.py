@@ -11,6 +11,7 @@ from oracles import (
     ModelParams,
     draw,
     orthogonal_directions_lstsq,
+    stack_draws,
 )
 
 from anomix.explain import (
@@ -23,7 +24,6 @@ from anomix.explain import (
     render_map,
 )
 from anomix.model import fused_moments
-from anomix.posterior import PosteriorSample
 
 
 def gram_schmidt_residual(a, others):
@@ -49,7 +49,7 @@ def sample_from_gate(matrix, n_experts, n_features, n_draws=3):
         ModelParams(experts, MixingGateParams(matrix), BehaviorGateParams(np.zeros(n_features + 1)))
         for _ in range(n_draws)
     ]
-    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
+    return stack_draws(draws, 0.25, 1, 0)
 
 
 def full_gate(slopes, intercepts):
@@ -279,7 +279,7 @@ class TestRenderMap:
             ModelParams(const_experts, gate, behavior)
             for _, _, gate, behavior in (draw(sample, s) for s in range(sample.n_draws))
         )
-        flat_sample = PosteriorSample.from_draws(draws, 0.25, 1, 0)
+        flat_sample = stack_draws(draws, 0.25, 1, 0)
         rendered = render_map(embed_grid(geo, default_score_grid(1)), flat_sample)
         np.testing.assert_allclose(rendered.predictive_mean, 1.0, atol=1e-12)
         np.testing.assert_allclose(rendered.predictive_sd, 1.0, atol=1e-12)

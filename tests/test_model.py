@@ -19,6 +19,7 @@ from oracles import (
     conditional_pdf,
     fuse_experts,
     log_likelihood,
+    stack_draws,
 )
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -38,7 +39,6 @@ from anomix.model import (
     conditional_logpdf_rows,
     fused_moments,
 )
-from anomix.posterior import PosteriorSample
 
 
 def make_model(experts, gate_rows=None, behavior=None):
@@ -81,7 +81,7 @@ def behavior_beta(gate, x) -> float:
 
 def stacked(model):
     """``model`` as a posterior sample of one draw, which validates it."""
-    return PosteriorSample.from_draws([model], 0.25, 1, 0)
+    return stack_draws([model], 0.25, 1, 0)
 
 
 def make_dataset(x, y):

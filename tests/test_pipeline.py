@@ -19,6 +19,7 @@ from oracles import (
     default_config_text,
     generate_synthetic,
     pit_rows,
+    stack_draws,
 )
 
 from anomix import pipeline
@@ -326,7 +327,7 @@ class TestGenerateSynthetic:
             model, [("uniform", -2.0, 2.0)], 200, fault_onset=100, shift_sds=10.0
         )
         data, _ = generate_synthetic(spec, seed=4)
-        sample = PosteriorSample.from_draws((model,), 0.25, 1, 0)
+        sample = stack_draws((model,), 0.25, 1, 0)
         series = score_series(data, sample, k=5)
         after = series.as_values[series.timestamps >= data.timestamps[105]]
         assert np.all(after >= 0.99)
@@ -563,7 +564,7 @@ class TestPosteriorArchive:
             )
             mixing = MixingGateParams(np.vstack([rng.normal(size=(1, 3)), np.zeros(3)]))
             draws.append(ModelParams(experts, mixing, BehaviorGateParams(rng.normal(size=3))))
-        sample = PosteriorSample.from_draws(draws, 0.31, 2, 99)
+        sample = stack_draws(draws, 0.31, 2, 99)
         path = tmp_path / "posterior.npz"
         save_posterior(sample, path)
         back = load_posterior(path)

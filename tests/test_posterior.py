@@ -24,8 +24,10 @@ from oracles import (
     draw,
     log_likelihood,
     log_target as _log_target,
+    lppd,
     psis_loo_per_point,
     rank_normal_ranks,
+    stack_draws,
 )
 from scipy.optimize import brentq
 from scipy.special import expit, logsumexp, ndtri
@@ -54,7 +56,6 @@ from anomix.posterior import (
     _rhat_max,
     _split_rhat,
     fit_diagnostics,
-    lppd,
     psis_loo,
     sample_posterior,
     sample_posteriors,
@@ -83,7 +84,7 @@ def single_expert(intercept=0.0, slope=0.0, sd=1.0):
 
 
 def make_sample(draws):
-    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
+    return stack_draws(draws, 0.25, 1, 0)
 
 
 def root_found_interval(model, x, level):

@@ -79,18 +79,32 @@ class TestRunExperiment:
         assert manifest["dropped_rows"] == 0
 
     def test_expected_artifacts(self, finished_run):
-        _, run_dir, _ = finished_run
-        for name in (
-            "posterior_hi_a.npz",
-            "scores_hi_b.csv",
-            "alarms_hi_a.csv",
+        # The complete list, so that a file added beside these, or one kept
+        # that repeats another, shows.  A one-expert fit has no gate
+        # directions, so this run writes no explanation maps.
+        config, run_dir, _ = finished_run
+        per_index = (
+            "posterior_{}.npz",
+            "scaler_{}.json",
+            "train_{}.npz",
+            "validation_{}.npz",
+            "test_{}.npz",
+            "scores_{}.csv",
+            "alarms_{}.csv",
+            "plot_band_{}.csv",
+            "plot_activations_{}.csv",
+        )
+        shared = {
+            "manifest.json",
+            "failures.json",
+            "diagnostics.csv",
             "pooled_scores.csv",
             "pooled_alarms.csv",
-            "diagnostics.csv",
             "detection_report.csv",
             "detection_report_grouped.csv",
-        ):
-            assert (run_dir / name).exists(), name
+        }
+        expected = shared | {name.format(index) for name in per_index for index in config.indices}
+        assert sorted(path.name for path in run_dir.iterdir()) == sorted(expected)
 
     def test_index_i_is_fitted_with_seed_plus_i(self, finished_run):
         # The joint fit gives each index the draws of a lone fit on its train split.
@@ -354,13 +368,19 @@ class TestScoreSpans:
 
 
 class TestEmitPlotData:
-    def test_files_and_quantile_ordering(self, finished_run):
+    def test_files_and_quantile_ordering(self, finished_run, tmp_path):
+        # The stage stands on the fit's files alone: scores, alarms and
+        # failures are plotted from the files of the stages that wrote them.
         config, run_dir, _ = finished_run
-        written = emit_plot_data(config, run_dir)
-        names = {p.name for p in written}
-        assert "plot_band_hi_a.csv" in names
-        assert "plot_failures.csv" in names
-        band = (run_dir / "plot_band_hi_a.csv").read_text().strip().splitlines()[1:]
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        for pattern in ("plot_*.csv", "scores_*.csv", "alarms_*.csv", "failures.json"):
+            for path in copy.glob(pattern):
+                path.unlink()
+        assert emit_plot_data(config, copy) is None
+        assert sorted(path.name for path in copy.glob("plot_*.csv")) == [
+            f"plot_{kind}_{index}.csv" for kind in ("activations", "band") for index in config.indices
+        ]
+        band = (copy / "plot_band_hi_a.csv").read_text().strip().splitlines()[1:]
         scored = (run_dir / "scores_hi_a.csv").read_text().strip().splitlines()[1:]
         assert len(band) >= len(scored)  # one row per test observation
         for line in band:
@@ -369,12 +389,17 @@ class TestEmitPlotData:
             assert float(mean) <= float(q95) + 0.05
 
     def test_alarm_onsets_are_above_threshold(self, finished_run):
-        config, run_dir, _ = finished_run
-        emit_plot_data(config, run_dir)
-        for line in (run_dir / "plot_scores_hi_a.csv").read_text().strip().splitlines()[1:]:
-            _, value, threshold, onset = line.split(",")
-            if onset == "1":
-                assert float(value) >= float(threshold)
+        # A plot marks the onsets of alarms_<index>.csv on scores_<index>.csv.
+        _, run_dir, _ = finished_run
+        scores = {}
+        for line in (run_dir / "scores_hi_a.csv").read_text().strip().splitlines()[1:]:
+            stamp, value, _, _, threshold = line.split(",")
+            scores[stamp] = float(value), float(threshold)
+        onsets = [line.split(",")[0] for line in (run_dir / "alarms_hi_a.csv").read_text().strip().splitlines()[1:]]
+        assert onsets
+        for onset in onsets:
+            value, threshold = scores[onset]
+            assert value >= threshold
 
 
 class TestCli:
@@ -394,7 +419,7 @@ class TestCli:
         ])
         assert code == 0
         assert (run_dir / "detection_report.csv").exists()
-        assert (run_dir / "plot_failures.csv").exists()
+        assert (run_dir / "plot_band_hi_a.csv").exists()
 
     @pytest.mark.parametrize("experts, reason", [
         (3, "expected gate matrix has rank 1 < 2"),

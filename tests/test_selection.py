@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BehaviorGateParams, ExpertParams, MixingGateParams, ModelParams, pareto_front_loop
+from oracles import BehaviorGateParams, ExpertParams, MixingGateParams, ModelParams, pareto_front_loop, stack_draws
 from scipy.stats import binom
 
 from anomix.model import Dataset
 from anomix import selection
-from anomix.posterior import PosteriorSample, SamplerSettings
+from anomix.posterior import SamplerSettings
 from anomix.selection import (
     CoverageGrid,
     Trial,
@@ -46,7 +46,7 @@ def jittered_sample(rng, n_draws=400, sd=1.0):
         single_expert(intercept=rng.normal(0, 0.02), slope=rng.normal(0, 0.02), sd=sd)
         for _ in range(n_draws)
     ]
-    return PosteriorSample.from_draws(draws, 0.25, 1, 0)
+    return stack_draws(draws, 0.25, 1, 0)
 
 
 class TestCoverageCounts:
