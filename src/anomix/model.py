@@ -307,10 +307,18 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
 
 def _draw_from_moments(alpha, means, sds, uniforms, normals):
     """Responses and allocations: ``uniforms`` pick the expert through the
-    mixing weights, ``normals`` are scaled by its fused moments."""
-    cum = np.cumsum(alpha, axis=-2)
-    cum[..., -1, :] = 1.0  # rounding must not leave a draw above the last bin
-    z = (uniforms[..., None, :] < cum).argmax(axis=-2)
+    mixing weights, ``normals`` are scaled by its fused moments.
+
+    The pick counts the cumulative weights at or below the uniform, all but
+    the last, which is taken as 1 so that rounding cannot leave a draw above
+    the last bin.  The weights are non-negative, so the running sums, added
+    slice by slice in ``np.cumsum``'s order, never decrease: the count is
+    the first bin whose cumulative weight exceeds the uniform."""
+    cum = alpha[..., 0, :].copy()
+    z = np.zeros(np.broadcast_shapes(cum.shape, uniforms.shape), dtype=np.intp)
+    for j in range(1, alpha.shape[-2]):
+        z += cum <= uniforms
+        cum += alpha[..., j, :]
     pick = z[..., None, :]
     mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
     sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]

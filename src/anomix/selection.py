@@ -5,7 +5,8 @@ larger is better) and by a binomial calibration cost over a grid of
 credible levels (coverage, smaller is better).  The selector walks the
 Pareto frontier in order of worsening coverage and trades coverage away
 only when a one-sided Chebyshev bound says the fit improvement is more
-likely than the threshold ``nu``.
+likely than the threshold ``nu``.  Trials that define the same model share
+one fit.
 """
 
 from __future__ import annotations
@@ -13,13 +14,21 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .model import Dataset, PriorSpec
-from .posterior import PosteriorSample, _max_ignoring_nan, _quantiles, psis_loo, sample_posterior, sample_predictive
+from .posterior import (
+    _STACK_FIELDS,
+    PosteriorSample,
+    _max_ignoring_nan,
+    _quantiles,
+    psis_loo,
+    sample_posterior,
+    sample_predictive,
+)
 
 __all__ = [
     "Trial",
@@ -32,6 +41,11 @@ __all__ = [
     "run_trial",
     "write_trials_csv",
 ]
+
+# The fits of the last few models trialled, keyed by content and least recently used first, each
+# (sample, metric, metric_se, coverage cost, Pareto k max).  A sweep repeats a model in nearby trials.
+_fits: dict = {}
+_FITS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,9 @@ class Trial:
     pareto_k_max: float = math.nan
 
     def __post_init__(self):
+        for name in ("metric", "metric_se", "coverage_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.metric_se < 0.0:
             raise ValueError("metric_se must be non-negative")
 
@@ -163,18 +180,39 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
     from a ``k_levels`` grid of pooled predictive intervals.  Candidates
     are typically drawn at random and the resulting trials handed to
     :func:`select_best`.
+
+    Trials that define the same model share one fit, looked up by content:
+    the training covariates and responses, the expert count, the prior, the
+    sampler settings and ``k_levels``.  At one expert the gate prior's scale
+    is left out, as the target drops the gate priors and no gate is
+    proposed; its location stays, as it sets the frozen behavior gate kept
+    in the draws.  A repeat returns the first trial's sample, whose draws
+    are read-only, and figures, and warns under its own id.
     """
-    prior_kwargs = {k: v for k, v in hyperparams.items() if k != "experts"}
-    sample = sample_posterior(data, PriorSpec(**prior_kwargs), hyperparams.get("experts", 1), settings)
-    metric, metric_se, k_hat = psis_loo(sample, data)
-    k_max = _max_ignoring_nan(k_hat)
+    n_experts = hyperparams.get("experts", 1)
+    prior = PriorSpec(**{k: v for k, v in hyperparams.items() if k != "experts"})
+    model_prior = replace(prior, gate_coeff_scale=PriorSpec.gate_coeff_scale) if n_experts == 1 else prior
+    x, y = data.covariates, data.responses
+    key = (x.shape, x.tobytes(), y.shape, y.tobytes(), n_experts, model_prior, settings, k_levels)
+    fit = _fits.pop(key, None)
+    if fit is None:
+        sample = sample_posterior(data, prior, n_experts, settings)
+        metric, metric_se, k_hat = psis_loo(sample, data)
+        grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
+        for name in _STACK_FIELDS:
+            getattr(sample, name).flags.writeable = False  # every trial of this model shares them
+        fit = (sample, metric, metric_se, coverage_cost(grid, len(data)), _max_ignoring_nan(k_hat))
+    sample, metric, metric_se, cost, k_max = fit
     if k_max > 0.7:
         warnings.warn(
             f"trial {trial_id}: Pareto k max {k_max:.2f} > 0.7, so its PSIS-LOO metric is unreliable",
             RuntimeWarning,
         )
-    grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
-    return Trial(trial_id, dict(hyperparams), metric, metric_se, coverage_cost(grid, len(data)), sample, k_max)
+    trial = Trial(trial_id, dict(hyperparams), metric, metric_se, cost, sample, k_max)
+    _fits[key] = fit
+    if len(_fits) > _FITS_KEPT:
+        del _fits[next(iter(_fits))]
+    return trial
 
 
 def write_trials_csv(trials: list, selected: Trial | None, path) -> None:

@@ -26,7 +26,10 @@ evaluated through one fresh ``anomix.posterior._LockstepTarget``.
 ``softmax_gate``, ``logistic_gate``, ``fuse`` and ``logpdf_from_moments``
 are the model's gate, fusion and mixture-density helpers written out of
 place, one new array per operation, in the order the package's in-place
-versions run the same operations.
+versions run the same operations.  ``draw_from_moments_argmax`` is
+``anomix.model._draw_from_moments`` picking each draw's expert as the
+first bin of an ``np.cumsum`` of the mixing weights that exceeds its
+uniform, where the package counts the running sums at or below it.
 
 A parameter point is one draw of the stack, the tuple ``(coeffs, sds,
 gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
@@ -343,6 +346,16 @@ def logpdf_from_moments(log_alpha, means, sds, y):
     comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return logsumexp(comp + log_alpha, axis=-2)
+
+
+def draw_from_moments_argmax(alpha, means, sds, uniforms, normals):
+    cum = np.cumsum(alpha, axis=-2)
+    cum[..., -1, :] = 1.0  # rounding must not leave a draw above the last bin
+    z = (uniforms[..., None, :] < cum).argmax(axis=-2)
+    pick = z[..., None, :]
+    mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
+    sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]
+    return mean + sd * normals, z
 
 
 class ExpertParams(NamedTuple):

@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from oracles import BehaviorGateParams, ExpertParams, MixingGateParams, ModelParams, pareto_front_loop, stack_draws
 from scipy.stats import binom
 
-from anomix.model import Dataset
+from anomix.model import Dataset, PriorSpec
 from anomix import selection
-from anomix.posterior import SamplerSettings
+from anomix.posterior import SamplerSettings, psis_loo, sample_posterior
 from anomix.selection import (
     CoverageGrid,
     Trial,
@@ -222,6 +223,19 @@ class TestSelectBest:
             select_best([])
 
 
+class TestTrial:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["metric", "metric_se", "coverage_cost"])
+    def test_non_finite_figures_are_refused(self, name, value):
+        figures = {"metric": -100.0, "metric_se": 1.0, "coverage_cost": 5.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Trial(0, {}, **figures)
+
+    def test_nan_pareto_k_is_kept(self):
+        # k-hat is NaN when no point's tail could be fitted; the ranking does not read it.
+        assert math.isnan(Trial(0, {}, -100.0, 1.0, 5.0, pareto_k_max=math.nan).pareto_k_max)
+
+
 class TestParetoFront:
     # Few distinct values, so that trials tie on one axis or on both.
     AXIS = st.sampled_from([-math.inf, -2.0, -1.0, 0.0, 0.5, math.inf, math.nan])
@@ -229,7 +243,8 @@ class TestParetoFront:
     @settings(max_examples=300, deadline=None)
     @given(points=st.lists(st.tuples(AXIS, AXIS), max_size=8))
     def test_matches_the_all_pairs_walk(self, points):
-        trials = [Trial(i, {}, metric, 1.0, cost) for i, (metric, cost) in enumerate(points)]
+        # Stand-ins, since a Trial refuses non-finite figures: the walk reads only these fields.
+        trials = [SimpleNamespace(trial_id=i, metric=m, coverage_cost=c) for i, (m, c) in enumerate(points)]
         assert [t.trial_id for t in pareto_front(trials)] == [t.trial_id for t in pareto_front_loop(trials)]
 
 
@@ -252,20 +267,22 @@ class TestRunTrial:
     def test_single_expert_fit_ignores_the_gate_prior(self):
         # At M = 1 the behavior gate stays at its prior location and its
         # prior term is left out, so the gate scale cannot move a single draw.
+        # That is why run_trial shares one fit between such trials, so the
+        # sampler is checked here directly.
         rng = np.random.default_rng(23)
         x = rng.uniform(-2, 2, size=(60, 2))
         data = make_dataset(x, 0.5 * x[:, 0] - 0.3 * x[:, 1] + rng.normal(0, 0.4, 60))
         settings = SamplerSettings(chains=2, iterations=200, burn_in=100, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            narrow, wide = (
-                run_trial(i, {"experts": 1, "gate_coeff_scale": scale}, data, settings)
-                for i, scale in enumerate((0.5, 2.0))
-            )
+            narrow, wide = (sample_posterior(data, PriorSpec(gate_coeff_scale=s), 1, settings) for s in (0.5, 2.0))
+            figures = [
+                (*psis_loo(sample, data)[:2], coverage_cost(coverage_counts(sample, data, 20, rng=5), len(data)))
+                for sample in (narrow, wide)
+            ]
         for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
-            assert np.array_equal(getattr(narrow.sample, name), getattr(wide.sample, name)), name
-        for name in ("metric", "metric_se", "coverage_cost"):
-            assert getattr(narrow, name) == getattr(wide, name), name
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+        assert figures[0] == figures[1]
 
     @pytest.mark.parametrize("k_max, warns", [(0.7, False), (0.71, True)])
     def test_pareto_k_is_kept_and_warned_above_0_7(self, monkeypatch, tmp_path, k_max, warns):
@@ -299,3 +316,84 @@ class TestTrialLedgerFile:
         flags = [line.split(",")[-1] for line in lines[1:]]
         assert flags.count("1") == 1
         assert flags[1] == "1"  # trial 2 is the selected row
+
+
+class TestTrialFits:
+    """run_trial looks a trial up by the model it defines before fitting."""
+
+    SETTINGS = SamplerSettings(chains=1, iterations=200, burn_in=100, seed=4)
+
+    @staticmethod
+    def data(shift=0.0):
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-2, 2, size=(40, 1))
+        return make_dataset(x, 0.5 * x[:, 0] + rng.normal(0, 0.4, 40) + shift)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The samples the sampler returns, one per fit."""
+        samples = []
+
+        def counted(*args):
+            samples.append(sample_posterior(*args))
+            return samples[-1]
+
+        monkeypatch.setattr(selection, "sample_posterior", counted)
+        return samples
+
+    def run(self, trial_id, hyperparams=None, shift=0.0, settings=SETTINGS, k_levels=20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return run_trial(trial_id, hyperparams or {"experts": 1}, self.data(shift), settings, k_levels)
+
+    def test_single_expert_gate_scales_share_one_read_only_fit(self, fits):
+        narrow = self.run(0, {"experts": 1, "gate_coeff_scale": 0.5})
+        wide = self.run(1, {"experts": 1, "gate_coeff_scale": 2.0})
+        assert len(fits) == 1 and narrow.sample is wide.sample is fits[0]
+        assert (narrow.trial_id, wide.trial_id) == (0, 1)
+        assert wide.hyperparams == {"experts": 1, "gate_coeff_scale": 2.0}
+        for name in ("metric", "metric_se", "coverage_cost", "pareto_k_max"):
+            assert getattr(narrow, name) == getattr(wide, name), name
+        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(wide.sample, name)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({}, {"hyperparams": {"experts": 1, "gate_coeff_location": 0.5}}),
+            ({"hyperparams": {"experts": 2, "gate_coeff_scale": 0.5}}, {"hyperparams": {"experts": 2}}),
+            ({}, {"shift": 0.1}),
+            ({}, {"settings": SamplerSettings(chains=1, iterations=200, burn_in=100, seed=5)}),
+            ({}, {"settings": SamplerSettings(chains=1, iterations=201, burn_in=101, seed=4)}),
+            ({}, {"k_levels": 10}),
+        ],
+        ids=["gate-location", "gate-scale-at-two-experts", "data", "seed", "iterations", "k-levels"],
+    )
+    def test_another_model_is_fitted_again(self, fits, first, second):
+        a, b = self.run(0, **first), self.run(1, **second)
+        assert len(fits) == 2 and a.sample is not b.sample
+
+    def test_a_repeat_warns_under_its_own_id(self, fits, monkeypatch):
+        scored = []
+
+        def heavy_tailed(sample, data):
+            scored.append(sample)
+            return -50.0, 2.0, np.array([0.1, 0.9])
+
+        monkeypatch.setattr(selection, "psis_loo", heavy_tailed)
+        caught = []
+        for trial_id in (3, 4):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                trial = run_trial(trial_id, {"experts": 1}, self.data(), self.SETTINGS)
+            caught += [str(w.message) for w in record]
+        assert len(fits) == len(scored) == 1 and trial.pareto_k_max == 0.9
+        assert [m[:8] for m in caught] == ["trial 3:", "trial 4:"]
+
+    def test_the_least_recently_used_fit_goes_first(self, fits):
+        seeds = [0, 1, 2, 3, 0, 4, 1]  # the repeat of seed 0 keeps it; seed 4 then pushes seed 1 out
+        for i, seed in enumerate(seeds):
+            self.run(i, {"experts": 1}, settings=SamplerSettings(chains=1, iterations=200, burn_in=100, seed=seed))
+        assert [s.seed for s in fits] == [0, 1, 2, 3, 4, 1]
+        assert len(selection._fits) == selection._FITS_KEPT == 4
