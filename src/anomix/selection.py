@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -193,7 +193,8 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
     prior = PriorSpec(**{k: v for k, v in hyperparams.items() if k != "experts"})
     model_prior = replace(prior, gate_coeff_scale=PriorSpec.gate_coeff_scale) if n_experts == 1 else prior
     x, y = data.covariates, data.responses
-    key = (x.shape, x.tobytes(), y.shape, y.tobytes(), n_experts, model_prior, settings, k_levels)
+    prior_bits = tuple(float(v).hex() for v in astuple(model_prior))  # -0.0 is not 0.0: the draws keep its sign
+    key = (x.shape, x.tobytes(), y.shape, y.tobytes(), n_experts, prior_bits, settings, k_levels)
     fit = _fits.pop(key, None)
     if fit is None:
         sample = sample_posterior(data, prior, n_experts, settings)

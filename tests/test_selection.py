@@ -362,13 +362,14 @@ class TestTrialFits:
         "first, second",
         [
             ({}, {"hyperparams": {"experts": 1, "gate_coeff_location": 0.5}}),
+            ({}, {"hyperparams": {"experts": 1, "gate_coeff_location": -0.0}}),
             ({"hyperparams": {"experts": 2, "gate_coeff_scale": 0.5}}, {"hyperparams": {"experts": 2}}),
             ({}, {"shift": 0.1}),
             ({}, {"settings": SamplerSettings(chains=1, iterations=200, burn_in=100, seed=5)}),
             ({}, {"settings": SamplerSettings(chains=1, iterations=201, burn_in=101, seed=4)}),
             ({}, {"k_levels": 10}),
         ],
-        ids=["gate-location", "gate-scale-at-two-experts", "data", "seed", "iterations", "k-levels"],
+        ids=["gate-location", "gate-location-sign", "gate-scale-at-two-experts", "data", "seed", "iterations", "k-levels"],
     )
     def test_another_model_is_fitted_again(self, fits, first, second):
         a, b = self.run(0, **first), self.run(1, **second)
