@@ -170,22 +170,24 @@ def embed_grid(geometry: GateGeometry, score_grid, feature_means=None) -> Explan
     return ExplanationMap(grid=grid, points=points, arrows=arrows)
 
 
-def _predictive_summary(blocks, n_draws: int):
-    """Posterior-mean activations, predictive mean and predictive sd at some rows,
-    from the moment ``blocks`` (as :meth:`PosteriorSample.moment_blocks` yields
-    them) of all ``n_draws`` draws at those rows.
+def _predictive_summary(sample: PosteriorSample, X):
+    """Posterior-mean activations, predictive mean and predictive sd at rows of ``X``.
 
     The predictive law at a row is the draw-average of the per-draw
     mixtures, so its variance combines each draw's mixture variance with
     the spread of the draw means.
     """
-    act = mean_acc = second_moment = 0.0  # the first block's sums add to 0.0 as they would to np.zeros
-    for _, alpha, means, sds in blocks:
+    n_rows = len(X)
+    act = np.zeros((n_rows, sample.n_experts))
+    mean_acc = np.zeros(n_rows)
+    second_moment = np.zeros(n_rows)
+    for _, alpha, means, sds in sample.moment_blocks(X):
         act += alpha.sum(axis=0).T
         m = (alpha * means).sum(axis=-2)
         v = (alpha * (sds**2 + means**2)).sum(axis=-2) - m**2
         mean_acc += m.sum(axis=0)
         second_moment += (v + m**2).sum(axis=0)
+    n_draws = sample.n_draws
     predictive_mean = mean_acc / n_draws
     predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)
     return act / n_draws, predictive_mean, np.sqrt(predictive_var)
@@ -197,5 +199,5 @@ def render_map(skeleton: ExplanationMap, sample: PosteriorSample) -> Explanation
     Fills in posterior-mean expert activations, the predictive mean and the
     predictive standard deviation at every grid point.
     """
-    activations, mean, sd = _predictive_summary(sample.moment_blocks(skeleton.points), sample.n_draws)
+    activations, mean, sd = _predictive_summary(sample, skeleton.points)
     return replace(skeleton, activations=activations, predictive_mean=mean, predictive_sd=sd)

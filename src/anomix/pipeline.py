@@ -41,14 +41,7 @@ from .detection import (
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset
-from .posterior import (
-    FitDiagnostics,
-    PosteriorSample,
-    _predictive_blocks,
-    _quantiles,
-    fit_diagnostics,
-    sample_posteriors,
-)
+from .posterior import FitDiagnostics, PosteriorSample, _quantiles, fit_diagnostics, sample_posteriors, sample_predictive
 
 __all__ = [
     "CsvSchema",
@@ -770,9 +763,8 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> None:
 
     Per index: a predictive band over the test span (observed response,
     predictive mean and 5%/95% predictive quantiles) and the posterior-mean
-    gate activations, both from one pass over the posterior's moments at
-    the test rows.  Scores, alarms and failures are plotted from the files
-    of the stages that wrote them.
+    gate activations.  Scores, alarms and failures are plotted from the
+    files of the stages that wrote them.
     """
     run_dir = Path(run_dir)
     rng = np.random.default_rng(config.seed)
@@ -784,8 +776,8 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> None:
         test = _load_split(run_dir / f"test_{index}.npz")
         if len(test) == 0:
             continue
-        draws = np.empty((sample.n_draws, len(test)))
-        act, mean, _ = _predictive_summary(_predictive_blocks(sample, test.covariates, rng, draws), sample.n_draws)
+        draws = sample_predictive(sample, test.covariates, rng)
+        act, mean, _ = _predictive_summary(sample, test.covariates)
         q05, q95 = _quantiles(draws, [0.05, 0.95])
 
         stamps = _timestamp_strings(test.timestamps)

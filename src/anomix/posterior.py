@@ -459,21 +459,13 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     All allocation uniforms are drawn first, then all standard normals,
     each in (draw, point) order.
     """
-    out = np.empty((sample.n_draws, len(X)))
-    for _ in _predictive_blocks(sample, X, rng, out):
-        pass
-    return out
-
-
-def _predictive_blocks(sample: PosteriorSample, X, rng: np.random.Generator, out: np.ndarray):
-    """``sample.moment_blocks(X)``, writing each block's predictive responses
-    into its rows of ``out`` (draws x points) before yielding it, so that a
-    caller can summarise the same moments without a second pass."""
-    uniforms = rng.random(out.shape)
-    normals = rng.standard_normal(out.shape)
+    shape = (sample.n_draws, len(X))
+    uniforms = rng.random(shape)
+    normals = rng.standard_normal(shape)
+    out = np.empty(shape)
     for block, alpha, means, sds in sample.moment_blocks(X):
         out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
-        yield block, alpha, means, sds
+    return out
 
 
 def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
