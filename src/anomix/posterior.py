@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -246,6 +246,13 @@ class _LockstepTarget:
                 cached[c] = value[c]
 
 
+def _fitted_prior(prior: PriorSpec, n_experts: int) -> PriorSpec:
+    """The prior as the fit of ``n_experts`` experts reads it.  At M = 1 the behavior gate cannot move
+    the likelihood, so it is never proposed and its prior term is left out of the target: the gate
+    scale is set to its default.  The gate location stays, as the frozen gate sits there in the draws."""
+    return replace(prior, gate_coeff_scale=PriorSpec.gate_coeff_scale) if n_experts == 1 else prior
+
+
 def sample_posterior(data: Dataset, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> PosteriorSample:
     """Draw from the posterior over all model parameters: :func:`sample_posteriors` of one dataset."""
     return sample_posteriors([data], prior, n_experts, settings)[0]
@@ -271,6 +278,7 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
         raise ValueError("jointly fitted datasets must share their row and covariate counts")
     if n_experts < 1:
         raise ValueError("at least one expert is required")
+    prior = _fitted_prior(prior, n_experts)
     chains, seeds = settings.chains, [settings.seed + i for i in range(len(datasets))]
     slots, m, na = len(datasets) * chains, n_experts, datasets[0].n + 1
     rngs = [np.random.default_rng(s) for seed in seeds for s in np.random.SeedSequence(seed).spawn(chains)]

@@ -5,8 +5,8 @@ larger is better) and by a binomial calibration cost over a grid of
 credible levels (coverage, smaller is better).  The selector walks the
 Pareto frontier in order of worsening coverage and trades coverage away
 only when a one-sided Chebyshev bound says the fit improvement is more
-likely than the threshold ``nu``.  Trials that define the same model share
-one fit.
+likely than the threshold ``nu``.  Back-to-back trials that define the
+same model share one fit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -23,6 +23,7 @@ from .model import Dataset, PriorSpec
 from .posterior import (
     _STACK_FIELDS,
     PosteriorSample,
+    _fitted_prior,
     _max_ignoring_nan,
     _quantiles,
     psis_loo,
@@ -42,10 +43,9 @@ __all__ = [
     "write_trials_csv",
 ]
 
-# The fits of the last few models trialled, keyed by content and least recently used first, each
-# (sample, metric, metric_se, coverage cost, Pareto k max).  A sweep repeats a model in nearby trials.
-_fits: dict = {}
-_FITS_KEPT = 4
+# The key of the last model trialled and its fit (sample, metric, metric_se, coverage cost, Pareto k max).
+# A sweep over gate scales runs its M = 1 trials, one model to the sampler, back to back.
+_last_fit: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -181,39 +181,36 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
     are typically drawn at random and the resulting trials handed to
     :func:`select_best`.
 
-    Trials that define the same model share one fit, looked up by content:
-    the training covariates and responses, the expert count, the prior, the
-    sampler settings and ``k_levels``.  At one expert the gate prior's scale
-    is left out, as the target drops the gate priors and no gate is
-    proposed; its location stays, as it sets the frozen behavior gate kept
-    in the draws.  A repeat returns the first trial's sample, whose draws
-    are read-only, and figures, and warns under its own id.
+    A trial that defines the same model as the one before it shares its
+    fit, compared by content: the training covariates and responses, the
+    expert count, the prior as the sampler reads it
+    (``posterior._fitted_prior``), the sampler settings and ``k_levels``.
+    A repeat returns the earlier trial's sample, whose draws are read-only,
+    and figures, and warns under its own id.
     """
+    global _last_fit
     n_experts = hyperparams.get("experts", 1)
     prior = PriorSpec(**{k: v for k, v in hyperparams.items() if k != "experts"})
-    model_prior = replace(prior, gate_coeff_scale=PriorSpec.gate_coeff_scale) if n_experts == 1 else prior
     x, y = data.covariates, data.responses
-    prior_bits = tuple(float(v).hex() for v in astuple(model_prior))  # -0.0 is not 0.0: the draws keep its sign
+    # -0.0 is not 0.0: the draws keep a gate location's sign.
+    prior_bits = tuple(float(v).hex() for v in astuple(_fitted_prior(prior, n_experts)))
     key = (x.shape, x.tobytes(), y.shape, y.tobytes(), n_experts, prior_bits, settings, k_levels)
-    fit = _fits.pop(key, None)
-    if fit is None:
+    last_key, fit = _last_fit
+    if key != last_key:
         sample = sample_posterior(data, prior, n_experts, settings)
         metric, metric_se, k_hat = psis_loo(sample, data)
         grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
         for name in _STACK_FIELDS:
             getattr(sample, name).flags.writeable = False  # every trial of this model shares them
         fit = (sample, metric, metric_se, coverage_cost(grid, len(data)), _max_ignoring_nan(k_hat))
+        _last_fit = key, fit
     sample, metric, metric_se, cost, k_max = fit
     if k_max > 0.7:
         warnings.warn(
             f"trial {trial_id}: Pareto k max {k_max:.2f} > 0.7, so its PSIS-LOO metric is unreliable",
             RuntimeWarning,
         )
-    trial = Trial(trial_id, dict(hyperparams), metric, metric_se, cost, sample, k_max)
-    _fits[key] = fit
-    if len(_fits) > _FITS_KEPT:
-        del _fits[next(iter(_fits))]
-    return trial
+    return Trial(trial_id, dict(hyperparams), metric, metric_se, cost, sample, k_max)
 
 
 def write_trials_csv(trials: list, selected: Trial | None, path) -> None:

@@ -50,6 +50,7 @@ from anomix.posterior import (
     SamplerSettings,
     _LockstepTarget,
     _PARTS,
+    _fitted_prior,
     _psis_loo,
     _quantiles,
     _rank_normal,
@@ -502,6 +503,18 @@ class TestLogTargetParts:
                 state = random_states(rng, chains, n_experts, n)
                 got = _log_target(*state, phi, y, self.PRIOR)
                 assert np.array_equal(got, reference_log_target(*state, phi, y, self.PRIOR)), (chains, n)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_single_expert_target_is_unchanged_by_the_fitted_prior(self, scale):
+        # The sampler fits one expert under _fitted_prior, and run_trial compares models by it,
+        # so the target must not read the gate scale that it drops, wherever the gates are.
+        rng = np.random.default_rng(80)
+        prior = dataclasses.replace(self.PRIOR, gate_coeff_scale=scale)
+        for chains in range(1, 4):
+            phi, y = _embed_rows(rng.normal(size=(30, 2))), rng.normal(size=30)
+            state = random_states(rng, chains, 1, 2)
+            got = _log_target(*state, phi, y, _fitted_prior(prior, 1))
+            assert np.array_equal(got, _log_target(*state, phi, y, prior)), chains
 
     @pytest.mark.parametrize("n_experts", [1, 3])
     def test_cache_matches_a_fresh_evaluation(self, n_experts):

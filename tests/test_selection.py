@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.stats import binom
 
 from anomix.model import Dataset, PriorSpec
 from anomix import selection
-from anomix.posterior import SamplerSettings, psis_loo, sample_posterior
+from anomix.posterior import SamplerSettings, _fitted_prior, psis_loo, sample_posterior
 from anomix.selection import (
     CoverageGrid,
     Trial,
@@ -267,8 +268,8 @@ class TestRunTrial:
     def test_single_expert_fit_ignores_the_gate_prior(self):
         # At M = 1 the behavior gate stays at its prior location and its
         # prior term is left out, so the gate scale cannot move a single draw.
-        # That is why run_trial shares one fit between such trials, so the
-        # sampler is checked here directly.
+        # run_trial shares one fit between such trials, so the sampler is
+        # checked here directly.
         rng = np.random.default_rng(23)
         x = rng.uniform(-2, 2, size=(60, 2))
         data = make_dataset(x, 0.5 * x[:, 0] - 0.3 * x[:, 1] + rng.normal(0, 0.4, 60))
@@ -392,9 +393,20 @@ class TestTrialFits:
         assert len(fits) == len(scored) == 1 and trial.pareto_k_max == 0.9
         assert [m[:8] for m in caught] == ["trial 3:", "trial 4:"]
 
-    def test_the_least_recently_used_fit_goes_first(self, fits):
-        seeds = [0, 1, 2, 3, 0, 4, 1]  # the repeat of seed 0 keeps it; seed 4 then pushes seed 1 out
-        for i, seed in enumerate(seeds):
+    def test_only_the_last_fit_is_kept(self, fits):
+        for i, seed in enumerate([0, 0, 1, 0]):  # the second seed-0 trial follows the first; the last does not
             self.run(i, {"experts": 1}, settings=SamplerSettings(chains=1, iterations=200, burn_in=100, seed=seed))
-        assert [s.seed for s in fits] == [0, 1, 2, 3, 4, 1]
-        assert len(selection._fits) == selection._FITS_KEPT == 4
+        assert [s.seed for s in fits] == [0, 1, 0]
+
+
+class TestFittedPrior:
+    """The prior as the sampler reads it, on which run_trial compares models."""
+
+    PRIOR = PriorSpec(mean_coeff_location=0.5, gate_coeff_location=-0.5, gate_coeff_scale=3.0, noise_log_scale=2.0)
+
+    def test_single_expert_drops_only_the_gate_scale(self):
+        assert _fitted_prior(self.PRIOR, 1) == replace(self.PRIOR, gate_coeff_scale=1.0)
+
+    @pytest.mark.parametrize("n_experts", [2, 3])
+    def test_more_experts_keep_the_whole_prior(self, n_experts):
+        assert _fitted_prior(self.PRIOR, n_experts) is self.PRIOR
