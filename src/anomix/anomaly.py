@@ -408,8 +408,8 @@ def score_series(
         raise ValueError(f"dataset has {len(data)} rows, need at least {length}")
     dist = _window_dist(length, decay if decay is not None else default_decay(k))
     per_draw = _draw_scores(sample, data.covariates, data.responses, dist)
+    mean = per_draw.mean(axis=0)  # before the band, whose quantiles sort the draws in place
     low, high = _quantiles(per_draw, [0.05, 0.95])
     return AnomalyScoreSeries(
-        timestamps=data.timestamps[k:], as_values=per_draw.mean(axis=0), threshold=threshold,
-        theta_low=low, theta_high=high,
+        timestamps=data.timestamps[k:], as_values=mean, threshold=threshold, theta_low=low, theta_high=high
     )

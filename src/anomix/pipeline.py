@@ -776,9 +776,9 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> None:
         test = _load_split(run_dir / f"test_{index}.npz")
         if len(test) == 0:
             continue
-        draws = sample_predictive(sample, test.covariates, rng)
+        # The summary first, so that its block temporaries never coexist with the predictive draws.
         act, mean, _ = _predictive_summary(sample, test.covariates)
-        q05, q95 = _quantiles(draws, [0.05, 0.95])
+        q05, q95 = _quantiles(sample_predictive(sample, test.covariates, rng), [0.05, 0.95])
 
         stamps = _timestamp_strings(test.timestamps)
         band = np.column_stack([test.responses, mean, q05, q95])

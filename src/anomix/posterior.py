@@ -13,7 +13,7 @@ chain in one part per group, next to the experts' blend, so a proposal
 recomputes only what its group moves: a behavior-gate one reuses the blend.
 Each evaluation runs through the model's in-place helpers.
 Posterior bands (score, predictive and coverage intervals) take their
-quantiles from one sort of the draw axis, equal to ``np.quantile``.
+quantiles from one in-place sort of the draw axis, equal to ``np.quantile``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,12 @@ __all__ = [
 ]
 
 # Working-set budget of one blocked pass over a draw stack, counted in
-# (draws x rows x experts) elements, or (draws x points) weights in PSIS-LOO.
-# It bounds the memory a posterior-wide evaluation adds at any row count,
-# from a test split to a dense map grid.
+# (draws x rows x experts) elements, or (draws x points) weights in PSIS-LOO
+# and LPPD, which take at least two points a block.  A posterior-wide pass
+# (fit diagnostics, a score band, a predictive band or coverage grid) holds
+# one (draws x points) array, its result or the one it reduces, plus block
+# temporaries of about this many elements each, at any row count, from a
+# test split to a dense map grid.
 BLOCK_ELEMENTS = 2**14
 
 _STACK_FIELDS = ("expert_coeffs", "expert_sds", "mixing", "behavior")
@@ -374,8 +377,24 @@ def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = Non
     return ll, (float(per_draw.mean()), float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0)
 
 
+def _point_blocks(n_draws: int, n_points: int) -> list:
+    """Consecutive slices of the points, each at most ``BLOCK_ELEMENTS // n_draws`` points wide and at
+    least two: a trailing single point joins the block before it.  NumPy reduces one column over the
+    draws by pairwise summation and two or more row by row, as it does the whole matrix, so every
+    point's figures are those of a reduction over the whole matrix."""
+    step = max(2, BLOCK_ELEMENTS // n_draws)
+    starts = list(range(0, n_points, step))
+    if len(starts) > 1 and n_points - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_points])]
+
+
 def _lppd(ll: np.ndarray) -> float:
-    return float(np.sum(_logsumexp(ll, axis=0) - math.log(ll.shape[0])))
+    s, n = ll.shape
+    pointwise = np.empty(n)
+    for points in _point_blocks(s, n):
+        pointwise[points] = _logsumexp(ll[:, points], axis=0)
+    return float(np.sum(pointwise - math.log(s)))
 
 
 def psis_loo(sample: PosteriorSample, data: Dataset):
@@ -402,9 +421,7 @@ def _psis_loo(ll: np.ndarray):
     tail_len = int(min(math.ceil(0.2 * s), math.ceil(3.0 * math.sqrt(s))))
     elpd = np.empty(n)
     k_hat = np.full(n, math.nan)
-    step = max(1, BLOCK_ELEMENTS // s)
-    for start in range(0, n, step):
-        points = slice(start, start + step)
+    for points in _point_blocks(s, n):
         lw = -ll[:, points]
         lw -= lw.max(axis=0)
         if smooth and tail_len >= 5:
@@ -443,7 +460,8 @@ def _pareto_smooth(lw: np.ndarray, tail_len: int) -> np.ndarray:
     b = 1.0 - np.sqrt(m_grid / (grid + 0.5))
     b = b / (3.0 * excesses[tail_len - n + (n - 2) // 4, np.arange(len(n))]) + 1.0 / excesses[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.log1p(-b[:, None] * x).sum(axis=1) / n
+        k = -b[:, None] * x
+        k = np.log1p(k, out=k).sum(axis=1) / n
         log_lik = np.where(grid < m_grid, n * (np.log(-(b / k)) - k - 1.0), -np.inf)
         weights = np.exp(log_lik - _logsumexp(log_lik, axis=0))
         b_post = np.sum(b * weights, axis=0) / weights.sum(axis=0)
@@ -465,19 +483,23 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     """(draws x points) responses sampled from the posterior predictive.
 
     All allocation uniforms are drawn first, then all standard normals,
-    each in (draw, point) order.
+    each in (draw, point) order.  The uniforms are drawn into the result,
+    the one (draws x points) array the pass holds; each block of draws then
+    draws its normals and overwrites the uniforms its expert pick has used.
+    Successive ``standard_normal`` calls continue one stream, so the draws
+    and the generator's final state are those of one call over all points.
     """
-    shape = (sample.n_draws, len(X))
-    uniforms = rng.random(shape)
-    normals = rng.standard_normal(shape)
-    out = np.empty(shape)
+    out = rng.random((sample.n_draws, len(X)))
     for block, alpha, means, sds in sample.moment_blocks(X):
-        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
+        uniforms = out[block]
+        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape))
     return out
 
 
 def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
-    """``np.quantile(draws, probs, axis=0)`` from one sort of the draw axis.
+    """``np.quantile(draws, probs, axis=0)`` from one sort of the draw axis,
+    made in place: ``draws`` is left sorted, and no copy of it is made, so
+    a caller passes an array it no longer needs.
 
     NumPy's default "linear" method (Hyndman & Fan's type 7) with its exact
     arithmetic: the virtual index ``(n - 1) * p``, both neighbours on the
@@ -486,8 +508,8 @@ def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
     the sign of a zero result may differ from NumPy's, whose partition
     leaves their order unspecified.
     """
-    ordered = np.sort(draws, axis=0)
-    n = len(ordered)
+    draws.sort(axis=0)
+    n = len(draws)
     virtual = (n - 1) * np.asarray(probs, dtype=float)
     below = np.floor(virtual)
     last = virtual >= n - 1
@@ -495,12 +517,12 @@ def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
     lo = below.astype(np.intp)
     hi = lo + 1
     hi[last] = -1
-    t = (virtual - below).reshape(virtual.shape + (1,) * (ordered.ndim - 1))
-    a, b = ordered[lo], ordered[hi]
+    t = (virtual - below).reshape(virtual.shape + (1,) * (draws.ndim - 1))
+    a, b = draws[lo], draws[hi]
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    np.copyto(out, ordered[-1], where=np.isnan(ordered[-1]))
+    np.copyto(out, draws[-1], where=np.isnan(draws[-1]))
     return out
 
 
@@ -561,7 +583,11 @@ def _rhat_max(sample: PosteriorSample) -> float:
 
 
 def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95) -> FitDiagnostics:
-    """Bundle LPPD, PSIS-LOO, coverage and the worst split R-hat into one report."""
+    """Bundle LPPD, PSIS-LOO, coverage and the worst split R-hat into one report.
+
+    R-hat comes first, so that its rank arrays never coexist with the
+    (draws x points) log densities of the pointwise pass."""
+    rhat_max = _rhat_max(sample)
     ll, (coverage, coverage_se) = _pointwise(sample, data, level)
     loo, loo_se, k_hat = _psis_loo(ll)
     return FitDiagnostics(
@@ -571,5 +597,5 @@ def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95)
         cic95=coverage,
         cic95_se=coverage_se,
         pareto_k_max=_max_ignoring_nan(k_hat),
-        rhat_max=_rhat_max(sample),
+        rhat_max=rhat_max,
     )

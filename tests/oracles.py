@@ -30,6 +30,10 @@ versions run the same operations.  ``draw_from_moments_argmax`` is
 ``anomix.model._draw_from_moments`` picking each draw's expert as the
 first bin of an ``np.cumsum`` of the mixing weights that exceeds its
 uniform, where the package counts the running sums at or below it.
+``sample_predictive_three_arrays`` is ``anomix.posterior.sample_predictive``
+holding its uniforms, its normals and its result as three (draws x points)
+arrays, where the package draws the uniforms into the result and each
+block's normals as the block is reached.
 
 A parameter point is one draw of the stack, the tuple ``(coeffs, sds,
 gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
@@ -63,6 +67,7 @@ from anomix.model import (
     PriorSpec,
     _blend,
     _cdf_from_moments,
+    _draw_from_moments,
     _fuse,
     conditional_cdf_rows,
     conditional_logpdf_rows,
@@ -356,6 +361,16 @@ def draw_from_moments_argmax(alpha, means, sds, uniforms, normals):
     mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
     sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]
     return mean + sd * normals, z
+
+
+def sample_predictive_three_arrays(sample, X, rng: np.random.Generator) -> np.ndarray:
+    shape = (sample.n_draws, len(X))
+    uniforms = rng.random(shape)
+    normals = rng.standard_normal(shape)
+    out = np.empty(shape)
+    for block, alpha, means, sds in sample.moment_blocks(X):
+        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
+    return out
 
 
 class ExpertParams(NamedTuple):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import cic, draw, lppd, pit_rows, posterior_predictive_cdf, stack_draws
+from oracles import cic, draw, lppd, pit_rows, posterior_predictive_cdf, sample_predictive_three_arrays, stack_draws
 
 from anomix.anomaly import (
     build_sum_dist,
@@ -80,6 +80,18 @@ def stacks(draw):
     n_draws = step + draw(st.integers(1, step - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_stack(rng, n_draws, n_experts, n_covariates), random_rows(rng, n_rows, n_covariates)
+
+
+@st.composite
+def predictive_cases(draw):
+    """A stack of one to four experts and its covariate rows, possibly none, with a draw count
+    that leaves the last block of draws partial."""
+    n_experts = draw(st.integers(1, 4))
+    n_rows = draw(st.sampled_from([0, 1, 5, 33, 70]))
+    step = BLOCK_ELEMENTS // max(1, n_rows * n_experts)
+    n_draws = draw(st.integers(0, 2)) * step + draw(st.integers(1, step - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_stack(rng, n_draws, n_experts, 1), rng.normal(size=(n_rows, 1))
 
 
 class TestLayout:
@@ -210,6 +222,18 @@ class TestBatchedMatchesDrawLoop:
         replay = _Replay(rng.random(shape), rng.standard_normal(shape))
         want = np.stack([sample_conditional(d, data.covariates, replay)[0] for d in draws_of(sample)])
         np.testing.assert_allclose(got, want, **TOL)
+
+    @settings(max_examples=25, deadline=None)
+    @given(predictive_cases(), st.integers(0, 2**32 - 1))
+    def test_sample_predictive_matches_three_arrays(self, case, seed):
+        """Drawing each block's normals as the block is reached gives the draws, and leaves the
+        generator in the state, of all uniforms and then all normals drawn at once."""
+        sample, x = case
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = sample_predictive(sample, x, rng), sample_predictive_three_arrays(sample, x, ref)
+        assert got.shape == want.shape == (sample.n_draws, len(x))
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
     @settings(max_examples=6, deadline=None)
     @given(stacks(), st.integers(1, 4))

@@ -51,6 +51,8 @@ from anomix.posterior import (
     _LockstepTarget,
     _PARTS,
     _fitted_prior,
+    _lppd,
+    _point_blocks,
     _psis_loo,
     _quantiles,
     _rank_normal,
@@ -249,6 +251,33 @@ class TestLppd:
         a = lppd(make_sample(draws), data)
         b = lppd(make_sample(draws[::-1]), shuffled)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("s, n", [(800, 21), (800, 201), (5000, 7), (8000, 41), (20000, 3)])
+    def test_blocks_reduce_as_the_whole_matrix(self, s, n):
+        """Blocks of points that would leave one point over give the whole matrix's bits.  Zeroing
+        the other points' log densities makes the sum the last point's term alone, whose last bit
+        a sum over many points can round away."""
+        assert n % max(2, BLOCK_ELEMENTS // s) == 1
+        for seed in range(5):
+            ll = np.random.default_rng(seed).normal(-2.0, 3.0, size=(s, n))
+            for _ in range(2):
+                assert _lppd(ll).hex() == float(np.sum(logsumexp(ll, axis=0) - math.log(s))).hex()
+                ll[:, :-1] = 0.0
+
+
+class TestPointBlocks:
+    @given(st.integers(1, 40_000), st.integers(1, 500))
+    def test_blocks_tile_the_points_two_or_more_wide(self, s, n):
+        """Blocks of ``BLOCK_ELEMENTS // s`` points, at least two, tile the points in order; a
+        single point left over joins the last block, and a lone point is its own block."""
+        blocks = _point_blocks(s, n)
+        step = max(2, BLOCK_ELEMENTS // s)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+        widths = [b.stop - b.start for b in blocks]
+        if n == 1:
+            assert widths == [1]
+        else:
+            assert set(widths[:-1]) <= {step} and 2 <= widths[-1] <= step + 1
 
 
 class TestPsisLoo:
@@ -723,7 +752,7 @@ class TestQuantiles:
     @example(x=np.arange(10.0)[:, None] * [1.0, -1.0], probs=COVERAGE_PROBS)
     def test_matches_numpy(self, x, probs):
         with np.errstate(invalid="ignore"):
-            got, want = _quantiles(x, probs), np.quantile(x, probs, axis=0)
+            got, want = _quantiles(x.copy(), probs), np.quantile(x, probs, axis=0)
         assert got.shape == want.shape == (len(probs), x.shape[1])
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
