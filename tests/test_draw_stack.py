@@ -1,9 +1,11 @@
-"""The draw stack: layout, validation, archive round trip, and every batched
+"""The draw stack: layout, validation, archive round trip, every batched
 consumer against a loop over the stack's draws, one parameter point at a time,
-through the row-batched model functions."""
+through the row-batched model functions, and the memory of the passes over
+the whole stack."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,11 +37,13 @@ from anomix.posterior import (
     PosteriorSample,
     SamplerSettings,
     _psis_loo,
+    _quantiles,
     fit_diagnostics,
     psis_loo,
     sample_posterior,
     sample_predictive,
 )
+from anomix.selection import coverage_counts
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -274,3 +278,53 @@ class TestBatchedMatchesDrawLoop:
         np.testing.assert_allclose(
             rendered.predictive_sd, np.sqrt(np.maximum(second / len(draws) - mean**2, 0.0)), **TOL
         )
+
+
+def traced_peak(run) -> int:
+    """Bytes ``run()`` adds at its peak; a first, untraced call fills any cache it keeps."""
+    run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPassMemory:
+    """A pass over the whole stack may hold one (draws x points) array, its result or the matrix
+    it reduces, plus block temporaries that ``BLOCK_ELEMENTS`` bounds: the peak it adds, traced
+    at 4000 draws, must stay within that array and 16 blocks of float64."""
+
+    N_DRAWS, N_ROWS, WINDOW_K = 4000, 200, 10
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(5)
+        return random_stack(rng, self.N_DRAWS, 2, 2), random_rows(rng, self.N_ROWS, 2)
+
+    def bound(self, n_points: int) -> int:
+        return self.N_DRAWS * n_points * 8 + 16 * BLOCK_ELEMENTS * 8
+
+    def test_fit_diagnostics(self, case):
+        sample, data = case
+        assert traced_peak(lambda: fit_diagnostics(sample, data)) <= self.bound(self.N_ROWS)
+
+    def test_score_series(self, case):
+        sample, data = case
+        peak = traced_peak(lambda: score_series(data, sample, self.WINDOW_K))
+        assert peak <= self.bound(self.N_ROWS - self.WINDOW_K)
+
+    def test_predictive_band(self, case):
+        sample, data = case
+
+        def band():
+            _quantiles(sample_predictive(sample, data.covariates, np.random.default_rng(0)), [0.05, 0.95])
+
+        assert traced_peak(band) <= self.bound(self.N_ROWS)
+
+    def test_coverage_counts(self, case):
+        sample, data = case
+        assert traced_peak(lambda: coverage_counts(sample, data, 20, rng=0)) <= self.bound(self.N_ROWS)
