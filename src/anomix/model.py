@@ -145,24 +145,26 @@ def _fuse(beta, rest, means, variances, blend):
     return fused, fused_var
 
 
-def _moments_arrays(coeffs, sds, gate_matrix, behavior_coeffs, phi):
+def _moments_arrays(experts, gate_matrix, behavior_coeffs, phi):
     """Batch gate weights and fused Gaussian moments from raw arrays.
 
     ``phi`` holds embedded covariate rows.  The parameter arrays may carry
-    any leading (draw) axes in front of their own shapes: ``coeffs`` and
-    ``gate_matrix`` (M, n + 1), ``sds`` (M,), ``behavior_coeffs`` (n + 1,).
-    Returns ``(alpha, means, sds)`` shaped ``(..., M, rows)``, experts
-    before rows, so that reductions over the experts (axis -2) fold slice
-    by slice from the left.
+    any leading (draw) axes in front of their own shapes: ``experts``
+    (M, n + 2, mean coefficients then log noise sd), ``gate_matrix``
+    (M, n + 1) and ``behavior_coeffs`` (n + 1,).  The coefficients enter
+    the matmul as a contiguous copy.  Returns ``(alpha, means, sds)``
+    shaped ``(..., M, rows)``, experts before rows, so that reductions over
+    the experts (axis -2) fold slice by slice from the left.
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
+    coeffs, sds = np.ascontiguousarray(experts[..., :-1]), np.exp(experts[..., -1])
     means, variances = coeffs @ phi.swapaxes(-1, -2), sds**2
     fused, fused_var = _fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances))
     return alpha, fused, np.sqrt(fused_var, out=fused_var)
 
 
-# ``params`` is one draw of the stack: ``(coeffs, sds, gate_matrix, behavior_coeffs)``.  Only tests
+# ``params`` is one draw of the stack: ``(experts, gate_matrix, behavior_coeffs)``.  Only tests
 # call this, the two *_rows densities and sample_conditional.  They stay because perfbench's tracer
 # counts their calls by name, until its counters are retargeted to the draw-stack paths.
 def fused_moments(params, X):

@@ -4,9 +4,9 @@ A run lives in a directory: the manifest records the config hash, seed and
 library versions, and every stage persists its artifacts there so stages
 can be re-run individually.  Timestamps are ISO-8601, day bucketing is
 UTC, and the whole pipeline is deterministic given (config, seed, input
-files).  A posterior archive holds three members: an int64 header, the
-acceptance rate and one draws x parameters matrix; a file that is not such
-an archive is refused with its path.
+files).  A posterior archive holds an int64 header, the acceptance rate
+and the draw stack's three arrays; a file that is not such an archive is
+refused with its path.
 """
 
 from __future__ import annotations
@@ -41,7 +41,15 @@ from .detection import (
 )
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset
-from .posterior import FitDiagnostics, PosteriorSample, _quantiles, fit_diagnostics, sample_posteriors, sample_predictive
+from .posterior import (
+    _STACK_FIELDS,
+    FitDiagnostics,
+    PosteriorSample,
+    _quantiles,
+    fit_diagnostics,
+    sample_posteriors,
+    sample_predictive,
+)
 
 __all__ = [
     "CsvSchema",
@@ -62,7 +70,7 @@ __all__ = [
     "emit_plot_data",
 ]
 
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 PARSED_ARCHIVES = 4  # posterior parses kept, one per index of a run of up to four; least recently used go first
 
 
@@ -369,27 +377,24 @@ def write_two_index_stream(
 
 
 def save_posterior(sample: PosteriorSample, path) -> None:
-    """Versioned binary archive of a posterior sample's draw stack.
-
-    Three members: an int64 ``header`` (version, experts, width n + 1, chain
-    count, seed), the ``acceptance_rate``, and one ``draws`` matrix holding,
-    per draw, the expert coefficients, sds, mixing rows and behavior
-    coefficients, flattened in that order.
-    """
-    s, m, width = sample.expert_coeffs.shape
-    header = np.array([ARCHIVE_VERSION, m, width, sample.chain_count, sample.seed], dtype=np.int64)
-    stacks = (sample.expert_coeffs, sample.expert_sds, sample.mixing, sample.behavior)
-    draws = np.concatenate([stack.reshape(s, -1) for stack in stacks], axis=1)
-    np.savez_compressed(path, header=header, acceptance_rate=sample.acceptance_rate, draws=draws)
+    """Versioned binary archive of a posterior sample's draw stack: an int64
+    ``header`` (version, chain count, seed), the ``acceptance_rate`` and the
+    stack's arrays, each under its own name."""
+    header = np.array([ARCHIVE_VERSION, sample.chain_count, sample.seed], dtype=np.int64)
+    arrays = {name: getattr(sample, name) for name in _STACK_FIELDS}
+    np.savez_compressed(path, header=header, acceptance_rate=sample.acceptance_rate, **arrays)
 
 
 def load_posterior(path) -> PosteriorSample:
-    """The posterior sample archived at ``path``; an archive of any other
-    version, or with a member missing or misshapen, is refused by path.
-    The file is read on every call but parsed once per content between fits,
-    never per path or mtime: equal bytes give one sample, with read-only draws."""
+    """The posterior sample archived at ``path``; a missing file, or an
+    archive of any other version or with a member missing or misshapen, is
+    refused by path.  The file is read on every call but parsed once per
+    content between fits, never per path or mtime: equal bytes give one
+    sample, whose draws are read-only."""
     try:
         return _parse_posterior(Path(path).read_bytes())
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path}: no posterior archive; run fit first") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -397,24 +402,15 @@ def load_posterior(path) -> PosteriorSample:
 @functools.lru_cache(maxsize=PARSED_ARCHIVES)
 def _parse_posterior(data: bytes) -> PosteriorSample:
     with _open_npz(io.BytesIO(data)) as archive:
-        if "format_version" in archive.files:  # the key of every version-1 archive
+        if {"format_version", "draws"} & set(archive.files):  # keys of every version-1 and version-2 archive
             raise ValueError(f"written before archive version {ARCHIVE_VERSION}; refit")
-        header, rate, draws = _members(archive, ("header", "acceptance_rate", "draws"))
-    if header.dtype != np.int64 or header.shape != (5,) or header[0] != ARCHIVE_VERSION:
+        header, rate, *arrays = _members(archive, ("header", "acceptance_rate", *_STACK_FIELDS))
+    if header.dtype != np.int64 or header.shape != (3,) or header[0] != ARCHIVE_VERSION:
         raise ValueError(f"header {header.tolist()} is not a posterior archive version {ARCHIVE_VERSION} header")
     if rate.shape != () or rate.dtype.kind not in "iuf":
         raise ValueError(f"an acceptance_rate of shape {rate.shape} and dtype {rate.dtype} is not a real scalar")
-    _, m, width, chain_count, seed = header.tolist()
-    if draws.ndim != 2 or m < 1 or width < 1 or draws.shape[1] != m * (2 * width + 1) + width:
-        raise ValueError(f"a {draws.shape} draws matrix does not hold {m} experts of width {width}")
-    coeffs, sds, mixing, behavior = np.split(draws, np.cumsum([m * width, m, m * width]), axis=1)
-    s = len(draws)
-    sample = PosteriorSample(
-        coeffs.reshape(s, m, width), sds, mixing.reshape(s, m, width), behavior, float(rate), chain_count, seed
-    )
-    for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
-        getattr(sample, name).flags.writeable = False  # every load of the same bytes shares them
-    return sample
+    _, chain_count, seed = header.tolist()
+    return PosteriorSample(*arrays, float(rate), chain_count, seed)
 
 
 def _open_npz(file):
@@ -445,7 +441,8 @@ def _members(archive, names) -> list:
 
 
 def _timestamp_strings(ts) -> list:
-    return [np.datetime_as_string(t, unit="s").replace("T", " ") for t in np.asarray(ts, dtype="datetime64[s]")]
+    stamps = np.datetime_as_string(np.asarray(ts, dtype="datetime64[s]"), unit="s")
+    return [t.replace("T", " ") for t in stamps.tolist()]
 
 
 def _fixed6(values) -> list:
@@ -611,11 +608,11 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
     ``skipped_spans`` in the manifest, which keeps what ``fit`` recorded
     and the spans of indices not scored here."""
     run_dir = Path(run_dir)
-    spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
     skipped = {}
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
+        spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
         parts, skipped[index] = [], []
         for start, end in spans:
             rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
@@ -769,10 +766,7 @@ def emit_plot_data(config: PipelineConfig, run_dir) -> None:
     run_dir = Path(run_dir)
     rng = np.random.default_rng(config.seed)
     for index in config.indices:
-        posterior_path = run_dir / f"posterior_{index}.npz"
-        if not posterior_path.exists():
-            raise FileNotFoundError(f"missing fit artifacts for index {index!r}; run fit first")
-        sample = load_posterior(posterior_path)
+        sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
         if len(test) == 0:
             continue

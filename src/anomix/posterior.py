@@ -7,10 +7,11 @@ likelihood.  Noise sds are proposed on the log scale with the matching
 Jacobian term, and proposal scales adapt toward a 0.25 acceptance rate
 during burn-in only.  All chains, of one dataset or of several fitted
 together, advance in lockstep, each on its own RNG stream, and fill one draw
-stack per dataset (:class:`PosteriorSample`) in contiguous chain blocks, from
-which the fit diagnostics read split R-hat.  The log target is cached per
-chain in one part per group, next to the experts' blend, so a proposal
-recomputes only what its group moves: a behavior-gate one reuses the blend.
+stack per dataset (:class:`PosteriorSample`, the kept state groups as they
+are) in contiguous chain blocks, from which the fit diagnostics read split
+R-hat.  The log target is cached per chain in one part per group, next to
+the experts' blend, so a proposal recomputes only what its group moves: a
+behavior-gate one reuses the blend.
 Each evaluation runs through the model's in-place helpers.
 Posterior bands (score, predictive and coverage intervals) take their
 quantiles from one in-place sort of the draw axis, equal to ``np.quantile``.
@@ -62,7 +63,8 @@ __all__ = [
 # test split to a dense map grid.
 BLOCK_ELEMENTS = 2**14
 
-_STACK_FIELDS = ("expert_coeffs", "expert_sds", "mixing", "behavior")
+# The sampler's state groups, the draw stack's arrays and the archive's members, in that order.
+_STACK_FIELDS = ("experts", "mixing", "behavior")
 
 # Random-walk step of every proposal block before burn-in adapts it.
 INITIAL_SCALE = 0.1
@@ -93,16 +95,16 @@ class SamplerSettings:
 class PosteriorSample:
     """Retained draws as one stack, plus the bookkeeping to reproduce them.
 
-    Each parameter group has a leading axis over the S draws:
-    ``expert_coeffs`` (S, M, n + 1, intercept then slopes), ``expert_sds``
-    (S, M), ``mixing`` (S, M, n + 1, last row zero) and ``behavior``
-    (S, n + 1).  The sampler lays its chains out as contiguous, equal-length
-    blocks of draws, so ``array.reshape(chain_count, -1, ...)`` restores
-    the chain axis.
+    The sampler's kept state groups, each with a leading axis over the S
+    draws: ``experts`` (S, M, n + 2: intercept, slopes, then log noise sd),
+    ``mixing`` (S, M, n + 1, last row zero) and ``behavior`` (S, n + 1).
+    The sampler lays its chains out as contiguous, equal-length blocks of
+    draws, so ``array.reshape(chain_count, -1, ...)`` restores the chain
+    axis.  The arrays are read-only views: samples may share them, and the
+    arrays a caller passed in stay writeable.
     """
 
-    expert_coeffs: np.ndarray
-    expert_sds: np.ndarray
+    experts: np.ndarray
     mixing: np.ndarray
     behavior: np.ndarray
     acceptance_rate: float
@@ -110,30 +112,29 @@ class PosteriorSample:
     seed: int
 
     def __post_init__(self):
-        arrays = [np.ascontiguousarray(getattr(self, name), dtype=float) for name in _STACK_FIELDS]
-        coeffs, sds, mixing, behavior = arrays
-        s, m, na = coeffs.shape if coeffs.ndim == 3 else (0, 0, 0)
-        if s * m == 0 or (sds.shape, mixing.shape, behavior.shape) != ((s, m), (s, m, na), (s, na)):
+        arrays = [np.ascontiguousarray(getattr(self, name), dtype=float).view() for name in _STACK_FIELDS]
+        experts, mixing, behavior = arrays
+        s, m, na = mixing.shape if mixing.ndim == 3 else (0, 0, 0)
+        if s * m == 0 or (experts.shape, behavior.shape) != ((s, m, na + 1), (s, na)):
             shapes = ", ".join(str(a.shape) for a in arrays)
-            raise ValueError(f"draw stack shapes {shapes} are not (S, M, n + 1), (S, M), (S, M, n + 1), (S, n + 1)")
+            raise ValueError(f"draw stack shapes {shapes} are not (S, M, n + 2), (S, M, n + 1), (S, n + 1)")
         if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("posterior draws must be finite")
-        if not (sds > 0.0).all():
-            raise ValueError("noise sds must be positive")
         if (mixing[:, -1] != 0.0).any():
             raise ValueError("last gate row must be identically zero in every draw")
         if not 0.0 <= self.acceptance_rate <= 1.0:  # NaN fails too
             raise ValueError(f"acceptance rate {self.acceptance_rate} does not lie in [0, 1]")
         for name, arr in zip(_STACK_FIELDS, arrays):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def n_draws(self) -> int:
-        return self.expert_sds.shape[0]
+        return self.experts.shape[0]
 
     @property
     def n_experts(self) -> int:
-        return self.expert_sds.shape[1]
+        return self.experts.shape[1]
 
     def moment_blocks(self, X):
         """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
@@ -195,7 +196,7 @@ def _behavior_part(behavior, phi, prior: PriorSpec):
     return beta, 1.0 - beta, _log_prior_arrays(prior, behavior_coeffs=behavior)
 
 
-_PARTS = {"experts": _experts_part, "mixing": _mixing_part, "behavior": _behavior_part}
+_PARTS = dict(zip(_STACK_FIELDS, (_experts_part, _mixing_part, _behavior_part)))
 
 
 def _parts_blend(experts, mixing):
@@ -287,15 +288,12 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
     rngs = [np.random.default_rng(s) for seed in seeds for s in np.random.SeedSequence(seed).spawn(chains)]
     # Each block is the slice of one state array that it moves.  The frozen gate row is never proposed,
     # nor at M = 1 the behavior gate: it cannot move the likelihood, so it stays at the prior location.
-    blocks = [("experts", np.s_[:])] + ([("mixing", np.s_[:, :-1]), ("behavior", np.s_[:])] if m > 1 else [])
-    state = {
-        "experts": np.empty((slots, m, na + 1)),
-        "mixing": np.zeros((slots, m, na)),
-        "behavior": np.full((slots, na), prior.gate_coeff_location),
-    }
+    blocks = list(zip(_STACK_FIELDS, (np.s_[:], np.s_[:, :-1], np.s_[:])))[: 3 if m > 1 else 1]
+    experts, behavior = np.empty((slots, m, na + 1)), np.full((slots, na), prior.gate_coeff_location)
+    state = dict(zip(_STACK_FIELDS, (experts, np.zeros((slots, m, na)), behavior)))
     for c, rng in enumerate(rngs):
-        state["experts"][c, :, :na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((m, na))
-        state["experts"][c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
+        experts[c, :, :na] = prior.mean_coeff_location + 0.1 * rng.standard_normal((m, na))
+        experts[c, :, na] = prior.noise_log_location + 0.1 * rng.standard_normal(m)
         for name, free in blocks[1:]:
             gate = state[name][free]
             gate[c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(gate.shape[1:])
@@ -344,9 +342,7 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
         overall = float(np.mean(rates[i]))
         if overall == 0.0:
             raise RuntimeError(f"{prefix.format(i)}no proposals were accepted after burn-in; the chains did not move")
-        experts, mixing, behavior = (stack[i] for stack in stacks)
-        sds = np.exp(experts[..., -1])
-        samples.append(PosteriorSample(experts[..., :-1], sds, mixing, behavior, overall, chains, seed))
+        samples.append(PosteriorSample(*(stack[i] for stack in stacks), overall, chains, seed))
     return samples
 
 
@@ -577,7 +573,7 @@ def _rhat_max(sample: PosteriorSample) -> float:
     if s % c or s // c < 4:
         return math.nan
     behavior = sample.behavior if sample.n_experts > 1 else sample.behavior[:, :0]
-    groups = (sample.expert_coeffs, sample.expert_sds, sample.mixing[:, :-1], behavior)
+    groups = (sample.experts, sample.mixing[:, :-1], behavior)
     free = np.concatenate([g.reshape(s, -1) for g in groups], axis=1)
     return _max_ignoring_nan(_split_rhat(free.reshape(c, s // c, -1)))
 

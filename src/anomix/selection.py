@@ -21,7 +21,6 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from .model import Dataset, PriorSpec
 from .posterior import (
-    _STACK_FIELDS,
     PosteriorSample,
     _fitted_prior,
     _max_ignoring_nan,
@@ -200,8 +199,6 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
         sample = sample_posterior(data, prior, n_experts, settings)
         metric, metric_se, k_hat = psis_loo(sample, data)
         grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
-        for name in _STACK_FIELDS:
-            getattr(sample, name).flags.writeable = False  # every trial of this model shares them
         fit = (sample, metric, metric_se, coverage_cost(grid, len(data)), _max_ignoring_nan(k_hat))
         _last_fit = key, fit
     sample, metric, metric_se, cost, k_max = fit

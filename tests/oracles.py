@@ -35,10 +35,11 @@ holding its uniforms, its normals and its result as three (draws x points)
 arrays, where the package draws the uniforms into the result and each
 block's normals as the block is reached.
 
-A parameter point is one draw of the stack, the tuple ``(coeffs, sds,
+A parameter point is one draw of the stack, the tuple ``(experts,
 gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
-take.  ``ModelParams``, ``MixingGateParams`` and ``BehaviorGateParams``
-build one from experts and gate rows, ``ExpertParams`` is one expert,
+take, each expert's row its mean coefficients then its log noise sd.
+``ModelParams``, ``MixingGateParams`` and ``BehaviorGateParams`` build one
+from experts and gate rows, ``ExpertParams`` is one expert,
 ``stack_draws`` stacks such points into a ``PosteriorSample``, and ``draw``
 reads draw ``s`` back out of one.  ``log_likelihood`` is one point's row log
 densities summed, as the sampler sums them; ``fuse_experts``
@@ -391,13 +392,13 @@ def BehaviorGateParams(coeffs) -> np.ndarray:
 
 
 def ModelParams(experts, mixing, behavior) -> tuple:
-    """The draw ``(coeffs, sds, gate_matrix, behavior_coeffs)`` of experts and both gates."""
-    coeffs = np.array([np.concatenate(([e.intercept], e.slopes)) for e in experts])
-    return coeffs, np.array([e.noise_sd for e in experts], dtype=float), mixing, behavior
+    """The draw ``(experts, gate_matrix, behavior_coeffs)`` of experts and both gates."""
+    rows = [np.concatenate(([e.intercept], e.slopes, [math.log(e.noise_sd)])) for e in experts]
+    return np.array(rows, dtype=float), mixing, behavior
 
 
 def stack_draws(draws, acceptance_rate: float, chain_count: int, seed: int) -> PosteriorSample:
-    """Stack draws ``(coeffs, sds, gate_matrix, behavior_coeffs)``, in order, into a posterior sample."""
+    """Stack draws ``(experts, gate_matrix, behavior_coeffs)``, in order, into a posterior sample."""
     draws = list(draws)
     if not draws:
         raise ValueError("a posterior sample needs at least one draw")
@@ -406,7 +407,7 @@ def stack_draws(draws, acceptance_rate: float, chain_count: int, seed: int) -> P
 
 def draw(sample, s: int) -> tuple:
     """Draw ``s`` of a ``PosteriorSample`` as one parameter point."""
-    return sample.expert_coeffs[s], sample.expert_sds[s], sample.mixing[s], sample.behavior[s]
+    return sample.experts[s], sample.mixing[s], sample.behavior[s]
 
 
 def log_likelihood(params, data) -> float:
@@ -419,8 +420,8 @@ def fuse_experts(experts, alpha, beta: float) -> list:
     experts = list(experts)
     if beta == 1.0:
         return experts
-    coeffs, sds, _, _ = ModelParams(experts, None, None)
-    variances = sds**2
+    rows, _, _ = ModelParams(experts, None, None)
+    coeffs, variances = rows[:, :-1], np.exp(rows[:, -1]) ** 2
     alpha = np.asarray(alpha, dtype=float)[:, None]
     fused, variances = _fuse(beta, 1.0 - beta, coeffs, variances, _blend(alpha, coeffs, variances))
     return [ExpertParams(c[0], c[1:], sd) for c, sd in zip(fused, np.sqrt(variances[:, 0]))]

@@ -228,9 +228,9 @@ def test_criterion_4_posterior_recovery():
     with criterion(4, "posterior recovery", 300.0):
         data, sample, x_new, y_new = recovery_fit()
         assert sample.n_draws == 4000
-        ints = sample.expert_coeffs[:, 0, 0]
-        slopes = sample.expert_coeffs[:, 0, 1]
-        sds = sample.expert_sds[:, 0]
+        ints = sample.experts[:, 0, 0]
+        slopes = sample.experts[:, 0, 1]
+        sds = np.exp(sample.experts[:, 0, -1])
         assert abs(ints.mean() - TRUTH["intercept"]) < 3 * ints.std()
         assert abs(slopes.mean() - TRUTH["slope"]) < 3 * slopes.std()
         assert abs(sds.mean() - TRUTH["sd"]) < 3 * sds.std()

@@ -623,10 +623,10 @@ class TestScoreProperties:
         the window statistic Q to 1 - Q, and F(Q) to 1 - F(Q)."""
         rng = np.random.default_rng(seed)
         b0 = rng.uniform(-3.0, 3.0)
-        coeffs = np.zeros((n_draws, 1, 2))
-        coeffs[..., 0] = b0
-        sds = rng.uniform(0.3, 3.0, size=(n_draws, 1))
-        sample = PosteriorSample(coeffs, sds, np.zeros((n_draws, 1, 2)), rng.normal(size=(n_draws, 2)), 0.25, 1, 0)
+        experts = np.zeros((n_draws, 1, 3))
+        experts[..., 0] = b0
+        experts[..., -1] = np.log(rng.uniform(0.3, 3.0, size=(n_draws, 1)))
+        sample = PosteriorSample(experts, np.zeros((n_draws, 1, 2)), rng.normal(size=(n_draws, 2)), 0.25, 1, 0)
         x = rng.normal(size=(k + 1 + extra_rows, 1))
         y = b0 + rng.uniform(0.1, 5.0) * rng.normal(size=len(x))
         return score_series(make_dataset(x, y), sample, k), score_series(make_dataset(x, 2.0 * b0 - y), sample, k)

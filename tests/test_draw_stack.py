@@ -52,15 +52,9 @@ def random_stack(rng, n_draws, n_experts, n_covariates):
     na = n_covariates + 1
     mixing = rng.normal(size=(n_draws, n_experts, na))
     mixing[:, -1] = 0.0
-    return PosteriorSample(
-        rng.normal(size=(n_draws, n_experts, na)),
-        rng.uniform(0.3, 2.0, size=(n_draws, n_experts)),
-        mixing,
-        rng.normal(size=(n_draws, na)),
-        0.25,
-        1,
-        0,
-    )
+    coeffs = rng.normal(size=(n_draws, n_experts, na))
+    experts = np.concatenate([coeffs, np.log(rng.uniform(0.3, 2.0, size=(n_draws, n_experts, 1)))], axis=-1)
+    return PosteriorSample(experts, mixing, rng.normal(size=(n_draws, na)), 0.25, 1, 0)
 
 
 def random_rows(rng, n_rows, n_covariates):
@@ -102,7 +96,7 @@ class TestLayout:
     def test_from_draws_and_draw_invert(self):
         sample = random_stack(np.random.default_rng(0), 7, 3, 2)
         back = stack_draws(draws_of(sample), 0.25, 1, 0)
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
         assert (sample.n_draws, sample.n_experts) == (7, 3)
 
@@ -117,7 +111,7 @@ class TestLayout:
         # Chain c runs on child c of the seed sequence, so the chains of a
         # shorter run are the leading chains of a longer one, and each chain
         # is one contiguous block of 30 draws along the draw axis.
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             short, long = getattr(fewer, name), getattr(more, name)
             by_chain = long.reshape(chains, 30, *long.shape[1:])
             np.testing.assert_array_equal(by_chain[: chains - 1].reshape(short.shape), short)
@@ -125,20 +119,18 @@ class TestLayout:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("expert_sds", np.ones((4, 3)), "shapes"),
+            ("experts", np.ones((4, 2, 3)), "shapes"),
             ("behavior", np.ones((4, 2)), "shapes"),
-            ("expert_coeffs", np.full((4, 2, 3), np.nan), "finite"),
-            ("expert_sds", np.zeros((4, 2)), "positive"),
+            ("experts", np.full((4, 2, 4), np.nan), "finite"),
+            ("mixing", np.ones((4, 3, 3)), "shapes"),
             ("mixing", np.ones((4, 2, 3)), "last gate row"),
-            ("expert_coeffs", np.ones((0, 2, 3)), "shapes"),
-            ("expert_coeffs", np.ones((4, 2)), "shapes"),
+            ("experts", np.ones((0, 2, 4)), "shapes"),
+            ("experts", np.ones((4, 2)), "shapes"),
         ],
     )
     def test_validation(self, field, value, message):
         sample = random_stack(np.random.default_rng(2), 4, 2, 2)
-        arrays = {
-            name: getattr(sample, name) for name in ("expert_coeffs", "expert_sds", "mixing", "behavior")
-        }
+        arrays = {name: getattr(sample, name) for name in ("experts", "mixing", "behavior")}
         arrays[field] = value
         with pytest.raises(ValueError, match=message):
             PosteriorSample(**arrays, acceptance_rate=0.25, chain_count=1, seed=0)
@@ -168,14 +160,35 @@ class TestArchive:
         path = tmp_path_factory.mktemp("archive") / "posterior.npz"
         save_posterior(sample, path)
         with np.load(path) as archive:
-            assert sorted(archive.files) == ["acceptance_rate", "draws", "header"]
+            assert sorted(archive.files) == ["acceptance_rate", "behavior", "experts", "header", "mixing"]
         back = load_posterior(path)
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             a, b = getattr(back, name), getattr(sample, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert np.float64(back.acceptance_rate).tobytes() == np.float64(acceptance_rate).tobytes()
         assert (back.chain_count, back.seed) == (chain_count, seed)
         assert type(back.chain_count) is int and type(back.seed) is int
+
+
+def stack_moments(sample, X) -> list:
+    """``(alpha, means, sds)`` of every draw of ``sample`` at the rows of ``X``, each (draws, M, rows)."""
+    blocks = [arrays for _, *arrays in sample.moment_blocks(X)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+class TestRowBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2), st.integers(2, 80), st.data())
+    def test_moments_of_a_row_block_equal_the_whole_batch(self, n_experts, n_covariates, n_rows, data):
+        """The fused moments of any contiguous block of at least two rows are bitwise those of the
+        same rows in the whole batch.  One row alone may round differently (ROADMAP item 8)."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sample = random_stack(rng, data.draw(st.integers(1, 30)), n_experts, n_covariates)
+        x = rng.normal(size=(n_rows, n_covariates))
+        start = data.draw(st.integers(0, n_rows - 2))
+        stop = data.draw(st.integers(start + 2, n_rows))
+        for whole, block in zip(stack_moments(sample, x), stack_moments(sample, x[start:stop])):
+            assert whole[..., start:stop].tobytes() == block.tobytes()
 
 
 class _Replay:
@@ -260,7 +273,7 @@ class TestBatchedMatchesDrawLoop:
         sample, data = case
         draws = draws_of(sample)
         if sample.n_experts == 2:  # one gate direction: full row rank almost surely
-            expected_gate = np.mean([gate for _, _, gate, _ in draws], axis=0)[:-1]
+            expected_gate = np.mean([gate for _, gate, _ in draws], axis=0)[:-1]
             np.testing.assert_allclose(gate_geometry(sample).slopes, expected_gate[:, 1:], **TOL)
 
         points = data.covariates

@@ -277,7 +277,7 @@ class TestRenderMap:
         const_experts = tuple(ExpertParams(1.0, np.zeros(2), 1.0) for _ in range(2))
         draws = tuple(
             ModelParams(const_experts, gate, behavior)
-            for _, _, gate, behavior in (draw(sample, s) for s in range(sample.n_draws))
+            for _, gate, behavior in (draw(sample, s) for s in range(sample.n_draws))
         )
         flat_sample = stack_draws(draws, 0.25, 1, 0)
         rendered = render_map(embed_grid(geo, default_score_grid(1)), flat_sample)

@@ -563,10 +563,10 @@ class TestLogLikelihood:
 
 def log_prior(model, spec: PriorSpec) -> float:
     """The sampler's log prior of one parameter point, in log-sd coordinates."""
-    coeffs, sds, gate_matrix, behavior_coeffs = model
+    experts, gate_matrix, behavior = model
     return float(
         _log_prior_arrays(
-            spec, coeffs=coeffs, log_sds=np.log(sds), gate_matrix=gate_matrix, behavior_coeffs=behavior_coeffs
+            spec, coeffs=experts[:, :-1], log_sds=experts[:, -1], gate_matrix=gate_matrix, behavior_coeffs=behavior
         )
     )
 
@@ -619,10 +619,6 @@ class TestLogPrior:
 
 
 class TestValidation:
-    def test_positive_noise_sd(self):
-        with pytest.raises(ValueError, match="positive"):
-            stacked(make_model([ExpertParams(0.0, [0.0], 0.0)]))
-
     def test_expert_dimension_consistency(self):
         # Experts of one covariate under gates of two.
         e = ExpertParams(0.0, [0.0], 1.0)

@@ -313,6 +313,23 @@ class TestBuildSplits:
             )
 
 
+class TestTimestampStrings:
+    @staticmethod
+    def one_by_one(ts) -> list:
+        return [np.datetime_as_string(t, unit="s").replace("T", " ") for t in np.asarray(ts, dtype="datetime64[s]")]
+
+    def test_demo_stamps(self, tmp_path):
+        telemetry, _ = pipeline.write_two_index_stream(tmp_path)
+        ts, _, _ = read_telemetry(telemetry, "datetime", ["load"])
+        assert pipeline._timestamp_strings(ts) == self.one_by_one(ts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=40))
+    def test_random_second_stamps(self, seconds):
+        ts = np.array(seconds, dtype="datetime64[s]")
+        assert pipeline._timestamp_strings(ts) == self.one_by_one(ts)
+
+
 class TestGenerateSynthetic:
     def test_pit_uniform_without_fault(self):
         model = single_expert_model(slope=1.5, sd=0.8)
@@ -571,15 +588,15 @@ class TestPosteriorArchive:
         assert back.n_draws == 5
         assert back.acceptance_rate == pytest.approx(0.31)
         assert back.chain_count == 2 and back.seed == 99
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             np.testing.assert_array_equal(getattr(back, name), getattr(sample, name))
 
     @pytest.fixture
     def archived(self, tmp_path):
-        """A valid version-2 archive of three draws (M = 2, n = 1), and its members."""
+        """A valid version-3 archive of three draws (M = 2, n = 1), and its members."""
         mixing = np.zeros((3, 2, 2))
         mixing[:, 0] = 0.5
-        sample = PosteriorSample(np.ones((3, 2, 2)), np.ones((3, 2)), mixing, np.zeros((3, 2)), 0.3, 1, 5)
+        sample = PosteriorSample(np.ones((3, 2, 3)), mixing, np.zeros((3, 2)), 0.3, 1, 5)
         path = tmp_path / "posterior.npz"
         save_posterior(sample, path)
         with np.load(path) as archive:
@@ -587,9 +604,9 @@ class TestPosteriorArchive:
 
     def test_missing_member_is_refused_by_path(self, archived):
         path, members = archived
-        del members["draws"]
+        del members["experts"]
         np.savez(path, **members)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: missing member draws")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing member experts")):
             load_posterior(path)
 
     def test_split_missing_member_is_refused_by_path(self, tmp_path):
@@ -605,25 +622,40 @@ class TestPosteriorArchive:
             path, format_version=1, expert_coeffs=np.ones((3, 1, 1)), expert_sds=np.ones((3, 1)),
             mixing=np.zeros((3, 1, 1)), behavior=np.zeros((3, 1)), acceptance_rate=0.3, chain_count=1, seed=5,
         )
-        with pytest.raises(ValueError, match=re.escape(f"{path}: written before archive version 2; refit")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: written before archive version 3; refit")):
+            load_posterior(path)
+
+    def test_version_2_archive_is_refused(self, tmp_path):
+        # The member layout of every version-2 archive: the stack flattened into one draws matrix.
+        path = tmp_path / "posterior.npz"
+        header = np.array([2, 2, 2, 1, 5], dtype=np.int64)
+        np.savez_compressed(path, header=header, acceptance_rate=0.3, draws=np.ones((3, 12)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: written before archive version 3; refit")):
             load_posterior(path)
 
     @pytest.mark.parametrize(
         "header",
-        [[0, 2, 2, 1, 5], [1, 2, 2, 1, 5], [3, 2, 2, 1, 5], [2, 2, 2, 1], np.array([2.0, 2, 2, 1, 5])],
-        ids=["version 0", "version 1", "version 3", "short", "float"],
+        [[0, 1, 5], [1, 1, 5], [4, 1, 5], [3, 1], np.array([3.0, 1, 5])],
+        ids=["version 0", "version 1", "version 4", "short", "float"],
     )
     def test_other_version_is_refused_by_path(self, archived, header):
         path, members = archived
         np.savez(path, **{**members, "header": np.asarray(header)})
-        with pytest.raises(ValueError, match=re.escape(f"{path}: header ") + r".* is not a posterior archive version 2 header"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header ") + r".* is not a posterior archive version 3 header"):
             load_posterior(path)
 
-    @pytest.mark.parametrize("header", [[2, 1, 2, 1, 5], [2, 2, 3, 1, 5], [2, 0, 2, 1, 5]], ids=["experts", "width", "none"])
-    def test_misshapen_draws_are_refused_by_path(self, archived, header):
+    @pytest.mark.parametrize(
+        "experts", [np.ones((3, 1, 3)), np.ones((3, 2, 4)), np.ones((3, 0, 3))], ids=["experts", "width", "none"]
+    )
+    def test_misshapen_draws_are_refused_by_path(self, archived, experts):
         path, members = archived
-        np.savez(path, **{**members, "header": np.array(header)})
-        with pytest.raises(ValueError, match=re.escape(f"{path}: a (3, 12) draws matrix does not hold")):
+        np.savez(path, **{**members, "experts": experts})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: draw stack shapes {experts.shape}, (3, 2, 2)")):
+            load_posterior(path)
+
+    def test_missing_archive_is_refused_by_path(self, tmp_path):
+        path = tmp_path / "posterior.npz"
+        with pytest.raises(FileNotFoundError, match=re.escape(f"{path}: no posterior archive; run fit first")):
             load_posterior(path)
 
     @pytest.mark.parametrize(
@@ -687,14 +719,14 @@ class TestParsedArchives:
     def sample(value: float) -> PosteriorSample:
         mixing = np.zeros((3, 2, 2))
         mixing[:, 0] = value
-        return PosteriorSample(np.full((3, 2, 2), value), np.ones((3, 2)), mixing, np.zeros((3, 2)), 0.3, 1, 5)
+        return PosteriorSample(np.full((3, 2, 3), value), mixing, np.zeros((3, 2)), 0.3, 1, 5)
 
     def test_an_unchanged_file_is_parsed_once(self, tmp_path, parses):
         path = tmp_path / "posterior.npz"
         save_posterior(self.sample(0.5), path)
         first, second = load_posterior(path), load_posterior(path)
         assert len(parses) == 1 and second is first
-        np.testing.assert_array_equal(second.expert_coeffs, self.sample(0.5).expert_coeffs)
+        np.testing.assert_array_equal(second.experts, self.sample(0.5).experts)
 
     def test_a_copy_at_another_path_shares_the_parse(self, tmp_path, parses):
         path, copy = tmp_path / "posterior.npz", tmp_path / "copy.npz"
@@ -719,19 +751,19 @@ class TestParsedArchives:
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         after = path.stat()
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        np.testing.assert_array_equal(load_posterior(path).expert_coeffs, np.full((3, 2, 2), 0.25))
+        np.testing.assert_array_equal(load_posterior(path).experts, np.full((3, 2, 3), 0.25))
         assert len(parses) == 2
 
     def test_draw_arrays_are_read_only(self, tmp_path, parses):
         path = tmp_path / "posterior.npz"
         save_posterior(self.sample(0.5), path)
         sample = load_posterior(path)
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             array = getattr(sample, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-        np.testing.assert_array_equal(load_posterior(path).expert_coeffs, np.full((3, 2, 2), 0.5))
+        np.testing.assert_array_equal(load_posterior(path).experts, np.full((3, 2, 3), 0.5))
 
     @pytest.mark.parametrize("content", ["truncated zip", "version 1", "acceptance rate"])
     def test_a_refused_archive_is_refused_on_every_load(self, tmp_path, parses, content):

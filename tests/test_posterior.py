@@ -121,14 +121,14 @@ class TestSampler:
         data = linear_data(40, seed=1)
         a = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=9))
         b = sample_posterior(data, PriorSpec(), 2, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=9))
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_different_seeds_differ(self):
         data = linear_data(40, seed=1)
         a = sample_posterior(data, PriorSpec(), 1, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=1))
         b = sample_posterior(data, PriorSpec(), 1, SamplerSettings(chains=1, iterations=60, burn_in=30, seed=2))
-        assert a.expert_coeffs[-1, 0, 0] != b.expert_coeffs[-1, 0, 0]
+        assert a.experts[-1, 0, 0] != b.experts[-1, 0, 0]
 
     def test_zero_iteration_config_rejected(self):
         with pytest.raises(ValueError):
@@ -145,9 +145,9 @@ class TestSampler:
 
     def test_recovers_linear_truth(self, fitted):
         _, sample = fitted
-        ints = sample.expert_coeffs[:, 0, 0]
-        slopes = sample.expert_coeffs[:, 0, 1]
-        sds = sample.expert_sds[:, 0]
+        ints = sample.experts[:, 0, 0]
+        slopes = sample.experts[:, 0, 1]
+        sds = np.exp(sample.experts[:, 0, -1])
         assert abs(ints.mean() - 2.0) < 3 * ints.std()
         assert abs(slopes.mean() - 3.0) < 3 * slopes.std()
         assert abs(sds.mean() - 0.5) < 3 * sds.std()
@@ -155,7 +155,7 @@ class TestSampler:
     def test_draw_invariants(self, fitted):
         _, sample = fitted
         assert np.all(sample.mixing[:, -1] == 0.0)
-        assert np.all(sample.expert_sds > 0)
+        assert np.all(np.exp(sample.experts[..., -1]) > 0)
 
     def test_one_expert_proposes_the_experts_alone(self):
         # With one expert the behavior gate cannot move the likelihood: it
@@ -165,7 +165,7 @@ class TestSampler:
         sample = sample_posterior(data, PriorSpec(gate_coeff_location=0.3), 1, settings)
         assert np.array_equal(sample.behavior, np.full((sample.n_draws, 2), 0.3))
         chains, kept = settings.chains, settings.iterations - settings.burn_in
-        experts = np.concatenate([sample.expert_coeffs[:, 0], sample.expert_sds], axis=1).reshape(chains, kept, -1)
+        experts = sample.experts[:, 0].reshape(chains, kept, -1)
         # Each accepted step moves the experts; the first kept one moves them
         # from a burn-in state that the stack does not hold.
         moves = int((np.diff(experts, axis=1) != 0).any(axis=-1).sum())
@@ -195,7 +195,7 @@ class TestJointSampler:
         joint = sample_posteriors(datasets, PriorSpec(), n_experts, settings)
         for i, (data, together) in enumerate(zip(datasets, joint)):
             alone = sample_posterior(data, PriorSpec(), n_experts, dataclasses.replace(settings, seed=11 + i))
-            for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            for name in ("experts", "mixing", "behavior"):
                 assert np.array_equal(getattr(together, name), getattr(alone, name)), (i, name)
             assert together.acceptance_rate == alone.acceptance_rate
             assert (together.seed, together.chain_count) == (alone.seed, alone.chain_count) == (11 + i, chains)
@@ -466,10 +466,10 @@ class TestLogTarget:
         mixing[:, -1] = 0.0
         behavior = rng.normal(size=(chains, 3))
         target = _log_target(experts, mixing, behavior, _embed_rows(data.covariates), data.responses, prior)
-        sample = PosteriorSample(experts[..., :-1], np.exp(experts[..., -1]), mixing, behavior, 0.25, chains, 0)
+        sample = PosteriorSample(experts, mixing, behavior, 0.25, chains, 0)
         for c in range(chains):
-            coeffs, _, gate, coeffs_b = draw(sample, c)
-            parts = dict(coeffs=coeffs, log_sds=experts[c, :, -1], gate_matrix=gate, behavior_coeffs=coeffs_b)
+            point, gate, coeffs_b = draw(sample, c)
+            parts = dict(coeffs=point[:, :-1], log_sds=point[:, -1], gate_matrix=gate, behavior_coeffs=coeffs_b)
             expected = log_likelihood(draw(sample, c), data) + _log_prior_arrays(prior, **parts)
             if n_experts == 1:  # the frozen behavior gate's prior term is left out
                 z = np.abs(behavior[c] - prior.gate_coeff_location) / prior.gate_coeff_scale
@@ -575,12 +575,11 @@ class TestLogTargetParts:
 
 def stack_from_chains(chains):
     """A one-expert, no-covariate stack whose expert intercept holds
-    ``chains`` (C, N) and whose other parameters are iid normal."""
+    ``chains`` (C, N) and whose other parameters are iid."""
     c, n = chains.shape
     rng = np.random.default_rng(8)
     return PosteriorSample(
-        chains.reshape(-1, 1, 1),
-        rng.uniform(0.5, 2.0, size=(c * n, 1)),
+        np.concatenate([chains.reshape(-1, 1, 1), np.log(rng.uniform(0.5, 2.0, size=(c * n, 1, 1)))], axis=-1),
         np.zeros((c * n, 1, 1)),
         rng.normal(size=(c * n, 1)),
         0.25,
@@ -604,8 +603,7 @@ class TestSplitRhat:
         chains[1] += 1.0
         sample = stack_from_chains(chains)
         transformed = PosteriorSample(
-            sample.expert_coeffs**3,
-            np.log1p(sample.expert_sds),
+            np.concatenate([sample.experts[..., :-1] ** 3, np.log1p(np.exp(sample.experts[..., -1:]))], axis=-1),
             sample.mixing,
             np.exp(sample.behavior),
             0.25,
@@ -641,14 +639,12 @@ class TestSplitRhat:
     @pytest.mark.parametrize("n_draws, chain_count", [(14, 4), (6, 2), (3, 1)])
     def test_nan_unless_chains_split_into_blocks_of_four(self, n_draws, chain_count):
         sample = stack_from_chains(np.random.default_rng(4).normal(size=(1, n_draws)))
-        sample = PosteriorSample(
-            sample.expert_coeffs, sample.expert_sds, sample.mixing, sample.behavior, 0.25, chain_count, 0
-        )
+        sample = PosteriorSample(sample.experts, sample.mixing, sample.behavior, 0.25, chain_count, 0)
         assert math.isnan(_rhat_max(sample))
 
     def test_one_expert_reads_the_expert_coefficients_and_sds_alone(self, fitted):
         def experts_only(sample):
-            columns = np.concatenate([sample.expert_coeffs.reshape(sample.n_draws, -1), sample.expert_sds], axis=1)
+            columns = sample.experts.reshape(sample.n_draws, -1)
             return np.nanmax(_split_rhat(columns.reshape(sample.chain_count, -1, columns.shape[1])))
 
         _, sample = fitted
@@ -661,8 +657,7 @@ class TestSplitRhat:
         assert _rhat_max(shifted) == _rhat_max(stack) == experts_only(stack) < 1.01
         two = dataclasses.replace(
             shifted,
-            expert_coeffs=np.repeat(stack.expert_coeffs, 2, axis=1),
-            expert_sds=np.repeat(stack.expert_sds, 2, axis=1),
+            experts=np.repeat(stack.experts, 2, axis=1),
             mixing=np.zeros((1200, 2, 1)),
         )
         assert _rhat_max(two) > 1.01
@@ -703,7 +698,7 @@ class TestScipyKernelParity:
         assert (-2, (settings.chains, n_experts, len(data))) in calls
         assert calls.count((0, (theirs.n_draws, len(data)))) == 3
         assert any(axis == 0 and shape[0] >= 30 and shape != (theirs.n_draws, len(data)) for axis, shape in calls)
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert ours.acceptance_rate == theirs.acceptance_rate
         assert np.array_equal(astuple(ours_diag), astuple(theirs_diag), equal_nan=True)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import shutil
 import warnings
 
@@ -114,7 +115,7 @@ class TestRunExperiment:
             settings = dataclasses.replace(config.sampler_settings(), seed=config.seed + i)
             alone = sample_posterior(train, config.prior_spec(), config.experts, settings)
             archived = pipeline.load_posterior(run_dir / f"posterior_{index}.npz")
-            for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+            for name in ("experts", "mixing", "behavior"):
                 assert np.array_equal(getattr(archived, name), getattr(alone, name)), (index, name)
             assert (archived.seed, archived.acceptance_rate) == (alone.seed, alone.acceptance_rate)
 
@@ -162,6 +163,15 @@ class TestRunExperiment:
         config = parse_config(default_config_text(**FAST))
         with pytest.raises(StageError, match="fit"):
             run_experiment(config, telemetry, tmp_path / "missing.csv", tmp_path / "broken")
+
+    @pytest.mark.parametrize("stage", ["diagnose", "score", "explain", "plot"])
+    def test_stage_without_fit_artifacts_asks_for_a_fit(self, tmp_path, stage):
+        config = parse_config(default_config_text(**FAST))
+        path = tmp_path / f"posterior_{config.indices[0]}.npz"
+        message = f"stage '{stage}' failed: {path}: no posterior archive; run fit first"
+        with pytest.raises(StageError, match=re.escape(message)) as caught:
+            pipeline.run_stages([stage], config, tmp_path)
+        assert isinstance(caught.value.__cause__, FileNotFoundError)
 
     def test_runner_looks_each_stage_up_when_it_starts(self, monkeypatch, tmp_path):
         called = []
@@ -217,8 +227,7 @@ def iid_stack(like: PosteriorSample, n_draws: int, shift_second_half: float = 0.
         return mean + 0.01 * (noise + shift.reshape(-1, *[1] * mean.ndim))
 
     return PosteriorSample(
-        around(like.expert_coeffs.mean(0)),
-        np.exp(around(np.log(like.expert_sds).mean(0))),
+        around(like.experts.mean(0)),
         np.zeros((n_draws, *like.mixing.shape[1:])),  # one expert: its gate row is the frozen one
         around(like.behavior.mean(0)),
         0.25,
@@ -267,7 +276,7 @@ class TestArtifactRoundTrip:
         copy = shutil.copytree(run_dir, tmp_path / "run")
         # 60 draws are too few for PSIS smoothing, so hi_b's Pareto k is NaN.
         fitted = load_posterior(copy / "posterior_hi_b.npz")
-        arrays = (fitted.expert_coeffs, fitted.expert_sds, fitted.mixing, fitted.behavior)
+        arrays = (fitted.experts, fitted.mixing, fitted.behavior)
         save_posterior(PosteriorSample(*(a[:60] for a in arrays), 0.25, 1, 0), copy / "posterior_hi_b.npz")
         names = [f.name for f in dataclasses.fields(FitDiagnostics)]
         with warnings.catch_warnings():
@@ -290,8 +299,9 @@ class TestArtifactRoundTrip:
         rng = np.random.default_rng(3)
         mixing = rng.normal(size=(20, 3, 3))
         mixing[:, -1] = 0.0
-        sds = np.exp(0.3 * rng.normal(size=(20, 3)))
-        stack = PosteriorSample(rng.normal(size=(20, 3, 3)), sds, mixing, rng.normal(size=(20, 3)), 0.25, 1, 0)
+        log_sds = 0.3 * rng.normal(size=(20, 3, 1))
+        experts = np.concatenate([rng.normal(size=(20, 3, 3)), log_sds], axis=-1)
+        stack = PosteriorSample(experts, mixing, rng.normal(size=(20, 3)), 0.25, 1, 0)
         save_posterior(stack, copy / "posterior_hi_a.npz")
         stage_explain(config, copy)
         assert not (copy / "explain_hi_b_map.csv").exists()

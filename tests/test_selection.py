@@ -281,7 +281,7 @@ class TestRunTrial:
                 (*psis_loo(sample, data)[:2], coverage_cost(coverage_counts(sample, data, 20, rng=5), len(data)))
                 for sample in (narrow, wide)
             ]
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
         assert figures[0] == figures[1]
 
@@ -355,7 +355,7 @@ class TestTrialFits:
         assert wide.hyperparams == {"experts": 1, "gate_coeff_scale": 2.0}
         for name in ("metric", "metric_se", "coverage_cost", "pareto_k_max"):
             assert getattr(narrow, name) == getattr(wide, name), name
-        for name in ("expert_coeffs", "expert_sds", "mixing", "behavior"):
+        for name in ("experts", "mixing", "behavior"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(wide.sample, name)[0] = 1.0
 
