@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
+
+from ._special import ndtr
 
 __all__ = [
     "PriorSpec",
@@ -122,9 +123,13 @@ def _softmax_gate(gate_matrix, phi):
 
 
 def _logistic_gate(behavior_coeffs, phi):
-    """Behavior gate output ``beta`` (..., 1, rows) at embedded rows ``phi``."""
+    """Behavior gate output ``beta`` (..., 1, rows) at embedded rows ``phi``: ``1 / (1 + exp(-logits))``
+    in place, 0 where ``exp`` overflows, below a logit of about -709."""
     logits = behavior_coeffs[..., None, :] @ phi.swapaxes(-1, -2)
-    return expit(logits, out=logits)
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(logits, out=logits), out=logits)
+    logits += 1.0
+    return np.reciprocal(logits, out=logits)
 
 
 def _blend(alpha, means, variances, alpha_rows=None):

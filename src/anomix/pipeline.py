@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .anomaly import AnomalyScoreSeries, score_series
@@ -535,7 +534,7 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         for s, e in zip(failures.starts, failures.ends)
     ]
     (run_dir / "failures.json").write_text(json.dumps(failures_out) + "\n")
-    versions = dict(anomix=__version__, numpy=np.__version__, scipy=scipy.__version__, python=sys.version.split()[0])
+    versions = dict(anomix=__version__, numpy=np.__version__, python=sys.version.split()[0])
     provenance = {"config_hash": config.config_hash(), "seed": config.seed, "versions": versions}
     _write_manifest(run_dir, {**provenance, "dropped_rows": dropped, "splits": split_info})
 

@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .model import (
     Dataset,
     PriorSpec,

@@ -17,8 +17,8 @@ import warnings
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
+from ._special import binom_logpmf
 from .model import Dataset, PriorSpec
 from .posterior import (
     PosteriorSample,
@@ -120,10 +120,7 @@ def coverage_cost(grid: CoverageGrid, n_points: int) -> float:
     Perfect calibration makes each count binomial with success rate equal
     to its level; lower cost means better-calibrated predictive intervals.
     """
-    # scipy.stats.binom.logpmf's arithmetic, without the cost of importing scipy.stats.
-    k, n, p = grid.counts, n_points, grid.levels
-    logpmf = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1)) + xlogy(k, p) + xlog1py(n - k, -p)
-    return float(-logpmf.sum())
+    return float(-binom_logpmf(grid.counts, n_points, grid.levels).sum())
 
 
 def chebyshev_lb(metric_a: float, se_a: float, metric_b: float, se_b: float) -> float:

@@ -57,7 +57,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
 from anomix.config import SCHEMA_VERSION, PipelineConfig, _default
@@ -338,7 +338,8 @@ def softmax_gate(gate_matrix, phi):
 
 
 def logistic_gate(behavior_coeffs, phi):
-    return expit(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-(behavior_coeffs[..., None, :] @ np.swapaxes(phi, -1, -2))))
 
 
 def fuse(beta, rest, means, variances, blend):

@@ -22,7 +22,7 @@ from oracles import (
     stack_draws,
 )
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 from scipy.stats import norm
 
 from anomix.model import (
@@ -368,6 +368,16 @@ def few_expert_inputs(draw):
     return a, axis
 
 
+def assert_within_ulp(got, want, ulps: int):
+    """Same shape, NaN in the same places and within ``ulps`` spacings of ``want`` everywhere else."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    g, w = got[~nan], want[~nan]
+    assert np.all((g == w) | (np.abs(g - w) <= ulps * np.spacing(np.abs(w))))
+
+
 def assert_bitwise_equal(got, want):
     """Same shape, NaN in the same places and the same bits everywhere else (so -0.0 is not 0.0)."""
     got, want = np.asarray(got), np.asarray(want)
@@ -474,6 +484,23 @@ class TestInPlaceHelpers:
         assert argument_bytes(*args) == before
         for g, w in zip(*((r if isinstance(r, tuple) else (r,)) for r in (got, want)), strict=True):
             assert_bitwise_equal(g, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(helper_arguments())
+    def test_logistic_gate_within_4_ulp_of_scipy_expit(self, kwargs):
+        behavior, phi = kwargs["behavior"], kwargs["phi"]
+        want = expit(behavior[..., None, :] @ phi.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_within_ulp(_logistic_gate(behavior, phi), want, 4)
+
+    def test_logistic_gate_tails_within_4_ulp_of_scipy_expit_without_warnings(self):
+        # Logit t at row [1, t] under coefficients [0, 1]; exp(-t) overflows below about -709.8.
+        t = np.concatenate([np.linspace(-750.0, 750.0, 150_001), [-np.inf, np.inf, -0.0, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logistic_gate(np.array([0.0, 1.0]), np.column_stack([np.ones_like(t), t]))
+        assert_within_ulp(got[0], expit(t), 4)
 
     @settings(max_examples=150, deadline=None)
     @given(helper_arguments())

@@ -30,7 +30,7 @@ from oracles import (
     stack_draws,
 )
 from scipy.optimize import brentq
-from scipy.special import expit, logsumexp, ndtri
+from scipy.special import logsumexp, ndtri
 
 import anomix.model
 import anomix.posterior
@@ -379,7 +379,8 @@ class TestRankNormal:
         draws[0, 0, -1] = -0.0  # equal to 0.0, so one tie group with it
         flat = draws.reshape(-1, shape[-1])
         want = ndtri((rank_normal_ranks(flat) - 0.375) / (len(flat) + 0.25)).reshape(shape)
-        assert np.array_equal(_rank_normal(draws), want)
+        # The package's AS241 ndtri is within 8 ulp of scipy's; a rank off by one moves a score far more.
+        assert np.all(np.abs(_rank_normal(draws) - want) <= 8 * np.spacing(np.abs(want)))
 
 
 class TestCic:
@@ -480,14 +481,17 @@ class TestLogTarget:
 def reference_log_target(experts, mixing, behavior, phi, y, prior):
     """The sampler's log target written out with NumPy ``axis=-1``
     reductions and scipy's logsumexp over the expert axis.  At M = 1 the
-    frozen behavior gate carries no prior term."""
+    frozen behavior gate carries no prior term.  The behavior gate is the
+    model's ``1 / (1 + exp(-t))``, whose distance from scipy's ``expit``
+    ``TestInPlaceHelpers`` bounds, so that this reference pins how the
+    target is assembled."""
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
     sds = np.exp(log_sds)
     logits = phi @ np.swapaxes(mixing, -1, -2)
     logits -= logits.max(axis=-1, keepdims=True)
     alpha = np.exp(logits)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    beta = expit(phi @ behavior[..., None])
+    beta = 1.0 / (1.0 + np.exp(-(phi @ behavior[..., None])))
     means = phi @ np.swapaxes(coeffs, -1, -2)
     variances = sds**2
     blend_mean = (alpha * means).sum(axis=-1, keepdims=True)

@@ -76,7 +76,7 @@ class TestRunExperiment:
         config, run_dir, manifest = finished_run
         assert manifest["config_hash"] == config.config_hash()
         assert manifest["seed"] == 11
-        assert set(manifest["versions"]) == {"anomix", "numpy", "scipy", "python"}
+        assert set(manifest["versions"]) == {"anomix", "numpy", "python"}
         assert manifest["dropped_rows"] == 0
 
     def test_expected_artifacts(self, finished_run):
