@@ -149,6 +149,16 @@ class PipelineConfig:
             raise _BadValue(("window_k",), f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
         if not self.validity_days or min(self.validity_days) < 1:
             raise _BadValue(("validity_days",), "validity_days must list at least one positive length")
+        if bool(self.machine_column) != bool(self.machine_id):
+            raise _BadValue(("machine_column", "machine_id"), "the two are set together or not at all")
+        # One column under two roles, or twice in one, would be read as two columns.
+        named = [("timestamp_column", self.timestamp_column), ("machine_column", self.machine_column)]
+        named += [("indices", c) for c in self.indices] + [("extra_covariates", c) for c in self.extra_covariates]
+        columns = [c for _, c in named if c]
+        repeated = [c for c in columns if columns.count(c) > 1]
+        if repeated:
+            keys = tuple(dict.fromkeys(key for key, c in named if c == repeated[0]))
+            raise _BadValue(keys, f"column {repeated[0]!r} is named more than once")
         # Every other key is checked by the object of the stage that consumes it.
         if self.decay >= 0:
             with _naming("window_k", "decay"):

@@ -98,7 +98,11 @@ class CsvSchema:
 
 
 def _parse_timestamp(raw: str) -> np.datetime64:
-    dt = datetime.fromisoformat(raw.strip())
+    """An ISO-8601 cell in UTC seconds; a missing or malformed one raises with the reason."""
+    try:
+        dt = datetime.fromisoformat(raw.strip())
+    except (ValueError, AttributeError):
+        raise ValueError(f"unparseable timestamp {raw!r}") from None
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     return np.datetime64(dt, "s")
@@ -118,28 +122,29 @@ def _parse_cell(row: dict, column: str) -> float:
     return value
 
 
-def read_telemetry(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
-    """Parse a telemetry CSV into sorted arrays.
+def _read_rows(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
+    """The rows of a telemetry, failure or score CSV in file order.
 
     Returns ``(timestamps, values, rejected)`` where ``values`` maps each
     requested column to a float vector and ``rejected`` lists
     ``(line_number, reason)`` for rows that failed to parse or had missing
-    or non-finite fields, the machine cell included.  Rows are sorted by
-    timestamp, stably, so duplicates keep their file order.
+    or non-finite fields, the machine cell included.  With a machine column
+    only the rows of ``machine_id`` are read.  An empty file, a missing
+    column or a column requested twice is refused with the path.
     """
     path = Path(path)
+    needed = [timestamp_column, *columns] + ([machine_column] if machine_column else [])
+    repeated = sorted({c for c in needed if needed.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{path}: columns {repeated} requested twice")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        header = set(reader.fieldnames)
-        needed = [timestamp_column, *columns] + ([machine_column] if machine_column else [])
-        missing = [c for c in needed if c not in header]
+        missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        timestamps = []
-        values = {c: [] for c in columns}
-        rejected = []
+        timestamps, values, rejected = [], {c: [] for c in columns}, []
         for lineno, row in enumerate(reader, start=2):
             if machine_column:
                 machine = row.get(machine_column)
@@ -149,23 +154,41 @@ def read_telemetry(path, timestamp_column: str, columns: list, machine_column: s
                 if machine.strip() != machine_id:
                     continue
             try:
-                ts = _parse_timestamp(row[timestamp_column])
-            except (ValueError, TypeError, AttributeError):
-                rejected.append((lineno, f"unparseable timestamp {row.get(timestamp_column)!r}"))
-                continue
-            try:
+                stamp = _parse_timestamp(row[timestamp_column])
                 parsed = [_parse_cell(row, c) for c in columns]
             except ValueError as exc:
                 rejected.append((lineno, str(exc)))
                 continue
-            timestamps.append(ts)
+            timestamps.append(stamp)
             for c, value in zip(columns, parsed):
                 values[c].append(value)
-    if not timestamps:
+    return np.array(timestamps, dtype="datetime64[s]"), {c: np.array(v) for c, v in values.items()}, rejected
+
+
+def _refuse_rejected(path, rejected: list) -> None:
+    """Refuse a file whose every row counts at its first rejected row."""
+    if rejected:
+        raise ValueError(f"{path}: line {rejected[0][0]}: {rejected[0][1]}")
+
+
+def read_telemetry(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
+    """Parse a telemetry CSV into sorted arrays.
+
+    Returns ``(timestamps, values, rejected)`` as ``_read_rows`` does, with
+    the rows sorted by timestamp, stably, so duplicates keep their file
+    order.  A file without a usable row is refused.
+    """
+    ts, values, rejected = _read_rows(path, timestamp_column, columns, machine_column, machine_id)
+    if not len(ts):
         raise ValueError(f"{path}: no usable rows")
-    ts = np.array(timestamps, dtype="datetime64[s]")
     order = np.argsort(ts, kind="stable")
-    return ts[order], {c: np.array(v)[order] for c, v in values.items()}, rejected
+    return ts[order], {c: v[order] for c, v in values.items()}, rejected
+
+
+def _dataset(ts, values: dict, target: str, covariates: list) -> Dataset:
+    """The Dataset of ``target`` on ``covariates`` from read columns."""
+    x = np.column_stack([values[c] for c in covariates]) if covariates else np.empty((len(ts), 0))
+    return Dataset(x, values[target], ts)
 
 
 def ingest_csv(path, schema: CsvSchema):
@@ -174,42 +197,22 @@ def ingest_csv(path, schema: CsvSchema):
     Returns ``(dataset, rejected)``; the rejected list carries line
     numbers so malformed rows can be traced back to the file.
     """
-    columns = [schema.target, *schema.covariates]
     ts, values, rejected = read_telemetry(
-        path, schema.timestamp_column, columns, schema.machine_column, schema.machine_id
+        path, schema.timestamp_column, [schema.target, *schema.covariates], schema.machine_column, schema.machine_id
     )
-    x = np.column_stack([values[c] for c in schema.covariates]) if schema.covariates else np.empty((len(ts), 0))
-    return Dataset(x, values[schema.target], ts), rejected
+    return _dataset(ts, values, schema.target, schema.covariates), rejected
 
 
 def read_failures(path, timestamp_column: str = "datetime", machine_column: str = "", machine_id: str = "") -> FailureLog:
     """Failure log CSV (machine id, failure timestamp, component) to windows.
 
     Each record becomes a point failure window; duplicate timestamps
-    collapse to one window.  A missing column, a row without its machine
-    cell or an unparseable timestamp is an error, since a dropped failure
-    would go unscored.
+    collapse to one window.  Any rejected row is an error, since a dropped
+    failure would go unscored.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = [timestamp_column] + ([machine_column] if machine_column else [])
-        missing = [c for c in needed if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        stamps = []
-        for lineno, row in enumerate(reader, start=2):
-            if machine_column:
-                machine = row.get(machine_column)
-                if machine is None:
-                    raise ValueError(f"{path}: line {lineno}: missing value in column {machine_column!r}")
-                if machine.strip() != machine_id:
-                    continue
-            try:
-                stamps.append(_parse_timestamp(row[timestamp_column]))
-            except (ValueError, TypeError, AttributeError):
-                raise ValueError(f"{path}: line {lineno}: unparseable timestamp {row[timestamp_column]!r}") from None
-    stamps = np.unique(np.array(stamps, dtype="datetime64[s]"))
+    stamps, _, rejected = _read_rows(path, timestamp_column, [], machine_column, machine_id)
+    _refuse_rejected(path, rejected)
+    stamps = np.unique(stamps)
     return FailureLog(stamps, stamps)
 
 
@@ -474,22 +477,16 @@ def _load_split(path) -> Dataset:
     return Dataset(covariates, responses, timestamps.astype("datetime64[s]"))
 
 
-def _covariates_for(config: PipelineConfig, index: str) -> list:
-    others = [name for name in config.indices if name != index]
-    return others + list(config.extra_covariates)
-
-
 def _index_datasets(config: PipelineConfig, data_path):
     """Per-index raw Dataset plus the total count of dropped rows."""
-    columns = list(config.indices) + list(config.extra_covariates)
+    columns = [*config.indices, *config.extra_covariates]
     ts, values, rejected = read_telemetry(
         data_path, config.timestamp_column, columns, config.machine_column, config.machine_id
     )
-    datasets = {}
-    for index in config.indices:
-        covs = _covariates_for(config, index)
-        x = np.column_stack([values[c] for c in covs]) if covs else np.empty((len(ts), 0))
-        datasets[index] = Dataset(x, values[index], ts)
+    datasets = {
+        index: _dataset(ts, values, index, [c for c in config.indices if c != index] + list(config.extra_covariates))
+        for index in config.indices
+    }
     return datasets, len(rejected)
 
 
@@ -571,21 +568,13 @@ def _write_series(path, series: AnomalyScoreSeries) -> None:
 
 
 def _read_series(path) -> AnomalyScoreSeries:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        ts, vals, lo, hi = [], [], [], []
-        for row in reader:
-            ts.append(_parse_timestamp(row["timestamp"]))
-            vals.append(float(row["as_value"]))
-            lo.append(float(row["theta_q05"]))
-            hi.append(float(row["theta_q95"]))
-            thr = float(row["threshold"])
-    if not ts:
+    ts, values, rejected = _read_rows(path, "timestamp", ["as_value", "theta_q05", "theta_q95", "threshold"])
+    _refuse_rejected(path, rejected)
+    if not len(ts):
         raise ValueError(f"{path}: score file has no rows, so it records no threshold")
+    threshold = float(values["threshold"][-1])
     try:
-        return AnomalyScoreSeries(
-            np.array(ts, dtype="datetime64[s]"), np.array(vals), thr, np.array(lo), np.array(hi)
-        )
+        return AnomalyScoreSeries(ts, values["as_value"], threshold, values["theta_q05"], values["theta_q95"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -192,23 +192,54 @@ class TestIngest:
         assert len(log) == 2
         assert str(log.starts[0]).startswith("2015-01-05")
 
-    def test_failure_log_without_machine_column_is_refused(self, tmp_path):
+    # Each failure log gives these stamps or this refusal, naming the path
+    # and, for a row, its line.  Only the empty file's refusal differs from
+    # the failure log's own loop before the reader was shared: that read it
+    # as "missing columns ['datetime', 'machineID']".
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("", "empty file"),
+            ("datetime,machineID,failure\n", []),
+            ("datetime,machineID,failure\n2015-01-05 06:00:00,2,comp4\n2015-03-06 06:00:00,3,comp1\n", []),
+            (
+                "datetime,machineID,failure\n2015-03-06 06:00:00,1,comp1\n2015-01-05 06:00:00,1,comp4\n"
+                "2015-03-06 06:00:00,1,comp2\n2015-02-01 06:00:00,2,comp2\n",
+                ["2015-01-05T06:00:00", "2015-03-06T06:00:00"],
+            ),
+            ("datetime,failure\n2015-01-05 06:00:00,comp4\n", "missing columns ['machineID']"),
+            ("datetime,failure,machineID\n2015-01-05 06:00:00,comp4,1\n2015-03-06 06:00:00,comp1\n",
+             "line 3: missing value in column 'machineID'"),
+            ("machineID,failure,datetime\n1,comp4,2015-01-05 06:00:00\n1,comp1\n",
+             "line 3: unparseable timestamp None"),
+            ("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\nnot-a-date,1,comp1\n",
+             "line 3: unparseable timestamp 'not-a-date'"),
+        ],
+        ids=["empty", "header-only", "other-machines", "duplicate-unsorted", "missing-column", "cut-short",
+             "cut-short-before-stamp", "bad-timestamp"],
+    )
+    def test_failure_log_parity(self, tmp_path, text, expected):
         path = tmp_path / "failures.csv"
-        path.write_text("datetime,failure\n2015-01-05 06:00:00,comp4\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: missing columns ['machineID']")):
-            read_failures(path, "datetime", "machineID", "1")
+        path.write_text(text)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+                read_failures(path, "datetime", "machineID", "1")
+            return
+        log = read_failures(path, "datetime", "machineID", "1")
+        np.testing.assert_array_equal(log.starts, np.array(expected, dtype="datetime64[s]"))
+        np.testing.assert_array_equal(log.ends, log.starts)
 
-    def test_failure_log_row_cut_short_names_path_and_line(self, tmp_path):
-        path = tmp_path / "failures.csv"
-        path.write_text("datetime,failure,machineID\n2015-01-05 06:00:00,comp4,1\n2015-03-06 06:00:00,comp1\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: missing value in column 'machineID'")):
-            read_failures(path, "datetime", "machineID", "1")
-
-    def test_failure_log_bad_timestamp_names_path_and_line(self, tmp_path):
-        path = tmp_path / "failures.csv"
-        path.write_text("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\nnot-a-date,1,comp1\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: unparseable timestamp 'not-a-date'")):
-            read_failures(path, "datetime", "machineID", "1")
+    @pytest.mark.parametrize(
+        "columns, machine_column, repeated",
+        [(["load", "load"], "", ["load"]), (["datetime", "load"], "", ["datetime"]), (["load"], "load", ["load"])],
+        ids=["value-twice", "timestamp-as-value", "machine-as-value"],
+    )
+    def test_column_requested_twice_is_refused(self, tmp_path, columns, machine_column, repeated):
+        # Read under both names, each reading would land twice in one vector.
+        path = tmp_path / "telemetry.csv"
+        path.write_text("datetime,load,hi_a\n2015-01-01 06:00:00,0.1,1.0\n2015-01-01 07:00:00,0.2,2.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: columns {repeated} requested twice")):
+            read_telemetry(path, "datetime", columns, machine_column, "0.1")
 
 
 class TestStandardScale:
@@ -464,6 +495,45 @@ class TestConfig:
         names = ", ".join(repr(k) for k in named)
         assert str(refused.value).startswith(f"line{plural} {where}: bad value{plural} for {names}: ")
 
+    @pytest.mark.parametrize(
+        "overrides, named, column",
+        [
+            ({"indices": ["hi_a", "hi_a"]}, ("indices",), "hi_a"),
+            ({"extra_covariates": ["load", "load"]}, ("extra_covariates",), "load"),
+            ({"machine_column": "datetime", "machine_id": "1"}, ("timestamp_column", "machine_column"), "datetime"),
+            ({"indices": ["hi_a", "datetime"]}, ("timestamp_column", "indices"), "datetime"),
+            ({"extra_covariates": ["datetime"]}, ("timestamp_column", "extra_covariates"), "datetime"),
+            ({"machine_column": "hi_b", "machine_id": "1"}, ("machine_column", "indices"), "hi_b"),
+            (
+                {"machine_column": "load", "machine_id": "1", "extra_covariates": ["load"]},
+                ("machine_column", "extra_covariates"),
+                "load",
+            ),
+            ({"extra_covariates": ["load", "hi_b"]}, ("indices", "extra_covariates"), "hi_b"),
+        ],
+        ids=lambda v: "+".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_column_named_twice_is_refused_at_load(self, overrides, named, column):
+        # Fitted on a column read twice, a model would train on scrambled readings.
+        text = default_config_text(**overrides)
+        keys = [line.split("=")[0].strip() for line in text.splitlines()]
+        where = ", ".join(str(keys.index(k) + 1) for k in named)
+        plural = "s" if len(named) > 1 else ""
+        names = ", ".join(repr(k) for k in named)
+        with pytest.raises(ValueError) as refused:
+            parse_config(text)
+        reason = f"column {column!r} is named more than once"
+        assert str(refused.value) == f"line{plural} {where}: bad value{plural} for {names}: {reason}"
+
+    @pytest.mark.parametrize("overrides", [{"machine_id": "7"}, {"machine_column": "machineID"}])
+    def test_machine_id_and_column_are_set_together(self, overrides):
+        # A machine id without its column would fit every machine's rows together.
+        with pytest.raises(ValueError, match=r"^lines 3, 4: bad values for 'machine_column', 'machine_id': "):
+            parse_config(default_config_text(**overrides))
+        text = "schema_version = 1\nindices = a\n" + "".join(f"{k} = {v}\n" for k, v in overrides.items())
+        with pytest.raises(ValueError, match=r"^line 3: bad values for 'machine_column', 'machine_id': "):
+            parse_config(text)
+
     def test_refusal_gives_lines_of_written_keys_only(self):
         # Only keys written in the text have a line; a config built in code has none.
         text = "schema_version = 1\nindices = a\nburn_in = 3000\n"
@@ -532,6 +602,29 @@ class TestScoreHandOff:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            _read_series(path)
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda cells: cells[:1] + [""] + cells[2:], "line 3: missing value in column 'as_value'"),
+            (lambda cells: cells[:2] + ["0.5x"] + cells[3:], "line 3: bad value '0.5x' in column 'theta_q05'"),
+            (lambda cells: cells[:3], "line 3: missing value in column 'theta_q95'"),
+            (lambda cells: cells[:4], "missing columns ['threshold']"),
+        ],
+        ids=["blank-cell", "non-numeric-cell", "row-cut-short", "missing-column"],
+    )
+    def test_bad_score_file_is_refused_with_path_and_line(self, tmp_path, edit, expected):
+        ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
+        values = np.array([0.5, 0.99, 0.5])
+        path = tmp_path / "scores.csv"
+        _write_series(path, AnomalyScoreSeries(ts, values, 0.975, values, values))
+        lines = path.read_text().splitlines()
+        # The missing column is cut from every line; the other edits touch line 3 only.
+        edited = [edit(line.split(",")) if i == 2 or "missing columns" in expected else line.split(",")
+                  for i, line in enumerate(lines)]
+        path.write_text("\n".join(",".join(cells) for cells in edited) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
             _read_series(path)
 
     def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
