@@ -183,10 +183,8 @@ def _predictive_summary(sample: PosteriorSample, X):
     second_moment = np.zeros(n_rows)
     for _, alpha, means, sds in sample.moment_blocks(X):
         act += alpha.sum(axis=0).T
-        m = (alpha * means).sum(axis=-2)
-        v = (alpha * (sds**2 + means**2)).sum(axis=-2) - m**2
-        mean_acc += m.sum(axis=0)
-        second_moment += (v + m**2).sum(axis=0)
+        mean_acc += (alpha * means).sum(axis=-2).sum(axis=0)
+        second_moment += (alpha * (sds**2 + means**2)).sum(axis=-2).sum(axis=0)
     n_draws = sample.n_draws
     predictive_mean = mean_acc / n_draws
     predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)

@@ -122,18 +122,19 @@ def _parse_cell(row: dict, column: str) -> float:
     return value
 
 
-def _read_rows(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
-    """The rows of a telemetry, failure or score CSV in file order.
+def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str = "", machine_id: str = ""):
+    """The rows of a telemetry, failure, score or alarm CSV in file order.
 
-    Returns ``(timestamps, values, rejected)`` where ``values`` maps each
-    requested column to a float vector and ``rejected`` lists
-    ``(line_number, reason)`` for rows that failed to parse or had missing
-    or non-finite fields, the machine cell included.  With a machine column
-    only the rows of ``machine_id`` are read.  An empty file, a missing
-    column or a column requested twice is refused with the path.
+    Returns ``(stamps, values, rejected)`` where ``stamps`` holds one
+    datetime vector per timestamp column, ``values`` maps each requested
+    column to a float vector and ``rejected`` lists ``(line_number,
+    reason)`` for rows that failed to parse or had missing or non-finite
+    fields, the machine cell included.  With a machine column only the rows
+    of ``machine_id`` are read.  An empty file, a missing column or a column
+    requested twice is refused with the path.
     """
     path = Path(path)
-    needed = [timestamp_column, *columns] + ([machine_column] if machine_column else [])
+    needed = [*timestamp_columns, *columns] + ([machine_column] if machine_column else [])
     repeated = sorted({c for c in needed if needed.count(c) > 1})
     if repeated:
         raise ValueError(f"{path}: columns {repeated} requested twice")
@@ -144,7 +145,7 @@ def _read_rows(path, timestamp_column: str, columns: list, machine_column: str =
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        timestamps, values, rejected = [], {c: [] for c in columns}, []
+        stamps, values, rejected = [[] for _ in timestamp_columns], {c: [] for c in columns}, []
         for lineno, row in enumerate(reader, start=2):
             if machine_column:
                 machine = row.get(machine_column)
@@ -154,15 +155,16 @@ def _read_rows(path, timestamp_column: str, columns: list, machine_column: str =
                 if machine.strip() != machine_id:
                     continue
             try:
-                stamp = _parse_timestamp(row[timestamp_column])
+                parsed_stamps = [_parse_timestamp(row[c]) for c in timestamp_columns]
                 parsed = [_parse_cell(row, c) for c in columns]
             except ValueError as exc:
                 rejected.append((lineno, str(exc)))
                 continue
-            timestamps.append(stamp)
+            for column, stamp in zip(stamps, parsed_stamps):
+                column.append(stamp)
             for c, value in zip(columns, parsed):
                 values[c].append(value)
-    return np.array(timestamps, dtype="datetime64[s]"), {c: np.array(v) for c, v in values.items()}, rejected
+    return [np.array(s, dtype="datetime64[s]") for s in stamps], {c: np.array(v) for c, v in values.items()}, rejected
 
 
 def _refuse_rejected(path, rejected: list) -> None:
@@ -174,11 +176,12 @@ def _refuse_rejected(path, rejected: list) -> None:
 def read_telemetry(path, timestamp_column: str, columns: list, machine_column: str = "", machine_id: str = ""):
     """Parse a telemetry CSV into sorted arrays.
 
-    Returns ``(timestamps, values, rejected)`` as ``_read_rows`` does, with
-    the rows sorted by timestamp, stably, so duplicates keep their file
-    order.  A file without a usable row is refused.
+    Returns ``(timestamps, values, rejected)``, the one stamp vector and the
+    rest of what ``_read_rows`` returns, with the rows sorted by timestamp,
+    stably, so duplicates keep their file order.  A file without a usable
+    row is refused.
     """
-    ts, values, rejected = _read_rows(path, timestamp_column, columns, machine_column, machine_id)
+    (ts,), values, rejected = _read_rows(path, [timestamp_column], columns, machine_column, machine_id)
     if not len(ts):
         raise ValueError(f"{path}: no usable rows")
     order = np.argsort(ts, kind="stable")
@@ -210,7 +213,7 @@ def read_failures(path, timestamp_column: str = "datetime", machine_column: str 
     collapse to one window.  Any rejected row is an error, since a dropped
     failure would go unscored.
     """
-    stamps, _, rejected = _read_rows(path, timestamp_column, [], machine_column, machine_id)
+    (stamps,), _, rejected = _read_rows(path, [timestamp_column], [], machine_column, machine_id)
     _refuse_rejected(path, rejected)
     stamps = np.unique(stamps)
     return FailureLog(stamps, stamps)
@@ -263,23 +266,18 @@ def standard_scale(fit_on: Dataset, apply_to: Dataset):
     return scaler.apply(apply_to), scaler
 
 
-def _merge_spans(spans: list) -> list:
+def _failure_spans(failures: FailureLog, margin_days: float) -> list:
+    """Merged spans from ``margin_days`` before each failure through its end:
+    the parts of the test split that ``stage_score`` scores one by one."""
+    margin = np.timedelta64(int(round(margin_days * 86400)), "s")
     merged = []
-    for start, end in sorted(spans):
+    for fs, fe in sorted(zip(failures.starts, failures.ends)):
+        start, end = np.datetime64(fs, "s") - margin, np.datetime64(fe, "s")
         if merged and start <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
             merged.append((start, end))
     return merged
-
-
-def _failure_spans(failures: FailureLog, margin_days: float) -> list:
-    """Merged spans from ``margin_days`` before each failure through its end:
-    the spans the test split is cut from."""
-    margin = np.timedelta64(int(round(margin_days * 86400)), "s")
-    return _merge_spans(
-        [(np.datetime64(fs, "s") - margin, np.datetime64(fe, "s")) for fs, fe in zip(failures.starts, failures.ends)]
-    )
 
 
 def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
@@ -294,11 +292,12 @@ def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
     """
     ts = np.asarray(data.timestamps, dtype="datetime64[s]")
     margin = np.timedelta64(int(round(spec.margin_days * 86400)), "s")
-    near_failure = np.zeros(len(data), dtype=bool)
+    near_failure, in_span = np.zeros(len(data), dtype=bool), np.zeros(len(data), dtype=bool)
     for fs, fe in zip(failures.starts, failures.ends):
-        fs = np.datetime64(fs, "s")
         fe = np.datetime64(fe, "s")
-        near_failure |= (ts >= fs - margin) & (ts <= fe + margin)
+        from_margin = ts >= np.datetime64(fs, "s") - margin
+        near_failure |= from_margin & (ts <= fe + margin)
+        in_span |= from_margin & (ts <= fe)
     pool_idx = np.flatnonzero(~near_failure)
 
     stride = max(1, int(round(1.0 / spec.fraction)))
@@ -313,9 +312,6 @@ def build_splits(data: Dataset, failures: FailureLog, spec: SplitSpec):
     validation = data.select(sub_idx[spec.train_size : needed])
 
     val_end = validation.timestamps[-1] if len(validation) else train.timestamps[-1]
-    in_span = np.zeros(len(data), dtype=bool)
-    for start, end in _failure_spans(failures, spec.margin_days):
-        in_span |= (ts >= start) & (ts <= end)
     test_idx = np.flatnonzero(in_span & (ts > np.datetime64(val_end, "s")))
     test = data.select(test_idx)
     return train, validation, test
@@ -526,11 +522,8 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         for name, split in splits[index].items():
             _save_split(run_dir / f"{name}_{index}.npz", split)
         split_info[index]["acceptance_rate"] = sample.acceptance_rate
-    failures_out = [
-        {"start": str(np.datetime64(s, "s")), "end": str(np.datetime64(e, "s"))}
-        for s, e in zip(failures.starts, failures.ends)
-    ]
-    (run_dir / "failures.json").write_text(json.dumps(failures_out) + "\n")
+    # Each failure is a point window, so one column holds the log; later stages read it with ``read_failures``.
+    _write_csv(run_dir / "failures.csv", ["datetime"], ([t] for t in _timestamp_strings(failures.starts)))
     versions = dict(anomix=__version__, numpy=np.__version__, python=sys.version.split()[0])
     provenance = {"config_hash": config.config_hash(), "seed": config.seed, "versions": versions}
     _write_manifest(run_dir, {**provenance, "dropped_rows": dropped, "splits": split_info})
@@ -568,23 +561,18 @@ def _write_series(path, series: AnomalyScoreSeries) -> None:
 
 
 def _read_series(path) -> AnomalyScoreSeries:
-    ts, values, rejected = _read_rows(path, "timestamp", ["as_value", "theta_q05", "theta_q95", "threshold"])
+    (ts,), values, rejected = _read_rows(path, ["timestamp"], ["as_value", "theta_q05", "theta_q95", "threshold"])
     _refuse_rejected(path, rejected)
     if not len(ts):
         raise ValueError(f"{path}: score file has no rows, so it records no threshold")
-    threshold = float(values["threshold"][-1])
+    thresholds = np.unique(values["threshold"])
+    if len(thresholds) > 1:
+        raise ValueError(f"{path}: rows record {len(thresholds)} thresholds {thresholds.tolist()}, not one")
+    threshold = float(thresholds[0])
     try:
         return AnomalyScoreSeries(ts, values["as_value"], threshold, values["theta_q05"], values["theta_q95"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _read_failures_json(run_dir: Path) -> FailureLog:
-    failures_raw = json.loads((run_dir / "failures.json").read_text())
-    return FailureLog(
-        np.array([f["start"] for f in failures_raw], dtype="datetime64[s]"),
-        np.array([f["end"] for f in failures_raw], dtype="datetime64[s]"),
-    )
 
 
 def stage_score(config: PipelineConfig, run_dir) -> None:
@@ -600,7 +588,7 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
-        spans = _failure_spans(_read_failures_json(run_dir), config.margin_days)
+        spans = _failure_spans(read_failures(run_dir / "failures.csv"), config.margin_days)
         parts, skipped[index] = [], []
         for start, end in spans:
             rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
@@ -624,12 +612,9 @@ def _write_alarms(path, alarms: list) -> None:
 
 
 def _read_alarms(path) -> list:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            AlarmWindow(_parse_timestamp(row["onset"]), _parse_timestamp(row["end"]))
-            for row in reader
-        ]
+    (onsets, ends), _, rejected = _read_rows(path, ["onset", "end"], [])
+    _refuse_rejected(path, rejected)
+    return [AlarmWindow(onset, end) for onset, end in zip(onsets, ends)]
 
 
 def stage_detect(config: PipelineConfig, run_dir) -> None:
@@ -656,7 +641,7 @@ def stage_detect(config: PipelineConfig, run_dir) -> None:
 def stage_evaluate(config: PipelineConfig, run_dir) -> None:
     """Detection report against the failure log, per validity window length."""
     run_dir = Path(run_dir)
-    failures = _read_failures_json(run_dir)
+    failures = read_failures(run_dir / "failures.csv")
     if len(config.indices) > 1:
         alarms = _read_alarms(run_dir / "pooled_alarms.csv")
         observed = _read_series(run_dir / "pooled_scores.csv").timestamps

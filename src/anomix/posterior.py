@@ -250,10 +250,21 @@ class _LockstepTarget:
                 cached[c] = value[c]
 
 
+# Each block is a group of the draw stack and the slice of its state array that the sampler moves.  The
+# frozen gate row is never proposed, nor at M = 1 the behavior gate: it cannot move the likelihood, so it
+# stays at the prior location.  The mixing gate of one expert has no free row, so M = 1 moves the experts only.
+_BLOCKS = tuple(zip(_STACK_FIELDS, (np.s_[:], np.s_[:, :-1], np.s_[:])))
+
+
+def _moved_blocks(n_experts: int) -> tuple:
+    return _BLOCKS if n_experts > 1 else _BLOCKS[:1]
+
+
 def _fitted_prior(prior: PriorSpec, n_experts: int) -> PriorSpec:
-    """The prior as the fit of ``n_experts`` experts reads it.  At M = 1 the behavior gate cannot move
-    the likelihood, so it is never proposed and its prior term is left out of the target: the gate
-    scale is set to its default.  The gate location stays, as the frozen gate sits there in the draws."""
+    """The prior as the fit of ``n_experts`` experts reads it, which ``selection.run_trial`` keys its
+    fits by.  At M = 1 the behavior gate is never proposed and ``_total`` leaves its prior term out,
+    and the mixing gate has no free row, so the gate scale cannot change the fit: it is set to its
+    default.  The gate location stays, as the frozen gate sits there in the draws."""
     return replace(prior, gate_coeff_scale=PriorSpec.gate_coeff_scale) if n_experts == 1 else prior
 
 
@@ -282,13 +293,10 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
         raise ValueError("jointly fitted datasets must share their row and covariate counts")
     if n_experts < 1:
         raise ValueError("at least one expert is required")
-    prior = _fitted_prior(prior, n_experts)
     chains, seeds = settings.chains, [settings.seed + i for i in range(len(datasets))]
     slots, m, na = len(datasets) * chains, n_experts, datasets[0].n + 1
     rngs = [np.random.default_rng(s) for seed in seeds for s in np.random.SeedSequence(seed).spawn(chains)]
-    # Each block is the slice of one state array that it moves.  The frozen gate row is never proposed,
-    # nor at M = 1 the behavior gate: it cannot move the likelihood, so it stays at the prior location.
-    blocks = list(zip(_STACK_FIELDS, (np.s_[:], np.s_[:, :-1], np.s_[:])))[: 3 if m > 1 else 1]
+    blocks = _moved_blocks(m)
     experts, behavior = np.empty((slots, m, na + 1)), np.full((slots, na), prior.gate_coeff_location)
     state = dict(zip(_STACK_FIELDS, (experts, np.zeros((slots, m, na)), behavior)))
     for c, rng in enumerate(rngs):
@@ -566,14 +574,13 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
 
 
 def _rhat_max(sample: PosteriorSample) -> float:
-    """Worst split R-hat over the parameters the sampler moves (at M = 1 not the behavior gate),
+    """Worst split R-hat over the parameters the sampler moves (``_moved_blocks``),
     chains read from the contiguous blocks of the stack; NaN unless they
     split into ``chain_count`` equal blocks of at least 4 draws."""
     s, c = sample.n_draws, sample.chain_count
     if s % c or s // c < 4:
         return math.nan
-    behavior = sample.behavior if sample.n_experts > 1 else sample.behavior[:, :0]
-    groups = (sample.experts, sample.mixing[:, :-1], behavior)
+    groups = [getattr(sample, name)[moved] for name, moved in _moved_blocks(sample.n_experts)]
     free = np.concatenate([g.reshape(s, -1) for g in groups], axis=1)
     return _max_ignoring_nan(_split_rhat(free.reshape(c, s // c, -1)))
 

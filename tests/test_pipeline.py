@@ -627,6 +627,38 @@ class TestScoreHandOff:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
             _read_series(path)
 
+    def test_score_file_with_two_thresholds_is_refused(self, tmp_path):
+        # A score file holds one series scored at one threshold, so rows that
+        # disagree leave no threshold to read back.
+        path = tmp_path / "scores.csv"
+        path.write_text(
+            "timestamp,as_value,theta_q05,theta_q95,threshold\n"
+            "2024-01-01 00:00:00,0.5,0.5,0.5,0.9\n"
+            "2024-01-01 01:00:00,0.99,0.99,0.99,0.975\n"
+        )
+        expected = f"{path}: rows record 2 thresholds [0.9, 0.975], not one"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _read_series(path)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("onset\n2024-01-01 00:00:00\n", "missing columns ['end']"),
+            ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00,soon\n",
+             "line 3: unparseable timestamp 'soon'"),
+            ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00\n",
+             "line 3: unparseable timestamp None"),
+            ("", "empty file"),
+        ],
+        ids=["missing-end-column", "bad-stamp", "row-cut-short", "empty"],
+    )
+    def test_bad_alarm_file_is_refused_with_path_and_line(self, tmp_path, text, expected):
+        # A dropped alarm would read as a missed failure in the detection report.
+        path = tmp_path / "alarms.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+            _read_alarms(path)
+
     def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
         ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
         series = AnomalyScoreSeries(ts, np.array([0.5, 0.9749996, 0.5]), 0.975)

@@ -97,7 +97,7 @@ class TestRunExperiment:
         )
         shared = {
             "manifest.json",
-            "failures.json",
+            "failures.csv",
             "diagnostics.csv",
             "pooled_scores.csv",
             "pooled_alarms.csv",
@@ -106,6 +106,15 @@ class TestRunExperiment:
         }
         expected = shared | {name.format(index) for name in per_index for index in config.indices}
         assert sorted(path.name for path in run_dir.iterdir()) == sorted(expected)
+
+    def test_failure_copy_reads_back_as_the_log(self, stream, finished_run):
+        # Later stages read the failures from the run's copy, not the input log.
+        config, run_dir, _ = finished_run
+        log = pipeline.read_failures(stream[1], config.timestamp_column, config.machine_column, config.machine_id)
+        copy = pipeline.read_failures(run_dir / "failures.csv")
+        assert (run_dir / "failures.csv").read_text() == "datetime\n2024-02-17 00:00:00\n"
+        np.testing.assert_array_equal(copy.starts, log.starts)
+        np.testing.assert_array_equal(copy.ends, log.ends)
 
     def test_index_i_is_fitted_with_seed_plus_i(self, finished_run):
         # The joint fit gives each index the draws of a lone fit on its train split.
@@ -383,7 +392,7 @@ class TestEmitPlotData:
         # failures are plotted from the files of the stages that wrote them.
         config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
-        for pattern in ("plot_*.csv", "scores_*.csv", "alarms_*.csv", "failures.json"):
+        for pattern in ("plot_*.csv", "scores_*.csv", "alarms_*.csv", "failures.csv"):
             for path in copy.glob(pattern):
                 path.unlink()
         assert emit_plot_data(config, copy) is None
