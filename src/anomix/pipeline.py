@@ -97,11 +97,14 @@ class CsvSchema:
     machine_id: str = ""
 
 
-def _parse_timestamp(raw: str) -> np.datetime64:
-    """An ISO-8601 cell in UTC seconds; a missing or malformed one raises with the reason."""
+def _parse_timestamp(row: dict, column: str) -> np.datetime64:
+    """One ISO-8601 cell in UTC seconds; a missing or malformed cell raises with the reason."""
+    raw = (row.get(column) or "").strip()
+    if not raw:
+        raise ValueError(f"missing value in column {column!r}")
     try:
-        dt = datetime.fromisoformat(raw.strip())
-    except (ValueError, AttributeError):
+        dt = datetime.fromisoformat(raw)
+    except ValueError:
         raise ValueError(f"unparseable timestamp {raw!r}") from None
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
@@ -155,7 +158,7 @@ def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str
                 if machine.strip() != machine_id:
                     continue
             try:
-                parsed_stamps = [_parse_timestamp(row[c]) for c in timestamp_columns]
+                parsed_stamps = [_parse_timestamp(row, c) for c in timestamp_columns]
                 parsed = [_parse_cell(row, c) for c in columns]
             except ValueError as exc:
                 rejected.append((lineno, str(exc)))
@@ -456,12 +459,8 @@ def _write_csv(path, header: list, rows) -> Path:
 
 
 def _save_split(path, data: Dataset) -> None:
-    np.savez_compressed(
-        path,
-        covariates=data.covariates,
-        responses=data.responses,
-        timestamps=data.timestamps.astype("datetime64[s]").astype("int64"),
-    )
+    stamps = data.timestamps.astype("datetime64[s]").astype("int64")
+    np.savez_compressed(path, covariates=data.covariates, responses=data.responses, timestamps=stamps)
 
 
 def _load_split(path) -> Dataset:
@@ -497,13 +496,25 @@ def _write_manifest(run_dir: Path, entries: dict) -> None:
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+# The failure stamps ``fit`` split around, for the later stages; not named ``failures.csv``, the input
+# log's usual name, so that a log kept in the run directory is never overwritten or read in its place.
+_FAILURE_COPY = "failure_stamps.csv"
+
+
+def _read_failure_copy(run_dir: Path) -> FailureLog:
+    path = run_dir / _FAILURE_COPY
+    if not path.exists():
+        raise FileNotFoundError(f"{path}: no failure copy; run fit first")
+    return read_failures(path)
+
+
 def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None:
     """Ingest, split, scale and fit one posterior per target index."""
     run_dir = Path(run_dir)
+    if Path(failures_path).resolve() == (run_dir / _FAILURE_COPY).resolve():
+        raise ValueError(f"{failures_path}: the failure log is the run's own {_FAILURE_COPY}; name it otherwise")
     run_dir.mkdir(parents=True, exist_ok=True)
-    failures = read_failures(
-        failures_path, config.timestamp_column, config.machine_column, config.machine_id
-    )
+    failures = read_failures(failures_path, config.timestamp_column, config.machine_column, config.machine_id)
     datasets, dropped = _index_datasets(config, data_path)
     spec = config.split_spec()
     splits, split_info = {}, {}
@@ -522,8 +533,8 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
         for name, split in splits[index].items():
             _save_split(run_dir / f"{name}_{index}.npz", split)
         split_info[index]["acceptance_rate"] = sample.acceptance_rate
-    # Each failure is a point window, so one column holds the log; later stages read it with ``read_failures``.
-    _write_csv(run_dir / "failures.csv", ["datetime"], ([t] for t in _timestamp_strings(failures.starts)))
+    # Each failure is a point window, so one column holds the log.
+    _write_csv(run_dir / _FAILURE_COPY, ["datetime"], ([t] for t in _timestamp_strings(failures.starts)))
     versions = dict(anomix=__version__, numpy=np.__version__, python=sys.version.split()[0])
     provenance = {"config_hash": config.config_hash(), "seed": config.seed, "versions": versions}
     _write_manifest(run_dir, {**provenance, "dropped_rows": dropped, "splits": split_info})
@@ -568,9 +579,8 @@ def _read_series(path) -> AnomalyScoreSeries:
     thresholds = np.unique(values["threshold"])
     if len(thresholds) > 1:
         raise ValueError(f"{path}: rows record {len(thresholds)} thresholds {thresholds.tolist()}, not one")
-    threshold = float(thresholds[0])
     try:
-        return AnomalyScoreSeries(ts, values["as_value"], threshold, values["theta_q05"], values["theta_q95"])
+        return AnomalyScoreSeries(ts, values["as_value"], float(thresholds[0]), values["theta_q05"], values["theta_q95"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -588,7 +598,7 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
-        spans = _failure_spans(read_failures(run_dir / "failures.csv"), config.margin_days)
+        spans = _failure_spans(_read_failure_copy(run_dir), config.margin_days)
         parts, skipped[index] = [], []
         for start, end in spans:
             rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
@@ -632,16 +642,13 @@ def stage_detect(config: PipelineConfig, run_dir) -> None:
     if len(serieses) > 1:
         pooled = pool(serieses, PoolingPolicy(config.quorum, config.half_level))
         _write_series(run_dir / "pooled_scores.csv", pooled)
-        pooled_alarms = raise_alarms(
-            pooled, AlarmPolicy(pooled.threshold, config.patience)
-        )
-        _write_alarms(run_dir / "pooled_alarms.csv", pooled_alarms)
+        _write_alarms(run_dir / "pooled_alarms.csv", raise_alarms(pooled, AlarmPolicy(pooled.threshold, config.patience)))
 
 
 def stage_evaluate(config: PipelineConfig, run_dir) -> None:
     """Detection report against the failure log, per validity window length."""
     run_dir = Path(run_dir)
-    failures = read_failures(run_dir / "failures.csv")
+    failures = _read_failure_copy(run_dir)
     if len(config.indices) > 1:
         alarms = _read_alarms(run_dir / "pooled_alarms.csv")
         observed = _read_series(run_dir / "pooled_scores.csv").timestamps

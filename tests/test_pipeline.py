@@ -193,9 +193,10 @@ class TestIngest:
         assert str(log.starts[0]).startswith("2015-01-05")
 
     # Each failure log gives these stamps or this refusal, naming the path
-    # and, for a row, its line.  Only the empty file's refusal differs from
-    # the failure log's own loop before the reader was shared: that read it
-    # as "missing columns ['datetime', 'machineID']".
+    # and, for a row, its line.  Two refusals differ from the failure log's
+    # own loop before the reader was shared: that read the empty file as
+    # "missing columns ['datetime', 'machineID']" and a row cut short before
+    # its stamp as "unparseable timestamp None".
     @pytest.mark.parametrize(
         "text, expected",
         [
@@ -211,7 +212,7 @@ class TestIngest:
             ("datetime,failure,machineID\n2015-01-05 06:00:00,comp4,1\n2015-03-06 06:00:00,comp1\n",
              "line 3: missing value in column 'machineID'"),
             ("machineID,failure,datetime\n1,comp4,2015-01-05 06:00:00\n1,comp1\n",
-             "line 3: unparseable timestamp None"),
+             "line 3: missing value in column 'datetime'"),
             ("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\nnot-a-date,1,comp1\n",
              "line 3: unparseable timestamp 'not-a-date'"),
         ],
@@ -647,7 +648,7 @@ class TestScoreHandOff:
             ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00,soon\n",
              "line 3: unparseable timestamp 'soon'"),
             ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00\n",
-             "line 3: unparseable timestamp None"),
+             "line 3: missing value in column 'end'"),
             ("", "empty file"),
         ],
         ids=["missing-end-column", "bad-stamp", "row-cut-short", "empty"],

@@ -97,7 +97,7 @@ class TestRunExperiment:
         )
         shared = {
             "manifest.json",
-            "failures.csv",
+            "failure_stamps.csv",
             "diagnostics.csv",
             "pooled_scores.csv",
             "pooled_alarms.csv",
@@ -111,8 +111,8 @@ class TestRunExperiment:
         # Later stages read the failures from the run's copy, not the input log.
         config, run_dir, _ = finished_run
         log = pipeline.read_failures(stream[1], config.timestamp_column, config.machine_column, config.machine_id)
-        copy = pipeline.read_failures(run_dir / "failures.csv")
-        assert (run_dir / "failures.csv").read_text() == "datetime\n2024-02-17 00:00:00\n"
+        copy = pipeline.read_failures(run_dir / "failure_stamps.csv")
+        assert (run_dir / "failure_stamps.csv").read_text() == "datetime\n2024-02-17 00:00:00\n"
         np.testing.assert_array_equal(copy.starts, log.starts)
         np.testing.assert_array_equal(copy.ends, log.ends)
 
@@ -180,6 +180,46 @@ class TestRunExperiment:
         message = f"stage '{stage}' failed: {path}: no posterior archive; run fit first"
         with pytest.raises(StageError, match=re.escape(message)) as caught:
             pipeline.run_stages([stage], config, tmp_path)
+        assert isinstance(caught.value.__cause__, FileNotFoundError)
+
+    def test_fit_keeps_an_input_log_inside_the_run_directory(self, stream, tmp_path):
+        # The log may sit in the folder given as --out: fit copies this
+        # machine's stamps beside it and leaves the log, other machines'
+        # rows included, as it was, so the same command runs again.
+        telemetry, failures = stream
+        log = tmp_path / "failures.csv"
+        log.write_text(failures.read_text() + "2024-01-20 00:00:00,2,comp2\n")
+        text = log.read_text()
+        config = dataclasses.replace(parse_config(default_config_text(**FAST)), iterations=150, burn_in=50)
+        for _ in range(2):
+            stage_fit(config, telemetry, log, tmp_path)
+            assert log.read_text() == text
+            assert (tmp_path / "failure_stamps.csv").read_text() == "datetime\n2024-02-17 00:00:00\n"
+
+    def test_fit_refuses_the_run_copy_as_its_log(self, stream, tmp_path):
+        telemetry, failures = stream
+        log = tmp_path / "failure_stamps.csv"
+        shutil.copy(failures, log)
+        text = log.read_text()
+        config = parse_config(default_config_text(**FAST))
+        message = f"{log}: the failure log is the run's own failure_stamps.csv; name it otherwise"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stage_fit(config, telemetry, log, tmp_path)
+        assert log.read_text() == text
+
+    @pytest.mark.parametrize("stage", ["score", "evaluate"])
+    def test_run_fitted_before_the_failure_copy_asks_for_a_fit(self, finished_run, stream, tmp_path, stage):
+        # A run directory from before ``failure_stamps.csv`` kept the stamps in
+        # ``failures.json``, and may hold the input log as ``failures.csv``;
+        # neither is read in place of the copy.
+        config, run_dir, _ = finished_run
+        old = shutil.copytree(run_dir, tmp_path / "run")
+        (old / "failure_stamps.csv").unlink()
+        (old / "failures.json").write_text('[{"start": "2024-02-17T00:00:00", "end": "2024-02-17T00:00:00"}]\n')
+        shutil.copy(stream[1], old / "failures.csv")
+        message = f"stage '{stage}' failed: {old / 'failure_stamps.csv'}: no failure copy; run fit first"
+        with pytest.raises(StageError, match=re.escape(message)) as caught:
+            pipeline.run_stages([stage], config, old)
         assert isinstance(caught.value.__cause__, FileNotFoundError)
 
     def test_runner_looks_each_stage_up_when_it_starts(self, monkeypatch, tmp_path):
@@ -392,7 +432,7 @@ class TestEmitPlotData:
         # failures are plotted from the files of the stages that wrote them.
         config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
-        for pattern in ("plot_*.csv", "scores_*.csv", "alarms_*.csv", "failures.csv"):
+        for pattern in ("plot_*.csv", "scores_*.csv", "alarms_*.csv", "failure_stamps.csv"):
             for path in copy.glob(pattern):
                 path.unlink()
         assert emit_plot_data(config, copy) is None

@@ -49,7 +49,7 @@ def test_failure_and_score_files_bypass_the_traced_reader(tmp_path, monkeypatch)
         raise AssertionError("read_telemetry read a file that is not telemetry")
 
     monkeypatch.setattr(pipeline, "read_telemetry", refuse)
-    failures = tmp_path / "failures_log.csv"
+    failures = tmp_path / "failures.csv"
     failures.write_text("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\n")
     assert len(pipeline.read_failures(failures, "datetime", "machineID", "1")) == 1
     stamps = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(4) * np.timedelta64(3600, "s")
@@ -60,7 +60,7 @@ def test_failure_and_score_files_bypass_the_traced_reader(tmp_path, monkeypatch)
     pipeline._write_alarms(alarms, [pipeline.AlarmWindow(stamps[2], stamps[3])])
     assert len(pipeline._read_alarms(alarms)) == 1
     # ``evaluate`` reads the run's failure copy, as ``fit`` writes it, beside those files.
-    (tmp_path / "failures.csv").write_text("datetime\n2024-01-01 03:00:00\n")
+    (tmp_path / pipeline._FAILURE_COPY).write_text("datetime\n2024-01-01 03:00:00\n")
     pipeline.stage_evaluate(parse_config(default_config_text(indices=["hi_a"])), tmp_path)
     recall = (tmp_path / "detection_report.csv").read_text().splitlines()[1].split(",")[3]
     assert float(recall) == 100.0
