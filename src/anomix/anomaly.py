@@ -10,8 +10,11 @@ Passing ``Q`` through that CDF and folding around 1/2 produces a score
 that is itself uniform on (0, 1) for healthy data and approaches 1
 whenever the window sits in either tail.
 
-A series keeps the posterior mean of each window's score and the 5%/95%
-band of its per-draw scores, taken from one sort of the draw axis.
+Against a posterior sample, the PIT values are the posterior-predictive
+PIT, each row's CDF averaged over the draws: the quantity that calibration
+theory makes uniform (Gneiting, Balabdaoui & Raftery 2007), so each window
+is scored once.  A series also keeps the 5%/95% band of the per-draw
+scores, read from one sort of the draw axis.
 
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
 per-knot Taylor table, built once per weight vector, within about 2e-16
@@ -31,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import Dataset, _cdf_from_moments
-from .posterior import _quantiles
+from .posterior import _lerp, _quantile_rows
 
 __all__ = [
     "PIT_EPS",
@@ -61,6 +64,9 @@ MAX_WINDOW = 12
 _BUCKETS_PER_KNOT = 4
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
+
+# Largest error allowed in F(s) + F(support_end - s) = 1 at the table's knots.
+_SYMMETRY_TOL = 4e-15
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ class WeightedUniformSumDist:
     order with matching cardinality-parity signs, and ``subset_lows`` their
     rounding errors; they are the knots of ``taylor_table``.  ``n`` is the
     window length; ``degree`` is the number of weights actually kept.
-    Weights are dropped only when double precision cannot represent the
-    normalizing constant, and the dropped mass never exceeds 1e-6, which
+    ``build_sum_dist`` drops the smallest weights only where the table would
+    otherwise be inaccurate, and the dropped mass never exceeds 1e-6, which
     bounds the resulting CDF shift.
     """
 
@@ -175,6 +181,35 @@ class WeightedUniformSumDist:
             hi[i], lo[i] = padded_hi[: n + 1], padded_lo[: n + 1]
         return np.ascontiguousarray(((hi + lo) / (np.cumprod([1.0, *range(1, n + 1)]) * self.norm_const)).T)
 
+    def _symmetric(self) -> bool:
+        """Whether the table's value at every knot and at its mirror, the
+        complement subset's sum, add to 1 within ``_SYMMETRY_TOL``.  The walk
+        runs upward from 0, so this compares its least accurate knots with
+        its most accurate ones."""
+        at_knots = self.taylor_table[0]
+        return bool(np.all(np.abs(at_knots + at_knots[::-1] - 1.0) <= _SYMMETRY_TOL))
+
+    def _mirror_lower_half(self) -> bool:
+        """Where the walk keeps the symmetry up to the middle pair of knots,
+        rewrite the table's upper half from its lower half, and say so.
+
+        Knot j mirrors knot m = count - 1 - j, and ``F(s_j + t) = 1 - F(s_m -
+        t)``: the piece right of knot j is the piece left of knot m, run
+        backwards, so its constant is 1 minus knot m's and its coefficient
+        of ``t**k`` is ``-(-1)**k`` times knot m's; for k = n that is knot
+        m - 1's, which the sign of knot m has not yet moved.
+        """
+        table = self.taylor_table
+        half = table.shape[1] // 2
+        if abs(table[0, half - 1] + table[0, half] - 1.0) > _SYMMETRY_TOL:
+            return False
+        lower = table[:, half - 1 :: -1]
+        signs = -((-1.0) ** np.arange(self.degree + 1))[:, None]
+        top = np.append(table[-1, half - 2 :: -1], 0.0) if half > 1 else np.zeros(1)
+        table[:, half:] = signs * np.vstack([lower[:-1], top])
+        table[0, half:] = 1.0 - lower[0]
+        return True
+
     @functools.cached_property
     def _knot_index(self) -> tuple[float, np.ndarray, int, np.ndarray]:
         """``(scale, first, span, knots)``: x lies in bucket ``int(x * scale)``,
@@ -216,27 +251,40 @@ def _dd_mul(ah, al, bh, bl):
 
 
 def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
-    """Enumerate and cache all subset sums for the weighted-uniform-sum CDF."""
+    """Enumerate and cache all subset sums for the weighted-uniform-sum CDF.
+
+    The Taylor table's walk carries about 106 bits, so it cannot lose 1e-16
+    while ``2**(degree - 106) / norm_const`` stays below that, as it does for
+    every window at its default decay.  Past that bound the table is built
+    here, and kept if its knots keep the law's symmetry, ``F(s) + F(S - s) =
+    1``, within ``_SYMMETRY_TOL``, or if they keep it up to the middle pair
+    and its upper half is mirrored from its lower half.  Otherwise, or when
+    the normalizing constant underflows, the smallest weights are shed, at
+    most 1e-6 of the mass, and a window that still fails is refused.
+    """
     n = len(w)
     if n > MAX_WINDOW:
         raise ValueError(f"window length {n} exceeds the supported maximum {MAX_WINDOW}")
-    kept = w.weights
-    if _log_norm(kept) <= _LOG_TINY:
-        # The normalizing constant underflows, so the table cannot be
-        # scaled by it: shed the smallest weights (at most 1e-6 of total
-        # mass) until it is representable and at least 1e6 * 2**(n - 53).
+    kept, dropped = w.weights, 0.0
+    while True:
+        log_norm = _log_norm(kept)
+        if log_norm > _LOG_TINY:
+            dist = _enumerate(w, kept)
+            conditioned = (len(kept) - 106) * math.log(2.0) - log_norm <= math.log(1e-16)
+            if conditioned or dist._symmetric() or dist._mirror_lower_half():
+                return dist
         kept = np.sort(kept)
-        dropped = 0.0
-        while len(kept) > 1 and dropped + kept[0] <= 1e-6:
-            log_norm = _log_norm(kept)
-            conditioned = (
-                log_norm > _LOG_TINY
-                and (len(kept) - 53) * math.log(2.0) - log_norm <= math.log(1e-6)
+        if dropped + kept[0] > 1e-6:
+            raise ValueError(
+                f"decay too fast for a window of {n}: its sum-CDF table stays inaccurate "
+                "after shedding at most 1e-6 of the weight mass"
             )
-            if conditioned:
-                break
-            dropped += kept[0]
-            kept = kept[1:]
+        dropped += kept[0]
+        kept = kept[1:]
+
+
+def _enumerate(w: WeightVector, kept: np.ndarray) -> WeightedUniformSumDist:
+    """The distribution of the kept weights' sum, its subset sums enumerated."""
     degree = len(kept)
     count = 1 << degree
     # Subset sums are accumulated in double-double precision, so each knot
@@ -257,7 +305,7 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
         subset_lows=lo[order],
         subset_signs=signs,
         norm_const=math.factorial(degree) * math.prod(kept.tolist()),
-        n=n,
+        n=len(w),
         degree=degree,
         support_end=float(kept.sum()),
     )
@@ -343,18 +391,6 @@ def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _draw_scores(sample, X, y, dist: WeightedUniformSumDist) -> np.ndarray:
-    """(draws x windows) single-draw scores of every sliding window of the rows."""
-    length = dist.n
-    per_draw = np.empty((sample.n_draws, len(y) - length + 1))
-    for block, alpha, means, sds in sample.moment_blocks(X):
-        u = np.clip(_cdf_from_moments(alpha, means, sds, y), PIT_EPS, 1.0 - PIT_EPS)
-        qs = np.lib.stride_tricks.sliding_window_view(u, length, axis=-1) @ dist.weights.weights
-        f = sum_cdf(dist, qs)
-        per_draw[block] = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
-    return per_draw
-
-
 @dataclass(frozen=True)
 class AnomalyScoreSeries:
     """Scores over sliding windows, stamped at each window's newest element."""
@@ -397,19 +433,43 @@ def score_series(
     decay: float | None = None,
     threshold: float = 0.975,
 ) -> AnomalyScoreSeries:
-    """Posterior-mean anomaly score on every sliding window of length k + 1.
+    """Posterior-predictive anomaly score on every sliding window of length k + 1.
 
-    The first k timestamps carry no score.  Alongside the posterior mean,
-    the 5% and 95% quantiles of the per-draw scores are recorded for band
-    plots.
+    The first k timestamps carry no score.  A window's score folds the
+    sum-CDF at ``Q = sum_i w_i u_i``, where ``u_i`` is the posterior-
+    predictive PIT of row i, the mean over draws of each draw's PIT.  That
+    ``Q`` is also the mean over draws of each draw's window statistic
+    ``q``.  The band is the 5% and 95% quantiles of the per-draw scores;
+    it need not bracket the score.
+
+    A draw's score is a monotone function of ``|q - c|``, ``c`` the centre
+    of the sum law's symmetric support, so the band's order statistics are
+    those of ``|q - c|``, sorted in place.  Only the rows the quantiles read
+    go through ``sum_cdf``, in one call with the score's ``Q``.
     """
     length = k + 1
     if len(data) < length:
         raise ValueError(f"dataset has {len(data)} rows, need at least {length}")
     dist = _window_dist(length, decay if decay is not None else default_decay(k))
-    per_draw = _draw_scores(sample, data.covariates, data.responses, dist)
-    mean = per_draw.mean(axis=0)  # before the band, whose quantiles sort the draws in place
-    low, high = _quantiles(per_draw, [0.05, 0.95])
+    weights, centre = dist.weights.weights, dist.support_end / 2.0
+    spread = np.empty((sample.n_draws, len(data) - k))
+    first_pit, offsets = None, np.zeros(len(data))
+    for block, alpha, means, sds in sample.moment_blocks(data.covariates):
+        u = np.clip(_cdf_from_moments(alpha, means, sds, data.responses), PIT_EPS, 1.0 - PIT_EPS)
+        q = np.lib.stride_tricks.sliding_window_view(u, length, axis=-1) @ weights
+        np.abs(np.subtract(q, centre, out=q), out=spread[block])
+        # The mean PIT as the first draw's plus the mean offset from it: exact where the draws agree.
+        first_pit = u[0].copy() if first_pit is None else first_pit
+        offsets += np.subtract(u, first_pit, out=u).sum(axis=0)
+    pit = first_pit + offsets / sample.n_draws
+    spread.sort(axis=0)
+    lo, hi, t = _quantile_rows(sample.n_draws, [0.05, 0.95])
+    queries = np.concatenate(
+        [(np.lib.stride_tricks.sliding_window_view(pit, length) @ weights)[None], centre - spread[lo], centre - spread[hi]]
+    )
+    f = sum_cdf(dist, queries)
+    scores = 1.0 - 2.0 * np.minimum(f, 1.0 - f)
+    low, high = _lerp(scores[1:3], scores[3:], t[:, None])
     return AnomalyScoreSeries(
-        timestamps=data.timestamps[k:], as_values=mean, threshold=threshold, theta_low=low, theta_high=high
+        timestamps=data.timestamps[k:], as_values=scores[0], threshold=threshold, theta_low=low, theta_high=high
     )

@@ -14,7 +14,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
-from .anomaly import MAX_WINDOW, exp_weights
+from .anomaly import MAX_WINDOW, _window_dist
 from .detection import AlarmPolicy, PoolingPolicy
 from .model import PriorSpec
 from .posterior import SamplerSettings
@@ -161,8 +161,10 @@ class PipelineConfig:
             raise _BadValue(keys, f"column {repeated[0]!r} is named more than once")
         # Every other key is checked by the object of the stage that consumes it.
         if self.decay >= 0:
+            # The window's sum law is built here, once per process, so that a
+            # decay its table cannot serve is refused before the fit runs.
             with _naming("window_k", "decay"):
-                exp_weights(self.window_k + 1, self.decay)
+                _window_dist(self.window_k + 1, self.decay)
         singles = [(key,) for key in _CONSUMERS if not any(key in group for group in _JOINT_KEYS)]
         for keys in [*singles, *_JOINT_KEYS]:
             consumer = _CONSUMERS[keys[0]][0]

@@ -506,14 +506,23 @@ def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
     a caller passes an array it no longer needs.
 
     NumPy's default "linear" method (Hyndman & Fan's type 7) with its exact
-    arithmetic: the virtual index ``(n - 1) * p``, both neighbours on the
-    last row at or past it, and ``_lerp``'s two-sided interpolation.  A
-    column holding a NaN gives NaN.  Where tied zeros of both signs meet,
-    the sign of a zero result may differ from NumPy's, whose partition
-    leaves their order unspecified.
+    arithmetic: ``_quantile_rows`` and ``_lerp``.  A column holding a NaN
+    gives NaN.  Where tied zeros of both signs meet, the sign of a zero
+    result may differ from NumPy's, whose partition leaves their order
+    unspecified.
     """
     draws.sort(axis=0)
-    n = len(draws)
+    lo, hi, t = _quantile_rows(len(draws), probs)
+    out = _lerp(draws[lo], draws[hi], t.reshape(t.shape + (1,) * (draws.ndim - 1)))
+    np.copyto(out, draws[-1], where=np.isnan(draws[-1]))
+    return out
+
+
+def _quantile_rows(n: int, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, t)``: the type-7 quantiles of ``n`` sorted rows at ``probs``
+    lie ``t`` of the way from row ``lo`` to row ``hi``.  As in NumPy, the
+    virtual index is ``(n - 1) * p`` and a quantile at or past the last row
+    takes the last row as both neighbours, with ``t`` 1."""
     virtual = (n - 1) * np.asarray(probs, dtype=float)
     below = np.floor(virtual)
     last = virtual >= n - 1
@@ -521,12 +530,15 @@ def _quantiles(draws: np.ndarray, probs) -> np.ndarray:
     lo = below.astype(np.intp)
     hi = lo + 1
     hi[last] = -1
-    t = (virtual - below).reshape(virtual.shape + (1,) * (draws.ndim - 1))
-    a, b = draws[lo], draws[hi]
+    return lo, hi, virtual - below
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """NumPy's two-sided interpolation ``a + (b - a) * t``, taken from ``b``
+    where ``t >= 0.5``, so that ``t = 1`` gives ``b`` exactly."""
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
-    np.copyto(out, draws[-1], where=np.isnan(draws[-1]))
     return out
 
 

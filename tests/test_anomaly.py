@@ -75,6 +75,11 @@ def exact_sum_cdf(weights, qs):
     return np.array(out)
 
 
+def kept_weights(dist):
+    """The weights ``build_sum_dist`` kept: it sheds the smallest."""
+    return np.sort(dist.weights.weights)[dist.n - dist.degree :]
+
+
 def irwin_hall_cdf(x, n):
     """Closed-form CDF of the sum of n independent U(0, 1)."""
     total = 0.0
@@ -101,6 +106,10 @@ def window_score(sample, xs, ys, decay=None):
 
 def folded(f):
     return 1.0 - 2.0 * min(f, 1.0 - f)
+
+
+def folded_all(f):
+    return 1.0 - 2.0 * np.minimum(f, 1.0 - f)
 
 
 class TestExpWeights:
@@ -307,6 +316,55 @@ class TestExactSumCdf:
         assert dist.degree == n
         qs = dist.support_end * rng.random(6)
         np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(dist.weights.weights, qs), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, decay", [(7, 8.0), (11, 3.0), (10, 3.0)])
+    def test_fast_decays_are_exact_on_their_kept_weights(self, n, decay):
+        # Unshed, these windows' tables are off by up to 0.9974, 0.61 and 0.0086:
+        # the walk's double-double precision is too short for their cancellation.
+        w = exp_weights(n, decay)
+        dist = build_sum_dist(w)
+        assert dist.degree < n and w.weights.sum() - kept_weights(dist).sum() <= 1e-6
+        rng = np.random.default_rng(n)
+        qs = dist.support_end * np.concatenate([rng.random(20), 10.0 ** rng.uniform(-6, -1, 5)])
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(kept_weights(dist), qs), rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.01, 60.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=7, decay=8.0, seed=0)
+    @example(n=12, decay=1.4, seed=0)  # conditioned only once one weight is shed
+    @example(n=12, decay=default_decay(11), seed=0)
+    def test_any_window_is_exact_and_symmetric(self, n, decay, seed):
+        # The band reads the per-draw scores off |q - support_end / 2|, so it
+        # needs F(q) + F(support_end - q) = 1 as much as it needs F itself.
+        try:
+            dist = build_sum_dist(exp_weights(n, decay))
+        except ValueError as refused:
+            assert "decay too fast" in str(refused)
+            assume(False)
+        rng = np.random.default_rng(seed)
+        qs = dist.support_end * np.concatenate([rng.random(6), 10.0 ** rng.uniform(-6, -1, 2)])
+        f = sum_cdf(dist, qs)
+        np.testing.assert_allclose(f, exact_sum_cdf(kept_weights(dist), qs), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(f + sum_cdf(dist, dist.support_end - qs), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_window_that_shedding_cannot_condition_is_refused(self):
+        # At 12 weights and decay 1.17 the smallest weight holds 1.8e-6 of the
+        # mass, more than may be shed, and the walk misses the symmetry by
+        # more than 4e-15 already at the middle pair of knots.
+        with pytest.raises(ValueError, match="decay too fast for a window of 12"):
+            build_sum_dist(exp_weights(12, 1.17))
+
+    def test_mirrored_table_is_symmetric_and_exact(self):
+        # At decay 1.2 the full walk misses the symmetry by 2.6e-14 in its
+        # upper half but keeps it at the middle pair, so the upper half is
+        # rewritten from the lower one.
+        w = exp_weights(12, 1.2)
+        dist = build_sum_dist(w)
+        assert dist.degree == 12
+        at_knots = dist.taylor_table[0]
+        np.testing.assert_allclose(at_knots + at_knots[::-1], 1.0, rtol=0.0, atol=2.3e-16)
+        qs = dist.support_end * np.random.default_rng(12).random(12)
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("k", [5, 10, 11])
     def test_last_bit_moves_stay_last_bit(self, k):
@@ -613,6 +671,49 @@ class TestScoreSeries:
         assert plain.theta_low is None and plain.theta_high is None
         banded = AnomalyScoreSeries(ts, [0.5, 0.5], 0.975, [0, 0], [1, 1])
         assert banded.theta_low.dtype == banded.theta_high.dtype == np.float64
+
+
+class TestPredictiveCalibration:
+    """Rows drawn from the predictive mixture of a fixed sample, a draw picked
+    per row, have posterior-predictive PIT values exactly U(0, 1), so the
+    score of non-overlapping windows is uniform.  Over seeds 0-199 the KS
+    test's p-value fell below 0.001 on none and below 0.01 on 2, so the
+    false-failure rate at 0.001 is 0 of 200; the mean of the per-draw scores
+    failed it on every seed, with p below 1e-138."""
+
+    K = 5
+    WINDOWS = 1000
+
+    def sample_and_rows(self, seed):
+        draws = [
+            ModelParams((ExpertParams(b0, [b1], sd),), MixingGateParams(np.zeros((1, 2))), BehaviorGateParams(np.zeros(2)))
+            for b0, b1, sd in [(-1.2, 0.5, 0.6), (-0.5, 1.0, 1.0), (0.0, 0.8, 1.4), (0.4, 1.2, 0.8), (1.0, 0.9, 1.1)]
+        ]
+        rng = np.random.default_rng(seed)
+        n = self.WINDOWS * (self.K + 1) + self.K
+        x = rng.uniform(-2.0, 2.0, size=(n, 1))
+        pick = rng.integers(len(draws), size=n)
+        y = np.empty(n)
+        for d, model in enumerate(draws):
+            y[pick == d] = sample_conditional(model, x[pick == d], rng)[0]
+        return draws, make_dataset(x, y)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_score_is_uniform_on_non_overlapping_windows(self, seed):
+        draws, data = self.sample_and_rows(seed)
+        scores = score_series(data, stack_of(draws), self.K).as_values[:: self.K + 1]
+        assert len(scores) == self.WINDOWS
+        assert kstest(scores, "uniform").pvalue > 0.001
+
+    def test_mean_of_per_draw_scores_is_not_uniform(self):
+        draws, data = self.sample_and_rows(0)
+        w = exp_weights(self.K + 1, default_decay(self.K))
+        dist = build_sum_dist(w)
+        per_draw = []
+        for model in draws:
+            u = pit_rows(model, data.covariates, data.responses)
+            per_draw.append(folded_all(sum_cdf(dist, np.lib.stride_tricks.sliding_window_view(u, self.K + 1) @ w.weights)))
+        assert kstest(np.mean(per_draw, axis=0)[:: self.K + 1], "uniform").pvalue < 1e-100
 
 
 class TestScoreProperties:

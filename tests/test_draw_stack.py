@@ -259,13 +259,17 @@ class TestBatchedMatchesDrawLoop:
         series = score_series(data, sample, k)
         w = exp_weights(k + 1, default_decay(k))
         dist = build_sum_dist(w)
-        per_draw = []
+        pits, per_draw = [], []
         for d in draws_of(sample):
             u = pit_rows(d, data.covariates, data.responses)
             f = sum_cdf(dist, np.lib.stride_tricks.sliding_window_view(u, k + 1) @ w.weights)
+            pits.append(u)
             per_draw.append(1.0 - 2.0 * np.minimum(f, 1.0 - f))
-        np.testing.assert_allclose(series.as_values, np.mean(per_draw, axis=0), **TOL)
+        # The score is the predictive PIT's: the draws' PIT rows averaged, then windowed and folded.
+        f = sum_cdf(dist, np.lib.stride_tricks.sliding_window_view(np.mean(pits, axis=0), k + 1) @ w.weights)
+        np.testing.assert_allclose(series.as_values, 1.0 - 2.0 * np.minimum(f, 1.0 - f), **TOL)
         np.testing.assert_allclose(series.theta_low, np.quantile(per_draw, 0.05, axis=0), **TOL)
+        np.testing.assert_allclose(series.theta_high, np.quantile(per_draw, 0.95, axis=0), **TOL)
 
     @settings(max_examples=6, deadline=None)
     @given(stacks())
@@ -291,6 +295,44 @@ class TestBatchedMatchesDrawLoop:
         np.testing.assert_allclose(
             rendered.predictive_sd, np.sqrt(np.maximum(second / len(draws) - mean**2, 0.0)), **TOL
         )
+
+
+class TestPredictiveScore:
+    """The predictive-PIT score where the draws' PIT rows need no averaging."""
+
+    def per_draw_scores(self, sample, data, k):
+        w = exp_weights(k + 1, default_decay(k))
+        dist = build_sum_dist(w)
+        scores = []
+        for d in draws_of(sample):
+            u = pit_rows(d, data.covariates, data.responses)
+            f = sum_cdf(dist, np.lib.stride_tricks.sliding_window_view(u, k + 1) @ w.weights)
+            scores.append(1.0 - 2.0 * np.minimum(f, 1.0 - f))
+        return np.array(scores)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_draw_band_is_its_score(self, seed):
+        # The draw's PIT is the predictive PIT, so the score is the draw's bit
+        # for bit.  The band folds the CDF at the mirror point c - |q - c|, c
+        # the centre of the support, which the law's symmetry makes equal to
+        # within the table's last bits.
+        rng = np.random.default_rng(seed)
+        sample, data, k = random_stack(rng, 1, 1 + seed % 3, 2), random_rows(rng, 40, 2), 2 * seed
+        series = score_series(data, sample, k)
+        (own,) = self.per_draw_scores(sample, data, k)
+        np.testing.assert_array_equal(series.as_values, own)
+        for band in (series.theta_low, series.theta_high):
+            np.testing.assert_allclose(band, own, rtol=0.0, atol=2e-15)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_draws_score_as_the_mean_of_their_scores(self, seed):
+        rng = np.random.default_rng(seed)
+        one, data, k = random_stack(rng, 1, 1 + seed % 3, 2), random_rows(rng, 40, 2), 2 * seed
+        same = PosteriorSample(*(np.repeat(a, 8, axis=0) for a in (one.experts, one.mixing, one.behavior)), 0.25, 1, 0)
+        series = score_series(data, same, k)
+        np.testing.assert_array_equal(series.as_values, score_series(data, one, k).as_values)
+        mean_of_scores = self.per_draw_scores(same, data, k).mean(axis=0)
+        np.testing.assert_allclose(series.as_values, mean_of_scores, rtol=0.0, atol=1e-15)
 
 
 def traced_peak(run) -> int:

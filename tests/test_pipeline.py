@@ -496,6 +496,18 @@ class TestConfig:
         names = ", ".join(repr(k) for k in named)
         assert str(refused.value).startswith(f"line{plural} {where}: bad value{plural} for {names}: ")
 
+    def test_decay_the_sum_table_cannot_serve_is_refused_at_load(self):
+        # Decay 8 at window_k 6 is served once the smallest weights are shed;
+        # at window_k 11, decay 1.17 the table misses its symmetry and nothing
+        # may be shed, so the refusal names both keys' lines.
+        assert parse_config(default_config_text(window_k=6, decay=8.0)).decay == 8.0
+        text = default_config_text(window_k=11, decay=1.17)
+        keys = [line.split("=")[0].strip() for line in text.splitlines()]
+        where = f"lines {keys.index('window_k') + 1}, {keys.index('decay') + 1}"
+        with pytest.raises(ValueError) as refused:
+            parse_config(text)
+        assert str(refused.value).startswith(f"{where}: bad values for 'window_k', 'decay': decay too fast")
+
     @pytest.mark.parametrize(
         "overrides, named, column",
         [

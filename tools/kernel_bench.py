@@ -1,4 +1,5 @@
-"""Time the two kernels that replaced scipy calls, against scipy's where it is installed.
+"""Time the two kernels that replaced scipy calls, against scipy's where it is installed, and
+``anomaly.score_series`` at monitor's shape.
 
     python tools/kernel_bench.py [--rounds 15] [--number 200]
 
@@ -9,6 +10,11 @@
   residual and costs less near 0; the package's does not.
 * ``gate``: ``model._logistic_gate`` at the sampler's shape, 4 chains x 200
   rows with 2 covariates, and at monitor's draw block, 40 draws x 202 rows.
+* ``score``: ``anomaly.score_series`` on one monitor batch, 100 draws x 2
+  experts, 202 rows with 2 covariates and ``k = 10``, so 192 windows.  It
+  has no scipy side; its line also gives the ``sum_cdf`` calls and queries
+  one call makes, against the 100 x 192 = 19 200 queries of one per draw
+  and window.
 
 Each figure is the median over ``--rounds`` rounds of the mean time of
 ``--number`` calls, in microseconds; rounds alternate between the package
@@ -35,7 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from anomix import __version__, model  # noqa: E402
+from anomix import __version__, anomaly, model  # noqa: E402
+from anomix.posterior import PosteriorSample  # noqa: E402
 
 try:
     from scipy import __version__ as scipy_version
@@ -71,6 +78,32 @@ def scipy_gate(behavior_coeffs, phi):
     return expit(logits, out=logits)
 
 
+def score_case(rng):
+    """A 100-draw, two-expert sample whose draws scatter about one point, and a 202-row batch
+    with rows 140-152 shifted 8 predictive sds, as in monitor."""
+    experts = np.concatenate(
+        [rng.normal(size=(1, 2, 3)) + rng.normal(scale=0.05, size=(100, 2, 3)), np.full((100, 2, 1), -1.0)], axis=-1
+    )
+    mixing = np.concatenate([rng.normal(size=(100, 1, 3)), np.zeros((100, 1, 3))], axis=1)
+    sample = PosteriorSample(experts, mixing, rng.normal(size=(100, 3)), 0.25, 1, 0)
+    x = rng.normal(size=(202, 2))
+    y = rng.normal(scale=0.5, size=202)
+    y[140:153] += 8.0
+    ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(202) * np.timedelta64(3600, "s")
+    return model.Dataset(x, y, ts), sample
+
+
+def sum_cdf_queries(data, sample) -> tuple[int, int]:
+    """``(calls, queries)`` that ``sum_cdf`` answers in one ``score_series`` call."""
+    calls, original = [], anomaly.sum_cdf
+    anomaly.sum_cdf = lambda dist, q: calls.append(np.size(q)) or original(dist, q)
+    try:
+        anomaly.score_series(data, sample, 10)
+    finally:
+        anomaly.sum_cdf = original
+    return len(calls), sum(calls)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=15)
@@ -84,10 +117,13 @@ def main() -> None:
     for name, shape in (("gate_4x200", (4, 200)), ("gate_40x202", (40, 202))):
         gate = gate_case(rng, *shape)
         cases[name] = (lambda gate=gate: model._logistic_gate(*gate), lambda gate=gate: scipy_gate(*gate))
+    data, sample = score_case(rng)
+    cases["score_100x202_k10"] = (lambda: anomaly.score_series(data, sample, 10), None)
+    anomaly.score_series(data, sample, 10)  # builds the k = 10 table outside the timing
     times = {name: {"anomix": [], "scipy": []} for name in cases}
     for _ in range(args.rounds):
         for name, (ours, theirs) in cases.items():
-            sides = [("anomix", ours)] + ([("scipy", theirs)] if scipy_version else [])
+            sides = [("anomix", ours)] + ([("scipy", theirs)] if scipy_version and theirs else [])
             for side, call in sides:
                 times[name][side].append(timeit.timeit(call, number=args.number) / args.number * 1e6)
     result = {}
@@ -97,6 +133,9 @@ def main() -> None:
             medians["ratio"] = medians["anomix"] / medians["scipy"]
         result[name] = {key: round(value, 3) for key, value in medians.items()}
         print(name, "  ".join(f"{key} {value:.3f}" for key, value in result[name].items()))
+    calls, queries = sum_cdf_queries(data, sample)
+    result["score_100x202_k10"].update(sum_cdf_calls=calls, sum_cdf_queries=queries)
+    print(f"score_100x202_k10 sum_cdf: {calls} call(s), {queries} queries (19200 at one per draw and window)")
     versions = {
         "anomix": __version__, "numpy": np.__version__, "scipy": scipy_version, "python": platform.python_version()
     }
