@@ -18,10 +18,12 @@ scores, read from one sort of the draw axis.
 
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
 per-knot Taylor table, built once per weight vector, within about 2e-16
-of the exact CDF.  A query finds its knot in an exact bucket index over
-the knots, also built once, instead of by a binary search.  Windows hold
-at most ``MAX_WINDOW`` weights, because the table's build doubles in cost
-with every added weight.
+of the exact CDF.  The law on ``[0, S]`` is symmetric, ``F(q) + F(S - q) =
+1``, so the table covers the knots below ``S / 2`` and a query above is
+answered as ``1 - F(S - q)``.  A query finds its knot in an exact bucket
+index over those knots, also built once.  Windows hold at most
+``MAX_WINDOW`` weights, because the table's build doubles in cost with
+every added weight.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ __all__ = [
 # continuous on a compact support and must never see an exact endpoint.
 PIT_EPS = 1e-15
 
-# Longest window: the per-knot Taylor table's knot-to-knot build costs
-# O(2**n * n**2) double-double operations, 0.31-0.36 s at 12 weights on
-# two cores (0.06-0.09 s at 10, 0.14-0.19 s at 11).
+# Longest window: the Taylor table's knot-to-knot build over the knots
+# below the centre costs O(2**n * n**2) double-double operations, 0.13-0.18 s
+# at 12 weights on two cores (0.03-0.05 s at 10, 0.06-0.09 s at 11).
 MAX_WINDOW = 12
 
 # Knot-index buckets per knot, on average.  At 4 no bucket holds more than
@@ -65,8 +67,9 @@ _BUCKETS_PER_KNOT = 4
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
-# Largest error allowed in F(s) + F(support_end - s) = 1 at the table's knots.
-_SYMMETRY_TOL = 4e-15
+# Largest error allowed in F(support_end / 2) = 1/2 past the walk's 106-bit bound.  Elsewhere
+# a table can be off 3.7 times as far: 1.4e-14 where its centre read 3.7e-15, of 3534 scanned.
+_SYMMETRY_TOL = 2e-15
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ class WeightedUniformSumDist:
 
     ``subset_sums`` holds all partial sums of the weights in ascending
     order with matching cardinality-parity signs, and ``subset_lows`` their
-    rounding errors; they are the knots of ``taylor_table``.  ``n`` is the
-    window length; ``degree`` is the number of weights actually kept.
-    ``build_sum_dist`` drops the smallest weights only where the table would
-    otherwise be inaccurate, and the dropped mass never exceeds 1e-6, which
-    bounds the resulting CDF shift.
+    rounding errors; those below ``support_end / 2`` are the knots of
+    ``taylor_table``.  ``n`` is the window length; ``degree`` is the number
+    of weights actually kept.  ``build_sum_dist`` drops the smallest weights
+    only where the table would otherwise be inaccurate, and the dropped mass
+    never exceeds 1e-6, which bounds the resulting CDF shift.
     """
 
     weights: WeightVector
@@ -147,15 +150,17 @@ class WeightedUniformSumDist:
 
     @functools.cached_property
     def taylor_table(self) -> np.ndarray:
-        """(degree + 1, knots) Taylor coefficients F^(m)(s_i) / m! at every knot.
+        """(degree + 1, knots) Taylor coefficients F^(m)(s_i) / m! at the knots
+        below ``support_end / 2``: a query at or below that lies past no other.
 
         N F(s_i + t) is the polynomial sum_{j <= i} sign_j (t + s_i - s_j)^n.
         Its derivatives at knot i + 1 are those at knot i shifted across the
         gap d (derivative m gathers derivative m + k times d^k / k!), plus
         n! sign_{i+1} in the n-th: a double-double walk in O(2^n n^2).
         """
-        n, count, fact = self.degree, len(self.subset_sums), float(math.factorial(self.degree))
-        s, lo = self.subset_sums, self.subset_lows
+        n, fact = self.degree, float(math.factorial(self.degree))
+        count = int(np.searchsorted(self.subset_sums, self.support_end / 2))
+        s, lo = self.subset_sums[:count], self.subset_lows[:count]
         gap = _two_sum(s[1:], -s[:-1])
         gap = _two_sum(gap[0], gap[1] + (lo[1:] - lo[:-1]))
         # Row i holds gap_i^k / k! for k = 0..n.
@@ -181,47 +186,19 @@ class WeightedUniformSumDist:
             hi[i], lo[i] = padded_hi[: n + 1], padded_lo[: n + 1]
         return np.ascontiguousarray(((hi + lo) / (np.cumprod([1.0, *range(1, n + 1)]) * self.norm_const)).T)
 
-    def _symmetric(self) -> bool:
-        """Whether the table's value at every knot and at its mirror, the
-        complement subset's sum, add to 1 within ``_SYMMETRY_TOL``.  The walk
-        runs upward from 0, so this compares its least accurate knots with
-        its most accurate ones."""
-        at_knots = self.taylor_table[0]
-        return bool(np.all(np.abs(at_knots + at_knots[::-1] - 1.0) <= _SYMMETRY_TOL))
-
-    def _mirror_lower_half(self) -> bool:
-        """Where the walk keeps the symmetry up to the middle pair of knots,
-        rewrite the table's upper half from its lower half, and say so.
-
-        Knot j mirrors knot m = count - 1 - j, and ``F(s_j + t) = 1 - F(s_m -
-        t)``: the piece right of knot j is the piece left of knot m, run
-        backwards, so its constant is 1 minus knot m's and its coefficient
-        of ``t**k`` is ``-(-1)**k`` times knot m's; for k = n that is knot
-        m - 1's, which the sign of knot m has not yet moved.
-        """
-        table = self.taylor_table
-        half = table.shape[1] // 2
-        if abs(table[0, half - 1] + table[0, half] - 1.0) > _SYMMETRY_TOL:
-            return False
-        lower = table[:, half - 1 :: -1]
-        signs = -((-1.0) ** np.arange(self.degree + 1))[:, None]
-        top = np.append(table[-1, half - 2 :: -1], 0.0) if half > 1 else np.zeros(1)
-        table[:, half:] = signs * np.vstack([lower[:-1], top])
-        table[0, half:] = 1.0 - lower[0]
-        return True
-
     @functools.cached_property
     def _knot_index(self) -> tuple[float, np.ndarray, int, np.ndarray]:
-        """``(scale, first, span, knots)``: x lies in bucket ``int(x * scale)``,
-        ``first[b]`` counts the knots in buckets below b, ``span`` is the most
-        knots one bucket holds, and ``knots`` pads ``subset_sums`` with
-        ``span`` copies of +inf."""
+        """``(scale, first, span, knots)`` over the knots ``taylor_table``
+        keeps: x lies in bucket ``int(x * scale)``, ``first[b]`` counts the
+        knots in buckets below b, ``span`` is the most knots one bucket
+        holds, and ``knots`` pads the kept knots with ``span`` copies of +inf."""
+        kept = self.subset_sums[: self.taylor_table.shape[1]]
         scale = _BUCKETS_PER_KNOT * 2**self.degree / self.support_end
-        buckets = (self.subset_sums * scale).astype(np.intp)
-        # Queries inside the support lie in buckets 0 .. int(support_end * scale).
-        first = np.searchsorted(buckets, np.arange(int(self.support_end * scale) + 1))
+        buckets = (kept * scale).astype(np.intp)
+        # Queries in (0, support_end / 2] lie in buckets 0 .. int(support_end / 2 * scale).
+        first = np.searchsorted(buckets, np.arange(int(self.support_end / 2 * scale) + 1))
         span = int(np.bincount(buckets).max())
-        return scale, first, span, np.append(self.subset_sums, np.full(span, math.inf))
+        return scale, first, span, np.append(kept, np.full(span, math.inf))
 
 
 def _log_norm(weights: np.ndarray) -> float:
@@ -255,12 +232,12 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
 
     The Taylor table's walk carries about 106 bits, so it cannot lose 1e-16
     while ``2**(degree - 106) / norm_const`` stays below that, as it does for
-    every window at its default decay.  Past that bound the table is built
-    here, and kept if its knots keep the law's symmetry, ``F(s) + F(S - s) =
-    1``, within ``_SYMMETRY_TOL``, or if they keep it up to the middle pair
-    and its upper half is mirrored from its lower half.  Otherwise, or when
-    the normalizing constant underflows, the smallest weights are shed, at
-    most 1e-6 of the mass, and a window that still fails is refused.
+    every window at its default decay, and the table is built on first use.
+    Past that bound the table is built here and kept if it ends the walk at
+    the law's centre with ``F(S / 2) = 1/2`` within ``_SYMMETRY_TOL``.
+    Otherwise, or when the normalizing constant underflows, the smallest
+    weights are shed, at most 1e-6 of the mass, and a window that still
+    fails is refused.
     """
     n = len(w)
     if n > MAX_WINDOW:
@@ -271,7 +248,7 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
         if log_norm > _LOG_TINY:
             dist = _enumerate(w, kept)
             conditioned = (len(kept) - 106) * math.log(2.0) - log_norm <= math.log(1e-16)
-            if conditioned or dist._symmetric() or dist._mirror_lower_half():
+            if conditioned or abs(sum_cdf(dist, dist.support_end / 2) - 0.5) <= _SYMMETRY_TOL:
                 return dist
         kept = np.sort(kept)
         if dropped + kept[0] > 1e-6:
@@ -285,12 +262,10 @@ def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
 
 def _enumerate(w: WeightVector, kept: np.ndarray) -> WeightedUniformSumDist:
     """The distribution of the kept weights' sum, its subset sums enumerated."""
-    degree = len(kept)
-    count = 1 << degree
+    degree, count = len(kept), 1 << len(kept)
     # Subset sums are accumulated in double-double precision, so each knot
     # is its weights' sum as a rounded value plus its exact rounding error.
-    hi = np.zeros(count)
-    lo = np.zeros(count)
+    hi, lo = np.zeros(count), np.zeros(count)
     sizes = np.zeros(count, dtype=np.int64)
     for i, wi in enumerate(kept):
         bit = 1 << i
@@ -336,25 +311,25 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
 
     ``q`` is a scalar or an array of any shape; a 0-d query returns a
     ``float`` and any other an array of ``q``'s shape.  A NaN anywhere in
-    ``q`` has no probability and raises.  A query inside the support takes
-    Horner's rule on its knot's ``taylor_table`` column in its offset from
-    the knot, within about 2e-16 of the exact CDF.
+    ``q`` has no probability and raises.  A query above ``S / 2`` is
+    answered as ``1 - F(S - q)``, its reflection exact by Sterbenz's lemma.
+    Inside the support, Horner's rule on the knot's ``taylor_table`` column
+    in the offset from the knot is within about 2e-16 of the exact CDF.
     """
     q = np.asarray(q, dtype=float)
     if np.isnan(q).any():
         raise ValueError("sum_cdf query is NaN")
-    if q.size and 0.0 < q.min() and q.max() < dist.support_end:  # every query inside: no masks
-        out = _horner(dist, q.ravel()).reshape(q.shape)
-    else:
-        out = np.where(q >= dist.support_end, 1.0, 0.0)
-        inside = (q > 0.0) & (q < dist.support_end)
-        if inside.any():  # the table is built on first use: only queries inside the support need it
-            out[inside] = _horner(dist, q[inside])
+    upper = q > dist.support_end / 2
+    lower = np.where(upper, dist.support_end - q, q)  # at most 0 outside the support
+    f, inside = np.zeros(q.shape), lower > 0.0
+    if inside.any():  # the table is built on first use: only queries inside the support need it
+        f[inside] = _horner(dist, lower[inside])
+    out = np.where(upper, 1.0 - f, f)
     return float(out) if out.ndim == 0 else out
 
 
 def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
-    """The clipped CDF at queries in (0, support_end), a vector."""
+    """The clipped CDF at queries in (0, support_end / 2], a vector."""
     knots = _knots(dist, interior)
     t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
     table = dist.taylor_table
@@ -367,7 +342,7 @@ def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
 
 def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
     """``np.searchsorted(dist.subset_sums, interior, side="left") - 1`` for
-    queries in (0, support_end).
+    queries in (0, support_end / 2].
 
     The bucket map is non-decreasing, so every knot in a lower bucket than
     a query lies below it and every knot in a higher bucket above it: the
@@ -461,6 +436,7 @@ def score_series(
         # The mean PIT as the first draw's plus the mean offset from it: exact where the draws agree.
         first_pit = u[0].copy() if first_pit is None else first_pit
         offsets += np.subtract(u, first_pit, out=u).sum(axis=0)
+        del alpha, means, sds, u, q  # hold one block, not two, while the next one is computed
     pit = first_pit + offsets / sample.n_draws
     spread.sort(axis=0)
     lo, hi, t = _quantile_rows(sample.n_draws, [0.05, 0.95])

@@ -149,6 +149,9 @@ class PipelineConfig:
             raise _BadValue(("window_k",), f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
         if not self.validity_days or min(self.validity_days) < 1:
             raise _BadValue(("validity_days",), "validity_days must list at least one positive length")
+        repeated = [d for d in self.validity_days if self.validity_days.count(d) > 1]
+        if repeated:  # the detection report would print that length's row twice
+            raise _BadValue(("validity_days",), f"validity length {repeated[0]} is listed more than once")
         if bool(self.machine_column) != bool(self.machine_id):
             raise _BadValue(("machine_column", "machine_id"), "the two are set together or not at all")
         # One column under two roles, or twice in one, would be read as two columns.
@@ -162,7 +165,8 @@ class PipelineConfig:
         # Every other key is checked by the object of the stage that consumes it.
         if self.decay >= 0:
             # The window's sum law is built here, once per process, so that a
-            # decay its table cannot serve is refused before the fit runs.
+            # decay its table cannot serve is refused before the fit runs: only
+            # a decay past the walk's 106-bit bound builds the table now.
             with _naming("window_k", "decay"):
                 _window_dist(self.window_k + 1, self.decay)
         singles = [(key,) for key in _CONSUMERS if not any(key in group for group in _JOINT_KEYS)]

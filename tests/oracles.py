@@ -307,20 +307,26 @@ def searchsorted_knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np
 
 
 def sum_cdf_searchsorted(dist: WeightedUniformSumDist, q) -> np.ndarray:
-    """The sum-CDF at an array of queries: knots by binary search, then
-    Horner's rule on each knot's Taylor column, one new array per step."""
+    """The sum-CDF at an array of queries: each query above the centre
+    reflected to ``support_end - q``, knots by binary search, Horner's rule
+    on each knot's Taylor column, one new array per step, and the reflected
+    queries' answers taken from 1."""
     q = np.asarray(q, dtype=float)
-    out = np.where(q >= dist.support_end, 1.0, 0.0)
-    inside = (q > 0.0) & (q < dist.support_end)
+    end = dist.support_end
+    out = np.where(q >= end, 1.0, 0.0)
+    inside = (q > 0.0) & (q < end)
     interior = q[inside]
     if interior.size:
+        upper = interior > end / 2
+        interior = np.where(upper, end - interior, interior)
         knots = searchsorted_knots(dist, interior)
         t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
         table = dist.taylor_table
         vals = table[-1, knots]
         for row in table[-2::-1]:
             vals = vals * t + row[knots]
-        out[inside] = np.clip(vals, 0.0, 1.0)
+        vals = np.clip(vals, 0.0, 1.0)
+        out[inside] = np.where(upper, 1.0 - vals, vals)
     return out
 
 

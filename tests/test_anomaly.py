@@ -347,24 +347,48 @@ class TestExactSumCdf:
         np.testing.assert_allclose(f, exact_sum_cdf(kept_weights(dist), qs), rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(f + sum_cdf(dist, dist.support_end - qs), 1.0, rtol=0.0, atol=1e-14)
 
-    def test_window_that_shedding_cannot_condition_is_refused(self):
+    def test_window_that_shedding_cannot_condition_is_refused(self, monkeypatch):
         # At 12 weights and decay 1.17 the smallest weight holds 1.8e-6 of the
-        # mass, more than may be shed, and the walk misses the symmetry by
-        # more than 4e-15 already at the middle pair of knots.
+        # mass, more than may be shed.  No window is known that shedding cannot
+        # condition, so a negative tolerance makes the centre check fail.
+        monkeypatch.setattr(anomaly, "_SYMMETRY_TOL", -1.0)
         with pytest.raises(ValueError, match="decay too fast for a window of 12"):
             build_sum_dist(exp_weights(12, 1.17))
 
     def test_mirrored_table_is_symmetric_and_exact(self):
-        # At decay 1.2 the full walk misses the symmetry by 2.6e-14 in its
-        # upper half but keeps it at the middle pair, so the upper half is
-        # rewritten from the lower one.
+        # At decay 1.2 a full walk misses the symmetry by 2.6e-14 in its
+        # upper half; the half walk answers the upper half from the lower one,
+        # so each knot and its complement subset's sum add to 1 within an ulp.
         w = exp_weights(12, 1.2)
         dist = build_sum_dist(w)
         assert dist.degree == 12
-        at_knots = dist.taylor_table[0]
-        np.testing.assert_allclose(at_knots + at_knots[::-1], 1.0, rtol=0.0, atol=2.3e-16)
+        knots = dist.subset_sums
+        np.testing.assert_allclose(sum_cdf(dist, knots) + sum_cdf(dist, knots[::-1]), 1.0, rtol=0.0, atol=2.3e-16)
         qs = dist.support_end * np.random.default_rng(12).random(12)
         np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("decay", [1.17, 1.209, 1.215])
+    def test_windows_a_full_walk_could_not_serve_keep_every_weight(self, decay):
+        # A full walk missed the symmetry at the middle pair of knots on these
+        # windows, and none of their weights could be shed.
+        w = exp_weights(12, decay)
+        dist = build_sum_dist(w)
+        assert dist.degree == 12
+        rng = np.random.default_rng(12)
+        qs = dist.support_end * np.concatenate([rng.random(10), 10.0 ** rng.uniform(-6, -1, 2), [0.5]])
+        f = sum_cdf(dist, qs)
+        np.testing.assert_allclose(f, exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(f + sum_cdf(dist, dist.support_end - qs), 1.0, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], np.full(4, 0.25), np.full(12, 1.0 / 12)], ids=["2", "4", "12"])
+    def test_tied_middle_knots_at_the_centre(self, weights):
+        # Equal weights put several knots on the centre, where the lookup
+        # turns from the kept half to the reflected one.
+        dist = build_sum_dist(WeightVector(weights))
+        centre = dist.support_end / 2
+        assert np.count_nonzero(dist.subset_sums == centre) >= 2
+        qs = np.array([np.nextafter(centre, 0.0), centre, np.nextafter(centre, 1.0)])
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(dist.weights.weights, qs), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k", [5, 10, 11])
     def test_last_bit_moves_stay_last_bit(self, k):
@@ -398,21 +422,23 @@ class TestKnotLookup:
                 s,
                 np.nextafter(s, -math.inf),
                 np.nextafter(s, math.inf),
-                [0.0, end, (s[-1] + end) / 2, np.nextafter(end, 0.0), np.nextafter(end, 2.0), 2.0 * end],
+                [0.0, end / 2, end, (s[-1] + end) / 2, np.nextafter(end, 0.0), np.nextafter(end, 2.0), 2.0 * end],
             ]
         )
         interior = qs[(qs > 0.0) & (qs < end)]
-        np.testing.assert_array_equal(anomaly._knots(dist, interior), searchsorted_knots(dist, interior))
+        lower = np.where(interior > end / 2, end - interior, interior)  # the half the index serves
+        np.testing.assert_array_equal(anomaly._knots(dist, lower), searchsorted_knots(dist, lower))
         got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        # Queries all inside the support skip the masks, with the same bits.
+        # Queries all inside the support give the bits they give among others.
         inside = sum_cdf(dist, interior.reshape(1, -1))
         np.testing.assert_array_equal(inside.ravel().view(np.int64), got[(qs > 0.0) & (qs < end)].view(np.int64))
 
     def test_pair_with_equal_weights(self):
         # Two equal weights give a repeated knot; the lookup takes the first.
+        # Queries above the centre 0.5 look up their reflections.
         dist = build_sum_dist(WeightVector([0.5, 0.5]))
-        qs = np.array([0.25, 0.5, np.nextafter(0.5, 1.0), 0.75])
+        qs = np.array([0.25, 0.5, 1.0 - np.nextafter(0.5, 1.0), 1.0 - 0.75])
         np.testing.assert_array_equal(anomaly._knots(dist, qs), searchsorted_knots(dist, qs))
 
 

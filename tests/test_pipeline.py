@@ -22,7 +22,7 @@ from oracles import (
     stack_draws,
 )
 
-from anomix import pipeline
+from anomix import anomaly, pipeline
 from anomix.anomaly import AnomalyScoreSeries, score_series
 from anomix.config import _PARSERS, PipelineConfig, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
@@ -496,11 +496,15 @@ class TestConfig:
         names = ", ".join(repr(k) for k in named)
         assert str(refused.value).startswith(f"line{plural} {where}: bad value{plural} for {names}: ")
 
-    def test_decay_the_sum_table_cannot_serve_is_refused_at_load(self):
+    def test_decay_the_sum_table_cannot_serve_is_refused_at_load(self, monkeypatch):
         # Decay 8 at window_k 6 is served once the smallest weights are shed;
-        # at window_k 11, decay 1.17 the table misses its symmetry and nothing
-        # may be shed, so the refusal names both keys' lines.
+        # at window_k 11, decay 1.17 nothing may be shed, so a table that
+        # missed F(S / 2) = 1/2 would be refused, naming both keys' lines.  No
+        # decay is known that shedding cannot serve, so a negative tolerance
+        # makes every centre check fail.
         assert parse_config(default_config_text(window_k=6, decay=8.0)).decay == 8.0
+        monkeypatch.setattr(anomaly, "_SYMMETRY_TOL", -1.0)
+        anomaly._window_dist.cache_clear()
         text = default_config_text(window_k=11, decay=1.17)
         keys = [line.split("=")[0].strip() for line in text.splitlines()]
         where = f"lines {keys.index('window_k') + 1}, {keys.index('decay') + 1}"
@@ -537,6 +541,15 @@ class TestConfig:
             parse_config(text)
         reason = f"column {column!r} is named more than once"
         assert str(refused.value) == f"line{plural} {where}: bad value{plural} for {names}: {reason}"
+
+    def test_validity_length_listed_twice_is_refused_at_load(self):
+        # The grouped detection report would print the repeated length's row twice.
+        text = default_config_text(validity_days=[2, 1, 2])
+        line = [entry.split("=")[0].strip() for entry in text.splitlines()].index("validity_days") + 1
+        with pytest.raises(ValueError) as refused:
+            parse_config(text)
+        reason = "validity length 2 is listed more than once"
+        assert str(refused.value) == f"line {line}: bad value for 'validity_days': {reason}"
 
     @pytest.mark.parametrize("overrides", [{"machine_id": "7"}, {"machine_column": "machineID"}])
     def test_machine_id_and_column_are_set_together(self, overrides):

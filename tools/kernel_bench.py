@@ -1,5 +1,5 @@
-"""Time the two kernels that replaced scipy calls, against scipy's where it is installed, and
-``anomaly.score_series`` at monitor's shape.
+"""Time the two kernels that replaced scipy calls, against scipy's where it is installed,
+``anomaly.score_series`` at monitor's shape, and the sum-CDF table's build.
 
     python tools/kernel_bench.py [--rounds 15] [--number 200]
 
@@ -15,6 +15,9 @@
   has no scipy side; its line also gives the ``sum_cdf`` calls and queries
   one call makes, against the 100 x 192 = 19 200 queries of one per draw
   and window.
+* ``table``: a fresh ``anomaly.build_sum_dist(w).taylor_table`` for the default
+  weights of ``k`` = 5, 10 and 11, the sum-CDF's per-window-shape cost.  It
+  has no scipy side and is timed once per round: ``--number`` does not apply.
 
 Each figure is the median over ``--rounds`` rounds of the mean time of
 ``--number`` calls, in microseconds; rounds alternate between the package
@@ -111,21 +114,25 @@ def main() -> None:
     args = parser.parse_args()
     rng = np.random.default_rng(0)
     pit = pit_case(rng)
+    # Case name -> (the package's call, scipy's or None, calls per timing).
     cases = {
-        "pit_40x2x202": (lambda: model._cdf_from_moments(*pit), lambda: scipy_pit(*pit)),
+        "pit_40x2x202": (lambda: model._cdf_from_moments(*pit), lambda: scipy_pit(*pit), args.number),
     }
     for name, shape in (("gate_4x200", (4, 200)), ("gate_40x202", (40, 202))):
         gate = gate_case(rng, *shape)
-        cases[name] = (lambda gate=gate: model._logistic_gate(*gate), lambda gate=gate: scipy_gate(*gate))
+        cases[name] = (lambda gate=gate: model._logistic_gate(*gate), lambda gate=gate: scipy_gate(*gate), args.number)
     data, sample = score_case(rng)
-    cases["score_100x202_k10"] = (lambda: anomaly.score_series(data, sample, 10), None)
+    cases["score_100x202_k10"] = (lambda: anomaly.score_series(data, sample, 10), None, args.number)
     anomaly.score_series(data, sample, 10)  # builds the k = 10 table outside the timing
+    for k in (5, 10, 11):
+        w = anomaly.exp_weights(k + 1, anomaly.default_decay(k))
+        cases[f"table_k{k}"] = (lambda w=w: anomaly.build_sum_dist(w).taylor_table, None, 1)
     times = {name: {"anomix": [], "scipy": []} for name in cases}
     for _ in range(args.rounds):
-        for name, (ours, theirs) in cases.items():
+        for name, (ours, theirs, number) in cases.items():
             sides = [("anomix", ours)] + ([("scipy", theirs)] if scipy_version and theirs else [])
             for side, call in sides:
-                times[name][side].append(timeit.timeit(call, number=args.number) / args.number * 1e6)
+                times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
     result = {}
     for name, sides in times.items():
         medians = {side: statistics.median(t) for side, t in sides.items() if t}
