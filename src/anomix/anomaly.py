@@ -20,10 +20,9 @@ scores, read from one sort of the draw axis.
 per-knot Taylor table, built once per weight vector, within about 2e-16
 of the exact CDF.  The law on ``[0, S]`` is symmetric, ``F(q) + F(S - q) =
 1``, so the table covers the knots below ``S / 2`` and a query above is
-answered as ``1 - F(S - q)``.  A query finds its knot in an exact bucket
-index over those knots, also built once.  Windows hold at most
-``MAX_WINDOW`` weights, because the table's build doubles in cost with
-every added weight.
+answered as ``1 - F(S - q)``.  A query finds its knot by binary search.
+Windows hold at most ``MAX_WINDOW`` weights, because the table's build
+doubles in cost with every added weight.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ PIT_EPS = 1e-15
 # below the centre costs O(2**n * n**2) double-double operations, 0.13-0.18 s
 # at 12 weights on two cores (0.03-0.05 s at 10, 0.06-0.09 s at 11).
 MAX_WINDOW = 12
-
-# Knot-index buckets per knot, on average.  At 4 no bucket holds more than
-# 3 knots for any accepted window at its default decay; fast decays crowd
-# knots into few buckets, which the bisection in ``_knots`` bounds.
-_BUCKETS_PER_KNOT = 4
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -185,20 +179,6 @@ class WeightedUniformSumDist:
             padded_hi[n] += self.subset_signs[i] * fact  # n! times a sum of signs: exact
             hi[i], lo[i] = padded_hi[: n + 1], padded_lo[: n + 1]
         return np.ascontiguousarray(((hi + lo) / (np.cumprod([1.0, *range(1, n + 1)]) * self.norm_const)).T)
-
-    @functools.cached_property
-    def _knot_index(self) -> tuple[float, np.ndarray, int, np.ndarray]:
-        """``(scale, first, span, knots)`` over the knots ``taylor_table``
-        keeps: x lies in bucket ``int(x * scale)``, ``first[b]`` counts the
-        knots in buckets below b, ``span`` is the most knots one bucket
-        holds, and ``knots`` pads the kept knots with ``span`` copies of +inf."""
-        kept = self.subset_sums[: self.taylor_table.shape[1]]
-        scale = _BUCKETS_PER_KNOT * 2**self.degree / self.support_end
-        buckets = (kept * scale).astype(np.intp)
-        # Queries in (0, support_end / 2] lie in buckets 0 .. int(support_end / 2 * scale).
-        first = np.searchsorted(buckets, np.arange(int(self.support_end / 2 * scale) + 1))
-        span = int(np.bincount(buckets).max())
-        return scale, first, span, np.append(kept, np.full(span, math.inf))
 
 
 def _log_norm(weights: np.ndarray) -> float:
@@ -341,24 +321,8 @@ def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
 
 
 def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(dist.subset_sums, interior, side="left") - 1`` for
-    queries in (0, support_end / 2].
-
-    The bucket map is non-decreasing, so every knot in a lower bucket than
-    a query lies below it and every knot in a higher bucket above it: the
-    answer lies among the ``span`` knots from the first of the query's
-    bucket, which a branch-free bisection finds in ceil(log2(span)) steps.
-    """
-    scale, first, span, knots = dist._knot_index
-    i = first[(interior * scale).astype(np.intp)]
-    while span > 1:
-        half = span // 2
-        ahead = i + half
-        np.copyto(i, ahead, where=knots[ahead] < interior)
-        span -= half
-    i += knots[i] < interior
-    i -= 1
-    return i
+    """Index of the last knot below each query in (0, support_end / 2]."""
+    return np.searchsorted(dist.subset_sums, interior) - 1
 
 
 # ---------------------------------------------------------------------------

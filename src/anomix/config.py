@@ -11,6 +11,7 @@ threshold or patience value cannot silently corrupt an experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -32,6 +33,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_str_list(raw: str) -> list:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
@@ -43,7 +51,7 @@ def _parse_int_list(raw: str) -> list:
 # Field annotation -> parser of the key's raw text.
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
     "list[str]": _parse_str_list,

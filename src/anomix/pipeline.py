@@ -131,10 +131,11 @@ def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str
     Returns ``(stamps, values, rejected)`` where ``stamps`` holds one
     datetime vector per timestamp column, ``values`` maps each requested
     column to a float vector and ``rejected`` lists ``(line_number,
-    reason)`` for rows that failed to parse or had missing or non-finite
-    fields, the machine cell included.  With a machine column only the rows
-    of ``machine_id`` are read.  An empty file, a missing column or a column
-    requested twice is refused with the path.
+    reason)`` for rows that failed to parse, had missing or non-finite
+    fields, the machine cell included, or had more cells than the header.
+    With a machine column only the rows of ``machine_id`` are read.  An
+    empty file, a missing column, a column requested twice or a header that
+    names a column twice is refused with the path.
     """
     path = Path(path)
     needed = [*timestamp_columns, *columns] + ([machine_column] if machine_column else [])
@@ -148,8 +149,15 @@ def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str
         missing = [c for c in needed if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
+        named_twice = sorted({c for c in reader.fieldnames if reader.fieldnames.count(c) > 1})
+        if named_twice:
+            raise ValueError(f"{path}: header names columns {named_twice} twice")
         stamps, values, rejected = [[] for _ in timestamp_columns], {c: [] for c in columns}, []
         for lineno, row in enumerate(reader, start=2):
+            if None in row:  # cells past the header's: which cell belongs to which column is unknown
+                cells = len(reader.fieldnames) + len(row[None])
+                rejected.append((lineno, f"{cells} cells, the header has {len(reader.fieldnames)}"))
+                continue
             if machine_column:
                 machine = row.get(machine_column)
                 if machine is None:  # the row stops before its machine cell: whose it is is unknown

@@ -14,11 +14,11 @@ with one batched computation each.  ``evaluate_per_window`` is the report
 batched over failures but looped over validity windows, the loop
 ``anomix.detection.evaluate`` replaced with one pass over every window.
 
-``sum_cdf_searchsorted`` is ``anomix.anomaly.sum_cdf`` with each query's
-knot found by a binary search over the sorted subset sums, the search the
-package's bucket index replaced; ``pit_rows`` is the clamped PIT of a batch
-of rows under one parameter point, which the package computes per draw
-block inside ``score_series``.
+``sum_cdf_searchsorted`` is ``anomix.anomaly.sum_cdf`` written plainly:
+each query's knot found by a binary search over the sorted subset sums and
+Horner's rule with one new array per step; ``pit_rows`` is the clamped PIT
+of a batch of rows under one parameter point, which the package computes
+per draw block inside ``score_series``.
 
 ``log_target`` is the sampler's unnormalised log posterior at whole states,
 evaluated through one fresh ``anomix.posterior._LockstepTarget``.

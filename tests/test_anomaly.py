@@ -249,10 +249,10 @@ class TestSumCdf:
 
         lazy, built = dist(), dist()
         sum_cdf(built, built.support_end / 2)
-        assert "taylor_table" in built.__dict__ and "_knot_index" in built.__dict__
+        assert "taylor_table" in built.__dict__
         for q in (2.0, np.array([-0.5, 0.0, lazy.support_end, 2.0]), np.empty((0, 3))):
             got = sum_cdf(lazy, q)
-            assert "taylor_table" not in lazy.__dict__ and "_knot_index" not in lazy.__dict__
+            assert "taylor_table" not in lazy.__dict__
             assert np.shape(got) == np.shape(q) and np.array_equal(got, sum_cdf(built, q))
         assert sum_cdf(lazy, 2.0) == 1.0
 
@@ -401,14 +401,15 @@ class TestExactSumCdf:
 
 
 class TestKnotLookup:
-    """The bucket index finds the knot a binary search finds, so sum_cdf
-    gives the bits of the binary-search path (tests/oracles.py)."""
+    """``_knots`` finds the knot the oracle's binary search finds, so sum_cdf
+    gives the bits of the oracle's path (tests/oracles.py), also where
+    knots crowd together or weights are shed."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.01, 60.0))
     @example(n=1, decay=1.0)
     @example(n=MAX_WINDOW, decay=default_decay(MAX_WINDOW - 1))
-    @example(n=MAX_WINDOW, decay=5.0)  # knots crowd into few buckets
+    @example(n=MAX_WINDOW, decay=5.0)  # knots crowd together
     @example(n=MAX_WINDOW, decay=12.0)  # weights are shed: degree < n
     def test_matches_binary_search_bitwise(self, n, decay):
         try:
@@ -426,7 +427,7 @@ class TestKnotLookup:
             ]
         )
         interior = qs[(qs > 0.0) & (qs < end)]
-        lower = np.where(interior > end / 2, end - interior, interior)  # the half the index serves
+        lower = np.where(interior > end / 2, end - interior, interior)  # the half the lookup serves
         np.testing.assert_array_equal(anomaly._knots(dist, lower), searchsorted_knots(dist, lower))
         got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

@@ -173,6 +173,25 @@ class TestIngest:
         assert data.responses.tolist() == [45.1]
         assert rejected == [(3, "missing value in column 'machineID'")]
 
+    def test_row_longer_than_the_header_is_rejected(self, tmp_path):
+        # A decimal comma splits one reading over two cells and shifts the rest.
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "datetime,machineID,load,hi_a,hi_b\n"
+            "2024-01-01 00:00:00,1,0.5,5.0,1.2\n"
+            "2024-01-01 01:00:00,1,0,5,1.2,3.4\n"
+        )
+        ts, values, rejected = read_telemetry(path, "datetime", ["load", "hi_a", "hi_b"], "machineID", "1")
+        assert len(ts) == 1 and values["hi_b"].tolist() == [1.2]
+        assert rejected == [(3, "6 cells, the header has 5")]
+
+    def test_header_naming_a_column_twice_is_refused(self, tmp_path):
+        path = tmp_path / "telemetry.csv"
+        path.write_text("datetime,machineID,load,hi_a,hi_a\n2024-01-01 00:00:00,1,0.5,5.0,1.2\n")
+        expected = f"{path}: header names columns ['hi_a'] twice"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            read_telemetry(path, "datetime", ["load", "hi_a"], "machineID", "1")
+
     def test_dataset_refuses_non_finite_values(self):
         ts = np.array(["2024-01-01T00:00:00", "2024-01-01T01:00:00"], dtype="datetime64[s]")
         with pytest.raises(ValueError, match="finite"):
@@ -215,9 +234,11 @@ class TestIngest:
              "line 3: missing value in column 'datetime'"),
             ("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\nnot-a-date,1,comp1\n",
              "line 3: unparseable timestamp 'not-a-date'"),
+            ("datetime,machineID,failure\n2015-01-05 06:00:00,1,comp4\n2015-03-06 06:00:00,1,comp1,comp2\n",
+             "line 3: 4 cells, the header has 3"),
         ],
         ids=["empty", "header-only", "other-machines", "duplicate-unsorted", "missing-column", "cut-short",
-             "cut-short-before-stamp", "bad-timestamp"],
+             "cut-short-before-stamp", "bad-timestamp", "long-row"],
     )
     def test_failure_log_parity(self, tmp_path, text, expected):
         path = tmp_path / "failures.csv"
@@ -496,6 +517,25 @@ class TestConfig:
         names = ", ".join(repr(k) for k in named)
         assert str(refused.value).startswith(f"line{plural} {where}: bad value{plural} for {names}: ")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("decay", "nan"),
+            ("margin_days", "nan"),
+            ("margin_days", "inf"),
+            ("mean_coeff_location", "nan"),
+            ("gate_coeff_location", "inf"),
+            ("noise_log_location", "nan"),
+        ],
+    )
+    def test_non_finite_number_is_refused_at_load(self, key, value):
+        # Each would load and fail later: in score, inside fit, or at the sampler's first density.
+        text = default_config_text(**{key: value})
+        line = [row.split("=")[0].strip() for row in text.splitlines()].index(key) + 1
+        expected = f"line {line}: bad value for {key!r}: expected a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            parse_config(text)
+
     def test_decay_the_sum_table_cannot_serve_is_refused_at_load(self, monkeypatch):
         # Decay 8 at window_k 6 is served once the smallest weights are shed;
         # at window_k 11, decay 1.17 nothing may be shed, so a table that
@@ -637,8 +677,9 @@ class TestScoreHandOff:
             (lambda cells: cells[:2] + ["0.5x"] + cells[3:], "line 3: bad value '0.5x' in column 'theta_q05'"),
             (lambda cells: cells[:3], "line 3: missing value in column 'theta_q95'"),
             (lambda cells: cells[:4], "missing columns ['threshold']"),
+            (lambda cells: cells[:2] + ["0", "5"] + cells[3:], "line 3: 6 cells, the header has 5"),
         ],
-        ids=["blank-cell", "non-numeric-cell", "row-cut-short", "missing-column"],
+        ids=["blank-cell", "non-numeric-cell", "row-cut-short", "missing-column", "row-too-long"],
     )
     def test_bad_score_file_is_refused_with_path_and_line(self, tmp_path, edit, expected):
         ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
@@ -675,8 +716,10 @@ class TestScoreHandOff:
             ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00\n",
              "line 3: missing value in column 'end'"),
             ("", "empty file"),
+            ("onset,end\n2024-01-01 00:00:00,2024-01-01 03:00:00\n2024-01-02 00:00:00,2024-01-02 03:00:00,x\n",
+             "line 3: 3 cells, the header has 2"),
         ],
-        ids=["missing-end-column", "bad-stamp", "row-cut-short", "empty"],
+        ids=["missing-end-column", "bad-stamp", "row-cut-short", "empty", "long-row"],
     )
     def test_bad_alarm_file_is_refused_with_path_and_line(self, tmp_path, text, expected):
         # A dropped alarm would read as a missed failure in the detection report.

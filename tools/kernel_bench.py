@@ -1,5 +1,5 @@
 """Time the two kernels that replaced scipy calls, against scipy's where it is installed,
-``anomaly.score_series`` at monitor's shape, and the sum-CDF table's build.
+``anomaly.score_series`` at monitor's shape, the sum-CDF table's build and one sum-CDF call.
 
     python tools/kernel_bench.py [--rounds 15] [--number 200]
 
@@ -18,6 +18,11 @@
 * ``table``: a fresh ``anomaly.build_sum_dist(w).taylor_table`` for the default
   weights of ``k`` = 5, 10 and 11, the sum-CDF's per-window-shape cost.  It
   has no scipy side and is timed once per round: ``--number`` does not apply.
+* ``lookup``: one ``anomaly.sum_cdf`` call on 960 seeded uniform queries over
+  the support, the queries one ``score_series`` call makes at monitor's shape,
+  for the default weights of ``k`` = 5, 10 and 11 and for
+  ``exp_weights(12, 3.0)``, where knots crowd.  The table is built outside
+  the timing.  It has no scipy side.
 
 Each figure is the median over ``--rounds`` rounds of the mean time of
 ``--number`` calls, in microseconds; rounds alternate between the package
@@ -127,6 +132,13 @@ def main() -> None:
     for k in (5, 10, 11):
         w = anomaly.exp_weights(k + 1, anomaly.default_decay(k))
         cases[f"table_k{k}"] = (lambda w=w: anomaly.build_sum_dist(w).taylor_table, None, 1)
+    lookups = {f"k{k}": anomaly.exp_weights(k + 1, anomaly.default_decay(k)) for k in (5, 10, 11)}
+    lookups["12_decay3"] = anomaly.exp_weights(12, 3.0)
+    for name, w in lookups.items():
+        dist = anomaly.build_sum_dist(w)
+        q = rng.uniform(0.0, dist.support_end, 960)
+        anomaly.sum_cdf(dist, q)  # builds the table outside the timing
+        cases[f"lookup_{name}"] = (lambda dist=dist, q=q: anomaly.sum_cdf(dist, q), None, args.number)
     times = {name: {"anomix": [], "scipy": []} for name in cases}
     for _ in range(args.rounds):
         for name, (ours, theirs, number) in cases.items():
