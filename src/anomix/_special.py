@@ -45,10 +45,14 @@ _ERFCX[1], _ERFCX[3, :5] = _Q[0::2], _Q[1::2]
 _ERFCX *= 2.0**-64
 # |x| is clipped here, past which exp(x**2) is inf and the tail 0, so that an infinite x gives no inf / inf.
 _Z_MAX = 28.0
-# Elements per pass.  Its 11 work rows hold 5.5 times posterior.BLOCK_ELEMENTS, within the block
-# temporaries a posterior-wide pass may hold (TestPassMemory); 4096 ran 15% slower at monitor's
-# block shape, and 2**14 broke that budget.
-_NDTR_CHUNK = 8192
+# Elements per pass.  Its 11 work rows hold 8.25 times posterior.BLOCK_ELEMENTS, within the block
+# temporaries a posterior-wide pass may hold (TestPassMemory, which 2**14 broke); 4096 ran 15% slower
+# at monitor's block shape.  The work array, 1056 KB, is freed on every call, and glibc trims the heap
+# top once its free space exceeds twice the largest mmapped block freed so far: this array, mmapped on
+# its first call.  So a scoring pass faults in no fresh pages while the array exceeds the pass's other
+# transients (about 800 KB at monitor's shape) plus glibc's 128 KB top pad: at 8192 it did not, and
+# every monitor operation re-faulted about 1200 pages.
+_NDTR_CHUNK = 12288
 
 
 def ndtr(a) -> np.ndarray:

@@ -17,8 +17,10 @@ is scored once.  A series also keeps the 5%/95% band of the per-draw
 scores, read from one sort of the draw axis.
 
 ``sum_cdf`` answers every query inside the support by Horner's rule on a
-per-knot Taylor table, built once per weight vector, within about 2e-16
-of the exact CDF.  The law on ``[0, S]`` is symmetric, ``F(q) + F(S - q) =
+per-knot Taylor table, within about 4e-16 of the exact CDF.  The table is
+built once per weight vector by a walk in exact integers, every weight
+and knot being an integer on the grid of the finest weight, so each entry
+is rounded once.  The law on ``[0, S]`` is symmetric, ``F(q) + F(S - q) =
 1``, so the table covers the knots below ``S / 2`` and a query above is
 answered as ``1 - F(S - q)``.  A query finds its knot by binary search.
 Windows hold at most ``MAX_WINDOW`` weights, because the table's build
@@ -29,8 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,15 +56,11 @@ __all__ = [
 PIT_EPS = 1e-15
 
 # Longest window: the Taylor table's knot-to-knot build over the knots
-# below the centre costs O(2**n * n**2) double-double operations, 0.13-0.18 s
-# at 12 weights on two cores (0.03-0.05 s at 10, 0.06-0.09 s at 11).
+# below the centre costs O(2**n * n**2) integer operations, 53-76 ms at 12
+# weights on two cores (22-38 ms at 11, 0.5-0.8 ms at 6).
 MAX_WINDOW = 12
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
-
-# Largest error allowed in F(support_end / 2) = 1/2 past the walk's 106-bit bound.  Elsewhere
-# a table can be off 3.7 times as far: 1.4e-14 where its centre read 3.7e-15, of 3534 scanned.
-_SYMMETRY_TOL = 2e-15
 
 
 @dataclass(frozen=True)
@@ -114,19 +111,25 @@ def exp_weights(length: int, decay: float) -> WeightVector:
 class WeightedUniformSumDist:
     """Cached exact distribution of ``sum_s w_s U_s`` with ``U_s ~ U(0, 1)``.
 
-    ``subset_sums`` holds all partial sums of the weights in ascending
-    order with matching cardinality-parity signs, and ``subset_lows`` their
-    rounding errors; those below ``support_end / 2`` are the knots of
-    ``taylor_table``.  ``n`` is the window length; ``degree`` is the number
-    of weights actually kept.  ``build_sum_dist`` drops the smallest weights
-    only where the table would otherwise be inaccurate, and the dropped mass
-    never exceeds 1e-6, which bounds the resulting CDF shift.
+    Every float is an integer times a power of two, so on the grid of
+    ``2**-scale`` each kept weight, and each subset sum, is an exact integer.
+    ``unit_sums`` holds all subset sums of the kept weights in that unit, in
+    ascending order with matching cardinality-parity signs; ``subset_sums``
+    are their roundings and ``subset_lows`` the rounding errors, and those
+    below ``support_end / 2`` are the knots of ``taylor_table``.
+    ``unit_norm`` is ``degree! prod(w)`` in units of ``2**(-scale * degree)``
+    and ``norm_const`` its rounding.  ``n`` is the window length; ``degree``
+    is the number of weights kept: ``build_sum_dist`` drops the smallest
+    only where ``norm_const`` would underflow.
     """
 
     weights: WeightVector
     subset_sums: np.ndarray
     subset_lows: np.ndarray
     subset_signs: np.ndarray
+    unit_sums: tuple = field(repr=False)
+    unit_norm: int
+    scale: int
     norm_const: float
     n: int
     degree: int
@@ -139,151 +142,84 @@ class WeightedUniformSumDist:
             raise ValueError("subset sums must run from 0 to the kept-weight total")
         if np.any(self.subset_sums[1:] < self.subset_sums[:-1]):
             raise ValueError("subset sums must be non-decreasing: knot lookups rely on their order")
-        if not len(self.subset_lows) == len(self.subset_signs) == len(self.subset_sums):
-            raise ValueError("expected one rounding error and one sign per subset sum")
+        if not len(self.subset_lows) == len(self.subset_signs) == len(self.unit_sums) == len(self.subset_sums):
+            raise ValueError("expected one rounding error, one sign and one exact sum per subset sum")
 
     @functools.cached_property
     def taylor_table(self) -> np.ndarray:
         """(degree + 1, knots) Taylor coefficients F^(m)(s_i) / m! at the knots
         below ``support_end / 2``: a query at or below that lies past no other.
 
-        N F(s_i + t) is the polynomial sum_{j <= i} sign_j (t + s_i - s_j)^n.
-        Its derivatives at knot i + 1 are those at knot i shifted across the
-        gap d (derivative m gathers derivative m + k times d^k / k!), plus
-        n! sign_{i+1} in the n-th: a double-double walk in O(2^n n^2).
+        In grid units, ``unit_norm F(s_i + t)`` is the integer polynomial
+        sum_{j <= i} sign_j (t + s_i - s_j)^n.  Its coefficients at knot i + 1
+        are those at knot i shifted across the gap (Horner's scheme applied n
+        times), plus sign_{i+1} in the t^n one: an exact walk in O(2^n n^2),
+        and each entry is rounded once, when it is divided by the norm.
         """
-        n, fact = self.degree, float(math.factorial(self.degree))
+        n, sums, signs = self.degree, self.unit_sums, self.subset_signs.tolist()
         count = int(np.searchsorted(self.subset_sums, self.support_end / 2))
-        s, lo = self.subset_sums[:count], self.subset_lows[:count]
-        gap = _two_sum(s[1:], -s[:-1])
-        gap = _two_sum(gap[0], gap[1] + (lo[1:] - lo[:-1]))
-        # Row i holds gap_i^k / k! for k = 0..n.
-        shift_hi, shift_lo = np.ones((count - 1, n + 1)), np.zeros((count - 1, n + 1))
-        power = (shift_hi[:, 0], shift_lo[:, 0])
-        for k in range(1, n + 1):
-            power = _dd_mul(*power, *gap)
-            inv = Fraction(1, math.factorial(k))
-            shift_hi[:, k], shift_lo[:, k] = _dd_mul(*power, float(inv), float(inv - Fraction(float(inv))))
-        hi, lo = np.zeros((count, n + 1)), np.zeros((count, n + 1))
-        # window[k, m] is derivative k + m at the current knot.
-        padded_hi, padded_lo = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
-        window_hi = np.lib.stride_tricks.sliding_window_view(padded_hi, n + 1)
-        window_lo = np.lib.stride_tricks.sliding_window_view(padded_lo, n + 1)
-        padded_hi[n] = hi[0, n] = fact
-        for i in range(1, count):
-            fh, fl = shift_hi[i - 1, :, None], shift_lo[i - 1, :, None]
-            terms, errs = _two_prod(fh, window_hi)
-            errs += fh * window_lo + fl * window_hi
-            sums, sum_errs = _two_sum_columns(terms)
-            padded_hi[: n + 1], padded_lo[: n + 1] = _two_sum(sums, sum_errs + errs.sum(axis=0))
-            padded_hi[n] += self.subset_signs[i] * fact  # n! times a sum of signs: exact
-            hi[i], lo[i] = padded_hi[: n + 1], padded_lo[: n + 1]
-        return np.ascontiguousarray(((hi + lo) / (np.cumprod([1.0, *range(1, n + 1)]) * self.norm_const)).T)
-
-
-def _log_norm(weights: np.ndarray) -> float:
-    return math.lgamma(len(weights) + 1) + float(np.log(weights).sum())
-
-
-def _two_sum(a, b):
-    """``a + b`` rounded, and its rounding error exactly (Knuth's TwoSum)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _two_prod(a, b):
-    """``a * b`` rounded, and its rounding error exactly (Dekker's TwoProduct)."""
-    p = a * b
-    ah, bh = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1 splits 53 bits in two
-    ah, bh = ah - (ah - a), bh - (bh - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_mul(ah, al, bh, bl):
-    """Double-double product of ``ah + al`` and ``bh + bl``."""
-    p, e = _two_prod(ah, bh)
-    return _two_sum(p, e + (ah * bl + al * bh))
+        table, coeffs = np.empty((n + 1, count)), [0] * n + [1]  # t^n at the empty subset's knot, 0
+        for i in range(count):
+            if i:
+                gap = sums[i] - sums[i - 1]
+                for low in range(n):
+                    for m in range(n - 1, low - 1, -1):
+                        coeffs[m] += gap * coeffs[m + 1]
+                coeffs[n] += int(signs[i])
+            # Rounded as it goes: a column of big integers per knot would outweigh the table.
+            table[:, i] = [(c << self.scale * m) / self.unit_norm for m, c in enumerate(coeffs)]
+        return table
 
 
 def build_sum_dist(w: WeightVector) -> WeightedUniformSumDist:
     """Enumerate and cache all subset sums for the weighted-uniform-sum CDF.
 
-    The Taylor table's walk carries about 106 bits, so it cannot lose 1e-16
-    while ``2**(degree - 106) / norm_const`` stays below that, as it does for
-    every window at its default decay, and the table is built on first use.
-    Past that bound the table is built here and kept if it ends the walk at
-    the law's centre with ``F(S / 2) = 1/2`` within ``_SYMMETRY_TOL``.
-    Otherwise, or when the normalizing constant underflows, the smallest
-    weights are shed, at most 1e-6 of the mass, and a window that still
-    fails is refused.
+    The Taylor table is exact up to one rounding per entry, so every weight
+    is kept unless the normalizing constant ``n! prod(w)`` underflows, past
+    which the table's entries could overflow.  Only then are the smallest
+    weights shed, until it does not: each shed weight is below
+    ``tiny**(1 / n)``, under 3e-26 of the mass.  The table is built on first
+    use.
     """
     n = len(w)
     if n > MAX_WINDOW:
         raise ValueError(f"window length {n} exceeds the supported maximum {MAX_WINDOW}")
-    kept, dropped = w.weights, 0.0
-    while True:
-        log_norm = _log_norm(kept)
-        if log_norm > _LOG_TINY:
-            dist = _enumerate(w, kept)
-            conditioned = (len(kept) - 106) * math.log(2.0) - log_norm <= math.log(1e-16)
-            if conditioned or abs(sum_cdf(dist, dist.support_end / 2) - 0.5) <= _SYMMETRY_TOL:
-                return dist
-        kept = np.sort(kept)
-        if dropped + kept[0] > 1e-6:
-            raise ValueError(
-                f"decay too fast for a window of {n}: its sum-CDF table stays inaccurate "
-                "after shedding at most 1e-6 of the weight mass"
-            )
-        dropped += kept[0]
-        kept = kept[1:]
+    kept = w.weights
+    while math.lgamma(len(kept) + 1) + float(np.log(kept).sum()) <= _LOG_TINY:
+        kept = np.sort(kept)[1:]
+    return _enumerate(w, kept)
 
 
 def _enumerate(w: WeightVector, kept: np.ndarray) -> WeightedUniformSumDist:
-    """The distribution of the kept weights' sum, its subset sums enumerated."""
-    degree, count = len(kept), 1 << len(kept)
-    # Subset sums are accumulated in double-double precision, so each knot
-    # is its weights' sum as a rounded value plus its exact rounding error.
-    hi, lo = np.zeros(count), np.zeros(count)
-    sizes = np.zeros(count, dtype=np.int64)
-    for i, wi in enumerate(kept):
-        bit = 1 << i
-        s, err = _two_sum(hi[:bit], wi)
-        hi[bit : 2 * bit], lo[bit : 2 * bit] = _two_sum(s, err + lo[:bit])
-        sizes[bit : 2 * bit] = sizes[:bit] + 1
-    order = np.argsort(hi, kind="stable")
-    signs = np.where(sizes[order] % 2 == 0, 1.0, -1.0)
+    """The distribution of the kept weights' sum, its subset sums enumerated exactly."""
+    ratios = [x.as_integer_ratio() for x in kept.tolist()]
+    grid = max(den for _, den in ratios)  # powers of two: a multiple of every other
+    units = [num * (grid // den) for num, den in ratios]
+    sums, odd = [0], [False]
+    for u in units:
+        sums += [s + u for s in sums]
+        odd += [not o for o in odd]
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    unit_sums = tuple(sums[i] for i in order)
+    hi = [s / grid for s in unit_sums]  # int / int rounds once
+    # Each rounded sum is a multiple of 1 / grid too, so what it misses is a whole number of grid steps.
+    rounded = [h.as_integer_ratio() for h in hi]
+    lo = [(s - num * (grid // den)) / grid for s, (num, den) in zip(unit_sums, rounded)]
+    degree, scale = len(units), grid.bit_length() - 1
+    unit_norm = math.factorial(degree) * math.prod(units)
     return WeightedUniformSumDist(
         weights=w,
-        subset_sums=hi[order],
-        subset_lows=lo[order],
-        subset_signs=signs,
-        norm_const=math.factorial(degree) * math.prod(kept.tolist()),
+        subset_sums=np.array(hi),
+        subset_lows=np.array(lo),
+        subset_signs=np.where(np.array(odd)[order], -1.0, 1.0),
+        unit_sums=unit_sums,
+        unit_norm=unit_norm,
+        scale=scale,
+        norm_const=unit_norm / grid**degree,
         n=len(w),
         degree=degree,
-        support_end=float(kept.sum()),
+        support_end=hi[-1],
     )
-
-
-def _two_sum_columns(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of a 2-D array by a pairwise tree of TwoSum additions.
-
-    Each level adds the bottom half of the rows into the top half and keeps
-    every rounding error exactly (Knuth's TwoSum); the errors are summed
-    apart and returned with the sums, whose total is as accurate as a sum
-    in twice the working precision.  Halves of rows are contiguous, so each
-    step is a flat vector operation.  ``terms`` is overwritten.
-    """
-    errs = np.zeros(terms.shape[1])
-    while len(terms) > 1:
-        h = len(terms) // 2
-        terms[:h], err = _two_sum(terms[:h], terms[len(terms) - h :])
-        errs += err.sum(axis=0)
-        # With an odd row count the middle row has no partner and joins
-        # the next level as it is.
-        terms = terms[: len(terms) - h]
-    return terms[0], errs
 
 
 def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:

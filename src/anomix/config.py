@@ -15,7 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
-from .anomaly import MAX_WINDOW, _window_dist
+from .anomaly import MAX_WINDOW, exp_weights
 from .detection import AlarmPolicy, PoolingPolicy
 from .model import PriorSpec
 from .posterior import SamplerSettings
@@ -170,13 +170,13 @@ class PipelineConfig:
         if repeated:
             keys = tuple(dict.fromkeys(key for key, c in named if c == repeated[0]))
             raise _BadValue(keys, f"column {repeated[0]!r} is named more than once")
+        if len(self.indices) > 1 and self.quorum > len(self.indices):
+            reason = f"quorum {self.quorum} exceeds the {len(self.indices)} indices, so no pooled alarm can be raised"
+            raise _BadValue(("indices", "quorum"), reason)
         # Every other key is checked by the object of the stage that consumes it.
         if self.decay >= 0:
-            # The window's sum law is built here, once per process, so that a
-            # decay its table cannot serve is refused before the fit runs: only
-            # a decay past the walk's 106-bit bound builds the table now.
             with _naming("window_k", "decay"):
-                _window_dist(self.window_k + 1, self.decay)
+                exp_weights(self.window_k + 1, self.decay)
         singles = [(key,) for key in _CONSUMERS if not any(key in group for group in _JOINT_KEYS)]
         for keys in [*singles, *_JOINT_KEYS]:
             consumer = _CONSUMERS[keys[0]][0]

@@ -242,7 +242,7 @@ class TestSumCdf:
         assert np.all(np.diff(vals) >= 0)
 
     def test_queries_outside_the_support_build_no_table(self):
-        # The Taylor table of 12 weights takes about 0.3 s to build; a first
+        # The Taylor table of 12 weights takes about 0.06 s to build; a first
         # call whose queries all lie outside the open support must not pay it.
         def dist():
             return build_sum_dist(exp_weights(12, default_decay(11)))
@@ -271,7 +271,7 @@ class TestSumCdf:
 
     def test_strongly_decaying_weights_stay_accurate(self):
         # The full weight product underflows double precision here; sub-ulp
-        # weights are dropped so the formula stays well conditioned.
+        # weights are dropped so that no Taylor-table entry overflows.
         rng = np.random.default_rng(99)
         w = exp_weights(12, 12.0)
         d = build_sum_dist(w)
@@ -319,41 +319,33 @@ class TestExactSumCdf:
 
     @pytest.mark.parametrize("n, decay", [(7, 8.0), (11, 3.0), (10, 3.0)])
     def test_fast_decays_are_exact_on_their_kept_weights(self, n, decay):
-        # Unshed, these windows' tables are off by up to 0.9974, 0.61 and 0.0086:
-        # the walk's double-double precision is too short for their cancellation.
+        # A walk in double-double floats was off by up to 0.9974, 0.61 and 0.0086
+        # on these windows and had to shed weights; the integer walk keeps them all.
         w = exp_weights(n, decay)
         dist = build_sum_dist(w)
-        assert dist.degree < n and w.weights.sum() - kept_weights(dist).sum() <= 1e-6
+        assert dist.degree == n
         rng = np.random.default_rng(n)
         qs = dist.support_end * np.concatenate([rng.random(20), 10.0 ** rng.uniform(-6, -1, 5)])
-        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(kept_weights(dist), qs), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(sum_cdf(dist, qs), exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.01, 60.0), seed=st.integers(0, 2**32 - 1))
     @example(n=7, decay=8.0, seed=0)
-    @example(n=12, decay=1.4, seed=0)  # conditioned only once one weight is shed
+    @example(n=12, decay=1.4, seed=0)  # a double-double walk had to shed one weight here
     @example(n=12, decay=default_decay(11), seed=0)
+    @example(n=12, decay=60.0, seed=0)  # the weights' product underflows: the smallest are shed
     def test_any_window_is_exact_and_symmetric(self, n, decay, seed):
         # The band reads the per-draw scores off |q - support_end / 2|, so it
         # needs F(q) + F(support_end - q) = 1 as much as it needs F itself.
-        try:
-            dist = build_sum_dist(exp_weights(n, decay))
-        except ValueError as refused:
-            assert "decay too fast" in str(refused)
-            assume(False)
+        # Where every weight is kept, the oracle is that of all the weights.
+        w = exp_weights(n, decay)
+        dist = build_sum_dist(w)
         rng = np.random.default_rng(seed)
         qs = dist.support_end * np.concatenate([rng.random(6), 10.0 ** rng.uniform(-6, -1, 2)])
         f = sum_cdf(dist, qs)
-        np.testing.assert_allclose(f, exact_sum_cdf(kept_weights(dist), qs), rtol=0.0, atol=1e-14)
+        oracle = w.weights if dist.degree == n else kept_weights(dist)
+        np.testing.assert_allclose(f, exact_sum_cdf(oracle, qs), rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(f + sum_cdf(dist, dist.support_end - qs), 1.0, rtol=0.0, atol=1e-14)
-
-    def test_window_that_shedding_cannot_condition_is_refused(self, monkeypatch):
-        # At 12 weights and decay 1.17 the smallest weight holds 1.8e-6 of the
-        # mass, more than may be shed.  No window is known that shedding cannot
-        # condition, so a negative tolerance makes the centre check fail.
-        monkeypatch.setattr(anomaly, "_SYMMETRY_TOL", -1.0)
-        with pytest.raises(ValueError, match="decay too fast for a window of 12"):
-            build_sum_dist(exp_weights(12, 1.17))
 
     def test_mirrored_table_is_symmetric_and_exact(self):
         # At decay 1.2 a full walk misses the symmetry by 2.6e-14 in its
@@ -379,6 +371,32 @@ class TestExactSumCdf:
         f = sum_cdf(dist, qs)
         np.testing.assert_allclose(f, exact_sum_cdf(w.weights, qs), rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(f + sum_cdf(dist, dist.support_end - qs), 1.0, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "w",
+        [*(exp_weights(k + 1, default_decay(k)) for k in range(8)), exp_weights(7, 8.0)],
+        ids=[*(f"k{k}" for k in range(8)), "7-8.0"],
+    )
+    def test_taylor_table_is_exactly_rounded(self, w):
+        # Column i holds F^(m)(s_i) / m! = C(n, m) sum_{j <= i} sign_j (s_i - s_j)^(n - m) / (n! prod(w))
+        # at the i-th smallest subset sum below the centre, each entry rounded once from its exact value.
+        dist = build_sum_dist(w)
+        n, weights = len(w), [Fraction(float(x)) for x in w.weights]
+        sums, signs = [Fraction(0)], [1]
+        for x in weights:
+            sums, signs = sums + [s + x for s in sums], signs + [-g for g in signs]
+        order = sorted(range(len(sums)), key=sums.__getitem__)
+        knots = [(sums[i], signs[i]) for i in order if sums[i] < sum(weights) / 2]
+        norm = math.factorial(n) * math.prod(weights)
+        oracle = [
+            [
+                float(math.comb(n, m) * sum(g * (s - t) ** (n - m) for t, g in knots[: i + 1]) / norm)
+                for i, (s, _) in enumerate(knots)
+            ]
+            for m in range(n + 1)
+        ]
+        assert dist.degree == n
+        np.testing.assert_array_equal(dist.taylor_table, oracle)
 
     @pytest.mark.parametrize("weights", [[0.5, 0.5], np.full(4, 0.25), np.full(12, 1.0 / 12)], ids=["2", "4", "12"])
     def test_tied_middle_knots_at_the_centre(self, weights):

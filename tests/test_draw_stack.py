@@ -5,7 +5,13 @@ the whole stack."""
 
 import dataclasses
 import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from scipy.special import logsumexp
 
 from oracles import cic, draw, lppd, pit_rows, posterior_predictive_cdf, sample_predictive_three_arrays, stack_draws
 
+import anomix
 from anomix.anomaly import (
     build_sum_dist,
     default_decay,
@@ -383,3 +390,67 @@ class TestPassMemory:
     def test_coverage_counts(self, case):
         sample, data = case
         assert traced_peak(lambda: coverage_counts(sample, data, 20, rng=0)) <= self.bound(self.N_ROWS)
+
+
+# One monitor-shaped operation after another in a fresh process.  The k = 10 table is built first, then a
+# long-lived array of argv[2] KB shifts where the heap top lies; each operation loads two 100-draw,
+# two-expert archives and scores a 202-row batch against each, raising its alarms, then pools the two
+# and evaluates the pooled alarms.  Each operation's minor page faults are printed.
+SCORING_OPS = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from anomix import anomaly, detection, model, pipeline
+from anomix.posterior import PosteriorSample
+
+rng = np.random.default_rng(0)
+paths = [Path(sys.argv[1]) / f"posterior_{index}.npz" for index in range(2)]
+for path in paths:
+    experts = np.concatenate(
+        [rng.normal(size=(1, 2, 3)) + rng.normal(scale=0.05, size=(100, 2, 3)), np.full((100, 2, 1), -1.0)], axis=-1
+    )
+    mixing = np.concatenate([rng.normal(size=(100, 1, 3)), np.zeros((100, 1, 3))], axis=1)
+    pipeline.save_posterior(PosteriorSample(experts, mixing, rng.normal(size=(100, 3)), 0.25, 2, 0), path)
+stamps = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(202) * np.timedelta64(3600, "s")
+x, y = rng.normal(size=(202, 2)), rng.normal(scale=0.5, size=202)
+y[140:153] += 8.0
+data = model.Dataset(x, y, stamps)
+anomaly.score_series(data, pipeline.load_posterior(paths[0]), 10)
+pad = np.ones(int(sys.argv[2]) * 128)
+policy, failures = detection.AlarmPolicy(0.975, 3), detection.FailureLog(stamps[[180]], stamps[[180]])
+
+
+def operation():
+    series = []
+    for path in paths:
+        s = anomaly.score_series(data, pipeline.load_posterior(path), 10)
+        detection.raise_alarms(s, policy)
+        series.append(s)
+    pooled = detection.pool(series, detection.PoolingPolicy(2, False))
+    alarms = detection.raise_alarms(pooled, detection.AlarmPolicy(pooled.threshold, 3))
+    detection.evaluate(alarms, failures, [1, 2, 3], pooled.timestamps)
+
+
+for _ in range(30):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    operation()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc's heap trim")
+class TestScoringPageFaults:
+    """glibc trims the heap top once its free space exceeds twice the largest mmapped block freed so
+    far, ``ndtr``'s work array, and the next operation faults the trimmed pages in afresh.  With an
+    8192-element work array a monitor operation re-faulted about 1200 pages, depending on where
+    long-lived arrays left the heap top; after warm-up, an operation may take at most 16."""
+
+    @pytest.mark.parametrize("pad_kb", [0, 64, 200, 400, 800])
+    def test_repeated_scoring_faults_in_no_fresh_pages(self, tmp_path, pad_kb):
+        path = [str(Path(anomix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        command = [sys.executable, "-c", SCORING_OPS, str(tmp_path), str(pad_kb)]
+        result = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+        faults = [int(count) for count in result.stdout.split()]
+        assert len(faults) == 30 and statistics.median(faults[10:]) <= 16, faults

@@ -22,7 +22,7 @@ from oracles import (
     stack_draws,
 )
 
-from anomix import anomaly, pipeline
+from anomix import pipeline
 from anomix.anomaly import AnomalyScoreSeries, score_series
 from anomix.config import _PARSERS, PipelineConfig, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
@@ -536,21 +536,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             parse_config(text)
 
-    def test_decay_the_sum_table_cannot_serve_is_refused_at_load(self, monkeypatch):
-        # Decay 8 at window_k 6 is served once the smallest weights are shed;
-        # at window_k 11, decay 1.17 nothing may be shed, so a table that
-        # missed F(S / 2) = 1/2 would be refused, naming both keys' lines.  No
-        # decay is known that shedding cannot serve, so a negative tolerance
-        # makes every centre check fail.
-        assert parse_config(default_config_text(window_k=6, decay=8.0)).decay == 8.0
-        monkeypatch.setattr(anomaly, "_SYMMETRY_TOL", -1.0)
-        anomaly._window_dist.cache_clear()
-        text = default_config_text(window_k=11, decay=1.17)
+    def test_quorum_past_the_indices_is_refused_at_load(self):
+        # Quorum 3 of two indices can raise no pooled alarm; a single index pools nothing, so any quorum loads.
+        text = default_config_text(quorum=3)
         keys = [line.split("=")[0].strip() for line in text.splitlines()]
-        where = f"lines {keys.index('window_k') + 1}, {keys.index('decay') + 1}"
+        where = f"lines {keys.index('indices') + 1}, {keys.index('quorum') + 1}"
+        reason = "quorum 3 exceeds the 2 indices, so no pooled alarm can be raised"
         with pytest.raises(ValueError) as refused:
             parse_config(text)
-        assert str(refused.value).startswith(f"{where}: bad values for 'window_k', 'decay': decay too fast")
+        assert str(refused.value) == f"{where}: bad values for 'indices', 'quorum': {reason}"
+        assert parse_config(default_config_text(quorum=2)).quorum == 2
+        assert parse_config(default_config_text(quorum=3, indices=["hi_a"])).quorum == 3
 
     @pytest.mark.parametrize(
         "overrides, named, column",

@@ -560,6 +560,20 @@ class TestCli:
         pooled = pipeline._read_series(copy / "pooled_scores.csv").as_values
         np.testing.assert_array_equal(pooled == 1.0, (scores[0] >= 0.3) & (scores[1] >= 0.3))
 
+    def test_quorum_override_past_the_indices_is_refused(self, finished_run, tmp_path, capsys):
+        # Quorum 3 of two indices could raise no pooled alarm; one index chosen with --index pools nothing.
+        _, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**FAST))
+        before = {path.name: path.read_bytes() for path in copy.iterdir()}
+        base = ["detect", "--config", str(config_path), "--out", str(copy), "--quorum", "3"]
+        assert main(base) == 2
+        reason = "quorum 3 exceeds the 2 indices, so no pooled alarm can be raised"
+        assert capsys.readouterr().err == f"{config_path}: bad values for 'indices', 'quorum': {reason}\n"
+        assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
+        assert main([*base, "--index", "hi_a"]) == 0
+
     def test_single_index_evaluate_ignores_pooled_alarms(self, finished_run, tmp_path):
         config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")

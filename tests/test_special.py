@@ -58,7 +58,7 @@ class TestNdtr:
 
     @pytest.mark.parametrize("shape", [(), (0,), (3,), (40, 2, 202), (3, 5000)])
     def test_shapes(self, shape):
-        # (40, 2, 202) and (3, 5000) take two passes of 8192 elements; the argument is left as it was.
+        # (40, 2, 202) and (3, 5000) take two passes of 12288 elements; the argument is left as it was.
         a = np.random.default_rng(1).normal(scale=5.0, size=shape)
         before = a.copy()
         got = ndtr(a)

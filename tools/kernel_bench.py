@@ -1,5 +1,6 @@
 """Time the two kernels that replaced scipy calls, against scipy's where it is installed,
-``anomaly.score_series`` at monitor's shape, the sum-CDF table's build and one sum-CDF call.
+``anomaly.score_series`` at monitor's shape, the sum-CDF table's build and one sum-CDF call,
+and the layers the README demo's stages spend their time in.
 
     python tools/kernel_bench.py [--rounds 15] [--number 200]
 
@@ -23,10 +24,23 @@
   for the default weights of ``k`` = 5, 10 and 11 and for
   ``exp_weights(12, 3.0)``, where knots crowd.  The table is built outside
   the timing.  It has no scipy side.
+* ``lockstep``: one ``posterior._LockstepTarget.evaluate`` of each proposal
+  block (experts, mixing and behavior) at the demo fit's shape, 4 slots x 200
+  rows with M = 2 experts and n = 2 covariates.
+* ``sampler``: a 40-iteration ``posterior.sample_posteriors`` run at that
+  shape, one dataset of 4 chains; its figure is per iteration.
+* ``psis``: ``posterior._psis_loo`` on the 800 x 200 log densities of an
+  800-draw sample, the demo's draw count; its figure is per point.
+* ``render_map``: one ``explain.render_map`` of that sample on the demo's
+  grid, 41 points along its one gate direction.
+* ``config_load``: ``config.parse_config`` of a config with ``window_k = 11,
+  decay = 0.6``, with the window cache cleared first, as in a fresh process.
+  Timed once per round, as ``table`` is.
 
-Each figure is the median over ``--rounds`` rounds of the mean time of
-``--number`` calls, in microseconds; rounds alternate between the package
-and scipy, so that both see the same load.  The scipy side is the same
+None of these has a scipy side.  Each figure is the median over
+``--rounds`` rounds of the mean time of ``--number`` calls, in
+microseconds; rounds alternate between the package and scipy, so that
+both see the same load.  The scipy side is the same
 arithmetic with ``scipy.special.ndtr`` or ``expit`` in the place of the
 package's.  BLAS runs one thread unless the environment sets its own count.  The
 last line of output is JSON.
@@ -49,7 +63,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from anomix import __version__, anomaly, model  # noqa: E402
+from anomix import __version__, anomaly, config, explain, model, posterior  # noqa: E402
 from anomix.posterior import PosteriorSample  # noqa: E402
 
 try:
@@ -101,6 +115,51 @@ def score_case(rng):
     return model.Dataset(x, y, ts), sample
 
 
+def demo_sample(rng, n_draws: int) -> PosteriorSample:
+    """A two-expert sample over 2 covariates whose draws scatter about one point, as the demo's fit."""
+    experts = rng.normal(size=(1, 2, 4)) + rng.normal(scale=0.05, size=(n_draws, 2, 4))
+    mixing = rng.normal(size=(1, 2, 3)) + rng.normal(scale=0.05, size=(n_draws, 2, 3))
+    mixing[:, -1] = 0.0
+    return PosteriorSample(experts, mixing, rng.normal(size=(n_draws, 3)), 0.25, 2, 0)
+
+
+def demo_rows(rng, n_rows: int = 200) -> model.Dataset:
+    x = rng.normal(size=(n_rows, 2))
+    y = 1.0 + x @ [0.8, -0.3] + rng.normal(scale=0.5, size=n_rows)
+    ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(n_rows) * np.timedelta64(3600, "s")
+    return model.Dataset(x, y, ts)
+
+
+def layer_cases(rng, number: int) -> tuple[dict, dict]:
+    """The demo's layer yardsticks: (case name -> (call, None, calls per timing), case name -> units per call)."""
+    data, prior = demo_rows(rng), model.PriorSpec()
+    start = demo_sample(rng, 4)
+    state = {name: np.array(getattr(start, name)) for name in ("experts", "mixing", "behavior")}
+    phi = np.repeat(model._embed_rows(data.covariates)[None], 4, axis=0)
+    target = posterior._LockstepTarget(state, phi, np.repeat(data.responses[None], 4, axis=0), prior)
+    cases = {}
+    for name, arr in state.items():
+        moved = arr + rng.normal(scale=0.01, size=arr.shape)
+        cases[f"lockstep_{name}_4x200"] = (lambda name=name, moved=moved: target.evaluate(name, moved), None, number)
+    settings = posterior.SamplerSettings(chains=4, iterations=40, burn_in=20)
+    cases["sampler_4x200"] = (lambda: posterior.sample_posteriors([data], prior, 2, settings), None, 1)
+    sample = demo_sample(rng, 800)
+    ll = posterior._pointwise(sample, data)[0]
+    cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
+    skeleton = explain.embed_grid(
+        explain.gate_geometry(sample), explain.default_score_grid(1), data.covariates.mean(axis=0)
+    )
+    cases["render_map_800x41"] = (lambda: explain.render_map(skeleton, sample), None, max(1, number // 20))
+    text = "schema_version = 1\nindices = hi_a, hi_b\nwindow_k = 11\ndecay = 0.6\n"
+
+    def fresh_load():
+        anomaly._window_dist.cache_clear()
+        return config.parse_config(text)
+
+    cases["config_load_k11_decay0.6"] = (fresh_load, None, 1)
+    return cases, {"sampler_4x200": settings.iterations, "psis_800x200": ll.shape[1]}
+
+
 def sum_cdf_queries(data, sample) -> tuple[int, int]:
     """``(calls, queries)`` that ``sum_cdf`` answers in one ``score_series`` call."""
     calls, original = [], anomaly.sum_cdf
@@ -139,6 +198,8 @@ def main() -> None:
         q = rng.uniform(0.0, dist.support_end, 960)
         anomaly.sum_cdf(dist, q)  # builds the table outside the timing
         cases[f"lookup_{name}"] = (lambda dist=dist, q=q: anomaly.sum_cdf(dist, q), None, args.number)
+    layers, per_unit = layer_cases(rng, args.number)
+    cases.update(layers)
     times = {name: {"anomix": [], "scipy": []} for name in cases}
     for _ in range(args.rounds):
         for name, (ours, theirs, number) in cases.items():
@@ -147,7 +208,7 @@ def main() -> None:
                 times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
     result = {}
     for name, sides in times.items():
-        medians = {side: statistics.median(t) for side, t in sides.items() if t}
+        medians = {side: statistics.median(t) / per_unit.get(name, 1) for side, t in sides.items() if t}
         if "scipy" in medians:
             medians["ratio"] = medians["anomix"] / medians["scipy"]
         result[name] = {key: round(value, 3) for key, value in medians.items()}
