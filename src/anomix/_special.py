@@ -58,13 +58,16 @@ _NDTR_CHUNK = 12288
 def ndtr(a) -> np.ndarray:
     """Standard normal CDF of every element of ``a``, as float64."""
     a = np.asarray(a, dtype=float)
-    flat = a.reshape(-1)
+    # A one-column matmul is a matrix-vector product, which rounds differently, so no pass is one
+    # element wide: one element is evaluated twice over, and a last pass of one takes its predecessor.
+    flat = np.repeat(a.reshape(-1), 2) if a.size == 1 else a.reshape(-1)
     out = np.empty(flat.size)
     width = min(_NDTR_CHUNK, max(flat.size, 1))
     work = np.empty((11, width))
     work[0] = 1.0
     with np.errstate(over="ignore"):
         for start in range(0, flat.size, width):
+            start = min(start, flat.size - 2)
             x = out[start : start + width]
             m = x.size
             # Rows 0-5 of the table are 1, w, w**2 .. w**5 for w = x**2; the matmul gives P_even .. Q_odd.
@@ -87,7 +90,7 @@ def ndtr(a) -> np.ndarray:
             np.signbit(x, out=x)
             x -= tail
             np.abs(x, out=x)
-    return out.reshape(a.shape)[()]
+    return out[: a.size].reshape(a.shape)[()]
 
 
 # Wichura's AS241 (PPND16): numerator and denominator coefficients, constant term first, of the

@@ -181,10 +181,10 @@ def _predictive_summary(sample: PosteriorSample, X):
     act = np.zeros((n_rows, sample.n_experts))
     mean_acc = np.zeros(n_rows)
     second_moment = np.zeros(n_rows)
-    for _, alpha, means, sds in sample.moment_blocks(X):
-        act += alpha.sum(axis=0).T
-        mean_acc += (alpha * means).sum(axis=-2).sum(axis=0)
-        second_moment += (alpha * (sds**2 + means**2)).sum(axis=-2).sum(axis=0)
+    for _, inverse, alpha, means, sds in sample.moment_blocks(X):
+        act += alpha[inverse].sum(axis=0).T
+        mean_acc += (alpha * means).sum(axis=-2)[inverse].sum(axis=0)
+        second_moment += (alpha * (sds**2 + means**2)).sum(axis=-2)[inverse].sum(axis=0)
     n_draws = sample.n_draws
     predictive_mean = mean_acc / n_draws
     predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)

@@ -312,24 +312,26 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
 # ---------------------------------------------------------------------------
 
 
-def _draw_from_moments(alpha, means, sds, uniforms, normals):
+def _draw_from_moments(alpha, means, sds, uniforms, normals, inverse=None):
     """Responses and allocations: ``uniforms`` pick the expert through the
-    mixing weights, ``normals`` are scaled by its fused moments.
+    mixing weights, ``normals`` are scaled by its fused moments.  Given
+    ``inverse``, the moments are (distinct draws, M, rows), and draw i of the
+    (draws, rows) ``uniforms`` and ``normals`` takes row ``inverse[i]``.
 
     The pick counts the cumulative weights at or below the uniform, all but
     the last, which is taken as 1 so that rounding cannot leave a draw above
     the last bin.  The weights are non-negative, so the running sums, added
     slice by slice in ``np.cumsum``'s order, never decrease: the count is
     the first bin whose cumulative weight exceeds the uniform."""
-    cum = alpha[..., 0, :].copy()
+    lead = (...,) if inverse is None else (inverse,)
+    cum = alpha[(*lead, 0, slice(None))].copy()
     z = np.zeros(np.broadcast_shapes(cum.shape, uniforms.shape), dtype=np.intp)
     for j in range(1, alpha.shape[-2]):
         z += cum <= uniforms
-        cum += alpha[..., j, :]
-    pick = z[..., None, :]
-    mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
-    sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]
-    return mean + sd * normals, z
+        cum += alpha[(*lead, j, slice(None))]
+    *draws, rows = np.indices(z.shape, sparse=True)
+    pick = (*draws, z, rows) if inverse is None else (inverse[:, None], z, rows)
+    return means[pick] + sds[pick] * normals, z
 
 
 def sample_conditional(params, X, rng: np.random.Generator):

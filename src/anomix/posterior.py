@@ -19,6 +19,7 @@ quantiles from one in-place sort of the draw axis, equal to ``np.quantile``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -136,17 +137,36 @@ class PosteriorSample:
     def n_experts(self) -> int:
         return self.experts.shape[1]
 
+    @functools.cached_property
+    def repeats(self) -> np.ndarray:
+        """Whether each draw repeats the one before it bit for bit, as a step every block rejects
+        leaves it: (S,) booleans, the first False.  Parameters compare as bit patterns, one column
+        at a time, so -0.0 and 0.0 differ."""
+        same = np.arange(self.n_draws) > 0
+        for name in _STACK_FIELDS:
+            for column in getattr(self, name).view(np.uint64).reshape(self.n_draws, -1).T:
+                same[1:] &= column[1:] == column[:-1]
+        return same
+
     def moment_blocks(self, X):
-        """Yield ``(draws, alpha, means, sds)`` over consecutive blocks of draws:
-        the slice of draws a block covers and its fused moments at every row
-        of ``X``, shaped (block draws, M, rows), at most ``BLOCK_ELEMENTS``
-        elements (and one draw) per block."""
+        """Yield ``(draws, inverse, alpha, means, sds)`` over consecutive blocks of draws: the slice
+        of draws a block covers and the fused moments at every row of ``X`` of its distinct draws,
+        shaped (distinct draws, M, rows), at most ``BLOCK_ELEMENTS`` elements (and one draw) per
+        block.  ``inverse`` maps each draw of the block to its row of the moments: a draw that
+        :attr:`repeats` its predecessor shares that one's row, so ``alpha[inverse]`` is every
+        draw's.  Repeats are found within a block, whose first draw is always evaluated, so that
+        its distinct draws hold the same set of values as the block, and a decision a consumer
+        makes once per block (``model._logsumexp``'s finite branch, ``model._softmax_gate``'s
+        check) falls as it would over every draw."""
         phi = _embed_rows(X)
         step = max(1, BLOCK_ELEMENTS // max(1, len(phi) * self.n_experts))
         for start in range(0, self.n_draws, step):
             block = slice(start, start + step)
-            arrays = (getattr(self, name)[block] for name in _STACK_FIELDS)
-            yield (block, *_moments_arrays(*arrays, phi))
+            fresh = ~self.repeats[block]
+            fresh[0] = True
+            rows = start + np.flatnonzero(fresh)
+            arrays = (getattr(self, name).take(rows, axis=0) for name in _STACK_FIELDS)
+            yield (block, fresh.cumsum() - 1, *_moments_arrays(*arrays, phi))
 
 
 @dataclass(frozen=True)
@@ -368,12 +388,12 @@ def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = Non
         raise ValueError("level must lie in (0, 1)")
     ll = np.empty((sample.n_draws, len(data)))
     per_draw = np.empty(sample.n_draws)
-    for block, alpha, means, sds in sample.moment_blocks(data.covariates):
-        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses[None, :])
+    for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
+        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses[None, :])[inverse]
         if level is not None:
             # y sits inside the central interval exactly when its CDF value
             # falls between the two tail probabilities (the CDF is monotone).
-            u = _cdf_from_moments(alpha, means, sds, data.responses)
+            u = _cdf_from_moments(alpha, means, sds, data.responses)[inverse]
             lo = (1.0 - level) / 2.0
             per_draw[block] = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
     if level is None:
@@ -494,9 +514,9 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     and the generator's final state are those of one call over all points.
     """
     out = rng.random((sample.n_draws, len(X)))
-    for block, alpha, means, sds in sample.moment_blocks(X):
+    for block, inverse, alpha, means, sds in sample.moment_blocks(X):
         uniforms = out[block]
-        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape))
+        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape), inverse)
     return out
 
 

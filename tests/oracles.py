@@ -33,7 +33,10 @@ uniform, where the package counts the running sums at or below it.
 ``sample_predictive_three_arrays`` is ``anomix.posterior.sample_predictive``
 holding its uniforms, its normals and its result as three (draws x points)
 arrays, where the package draws the uniforms into the result and each
-block's normals as the block is reached.
+block's normals as the block is reached.  It and
+``posterior_predictive_cdf`` read ``stack_moments``, the moments of every
+draw from one ``anomix.model._moments_arrays`` call over the whole stack,
+not the package's draw blocks, which evaluate each distinct draw once.
 
 A parameter point is one draw of the stack, the tuple ``(experts,
 gate_matrix, behavior_coeffs)`` that ``anomix.model``'s row functions
@@ -69,7 +72,9 @@ from anomix.model import (
     _blend,
     _cdf_from_moments,
     _draw_from_moments,
+    _embed_rows,
     _fuse,
+    _moments_arrays,
     conditional_cdf_rows,
     conditional_logpdf_rows,
     fused_moments,
@@ -371,14 +376,17 @@ def draw_from_moments_argmax(alpha, means, sds, uniforms, normals):
     return mean + sd * normals, z
 
 
+def stack_moments(sample, X) -> tuple:
+    """``(alpha, means, sds)`` of every draw of ``sample`` at the rows of ``X``, each (draws, M, rows),
+    from one ``_moments_arrays`` call over the whole stack: no draw blocks, no repeats skipped."""
+    return _moments_arrays(sample.experts, sample.mixing, sample.behavior, _embed_rows(X))
+
+
 def sample_predictive_three_arrays(sample, X, rng: np.random.Generator) -> np.ndarray:
     shape = (sample.n_draws, len(X))
     uniforms = rng.random(shape)
     normals = rng.standard_normal(shape)
-    out = np.empty(shape)
-    for block, alpha, means, sds in sample.moment_blocks(X):
-        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms[block], normals[block])
-    return out
+    return _draw_from_moments(*stack_moments(sample, X), uniforms, normals)[0]
 
 
 class ExpertParams(NamedTuple):
@@ -489,11 +497,10 @@ def cic(sample, data, level: float = 0.95):
 
 def posterior_predictive_cdf(sample, X, y) -> np.ndarray:
     """Draw-averaged conditional CDF at each covariate/response row."""
-    y = np.asarray(y, dtype=float)
-    acc = np.zeros(len(y))
-    for _, alpha, means, sds in sample.moment_blocks(X):
-        acc += _cdf_from_moments(alpha, means, sds, y).sum(axis=0)
-    return acc / sample.n_draws
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    # The whole stack's moments, 256 rows at a time, so that 4000 draws x 2000 rows stay small.
+    rows = [slice(start, start + 256) for start in range(0, len(y), 256)]
+    return np.concatenate([_cdf_from_moments(*stack_moments(sample, X[r]), y[r]).mean(axis=0) for r in rows])
 
 
 def default_config_text(**overrides) -> str:

@@ -15,11 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import cic, draw, lppd, pit_rows, posterior_predictive_cdf, sample_predictive_three_arrays, stack_draws
+from oracles import (
+    cic,
+    draw,
+    lppd,
+    pit_rows,
+    posterior_predictive_cdf,
+    sample_predictive_three_arrays,
+    stack_draws,
+    stack_moments,
+)
 
 import anomix
 from anomix.anomaly import (
@@ -29,7 +38,7 @@ from anomix.anomaly import (
     score_series,
     sum_cdf,
 )
-from anomix.explain import ExplanationMap, gate_geometry, render_map
+from anomix.explain import ExplanationMap, _predictive_summary, gate_geometry, render_map
 from anomix.model import (
     Dataset,
     PriorSpec,
@@ -43,6 +52,7 @@ from anomix.posterior import (
     BLOCK_ELEMENTS,
     PosteriorSample,
     SamplerSettings,
+    _pointwise,
     _psis_loo,
     _quantiles,
     fit_diagnostics,
@@ -175,12 +185,6 @@ class TestArchive:
         assert np.float64(back.acceptance_rate).tobytes() == np.float64(acceptance_rate).tobytes()
         assert (back.chain_count, back.seed) == (chain_count, seed)
         assert type(back.chain_count) is int and type(back.seed) is int
-
-
-def stack_moments(sample, X) -> list:
-    """``(alpha, means, sds)`` of every draw of ``sample`` at the rows of ``X``, each (draws, M, rows)."""
-    blocks = [arrays for _, *arrays in sample.moment_blocks(X)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 class TestRowBlocks:
@@ -342,6 +346,110 @@ class TestPredictiveScore:
         np.testing.assert_allclose(series.as_values, mean_of_scores, rtol=0.0, atol=1e-15)
 
 
+@st.composite
+def repeated_stacks(draw):
+    """A stack whose draws repeat their predecessors bit for bit, as rejected Metropolis steps leave
+    them, its rows and a window k.  Runs last from one draw to past a whole block of draws; one block
+    may hold a single distinct draw, and one draw may differ from its predecessor only in the sign of
+    a zero.  M = 1-3, 0-2 covariates, 1, 2 or 2-80 rows, and k up to one less than the rows."""
+    n_experts, n_covariates = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n_rows = draw(st.one_of(st.sampled_from([1, 2]), st.integers(2, 80)))
+    k = draw(st.one_of(st.just(min(n_rows - 1, 11)), st.integers(0, min(n_rows - 1, 11))))
+    step = BLOCK_ELEMENTS // (n_rows * n_experts)
+    n_draws = draw(st.integers(1, 2 * step + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    repeat = rng.random(n_draws) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1.0 / step]))
+    if draw(st.booleans()):
+        start = step * draw(st.integers(0, (n_draws - 1) // step))
+        repeat[start + 1 : start + step] = True
+    repeat[0] = False
+    source = np.maximum.accumulate(np.where(repeat, 0, np.arange(n_draws)))
+    fresh = random_stack(rng, n_draws, n_experts, n_covariates)
+    arrays = [getattr(fresh, name)[source] for name in ("experts", "mixing", "behavior")]
+    if n_draws > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, n_draws - 1))
+        for a in arrays:
+            a[i] = a[i - 1]
+        arrays[0][i - 1, 0, 0], arrays[0][i, 0, 0] = 0.0, -0.0
+    sample = PosteriorSample(*arrays, 0.25, 1, 0)
+    return sample, random_rows(rng, n_rows, n_covariates), k
+
+
+def zero_sign_case():
+    """Draw 2 differs from draw 1 only in the sign of a zero intercept."""
+    rng = np.random.default_rng(6)
+    arrays = [np.array(getattr(random_stack(rng, 4, 1, 0), name)) for name in ("experts", "mixing", "behavior")]
+    for a in arrays:
+        a[2] = a[1]
+    arrays[0][1, 0, 0], arrays[0][2, 0, 0] = 0.0, -0.0
+    return PosteriorSample(*arrays, 0.25, 1, 0), random_rows(rng, 5, 0), 2
+
+
+def every_draws_moments(sample, X) -> list:
+    """``moment_blocks``' moments, expanded through each block's ``inverse`` to every draw."""
+    blocks = [[a[inverse] for a in arrays] for _, inverse, *arrays in sample.moment_blocks(X)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def posterior_wide_outputs(sample, data, k, seed) -> list:
+    """The bytes of every output of the posterior-wide passes over ``sample``'s draw blocks."""
+    series = score_series(data, sample, k)
+    ll, coverage = _pointwise(sample, data, 0.9)
+    arrays = [
+        series.as_values,
+        series.theta_low,
+        series.theta_high,
+        ll,
+        coverage,
+        sample_predictive(sample, data.covariates, np.random.default_rng(seed)),
+        *_predictive_summary(sample, data.covariates),
+        *every_draws_moments(sample, data.covariates),
+    ]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestRepeatedDraws:
+    """Each distinct draw of a block is evaluated once; every output keeps its bits."""
+
+    def test_repeats_are_bitwise_copies_of_the_predecessor(self):
+        sample = random_stack(np.random.default_rng(3), 7, 2, 1)
+        arrays = [np.array(getattr(sample, name)) for name in ("experts", "mixing", "behavior")]
+        for a in arrays:
+            a[2] = a[3] = a[1]  # a run of three
+            a[5] = a[3]  # equal to an earlier draw, but not to its predecessor
+            a[6] = a[5]
+        arrays[1][6, 0, 0], arrays[1][5, 0, 0] = 0.0, -0.0  # only the sign of a zero differs
+        stack = PosteriorSample(*arrays, 0.25, 1, 0)
+        assert stack.repeats.tolist() == [False, False, True, True, False, False, False]
+        assert stack.repeats is stack.repeats
+
+    def test_each_block_evaluates_its_distinct_draws_once(self):
+        one = random_stack(np.random.default_rng(4), 1, 2, 1)
+        same = PosteriorSample(*(np.repeat(a, 100, axis=0) for a in (one.experts, one.mixing, one.behavior)), 0.25, 1, 0)
+        x = np.random.default_rng(5).normal(size=(202, 1))
+        blocks = [(block, inverse, alpha.shape[0]) for block, inverse, alpha, _, _ in same.moment_blocks(x)]
+        # 40 draws a block; each block evaluates its first draw, however many draws repeat it.
+        assert [(b.start, b.stop, n) for b, _, n in blocks] == [(0, 40, 1), (40, 80, 1), (80, 120, 1)]
+        assert all(not inverse.any() for _, inverse, _ in blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_stacks(), st.integers(0, 2**32 - 1))
+    @example(zero_sign_case(), 0)
+    def test_outputs_keep_their_bits(self, case, seed):
+        sample, data, k = case
+        # Each draw's stand-in, the first draw of its run within the block, is that draw bit for bit:
+        # a sign of zero that no output shows today still makes a distinct draw.
+        for block, inverse, *_ in sample.moment_blocks(data.covariates):
+            stand_ins = (block.start + np.flatnonzero(np.diff(inverse, prepend=-1)))[inverse]
+            for name in ("experts", "mixing", "behavior"):
+                assert getattr(sample, name)[stand_ins].tobytes() == getattr(sample, name)[block].tobytes()
+        got = posterior_wide_outputs(sample, data, k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PosteriorSample, "repeats", property(lambda stack: np.zeros(stack.n_draws, dtype=bool)))
+            want = posterior_wide_outputs(sample, data, k, seed)
+        assert got == want
+
+
 def traced_peak(run) -> int:
     """Bytes ``run()`` adds at its peak; a first, untraced call fills any cache it keeps."""
     run()
@@ -395,7 +503,8 @@ class TestPassMemory:
 # One monitor-shaped operation after another in a fresh process.  The k = 10 table is built first, then a
 # long-lived array of argv[2] KB shifts where the heap top lies; each operation loads two 100-draw,
 # two-expert archives and scores a 202-row batch against each, raising its alarms, then pools the two
-# and evaluates the pooled alarms.  Each operation's minor page faults are printed.
+# and evaluates the pooled alarms.  Each operation's minor page faults are printed.  A share argv[3] of
+# the draws is kept; each of the others repeats its predecessor, as a rejected Metropolis step leaves it.
 SCORING_OPS = """
 import resource, sys
 from pathlib import Path
@@ -405,12 +514,15 @@ from anomix.posterior import PosteriorSample
 
 rng = np.random.default_rng(0)
 paths = [Path(sys.argv[1]) / f"posterior_{index}.npz" for index in range(2)]
+kept = np.random.default_rng(1).random(100) < float(sys.argv[3])
+draws = np.maximum.accumulate(np.where(kept, np.arange(100), 0))
 for path in paths:
     experts = np.concatenate(
         [rng.normal(size=(1, 2, 3)) + rng.normal(scale=0.05, size=(100, 2, 3)), np.full((100, 2, 1), -1.0)], axis=-1
     )
     mixing = np.concatenate([rng.normal(size=(100, 1, 3)), np.zeros((100, 1, 3))], axis=1)
-    pipeline.save_posterior(PosteriorSample(experts, mixing, rng.normal(size=(100, 3)), 0.25, 2, 0), path)
+    behavior = rng.normal(size=(100, 3))
+    pipeline.save_posterior(PosteriorSample(experts[draws], mixing[draws], behavior[draws], 0.25, 2, 0), path)
 stamps = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(202) * np.timedelta64(3600, "s")
 x, y = rng.normal(size=(202, 2)), rng.normal(scale=0.5, size=202)
 y[140:153] += 8.0
@@ -445,12 +557,21 @@ class TestScoringPageFaults:
     8192-element work array a monitor operation re-faulted about 1200 pages, depending on where
     long-lived arrays left the heap top; after warm-up, an operation may take at most 16."""
 
-    @pytest.mark.parametrize("pad_kb", [0, 64, 200, 400, 800])
-    def test_repeated_scoring_faults_in_no_fresh_pages(self, tmp_path, pad_kb):
+    def check(self, tmp_path, pad_kb: int, kept: float):
         path = [str(Path(anomix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        command = [sys.executable, "-c", SCORING_OPS, str(tmp_path), str(pad_kb)]
+        command = [sys.executable, "-c", SCORING_OPS, str(tmp_path), str(pad_kb), str(kept)]
         result = subprocess.run(command, capture_output=True, text=True, env=env, check=True)
         faults = [int(count) for count in result.stdout.split()]
         assert len(faults) == 30 and statistics.median(faults[10:]) <= 16, faults
+
+    @pytest.mark.parametrize("pad_kb", [0, 64, 200, 400, 800])
+    def test_repeated_scoring_faults_in_no_fresh_pages(self, tmp_path, pad_kb):
+        self.check(tmp_path, pad_kb, 1.0)
+
+    @pytest.mark.parametrize("pad_kb", [0, 400, 800])
+    def test_scoring_draws_that_repeat_faults_in_no_fresh_pages(self, tmp_path, pad_kb):
+        """About half the draws repeat, as in a fit, so each block evaluates about 20 of its 40 draws and
+        ``ndtr``'s work array is narrower than its 12288-element chunk."""
+        self.check(tmp_path, pad_kb, 0.5)

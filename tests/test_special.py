@@ -66,6 +66,17 @@ class TestNdtr:
         assert np.abs(got - scipy_ndtr(a)).max(initial=0.0) <= NDTR_ABS
         assert np.array_equal(a, before)
 
+    def test_value_does_not_depend_on_the_length(self):
+        # One-element passes (a size-1 input, or 1 past a multiple of 12288) once went through a
+        # matrix-vector product, which rounds differently.
+        rng = np.random.default_rng(3)
+        a = rng.normal(scale=5.0, size=40_000)
+        whole = ndtr(a)
+        lengths = [1, 2, 3, 12_287, 12_288, 12_289, 24_577, 36_865, *rng.integers(1, 40_000, 50)]
+        for n in lengths:
+            assert ndtr(a[:n]).tobytes() == whole[:n].tobytes(), n
+        assert all(ndtr(value).tobytes() == whole[i].tobytes() for i, value in enumerate(a[:200]))
+
 
 class TestNdtri:
     def test_within_8_ulp_of_scipy(self):

@@ -15,7 +15,12 @@ and the layers the README demo's stages spend their time in.
   experts, 202 rows with 2 covariates and ``k = 10``, so 192 windows.  It
   has no scipy side; its line also gives the ``sum_cdf`` calls and queries
   one call makes, against the 100 x 192 = 19 200 queries of one per draw
-  and window.
+  and window.  Its draws are all distinct, so skipping repeated draws
+  cannot help it: it is the control for
+* ``score_repeats``: the same call with each draw after the first replaced,
+  with probability 1/2, by a copy of its predecessor, as rejected
+  Metropolis steps leave them (45-52% of ``monitor``'s draws are
+  distinct).  Its line gives the count of distinct draws.
 * ``table``: a fresh ``anomaly.build_sum_dist(w).taylor_table`` for the default
   weights of ``k`` = 5, 10 and 11, the sum-CDF's per-window-shape cost.  It
   has no scipy side and is timed once per round: ``--number`` does not apply.
@@ -115,6 +120,15 @@ def score_case(rng):
     return model.Dataset(x, y, ts), sample
 
 
+def with_repeats(sample, rng, share: float = 0.5) -> PosteriorSample:
+    """``sample`` with each draw after the first kept with probability ``share``, and otherwise
+    replaced by a copy of its predecessor, as a rejected Metropolis step leaves it."""
+    kept = rng.random(sample.n_draws) < share
+    kept[0] = True
+    source = np.maximum.accumulate(np.where(kept, np.arange(sample.n_draws), 0))
+    return PosteriorSample(sample.experts[source], sample.mixing[source], sample.behavior[source], 0.25, 1, 0)
+
+
 def demo_sample(rng, n_draws: int) -> PosteriorSample:
     """A two-expert sample over 2 covariates whose draws scatter about one point, as the demo's fit."""
     experts = rng.normal(size=(1, 2, 4)) + rng.normal(scale=0.05, size=(n_draws, 2, 4))
@@ -187,6 +201,8 @@ def main() -> None:
         cases[name] = (lambda gate=gate: model._logistic_gate(*gate), lambda gate=gate: scipy_gate(*gate), args.number)
     data, sample = score_case(rng)
     cases["score_100x202_k10"] = (lambda: anomaly.score_series(data, sample, 10), None, args.number)
+    repeating = with_repeats(sample, np.random.default_rng(1))  # its own generator: later cases keep their inputs
+    cases["score_repeats_100x202_k10"] = (lambda: anomaly.score_series(data, repeating, 10), None, args.number)
     anomaly.score_series(data, sample, 10)  # builds the k = 10 table outside the timing
     for k in (5, 10, 11):
         w = anomaly.exp_weights(k + 1, anomaly.default_decay(k))
@@ -216,6 +232,9 @@ def main() -> None:
     calls, queries = sum_cdf_queries(data, sample)
     result["score_100x202_k10"].update(sum_cdf_calls=calls, sum_cdf_queries=queries)
     print(f"score_100x202_k10 sum_cdf: {calls} call(s), {queries} queries (19200 at one per draw and window)")
+    distinct = int((~repeating.repeats).sum())
+    result["score_repeats_100x202_k10"].update(distinct_draws=distinct, draws=repeating.n_draws)
+    print(f"score_repeats_100x202_k10: {distinct} of {repeating.n_draws} draws distinct")
     versions = {
         "anomix": __version__, "numpy": np.__version__, "scipy": scipy_version, "python": platform.python_version()
     }
