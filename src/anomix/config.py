@@ -133,7 +133,7 @@ class PipelineConfig:
     burn_in: int = 1000
     target_acceptance: float = 0.25
     window_k: int = 5
-    decay: float = -1.0  # negative means "use the default for window_k"
+    decay: float = -1.0  # -1 means "use the default for window_k"; any other value must be positive
     threshold: float = 0.975
     patience: int = 10
     quorum: int = 1
@@ -174,7 +174,7 @@ class PipelineConfig:
             reason = f"quorum {self.quorum} exceeds the {len(self.indices)} indices, so no pooled alarm can be raised"
             raise _BadValue(("indices", "quorum"), reason)
         # Every other key is checked by the object of the stage that consumes it.
-        if self.decay >= 0:
+        if self.decay != -1.0:
             with _naming("window_k", "decay"):
                 exp_weights(self.window_k + 1, self.decay)
         singles = [(key,) for key in _CONSUMERS if not any(key in group for group in _JOINT_KEYS)]
@@ -198,7 +198,7 @@ class PipelineConfig:
         return self._consumer(SplitSpec)
 
     def effective_decay(self) -> float | None:
-        return None if self.decay < 0 else self.decay
+        return None if self.decay == -1.0 else self.decay
 
     def canonical_text(self) -> str:
         parts = []

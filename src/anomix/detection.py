@@ -13,6 +13,7 @@ day (UTC) granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class AlarmPolicy:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
+        if not isinstance(self.patience, Integral):
+            raise ValueError(f"patience must be an integer, got {self.patience!r}")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
 
@@ -53,6 +56,8 @@ class PoolingPolicy:
     half_level_enabled: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.quorum, Integral):
+            raise ValueError(f"quorum must be an integer, got {self.quorum!r}")
         if self.quorum < 1:
             raise ValueError("quorum must be at least 1")
 

@@ -185,31 +185,22 @@ def fused_moments(params, X):
 def _logsumexp(a, axis: int = -1):
     """Log of the sum of ``exp(a)`` along ``axis``, for float64 ``a``.
 
-    This is scipy.special's real-input log-sum-exp arithmetic without its
-    array-API dispatch, so results are bitwise equal to scipy's: the maxima
-    are split out of the sum and the remainder enters through ``log1p``
-    (Blanchard, Higham & Higham 2021). Slices whose result is not finite
-    (all ``-inf``, an ``inf`` or a NaN) fall back to ``log(sum(exp(a)))``.
-    scipy's ``where(s == 0, s, s / m)`` is a plain ``s / m``: ``s`` is 0 only where ``m`` is at least 1.
+    Within ``4 * eps * max(1, |x|)`` of scipy.special.logsumexp's ``x`` where
+    that is finite, and equal to it where it is not (an ``inf`` gives ``inf``,
+    a NaN NaN and an all ``-inf`` slice ``-inf``); finite input raises no
+    floating-point warning.  Each slice is shifted by its maximum, so that no
+    term exceeds 1 (Blanchard, Higham & Higham 2021), or by 0 where that is
+    not finite.
 
-    An axis of one to three, the sampler's case at M <= 3, takes that
-    arithmetic with the zero terms dropped, on slices of ``a`` and in place
-    on temporaries made here.  Of one value ``x`` scipy returns
-    ``log1p(0) + log(1) + x``, which is ``x + 0.0``.  Of more, a sorting
-    network leaves the largest in ``hi`` and the others in ``lo`` (and
-    ``mid``), and the result is ``hi + log1p(exp(lo - hi) [+ exp(mid - hi)])``.
-    Without a tie for the largest, scipy's ``m`` is 1 and its ``s``,
-    ``(e0 + e1) + e2`` with the largest's term an exact zero, sums the same
-    terms, as IEEE addition is commutative.  Of two values a tie gives
-    ``log1p(1)``, which equals scipy's ``log1p(0) + log(2)`` bit for bit; of
-    three, a tie for the largest takes the general formula, and so does
-    every slice if any ``hi`` is not finite, which is when a result would
-    not be.  A 1-D ``a`` is reduced as one column, so that its slices are arrays.
+    An axis of one to three of an array of two or more dimensions, the
+    sampler's case at M <= 3, is reduced on slices of ``a``, in place on
+    temporaries made here.  One value ``x`` gives ``x + 0.0``.  Of more, a
+    sorting network leaves the largest in ``hi`` and the others in ``lo`` (and
+    ``mid``), and the result is ``hi + log1p(exp(lo - hi) [+ exp(mid - hi)])``;
+    a slice whose ``hi`` is not finite has ``hi`` as its result.
     """
     k = a.shape[axis]
-    if 1 <= k <= 3:
-        if a.ndim == 1:
-            return _logsumexp(a[:, None], axis=0)[0]
+    if 1 <= k <= 3 and a.ndim > 1:
         lead = (slice(None),) * (axis % a.ndim)
         first = a[lead + (0,)]
         if k == 1:
@@ -219,26 +210,22 @@ def _logsumexp(a, axis: int = -1):
         if k == 3:
             mid = np.minimum(hi, a[lead + (2,)])
             np.maximum(hi, a[lead + (2,)], out=hi)
-        if np.isfinite(hi).all():  # so no NaN either: np.maximum propagates it, and nothing below warns
-            lo -= hi
-            if k == 3:
-                mid -= hi
-            if k == 2 or (lo.max() < 0.0 and mid.max() < 0.0):
-                np.exp(lo, out=lo)
-                if k == 3:
-                    lo += np.exp(mid, out=mid)
-                np.log1p(lo, out=lo)
-                lo += hi
-                return lo
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = is_max.sum(axis=axis, keepdims=True, dtype=float)
-        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+        finite = np.isfinite(hi)  # so no NaN either: np.maximum propagates it
+        if not finite.all():  # reduce finite stand-ins where it is not, so that nothing below warns
+            return np.where(finite, _logsumexp(np.where(np.expand_dims(finite, axis), a, 0.0), axis), hi)
+        lo -= hi
+        np.exp(lo, out=lo)
+        if k == 3:
+            mid -= hi
+            lo += np.exp(mid, out=mid)
+        np.log1p(lo, out=lo)
+        lo += hi
+        return lo
+    shift = a.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True))
+    out += shift
     return out.squeeze(axis=axis)[()]
 
 

@@ -156,8 +156,7 @@ class PosteriorSample:
         :attr:`repeats` its predecessor shares that one's row, so ``alpha[inverse]`` is every
         draw's.  Repeats are found within a block, whose first draw is always evaluated, so that
         its distinct draws hold the same set of values as the block, and a decision a consumer
-        makes once per block (``model._logsumexp``'s finite branch, ``model._softmax_gate``'s
-        check) falls as it would over every draw."""
+        makes once per block (``model._softmax_gate``'s check) falls as it would over every draw."""
         phi = _embed_rows(X)
         step = max(1, BLOCK_ELEMENTS // max(1, len(phi) * self.n_experts))
         for start in range(0, self.n_draws, step):

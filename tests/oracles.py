@@ -52,6 +52,10 @@ samples a dataset from one parameter point, ``lppd``, ``cic`` and
 ``posterior_predictive_cdf`` are a posterior's log pointwise predictive
 density, interval coverage and draw-averaged CDF, and
 ``default_config_text`` spells out every config key.
+
+``assert_within_4_eps`` holds a figure reduced by ``anomix.model._logsumexp``
+to that kernel's accuracy contract against the same figure reduced by
+scipy's ``logsumexp``.
 """
 
 import math
@@ -395,6 +399,17 @@ class ExpertParams(NamedTuple):
     intercept: float
     slopes: np.ndarray
     noise_sd: float
+
+
+def assert_within_4_eps(got, want):
+    """Same shape, equal where ``want`` is not finite (NaN where it is NaN), and within
+    ``4 * eps * max(1, |want|)`` of ``want`` everywhere else."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    g, w = got[finite], want[finite]
+    assert np.all(np.abs(g - w) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(w)))
 
 
 def MixingGateParams(matrix) -> np.ndarray:

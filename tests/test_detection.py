@@ -82,6 +82,24 @@ class TestRaiseAlarms:
             assert all(above[i - 3 : i + 1])
 
 
+class TestPolicies:
+    @pytest.mark.parametrize("patience", [2.5, 2.0])
+    def test_patience_that_is_not_an_integer_is_refused(self, patience):
+        with pytest.raises(ValueError, match=f"^patience must be an integer, got {patience}$"):
+            AlarmPolicy(0.975, patience)
+
+    @pytest.mark.parametrize("quorum", [1.5, 2.0])
+    def test_quorum_that_is_not_an_integer_is_refused(self, quorum):
+        with pytest.raises(ValueError, match=f"^quorum must be an integer, got {quorum}$"):
+            PoolingPolicy(quorum)
+
+    def test_numpy_integers_count(self):
+        s = series([0.99, 0.99, 0.1, 0.99])
+        assert raise_alarms(s, AlarmPolicy(0.975, np.int64(2))) == raise_alarms(s, AlarmPolicy(0.975, 2))
+        a, b = series([0.99, 0.1]), series([0.99, 0.99])
+        assert pool([a, b], PoolingPolicy(np.int32(2))).as_values.tolist() == [1.0, 0.0]
+
+
 class TestPool:
     def test_quorum_one_any_index(self):
         a = series([0.99, 0.1, 0.99])

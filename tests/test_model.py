@@ -16,6 +16,7 @@ from oracles import (
     ExpertParams,
     MixingGateParams,
     ModelParams,
+    assert_within_4_eps,
     conditional_pdf,
     fuse_experts,
     log_likelihood,
@@ -321,12 +322,12 @@ class TestExpertAxis:
     experts rest on NumPy folding axis -2 of a C-contiguous array slice by
     slice from the left, for any expert count.  That holds while there are
     at least two rows: with one, the expert axis is the contiguous one and
-    NumPy sums 8 or more experts pairwise.  Checked bit for bit, with the
-    log-sum-exp kernel against scipy's."""
+    NumPy sums 8 or more experts pairwise.  Checked bit for bit, and the
+    log-sum-exp kernel within ``4 * eps * max(1, |x|)`` of scipy's ``x``."""
 
     @settings(max_examples=300, deadline=None)
     @given(expert_axis_inputs())
-    def test_bitwise_equal_to_numpy_and_scipy(self, a):
+    def test_bitwise_equal_to_numpy_and_within_4_eps_of_scipy(self, a):
         assert a.flags.c_contiguous
         with np.errstate(invalid="ignore"):
             assert np.array_equal(a.max(axis=-2), fold_experts(np.maximum, a), equal_nan=True)
@@ -334,9 +335,7 @@ class TestExpertAxis:
             assert np.array_equal(a.sum(axis=-2), total, equal_nan=True)
             assert np.array_equal(np.cumsum(a, axis=-2)[..., -1, :], total, equal_nan=True)
             want = logsumexp(a, axis=-2)
-        got = _logsumexp(a, axis=-2)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert_within_4_eps(_logsumexp(a, axis=-2), want)
 
 
 @st.composite
@@ -388,11 +387,12 @@ def assert_bitwise_equal(got, want):
 
 
 class TestLogSumExp:
-    """The in-repo kernel against scipy's logsumexp, bit for bit."""
+    """The in-repo kernel against scipy's logsumexp: within ``4 * eps * max(1, |x|)`` of its
+    ``x``, and equal where ``x`` is not finite."""
 
     @settings(max_examples=500, deadline=None)
     @given(few_expert_inputs())
-    def test_one_to_three_experts_bitwise_equal_to_scipy_without_warnings(self, case):
+    def test_one_to_three_experts_within_4_eps_of_scipy_without_warnings(self, case):
         a, axis = case
         with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
             warnings.simplefilter("error")
@@ -400,7 +400,7 @@ class TestLogSumExp:
         with np.errstate(all="ignore"):
             want = logsumexp(a, axis=axis)
         assert type(got) is type(want)
-        assert_bitwise_equal(got, want)
+        assert_within_4_eps(got, want)
 
     @pytest.mark.parametrize("shape, axis", [((3, 0, 5), -2), ((0,), -1), ((0, 3), 0)])
     def test_empty_axis_is_refused(self, shape, axis):
@@ -409,18 +409,16 @@ class TestLogSumExp:
 
     @settings(max_examples=300, deadline=None)
     @given(lse_inputs())
-    def test_bitwise_equal_to_scipy(self, case):
+    def test_within_4_eps_of_scipy(self, case):
         a, axis = case
-        got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want, equal_nan=True)
+        assert_within_4_eps(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
 
     @pytest.mark.parametrize("a", [[np.inf, 0.0], [np.inf, np.inf], [np.nan, 0.0], [-np.inf, np.nan]])
     def test_non_finite_slices(self, a):
-        a = np.array(a)
+        a = np.array(a)[:, None]
         with np.errstate(invalid="ignore"):
-            want = logsumexp(a)
-        assert np.array_equal(_logsumexp(a), want, equal_nan=True)
+            want = logsumexp(a, axis=0)
+        assert np.array_equal(_logsumexp(a, axis=0), want, equal_nan=True)
 
 
 @st.composite
@@ -466,7 +464,8 @@ class TestInPlaceHelpers:
     """The gate, fusion and density helpers run in place on temporaries they
     own: they leave every argument's bytes as they were and return, bit for
     bit, what the same operations give one new array at a time
-    (``tests/oracles.py``)."""
+    (``tests/oracles.py``).  The mixture density of four or more experts,
+    whose oracle reduces with scipy, is held to ``_logsumexp``'s 4-eps bound."""
 
     CASES = {
         "softmax_gate": (_softmax_gate, oracles.softmax_gate, ("gate", "phi")),
@@ -509,7 +508,11 @@ class TestInPlaceHelpers:
         before = argument_bytes(*args)
         got = _logpdf_from_moments(*args[:3], args[3][..., None, :])
         assert argument_bytes(*args) == before
-        assert_bitwise_equal(got, oracles.logpdf_from_moments(*args))
+        want = oracles.logpdf_from_moments(*args)
+        if args[1].shape[-2] <= 3:
+            assert_bitwise_equal(got, want)
+        else:
+            assert_within_4_eps(got, want)
 
     @settings(max_examples=150, deadline=None)
     @given(few_expert_inputs())

@@ -501,6 +501,7 @@ class TestConfig:
             ("subsample_fraction", 0.0),
             ("margin_days", -1.0),
             ("decay", 0.0),
+            ("decay", -0.5),
             ("decay", 200.0),
             ("seed", -1),
         ],
@@ -535,6 +536,13 @@ class TestConfig:
         expected = f"line {line}: bad value for {key!r}: expected a finite number, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             parse_config(text)
+
+    def test_omitted_decay_keeps_the_default(self):
+        # -1 stands for window_k's own decay, written or left out, so both give one config hash.
+        omitted = parse_config("schema_version = 1\nindices = a\n")
+        assert omitted.effective_decay() is None
+        assert omitted.config_hash() == parse_config("schema_version = 1\nindices = a\ndecay = -1\n").config_hash()
+        assert parse_config("schema_version = 1\nindices = a\ndecay = 0.5\n").effective_decay() == 0.5
 
     def test_quorum_past_the_indices_is_refused_at_load(self):
         # Quorum 3 of two indices can raise no pooled alarm; a single index pools nothing, so any quorum loads.

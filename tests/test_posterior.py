@@ -20,6 +20,7 @@ from oracles import (
     ExpertParams,
     MixingGateParams,
     ModelParams,
+    assert_within_4_eps,
     cic,
     draw,
     log_likelihood,
@@ -40,6 +41,7 @@ from anomix.model import (
     PriorSpec,
     _embed_rows,
     _log_prior_arrays,
+    _logsumexp,
     conditional_cdf_rows,
     fused_moments,
 )
@@ -254,14 +256,14 @@ class TestLppd:
 
     @pytest.mark.parametrize("s, n", [(800, 21), (800, 201), (5000, 7), (8000, 41), (20000, 3)])
     def test_blocks_reduce_as_the_whole_matrix(self, s, n):
-        """Blocks of points that would leave one point over give the whole matrix's bits.  Zeroing
-        the other points' log densities makes the sum the last point's term alone, whose last bit
-        a sum over many points can round away."""
+        """Blocks of points that would leave one point over give the bits of ``_logsumexp`` over
+        the whole matrix.  Zeroing the other points' log densities makes the sum the last point's
+        term alone, whose last bit a sum over many points can round away."""
         assert n % max(2, BLOCK_ELEMENTS // s) == 1
         for seed in range(5):
             ll = np.random.default_rng(seed).normal(-2.0, 3.0, size=(s, n))
             for _ in range(2):
-                assert _lppd(ll).hex() == float(np.sum(logsumexp(ll, axis=0) - math.log(s))).hex()
+                assert _lppd(ll).hex() == float(np.sum(_logsumexp(ll, axis=0) - math.log(s))).hex()
                 ll[:, :-1] = 0.0
 
 
@@ -534,8 +536,11 @@ class TestLogTargetParts:
                 phi = _embed_rows(rng.normal(size=(30, n)))
                 y = 2.0 * rng.normal(size=30)
                 state = random_states(rng, chains, n_experts, n)
-                got = _log_target(*state, phi, y, self.PRIOR)
-                assert np.array_equal(got, reference_log_target(*state, phi, y, self.PRIOR)), (chains, n)
+                got, want = _log_target(*state, phi, y, self.PRIOR), reference_log_target(*state, phi, y, self.PRIOR)
+                if n_experts <= 3:
+                    assert np.array_equal(got, want), (chains, n)
+                else:  # past three experts the kernel is held to its accuracy bound, not scipy's bits
+                    assert_within_4_eps(got, want)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_single_expert_target_is_unchanged_by_the_fitted_prior(self, scale):
@@ -674,7 +679,7 @@ class TestSplitRhat:
 
 class TestScipyKernelParity:
     """Swapping the in-repo log-sum-exp kernel back to scipy's moves no draw
-    and no diagnostic by a single bit."""
+    by a single bit, and no diagnostic past the kernel's accuracy bound."""
 
     @pytest.mark.parametrize("n_experts", [1, 2, 3])
     def test_draws_and_diagnostics_bitwise_equal(self, n_experts, monkeypatch):
@@ -705,7 +710,33 @@ class TestScipyKernelParity:
         for name in ("experts", "mixing", "behavior"):
             assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
         assert ours.acceptance_rate == theirs.acceptance_rate
-        assert np.array_equal(astuple(ours_diag), astuple(theirs_diag), equal_nan=True)
+        assert_within_4_eps(astuple(ours_diag), astuple(theirs_diag))
+
+
+class TestSamplerUnderUlpLevelArithmetic:
+    """A plain max-shifted log-sum-exp, ``log(sum(exp(a - max))) + max`` for
+    every axis length, moves the log target by a few ulp but no accept
+    decision: the acceptance rate and the repeated draws are the same, and
+    every draw is within 1e-8 of the kernel's, relative.  This guards the
+    sampler's trajectory against refactors that move its arithmetic by ulps."""
+
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    def test_same_decisions_and_draws_within_1e_8(self, n_experts, monkeypatch):
+        data = linear_data(50, seed=2)
+        settings = SamplerSettings(chains=2, iterations=400, burn_in=200, seed=7)
+        ours = sample_posterior(data, PriorSpec(), n_experts, settings)
+
+        def plain_kernel(a, axis=-1):
+            shift = a.max(axis=axis, keepdims=True)
+            return (np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift).squeeze(axis=axis)
+
+        monkeypatch.setattr(anomix.model, "_logsumexp", plain_kernel)
+        monkeypatch.setattr(anomix.posterior, "_logsumexp", plain_kernel)
+        theirs = sample_posterior(data, PriorSpec(), n_experts, settings)
+        assert ours.acceptance_rate == theirs.acceptance_rate
+        assert np.array_equal(ours.repeats, theirs.repeats)
+        for name in ("experts", "mixing", "behavior"):
+            np.testing.assert_allclose(getattr(theirs, name), getattr(ours, name), rtol=1e-8, atol=0, err_msg=name)
 
 
 # The coverage grid's interval ends at 20 levels, as ``coverage_counts`` asks for them.

@@ -1,4 +1,4 @@
-"""Time the two kernels that replaced scipy calls, against scipy's where it is installed,
+"""Time the three kernels that replaced scipy calls, against scipy's where it is installed,
 ``anomaly.score_series`` at monitor's shape, the sum-CDF table's build and one sum-CDF call,
 and the layers the README demo's stages spend their time in.
 
@@ -11,6 +11,10 @@ and the layers the README demo's stages spend their time in.
   residual and costs less near 0; the package's does not.
 * ``gate``: ``model._logistic_gate`` at the sampler's shape, 4 chains x 200
   rows with 2 covariates, and at monitor's draw block, 40 draws x 202 rows.
+* ``logsumexp``: ``model._logsumexp`` at the sampler's shapes, 4 chains x 2
+  or 3 experts x 200 rows reduced over the experts (axis -2), and at the
+  shape LPPD and PSIS-LOO reduce, 800 draws x 20 points over the draws
+  (axis 0), on log densities drawn like theirs.
 * ``score``: ``anomaly.score_series`` on one monitor batch, 100 draws x 2
   experts, 202 rows with 2 covariates and ``k = 10``, so 192 windows.  It
   has no scipy side; its line also gives the ``sum_cdf`` calls and queries
@@ -47,8 +51,9 @@ None of these has a scipy side.  Each figure is the median over
 microseconds; rounds alternate between the package and scipy, so that
 both see the same load.  The scipy side is the same
 arithmetic with ``scipy.special.ndtr`` or ``expit`` in the place of the
-package's.  BLAS runs one thread unless the environment sets its own count.  The
-last line of output is JSON.
+package's, and ``scipy.special.logsumexp`` itself for ``logsumexp``.  BLAS
+runs one thread unless the environment sets its own count.  The last line
+of output is JSON.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from anomix.posterior import PosteriorSample  # noqa: E402
 
 try:
     from scipy import __version__ as scipy_version
-    from scipy.special import expit, ndtr
+    from scipy.special import expit, logsumexp, ndtr
 except ImportError:
     scipy_version = None
 
@@ -103,6 +108,15 @@ def gate_case(rng, slots: int, rows: int):
 def scipy_gate(behavior_coeffs, phi):
     logits = behavior_coeffs[..., None, :] @ phi.swapaxes(-1, -2)
     return expit(logits, out=logits)
+
+
+def logsumexp_case(rng, shape: tuple) -> np.ndarray:
+    """Log densities of spread -1 +- 2 nats; over experts (a 3-D ``shape``) each slice adds the
+    log of a mixing weight from a flat Dirichlet, as the sampler's components do."""
+    a = rng.normal(-1.0, 2.0, size=shape)
+    if len(shape) == 3:
+        a += np.log(rng.dirichlet(np.ones(shape[1]), size=(shape[0], shape[2]))).swapaxes(-1, -2)
+    return a
 
 
 def score_case(rng):
@@ -199,6 +213,12 @@ def main() -> None:
     for name, shape in (("gate_4x200", (4, 200)), ("gate_40x202", (40, 202))):
         gate = gate_case(rng, *shape)
         cases[name] = (lambda gate=gate: model._logistic_gate(*gate), lambda gate=gate: scipy_gate(*gate), args.number)
+    lse_rng = np.random.default_rng(2)  # its own generator: later cases keep their inputs
+    for name, shape, axis in (("lse_4x2x200", (4, 2, 200), -2), ("lse_4x3x200", (4, 3, 200), -2),
+                              ("lse_800x20", (800, 20), 0)):
+        a = logsumexp_case(lse_rng, shape)
+        ours, theirs = (lambda a=a, axis=axis: model._logsumexp(a, axis)), (lambda a=a, axis=axis: logsumexp(a, axis))
+        cases[name] = (ours, theirs, args.number)
     data, sample = score_case(rng)
     cases["score_100x202_k10"] = (lambda: anomaly.score_series(data, sample, 10), None, args.number)
     repeating = with_repeats(sample, np.random.default_rng(1))  # its own generator: later cases keep their inputs
