@@ -14,6 +14,7 @@ import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
+from numbers import Integral
 
 from .anomaly import MAX_WINDOW, exp_weights
 from .detection import AlarmPolicy, PoolingPolicy
@@ -71,6 +72,9 @@ class SplitSpec:
             raise ValueError("margin_days must be non-negative")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
+        for name in ("train_size", "validation_size"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.train_size < 1 or self.validation_size < 0:
             raise ValueError("split sizes must be positive")
 

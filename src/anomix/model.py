@@ -267,30 +267,27 @@ def conditional_cdf_rows(params, X, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _laplace_logpdf(values, loc: float, scale: float, log_norm):
-    return log_norm - np.abs(values - loc) / scale
-
-
 def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix=None, behavior_coeffs=None):
     """Log prior of the parameter groups given, over any leading (chain)
     axes, in log-sd coordinates, where the log-normal prior on each noise sd
-    is a plain normal.  Each group's terms are summed on their own, and the
-    sums add as mean coefficients, log sds, free gate rows, behavior; the
-    frozen last gate row carries no term."""
+    is a plain normal.  Each group sums to ``count * log_norm - sum(|value -
+    loc|) / scale``, or ``- sum((log_sd - loc)**2) / (2 scale**2)`` for the
+    log sds, and the sums add as mean coefficients, log sds, free gate rows,
+    behavior; the frozen last gate row carries no term."""
     mean_norm, noise_norm, gate_norm = spec._log_norms
     total = 0.0
     if coeffs is not None:
-        values = _laplace_logpdf(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale, mean_norm)
-        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
+        dev = np.abs(coeffs - spec.mean_coeff_location)
+        total = dev.shape[-2] * dev.shape[-1] * mean_norm - np.add.reduce(dev, axis=(-2, -1)) / spec.mean_coeff_scale
     if log_sds is not None:
-        z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
-        total += np.add.reduce(noise_norm - 0.5 * z * z, axis=-1)
+        z = log_sds - spec.noise_log_location
+        total += z.shape[-1] * noise_norm - np.add.reduce(z * z, axis=-1) / (2.0 * spec.noise_log_scale**2)
     if gate_matrix is not None:
-        values = _laplace_logpdf(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm)
-        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
+        dev = np.abs(gate_matrix[..., :-1, :] - spec.gate_coeff_location)
+        total += dev.shape[-2] * dev.shape[-1] * gate_norm - np.add.reduce(dev, axis=(-2, -1)) / spec.gate_coeff_scale
     if behavior_coeffs is not None:
-        values = _laplace_logpdf(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale, gate_norm)
-        total += np.add.reduce(values, axis=-1)
+        dev = np.abs(behavior_coeffs - spec.gate_coeff_location)
+        total += dev.shape[-1] * gate_norm - np.add.reduce(dev, axis=-1) / spec.gate_coeff_scale
     return total
 
 

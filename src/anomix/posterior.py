@@ -10,9 +10,10 @@ together, advance in lockstep, each on its own RNG stream, and fill one draw
 stack per dataset (:class:`PosteriorSample`, the kept state groups as they
 are) in contiguous chain blocks, from which the fit diagnostics read split
 R-hat.  The log target is cached per chain in one part per group, next to
-the experts' blend, so a proposal recomputes only what its group moves: a
-behavior-gate one reuses the blend.
-Each evaluation runs through the model's in-place helpers.
+the terms of the experts' blend, so a proposal recomputes only what its group
+moves: a behavior-gate one reuses the blend terms.  The likelihood is
+assembled from them without the fused moments that scoring reads, which
+moves the target by ulps and no accept decision.
 Posterior bands (score, predictive and coverage intervals) take their
 quantiles from one in-place sort of the draw axis, equal to ``np.quantile``.
 """
@@ -23,18 +24,19 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
 from ._special import ndtri
 from .model import (
+    LOG_2PI,
     Dataset,
     PriorSpec,
     _blend,
     _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
-    _fuse,
     _log_prior_arrays,
     _log_weights,
     _logistic_gate,
@@ -82,6 +84,9 @@ class SamplerSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("chains", "iterations", "burn_in", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.chains < 1:
             raise ValueError("at least one chain is required")
         if self.iterations <= self.burn_in or self.burn_in < 0:
@@ -191,7 +196,7 @@ class FitDiagnostics:
 
 
 def _experts_part(experts, phi, prior: PriorSpec):
-    """Expert means (S, M, rows), noise variances (S, M) and the group's prior term.
+    """Expert means (S, M, rows), noise variances (S, M) and the group's prior sum.
 
     ``experts`` holds each expert's mean coefficients followed by its log
     noise sd, (S, M, n + 2); the density is taken over that log-sd
@@ -203,14 +208,14 @@ def _experts_part(experts, phi, prior: PriorSpec):
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights, their logs (S, M, rows) and contiguous (S, rows, M) copy, and the free gate rows' prior term."""
+    """Mixing weights and ``log(alpha) - log(2 pi) / 2`` (S, M, rows), a contiguous (S, rows, M) copy, the prior sum."""
     alpha = _softmax_gate(mixing, phi)
-    alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2))
-    return alpha, _log_weights(alpha), alpha_rows, _log_prior_arrays(prior, gate_matrix=mixing)
+    log_alpha = np.log(alpha) - 0.5 * LOG_2PI
+    return alpha, log_alpha, np.ascontiguousarray(alpha.swapaxes(-1, -2)), _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
-    """Behavior gate output ``beta`` and ``1 - beta`` (S, 1, rows), and the behavior prior term."""
+    """Behavior gate output ``beta`` and ``1 - beta`` (S, 1, rows), and the behavior prior sum."""
     beta = _logistic_gate(behavior, phi)
     return beta, 1.0 - beta, _log_prior_arrays(prior, behavior_coeffs=behavior)
 
@@ -218,50 +223,60 @@ def _behavior_part(behavior, phi, prior: PriorSpec):
 _PARTS = dict(zip(_STACK_FIELDS, (_experts_part, _mixing_part, _behavior_part)))
 
 
-def _parts_blend(experts, mixing):
-    """The experts' ``alpha``-weighted blend (``model._blend``) from their parts."""
+def _blend_terms(experts, mixing, y):
+    """From the experts' and mixing parts: each mean's distance from the ``alpha``-weighted blend mean (S, M,
+    rows), the blend mean's distance from the responses ``y`` and the blend variance (S, 1, rows)."""
     (means, variances, _), (alpha, _, alpha_rows, _) = experts, mixing
-    return _blend(alpha, means, variances, alpha_rows)
+    blend_mean, blend_var = _blend(alpha, means, variances, alpha_rows)
+    return means - blend_mean, blend_mean - y, blend_var
 
 
-def _total(experts, mixing, behavior, blend, y):
-    """Log target (S,) from the three parts, the experts' ``blend`` and the responses ``y`` (S, 1, rows):
-    the likelihood, reduced over the experts by ``model._logsumexp``, plus the prior terms in the order
-    experts, mixing, behavior.  At M = 1 the behavior gate cannot move the likelihood and is never
-    proposed, so its prior term, a constant there, is left out: the target does not depend on the gate prior."""
-    means, variances, experts_prior = experts
+def _total(experts, mixing, behavior, blend):
+    """Log target (S,) from the three parts and the ``blend`` terms.  Expert j's fused mean sits ``r = beta *
+    spread + offset`` from the response and its variance is ``v = beta * variance + (1 - beta) * blend_var``,
+    so the likelihood sums ``logsumexp_j(log_alpha_j - (r**2 / v + log v) / 2)`` over the rows.  The prior
+    sums add as experts, mixing, behavior, the last left out at M = 1, where the behavior gate cannot move
+    the likelihood and is never proposed: the target does not depend on the gate prior."""
+    _, variances, experts_prior = experts
     _, log_alpha, _, mixing_prior = mixing
     beta, rest, behavior_prior = behavior
-    fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
-    ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var, out=fused_var), y).sum(axis=-1)
-    ll += experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0)
-    return ll
+    spread, offset, blend_var = blend
+    r, v = beta * spread, beta * variances[..., None]
+    r += offset
+    v += rest * blend_var
+    r *= r
+    r /= v
+    r += np.log(v, out=v)
+    r *= -0.5
+    r += log_alpha
+    prior = experts_prior + mixing_prior + (behavior_prior if variances.shape[-1] > 1 else 0.0)
+    return np.add.reduce(_logsumexp(r, axis=-2), axis=-1) + prior
 
 
 class _LockstepTarget:
-    """The slots' states, the cached part of the log target for each state group, the experts'
-    blend and the current log target (S,).  A proposal recomputes what its group can move: its
-    part, and the blend unless it is the behavior gate.  Accepting copies the moved state and
-    those arrays chain by chain, so the cache always equals a fresh evaluation."""
+    """The slots' states, the cached part of the log target for each state group, the terms of the
+    experts' blend and the current log target (S,).  A proposal recomputes what its group can move:
+    its part, and the blend terms unless it is the behavior gate.  Accepting copies the moved state
+    and those arrays chain by chain, so the cache always equals a fresh evaluation."""
 
     def __init__(self, state, phi, y, prior: PriorSpec):
         self.state, self._phi, self._y, self._prior = state, phi, y[..., None, :], prior
         self.parts = {name: part(state[name], phi, prior) for name, part in _PARTS.items()}
-        self.blend = _parts_blend(self.parts["experts"], self.parts["mixing"])
-        self.current = _total(*self.parts.values(), self.blend, self._y)
+        self.blend = _blend_terms(self.parts["experts"], self.parts["mixing"], self._y)
+        self.current = _total(*self.parts.values(), self.blend)
 
     def evaluate(self, name, moved):
-        """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend."""
+        """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend terms."""
         fresh = _PARTS[name](moved, self._phi, self._prior)
-        experts, mixing, behavior = (fresh if key == name else part for key, part in self.parts.items())
+        parts = {**self.parts, name: fresh}
         if name == "behavior":
-            return _total(experts, mixing, behavior, self.blend, self._y), fresh
-        blend = _parts_blend(experts, mixing)
-        return _total(experts, mixing, behavior, blend, self._y), fresh + blend
+            return _total(*parts.values(), self.blend), fresh
+        blend = _blend_terms(parts["experts"], parts["mixing"], self._y)
+        return _total(*parts.values(), blend), fresh + blend
 
     def accept(self, name, chains, moved, fresh, new):
         """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the slots listed in ``chains``."""
-        # After a behavior move ``fresh`` ends with its part, so zip stops before the blend.
+        # After a behavior move ``fresh`` ends with its part, so zip stops before the blend terms.
         cache = (self.state[name], self.current, *self.parts[name], *self.blend)
         # Row by row: a quarter of the chains accept on average, and a masked copy walks every row.
         for c in chains:
@@ -292,6 +307,9 @@ def sample_posterior(data: Dataset, prior: PriorSpec, n_experts: int, settings: 
     return sample_posteriors([data], prior, n_experts, settings)[0]
 
 
+# One error state for the whole run: huge responses overflow (the check at initialization reports
+# them), and a mixing weight that underflows to 0 has log -inf.
+@np.errstate(over="ignore", divide="ignore")
 def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: SamplerSettings) -> list:
     """One posterior per dataset, all fitted in one lockstep run.
 
@@ -326,26 +344,27 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
             gate[c] = prior.gate_coeff_location + 0.1 * rng.standard_normal(gate.shape[1:])
     phi = np.repeat([_embed_rows(d.covariates) for d in datasets], chains, axis=0)
     y = np.repeat([d.responses for d in datasets], chains, axis=0)
-    with np.errstate(over="ignore"):  # huge responses overflow here; the check below reports them
-        target = _LockstepTarget(state, phi, y, prior)
+    target = _LockstepTarget(state, phi, y, prior)
     prefix = "dataset {}: " if len(datasets) > 1 else ""
     for i, finite in enumerate(np.isfinite(target.current).reshape(-1, chains).all(axis=1)):
         if not finite:
             raise RuntimeError(f"{prefix.format(i)}non-finite posterior density at initialization")
 
     scales = {name: np.full(slots, INITIAL_SCALE) for name, _ in blocks}
-    normals = {name: np.empty((slots, state[name][free][0].size)) for name, free in blocks}
+    # Chain c draws into the free entries of its normals (the frozen gate row stays 0); step_scales view scales.
+    normals = {name: np.zeros(state[name].shape) for name, _ in blocks}
+    chain_normals = {name: list(normals[name][free]) for name, free in blocks}
+    step_scales = {name: scales[name].reshape(-1, *(1,) * (state[name].ndim - 1)) for name, _ in blocks}
     n_kept = settings.iterations - settings.burn_in
     kept = {name: np.empty((slots, n_kept, *arr.shape[1:])) for name, arr in state.items()}
     accepted = [0] * slots
     for it in range(settings.iterations):
         adapting, gamma = it < settings.burn_in, (it + 1) ** -0.6
-        for name, free in blocks:
-            moved = state[name].copy()
-            step, scale = moved[free], scales[name]
-            for rng, row in zip(rngs, normals[name]):
+        for name, _ in blocks:
+            for rng, row in zip(rngs, chain_normals[name]):
                 rng.standard_normal(out=row)
-            step += (scale[:, None] * normals[name]).reshape(step.shape)
+            moved = step_scales[name] * normals[name]
+            moved += state[name]
             new, part = target.evaluate(name, moved)
             taken = []
             for c, (rng, log_ratio) in enumerate(zip(rngs, (new - target.current).tolist())):
@@ -353,7 +372,7 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
                 if rng.random() < acc_prob:
                     taken.append(c)
                 if adapting:
-                    scale[c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
+                    scales[name][c] *= math.exp(gamma * (acc_prob - settings.target_acceptance))
             if taken:
                 target.accept(name, taken, moved, part, new)
                 if not adapting:

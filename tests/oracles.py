@@ -22,6 +22,10 @@ per draw block inside ``score_series``.
 
 ``log_target`` is the sampler's unnormalised log posterior at whole states,
 evaluated through one fresh ``anomix.posterior._LockstepTarget``.
+``FusedMomentsTarget`` is that class assembling the target from each
+expert's fused mean and sd through ``anomix.model._logpdf_from_moments``,
+with one prior term per parameter (``log_prior_per_term``), where the
+package assembles it from the blend's terms.
 
 ``softmax_gate``, ``logistic_gate``, ``fuse`` and ``logpdf_from_moments``
 are the model's gate, fusion and mixture-density helpers written out of
@@ -78,7 +82,11 @@ from anomix.model import (
     _draw_from_moments,
     _embed_rows,
     _fuse,
+    _log_weights,
+    _logistic_gate,
+    _logpdf_from_moments,
     _moments_arrays,
+    _softmax_gate,
     conditional_cdf_rows,
     conditional_logpdf_rows,
     fused_moments,
@@ -339,10 +347,91 @@ def sum_cdf_searchsorted(dist: WeightedUniformSumDist, q) -> np.ndarray:
     return out
 
 
-def log_target(experts, mixing, behavior, phi, y, prior: PriorSpec):
+def log_target(experts, mixing, behavior, phi, y, prior: PriorSpec, target=_LockstepTarget):
     """Unnormalised log posterior at states with any leading (chain) axes, in
-    log-sd coordinates (see ``anomix.posterior._experts_part``)."""
-    return _LockstepTarget({"experts": experts, "mixing": mixing, "behavior": behavior}, phi, y, prior).current
+    log-sd coordinates (see ``anomix.posterior._experts_part``), through a
+    fresh ``target``."""
+    return target({"experts": experts, "mixing": mixing, "behavior": behavior}, phi, y, prior).current
+
+
+def log_prior_per_term(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix=None, behavior_coeffs=None):
+    """``anomix.model._log_prior_arrays`` with one log density term per
+    parameter, each group's terms summed on their own and the sums added in
+    the package's order."""
+    def laplace(values, loc, scale):
+        return -np.log(2.0 * scale) - np.abs(values - loc) / scale
+
+    total = 0.0
+    if coeffs is not None:
+        values = laplace(coeffs, spec.mean_coeff_location, spec.mean_coeff_scale)
+        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
+    if log_sds is not None:
+        z = (log_sds - spec.noise_log_location) / spec.noise_log_scale
+        total += np.add.reduce(-np.log(spec.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z, axis=-1)
+    if gate_matrix is not None:
+        values = laplace(gate_matrix[..., :-1, :], spec.gate_coeff_location, spec.gate_coeff_scale)
+        total += np.add.reduce(values.reshape(*values.shape[:-2], -1), axis=-1)
+    if behavior_coeffs is not None:
+        total += np.add.reduce(laplace(behavior_coeffs, spec.gate_coeff_location, spec.gate_coeff_scale), axis=-1)
+    return total
+
+
+class FusedMomentsTarget:
+    """``anomix.posterior._LockstepTarget`` assembling the log target from
+    fused moments: each proposal fuses every expert toward the blend
+    (``model._fuse``), takes the fused variances' square roots and reduces
+    ``model._logpdf_from_moments`` over the experts, and each group's prior
+    is one term per parameter (``log_prior_per_term``).  It caches each
+    group's part and the blend's mean and variance, and has the same
+    interface, so a test can run the sampler through it."""
+
+    def __init__(self, state, phi, y, prior: PriorSpec):
+        self.state, self._phi, self._y, self._prior = state, phi, y[..., None, :], prior
+        self.parts = {name: self._part(name, state[name]) for name in ("experts", "mixing", "behavior")}
+        self.blend = self._blend(self.parts["experts"], self.parts["mixing"])
+        self.current = self._total(*self.parts.values(), self.blend)
+
+    def _part(self, name, value):
+        phi, prior = self._phi, self._prior
+        if name == "experts":
+            coeffs, log_sds = value[..., :-1], value[..., -1]
+            variances = np.exp(log_sds)
+            prior_term = log_prior_per_term(prior, coeffs=coeffs, log_sds=log_sds)
+            return coeffs @ phi.swapaxes(-1, -2), np.square(variances, out=variances), prior_term
+        if name == "mixing":
+            alpha = _softmax_gate(value, phi)
+            alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2))
+            return alpha, _log_weights(alpha), alpha_rows, log_prior_per_term(prior, gate_matrix=value)
+        beta = _logistic_gate(value, phi)
+        return beta, 1.0 - beta, log_prior_per_term(prior, behavior_coeffs=value)
+
+    @staticmethod
+    def _blend(experts, mixing):
+        (means, variances, _), (alpha, _, alpha_rows, _) = experts, mixing
+        return _blend(alpha, means, variances, alpha_rows)
+
+    def _total(self, experts, mixing, behavior, blend):
+        means, variances, experts_prior = experts
+        _, log_alpha, _, mixing_prior = mixing
+        beta, rest, behavior_prior = behavior
+        fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
+        ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var, out=fused_var), self._y).sum(axis=-1)
+        ll += experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0)
+        return ll
+
+    def evaluate(self, name, moved):
+        fresh = self._part(name, moved)
+        experts, mixing, behavior = (fresh if key == name else part for key, part in self.parts.items())
+        if name == "behavior":
+            return self._total(experts, mixing, behavior, self.blend), fresh
+        blend = self._blend(experts, mixing)
+        return self._total(experts, mixing, behavior, blend), fresh + blend
+
+    def accept(self, name, chains, moved, fresh, new):
+        cache = (self.state[name], self.current, *self.parts[name], *self.blend)
+        for c in chains:
+            for cached, value in zip(cache, (moved, new, *fresh)):
+                cached[c] = value[c]
 
 
 def softmax_gate(gate_matrix, phi):

@@ -305,6 +305,11 @@ def failure_at(ts):
 
 
 class TestBuildSplits:
+    @pytest.mark.parametrize("name, value", [("train_size", 2.5), ("train_size", 200.0), ("validation_size", 0.5)])
+    def test_sizes_that_are_not_integers_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            SplitSpec(**{name: value})
+
     def test_no_failures_prefix_split(self):
         data = hourly_dataset(800, seed=6)
         train, val, test = build_splits(

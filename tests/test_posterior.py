@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     BehaviorGateParams,
     ExpertParams,
+    FusedMomentsTarget,
     MixingGateParams,
     ModelParams,
     assert_within_4_eps,
@@ -135,6 +136,11 @@ class TestSampler:
     def test_zero_iteration_config_rejected(self):
         with pytest.raises(ValueError):
             SamplerSettings(chains=1, iterations=0, burn_in=0)
+
+    @pytest.mark.parametrize("name, value", [("chains", 2.5), ("iterations", 100.5), ("burn_in", 50.0), ("seed", 1.5)])
+    def test_counts_that_are_not_integers_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            SamplerSettings(**{"chains": 1, "iterations": 100, "burn_in": 50, "seed": 0, name: value})
 
     def test_burn_in_must_leave_draws(self):
         with pytest.raises(ValueError):
@@ -482,11 +488,14 @@ class TestLogTarget:
 
 def reference_log_target(experts, mixing, behavior, phi, y, prior):
     """The sampler's log target written out with NumPy ``axis=-1``
-    reductions and scipy's logsumexp over the expert axis.  At M = 1 the
-    frozen behavior gate carries no prior term.  The behavior gate is the
-    model's ``1 / (1 + exp(-t))``, whose distance from scipy's ``expit``
-    ``TestInPlaceHelpers`` bounds, so that this reference pins how the
-    target is assembled."""
+    reductions and scipy's logsumexp over the expert axis, assembled as the
+    sampler does: each fused mean's residual ``beta * (mean - blend_mean) +
+    (blend_mean - y)``, each fused variance ``beta * var + (1 - beta) *
+    blend_var``, and each group's prior as ``count * log_norm`` less its
+    scaled deviations.  At M = 1 the frozen behavior gate carries no prior
+    term.  The behavior gate is the model's ``1 / (1 + exp(-t))``, whose
+    distance from scipy's ``expit`` ``TestInPlaceHelpers`` bounds, so that
+    this reference pins how the target is assembled."""
     coeffs, log_sds = experts[..., :-1], experts[..., -1]
     sds = np.exp(log_sds)
     logits = phi @ np.swapaxes(mixing, -1, -2)
@@ -498,23 +507,26 @@ def reference_log_target(experts, mixing, behavior, phi, y, prior):
     variances = sds**2
     blend_mean = (alpha * means).sum(axis=-1, keepdims=True)
     blend_var = alpha @ variances[..., None]
-    fused = beta * means + (1.0 - beta) * blend_mean
-    fused_sds = np.sqrt(beta * variances[..., None, :] + (1.0 - beta) * blend_var)
-    z = (y[:, None] - fused) / fused_sds
-    comp = -0.5 * z * z - np.log(fused_sds) - 0.5 * LOG_2PI
+    r = beta * (means - blend_mean) + (blend_mean - y[:, None])
+    v = beta * variances[..., None, :] + (1.0 - beta) * blend_var
     with np.errstate(divide="ignore"):
-        ll = logsumexp(comp + np.log(alpha), axis=-1).sum(axis=-1)
+        comp = (np.log(alpha) - 0.5 * LOG_2PI) - 0.5 * (r * r / v + np.log(v))
+    ll = logsumexp(comp, axis=-1).sum(axis=-1)
+
+    def summed(deviations, log_norm, divisor):
+        flat = deviations.reshape(*log_sds.shape[:-1], -1)
+        return flat.shape[-1] * log_norm - flat.sum(axis=-1) / divisor
 
     def laplace(values, loc, scale):
-        return -np.log(2.0 * scale) - np.abs(values - loc) / scale
+        return summed(np.abs(values - loc), -np.log(2.0 * scale), scale)
 
-    z = (log_sds - prior.noise_log_location) / prior.noise_log_scale
+    z = log_sds - prior.noise_log_location
     terms = (
         laplace(coeffs, prior.mean_coeff_location, prior.mean_coeff_scale),
-        -np.log(prior.noise_log_scale) - 0.5 * LOG_2PI - 0.5 * z * z,
+        summed(z * z, -np.log(prior.noise_log_scale) - 0.5 * LOG_2PI, 2.0 * prior.noise_log_scale**2),
         laplace(mixing[..., :-1, :], prior.gate_coeff_location, prior.gate_coeff_scale),
     ) + ((laplace(behavior, prior.gate_coeff_location, prior.gate_coeff_scale),) if mixing.shape[-2] > 1 else ())
-    return ll + sum(t.reshape(*log_sds.shape[:-1], -1).sum(axis=-1) for t in terms)
+    return ll + sum(terms)
 
 
 def random_states(rng, chains, n_experts, n):
@@ -541,6 +553,19 @@ class TestLogTargetParts:
                     assert np.array_equal(got, want), (chains, n)
                 else:  # past three experts the kernel is held to its accuracy bound, not scipy's bits
                     assert_within_4_eps(got, want)
+
+    @pytest.mark.parametrize("n_experts", range(1, 8))
+    def test_within_2e_15_of_the_fused_moments_assembly(self, n_experts):
+        # On the inputs above, the target sits at most 3.8e-16 from the fused-moment assembly, relative,
+        # and over 2000 wider states (200 rows, states x3, responses x10) at most 6.2e-16.
+        rng = np.random.default_rng(60 + n_experts)
+        for chains in range(1, 5):
+            for n in range(4):
+                phi = _embed_rows(rng.normal(size=(30, n)))
+                y = 2.0 * rng.normal(size=30)
+                state = random_states(rng, chains, n_experts, n)
+                got = _log_target(*state, phi, y, self.PRIOR)
+                np.testing.assert_allclose(got, _log_target(*state, phi, y, self.PRIOR, FusedMomentsTarget), rtol=2e-15)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_single_expert_target_is_unchanged_by_the_fitted_prior(self, scale):
@@ -732,6 +757,24 @@ class TestSamplerUnderUlpLevelArithmetic:
 
         monkeypatch.setattr(anomix.model, "_logsumexp", plain_kernel)
         monkeypatch.setattr(anomix.posterior, "_logsumexp", plain_kernel)
+        theirs = sample_posterior(data, PriorSpec(), n_experts, settings)
+        assert ours.acceptance_rate == theirs.acceptance_rate
+        assert np.array_equal(ours.repeats, theirs.repeats)
+        for name in ("experts", "mixing", "behavior"):
+            np.testing.assert_allclose(getattr(theirs, name), getattr(ours, name), rtol=1e-8, atol=0, err_msg=name)
+
+
+class TestSamplerUnderFusedMomentsAssembly:
+    """The sampler's target, assembled from the blend terms, and the same target assembled from fused
+    moments (``oracles.FusedMomentsTarget``) differ by ulps but take every accept decision alike: the
+    acceptance rate and the repeated draws are the same, and every draw is within 1e-8 relative."""
+
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    def test_same_decisions_and_draws_within_1e_8(self, n_experts, monkeypatch):
+        data = linear_data(50, seed=2)
+        settings = SamplerSettings(chains=2, iterations=400, burn_in=200, seed=7)
+        ours = sample_posterior(data, PriorSpec(), n_experts, settings)
+        monkeypatch.setattr(anomix.posterior, "_LockstepTarget", FusedMomentsTarget)
         theirs = sample_posterior(data, PriorSpec(), n_experts, settings)
         assert ours.acceptance_rate == theirs.acceptance_rate
         assert np.array_equal(ours.repeats, theirs.repeats)

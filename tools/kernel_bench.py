@@ -35,9 +35,10 @@ and the layers the README demo's stages spend their time in.
   the timing.  It has no scipy side.
 * ``lockstep``: one ``posterior._LockstepTarget.evaluate`` of each proposal
   block (experts, mixing and behavior) at the demo fit's shape, 4 slots x 200
-  rows with M = 2 experts and n = 2 covariates.
-* ``sampler``: a 40-iteration ``posterior.sample_posteriors`` run at that
-  shape, one dataset of 4 chains; its figure is per iteration.
+  rows with M = 2 experts and n = 2 covariates, and at ``select``'s largest,
+  2 slots x 3 experts x 200 rows (``_2x3x200``).
+* ``sampler``: a 40-iteration ``posterior.sample_posteriors`` run at each of
+  those shapes, one dataset of 4 or 2 chains; its figure is per iteration.
 * ``psis``: ``posterior._psis_loo`` on the 800 x 200 log densities of an
   800-draw sample, the demo's draw count; its figure is per point.
 * ``render_map``: one ``explain.render_map`` of that sample on the demo's
@@ -143,10 +144,10 @@ def with_repeats(sample, rng, share: float = 0.5) -> PosteriorSample:
     return PosteriorSample(sample.experts[source], sample.mixing[source], sample.behavior[source], 0.25, 1, 0)
 
 
-def demo_sample(rng, n_draws: int) -> PosteriorSample:
-    """A two-expert sample over 2 covariates whose draws scatter about one point, as the demo's fit."""
-    experts = rng.normal(size=(1, 2, 4)) + rng.normal(scale=0.05, size=(n_draws, 2, 4))
-    mixing = rng.normal(size=(1, 2, 3)) + rng.normal(scale=0.05, size=(n_draws, 2, 3))
+def demo_sample(rng, n_draws: int, n_experts: int = 2) -> PosteriorSample:
+    """A sample over 2 covariates whose draws scatter about one point, as the demo's two-expert fit."""
+    experts = rng.normal(size=(1, n_experts, 4)) + rng.normal(scale=0.05, size=(n_draws, n_experts, 4))
+    mixing = rng.normal(size=(1, n_experts, 3)) + rng.normal(scale=0.05, size=(n_draws, n_experts, 3))
     mixing[:, -1] = 0.0
     return PosteriorSample(experts, mixing, rng.normal(size=(n_draws, 3)), 0.25, 2, 0)
 
@@ -158,19 +159,30 @@ def demo_rows(rng, n_rows: int = 200) -> model.Dataset:
     return model.Dataset(x, y, ts)
 
 
-def layer_cases(rng, number: int) -> tuple[dict, dict]:
-    """The demo's layer yardsticks: (case name -> (call, None, calls per timing), case name -> units per call)."""
+def sampler_cases(rng, number: int, slots: int, n_experts: int, shape: str) -> tuple[dict, int, tuple]:
+    """One ``_LockstepTarget.evaluate`` of each block and a 40-iteration sampler run of ``slots``
+    chains and ``n_experts`` experts on 200 demo rows: (cases, iterations per run, (data, prior))."""
     data, prior = demo_rows(rng), model.PriorSpec()
-    start = demo_sample(rng, 4)
+    start = demo_sample(rng, slots, n_experts)
     state = {name: np.array(getattr(start, name)) for name in ("experts", "mixing", "behavior")}
-    phi = np.repeat(model._embed_rows(data.covariates)[None], 4, axis=0)
-    target = posterior._LockstepTarget(state, phi, np.repeat(data.responses[None], 4, axis=0), prior)
+    phi = np.repeat(model._embed_rows(data.covariates)[None], slots, axis=0)
+    target = posterior._LockstepTarget(state, phi, np.repeat(data.responses[None], slots, axis=0), prior)
     cases = {}
     for name, arr in state.items():
         moved = arr + rng.normal(scale=0.01, size=arr.shape)
-        cases[f"lockstep_{name}_4x200"] = (lambda name=name, moved=moved: target.evaluate(name, moved), None, number)
-    settings = posterior.SamplerSettings(chains=4, iterations=40, burn_in=20)
-    cases["sampler_4x200"] = (lambda: posterior.sample_posteriors([data], prior, 2, settings), None, 1)
+        cases[f"lockstep_{name}_{shape}"] = (lambda name=name, moved=moved: target.evaluate(name, moved), None, number)
+    settings = posterior.SamplerSettings(chains=slots, iterations=40, burn_in=20)
+    cases[f"sampler_{shape}"] = (lambda: posterior.sample_posteriors([data], prior, n_experts, settings), None, 1)
+    return cases, settings.iterations, (data, prior)
+
+
+def layer_cases(rng, number: int) -> tuple[dict, dict]:
+    """The demo's layer yardsticks and the sampler's at ``select``'s shape: (case name -> (call, None,
+    calls per timing), case name -> units per call)."""
+    cases, iterations, (data, prior) = sampler_cases(rng, number, 4, 2, "4x200")
+    # select's shape, on its own generator: the other cases keep their inputs.
+    select, _, _ = sampler_cases(np.random.default_rng(3), number, 2, 3, "2x3x200")
+    cases.update(select)
     sample = demo_sample(rng, 800)
     ll = posterior._pointwise(sample, data)[0]
     cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
@@ -185,7 +197,7 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
         return config.parse_config(text)
 
     cases["config_load_k11_decay0.6"] = (fresh_load, None, 1)
-    return cases, {"sampler_4x200": settings.iterations, "psis_800x200": ll.shape[1]}
+    return cases, {"sampler_4x200": iterations, "sampler_2x3x200": iterations, "psis_800x200": ll.shape[1]}
 
 
 def sum_cdf_queries(data, sample) -> tuple[int, int]:
