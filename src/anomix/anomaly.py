@@ -117,10 +117,9 @@ class WeightedUniformSumDist:
     ascending order with matching cardinality-parity signs; ``subset_sums``
     are their roundings and ``subset_lows`` the rounding errors, and those
     below ``support_end / 2`` are the knots of ``taylor_table``.
-    ``unit_norm`` is ``degree! prod(w)`` in units of ``2**(-scale * degree)``
-    and ``norm_const`` its rounding.  ``n`` is the window length; ``degree``
-    is the number of weights kept: ``build_sum_dist`` drops the smallest
-    only where ``norm_const`` would underflow.
+    ``unit_norm`` is ``degree! prod(w)`` in units of ``2**(-scale * degree)``.
+    ``degree`` is the number of weights kept: ``build_sum_dist`` drops the
+    smallest only where that product would underflow.
     """
 
     weights: WeightVector
@@ -130,8 +129,6 @@ class WeightedUniformSumDist:
     unit_sums: tuple = field(repr=False)
     unit_norm: int
     scale: int
-    norm_const: float
-    n: int
     degree: int
     support_end: float
 
@@ -215,8 +212,6 @@ def _enumerate(w: WeightVector, kept: np.ndarray) -> WeightedUniformSumDist:
         unit_sums=unit_sums,
         unit_norm=unit_norm,
         scale=scale,
-        norm_const=unit_norm / grid**degree,
-        n=len(w),
         degree=degree,
         support_end=hi[-1],
     )

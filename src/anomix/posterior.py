@@ -28,7 +28,6 @@ from numbers import Integral
 
 import numpy as np
 
-from ._special import ndtri
 from .model import (
     LOG_2PI,
     Dataset,
@@ -130,6 +129,9 @@ class PosteriorSample:
             raise ValueError("last gate row must be identically zero in every draw")
         if not 0.0 <= self.acceptance_rate <= 1.0:  # NaN fails too
             raise ValueError(f"acceptance rate {self.acceptance_rate} does not lie in [0, 1]")
+        for name, value, least in (("chain_count", self.chain_count, 1), ("seed", self.seed, 0)):
+            if not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name, arr in zip(_STACK_FIELDS, arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -592,12 +594,21 @@ def _rank_normal(draws: np.ndarray) -> np.ndarray:
     flat = draws.reshape(-1, draws.shape[-1])
     n = len(flat)
     # Tied draws take mirrored places within their group in stable sorts of
-    # the column and of the column reversed, so the two average to its mid-rank.
-    place = np.arange(n, dtype=float)[:, None]
-    up, down = np.empty_like(flat), np.empty_like(flat)
+    # the column and of the column reversed, so the two sum to twice its mid-rank.
+    place = np.arange(n)[:, None]
+    up, down = np.empty((2, *flat.shape), dtype=int)
     np.put_along_axis(up, np.argsort(flat, axis=0, kind="stable"), place, axis=0)
     np.put_along_axis(down, n - 1 - np.argsort(flat[::-1], axis=0, kind="stable"), place, axis=0)
-    return ndtri(((up + down) / 2 + 1.0 - 0.375) / (n + 0.25)).reshape(draws.shape)
+    return _normal_scores(n)[up + down].reshape(draws.shape)
+
+
+def _normal_scores(n: int) -> np.ndarray:
+    """Normal score of each mid-rank r = k / 2 that n pooled draws can take, k = 0 .. 2n - 2:
+    the inverse normal CDF of (r + 1 - 0.375) / (n + 0.25)."""
+    from statistics import NormalDist  # imported on use: it pulls in fractions and decimal, and only R-hat needs it
+
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(p) for p in ((np.arange(2 * n - 1) / 2 + 1.0 - 0.375) / (n + 0.25)).tolist()])
 
 
 def _rhat(z: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ def exact_sum_cdf(weights, qs):
 
 def kept_weights(dist):
     """The weights ``build_sum_dist`` kept: it sheds the smallest."""
-    return np.sort(dist.weights.weights)[dist.n - dist.degree :]
+    return np.sort(dist.weights.weights)[len(dist.weights) - dist.degree :]
 
 
 def irwin_hall_cdf(x, n):
@@ -152,7 +152,7 @@ class TestBuildSumDist:
         d = build_sum_dist(WeightVector([1.0]))
         assert d.subset_sums.tolist() == [0.0, 1.0]
         assert d.subset_signs.tolist() == [1.0, -1.0]
-        assert d.norm_const == 1.0
+        assert (d.unit_norm, d.scale) == (1, 0)
 
     def test_pair_enumeration(self):
         d = build_sum_dist(WeightVector([0.5, 0.5]))
@@ -467,14 +467,14 @@ class TestBatchedSumCdf:
     @example(n=12, decay=12.0)
     @example(n=MAX_WINDOW, decay=40.0)
     def test_norm_const_is_positive_and_finite(self, n, decay):
-        # After shedding, the kept weights' normalizing constant neither
-        # underflows nor overflows for any window exp_weights accepts, so
-        # sum_cdf can divide by it.
+        # After shedding, the kept weights' normalizing constant degree! prod(w)
+        # neither underflows nor overflows for any window exp_weights accepts.
         try:
             w = exp_weights(n, decay)
         except ValueError:
             assume(False)
-        assert 0.0 < build_sum_dist(w).norm_const < math.inf
+        d = build_sum_dist(w)
+        assert 0.0 < d.unit_norm / 2 ** (d.scale * d.degree) < math.inf
 
     def test_shape_and_zero_d(self):
         dist = build_sum_dist(exp_weights(6, default_decay(5)))

@@ -158,6 +158,16 @@ class TestLayout:
         with pytest.raises(ValueError, match="does not lie in \\[0, 1\\]"):
             dataclasses.replace(sample, acceptance_rate=rate)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chain_count", 0), ("chain_count", -2), ("chain_count", 2.5), ("chain_count", "2"), ("seed", -1),
+         ("seed", 1.0)],
+    )
+    def test_chain_count_and_seed_that_are_not_counts_are_refused(self, field, value):
+        sample = random_stack(np.random.default_rng(2), 4, 2, 2)
+        with pytest.raises(ValueError, match=f"{field} must be an integer of at least"):
+            dataclasses.replace(sample, **{field: value})
+
 
 class TestArchive:
     @settings(max_examples=40, deadline=None)

@@ -885,6 +885,13 @@ class TestPosteriorArchive:
         with pytest.raises(ValueError, match=re.escape(f"{path}: acceptance rate {rate} does not lie in [0, 1]")):
             load_posterior(path)
 
+    def test_zero_chains_are_refused_by_path(self, archived):
+        # Loaded, it would reach fit_diagnostics, which divides by the chain count.
+        path, members = archived
+        np.savez(path, **{**members, "header": np.array([3, 0, 5])})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: chain_count must be an integer of at least 1, got 0")):
+            load_posterior(path)
+
     @pytest.mark.parametrize("reader", [load_posterior, _load_split])
     @pytest.mark.parametrize("content", ["text", "empty", "npy", "truncated zip"])
     def test_non_npz_file_is_refused_by_path(self, archived, tmp_path, reader, content):

@@ -379,7 +379,7 @@ class TestBatchedPsisMatchesPerPoint:
 
 
 class TestRankNormal:
-    @pytest.mark.parametrize("shape", [(2, 8, 3), (4, 50, 5), (1, 7, 1)])
+    @pytest.mark.parametrize("shape", [(2, 8, 3), (4, 50, 5), (1, 7, 1), (2, 400, 3)])
     def test_matches_per_column_unique(self, shape):
         rng = np.random.default_rng(sum(shape))
         draws = rng.integers(-3, 4, size=shape).astype(float)  # heavy ties
@@ -387,7 +387,7 @@ class TestRankNormal:
         draws[0, 0, -1] = -0.0  # equal to 0.0, so one tie group with it
         flat = draws.reshape(-1, shape[-1])
         want = ndtri((rank_normal_ranks(flat) - 0.375) / (len(flat) + 0.25)).reshape(shape)
-        # The package's AS241 ndtri is within 8 ulp of scipy's; a rank off by one moves a score far more.
+        # The standard library's inverse normal is within 8 ulp of scipy's; a rank off by one moves a score far more.
         assert np.all(np.abs(_rank_normal(draws) - want) <= 8 * np.spacing(np.abs(want)))
 
 

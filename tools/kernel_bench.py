@@ -43,6 +43,9 @@ and the layers the README demo's stages spend their time in.
   800-draw sample, the demo's draw count; its figure is per point.
 * ``render_map``: one ``explain.render_map`` of that sample on the demo's
   grid, 41 points along its one gate direction.
+* ``rhat``: ``posterior._rhat_max`` on another 800-draw demo sample of two
+  chains, on its own generator, whose 14 moved parameters it splits and
+  rank-normalises: the demo's R-hat per index.
 * ``config_load``: ``config.parse_config`` of a config with ``window_k = 11,
   decay = 0.6``, with the window cache cleared first, as in a fresh process.
   Timed once per round, as ``table`` is.
@@ -190,6 +193,8 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
         explain.gate_geometry(sample), explain.default_score_grid(1), data.covariates.mean(axis=0)
     )
     cases["render_map_800x41"] = (lambda: explain.render_map(skeleton, sample), None, max(1, number // 20))
+    rhat_sample = demo_sample(np.random.default_rng(4), 800)  # its own generator: the other cases keep their inputs
+    cases["rhat_800x14"] = (lambda: posterior._rhat_max(rhat_sample), None, max(1, number // 20))
     text = "schema_version = 1\nindices = hi_a, hi_b\nwindow_k = 11\ndecay = 0.6\n"
 
     def fresh_load():
