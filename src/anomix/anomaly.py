@@ -241,7 +241,7 @@ def sum_cdf(dist: WeightedUniformSumDist, q) -> float | np.ndarray:
 
 def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
     """The clipped CDF at queries in (0, support_end / 2], a vector."""
-    knots = _knots(dist, interior)
+    knots = np.searchsorted(dist.subset_sums, interior) - 1  # the last knot below each query
     t = (interior - dist.subset_sums[knots]) - dist.subset_lows[knots]
     table = dist.taylor_table
     vals = table[-1, knots]
@@ -249,11 +249,6 @@ def _horner(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
         vals *= t
         vals += row[knots]
     return np.clip(vals, 0.0, 1.0, out=vals)
-
-
-def _knots(dist: WeightedUniformSumDist, interior: np.ndarray) -> np.ndarray:
-    """Index of the last knot below each query in (0, support_end / 2]."""
-    return np.searchsorted(dist.subset_sums, interior) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,11 @@ class GateGeometry:
 
     ``a_star[i]`` is the component of slope row ``i`` orthogonal to every
     other row; moving along it changes only expert ``i``'s gate logit.
-    ``correction`` is the square matrix, one row and column per slope row,
-    that maps the raw rows to the disentangled ones:
-    ``correction @ slopes`` stacks ``a_star``.
     """
 
     slopes: np.ndarray
     intercepts: np.ndarray
     a_star: tuple
-    correction: np.ndarray | None = None
 
     @property
     def n_directions(self) -> int:
@@ -88,7 +84,7 @@ def _geometry(slopes: np.ndarray, intercepts: np.ndarray, rank_error: str) -> Ga
         raise ValueError(rank_error.format(rank=rank))
     pinv = np.linalg.pinv(slopes)
     a_star = pinv.T / (pinv * pinv).sum(axis=0)[:, None]
-    return GateGeometry(slopes, intercepts, tuple(a_star), a_star @ pinv)
+    return GateGeometry(slopes, intercepts, tuple(a_star))
 
 
 def gate_geometry(sample: PosteriorSample) -> GateGeometry:

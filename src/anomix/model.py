@@ -296,25 +296,23 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
 # ---------------------------------------------------------------------------
 
 
-def _draw_from_moments(alpha, means, sds, uniforms, normals, inverse=None):
+def _draw_from_moments(alpha, means, sds, uniforms, normals, inverse):
     """Responses and allocations: ``uniforms`` pick the expert through the
-    mixing weights, ``normals`` are scaled by its fused moments.  Given
-    ``inverse``, the moments are (distinct draws, M, rows), and draw i of the
-    (draws, rows) ``uniforms`` and ``normals`` takes row ``inverse[i]``.
+    mixing weights, ``normals`` are scaled by its fused moments.  The moments
+    are (distinct draws, M, rows), and draw i of the (draws, rows)
+    ``uniforms`` and ``normals`` takes row ``inverse[i]``.
 
     The pick counts the cumulative weights at or below the uniform, all but
     the last, which is taken as 1 so that rounding cannot leave a draw above
     the last bin.  The weights are non-negative, so the running sums, added
     slice by slice in ``np.cumsum``'s order, never decrease: the count is
     the first bin whose cumulative weight exceeds the uniform."""
-    lead = (...,) if inverse is None else (inverse,)
-    cum = alpha[(*lead, 0, slice(None))].copy()
-    z = np.zeros(np.broadcast_shapes(cum.shape, uniforms.shape), dtype=np.intp)
+    cum = alpha[inverse, 0]
+    z = np.zeros(uniforms.shape, dtype=np.intp)
     for j in range(1, alpha.shape[-2]):
         z += cum <= uniforms
-        cum += alpha[(*lead, j, slice(None))]
-    *draws, rows = np.indices(z.shape, sparse=True)
-    pick = (*draws, z, rows) if inverse is None else (inverse[:, None], z, rows)
+        cum += alpha[inverse, j]
+    pick = (inverse[:, None], z, np.arange(z.shape[-1]))
     return means[pick] + sds[pick] * normals, z
 
 
@@ -325,6 +323,7 @@ def sample_conditional(params, X, rng: np.random.Generator):
     sampled expert's fused Gaussian.  Returns the responses and the sampled
     allocation indices.
     """
-    alpha, means, sds = _moments_arrays(*params, _embed_rows(X))
-    # Arguments evaluate left to right: all uniforms, then all normals.
-    return _draw_from_moments(alpha, means, sds, rng.random(len(X)), rng.standard_normal(len(X)))
+    moments = (a[None] for a in _moments_arrays(*params, _embed_rows(X)))  # a one-draw stack
+    uniforms, normals = rng.random(len(X))[None], rng.standard_normal(len(X))[None]  # all uniforms, then all normals
+    y, z = _draw_from_moments(*moments, uniforms, normals, np.zeros(1, np.intp))
+    return y[0], z[0]

@@ -340,10 +340,8 @@ def write_two_index_stream(
     failure_index: int = 2280,
     shift_sds: float = 8.0,
     seed: int = 0,
-    start: str = "2024-01-01T00:00:00",
-    cadence_seconds: int = 3600,
 ):
-    """Write a synthetic two-index telemetry CSV plus its failure log.
+    """Write a synthetic two-index telemetry CSV, hourly from 2024-01-01 00:00, plus its failure log.
 
     Both health indices respond to a shared exogenous load signal; the
     injected fault shifts the indices but not the load, so each per-index
@@ -355,11 +353,12 @@ def write_two_index_stream(
         raise ValueError(f"failure index {failure_index} lies outside [0, {n_samples})")
     if onset_index is not None and not 0 <= onset_index <= failure_index:
         raise ValueError(f"onset index {onset_index} lies outside [0, {failure_index}]")
+    if not math.isfinite(shift_sds):
+        raise ValueError(f"shift_sds must be finite, got {shift_sds}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    start_ts = np.datetime64(start, "s")
-    ts = start_ts + np.arange(n_samples) * np.timedelta64(cadence_seconds, "s")
+    ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(n_samples) * np.timedelta64(3600, "s")
     load = rng.uniform(-2.0, 2.0, size=n_samples)
     hi_a = 1.0 + 0.8 * load + rng.normal(0.0, 0.5, size=n_samples)
     hi_b = -0.5 + 1.2 * load + rng.normal(0.0, 0.7, size=n_samples)
@@ -563,6 +562,8 @@ def stage_diagnose(config: PipelineConfig, run_dir) -> None:
         for value, bound, name, consequence in checks:
             if value > bound:
                 warnings.warn(f"index {index!r}: {name} {value:.2f} > {bound}, so {consequence}", RuntimeWarning)
+        if math.isnan(diag.rhat_max):
+            warnings.warn(f"index {index!r}: split R-hat max is nan, so its chains' mixing is unchecked", RuntimeWarning)
         rows.append([index, *(f"{v:.4f}" for v in astuple(diag))])
     _write_csv(run_dir / "diagnostics.csv", ["index", *(f.name for f in fields(FitDiagnostics))], rows)
 

@@ -103,10 +103,11 @@ class PosteriorSample:
     The sampler's kept state groups, each with a leading axis over the S
     draws: ``experts`` (S, M, n + 2: intercept, slopes, then log noise sd),
     ``mixing`` (S, M, n + 1, last row zero) and ``behavior`` (S, n + 1).
-    The sampler lays its chains out as contiguous, equal-length blocks of
-    draws, so ``array.reshape(chain_count, -1, ...)`` restores the chain
-    axis.  The arrays are read-only views: samples may share them, and the
-    arrays a caller passed in stay writeable.
+    The chains are contiguous, equal-length blocks of draws, so
+    ``array.reshape(chain_count, -1, ...)`` restores the chain axis; a
+    ``chain_count`` that does not divide the draw count is refused.  The
+    arrays are read-only views: samples may share them, and the arrays a
+    caller passed in stay writeable.
     """
 
     experts: np.ndarray
@@ -132,6 +133,8 @@ class PosteriorSample:
         for name, value, least in (("chain_count", self.chain_count, 1), ("seed", self.seed, 0)):
             if not isinstance(value, Integral) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if s % self.chain_count:
+            raise ValueError(f"{s} draws do not split into {self.chain_count} chains of equal length")
         for name, arr in zip(_STACK_FIELDS, arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -636,23 +639,23 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
 
 def _rhat_max(sample: PosteriorSample) -> float:
     """Worst split R-hat over the parameters the sampler moves (``_moved_blocks``),
-    chains read from the contiguous blocks of the stack; NaN unless they
-    split into ``chain_count`` equal blocks of at least 4 draws."""
+    chains read from the contiguous blocks of the stack; NaN unless each
+    chain holds at least 4 draws."""
     s, c = sample.n_draws, sample.chain_count
-    if s % c or s // c < 4:
+    if s // c < 4:
         return math.nan
     groups = [getattr(sample, name)[moved] for name, moved in _moved_blocks(sample.n_experts)]
     free = np.concatenate([g.reshape(s, -1) for g in groups], axis=1)
     return _max_ignoring_nan(_split_rhat(free.reshape(c, s // c, -1)))
 
 
-def fit_diagnostics(sample: PosteriorSample, data: Dataset, level: float = 0.95) -> FitDiagnostics:
-    """Bundle LPPD, PSIS-LOO, coverage and the worst split R-hat into one report.
+def fit_diagnostics(sample: PosteriorSample, data: Dataset) -> FitDiagnostics:
+    """Bundle LPPD, PSIS-LOO, central 95% interval coverage and the worst split R-hat into one report.
 
     R-hat comes first, so that its rank arrays never coexist with the
     (draws x points) log densities of the pointwise pass."""
     rhat_max = _rhat_max(sample)
-    ll, (coverage, coverage_se) = _pointwise(sample, data, level)
+    ll, (coverage, coverage_se) = _pointwise(sample, data, 0.95)
     loo, loo_se, k_hat = _psis_loo(ll)
     return FitDiagnostics(
         lppd=_lppd(ll),

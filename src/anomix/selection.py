@@ -114,13 +114,13 @@ def coverage_counts(
     return CoverageGrid(k_levels, levels, counts, len(data))
 
 
-def coverage_cost(grid: CoverageGrid, n_points: int) -> float:
+def coverage_cost(grid: CoverageGrid) -> float:
     """Negative log-probability of the observed counts under ideal calibration.
 
     Perfect calibration makes each count binomial with success rate equal
     to its level; lower cost means better-calibrated predictive intervals.
     """
-    return float(-binom_logpmf(grid.counts, n_points, grid.levels).sum())
+    return float(-binom_logpmf(grid.counts, grid.n_points, grid.levels).sum())
 
 
 def chebyshev_lb(metric_a: float, se_a: float, metric_b: float, se_b: float) -> float:
@@ -196,7 +196,7 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
         sample = sample_posterior(data, prior, n_experts, settings)
         metric, metric_se, k_hat = psis_loo(sample, data)
         grid = coverage_counts(sample, data, k_levels, rng=settings.seed)
-        fit = (sample, metric, metric_se, coverage_cost(grid, len(data)), _max_ignoring_nan(k_hat))
+        fit = (sample, metric, metric_se, coverage_cost(grid), _max_ignoring_nan(k_hat))
         _last_fit = key, fit
     sample, metric, metric_se, cost, k_max = fit
     if k_max > 0.7:

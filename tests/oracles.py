@@ -479,7 +479,7 @@ def sample_predictive_three_arrays(sample, X, rng: np.random.Generator) -> np.nd
     shape = (sample.n_draws, len(X))
     uniforms = rng.random(shape)
     normals = rng.standard_normal(shape)
-    return _draw_from_moments(*stack_moments(sample, X), uniforms, normals)[0]
+    return _draw_from_moments(*stack_moments(sample, X), uniforms, normals, np.arange(sample.n_draws))[0]
 
 
 class ExpertParams(NamedTuple):

@@ -17,12 +17,10 @@ from oracles import (
     MixingGateParams,
     ModelParams,
     pit_rows,
-    searchsorted_knots,
     stack_draws,
     sum_cdf_searchsorted,
 )
 
-from anomix import anomaly
 from anomix.anomaly import (
     MAX_WINDOW,
     AnomalyScoreSeries,
@@ -419,9 +417,8 @@ class TestExactSumCdf:
 
 
 class TestKnotLookup:
-    """``_knots`` finds the knot the oracle's binary search finds, so sum_cdf
-    gives the bits of the oracle's path (tests/oracles.py), also where
-    knots crowd together or weights are shed."""
+    """sum_cdf gives the bits of the oracle's binary-search path
+    (tests/oracles.py), also where knots crowd together or weights are shed."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, MAX_WINDOW), decay=st.floats(0.01, 60.0))
@@ -445,8 +442,6 @@ class TestKnotLookup:
             ]
         )
         interior = qs[(qs > 0.0) & (qs < end)]
-        lower = np.where(interior > end / 2, end - interior, interior)  # the half the lookup serves
-        np.testing.assert_array_equal(anomaly._knots(dist, lower), searchsorted_knots(dist, lower))
         got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         # Queries all inside the support give the bits they give among others.
@@ -457,8 +452,9 @@ class TestKnotLookup:
         # Two equal weights give a repeated knot; the lookup takes the first.
         # Queries above the centre 0.5 look up their reflections.
         dist = build_sum_dist(WeightVector([0.5, 0.5]))
-        qs = np.array([0.25, 0.5, 1.0 - np.nextafter(0.5, 1.0), 1.0 - 0.75])
-        np.testing.assert_array_equal(anomaly._knots(dist, qs), searchsorted_knots(dist, qs))
+        qs = np.array([0.25, 0.5, np.nextafter(0.5, 1.0), 0.75])
+        got, want = sum_cdf(dist, qs), sum_cdf_searchsorted(dist, qs)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBatchedSumCdf:

@@ -168,21 +168,27 @@ class TestLayout:
         with pytest.raises(ValueError, match=f"{field} must be an integer of at least"):
             dataclasses.replace(sample, **{field: value})
 
+    @pytest.mark.parametrize("n_draws, chain_count", [(801, 2), (4, 3), (3, 4)])
+    def test_chain_count_that_does_not_divide_the_draws_is_refused(self, n_draws, chain_count):
+        sample = random_stack(np.random.default_rng(2), n_draws, 2, 1)
+        with pytest.raises(ValueError, match=f"{n_draws} draws do not split into {chain_count} chains of equal length"):
+            dataclasses.replace(sample, chain_count=chain_count)
+
 
 class TestArchive:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**63 - 1),
-        chain_count=st.integers(1, 2**63 - 1),
+        chain_count=st.integers(1, 12),
         acceptance_rate=st.floats(0.0, 1.0),
-        n_draws=st.integers(1, 60),
+        chain_length=st.integers(1, 5),
         n_experts=st.integers(1, 4),
         n_covariates=st.integers(0, 3),
     )
     def test_load_save_round_trip(
-        self, tmp_path_factory, seed, chain_count, acceptance_rate, n_draws, n_experts, n_covariates
+        self, tmp_path_factory, seed, chain_count, acceptance_rate, chain_length, n_experts, n_covariates
     ):
-        sample = random_stack(np.random.default_rng(seed % 2**32), n_draws, n_experts, n_covariates)
+        sample = random_stack(np.random.default_rng(seed % 2**32), chain_count * chain_length, n_experts, n_covariates)
         sample = dataclasses.replace(sample, acceptance_rate=acceptance_rate, chain_count=chain_count, seed=seed)
         path = tmp_path_factory.mktemp("archive") / "posterior.npz"
         save_posterior(sample, path)

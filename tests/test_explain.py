@@ -85,13 +85,6 @@ class TestGateGeometry:
                 a1s, gram_schmidt_residual(slopes[0], [slopes[1]]), atol=1e-10
             )
 
-    def test_correction_matrix_relation(self):
-        rng = np.random.default_rng(6)
-        slopes = rng.normal(size=(2, 4))
-        sample = sample_from_gate(full_gate(slopes, np.zeros(2)), 3, 4)
-        geo = gate_geometry(sample)
-        np.testing.assert_allclose(geo.correction @ slopes, np.stack(geo.a_star), atol=1e-12)
-
     def test_star_spans_row_space(self):
         rng = np.random.default_rng(7)
         slopes = rng.normal(size=(3, 6))
@@ -150,20 +143,19 @@ class TestAgainstLeastSquares:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["1 row", "2 rows", "3 rows", "reduced"]))
-    def test_correction_maps_slopes_to_a_star(self, seed, kind):
+    def test_a_star_matches_least_squares_for_every_kind(self, seed, kind):
         rng = np.random.default_rng(seed)
         rows = {"1 row": 1, "2 rows": 2, "3 rows": 3, "reduced": 4}[kind]
         slopes = conditioned_slopes(rng, rows, 5, 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-3, 3))
         sample = sample_from_gate(full_gate(slopes, rng.normal(size=rows)), rows + 1, 5)
         geo = (reduced_geometry if kind == "reduced" else gate_geometry)(sample)
-        assert geo.correction.shape == (geo.n_directions, geo.n_directions)
         bound = 1e-12 * np.linalg.norm(geo.slopes, 2)
-        np.testing.assert_allclose(geo.correction @ geo.slopes, np.stack(geo.a_star), rtol=0, atol=bound)
+        np.testing.assert_allclose(np.stack(geo.a_star), orthogonal_directions_lstsq(geo.slopes), rtol=0, atol=bound)
 
 
 class TestEmbedGrid:
     def geometry(self, slopes, intercepts):
-        return GateGeometry(slopes, intercepts, tuple(slopes), None)
+        return GateGeometry(slopes, intercepts, tuple(slopes))
 
     def test_intercept_point_maps_to_origin(self):
         slopes = np.array([[1.0, 0.5, -0.2], [0.3, -1.0, 0.8]])
@@ -289,7 +281,7 @@ class TestRenderMap:
         slopes = np.array([[0.01, 0.0]])
         gate = full_gate(slopes, np.array([30.0]))
         sample = sample_from_gate(gate, 2, 2)
-        geo = GateGeometry(slopes, np.array([30.0]), (slopes[0],), None)
+        geo = GateGeometry(slopes, np.array([30.0]), (slopes[0],))
         grid = np.linspace(29.0, 31.0, 11)[:, None]
         rendered = render_map(embed_grid(geo, grid), sample)
         np.testing.assert_allclose(rendered.activations[:, 0], 1.0, atol=1e-6)

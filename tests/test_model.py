@@ -525,37 +525,43 @@ class TestInPlaceHelpers:
 
 @st.composite
 def expert_picks(draw):
-    """Arguments of ``_draw_from_moments``: 0-2 leading (draw) axes, 1-7
-    experts and 1-30 rows; mixing weights with exact zeros, down to one
-    expert holding all of a row's weight, and uniforms at 0, just below 1
-    and on the cumulative weights themselves."""
-    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    m, rows = draw(st.integers(1, 7)), draw(st.integers(1, 30))
+    """Arguments of ``_draw_from_moments``: 1-7 experts and 1-30 rows over
+    1-8 draws, whose sorted ``inverse`` repeats some distinct draws' moments
+    as ``PosteriorSample.moment_blocks`` does; mixing weights with exact
+    zeros, down to one expert holding all of a row's weight, and uniforms at
+    0, just below 1 and on the cumulative weights themselves."""
+    m, rows, n_draws = draw(st.integers(1, 7)), draw(st.integers(1, 30)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alpha = np.moveaxis(rng.dirichlet(np.ones(m), size=(*lead, rows)), -1, -2).copy()
+    fresh = rng.random(n_draws) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    fresh[0] = True
+    inverse = fresh.cumsum() - 1
+    alpha = np.moveaxis(rng.dirichlet(np.ones(m), size=(inverse[-1] + 1, rows)), -1, -2).copy()
     alpha[rng.random(alpha.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
     alpha[..., rng.integers(m), :] += alpha.sum(axis=-2) == 0.0
     alpha /= alpha.sum(axis=-2, keepdims=True)
-    uniforms = rng.random((*lead, rows))
-    cum = np.cumsum(alpha, axis=-2)
+    uniforms = rng.random((n_draws, rows))
+    cum = np.cumsum(alpha[inverse], axis=-2)
     on_sum = rng.random(uniforms.shape) < 0.3
-    uniforms[on_sum] = np.take_along_axis(cum, rng.integers(m, size=(*lead, 1, rows)), axis=-2)[..., 0, :][on_sum]
+    uniforms[on_sum] = np.take_along_axis(cum, rng.integers(m, size=(n_draws, 1, rows)), axis=-2)[:, 0, :][on_sum]
     uniforms[uniforms >= 1.0] = np.nextafter(1.0, 0.0)  # a uniform is below 1
     for value in (0.0, np.nextafter(1.0, 0.0)):
         uniforms[rng.random(uniforms.shape) < 0.1] = value
     means, sds = rng.normal(size=alpha.shape), np.exp(rng.normal(size=alpha.shape))
-    return alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape)
+    return alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape), inverse
 
 
 class TestExpertPick:
     """The expert a predictive draw takes is the count of running sums of
     the mixing weights at or below its uniform: bit for bit the first bin
-    of the cumulative sum above it (``tests/oracles.py``)."""
+    of the cumulative sum above it (``tests/oracles.py``), over the moments
+    each draw's ``inverse`` row selects."""
 
     @settings(max_examples=300, deadline=None)
     @given(expert_picks())
     def test_bitwise_equal_to_the_cumsum_argmax(self, args):
-        (got, got_z), (want, want_z) = _draw_from_moments(*args), oracles.draw_from_moments_argmax(*args)
+        alpha, means, sds, uniforms, normals, inverse = args
+        got, got_z = _draw_from_moments(*args)
+        want, want_z = oracles.draw_from_moments_argmax(alpha[inverse], means[inverse], sds[inverse], uniforms, normals)
         assert got_z.dtype == want_z.dtype and np.array_equal(got_z, want_z)
         assert_bitwise_equal(got, want)
 

@@ -777,7 +777,7 @@ class TestPosteriorArchive:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         draws = []
-        for _ in range(5):
+        for _ in range(6):  # two chains of three draws
             experts = tuple(
                 ExpertParams(rng.normal(), rng.normal(size=2), rng.uniform(0.5, 2.0))
                 for _ in range(2)
@@ -788,7 +788,7 @@ class TestPosteriorArchive:
         path = tmp_path / "posterior.npz"
         save_posterior(sample, path)
         back = load_posterior(path)
-        assert back.n_draws == 5
+        assert back.n_draws == 6
         assert back.acceptance_rate == pytest.approx(0.31)
         assert back.chain_count == 2 and back.seed == 99
         for name in ("experts", "mixing", "behavior"):
@@ -890,6 +890,13 @@ class TestPosteriorArchive:
         path, members = archived
         np.savez(path, **{**members, "header": np.array([3, 0, 5])})
         with pytest.raises(ValueError, match=re.escape(f"{path}: chain_count must be an integer of at least 1, got 0")):
+            load_posterior(path)
+
+    def test_chains_of_unequal_length_are_refused_by_path(self, archived):
+        # Three draws make no two equal chains; loaded, R-hat would read nan without a word.
+        path, members = archived
+        np.savez(path, **{**members, "header": np.array([3, 2, 5])})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 3 draws do not split into 2 chains of equal length")):
             load_posterior(path)
 
     @pytest.mark.parametrize("reader", [load_posterior, _load_split])

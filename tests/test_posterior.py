@@ -670,11 +670,17 @@ class TestSplitRhat:
         folded = rhat(scores([[7.5, 3.5], [5.5, 1.5], [5.5, 1.5], [7.5, 3.5]]))
         assert _split_rhat(chains)[0] == pytest.approx(max(bulk, folded), rel=1e-12)
 
-    @pytest.mark.parametrize("n_draws, chain_count", [(14, 4), (6, 2), (3, 1)])
+    @pytest.mark.parametrize("n_draws, chain_count", [(6, 2), (3, 1)])
     def test_nan_unless_chains_split_into_blocks_of_four(self, n_draws, chain_count):
         sample = stack_from_chains(np.random.default_rng(4).normal(size=(1, n_draws)))
         sample = PosteriorSample(sample.experts, sample.mixing, sample.behavior, 0.25, chain_count, 0)
         assert math.isnan(_rhat_max(sample))
+
+    def test_chains_of_unequal_length_are_refused(self):
+        # 14 draws make no 4 equal chains, so no R-hat is read from a misplaced chain boundary.
+        sample = stack_from_chains(np.random.default_rng(4).normal(size=(1, 14)))
+        with pytest.raises(ValueError, match="14 draws do not split into 4 chains of equal length"):
+            PosteriorSample(sample.experts, sample.mixing, sample.behavior, 0.25, 4, 0)
 
     def test_one_expert_reads_the_expert_coefficients_and_sds_alone(self, fitted):
         def experts_only(sample):

@@ -250,7 +250,7 @@ class TestDiagnoseWarnings:
     def test_threshold_is_strictly_above_0_7(self, finished_run, tmp_path, monkeypatch, k_max, warns):
         config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
-        report = FitDiagnostics(0.0, 0.0, 0.0, 0.95, 0.0, k_max)
+        report = FitDiagnostics(0.0, 0.0, 0.0, 0.95, 0.0, k_max, 1.0)
         monkeypatch.setattr(pipeline, "fit_diagnostics", lambda sample, data: report)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -311,6 +311,14 @@ class TestDiagnoseRhat:
         messages = recorded_warnings(lambda: stage_diagnose(config, copy))
         assert [m[:13] for m in messages] == (["index 'hi_a':", "index 'hi_b':"] if warns else [])
         assert all("R-hat" in m for m in messages)
+
+    def test_nan_warns_with_its_index(self, stream, tmp_path):
+        # Three draws per chain are too few to split, so nothing has judged whether the chains mixed.
+        config = parse_config(default_config_text(**dict(FAST, chains=2, iterations=3, burn_in=0)))
+        messages = recorded_warnings(lambda: run_experiment(config, *stream, tmp_path / "run"))
+        assert [m for m in messages if "R-hat" in m] == [
+            f"index {index!r}: split R-hat max is nan, so its chains' mixing is unchecked" for index in ("hi_a", "hi_b")
+        ]
 
 
 def read_csv(path):
@@ -643,6 +651,14 @@ class TestCli:
         out = tmp_path / "data"
         assert main(["simulate", "--out", str(out), *argv]) == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_simulate_refuses_a_non_finite_shift(self, tmp_path, capsys, value):
+        # A non-finite shift would write nan or inf readings from the onset on, which fit then drops.
+        out = tmp_path / "data"
+        assert main(["simulate", "--out", str(out), f"--shift-sds={value}"]) == 2
+        assert capsys.readouterr().err == f"simulate: shift_sds must be finite, got {float(value)}\n"
         assert not out.exists()
 
     def test_simulate_accepts_the_boundary_indices(self, tmp_path):

@@ -122,7 +122,7 @@ class TestCoverageCost:
         levels = np.arange(1, k) / k
         modal = np.round(levels * n).astype(int)
         grid = CoverageGrid(k, levels, modal, n)
-        cost = coverage_cost(grid, n)
+        cost = coverage_cost(grid)
         best = sum(min(-binom.logpmf(c, n, a) for c in range(n + 1)) for a in levels)
         assert cost == pytest.approx(best, abs=1e-9)
 
@@ -131,13 +131,11 @@ class TestCoverageCost:
         levels = np.arange(1, k) / k
         modal = np.round(levels * n).astype(int)
         full = np.full(k - 1, n)
-        assert coverage_cost(CoverageGrid(k, levels, full, n), n) > coverage_cost(
-            CoverageGrid(k, levels, modal, n), n
-        )
+        assert coverage_cost(CoverageGrid(k, levels, full, n)) > coverage_cost(CoverageGrid(k, levels, modal, n))
 
     def test_k2_single_term(self):
         grid = CoverageGrid(2, np.array([0.5]), np.array([30]), 60)
-        assert coverage_cost(grid, 60) == pytest.approx(float(-binom.logpmf(30, 60, 0.5)), abs=1e-12)
+        assert coverage_cost(grid) == pytest.approx(float(-binom.logpmf(30, 60, 0.5)), abs=1e-12)
 
 
     @settings(max_examples=200, deadline=None)
@@ -151,7 +149,7 @@ class TestCoverageCost:
              "full": np.full(k_levels - 1, n)}[counts]
         want = float(-binom.logpmf(k, n, levels).sum())
         bound = 8 * (k_levels - 1) * np.spacing(max(1.0, math.lgamma(n + 1)))
-        assert abs(coverage_cost(CoverageGrid(k_levels, levels, k, n), n) - want) <= bound
+        assert abs(coverage_cost(CoverageGrid(k_levels, levels, k, n)) - want) <= bound
 
 
 class TestChebyshevLb:
@@ -282,7 +280,7 @@ class TestRunTrial:
             warnings.simplefilter("ignore", RuntimeWarning)
             narrow, wide = (sample_posterior(data, PriorSpec(gate_coeff_scale=s), 1, settings) for s in (0.5, 2.0))
             figures = [
-                (*psis_loo(sample, data)[:2], coverage_cost(coverage_counts(sample, data, 20, rng=5), len(data)))
+                (*psis_loo(sample, data)[:2], coverage_cost(coverage_counts(sample, data, 20, rng=5)))
                 for sample in (narrow, wide)
             ]
         for name in ("experts", "mixing", "behavior"):

@@ -46,6 +46,9 @@ and the layers the README demo's stages spend their time in.
 * ``rhat``: ``posterior._rhat_max`` on another 800-draw demo sample of two
   chains, on its own generator, whose 14 moved parameters it splits and
   rank-normalises: the demo's R-hat per index.
+* ``predictive``: ``posterior.sample_predictive`` of a 200-draw, three-expert
+  demo sample, all draws distinct, at 200 demo rows, on its own generator:
+  ``select``'s coverage draw.
 * ``config_load``: ``config.parse_config`` of a config with ``window_k = 11,
   decay = 0.6``, with the window cache cleared first, as in a fresh process.
   Timed once per round, as ``table`` is.
@@ -195,6 +198,11 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     cases["render_map_800x41"] = (lambda: explain.render_map(skeleton, sample), None, max(1, number // 20))
     rhat_sample = demo_sample(np.random.default_rng(4), 800)  # its own generator: the other cases keep their inputs
     cases["rhat_800x14"] = (lambda: posterior._rhat_max(rhat_sample), None, max(1, number // 20))
+    draw_rng = np.random.default_rng(5)  # its own generator, as rhat's
+    stack, rows = demo_sample(draw_rng, 200, 3), demo_rows(draw_rng).covariates
+    cases["predictive_200x3x200"] = (
+        lambda: posterior.sample_predictive(stack, rows, draw_rng), None, max(1, number // 20)
+    )
     text = "schema_version = 1\nindices = hi_a, hi_b\nwindow_k = 11\ndecay = 0.6\n"
 
     def fresh_load():
