@@ -68,8 +68,8 @@ class SplitSpec:
     validation_size: int = 100
 
     def __post_init__(self):
-        if self.margin_days < 0:
-            raise ValueError("margin_days must be non-negative")
+        if not 0 <= self.margin_days < math.inf:  # NaN fails too
+            raise ValueError(f"margin_days must be finite and non-negative, got {self.margin_days!r}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
         for name in ("train_size", "validation_size"):

@@ -60,6 +60,8 @@ class PoolingPolicy:
             raise ValueError(f"quorum must be an integer, got {self.quorum!r}")
         if self.quorum < 1:
             raise ValueError("quorum must be at least 1")
+        if not isinstance(self.half_level_enabled, (bool, np.bool_)):
+            raise ValueError(f"half_level_enabled must be a bool, got {self.half_level_enabled!r}")
 
 
 @dataclass(frozen=True)

@@ -171,20 +171,23 @@ def _predictive_summary(sample: PosteriorSample, X):
 
     The predictive law at a row is the draw-average of the per-draw
     mixtures, so its variance combines each draw's mixture variance with
-    the spread of the draw means.
+    the spread of the draw means.  Both moments are taken about the first
+    draw's mixture mean at each row, so that responses near the largest
+    floats do not overflow where the draws agree.
     """
     n_rows = len(X)
     act = np.zeros((n_rows, sample.n_experts))
-    mean_acc = np.zeros(n_rows)
-    second_moment = np.zeros(n_rows)
+    centre, offset, second_moment = None, np.zeros(n_rows), np.zeros(n_rows)
     for _, inverse, alpha, means, sds in sample.moment_blocks(X):
         act += alpha[inverse].sum(axis=0).T
-        mean_acc += (alpha * means).sum(axis=-2)[inverse].sum(axis=0)
-        second_moment += (alpha * (sds**2 + means**2)).sum(axis=-2)[inverse].sum(axis=0)
+        mixture_mean = (alpha * means).sum(axis=-2)
+        centre = mixture_mean[inverse[0]].copy() if centre is None else centre
+        offset += (mixture_mean - centre)[inverse].sum(axis=0)
+        second_moment += (alpha * (sds**2 + (means - centre) ** 2)).sum(axis=-2)[inverse].sum(axis=0)
     n_draws = sample.n_draws
-    predictive_mean = mean_acc / n_draws
-    predictive_var = np.maximum(second_moment / n_draws - predictive_mean**2, 0.0)
-    return act / n_draws, predictive_mean, np.sqrt(predictive_var)
+    mean_offset = offset / n_draws
+    predictive_var = np.maximum(second_moment / n_draws - mean_offset**2, 0.0)
+    return act / n_draws, centre + mean_offset, np.sqrt(predictive_var)
 
 
 def render_map(skeleton: ExplanationMap, sample: PosteriorSample) -> ExplanationMap:

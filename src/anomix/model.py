@@ -17,7 +17,7 @@ place on the temporaries they make, never on an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class PriorSpec:
     noise_log_scale: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("mean_coeff_scale", "gate_coeff_scale", "noise_log_scale"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -114,11 +117,11 @@ def _embed_rows(X) -> np.ndarray:
 def _softmax_gate(gate_matrix, phi):
     """Mixing weights (..., M, rows) of the softmax gate at embedded rows ``phi``."""
     logits = gate_matrix @ phi.swapaxes(-1, -2)
-    if not np.isfinite(logits).all():
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise ValueError("non-finite gate logits")
-    logits -= logits.max(axis=-2, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-2, keepdims=True)
     alpha = np.exp(logits, out=logits)
-    alpha /= alpha.sum(axis=-2, keepdims=True)
+    alpha /= np.add.reduce(alpha, axis=-2, keepdims=True)
     return alpha
 
 
@@ -132,12 +135,11 @@ def _logistic_gate(behavior_coeffs, phi):
     return np.reciprocal(logits, out=logits)
 
 
-def _blend(alpha, means, variances, alpha_rows=None):
-    """The ``alpha``-weighted blend (..., 1, rows) of the expert means (..., M, rows) and variances (..., M).
-    The variance contracts M in a matmul over ``alpha_rows``, a contiguous (..., rows, M) copy of ``alpha``
-    made here unless given: ``variances[..., None, :] @ alpha`` rounds differently from three experts on."""
-    alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2)) if alpha_rows is None else alpha_rows
-    return (alpha * means).sum(axis=-2, keepdims=True), (alpha_rows @ variances[..., None]).swapaxes(-1, -2)
+def _blend(alpha, means, variances):
+    """The ``alpha``-weighted blend (..., 1, rows) of the expert means (..., M, rows) and variances (..., M),
+    each folded over the experts from the left."""
+    blend_mean = np.add.reduce(alpha * means, axis=-2, keepdims=True)
+    return blend_mean, np.add.reduce(alpha * variances[..., None], axis=-2, keepdims=True)
 
 
 def _fuse(beta, rest, means, variances, blend):
@@ -156,14 +158,13 @@ def _moments_arrays(experts, gate_matrix, behavior_coeffs, phi):
     ``phi`` holds embedded covariate rows.  The parameter arrays may carry
     any leading (draw) axes in front of their own shapes: ``experts``
     (M, n + 2, mean coefficients then log noise sd), ``gate_matrix``
-    (M, n + 1) and ``behavior_coeffs`` (n + 1,).  The coefficients enter
-    the matmul as a contiguous copy.  Returns ``(alpha, means, sds)``
+    (M, n + 1) and ``behavior_coeffs`` (n + 1,).  Returns ``(alpha, means, sds)``
     shaped ``(..., M, rows)``, experts before rows, so that reductions over
     the experts (axis -2) fold slice by slice from the left.
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    coeffs, sds = np.ascontiguousarray(experts[..., :-1]), np.exp(experts[..., -1])
+    coeffs, sds = experts[..., :-1], np.exp(experts[..., -1])
     means, variances = coeffs @ phi.swapaxes(-1, -2), sds**2
     fused, fused_var = _fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances))
     return alpha, fused, np.sqrt(fused_var, out=fused_var)

@@ -118,7 +118,7 @@ class PosteriorSample:
     seed: int
 
     def __post_init__(self):
-        arrays = [np.ascontiguousarray(getattr(self, name), dtype=float).view() for name in _STACK_FIELDS]
+        arrays = [np.asarray(getattr(self, name), dtype=float, order="C").view() for name in _STACK_FIELDS]
         experts, mixing, behavior = arrays
         s, m, na = mixing.shape if mixing.ndim == 3 else (0, 0, 0)
         if s * m == 0 or (experts.shape, behavior.shape) != ((s, m, na + 1), (s, na)):
@@ -186,7 +186,7 @@ class FitDiagnostics:
     cic95: float
     cic95_se: float
     pareto_k_max: float
-    rhat_max: float = math.nan
+    rhat_max: float
 
     def __post_init__(self):
         if not 0.0 <= self.cic95 <= 1.0:
@@ -213,10 +213,9 @@ def _experts_part(experts, phi, prior: PriorSpec):
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights and ``log(alpha) - log(2 pi) / 2`` (S, M, rows), a contiguous (S, rows, M) copy, the prior sum."""
+    """Mixing weights and ``log(alpha) - log(2 pi) / 2`` (S, M, rows), and the mixing prior sum."""
     alpha = _softmax_gate(mixing, phi)
-    log_alpha = np.log(alpha) - 0.5 * LOG_2PI
-    return alpha, log_alpha, np.ascontiguousarray(alpha.swapaxes(-1, -2)), _log_prior_arrays(prior, gate_matrix=mixing)
+    return alpha, np.log(alpha) - 0.5 * LOG_2PI, _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
@@ -231,8 +230,8 @@ _PARTS = dict(zip(_STACK_FIELDS, (_experts_part, _mixing_part, _behavior_part)))
 def _blend_terms(experts, mixing, y):
     """From the experts' and mixing parts: each mean's distance from the ``alpha``-weighted blend mean (S, M,
     rows), the blend mean's distance from the responses ``y`` and the blend variance (S, 1, rows)."""
-    (means, variances, _), (alpha, _, alpha_rows, _) = experts, mixing
-    blend_mean, blend_var = _blend(alpha, means, variances, alpha_rows)
+    (means, variances, _), (alpha, _, _) = experts, mixing
+    blend_mean, blend_var = _blend(alpha, means, variances)
     return means - blend_mean, blend_mean - y, blend_var
 
 
@@ -243,7 +242,7 @@ def _total(experts, mixing, behavior, blend):
     sums add as experts, mixing, behavior, the last left out at M = 1, where the behavior gate cannot move
     the likelihood and is never proposed: the target does not depend on the gate prior."""
     _, variances, experts_prior = experts
-    _, log_alpha, _, mixing_prior = mixing
+    _, log_alpha, mixing_prior = mixing
     beta, rest, behavior_prior = behavior
     spread, offset, blend_var = blend
     r, v = beta * spread, beta * variances[..., None]

@@ -400,19 +400,18 @@ class FusedMomentsTarget:
             return coeffs @ phi.swapaxes(-1, -2), np.square(variances, out=variances), prior_term
         if name == "mixing":
             alpha = _softmax_gate(value, phi)
-            alpha_rows = np.ascontiguousarray(alpha.swapaxes(-1, -2))
-            return alpha, _log_weights(alpha), alpha_rows, log_prior_per_term(prior, gate_matrix=value)
+            return alpha, _log_weights(alpha), log_prior_per_term(prior, gate_matrix=value)
         beta = _logistic_gate(value, phi)
         return beta, 1.0 - beta, log_prior_per_term(prior, behavior_coeffs=value)
 
     @staticmethod
     def _blend(experts, mixing):
-        (means, variances, _), (alpha, _, alpha_rows, _) = experts, mixing
-        return _blend(alpha, means, variances, alpha_rows)
+        (means, variances, _), (alpha, _, _) = experts, mixing
+        return _blend(alpha, means, variances)
 
     def _total(self, experts, mixing, behavior, blend):
         means, variances, experts_prior = experts
-        _, log_alpha, _, mixing_prior = mixing
+        _, log_alpha, mixing_prior = mixing
         beta, rest, behavior_prior = behavior
         fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
         ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var, out=fused_var), self._y).sum(axis=-1)

@@ -99,6 +99,15 @@ class TestPolicies:
         a, b = series([0.99, 0.1]), series([0.99, 0.99])
         assert pool([a, b], PoolingPolicy(np.int32(2))).as_values.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("flag", ["no", 0.5, 1])
+    def test_half_level_that_is_not_a_bool_is_refused(self, flag):
+        with pytest.raises(ValueError, match=f"^half_level_enabled must be a bool, got {flag!r}$"):
+            PoolingPolicy(2, flag)
+
+    def test_numpy_bool_switches_the_half_level(self):
+        a, b = series([0.99, 0.1]), series([0.1, 0.1])
+        assert pool([a, b], PoolingPolicy(2, np.True_)).as_values.tolist() == [0.5, 0.0]
+
 
 class TestPool:
     def test_quorum_one_any_index(self):

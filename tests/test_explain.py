@@ -16,6 +16,7 @@ from oracles import (
 
 from anomix.explain import (
     GateGeometry,
+    _predictive_summary,
     default_score_grid,
     embed_grid,
     gate_geometry,
@@ -24,6 +25,7 @@ from anomix.explain import (
     render_map,
 )
 from anomix.model import fused_moments
+from anomix.posterior import PosteriorSample
 
 
 def gram_schmidt_residual(a, others):
@@ -275,6 +277,17 @@ class TestRenderMap:
         rendered = render_map(embed_grid(geo, default_score_grid(1)), flat_sample)
         np.testing.assert_allclose(rendered.predictive_mean, 1.0, atol=1e-12)
         np.testing.assert_allclose(rendered.predictive_sd, 1.0, atol=1e-12)
+
+    def test_responses_near_the_largest_floats_do_not_overflow(self):
+        # A random walk's steps vanish against an intercept of 1e307, so the draws spread in the slopes
+        # and noise sds, and the behavior gate of one expert stays at its prior location, 0.
+        rng = np.random.default_rng(16)
+        slopes, log_sds = rng.normal(scale=0.5, size=(800, 1, 2)), rng.normal(scale=0.2, size=(800, 1, 1))
+        experts = np.concatenate([np.full((800, 1, 1), 1e307), slopes, log_sds], axis=-1)
+        sample = PosteriorSample(experts, np.zeros((800, 1, 3)), np.zeros((800, 3)), 0.25, 2, 0)
+        _, mean, sd = _predictive_summary(sample, rng.normal(size=(50, 2)))
+        assert np.all(mean == 1e307)
+        np.testing.assert_allclose(sd, np.sqrt(np.mean(np.exp(2.0 * log_sds))), rtol=1e-12)
 
     def test_single_active_expert(self):
         # big positive intercept on the first row: expert 0 dominates everywhere

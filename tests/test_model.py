@@ -5,6 +5,7 @@ built from experts and gate rows by the helpers of ``tests/oracles.py``."""
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import oracles
@@ -29,6 +30,7 @@ from scipy.stats import norm
 from anomix.model import (
     Dataset,
     PriorSpec,
+    _blend,
     _draw_from_moments,
     _embed_rows,
     _fuse,
@@ -336,6 +338,19 @@ class TestExpertAxis:
             assert np.array_equal(np.cumsum(a, axis=-2)[..., -1, :], total, equal_nan=True)
             want = logsumexp(a, axis=-2)
         assert_within_4_eps(_logsumexp(a, axis=-2), want)
+
+    @pytest.mark.parametrize("n_experts", range(1, 8))
+    def test_blend_folds_the_experts_from_the_left(self, n_experts):
+        rng = np.random.default_rng(90 + n_experts)
+        for _ in range(200):
+            slots, rows = rng.integers(1, 50), rng.integers(2, 300)
+            phi = _embed_rows(rng.normal(size=(rows, 2)))
+            alpha = _softmax_gate(rng.normal(size=(slots, n_experts, 3)), phi)
+            means = rng.normal(size=(slots, n_experts, rows)) * 10.0 ** rng.uniform(-2, 2, size=(slots, n_experts, 1))
+            variances = np.exp(rng.normal(scale=2.0, size=(slots, n_experts)))
+            blend_mean, blend_var = _blend(alpha, means, variances)
+            assert np.array_equal(blend_mean[..., 0, :], fold_experts(np.add, alpha * means))
+            assert np.array_equal(blend_var[..., 0, :], fold_experts(np.add, alpha * variances[..., None]))
 
 
 @st.composite
@@ -660,6 +675,12 @@ class TestValidation:
         e = ExpertParams(0.0, [0.0], 1.0)
         with pytest.raises(ValueError, match="shapes"):
             stacked(make_model([e, e], np.zeros((2, 3)), np.zeros(3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(PriorSpec)])
+    def test_non_finite_prior_fields_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            PriorSpec(**{name: value})
 
     def test_timestamps_must_be_sorted(self):
         ts = np.array(["2024-01-02", "2024-01-01"], dtype="datetime64[s]")

@@ -310,6 +310,11 @@ class TestBuildSplits:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
             SplitSpec(**{name: value})
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf])
+    def test_margin_that_is_not_finite_is_refused(self, margin):
+        with pytest.raises(ValueError, match=f"^margin_days must be finite and non-negative, got {margin}$"):
+            SplitSpec(margin_days=margin)
+
     def test_no_failures_prefix_split(self):
         data = hourly_dataset(800, seed=6)
         train, val, test = build_splits(

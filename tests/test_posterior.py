@@ -458,7 +458,7 @@ class TestFitDiagnostics:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FitDiagnostics(0.0, 0.0, -1.0, 0.5, 0.0, 0.0)
+            FitDiagnostics(0.0, 0.0, -1.0, 0.5, 0.0, 0.0, 1.0)
 
 
 class TestLogTarget:
@@ -506,7 +506,7 @@ def reference_log_target(experts, mixing, behavior, phi, y, prior):
     means = phi @ np.swapaxes(coeffs, -1, -2)
     variances = sds**2
     blend_mean = (alpha * means).sum(axis=-1, keepdims=True)
-    blend_var = alpha @ variances[..., None]
+    blend_var = (alpha * variances[..., None, :]).sum(axis=-1, keepdims=True)
     r = beta * (means - blend_mean) + (blend_mean - y[:, None])
     v = beta * variances[..., None, :] + (1.0 - beta) * blend_var
     with np.errstate(divide="ignore"):
@@ -705,7 +705,6 @@ class TestSplitRhat:
     def test_reported_by_fit_diagnostics(self, fitted):
         data, sample = fitted
         assert fit_diagnostics(sample, data).rhat_max == _rhat_max(sample)
-        assert math.isnan(FitDiagnostics(0.0, 0.0, 0.0, 0.5, 0.0, 0.0).rhat_max)
 
 
 class TestScipyKernelParity:

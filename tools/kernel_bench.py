@@ -49,6 +49,9 @@ and the layers the README demo's stages spend their time in.
 * ``predictive``: ``posterior.sample_predictive`` of a 200-draw, three-expert
   demo sample, all draws distinct, at 200 demo rows, on its own generator:
   ``select``'s coverage draw.
+* ``moments``: ``model._moments_arrays`` of a 40-draw, two-expert demo sample
+  at 202 demo rows, on its own generator: monitor's draw block, whose gate
+  weights and fused moments every scoring pass computes.
 * ``config_load``: ``config.parse_config`` of a config with ``window_k = 11,
   decay = 0.6``, with the window cache cleared first, as in a fresh process.
   Timed once per round, as ``table`` is.
@@ -202,6 +205,12 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     stack, rows = demo_sample(draw_rng, 200, 3), demo_rows(draw_rng).covariates
     cases["predictive_200x3x200"] = (
         lambda: posterior.sample_predictive(stack, rows, draw_rng), None, max(1, number // 20)
+    )
+    moments_rng = np.random.default_rng(6)  # its own generator, as rhat's
+    block = demo_sample(moments_rng, 40)
+    phi = model._embed_rows(demo_rows(moments_rng, 202).covariates)
+    cases["moments_40x2x202"] = (
+        lambda: model._moments_arrays(block.experts, block.mixing, block.behavior, phi), None, number
     )
     text = "schema_version = 1\nindices = hi_a, hi_b\nwindow_k = 11\ndecay = 0.6\n"
 
