@@ -263,13 +263,12 @@ class AnomalyScoreSeries:
     timestamps: np.ndarray
     as_values: np.ndarray
     threshold: float
-    theta_low: np.ndarray | None = None
-    theta_high: np.ndarray | None = None
+    theta_low: np.ndarray
+    theta_high: np.ndarray
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps)
-        bands = [name for name in ("theta_low", "theta_high") if getattr(self, name) is not None]
-        for name in ("as_values", *bands):
+        for name in ("as_values", "theta_low", "theta_high"):
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.ndim != 1 or len(vals) != len(ts):
                 raise ValueError(f"{name} must hold one value per timestamp")

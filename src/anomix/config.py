@@ -60,6 +60,11 @@ _PARSERS = {
 }
 
 
+# Longest margin or validity window in days: its span in seconds (8.64e17) added to any stamp
+# within 2.6e11 years of 1970 stays inside int64, the range of datetime64[s].
+MAX_SPAN_DAYS = 10**13
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     margin_days: float = 5.0
@@ -68,10 +73,11 @@ class SplitSpec:
     validation_size: int = 100
 
     def __post_init__(self):
-        if not 0 <= self.margin_days < math.inf:  # NaN fails too
-            raise ValueError(f"margin_days must be finite and non-negative, got {self.margin_days!r}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+        if not 0 <= self.margin_days <= MAX_SPAN_DAYS:  # NaN fails too
+            raise ValueError(f"margin_days must lie in [0, {MAX_SPAN_DAYS}], got {self.margin_days!r}")
+        # The pool's stride is round(1 / fraction), so the reciprocal must be finite.
+        if not (0.0 < self.fraction <= 1.0 and 1.0 / float(self.fraction) < math.inf):
+            raise ValueError(f"fraction must lie in (0, 1] with a finite reciprocal, got {self.fraction!r}")
         for name in ("train_size", "validation_size"):
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -159,8 +165,8 @@ class PipelineConfig:
             raise _BadValue(("experts",), "experts must be at least 1")
         if not 0 <= self.window_k <= MAX_WINDOW - 1:
             raise _BadValue(("window_k",), f"window_k must lie in [0, {MAX_WINDOW - 1}], got {self.window_k}")
-        if not self.validity_days or min(self.validity_days) < 1:
-            raise _BadValue(("validity_days",), "validity_days must list at least one positive length")
+        if not self.validity_days or not 1 <= min(self.validity_days) <= max(self.validity_days) <= MAX_SPAN_DAYS:
+            raise _BadValue(("validity_days",), f"validity_days must list at least one length in [1, {MAX_SPAN_DAYS}]")
         repeated = [d for d in self.validity_days if self.validity_days.count(d) > 1]
         if repeated:  # the detection report would print that length's row twice
             raise _BadValue(("validity_days",), f"validity length {repeated[0]} is listed more than once")

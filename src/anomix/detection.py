@@ -140,7 +140,7 @@ def pool(serieses: list, policy: PoolingPolicy) -> AnomalyScoreSeries:
     Input series must share their timestamps; each index exceeds against
     its own threshold.  The returned series uses a threshold between the
     half-level and 1 so that alarm logic counts consecutive full-consensus
-    samples only.
+    samples only, and its levels as both bands.
     """
     if not serieses:
         raise ValueError("at least one score series is required")
@@ -153,7 +153,7 @@ def pool(serieses: list, policy: PoolingPolicy) -> AnomalyScoreSeries:
     pooled = np.where(counts >= policy.quorum, 1.0, 0.0)
     if policy.half_level_enabled:
         pooled = np.where((counts == 1) & (policy.quorum > 1), 0.5, pooled)
-    return AnomalyScoreSeries(base, pooled, POOLED_THRESHOLD)
+    return AnomalyScoreSeries(base, pooled, POOLED_THRESHOLD, pooled, pooled)
 
 
 def _covered(n: int, lo, hi) -> np.ndarray:

@@ -41,6 +41,7 @@ from .detection import (
 from .explain import _predictive_summary, default_score_grid, embed_grid, gate_geometry, reduced_geometry, render_map
 from .model import Dataset
 from .posterior import (
+    PARETO_K_BOUND,
     _STACK_FIELDS,
     FitDiagnostics,
     PosteriorSample,
@@ -556,7 +557,7 @@ def stage_diagnose(config: PipelineConfig, run_dir) -> None:
         train = _load_split(run_dir / f"train_{index}.npz")
         diag = fit_diagnostics(sample, train)
         checks = (
-            (diag.pareto_k_max, 0.7, "Pareto k max", "its PSIS-LOO estimate is unreliable"),
+            (diag.pareto_k_max, PARETO_K_BOUND, "Pareto k max", "its PSIS-LOO estimate is unreliable"),
             (diag.rhat_max, 1.01, "split R-hat max", "its chains have not mixed"),
         )
         for value, bound, name, consequence in checks:
@@ -571,11 +572,10 @@ def stage_diagnose(config: PipelineConfig, run_dir) -> None:
 def _write_series(path, series: AnomalyScoreSeries) -> None:
     """Score series as CSV; values are written at full precision (``repr``)
     so that reading them back cannot move a score across the threshold."""
-    lo = series.theta_low if series.theta_low is not None else series.as_values
-    hi = series.theta_high if series.theta_high is not None else series.as_values
+    stamps = _timestamp_strings(series.timestamps)
     rows = (
         [ts, *(repr(float(x)) for x in (v, a, b, series.threshold))]
-        for ts, v, a, b in zip(_timestamp_strings(series.timestamps), series.as_values, lo, hi)
+        for ts, v, a, b in zip(stamps, series.as_values, series.theta_low, series.theta_high)
     )
     _write_csv(path, ["timestamp", "as_value", "theta_q05", "theta_q95", "threshold"], rows)
 

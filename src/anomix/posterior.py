@@ -65,6 +65,9 @@ __all__ = [
 # test split to a dense map grid.
 BLOCK_ELEMENTS = 2**14
 
+# Pareto k-hat above which a PSIS-LOO estimate is unreliable (Vehtari, Gelman & Gabry 2017).
+PARETO_K_BOUND = 0.7
+
 # The sampler's state groups, the draw stack's arrays and the archive's members, in that order.
 _STACK_FIELDS = ("experts", "mixing", "behavior")
 
@@ -435,14 +438,6 @@ def _point_blocks(n_draws: int, n_points: int) -> list:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n_points])]
 
 
-def _lppd(ll: np.ndarray) -> float:
-    s, n = ll.shape
-    pointwise = np.empty(n)
-    for points in _point_blocks(s, n):
-        pointwise[points] = _logsumexp(ll[:, points], axis=0)
-    return float(np.sum(pointwise - math.log(s)))
-
-
 def psis_loo(sample: PosteriorSample, data: Dataset):
     """Leave-one-out predictive fit from one posterior sample.
 
@@ -450,32 +445,31 @@ def psis_loo(sample: PosteriorSample, data: Dataset):
     the largest ``min(ceil(0.2 S), ceil(3 sqrt(S)))`` of its S ratios (85
     of 800) are replaced by fitted generalized-Pareto quantiles (truncated
     at the raw maximum).  Returns ``(estimate, se, pareto_k)``; larger
-    estimates indicate better fit, and ``pareto_k > 0.7`` flags points
+    estimates indicate better fit, and ``pareto_k > PARETO_K_BOUND`` flags points
     whose weights are too heavy-tailed to trust.
     """
-    return _psis_loo(_pointwise(sample, data)[0])
+    return _psis_loo(_pointwise(sample, data)[0])[:3]
 
 
 def _psis_loo(ll: np.ndarray):
+    """``(estimate, se, pareto_k, lppd)`` from one walk over the point blocks of ``ll``."""
     s, n = ll.shape
     smooth = s >= 100
     if not smooth:
-        warnings.warn(
-            f"only {s} draws available; PSIS smoothing disabled, using raw importance weights",
-            RuntimeWarning,
-        )
+        warnings.warn(f"only {s} draws available; PSIS smoothing disabled, using raw importance weights", RuntimeWarning)
     tail_len = int(min(math.ceil(0.2 * s), math.ceil(3.0 * math.sqrt(s))))
-    elpd = np.empty(n)
+    elpd, lppd = np.empty(n), np.empty(n)
     k_hat = np.full(n, math.nan)
     for points in _point_blocks(s, n):
+        lppd[points] = _logsumexp(ll[:, points], axis=0)
         lw = -ll[:, points]
         lw -= lw.max(axis=0)
-        if smooth and tail_len >= 5:
+        if smooth:  # S >= 100 gives a tail of at least 20
             k_hat[points] = _pareto_smooth(lw, tail_len)
         elpd[points] = _logsumexp(lw + ll[:, points], axis=0) - _logsumexp(lw, axis=0)
     estimate = float(elpd.sum())
     se = float(math.sqrt(n * elpd.var(ddof=1))) if n > 1 else 0.0
-    return estimate, se, k_hat
+    return estimate, se, k_hat, float(np.sum(lppd - math.log(s)))
 
 
 def _pareto_smooth(lw: np.ndarray, tail_len: int) -> np.ndarray:
@@ -655,9 +649,9 @@ def fit_diagnostics(sample: PosteriorSample, data: Dataset) -> FitDiagnostics:
     (draws x points) log densities of the pointwise pass."""
     rhat_max = _rhat_max(sample)
     ll, (coverage, coverage_se) = _pointwise(sample, data, 0.95)
-    loo, loo_se, k_hat = _psis_loo(ll)
+    loo, loo_se, k_hat, lppd = _psis_loo(ll)
     return FitDiagnostics(
-        lppd=_lppd(ll),
+        lppd=lppd,
         psis_loo=loo,
         psis_loo_se=loo_se,
         cic95=coverage,

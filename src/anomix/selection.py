@@ -21,6 +21,7 @@ import numpy as np
 from ._special import binom_logpmf
 from .model import Dataset, PriorSpec
 from .posterior import (
+    PARETO_K_BOUND,
     PosteriorSample,
     _fitted_prior,
     _max_ignoring_nan,
@@ -199,11 +200,9 @@ def run_trial(trial_id: int, hyperparams: dict, data: Dataset, settings, k_level
         fit = (sample, metric, metric_se, coverage_cost(grid), _max_ignoring_nan(k_hat))
         _last_fit = key, fit
     sample, metric, metric_se, cost, k_max = fit
-    if k_max > 0.7:
-        warnings.warn(
-            f"trial {trial_id}: Pareto k max {k_max:.2f} > 0.7, so its PSIS-LOO metric is unreliable",
-            RuntimeWarning,
-        )
+    if k_max > PARETO_K_BOUND:
+        message = f"Pareto k max {k_max:.2f} > {PARETO_K_BOUND}, so its PSIS-LOO metric is unreliable"
+        warnings.warn(f"trial {trial_id}: {message}", RuntimeWarning)
     return Trial(trial_id, dict(hyperparams), metric, metric_se, cost, sample, k_max)
 
 

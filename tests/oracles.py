@@ -92,7 +92,7 @@ from anomix.model import (
     fused_moments,
     sample_conditional,
 )
-from anomix.posterior import PosteriorSample, _LockstepTarget, _lppd, _pointwise
+from anomix.posterior import PosteriorSample, _LockstepTarget, _pointwise
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -587,8 +587,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
 
 def lppd(sample, data) -> float:
     """Log pointwise predictive density: per point, log of the draw-average
-    density; ``fit_diagnostics``' ``lppd``."""
-    return _lppd(_pointwise(sample, data)[0])
+    density; ``fit_diagnostics``' ``lppd``, reduced here over the whole matrix by scipy."""
+    ll = _pointwise(sample, data)[0]
+    return float(np.sum(logsumexp(ll, axis=0) - math.log(len(ll))))
 
 
 def cic(sample, data, level: float = 0.95):

@@ -678,10 +678,11 @@ class TestScoreSeries:
 
     def test_series_validation(self):
         ts = np.array(["2024-01-01"], dtype="datetime64[s]")
+        band = np.array([0.5])
         with pytest.raises(ValueError):
-            AnomalyScoreSeries(ts, np.array([1.5]), 0.975)
+            AnomalyScoreSeries(ts, np.array([1.5]), 0.975, band, band)
         with pytest.raises(ValueError):
-            AnomalyScoreSeries(ts, np.array([0.5]), 1.0)
+            AnomalyScoreSeries(ts, np.array([0.5]), 1.0, band, band)
 
     @pytest.mark.parametrize(
         "field, values",
@@ -706,10 +707,8 @@ class TestScoreSeries:
         with pytest.raises(ValueError, match=field):
             AnomalyScoreSeries(ts, threshold=0.975, **{k: np.array(v) for k, v in columns.items()})
 
-    def test_series_bands_are_optional_float_arrays(self):
+    def test_series_bands_are_float_arrays(self):
         ts = np.datetime64("2024-01-01", "s") + np.arange(2) * np.timedelta64(3600, "s")
-        plain = AnomalyScoreSeries(ts, np.array([0.0, 1.0]), 0.975)
-        assert plain.theta_low is None and plain.theta_high is None
         banded = AnomalyScoreSeries(ts, [0.5, 0.5], 0.975, [0, 0], [1, 1])
         assert banded.theta_low.dtype == banded.theta_high.dtype == np.float64
 

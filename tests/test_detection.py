@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import evaluate_loop, evaluate_per_window, raise_alarms_loop
 
 from anomix.anomaly import AnomalyScoreSeries
+from anomix.config import MAX_SPAN_DAYS
 from anomix.detection import (
     AlarmPolicy,
     AlarmWindow,
@@ -33,7 +34,7 @@ def series(values, timestamps=None, threshold=0.975):
     values = np.asarray(values, dtype=float)
     if timestamps is None:
         timestamps = hourly("2024-01-01T00:00:00", len(values))
-    return AnomalyScoreSeries(timestamps, values, threshold)
+    return AnomalyScoreSeries(timestamps, values, threshold, values, values)
 
 
 class TestRaiseAlarms:
@@ -174,6 +175,13 @@ class TestEvaluate:
         assert row.precision == pytest.approx(1.0 / 6.0)
         assert row.f1 == pytest.approx(0.25)
 
+    def test_longest_validity_window_stays_in_range(self):
+        # At 20 times this span, start - w wrapped past int64 to a date after the failure: tp 0, fp 1.
+        ts = hourly("2024-01-01T00:00:00", 400)
+        failures = FailureLog(ts[350:351], ts[350:351])
+        row = evaluate([AlarmWindow(ts[100], ts[110])], failures, [MAX_SPAN_DAYS], ts).row(MAX_SPAN_DAYS)
+        assert (row.tp, row.fn, row.fp) == (1, 0, 0)
+
     def test_no_alarms_conventions(self):
         _, failures, days = two_failure_fixture()
         row = evaluate([], failures, [3], days).row(3)
@@ -299,8 +307,8 @@ def scored_streams(draw):
     two days; a third of the values sit exactly on the threshold."""
     n = draw(st.integers(0, 60))
     steps = draw(st.lists(st.sampled_from([0, 1, 1, 1, 7, 48]), min_size=n, max_size=n))
-    values = draw(st.lists(st.sampled_from([0.1, THRESHOLD, 0.95]), min_size=n, max_size=n))
-    return AnomalyScoreSeries(at_hours(np.cumsum(steps, dtype=np.int64)), np.array(values), THRESHOLD)
+    values = np.array(draw(st.lists(st.sampled_from([0.1, THRESHOLD, 0.95]), min_size=n, max_size=n)))
+    return AnomalyScoreSeries(at_hours(np.cumsum(steps, dtype=np.int64)), values, THRESHOLD, values, values)
 
 
 @st.composite

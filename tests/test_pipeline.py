@@ -24,8 +24,8 @@ from oracles import (
 
 from anomix import pipeline
 from anomix.anomaly import AnomalyScoreSeries, score_series
-from anomix.config import _PARSERS, PipelineConfig, load_config, parse_config
-from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, raise_alarms
+from anomix.config import _PARSERS, MAX_SPAN_DAYS, PipelineConfig, load_config, parse_config
+from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, PoolingPolicy, pool, raise_alarms
 from anomix.model import Dataset
 from anomix.pipeline import (
     CsvSchema,
@@ -312,8 +312,24 @@ class TestBuildSplits:
 
     @pytest.mark.parametrize("margin", [np.nan, np.inf])
     def test_margin_that_is_not_finite_is_refused(self, margin):
-        with pytest.raises(ValueError, match=f"^margin_days must be finite and non-negative, got {margin}$"):
+        with pytest.raises(ValueError, match=rf"^margin_days must lie in \[0, {MAX_SPAN_DAYS}\], got {margin}$"):
             SplitSpec(margin_days=margin)
+
+    def test_spans_and_strides_that_overflow_are_refused(self):
+        # Each built, and then stopped build_splits with an OverflowError.
+        with pytest.raises(ValueError, match=rf"^margin_days must lie in \[0, {MAX_SPAN_DAYS}\], got 1e\+300$"):
+            SplitSpec(margin_days=1e300)
+        with pytest.raises(ValueError, match=r"^fraction must lie in \(0, 1\] with a finite reciprocal, got 5e-324$"):
+            SplitSpec(fraction=5e-324)
+
+    def test_longest_margin_and_smallest_fraction_split(self):
+        data = hourly_dataset(400, seed=9)
+        failures = failure_at(data.timestamps[350])
+        with pytest.raises(ValueError, match="^fault-free pool has 0 subsampled rows"):
+            build_splits(data, failures, SplitSpec(margin_days=MAX_SPAN_DAYS))
+        spec = SplitSpec(fraction=1e-300, train_size=1, validation_size=0)
+        train, validation, test = build_splits(data, failures, spec)
+        assert train.timestamps.tolist() == data.timestamps[:1].tolist() and len(validation) == 0
 
     def test_no_failures_prefix_split(self):
         data = hourly_dataset(800, seed=6)
@@ -510,6 +526,10 @@ class TestConfig:
             ("threshold", 1.0),
             ("subsample_fraction", 0.0),
             ("margin_days", -1.0),
+            ("margin_days", 1e300),
+            ("subsample_fraction", 5e-324),
+            ("validity_days", [1, 200_000_000_000_000]),
+            ("validity_days", [10**20]),
             ("decay", 0.0),
             ("decay", -0.5),
             ("decay", 200.0),
@@ -665,9 +685,22 @@ class TestScoreHandOff:
     def test_empty_series_is_refused_on_read(self, tmp_path):
         # The threshold is stored on each row, so a file with no rows has lost it.
         path = tmp_path / "scores.csv"
-        _write_series(path, AnomalyScoreSeries(np.array([], dtype="datetime64[s]"), np.array([]), 0.9))
+        empty = np.array([])
+        _write_series(path, AnomalyScoreSeries(np.array([], dtype="datetime64[s]"), empty, 0.9, empty, empty))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             _read_series(path)
+
+    def test_pooled_series_round_trip_keeps_its_bands(self, tmp_path):
+        # The pooled series carries its levels as its bands, in memory as in its file.
+        ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
+        a = AnomalyScoreSeries(ts, [0.99, 0.1, 0.99], 0.975, [0.9, 0.0, 0.9], [1.0, 0.3, 1.0])
+        b = AnomalyScoreSeries(ts, [0.1, 0.1, 0.99], 0.975, [0.0, 0.0, 0.9], [0.3, 0.3, 1.0])
+        pooled = pool([a, b], PoolingPolicy(quorum=2, half_level_enabled=True))
+        path = tmp_path / "pooled_scores.csv"
+        _write_series(path, pooled)
+        back = _read_series(path)
+        for name in ("as_values", "theta_low", "theta_high"):
+            assert getattr(back, name).tobytes() == getattr(pooled, name).tobytes()
 
     @pytest.mark.parametrize("column", ["as_value", "theta_q05", "theta_q95"])
     def test_nan_cell_is_refused_on_read(self, tmp_path, column):
@@ -744,7 +777,8 @@ class TestScoreHandOff:
 
     def test_csv_round_trip_keeps_alarm_decisions(self, tmp_path):
         ts = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(3) * np.timedelta64(3600, "s")
-        series = AnomalyScoreSeries(ts, np.array([0.5, 0.9749996, 0.5]), 0.975)
+        values = np.array([0.5, 0.9749996, 0.5])
+        series = AnomalyScoreSeries(ts, values, 0.975, values, values)
         policy = AlarmPolicy(0.975, 1)
         assert raise_alarms(series, policy) == []
         path = tmp_path / "scores.csv"

@@ -54,7 +54,6 @@ from anomix.posterior import (
     _LockstepTarget,
     _PARTS,
     _fitted_prior,
-    _lppd,
     _point_blocks,
     _psis_loo,
     _quantiles,
@@ -262,14 +261,14 @@ class TestLppd:
 
     @pytest.mark.parametrize("s, n", [(800, 21), (800, 201), (5000, 7), (8000, 41), (20000, 3)])
     def test_blocks_reduce_as_the_whole_matrix(self, s, n):
-        """Blocks of points that would leave one point over give the bits of ``_logsumexp`` over
-        the whole matrix.  Zeroing the other points' log densities makes the sum the last point's
-        term alone, whose last bit a sum over many points can round away."""
+        """Blocks of points that would leave one point over give PSIS-LOO's LPPD the bits of
+        ``_logsumexp`` over the whole matrix.  Zeroing the other points' log densities makes the
+        sum the last point's term alone, whose last bit a sum over many points can round away."""
         assert n % max(2, BLOCK_ELEMENTS // s) == 1
         for seed in range(5):
             ll = np.random.default_rng(seed).normal(-2.0, 3.0, size=(s, n))
             for _ in range(2):
-                assert _lppd(ll).hex() == float(np.sum(_logsumexp(ll, axis=0) - math.log(s))).hex()
+                assert _psis_loo(ll)[3].hex() == float(np.sum(_logsumexp(ll, axis=0) - math.log(s))).hex()
                 ll[:, :-1] = 0.0
 
 
@@ -351,7 +350,7 @@ class TestBatchedPsisMatchesPerPoint:
         s, n = ll.shape
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            estimate, se, k_hat = _psis_loo(ll)
+            estimate, se, k_hat, _ = _psis_loo(ll)
         disabled = [w for w in caught if "PSIS smoothing disabled" in str(w.message)]
         assert len(disabled) == (1 if s < 100 else 0)
         with warnings.catch_warnings():
@@ -365,6 +364,18 @@ class TestBatchedPsisMatchesPerPoint:
         if s < 100:
             assert np.isnan(k_hat).all()
 
+    def test_smoothing_starts_at_100_draws(self):
+        """At 99 draws no tail is smoothed, so no k-hat is reported, and a warning says so; at 100
+        every tail is (its 20 largest weights) and nothing warns."""
+        ll = np.random.default_rng(3).normal(size=(100, 5))
+        with pytest.warns(RuntimeWarning, match="PSIS smoothing disabled"):
+            k_hat = _psis_loo(ll[:99])[2]
+        assert np.isnan(k_hat).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k_hat = _psis_loo(ll)[2]
+        assert np.isfinite(k_hat).all()
+
     def test_cases_the_guards_catch(self):
         # Column 0 is constant, column 1 has three distinct largest weights,
         # column 2 six equal ones, and column 3 a smooth tail.
@@ -373,7 +384,7 @@ class TestBatchedPsisMatchesPerPoint:
         ll[:3, 1] = [-3.0, -3.5, -4.0]
         ll[:6, 2] = -3.0
         ll[:, 3] = rng.normal(size=225)
-        _, _, k_hat = _psis_loo(ll)
+        _, _, k_hat, _ = _psis_loo(ll)
         assert np.isnan(k_hat[:3]).all() and np.isfinite(k_hat[3])
         assert k_hat[3] == pytest.approx(psis_loo_per_point(ll)[2][3], abs=1e-12)
 

@@ -671,6 +671,7 @@ class TestCli:
             (default_config_text(**dict(FAST, quorum=0)), []),
             (default_config_text(**FAST) + "tau = 0.9\n", []),
             (default_config_text(**FAST), ["--patience", "0"]),
+            (default_config_text(**dict(FAST, validity_days=[1, 10**20])), []),
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, text, argv):

@@ -54,7 +54,8 @@ def test_failure_and_score_files_bypass_the_traced_reader(tmp_path, monkeypatch)
     assert len(pipeline.read_failures(failures, "datetime", "machineID", "1")) == 1
     stamps = np.datetime64("2024-01-01T00:00:00", "s") + np.arange(4) * np.timedelta64(3600, "s")
     scores = tmp_path / "scores_hi_a.csv"
-    pipeline._write_series(scores, AnomalyScoreSeries(stamps, np.array([0.5, 0.99, 0.99, 0.99]), 0.975))
+    values = np.array([0.5, 0.99, 0.99, 0.99])
+    pipeline._write_series(scores, AnomalyScoreSeries(stamps, values, 0.975, values, values))
     np.testing.assert_array_equal(pipeline._read_series(scores).as_values, [0.5, 0.99, 0.99, 0.99])
     alarms = tmp_path / "alarms_hi_a.csv"
     pipeline._write_alarms(alarms, [pipeline.AlarmWindow(stamps[2], stamps[3])])

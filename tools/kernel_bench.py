@@ -41,6 +41,9 @@ and the layers the README demo's stages spend their time in.
   those shapes, one dataset of 4 or 2 chains; its figure is per iteration.
 * ``psis``: ``posterior._psis_loo`` on the 800 x 200 log densities of an
   800-draw sample, the demo's draw count; its figure is per point.
+* ``diagnostics``: ``posterior.fit_diagnostics`` of that sample at the same
+  200 rows, the diagnose stage per index: R-hat, the pointwise pass and one
+  PSIS-LOO walk, which also gives the LPPD.
 * ``render_map``: one ``explain.render_map`` of that sample on the demo's
   grid, 41 points along its one gate direction.
 * ``rhat``: ``posterior._rhat_max`` on another 800-draw demo sample of two
@@ -195,6 +198,7 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     sample = demo_sample(rng, 800)
     ll = posterior._pointwise(sample, data)[0]
     cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
+    cases["diagnostics_800x200"] = (lambda: posterior.fit_diagnostics(sample, data), None, max(1, number // 20))
     skeleton = explain.embed_grid(
         explain.gate_geometry(sample), explain.default_score_grid(1), data.covariates.mean(axis=0)
     )
