@@ -10,14 +10,13 @@ threshold or patience value cannot silently corrupt an experiment.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral
 
 from .anomaly import MAX_WINDOW, exp_weights
-from .detection import AlarmPolicy, PoolingPolicy
+from .detection import MAX_SPAN_DAYS, AlarmPolicy, PoolingPolicy
 from .model import PriorSpec
 from .posterior import SamplerSettings
 
@@ -58,11 +57,6 @@ _PARSERS = {
     "list[str]": _parse_str_list,
     "list[int]": _parse_int_list,
 }
-
-
-# Longest margin or validity window in days: its span in seconds (8.64e17) added to any stamp
-# within 2.6e11 years of 1970 stays inside int64, the range of datetime64[s].
-MAX_SPAN_DAYS = 10**13
 
 
 @dataclass(frozen=True)
@@ -220,6 +214,8 @@ class PipelineConfig:
         return "\n".join(parts)
 
     def config_hash(self) -> str:
+        import hashlib  # imported on use: it loads OpenSSL (about 3.5 MB), and only ``fit`` records the hash
+
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
 

@@ -35,6 +35,10 @@ __all__ = [
 
 POOLED_THRESHOLD = 0.75  # separates the full-consensus level 1 from 0 and 0.5
 
+# Longest margin or validity window in days: its span in seconds (8.64e17) added to any stamp
+# within 2.6e11 years of 1970 stays inside int64, the range of datetime64[s].
+MAX_SPAN_DAYS = 10**13
+
 
 @dataclass(frozen=True)
 class AlarmPolicy:
@@ -167,11 +171,12 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
 
     ``observed`` holds the timestamps of every scored observation; gaps in
     it shrink the effective validity windows, and a window containing no
-    observation at all counts as a missed failure.  Rows follow ``w_days``.
+    observation at all counts as a missed failure.  Rows follow ``w_days``,
+    whose lengths are whole days: integers in [1, ``MAX_SPAN_DAYS``].
     """
-    w = np.asarray(w_days)
-    if (w <= 0).any():
-        raise ValueError("validity window length must be positive")
+    if not all(isinstance(d, Integral) and 1 <= d <= MAX_SPAN_DAYS for d in w_days):
+        raise ValueError(f"validity window lengths must be integers in [1, {MAX_SPAN_DAYS}], got {list(w_days)!r}")
+    w = np.asarray(w_days, dtype=np.int64)
     observed = np.sort(np.asarray(observed, dtype="datetime64[s]"))
     n = len(observed)
     spans = np.array([(a.onset, a.end) for a in alarms], dtype="datetime64").reshape(-1, 2)
@@ -183,7 +188,7 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
 
     # Failure f's validity window of w days (one row per w) holds the observations
     # in [start_f - w, start_f), its oldest day (the bucket) those before start_f - (w - 1).
-    days = np.stack([w, w - 1]).astype(np.int64).astype("timedelta64[D]")
+    days = np.stack([w, w - 1]).astype("timedelta64[D]")
     lo = np.searchsorted(observed, starts - days[0, :, None])
     tp = np.count_nonzero(active_before[np.searchsorted(observed, starts)] > active_before[lo], axis=-1)
     fn = len(failures) - tp
@@ -205,7 +210,7 @@ def evaluate(alarms: list, failures: FailureLog, w_days: list, observed) -> Dete
     recall, precision = tp / np.maximum(tp + fn, 1), tp / np.maximum(tp + fp, 1)
     f1 = np.divide(2 * recall * precision, recall + precision, out=np.zeros(len(w)), where=tp > 0)
     samples = np.count_nonzero(within > within_prev, axis=-1)
-    counts = np.stack([w.astype(np.int64), tp, fn, fp, tn, samples], axis=-1).tolist()
+    counts = np.stack([w, tp, fn, fp, tn, samples], axis=-1).tolist()
     rates = np.stack([precision, recall, f1], axis=-1).tolist()
     return DetectionReport(DetectionRow(*c, *r) for c, r in zip(counts, rates))
 

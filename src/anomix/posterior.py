@@ -626,8 +626,18 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
     """
     half = chains.shape[1] // 2
     z = _rank_normal(np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half :]]))
-    folded = _rank_normal(np.abs(z - np.median(z, axis=(0, 1))))
+    folded = _rank_normal(np.abs(z - _median(z.reshape(-1, z.shape[-1]))))
     return np.maximum(_rhat(z), _rhat(folded))
+
+
+def _median(rows: np.ndarray) -> np.ndarray:
+    """Median of each column of a (rows x P) array from one sort: the middle
+    row, or ``(a + b) / 2`` of the two middle rows.  Equal to ``np.median(rows,
+    axis=0)`` bit for bit on columns holding no NaN, nor zeros of both signs,
+    whose order a sort leaves unspecified; normal scores hold neither."""
+    rows = np.sort(rows, axis=0)
+    mid = len(rows) // 2
+    return rows[mid] if len(rows) % 2 else (rows[mid - 1] + rows[mid]) / 2
 
 
 def _rhat_max(sample: PosteriorSample) -> float:

@@ -1,5 +1,7 @@
 """Detection tests: alarm logic, pooling, validity-window metrics, grouping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from oracles import evaluate_loop, evaluate_per_window, raise_alarms_loop
 
 from anomix.anomaly import AnomalyScoreSeries
-from anomix.config import MAX_SPAN_DAYS
 from anomix.detection import (
+    MAX_SPAN_DAYS,
     AlarmPolicy,
     AlarmWindow,
     FailureLog,
@@ -269,8 +271,26 @@ class TestEvaluate:
     @pytest.mark.parametrize("w_days", [[-1], [2, 0, 3]], ids=["negative", "among positives"])
     def test_rejects_any_non_positive_window(self, w_days):
         _, failures, days = two_failure_fixture()
-        with pytest.raises(ValueError, match="validity window length must be positive"):
+        with pytest.raises(ValueError, match=rf"^validity window lengths must be integers in \[1, {MAX_SPAN_DAYS}\], got "):
             evaluate([], failures, w_days, days)
+
+    # 1.5 read as a row labelled 1; 2 * 10**14 wrapped start - w past int64 and read tp 0, fn 1, fp 1.
+    @pytest.mark.parametrize(
+        "w_days", [[1.5], [2, 2.0], [2 * 10**14], [MAX_SPAN_DAYS + 1], [np.float64(3.0)], ["3"]],
+        ids=["fraction", "integral-float", "overflowing", "one-past-the-bound", "numpy-float", "string"],
+    )
+    def test_rejects_lengths_that_are_not_integers_within_the_bound(self, w_days):
+        ts = hourly("2024-01-01T00:00:00", 400)
+        failures = FailureLog(ts[350:351], ts[350:351])
+        message = rf"^validity window lengths must be integers in \[1, {MAX_SPAN_DAYS}\], got {re.escape(repr(w_days))}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate([AlarmWindow(ts[100], ts[110])], failures, w_days, ts)
+
+    def test_numpy_integer_lengths_are_accepted(self):
+        alarms, failures, days = two_failure_fixture()
+        report = evaluate(alarms, failures, np.array([3, 1]), days)
+        assert report == evaluate(alarms, failures, [3, 1], days)
+        assert [type(r.w_days) for r in report.rows] == [int, int]
 
 
 class TestEvaluateOrder:

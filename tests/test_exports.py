@@ -76,11 +76,53 @@ def test_every_export_is_used(module_name):
     assert unused == []
 
 
-def test_package_does_not_import_scipy():
-    # scipy is a test dependency only: scipy.special alone costs about 25 MB and
-    # 0.2-0.3 s per process.  A fresh interpreter shows whether any module pulls it in.
-    code = "import sys, anomix.pipeline, anomix.selection, anomix.cli; print('scipy' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports this checkout's package."""
     path = [str(Path(anomix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test dependency only: scipy.special alone costs about 25 MB and
+    # 0.2-0.3 s per process.  OpenSSL's _hashlib (about 3.5 MB) is loaded by
+    # the config hash alone, on use, and numpy.ma (1.2-1.4 MB) by none of the
+    # package's calls.  A fresh interpreter shows whether any module pulls them in.
+    code = (
+        "import sys, anomix.pipeline, anomix.selection, anomix.cli; "
+        "print([m for m in ('scipy', '_hashlib', 'numpy.ma') if m in sys.modules])"
+    )
+    assert run_fresh(code).strip() == "[]"
+
+
+FULL_RUN = r"""
+import sys, tempfile, warnings
+from pathlib import Path
+from anomix import pipeline, selection
+from anomix.config import parse_config
+from anomix.posterior import SamplerSettings
+
+warnings.simplefilter("ignore")  # a sampler this short has not mixed, and says so
+config = parse_config(
+    "schema_version = 1\nindices = hi_a, hi_b\nextra_covariates = load\nmachine_column = machineID\n"
+    "machine_id = 1\nexperts = 2\nchains = 2\niterations = 60\nburn_in = 30\nsubsample_fraction = 1.0\n"
+    "train_size = 60\nvalidation_size = 20\nquorum = 2\npatience = 3\nvalidity_days = 1, 2\nseed = 3\n"
+)
+with tempfile.TemporaryDirectory() as work:
+    work = Path(work)
+    telemetry, failures = pipeline.write_two_index_stream(work, n_samples=400, onset_index=330, failure_index=350)
+    pipeline.run_stages(pipeline.STAGES, config, work / "run", telemetry, failures)
+    # A failure log with a header only, as a healthy machine's is, gives a failure-free split.
+    (work / "none.csv").write_text("datetime,machineID,component\n")
+    none = pipeline.read_failures(work / "none.csv", "datetime", "machineID", "1")
+    schema = pipeline.CsvSchema("datetime", "hi_a", ["load"], "machineID", "1")
+    train, _, _ = pipeline.build_splits(pipeline.ingest_csv(telemetry, schema)[0], none, pipeline.SplitSpec(1.0, 1.0, 60, 20))
+    selection.run_trial(0, {"experts": 2}, train, SamplerSettings(chains=2, iterations=80, burn_in=30, seed=1))
+print(len(none), "numpy.ma" in sys.modules)
+"""
+
+
+def test_stages_and_a_trial_do_not_import_numpy_ma():
+    # np.unique, np.median, np.quantile and np.percentile import numpy.ma on first
+    # use; every stage of the protocol and a selection trial must do without them.
+    assert run_fresh(FULL_RUN).split() == ["0", "False"]

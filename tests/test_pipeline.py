@@ -34,6 +34,7 @@ from anomix.pipeline import (
     build_splits,
     ingest_csv,
     _load_split,
+    _distinct,
     _read_alarms,
     _read_series,
     _save_split,
@@ -262,6 +263,41 @@ class TestIngest:
         path.write_text("datetime,load,hi_a\n2015-01-01 06:00:00,0.1,1.0\n2015-01-01 07:00:00,0.2,2.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: columns {repeated} requested twice")):
             read_telemetry(path, "datetime", columns, machine_column, "0.1")
+
+
+# Few distinct values, so that duplicates are common; -0.0 and 0.0 both among them.
+distinct_inputs = st.one_of(
+    st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1e300, 3.0]) | st.floats(allow_nan=False), max_size=40).map(
+        lambda v: np.array(v, dtype=float)
+    ),
+    st.lists(st.integers(-3, 3) | st.integers(-(2**62), 2**62), max_size=40).map(
+        lambda v: np.array(v, dtype="datetime64[s]")
+    ),
+)
+
+
+class TestDistinct:
+    """``_distinct`` is ``np.unique`` on the vectors the readers give it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=distinct_inputs)
+    def test_matches_numpy(self, values):
+        got, want = _distinct(values), np.unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        if got.dtype.kind == "f":
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("dtype", [float, "datetime64[s]"])
+    @pytest.mark.parametrize(
+        "values, expected",
+        [([], []), ([7], [7]), ([5, 5, 5], [5]), ([9, -1, 4, -1, 9, 0], [-1, 0, 4, 9])],
+        ids=["empty", "single", "all-equal", "unsorted-duplicates"],
+    )
+    def test_cases(self, values, expected, dtype):
+        got = _distinct(np.array(values, dtype=dtype))
+        assert got.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got, np.array(expected, dtype=dtype))
 
 
 class TestStandardScale:

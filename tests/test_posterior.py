@@ -54,6 +54,7 @@ from anomix.posterior import (
     _LockstepTarget,
     _PARTS,
     _fitted_prior,
+    _median,
     _point_blocks,
     _psis_loo,
     _quantiles,
@@ -852,3 +853,29 @@ class TestQuantiles:
         mixed = (zeros & np.signbit(x)).any(axis=0) & (zeros & ~np.signbit(x)).any(axis=0)
         got, want = (np.where(mixed & (q == 0.0), 0.0, q) for q in (got, want))
         np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+@st.composite
+def pooled_scores(draw):
+    """(halves x draws x P) arrays of scores as R-hat pools them, with ties and
+    exact zeros but no -0.0, at odd and even pooled counts."""
+    halves, n, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, -1.5, 0.25, 1.5]) | st.floats(-6.0, 6.0).map(lambda v: v + 0.0)
+    return np.array(draw(st.lists(values, min_size=halves * n * cols, max_size=halves * n * cols))).reshape(
+        halves, n, cols
+    )
+
+
+class TestMedian:
+    """``_median`` is ``np.median(z, axis=(0, 1))`` bit for bit on the pooled scores."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=pooled_scores())
+    @example(z=np.zeros((2, 2, 1)))
+    @example(z=np.array([-1.0, 0.0, 0.0, 2.0]).reshape(2, 2, 1))
+    @example(z=_rank_normal(np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2]).reshape(2, 4, 1)))
+    @example(z=_rank_normal(np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2, 0.5]).reshape(1, 9, 1)))
+    def test_matches_numpy(self, z):
+        got, want = _median(z.reshape(-1, z.shape[-1])), np.median(z, axis=(0, 1))
+        assert np.array_equal(got, want)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
