@@ -23,43 +23,23 @@ __all__ = ["main"]
 # The stage verbs, in protocol order; plot data is written by ``run`` alone.
 _VERBS = [name for name in STAGES if name != "plot"] + ["run"]
 _READS_INPUTS = {"fit", "run"}
-_TAKES_DETECTION_OVERRIDES = {"score", "detect", "run"}
-
-
-def _add_common(parser: argparse.ArgumentParser, inputs: bool) -> None:
-    parser.add_argument("--config", required=True, help="experiment configuration file")
-    parser.add_argument("--out", required=True, help="run directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    if inputs:
-        parser.add_argument("--data", required=True, help="telemetry CSV")
-        parser.add_argument("--failures", required=True, help="failure log CSV")
-    else:
-        # Fitting a subset of the indices would change covariates and seeds.
-        parser.add_argument("--index", default=None, help="restrict to one target index")
-
-
-def _add_detection_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=float, default=None, help="override the score threshold")
-    parser.add_argument("--patience", type=int, default=None, help="override the alarm patience")
-    parser.add_argument("--quorum", type=int, default=None, help="override the pooling quorum")
+# Each config override: its type, its help and the verbs whose stages read it.
+_OVERRIDES = {
+    "seed": (int, "override the config seed", {"fit", "run"}),
+    "threshold": (float, "override the score threshold", {"score", "detect", "run"}),
+    "patience": (int, "override the alarm patience", {"detect", "run"}),
+    "quorum": (int, "override the pooling quorum", {"detect", "run"}),
+}
 
 
 def _load(args) -> object:
     config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {name: getattr(args, name) for name in _OVERRIDES if getattr(args, name, None) is not None}
     if getattr(args, "index", None):
         if args.index not in config.indices:
             raise ValueError(f"unknown index {args.index!r}; config declares {config.indices}")
         overrides["indices"] = [args.index]
-    for name in ("threshold", "patience", "quorum"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,11 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     for verb in _VERBS:
-        function = pipeline.run_experiment if verb == "run" else getattr(pipeline, STAGES[verb])
-        p = sub.add_parser(verb, help=inspect.getdoc(function).split("\n\n")[0])
-        _add_common(p, verb in _READS_INPUTS)
-        if verb in _TAKES_DETECTION_OVERRIDES:
-            _add_detection_overrides(p)
+        if verb == "run":
+            summary = "Full protocol, fit through plot data, in one run directory."
+        else:
+            summary = inspect.getdoc(getattr(pipeline, STAGES[verb])).split("\n\n")[0]
+        p = sub.add_parser(verb, help=summary)
+        p.add_argument("--config", required=True, help="experiment configuration file")
+        p.add_argument("--out", required=True, help="run directory")
+        if verb in _READS_INPUTS:
+            p.add_argument("--data", required=True, help="telemetry CSV")
+            p.add_argument("--failures", required=True, help="failure log CSV")
+        else:
+            # Fitting a subset of the indices would change covariates and seeds.
+            p.add_argument("--index", default=None, help="restrict to one target index")
+        for name, (kind, text, verbs) in _OVERRIDES.items():
+            if verb in verbs:
+                p.add_argument(f"--{name}", type=kind, default=None, help=text)
     return parser
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "write_two_index_stream",
     "STAGES",
     "run_stages",
-    "run_experiment",
     "emit_plot_data",
 ]
 
@@ -236,7 +235,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
     ``src/`` calls none of ``np.unique``, ``np.median``, ``np.quantile`` and
     ``np.percentile``, which in NumPy 2.4 import ``numpy.ma`` on first use
-    (1.2-1.4 MB and 8-12 ms per process); see ``posterior._median``."""
+    (1.2-1.4 MB and 8-12 ms per process); see ``posterior._split_rhat``."""
     values = np.sort(values)
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -615,11 +614,12 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
     ``skipped_spans`` in the manifest, which keeps what ``fit`` recorded
     and the spans of indices not scored here."""
     run_dir = Path(run_dir)
-    skipped = {}
+    skipped, spans = {}, None
     for index in config.indices:
         sample = load_posterior(run_dir / f"posterior_{index}.npz")
         test = _load_split(run_dir / f"test_{index}.npz")
-        spans = _failure_spans(_read_failure_copy(run_dir), config.margin_days)
+        if spans is None:  # read once, after an archive, so that a run never fitted is told of its posterior first
+            spans = _failure_spans(_read_failure_copy(run_dir), config.margin_days)
         parts, skipped[index] = [], []
         for start, end in spans:
             rows = test.select((test.timestamps >= start) & (test.timestamps <= end))
@@ -693,10 +693,8 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
         except ValueError as exc:  # a rank-deficient gate has no 2D map
             warnings.warn(f"index {index!r}: no explanation map, since {exc}", RuntimeWarning)
             continue
-        train = _load_split(run_dir / f"train_{index}.npz")
-        grid = default_score_grid(min(geometry.n_directions, 2))
-        skeleton = embed_grid(geometry, grid, train.covariates.mean(axis=0))
-        rendered = render_map(skeleton, sample)
+        # The covariates are standardised on the train split, so their means there are 0.
+        rendered = render_map(embed_grid(geometry, default_score_grid(geometry.n_directions)), sample)
         header = (
             [f"score_{j}" for j in range(rendered.grid.shape[1])]
             + [f"x_{j}" for j in range(rendered.points.shape[1])]
@@ -741,14 +739,6 @@ def run_stages(names, config: PipelineConfig, run_dir, data_path=None, failures_
             stage(config, *inputs, run_dir)
         except Exception as exc:
             raise StageError(name, exc) from exc
-
-
-def run_experiment(config: PipelineConfig, data_path, failures_path, run_dir) -> dict:
-    """Full protocol, fit through plot data, in one run directory.
-
-    Runs every stage of ``STAGES`` and returns the run manifest."""
-    run_stages(STAGES, config, run_dir, data_path, failures_path)
-    return _read_manifest(Path(run_dir))
 
 
 # ---------------------------------------------------------------------------

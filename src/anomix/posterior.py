@@ -584,18 +584,23 @@ def _max_ignoring_nan(values: np.ndarray) -> float:
     return float(values.max()) if values.size else math.nan
 
 
-def _rank_normal(draws: np.ndarray) -> np.ndarray:
+def _rank_normal(draws: np.ndarray) -> tuple:
     """Normal scores of each parameter's ranks, pooled over (chains, draws, P);
-    tied draws, as repeated rejected states are, share their average rank."""
+    tied draws, as repeated rejected states are, share their average rank.
+
+    Also returns the stable ascending argsort of each column of the pooled
+    (rows x P) draws.  The scores are a non-decreasing function of the
+    draw, so that ordering sorts them as well."""
     flat = draws.reshape(-1, draws.shape[-1])
     n = len(flat)
     # Tied draws take mirrored places within their group in stable sorts of
     # the column and of the column reversed, so the two sum to twice its mid-rank.
     place = np.arange(n)[:, None]
     up, down = np.empty((2, *flat.shape), dtype=int)
-    np.put_along_axis(up, np.argsort(flat, axis=0, kind="stable"), place, axis=0)
+    order = np.argsort(flat, axis=0, kind="stable")
+    np.put_along_axis(up, order, place, axis=0)
     np.put_along_axis(down, n - 1 - np.argsort(flat[::-1], axis=0, kind="stable"), place, axis=0)
-    return _normal_scores(n)[up + down].reshape(draws.shape)
+    return _normal_scores(n)[up + down].reshape(draws.shape), order
 
 
 def _normal_scores(n: int) -> np.ndarray:
@@ -625,19 +630,20 @@ def _split_rhat(chains: np.ndarray) -> np.ndarray:
     unchanged under a monotone transform such as sd against log sd.
     """
     half = chains.shape[1] // 2
-    z = _rank_normal(np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half :]]))
-    folded = _rank_normal(np.abs(z - _median(z.reshape(-1, z.shape[-1]))))
+    z, order = _rank_normal(np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half :]]))
+    folded, _ = _rank_normal(np.abs(z - _ordered_median(z.reshape(-1, z.shape[-1]), order)))
     return np.maximum(_rhat(z), _rhat(folded))
 
 
-def _median(rows: np.ndarray) -> np.ndarray:
-    """Median of each column of a (rows x P) array from one sort: the middle
-    row, or ``(a + b) / 2`` of the two middle rows.  Equal to ``np.median(rows,
-    axis=0)`` bit for bit on columns holding no NaN, nor zeros of both signs,
-    whose order a sort leaves unspecified; normal scores hold neither."""
-    rows = np.sort(rows, axis=0)
-    mid = len(rows) // 2
-    return rows[mid] if len(rows) % 2 else (rows[mid - 1] + rows[mid]) / 2
+def _ordered_median(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Median of each column of a (rows x P) array whose columns ``order``
+    sorts: the middle row, or ``(a + b) / 2`` of the two middle rows.  Equal
+    to ``np.median(rows, axis=0)`` bit for bit on columns holding no NaN, nor
+    zeros of both signs, whose order a sort leaves unspecified; normal
+    scores hold neither."""
+    mid, columns = len(rows) // 2, np.arange(rows.shape[1])
+    middle = rows[order[mid], columns]
+    return middle if len(rows) % 2 else (rows[order[mid - 1], columns] + middle) / 2
 
 
 def _rhat_max(sample: PosteriorSample) -> float:

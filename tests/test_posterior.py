@@ -54,7 +54,7 @@ from anomix.posterior import (
     _LockstepTarget,
     _PARTS,
     _fitted_prior,
-    _median,
+    _ordered_median,
     _point_blocks,
     _psis_loo,
     _quantiles,
@@ -400,7 +400,7 @@ class TestRankNormal:
         flat = draws.reshape(-1, shape[-1])
         want = ndtri((rank_normal_ranks(flat) - 0.375) / (len(flat) + 0.25)).reshape(shape)
         # The standard library's inverse normal is within 8 ulp of scipy's; a rank off by one moves a score far more.
-        assert np.all(np.abs(_rank_normal(draws) - want) <= 8 * np.spacing(np.abs(want)))
+        assert np.all(np.abs(_rank_normal(draws)[0] - want) <= 8 * np.spacing(np.abs(want)))
 
 
 class TestCic:
@@ -857,8 +857,8 @@ class TestQuantiles:
 
 @st.composite
 def pooled_scores(draw):
-    """(halves x draws x P) arrays of scores as R-hat pools them, with ties and
-    exact zeros but no -0.0, at odd and even pooled counts."""
+    """(halves x draws x P) arrays as R-hat pools them, with ties and exact
+    zeros but no -0.0, at odd and even pooled counts."""
     halves, n, cols = draw(st.integers(1, 4)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
     values = st.sampled_from([0.0, -1.5, 0.25, 1.5]) | st.floats(-6.0, 6.0).map(lambda v: v + 0.0)
     return np.array(draw(st.lists(values, min_size=halves * n * cols, max_size=halves * n * cols))).reshape(
@@ -866,16 +866,31 @@ def pooled_scores(draw):
     )
 
 
-class TestMedian:
-    """``_median`` is ``np.median(z, axis=(0, 1))`` bit for bit on the pooled scores."""
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestOrderedMedian:
+    """R-hat's fold median, read through ``_rank_normal``'s ordering, is
+    ``np.median(z, axis=(0, 1))`` bit for bit on the pooled scores."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draws=pooled_scores())
+    @example(draws=np.zeros((2, 2, 1)))
+    @example(draws=np.array([-1.0, 0.0, 0.0, 2.0]).reshape(2, 2, 1))
+    @example(draws=np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2]).reshape(2, 4, 1))
+    @example(draws=np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2, 0.5]).reshape(1, 9, 1))
+    def test_rank_normal_order_gives_numpy_median(self, draws):
+        z, order = _rank_normal(draws)
+        rows = z.reshape(-1, z.shape[-1])
+        assert_same_bits(np.take_along_axis(rows, order, axis=0), np.sort(rows, axis=0))
+        assert_same_bits(_ordered_median(rows, order), np.median(z, axis=(0, 1)))
 
     @settings(max_examples=300, deadline=None)
     @given(z=pooled_scores())
     @example(z=np.zeros((2, 2, 1)))
     @example(z=np.array([-1.0, 0.0, 0.0, 2.0]).reshape(2, 2, 1))
-    @example(z=_rank_normal(np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2]).reshape(2, 4, 1)))
-    @example(z=_rank_normal(np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2, 0.5]).reshape(1, 9, 1)))
-    def test_matches_numpy(self, z):
-        got, want = _median(z.reshape(-1, z.shape[-1])), np.median(z, axis=(0, 1))
-        assert np.array_equal(got, want)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    @example(z=_rank_normal(np.array([0.1, 0.1, 0.3, 0.3, 0.3, 0.9, 0.9, 0.2, 0.5]).reshape(1, 9, 1))[0])
+    def test_matches_numpy_on_scores_with_ties_and_zeros(self, z):
+        rows = z.reshape(-1, z.shape[-1])
+        assert_same_bits(_ordered_median(rows, np.argsort(rows, axis=0, kind="stable")), np.median(z, axis=(0, 1)))

@@ -23,7 +23,7 @@ from anomix.pipeline import (
     _load_split,
     emit_plot_data,
     load_posterior,
-    run_experiment,
+    run_stages,
     save_posterior,
     stage_diagnose,
     stage_evaluate,
@@ -67,8 +67,8 @@ def finished_run(stream, tmp_path_factory):
     telemetry, failures = stream
     config = parse_config(default_config_text(**FAST))
     run_dir = tmp_path_factory.mktemp("run")
-    manifest = run_experiment(config, telemetry, failures, run_dir)
-    return config, run_dir, manifest
+    run_stages(STAGES, config, run_dir, telemetry, failures)
+    return config, run_dir, json.loads((run_dir / "manifest.json").read_text())
 
 
 class TestRunExperiment:
@@ -146,7 +146,7 @@ class TestRunExperiment:
         telemetry, failures = stream
         config = parse_config(default_config_text(**{**FAST, "indices": ["hi_a"], "extra_covariates": ["load", "hi_b"]}))
         run_dir = tmp_path / "single"
-        run_experiment(config, telemetry, failures, run_dir)
+        run_stages(STAGES, config, run_dir, telemetry, failures)
         assert not (run_dir / "pooled_scores.csv").exists()
         assert (run_dir / "alarms_hi_a.csv").exists()
 
@@ -154,7 +154,8 @@ class TestRunExperiment:
         telemetry, failures = stream
         config, first_dir, first_manifest = finished_run
         second_dir = tmp_path / "again"
-        second_manifest = run_experiment(config, telemetry, failures, second_dir)
+        run_stages(STAGES, config, second_dir, telemetry, failures)
+        second_manifest = json.loads((second_dir / "manifest.json").read_text())
         assert second_manifest["config_hash"] == first_manifest["config_hash"]
         for name in ("scores_hi_a.csv", "scores_hi_b.csv", "detection_report.csv", "diagnostics.csv"):
             assert (second_dir / name).read_text() == (first_dir / name).read_text(), name
@@ -171,7 +172,7 @@ class TestRunExperiment:
         telemetry, _ = stream
         config = parse_config(default_config_text(**FAST))
         with pytest.raises(StageError, match="fit"):
-            run_experiment(config, telemetry, tmp_path / "missing.csv", tmp_path / "broken")
+            run_stages(STAGES, config, tmp_path / "broken", telemetry, tmp_path / "missing.csv")
 
     @pytest.mark.parametrize("stage", ["diagnose", "score", "explain", "plot"])
     def test_stage_without_fit_artifacts_asks_for_a_fit(self, tmp_path, stage):
@@ -315,7 +316,7 @@ class TestDiagnoseRhat:
     def test_nan_warns_with_its_index(self, stream, tmp_path):
         # Three draws per chain are too few to split, so nothing has judged whether the chains mixed.
         config = parse_config(default_config_text(**dict(FAST, chains=2, iterations=3, burn_in=0)))
-        messages = recorded_warnings(lambda: run_experiment(config, *stream, tmp_path / "run"))
+        messages = recorded_warnings(lambda: run_stages(STAGES, config, tmp_path / "run", *stream))
         assert [m for m in messages if "R-hat" in m] == [
             f"index {index!r}: split R-hat max is nan, so its chains' mixing is unchecked" for index in ("hi_a", "hi_b")
         ]
@@ -325,6 +326,16 @@ def read_csv(path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return header, rows
+
+
+def three_expert_stack() -> PosteriorSample:
+    """Twenty draws of three experts on two covariates, whose gate makes a 2-D map."""
+    rng = np.random.default_rng(3)
+    mixing = rng.normal(size=(20, 3, 3))
+    mixing[:, -1] = 0.0
+    log_sds = 0.3 * rng.normal(size=(20, 3, 1))
+    experts = np.concatenate([rng.normal(size=(20, 3, 3)), log_sds], axis=-1)
+    return PosteriorSample(experts, mixing, rng.normal(size=(20, 3)), 0.25, 1, 0)
 
 
 class TestArtifactRoundTrip:
@@ -353,13 +364,7 @@ class TestArtifactRoundTrip:
         copy = shutil.copytree(run_dir, tmp_path / "run")
         # Three experts on hi_a's two covariates (hi_b, load) make a 2-D map;
         # hi_b keeps its single expert, which has none.
-        rng = np.random.default_rng(3)
-        mixing = rng.normal(size=(20, 3, 3))
-        mixing[:, -1] = 0.0
-        log_sds = 0.3 * rng.normal(size=(20, 3, 1))
-        experts = np.concatenate([rng.normal(size=(20, 3, 3)), log_sds], axis=-1)
-        stack = PosteriorSample(experts, mixing, rng.normal(size=(20, 3)), 0.25, 1, 0)
-        save_posterior(stack, copy / "posterior_hi_a.npz")
+        save_posterior(three_expert_stack(), copy / "posterior_hi_a.npz")
         stage_explain(config, copy)
         assert not (copy / "explain_hi_b_map.csv").exists()
 
@@ -380,6 +385,20 @@ class TestArtifactRoundTrip:
         arrows = np.array(rows, dtype=float)
         assert np.array_equal(arrows[:, 0], [0, 1])
         np.testing.assert_allclose(arrows[:, 1:], rendered.arrows, rtol=0, atol=5e-7)
+
+    def test_explanation_maps_do_not_read_the_train_split(self, finished_run, tmp_path):
+        # The covariates are standardised on the train split, so the map is
+        # embedded around their mean 0 and needs nothing of that split.
+        config, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        save_posterior(three_expert_stack(), copy / "posterior_hi_a.npz")
+        stage_explain(config, copy)
+        names = ("explain_hi_a_map.csv", "explain_hi_a_arrows.csv")
+        written = {name: (copy / name).read_bytes() for name in names}
+        for path in [copy / name for name in names] + [copy / f"train_{index}.npz" for index in config.indices]:
+            path.unlink()
+        stage_explain(config, copy)
+        assert {name: (copy / name).read_bytes() for name in names} == written
 
 
 class TestScoreSpans:
@@ -543,8 +562,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
 
     def test_score_keeps_what_fit_recorded(self, finished_run, tmp_path):
-        # Scoring one index under another seed rewrites that index's skipped
-        # spans and nothing else: seed and config hash stay as fit wrote them.
+        # Scoring one index rewrites that index's skipped spans and nothing
+        # else: seed and config hash stay as fit wrote them.
         _, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
         recorded = json.loads((copy / "manifest.json").read_text())
@@ -552,7 +571,7 @@ class TestCli:
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**FAST))
         assert main(["score", "--config", str(config_path), "--out", str(copy),
-                     "--index", "hi_a", "--seed", "99"]) == 0
+                     "--index", "hi_a"]) == 0
         assert json.loads((copy / "manifest.json").read_text()) == recorded
 
     def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
@@ -598,13 +617,41 @@ class TestCli:
         assert main(["evaluate", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
         assert (copy / "detection_report.csv").read_text() == expected
 
-    @pytest.mark.parametrize("flag", ["--threshold", "--patience", "--quorum"])
-    def test_evaluate_refuses_detection_overrides(self, tmp_path, capsys, flag):
-        # evaluate only reads the alarms detect wrote, so a policy flag would do nothing.
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("evaluate", "--threshold"), ("evaluate", "--patience"), ("evaluate", "--quorum")]
+        + [(verb, "--seed") for verb in ("diagnose", "score", "detect", "evaluate", "explain")]
+        + [("score", "--patience"), ("score", "--quorum")],
+    )
+    def test_verb_refuses_a_flag_its_stages_do_not_read(self, tmp_path, capsys, verb, flag):
+        # evaluate reads the alarms detect wrote, score raises no alarm and
+        # pools nothing, and only fit and run draw, so such a flag would do nothing.
         with pytest.raises(SystemExit) as exit_info:
-            main(["evaluate", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"), flag, "1"])
+            main([verb, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"), flag, "1"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_each_verb_takes_exactly_its_flags(self):
+        (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        located = {"config", "out", "index"}
+        inputs = {"config", "out", "seed", "data", "failures"}
+        expected = {
+            "fit": inputs,
+            "diagnose": located,
+            "score": located | {"threshold"},
+            "detect": located | {"threshold", "patience", "quorum"},
+            "evaluate": located,
+            "explain": located,
+            "run": inputs | {"threshold", "patience", "quorum"},
+        }
+        got = {
+            verb: {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+            for verb, parser in verbs.items()
+            if verb != "simulate"
+        }
+        assert got == expected
+        assert sum(map(len, got.values())) == 32
 
     @pytest.mark.parametrize("verb", ["fit", "run"])
     def test_fitting_verbs_refuse_index(self, stream, tmp_path, capsys, verb):
