@@ -20,7 +20,7 @@ import sys
 import warnings
 import zipfile
 from dataclasses import astuple, dataclass, fields, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -97,23 +97,27 @@ class CsvSchema:
     machine_id: str = ""
 
 
-def _parse_timestamp(row: dict, column: str) -> np.datetime64:
-    """One ISO-8601 cell in UTC seconds; a missing or malformed cell raises with the reason."""
-    raw = (row.get(column) or "").strip()
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
+def _parse_timestamp(raw: str, column: str) -> int:
+    """One ISO-8601 cell as whole UTC seconds since 1970, floored as ``np.datetime64(dt, "s")``
+    floors; a missing or malformed cell raises with the reason."""
+    raw = raw.strip()
     if not raw:
         raise ValueError(f"missing value in column {column!r}")
     try:
         dt = datetime.fromisoformat(raw)
     except ValueError:
         raise ValueError(f"unparseable timestamp {raw!r}") from None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return np.datetime64(dt, "s")
+    return (dt - (_EPOCH if dt.tzinfo is None else _EPOCH_UTC)) // _SECOND
 
 
-def _parse_cell(row: dict, column: str) -> float:
+def _parse_cell(raw: str, column: str) -> float:
     """One finite reading; a missing, malformed or non-finite cell raises with the reason."""
-    raw = (row.get(column) or "").strip()
+    raw = raw.strip()
     if not raw:
         raise ValueError(f"missing value in column {column!r}")
     try:
@@ -133,9 +137,11 @@ def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str
     column to a float vector and ``rejected`` lists ``(line_number,
     reason)`` for rows that failed to parse, had missing or non-finite
     fields, the machine cell included, or had more cells than the header.
-    With a machine column only the rows of ``machine_id`` are read.  An
-    empty file, a missing column, a column requested twice or a header that
-    names a column twice is refused with the path.
+    A row's line number is the physical line its record starts on, so blank
+    lines, which are skipped, and quoted cells that span lines count.  With
+    a machine column only the rows of ``machine_id`` are read.  An empty
+    file, a missing column, a column requested twice or a header that names
+    a column twice is refused with the path.
     """
     path = Path(path)
     needed = [*timestamp_columns, *columns] + ([machine_column] if machine_column else [])
@@ -143,39 +149,48 @@ def _read_rows(path, timestamp_columns: list, columns: list, machine_column: str
     if repeated:
         raise ValueError(f"{path}: columns {repeated} requested twice")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        named_twice = sorted({c for c in reader.fieldnames if reader.fieldnames.count(c) > 1})
+        named_twice = sorted({c for c in header if header.count(c) > 1})
         if named_twice:
             raise ValueError(f"{path}: header names columns {named_twice} twice")
-        stamps, values, rejected = [[] for _ in timestamp_columns], {c: [] for c in columns}, []
-        for lineno, row in enumerate(reader, start=2):
-            if None in row:  # cells past the header's: which cell belongs to which column is unknown
-                cells = len(reader.fieldnames) + len(row[None])
-                rejected.append((lineno, f"{cells} cells, the header has {len(reader.fieldnames)}"))
-                continue
-            if machine_column:
-                machine = row.get(machine_column)
-                if machine is None:  # the row stops before its machine cell: whose it is is unknown
+        width = len(header)
+        stamp_at = [(header.index(c), c) for c in timestamp_columns]
+        value_at = [(header.index(c), c) for c in columns]
+        machine_at = header.index(machine_column) if machine_column else -1
+        stamps, values, rejected = [[] for _ in timestamp_columns], [[] for _ in columns], []
+        start = reader.line_num + 1
+        for cells in reader:
+            lineno, start = start, reader.line_num + 1
+            if len(cells) != width:
+                if not cells:
+                    continue
+                if len(cells) > width:  # which cell belongs to which column is unknown
+                    rejected.append((lineno, f"{len(cells)} cells, the header has {width}"))
+                    continue
+                if machine_at >= len(cells):  # the row stops before its machine cell: whose it is is unknown
                     rejected.append((lineno, f"missing value in column {machine_column!r}"))
                     continue
-                if machine.strip() != machine_id:
-                    continue
+                cells += [""] * (width - len(cells))  # its other missing cells are missing values
+            if machine_column and cells[machine_at].strip() != machine_id:
+                continue
             try:
-                parsed_stamps = [_parse_timestamp(row, c) for c in timestamp_columns]
-                parsed = [_parse_cell(row, c) for c in columns]
+                parsed_stamps = [_parse_timestamp(cells[i], c) for i, c in stamp_at]
+                parsed = [_parse_cell(cells[i], c) for i, c in value_at]
             except ValueError as exc:
                 rejected.append((lineno, str(exc)))
                 continue
             for column, stamp in zip(stamps, parsed_stamps):
                 column.append(stamp)
-            for c, value in zip(columns, parsed):
-                values[c].append(value)
-    return [np.array(s, dtype="datetime64[s]") for s in stamps], {c: np.array(v) for c, v in values.items()}, rejected
+            for column, value in zip(values, parsed):
+                column.append(value)
+    values = {c: np.array(v) for c, v in zip(columns, values)}
+    return [np.array(s, dtype="datetime64[s]") for s in stamps], values, rejected
 
 
 def _refuse_rejected(path, rejected: list) -> None:

@@ -58,7 +58,8 @@ __all__ = [
 
 # Working-set budget of one blocked pass over a draw stack, counted in
 # (draws x rows x experts) elements, or (draws x points) weights in PSIS-LOO
-# and LPPD, which take at least two points a block.  A posterior-wide pass
+# and LPPD, which take at least two points a block, or (grid rows x tail x
+# points) terms of such a block's Pareto profile grid.  A posterior-wide pass
 # (fit diagnostics, a score band, a predictive band or coverage grid) holds
 # one (draws x points) array, its result or the one it reduces, plus block
 # temporaries of about this many elements each, at any row count, from a
@@ -404,26 +405,28 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
 # ---------------------------------------------------------------------------
 
 
-def _pointwise(sample: PosteriorSample, data: Dataset, level: float | None = None):
-    """One pass over the fused moments at ``data``: the (draws x points)
-    conditional log densities and, given a ``level``, the central ``level``
-    interval coverage averaged over draws and points with its per-draw
-    spread (else None)."""
-    if level is not None and not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+def _pointwise(sample: PosteriorSample, data: Dataset) -> np.ndarray:
+    """The (draws x points) conditional log densities at ``data``, from one pass over the fused moments."""
     ll = np.empty((sample.n_draws, len(data)))
-    per_draw = np.empty(sample.n_draws)
     for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
         ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses[None, :])[inverse]
-        if level is not None:
-            # y sits inside the central interval exactly when its CDF value
-            # falls between the two tail probabilities (the CDF is monotone).
-            u = _cdf_from_moments(alpha, means, sds, data.responses)[inverse]
-            lo = (1.0 - level) / 2.0
-            per_draw[block] = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
-    if level is None:
-        return ll, None
-    return ll, (float(per_draw.mean()), float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0)
+    return ll
+
+
+def _coverage(sample: PosteriorSample, data: Dataset, level: float) -> tuple[float, float]:
+    """The central ``level`` interval coverage of ``data``'s responses, averaged over draws and
+    points, and its per-draw spread, from one pass over the fused moments that keeps only the
+    per-draw hit rates."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    lo = (1.0 - level) / 2.0
+    per_draw = np.empty(sample.n_draws)
+    for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
+        # y sits inside the central interval exactly when its CDF value
+        # falls between the two tail probabilities (the CDF is monotone).
+        u = _cdf_from_moments(alpha, means, sds, data.responses)[inverse]
+        per_draw[block] = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
+    return float(per_draw.mean()), float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0
 
 
 def _point_blocks(n_draws: int, n_points: int) -> list:
@@ -448,7 +451,7 @@ def psis_loo(sample: PosteriorSample, data: Dataset):
     estimates indicate better fit, and ``pareto_k > PARETO_K_BOUND`` flags points
     whose weights are too heavy-tailed to trust.
     """
-    return _psis_loo(_pointwise(sample, data)[0])[:3]
+    return _psis_loo(_pointwise(sample, data))[:3]
 
 
 def _psis_loo(ll: np.ndarray):
@@ -500,8 +503,14 @@ def _pareto_smooth(lw: np.ndarray, tail_len: int) -> np.ndarray:
     b = 1.0 - np.sqrt(m_grid / (grid + 0.5))
     b = b / (3.0 * excesses[tail_len - n + (n - 2) // 4, np.arange(len(n))]) + 1.0 / excesses[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = -b[:, None] * x
-        k = np.log1p(k, out=k).sum(axis=1) / n
+        # log1p(-b x) over slices of grid rows of at most BLOCK_ELEMENTS elements, not one
+        # (grid x tail x points) array; each column still sums its tail in the same order.
+        k = np.empty_like(b)
+        step = max(1, BLOCK_ELEMENTS // max(1, x.size))
+        for rows in range(0, len(b), step):
+            terms = -b[rows : rows + step, None] * x
+            k[rows : rows + step] = np.log1p(terms, out=terms).sum(axis=1)
+        k /= n
         log_lik = np.where(grid < m_grid, n * (np.log(-(b / k)) - k - 1.0), -np.inf)
         weights = np.exp(log_lik - _logsumexp(log_lik, axis=0))
         b_post = np.sum(b * weights, axis=0) / weights.sum(axis=0)
@@ -661,11 +670,12 @@ def _rhat_max(sample: PosteriorSample) -> float:
 def fit_diagnostics(sample: PosteriorSample, data: Dataset) -> FitDiagnostics:
     """Bundle LPPD, PSIS-LOO, central 95% interval coverage and the worst split R-hat into one report.
 
-    R-hat comes first, so that its rank arrays never coexist with the
-    (draws x points) log densities of the pointwise pass."""
+    R-hat and then coverage come first, each in its own pass, so that
+    neither R-hat's rank arrays nor a CDF block's ``ndtr`` workspace ever
+    coexists with the (draws x points) log densities of the pointwise pass."""
     rhat_max = _rhat_max(sample)
-    ll, (coverage, coverage_se) = _pointwise(sample, data, 0.95)
-    loo, loo_se, k_hat, lppd = _psis_loo(ll)
+    coverage, coverage_se = _coverage(sample, data, 0.95)
+    loo, loo_se, k_hat, lppd = _psis_loo(_pointwise(sample, data))
     return FitDiagnostics(
         lppd=lppd,
         psis_loo=loo,

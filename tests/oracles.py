@@ -92,7 +92,7 @@ from anomix.model import (
     fused_moments,
     sample_conditional,
 )
-from anomix.posterior import PosteriorSample, _LockstepTarget, _pointwise
+from anomix.posterior import PosteriorSample, _LockstepTarget, _coverage, _pointwise
 
 
 def fit_gpd(excesses: np.ndarray):
@@ -588,7 +588,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
 def lppd(sample, data) -> float:
     """Log pointwise predictive density: per point, log of the draw-average
     density; ``fit_diagnostics``' ``lppd``, reduced here over the whole matrix by scipy."""
-    ll = _pointwise(sample, data)[0]
+    ll = _pointwise(sample, data)
     return float(np.sum(logsumexp(ll, axis=0) - math.log(len(ll))))
 
 
@@ -596,7 +596,7 @@ def cic(sample, data, level: float = 0.95):
     """Central credible interval coverage averaged over draws and points, and
     the spread of the per-draw coverages: ``fit_diagnostics``' ``cic95`` and
     ``cic95_se`` at any level."""
-    return _pointwise(sample, data, level)[1]
+    return _coverage(sample, data, level)
 
 
 def posterior_predictive_cdf(sample, X, y) -> np.ndarray:

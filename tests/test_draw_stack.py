@@ -42,6 +42,7 @@ from anomix.explain import ExplanationMap, _predictive_summary, gate_geometry, r
 from anomix.model import (
     Dataset,
     PriorSpec,
+    _cdf_from_moments,
     conditional_cdf_rows,
     conditional_logpdf_rows,
     fused_moments,
@@ -52,6 +53,7 @@ from anomix.posterior import (
     BLOCK_ELEMENTS,
     PosteriorSample,
     SamplerSettings,
+    _coverage,
     _pointwise,
     _psis_loo,
     _quantiles,
@@ -410,7 +412,7 @@ def every_draws_moments(sample, X) -> list:
 def posterior_wide_outputs(sample, data, k, seed) -> list:
     """The bytes of every output of the posterior-wide passes over ``sample``'s draw blocks."""
     series = score_series(data, sample, k)
-    ll, coverage = _pointwise(sample, data, 0.9)
+    ll, coverage = _pointwise(sample, data), _coverage(sample, data, 0.9)
     arrays = [
         series.as_values,
         series.theta_low,
@@ -465,6 +467,18 @@ class TestRepeatedDraws:
             want = posterior_wide_outputs(sample, data, k, seed)
         assert got == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_stacks(), st.sampled_from([0.5, 0.9, 0.95]))
+    def test_coverage_has_the_bits_of_the_whole_stack(self, case, level):
+        """The coverage pass gives the bits of the same arithmetic on every draw's moments at once,
+        as the log-density pass gave them when it also computed coverage."""
+        sample, data, _ = case
+        u = _cdf_from_moments(*stack_moments(sample, data.covariates), data.responses)
+        lo = (1.0 - level) / 2.0
+        per_draw = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
+        want = (per_draw.mean(), per_draw.std(ddof=1) if sample.n_draws > 1 else 0.0)
+        assert [v.hex() for v in _coverage(sample, data, level)] == [float(v).hex() for v in want]
+
 
 def traced_peak(run) -> int:
     """Bytes ``run()`` adds at its peak; a first, untraced call fills any cache it keeps."""
@@ -514,6 +528,43 @@ class TestPassMemory:
     def test_coverage_counts(self, case):
         sample, data = case
         assert traced_peak(lambda: coverage_counts(sample, data, 20, rng=0)) <= self.bound(self.N_ROWS)
+
+
+def half_repeating_stack(rng, n_draws: int, n_experts: int) -> PosteriorSample:
+    """A two-covariate stack in which each draw after the first repeats its predecessor with
+    probability 1/2, as rejected Metropolis steps leave a fit's draws (59-62% of the README demo's
+    800 draws are distinct)."""
+    fresh = random_stack(rng, n_draws, n_experts, 2)
+    kept = rng.random(n_draws) < 0.5
+    kept[0] = True
+    source = np.maximum.accumulate(np.where(kept, np.arange(n_draws), 0))
+    return PosteriorSample(*(getattr(fresh, name)[source] for name in ("experts", "mixing", "behavior")), 0.25, 2, 0)
+
+
+class TestDiagnosticsMemory:
+    """Diagnostics at the shapes the pipeline runs them may hold the (draws x points) log densities
+    plus at most 8 blocks of float64 beside them.  Coverage is its own pass, so no CDF block's
+    ``ndtr`` workspace is alive beside the log densities, and PSIS evaluates its Pareto profile grid
+    a slice of rows at a time.  Without either, the two cases here peak at 10.9 and 9.9 blocks;
+    with both, at 6.4 and 5.9."""
+
+    MAX_BLOCKS = 8
+
+    def check(self, run, n_draws: int, n_points: int):
+        beyond = traced_peak(run) - n_draws * n_points * 8
+        assert beyond <= self.MAX_BLOCKS * BLOCK_ELEMENTS * 8, beyond / (BLOCK_ELEMENTS * 8)
+
+    def test_fit_diagnostics_at_the_demo_shape(self):
+        """The diagnose stage per index: 800 draws of two experts at 200 training rows."""
+        rng = np.random.default_rng(0)
+        sample, data = half_repeating_stack(rng, 800, 2), random_rows(rng, 200, 2)
+        self.check(lambda: fit_diagnostics(sample, data), 800, 200)
+
+    def test_psis_loo_at_the_select_shape(self):
+        """``select``'s largest trial: 200 draws of three experts at 200 training rows."""
+        rng = np.random.default_rng(1)
+        sample, data = half_repeating_stack(rng, 200, 3), random_rows(rng, 200, 2)
+        self.check(lambda: psis_loo(sample, data), 200, 200)
 
 
 # One monitor-shaped operation after another in a fresh process.  The k = 10 table is built first, then a

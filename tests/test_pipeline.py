@@ -3,6 +3,7 @@
 import os
 import re
 from dataclasses import fields, replace
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -162,6 +163,55 @@ class TestIngest:
         assert [line for line, _ in rejected] == [3, 4]
         assert "non-finite" in rejected[0][1] and "'load'" in rejected[0][1]
         assert "'hi_a'" in rejected[1][1]
+
+    def test_line_numbers_are_physical_lines(self, tmp_path):
+        """A rejected row is reported on the line its record starts on: the blank line 3 and the
+        quoted cell spanning lines 6 and 7 count, so the rejections are on lines 5, 6 and 8."""
+        path = tmp_path / "telemetry.csv"
+        path.write_text(
+            "datetime,load,hi_a,note\n"
+            "2015-01-01 06:00:00,0.1,1.0,\n"
+            "\n"
+            "2015-01-01 07:00:00,0.2,2.0,\n"
+            "2015-01-01 08:00:00,x,3.0,\n"
+            '2015-01-01 09:00:00,"0.4\n0.5",4.0,\n'
+            "2015-01-01 10:00:00,0.6,inf,\n"
+            '2015-01-01 11:00:00,0.7,7.0,"two\nlines"\n'
+            "2015-01-01 12:00:00,0.8,,\n"
+        )
+        ts, values, rejected = read_telemetry(path, "datetime", ["load", "hi_a"])
+        assert values["load"].tolist() == [0.1, 0.2, 0.7]
+        assert rejected == [
+            (5, "bad value 'x' in column 'load'"),
+            (6, "bad value '0.4\\n0.5' in column 'load'"),
+            (8, "non-finite value 'inf' in column 'hi_a'"),
+            (11, "missing value in column 'hi_a'"),
+        ]
+
+    def test_stamps_are_utc_seconds_floored(self, tmp_path):
+        """Offsets convert to UTC and fractions of a second floor, before 1970 too, as
+        ``np.datetime64`` of the UTC ``datetime`` gives them."""
+        cells = [
+            "2015-01-01 06:00:00",
+            "2015-01-01T06:00:00.999999",
+            "2015-01-01T08:30:00+02:30",
+            "2015-01-01T01:00:00-05:00",
+            "2015-01-01T06:00:00Z",
+            "1969-12-31T23:59:59.5",
+            "0001-01-01T00:00:00",
+            "9999-12-31T23:59:59.999999",
+        ]
+        path = tmp_path / "failures.csv"
+        path.write_text("datetime\n" + "\n".join(cells) + "\n")
+        (stamps,), _, rejected = pipeline._read_rows(path, ["datetime"], [])
+        assert rejected == [] and stamps.dtype == np.dtype("datetime64[s]")
+        want = []
+        for cell in cells:
+            dt = datetime.fromisoformat(cell)
+            if dt.tzinfo is not None:
+                dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+            want.append(np.datetime64(dt, "s"))
+        assert np.array_equal(stamps, np.array(want))
 
     def test_row_cut_short_before_the_machine_cell_is_rejected(self, tmp_path):
         path = tmp_path / "telemetry.csv"

@@ -390,6 +390,55 @@ class TestBatchedPsisMatchesPerPoint:
         assert k_hat[3] == pytest.approx(psis_loo_per_point(ll)[2][3], abs=1e-12)
 
 
+def grid_in_one_piece(ll: np.ndarray) -> tuple:
+    """``_psis_loo(ll)`` on the same point blocks with each block's Pareto profile grid evaluated in
+    one piece, as one (grid x tail x points) array."""
+    blocks = _point_blocks(*ll.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anomix.posterior, "_point_blocks", lambda s, n: blocks)
+        patch.setattr(anomix.posterior, "BLOCK_ELEMENTS", 2**62)
+        return _psis_loo(ll)
+
+
+def psis_bits(ll: np.ndarray) -> np.ndarray:
+    """Assert that ``_psis_loo(ll)`` has the bits of ``grid_in_one_piece(ll)``; returns its k-hat."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate, se, k_hat, lppd = _psis_loo(ll)
+        want_estimate, want_se, want_k, want_lppd = grid_in_one_piece(ll)
+    assert [v.hex() for v in k_hat.tolist()] == [v.hex() for v in want_k.tolist()]
+    assert [estimate.hex(), se.hex(), lppd.hex()] == [want_estimate.hex(), want_se.hex(), want_lppd.hex()]
+    return k_hat
+
+
+class TestParetoGridSlices:
+    """PSIS evaluates each block's profile grid over slices of at most ``BLOCK_ELEMENTS`` elements;
+    each column sums its tail in the same order, so the estimate, se, k-hat and LPPD keep the bits
+    of the grid in one piece.  These pass on a grid in one piece too: they guard the slicing, and
+    fail on a slice loop that skips the grid's last row."""
+
+    @pytest.mark.parametrize(
+        "s, n, flat",
+        [
+            (800, 200, slice(0, 0)),  # the demo's shape: 20-point blocks, 9 grid rows a slice
+            (100, 200, slice(163, 200)),  # S = 100, a tail of 20; no column of the second block is fitted
+            (6000, 5, slice(0, 2)),  # blocks of 2 and 3 points; the first has no fitted column
+            (6000, 7, slice(2, 3)),  # blocks of 2, 2 and 3 points; one block fits a lone column
+        ],
+    )
+    def test_estimate_se_k_hat_and_lppd_keep_their_bits(self, s, n, flat):
+        rng = np.random.default_rng(s + n)
+        ll = rng.normal(-1.0, 1.0, size=(s, n))
+        ll[:, flat] = -1.5
+        k_hat = psis_bits(ll)
+        assert np.isnan(k_hat[flat]).all() and np.isfinite(np.delete(k_hat, np.arange(n)[flat])).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(loglik_arrays())
+    def test_any_log_densities(self, ll):
+        psis_bits(ll)
+
+
 class TestRankNormal:
     @pytest.mark.parametrize("shape", [(2, 8, 3), (4, 50, 5), (1, 7, 1), (2, 400, 3)])
     def test_matches_per_column_unique(self, shape):

@@ -42,8 +42,12 @@ and the layers the README demo's stages spend their time in.
 * ``psis``: ``posterior._psis_loo`` on the 800 x 200 log densities of an
   800-draw sample, the demo's draw count; its figure is per point.
 * ``diagnostics``: ``posterior.fit_diagnostics`` of that sample at the same
-  200 rows, the diagnose stage per index: R-hat, the pointwise pass and one
-  PSIS-LOO walk, which also gives the LPPD.
+  200 rows, the diagnose stage per index: R-hat, the coverage pass, the
+  log-density pass and one PSIS-LOO walk, which also gives the LPPD.
+  ``psis`` and ``diagnostics`` also report ``peak_blocks``, the peak that one
+  call's allocations reach under ``tracemalloc`` beyond the 800 x 200 log
+  densities (which ``psis`` is handed and ``diagnostics`` allocates), in
+  blocks of ``posterior.BLOCK_ELEMENTS`` float64.
 * ``render_map``: one ``explain.render_map`` of that sample on the demo's
   grid, 41 points along its one gate direction.
 * ``rhat``: ``posterior._rhat_max`` on another 800-draw demo sample of two
@@ -78,6 +82,7 @@ import platform
 import statistics
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -196,7 +201,7 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     select, _, _ = sampler_cases(np.random.default_rng(3), number, 2, 3, "2x3x200")
     cases.update(select)
     sample = demo_sample(rng, 800)
-    ll = posterior._pointwise(sample, data)[0]
+    ll = posterior._pointwise(sample, data)
     cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
     cases["diagnostics_800x200"] = (lambda: posterior.fit_diagnostics(sample, data), None, max(1, number // 20))
     skeleton = explain.embed_grid(
@@ -224,6 +229,19 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
 
     cases["config_load_k11_decay0.6"] = (fresh_load, None, 1)
     return cases, {"sampler_4x200": iterations, "sampler_2x3x200": iterations, "psis_800x200": ll.shape[1]}
+
+
+def peak_blocks(call, resident: int) -> float:
+    """The peak of one ``call()``'s traced allocations, less ``resident`` bytes, in blocks of
+    ``BLOCK_ELEMENTS`` float64; an untraced call first fills any cache it keeps."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base - resident) / (posterior.BLOCK_ELEMENTS * 8)
+    finally:
+        tracemalloc.stop()
 
 
 def sum_cdf_queries(data, sample) -> tuple[int, int]:
@@ -280,11 +298,15 @@ def main() -> None:
             sides = [("anomix", ours)] + ([("scipy", theirs)] if scipy_version and theirs else [])
             for side, call in sides:
                 times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
+    # The 800 x 200 log densities: handed to psis, allocated by diagnostics.
+    residents = {"psis_800x200": 0, "diagnostics_800x200": 800 * 200 * 8}
     result = {}
     for name, sides in times.items():
         medians = {side: statistics.median(t) / per_unit.get(name, 1) for side, t in sides.items() if t}
         if "scipy" in medians:
             medians["ratio"] = medians["anomix"] / medians["scipy"]
+        if name in residents:
+            medians["peak_blocks"] = peak_blocks(cases[name][0], residents[name])
         result[name] = {key: round(value, 3) for key, value in medians.items()}
         print(name, "  ".join(f"{key} {value:.3f}" for key, value in result[name].items()))
     calls, queries = sum_cdf_queries(data, sample)
