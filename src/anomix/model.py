@@ -9,9 +9,10 @@ them (``beta -> 0``).
 Everything in this module is a pure, deterministic function of parameters
 and covariates; the sampling, scoring and explanation layers build on top
 of it.  Mixture log-densities go through log-sum-exp so that the extreme
-tail values visited by the anomaly score stay finite.  The gate, fusion and
-density helpers that the sampler, scoring and explanation share work in
-place on the temporaries they make, never on an argument.
+tail values visited by the anomaly score stay finite.  The gate and fusion
+helpers that the sampler, scoring and explanation share work in place on the
+temporaries they make, never on an argument; the mixture log-density kernel
+works in place on the residuals and variances its caller makes for it.
 """
 
 from __future__ import annotations
@@ -231,31 +232,36 @@ def _logsumexp(a, axis: int = -1):
 
 
 def _log_weights(alpha):
-    """``log(alpha)``, ``-inf`` where a mixing weight underflowed to zero."""
-    with np.errstate(divide="ignore"):
-        return np.log(alpha)
+    """``log(alpha) - log(2 pi) / 2``: the log mixing weights with the Gaussian density's constant folded in, as
+    :func:`_logpdf_from_moments` reads them, ``-inf`` where a weight underflowed to zero.  Callers run it under
+    ``np.errstate(divide="ignore")``, which the sampler enters once per run."""
+    log_alpha = np.log(alpha)
+    log_alpha -= 0.5 * LOG_2PI
+    return log_alpha
 
 
-def _logpdf_from_moments(log_alpha, means, sds, y):
-    """Mixture log density (..., rows) of responses ``y`` (..., 1, rows) under fused moments (..., M, rows)."""
-    z = y - means
-    z /= sds
-    comp = -0.5 * z
-    comp *= z
-    comp -= np.log(sds, out=z)
-    comp -= 0.5 * LOG_2PI
-    comp += log_alpha
-    return _logsumexp(comp, axis=-2)
+def _logpdf_from_moments(log_alpha, residuals, variances):
+    """Mixture log density (..., rows): the log-sum-exp over the experts of ``log_alpha - (r**2 / v + log v) / 2``,
+    from each expert's residuals ``r = fused mean - y`` and fused variances ``v``, (..., M, rows), and the
+    :func:`_log_weights` ``log_alpha``.  Works in place on ``residuals`` and ``variances``."""
+    residuals *= residuals
+    residuals /= variances
+    residuals += np.log(variances, out=variances)
+    residuals *= -0.5
+    residuals += log_alpha
+    return _logsumexp(residuals, axis=-2)
 
 
 def _cdf_from_moments(alpha, means, sds, y):
     return (alpha * ndtr((y[..., None, :] - means) / sds)).sum(axis=-2)
 
 
+@np.errstate(divide="ignore")
 def conditional_logpdf_rows(params, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
     alpha, means, sds = _moments_arrays(*params, _embed_rows(X))
-    return _logpdf_from_moments(_log_weights(alpha), means, sds, _as_vector(y, "y")[None, :])
+    means -= _as_vector(y, "y")
+    return _logpdf_from_moments(_log_weights(alpha), means, np.square(sds, out=sds))
 
 
 def conditional_cdf_rows(params, X, y) -> np.ndarray:

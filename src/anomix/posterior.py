@@ -10,10 +10,9 @@ together, advance in lockstep, each on its own RNG stream, and fill one draw
 stack per dataset (:class:`PosteriorSample`, the kept state groups as they
 are) in contiguous chain blocks, from which the fit diagnostics read split
 R-hat.  The log target is cached per chain in one part per group, next to
-the terms of the experts' blend, so a proposal recomputes only what its group
-moves: a behavior-gate one reuses the blend terms.  The likelihood is
-assembled from them without the fused moments that scoring reads, which
-moves the target by ulps and no accept decision.
+the experts' blend, so a proposal recomputes only what its group moves: a
+behavior-gate one reuses the blend.  The likelihood fuses the experts and
+reduces them with the mixture log-density kernel that the diagnostics use.
 Posterior bands (score, predictive and coverage intervals) take their
 quantiles from one in-place sort of the draw axis, equal to ``np.quantile``.
 """
@@ -29,13 +28,13 @@ from numbers import Integral
 import numpy as np
 
 from .model import (
-    LOG_2PI,
     Dataset,
     PriorSpec,
     _blend,
     _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
+    _fuse,
     _log_prior_arrays,
     _log_weights,
     _logistic_gate,
@@ -217,9 +216,9 @@ def _experts_part(experts, phi, prior: PriorSpec):
 
 
 def _mixing_part(mixing, phi, prior: PriorSpec):
-    """Mixing weights and ``log(alpha) - log(2 pi) / 2`` (S, M, rows), and the mixing prior sum."""
+    """Mixing weights and their ``model._log_weights`` (S, M, rows), and the mixing prior sum."""
     alpha = _softmax_gate(mixing, phi)
-    return alpha, np.log(alpha) - 0.5 * LOG_2PI, _log_prior_arrays(prior, gate_matrix=mixing)
+    return alpha, _log_weights(alpha), _log_prior_arrays(prior, gate_matrix=mixing)
 
 
 def _behavior_part(behavior, phi, prior: PriorSpec):
@@ -231,60 +230,44 @@ def _behavior_part(behavior, phi, prior: PriorSpec):
 _PARTS = dict(zip(_STACK_FIELDS, (_experts_part, _mixing_part, _behavior_part)))
 
 
-def _blend_terms(experts, mixing, y):
-    """From the experts' and mixing parts: each mean's distance from the ``alpha``-weighted blend mean (S, M,
-    rows), the blend mean's distance from the responses ``y`` and the blend variance (S, 1, rows)."""
-    (means, variances, _), (alpha, _, _) = experts, mixing
-    blend_mean, blend_var = _blend(alpha, means, variances)
-    return means - blend_mean, blend_mean - y, blend_var
-
-
-def _total(experts, mixing, behavior, blend):
-    """Log target (S,) from the three parts and the ``blend`` terms.  Expert j's fused mean sits ``r = beta *
-    spread + offset`` from the response and its variance is ``v = beta * variance + (1 - beta) * blend_var``,
-    so the likelihood sums ``logsumexp_j(log_alpha_j - (r**2 / v + log v) / 2)`` over the rows.  The prior
+def _total(experts, mixing, behavior, blend, y):
+    """Log target (S,) from the three parts, the experts' ``blend`` and the responses ``y`` (S, 1, rows): the
+    likelihood sums over the rows the mixture log density of the fused experts (``model._fuse``).  The prior
     sums add as experts, mixing, behavior, the last left out at M = 1, where the behavior gate cannot move
     the likelihood and is never proposed: the target does not depend on the gate prior."""
-    _, variances, experts_prior = experts
+    means, variances, experts_prior = experts
     _, log_alpha, mixing_prior = mixing
     beta, rest, behavior_prior = behavior
-    spread, offset, blend_var = blend
-    r, v = beta * spread, beta * variances[..., None]
-    r += offset
-    v += rest * blend_var
-    r *= r
-    r /= v
-    r += np.log(v, out=v)
-    r *= -0.5
-    r += log_alpha
+    fused, fused_var = _fuse(beta, rest, means, variances, blend)
+    fused -= y
     prior = experts_prior + mixing_prior + (behavior_prior if variances.shape[-1] > 1 else 0.0)
-    return np.add.reduce(_logsumexp(r, axis=-2), axis=-1) + prior
+    return np.add.reduce(_logpdf_from_moments(log_alpha, fused, fused_var), axis=-1) + prior
 
 
 class _LockstepTarget:
-    """The slots' states, the cached part of the log target for each state group, the terms of the
-    experts' blend and the current log target (S,).  A proposal recomputes what its group can move:
-    its part, and the blend terms unless it is the behavior gate.  Accepting copies the moved state
-    and those arrays chain by chain, so the cache always equals a fresh evaluation."""
+    """The slots' states, the cached part of the log target for each state group, the experts' blend
+    mean and variance, the responses and the current log target (S,).  A proposal recomputes what its
+    group can move: its part, and the blend unless it is the behavior gate.  Accepting copies the moved
+    state and those arrays chain by chain, so the cache always equals a fresh evaluation."""
 
     def __init__(self, state, phi, y, prior: PriorSpec):
         self.state, self._phi, self._y, self._prior = state, phi, y[..., None, :], prior
         self.parts = {name: part(state[name], phi, prior) for name, part in _PARTS.items()}
-        self.blend = _blend_terms(self.parts["experts"], self.parts["mixing"], self._y)
-        self.current = _total(*self.parts.values(), self.blend)
+        self.blend = _blend(self.parts["mixing"][0], *self.parts["experts"][:2])
+        self.current = _total(*self.parts.values(), self.blend, self._y)
 
     def evaluate(self, name, moved):
-        """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend terms."""
+        """Log target with group ``name`` at ``moved``, and the recomputed arrays: its part, then any blend."""
         fresh = _PARTS[name](moved, self._phi, self._prior)
         parts = {**self.parts, name: fresh}
         if name == "behavior":
-            return _total(*parts.values(), self.blend), fresh
-        blend = _blend_terms(parts["experts"], parts["mixing"], self._y)
-        return _total(*parts.values(), blend), fresh + blend
+            return _total(*parts.values(), self.blend, self._y), fresh
+        blend = _blend(parts["mixing"][0], *parts["experts"][:2])
+        return _total(*parts.values(), blend, self._y), fresh + blend
 
     def accept(self, name, chains, moved, fresh, new):
         """Take ``moved``, the ``fresh`` arrays and log target ``new`` on the slots listed in ``chains``."""
-        # After a behavior move ``fresh`` ends with its part, so zip stops before the blend terms.
+        # After a behavior move ``fresh`` ends with its part, so zip stops before the blend.
         cache = (self.state[name], self.current, *self.parts[name], *self.blend)
         # Row by row: a quarter of the chains accept on average, and a masked copy walks every row.
         for c in chains:
@@ -405,11 +388,13 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(divide="ignore")
 def _pointwise(sample: PosteriorSample, data: Dataset) -> np.ndarray:
     """The (draws x points) conditional log densities at ``data``, from one pass over the fused moments."""
     ll = np.empty((sample.n_draws, len(data)))
     for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
-        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, sds, data.responses[None, :])[inverse]
+        means -= data.responses
+        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, np.square(sds, out=sds))[inverse]
     return ll
 
 

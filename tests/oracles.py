@@ -22,10 +22,10 @@ per draw block inside ``score_series``.
 
 ``log_target`` is the sampler's unnormalised log posterior at whole states,
 evaluated through one fresh ``anomix.posterior._LockstepTarget``.
-``FusedMomentsTarget`` is that class assembling the target from each
-expert's fused mean and sd through ``anomix.model._logpdf_from_moments``,
-with one prior term per parameter (``log_prior_per_term``), where the
-package assembles it from the blend's terms.
+``FusedMomentsTarget`` is that class assembling the target out of place
+from each expert's fused mean and variance through ``fuse`` and
+``logpdf_from_moments``, scipy's reduction over the experts, with one prior
+term per parameter (``log_prior_per_term``).
 
 ``softmax_gate``, ``logistic_gate``, ``fuse`` and ``logpdf_from_moments``
 are the model's gate, fusion and mixture-density helpers written out of
@@ -84,7 +84,6 @@ from anomix.model import (
     _fuse,
     _log_weights,
     _logistic_gate,
-    _logpdf_from_moments,
     _moments_arrays,
     _softmax_gate,
     conditional_cdf_rows,
@@ -377,13 +376,13 @@ def log_prior_per_term(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matri
 
 
 class FusedMomentsTarget:
-    """``anomix.posterior._LockstepTarget`` assembling the log target from
-    fused moments: each proposal fuses every expert toward the blend
-    (``model._fuse``), takes the fused variances' square roots and reduces
-    ``model._logpdf_from_moments`` over the experts, and each group's prior
-    is one term per parameter (``log_prior_per_term``).  It caches each
-    group's part and the blend's mean and variance, and has the same
-    interface, so a test can run the sampler through it."""
+    """``anomix.posterior._LockstepTarget`` assembling the log target out of
+    place: each proposal fuses every expert toward the blend (``fuse``) and
+    reduces the residuals and fused variances over the experts with scipy
+    (``logpdf_from_moments``), and each group's prior is one term per
+    parameter (``log_prior_per_term``).  It caches each group's part and the
+    blend's mean and variance, and has the same interface, so a test can run
+    the sampler through it."""
 
     def __init__(self, state, phi, y, prior: PriorSpec):
         self.state, self._phi, self._y, self._prior = state, phi, y[..., None, :], prior
@@ -413,8 +412,8 @@ class FusedMomentsTarget:
         means, variances, experts_prior = experts
         _, log_alpha, mixing_prior = mixing
         beta, rest, behavior_prior = behavior
-        fused_means, fused_var = _fuse(beta, rest, means, variances, blend)
-        ll = _logpdf_from_moments(log_alpha, fused_means, np.sqrt(fused_var, out=fused_var), self._y).sum(axis=-1)
+        fused_means, fused_var = fuse(beta, rest, means, variances, blend)
+        ll = logpdf_from_moments(log_alpha, fused_means - self._y, fused_var).sum(axis=-1)
         ll += experts_prior + mixing_prior + (behavior_prior if means.shape[-2] > 1 else 0.0)
         return ll
 
@@ -450,12 +449,11 @@ def fuse(beta, rest, means, variances, blend):
     return beta * means + rest * blend_mean, beta * variances[..., None] + rest * blend_var
 
 
-def logpdf_from_moments(log_alpha, means, sds, y):
-    """Mixture log density of responses ``y`` (..., rows), reduced over the experts by scipy."""
-    z = (y[..., None, :] - means) / sds
-    comp = -0.5 * z * z - np.log(sds) - 0.5 * LOG_2PI
+def logpdf_from_moments(log_alpha, residuals, variances):
+    """Mixture log density (..., rows) from residuals and variances (..., M, rows), reduced over the experts by scipy."""
+    comp = log_alpha - 0.5 * (residuals * residuals / variances + np.log(variances))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return logsumexp(comp + log_alpha, axis=-2)
+        return logsumexp(comp, axis=-2)
 
 
 def draw_from_moments_argmax(alpha, means, sds, uniforms, normals):

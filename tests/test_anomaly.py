@@ -1,7 +1,7 @@
 """Anomaly-scoring tests: weights, exact weighted-uniform-sum CDF, scores."""
 
 import math
-import time
+import timeit
 from dataclasses import replace
 from fractions import Fraction
 
@@ -158,10 +158,10 @@ class TestBuildSumDist:
         assert sorted(d.subset_signs.tolist()) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_build_time_n12(self):
+        # The best of five fresh builds, as timeit.repeat reads a timing, so that one slow sample on a
+        # loaded machine does not decide it.
         w = exp_weights(12, 0.3)
-        start = time.perf_counter()
-        build_sum_dist(w)
-        assert time.perf_counter() - start < 0.05
+        assert min(timeit.repeat(lambda: build_sum_dist(w), number=1, repeat=5)) < 0.05
 
     def test_window_cap(self):
         with pytest.raises(ValueError):

@@ -479,8 +479,10 @@ class TestInPlaceHelpers:
     """The gate, fusion and density helpers run in place on temporaries they
     own: they leave every argument's bytes as they were and return, bit for
     bit, what the same operations give one new array at a time
-    (``tests/oracles.py``).  The mixture density of four or more experts,
-    whose oracle reduces with scipy, is held to ``_logsumexp``'s 4-eps bound."""
+    (``tests/oracles.py``).  The mixture density kernel works in place on the
+    residuals and variances it is given, and leaves the log weights as they
+    were; of four or more experts, whose oracle reduces with scipy, it is held
+    to ``_logsumexp``'s 4-eps bound."""
 
     CASES = {
         "softmax_gate": (_softmax_gate, oracles.softmax_gate, ("gate", "phi")),
@@ -519,12 +521,14 @@ class TestInPlaceHelpers:
     @settings(max_examples=150, deadline=None)
     @given(helper_arguments())
     def test_logpdf_from_moments(self, kwargs):
-        args = [kwargs[k] for k in ("log_alpha", "means", "sds", "y")]
-        before = argument_bytes(*args)
-        got = _logpdf_from_moments(*args[:3], args[3][..., None, :])
-        assert argument_bytes(*args) == before
-        want = oracles.logpdf_from_moments(*args)
-        if args[1].shape[-2] <= 3:
+        # The kernel works in place on its residuals and variances, here the views "means" and "sds"
+        # (mixed magnitudes, and positive values from e^-3 to e^3), so the oracle reads them first.
+        log_alpha, residuals, variances = kwargs["log_alpha"], kwargs["means"], kwargs["sds"]
+        want = oracles.logpdf_from_moments(log_alpha, residuals, variances)
+        before = argument_bytes(log_alpha)
+        got = _logpdf_from_moments(log_alpha, residuals, variances)
+        assert argument_bytes(log_alpha) == before
+        if residuals.shape[-2] <= 3:
             assert_bitwise_equal(got, want)
         else:
             assert_within_4_eps(got, want)

@@ -56,6 +56,7 @@ from anomix.posterior import (
     _fitted_prior,
     _ordered_median,
     _point_blocks,
+    _pointwise,
     _psis_loo,
     _quantiles,
     _rank_normal,
@@ -546,12 +547,29 @@ class TestLogTarget:
                 expected -= np.sum(-np.log(2.0 * prior.gate_coeff_scale) - z)
             assert target[c] == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("n_experts", [1, 2, 3])
+    def test_pointwise_log_densities_sum_to_the_sampler_likelihood(self, n_experts):
+        # Diagnose's log densities and the sampler's target reduce the same fused moments through one
+        # kernel, differing only in the fused sds' round trip and the prior sums taken off the target:
+        # over these fits the row sums sit at most 3.8e-16 from that likelihood, relative, and at most
+        # 4.3e-16 over the same fits to data seeds 4 and 9.
+        data = linear_data(40, seed=3)
+        prior = PriorSpec(gate_coeff_scale=0.7, noise_log_location=0.3)
+        sample = sample_posterior(data, prior, n_experts, SamplerSettings(chains=2, iterations=120, burn_in=60, seed=5))
+        experts, mixing, behavior = sample.experts, sample.mixing, sample.behavior
+        target = _log_target(experts, mixing, behavior, _embed_rows(data.covariates), data.responses, prior)
+        parts = dict(coeffs=experts[..., :-1], log_sds=experts[..., -1], gate_matrix=mixing)
+        if n_experts > 1:  # at M = 1 the target carries no behavior prior term
+            parts["behavior_coeffs"] = behavior
+        likelihood = target - _log_prior_arrays(prior, **parts)
+        np.testing.assert_allclose(_pointwise(sample, data).sum(axis=1), likelihood, rtol=2e-15, atol=0)
+
 
 def reference_log_target(experts, mixing, behavior, phi, y, prior):
     """The sampler's log target written out with NumPy ``axis=-1``
     reductions and scipy's logsumexp over the expert axis, assembled as the
-    sampler does: each fused mean's residual ``beta * (mean - blend_mean) +
-    (blend_mean - y)``, each fused variance ``beta * var + (1 - beta) *
+    sampler does: each fused mean's residual ``(beta * mean + (1 - beta) *
+    blend_mean) - y``, each fused variance ``beta * var + (1 - beta) *
     blend_var``, and each group's prior as ``count * log_norm`` less its
     scaled deviations.  At M = 1 the frozen behavior gate carries no prior
     term.  The behavior gate is the model's ``1 / (1 + exp(-t))``, whose
@@ -568,7 +586,7 @@ def reference_log_target(experts, mixing, behavior, phi, y, prior):
     variances = sds**2
     blend_mean = (alpha * means).sum(axis=-1, keepdims=True)
     blend_var = (alpha * variances[..., None, :]).sum(axis=-1, keepdims=True)
-    r = beta * (means - blend_mean) + (blend_mean - y[:, None])
+    r = (beta * means + (1.0 - beta) * blend_mean) - y[:, None]
     v = beta * variances[..., None, :] + (1.0 - beta) * blend_var
     with np.errstate(divide="ignore"):
         comp = (np.log(alpha) - 0.5 * LOG_2PI) - 0.5 * (r * r / v + np.log(v))
@@ -617,8 +635,8 @@ class TestLogTargetParts:
 
     @pytest.mark.parametrize("n_experts", range(1, 8))
     def test_within_2e_15_of_the_fused_moments_assembly(self, n_experts):
-        # On the inputs above, the target sits at most 3.8e-16 from the fused-moment assembly, relative,
-        # and over 2000 wider states (200 rows, states x3, responses x10) at most 6.2e-16.
+        # On the inputs above, the target sits at most 3.7e-16 from the out-of-place assembly, relative,
+        # and over 2000 wider states (200 rows, states x3, responses x10) at most 3.8e-16.
         rng = np.random.default_rng(60 + n_experts)
         for chains in range(1, 5):
             for n in range(4):
@@ -831,9 +849,10 @@ class TestSamplerUnderUlpLevelArithmetic:
 
 
 class TestSamplerUnderFusedMomentsAssembly:
-    """The sampler's target, assembled from the blend terms, and the same target assembled from fused
-    moments (``oracles.FusedMomentsTarget``) differ by ulps but take every accept decision alike: the
-    acceptance rate and the repeated draws are the same, and every draw is within 1e-8 relative."""
+    """The sampler's target and the same target assembled out of place, reduced over the experts by
+    scipy with one prior term per parameter (``oracles.FusedMomentsTarget``), differ by ulps but take
+    every accept decision alike: the acceptance rate and the repeated draws are the same, and every
+    draw is within 1e-8 relative."""
 
     @pytest.mark.parametrize("n_experts", [1, 2, 3])
     def test_same_decisions_and_draws_within_1e_8(self, n_experts, monkeypatch):
