@@ -318,15 +318,15 @@ def score_series(
     weights, centre = dist.weights.weights, dist.support_end / 2.0
     spread = np.empty((sample.n_draws, len(data) - k))
     first_pit, offsets = None, np.zeros(len(data))
-    for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
-        u = np.clip(_cdf_from_moments(alpha, means, sds, data.responses), PIT_EPS, 1.0 - PIT_EPS)
+    for block, inverse, alpha, means, variances in sample.moment_blocks(data.covariates):
+        u = np.clip(_cdf_from_moments(alpha, means, variances, data.responses), PIT_EPS, 1.0 - PIT_EPS)
         q = np.lib.stride_tricks.sliding_window_view(u, length, axis=-1) @ weights
         spread[block] = np.abs(np.subtract(q, centre, out=q), out=q)[inverse]
         # The mean PIT as the first draw's plus the mean offset from it: exact where the draws agree.
         u = u[inverse]
         first_pit = u[0].copy() if first_pit is None else first_pit
         offsets += np.subtract(u, first_pit, out=u).sum(axis=0)
-        del alpha, means, sds, u, q  # hold one block, not two, while the next one is computed
+        del alpha, means, variances, u, q  # hold one block, not two, while the next one is computed
     pit = first_pit + offsets / sample.n_draws
     spread.sort(axis=0)
     lo, hi, t = _quantile_rows(sample.n_draws, [0.05, 0.95])

@@ -178,12 +178,12 @@ def _predictive_summary(sample: PosteriorSample, X):
     n_rows = len(X)
     act = np.zeros((n_rows, sample.n_experts))
     centre, offset, second_moment = None, np.zeros(n_rows), np.zeros(n_rows)
-    for _, inverse, alpha, means, sds in sample.moment_blocks(X):
+    for _, inverse, alpha, means, variances in sample.moment_blocks(X):
         act += alpha[inverse].sum(axis=0).T
         mixture_mean = (alpha * means).sum(axis=-2)
         centre = mixture_mean[inverse[0]].copy() if centre is None else centre
         offset += (mixture_mean - centre)[inverse].sum(axis=0)
-        second_moment += (alpha * (sds**2 + (means - centre) ** 2)).sum(axis=-2)[inverse].sum(axis=0)
+        second_moment += (alpha * (variances + (means - centre) ** 2)).sum(axis=-2)[inverse].sum(axis=0)
     n_draws = sample.n_draws
     mean_offset = offset / n_draws
     predictive_var = np.maximum(second_moment / n_draws - mean_offset**2, 0.0)

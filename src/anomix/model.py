@@ -11,8 +11,8 @@ and covariates; the sampling, scoring and explanation layers build on top
 of it.  Mixture log-densities go through log-sum-exp so that the extreme
 tail values visited by the anomaly score stay finite.  The gate and fusion
 helpers that the sampler, scoring and explanation share work in place on the
-temporaries they make, never on an argument; the mixture log-density kernel
-works in place on the residuals and variances its caller makes for it.
+temporaries they make, never on an argument; the mixture log-density and CDF
+kernels work in place on the fused variances (and residuals) their callers make.
 """
 
 from __future__ import annotations
@@ -159,23 +159,22 @@ def _moments_arrays(experts, gate_matrix, behavior_coeffs, phi):
     ``phi`` holds embedded covariate rows.  The parameter arrays may carry
     any leading (draw) axes in front of their own shapes: ``experts``
     (M, n + 2, mean coefficients then log noise sd), ``gate_matrix``
-    (M, n + 1) and ``behavior_coeffs`` (n + 1,).  Returns ``(alpha, means, sds)``
-    shaped ``(..., M, rows)``, experts before rows, so that reductions over
-    the experts (axis -2) fold slice by slice from the left.
+    (M, n + 1) and ``behavior_coeffs`` (n + 1,).  Returns ``(alpha, means, variances)``
+    shaped ``(..., M, rows)``, the fused moments as :func:`_fuse` makes them, experts
+    before rows, so that reductions over the experts (axis -2) fold slice by slice from the left.
     """
     alpha = _softmax_gate(gate_matrix, phi)
     beta = _logistic_gate(behavior_coeffs, phi)
-    coeffs, sds = experts[..., :-1], np.exp(experts[..., -1])
-    means, variances = coeffs @ phi.swapaxes(-1, -2), sds**2
-    fused, fused_var = _fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances))
-    return alpha, fused, np.sqrt(fused_var, out=fused_var)
+    coeffs, variances = experts[..., :-1], np.square(np.exp(experts[..., -1]))
+    means = coeffs @ phi.swapaxes(-1, -2)
+    return (alpha, *_fuse(beta, 1.0 - beta, means, variances, _blend(alpha, means, variances)))
 
 
 # ``params`` is one draw of the stack: ``(experts, gate_matrix, behavior_coeffs)``.  Only tests
 # call this, the two *_rows densities and sample_conditional.  They stay because perfbench's tracer
 # counts their calls by name, until its counters are retargeted to the draw-stack paths.
 def fused_moments(params, X):
-    """Mixing weights and fused per-expert moments at every row of ``X``, each (rows, M)."""
+    """Mixing weights, fused means and fused variances at every row of ``X``, each (rows, M)."""
     return tuple(a.swapaxes(-1, -2) for a in _moments_arrays(*params, _embed_rows(X)))
 
 
@@ -252,16 +251,17 @@ def _logpdf_from_moments(log_alpha, residuals, variances):
     return _logsumexp(residuals, axis=-2)
 
 
-def _cdf_from_moments(alpha, means, sds, y):
-    return (alpha * ndtr((y[..., None, :] - means) / sds)).sum(axis=-2)
+def _cdf_from_moments(alpha, means, variances, y):
+    """Mixture CDF (..., rows) at ``y`` from the moments (..., M, rows); takes the sds in place on ``variances``."""
+    return (alpha * ndtr((y[..., None, :] - means) / np.sqrt(variances, out=variances))).sum(axis=-2)
 
 
 @np.errstate(divide="ignore")
 def conditional_logpdf_rows(params, X, y) -> np.ndarray:
     """Log density of each response given the matching covariate row."""
-    alpha, means, sds = _moments_arrays(*params, _embed_rows(X))
+    alpha, means, variances = _moments_arrays(*params, _embed_rows(X))
     means -= _as_vector(y, "y")
-    return _logpdf_from_moments(_log_weights(alpha), means, np.square(sds, out=sds))
+    return _logpdf_from_moments(_log_weights(alpha), means, variances)
 
 
 def conditional_cdf_rows(params, X, y) -> np.ndarray:
@@ -303,11 +303,11 @@ def _log_prior_arrays(spec: PriorSpec, *, coeffs=None, log_sds=None, gate_matrix
 # ---------------------------------------------------------------------------
 
 
-def _draw_from_moments(alpha, means, sds, uniforms, normals, inverse):
+def _draw_from_moments(alpha, means, variances, uniforms, normals, inverse):
     """Responses and allocations: ``uniforms`` pick the expert through the
-    mixing weights, ``normals`` are scaled by its fused moments.  The moments
-    are (distinct draws, M, rows), and draw i of the (draws, rows)
-    ``uniforms`` and ``normals`` takes row ``inverse[i]``.
+    mixing weights; ``normals`` scale by the root of its fused variance, shift by its mean.
+    The moments are (distinct draws, M, rows), and draw i of the (draws,
+    rows) ``uniforms`` and ``normals`` takes row ``inverse[i]``.
 
     The pick counts the cumulative weights at or below the uniform, all but
     the last, which is taken as 1 so that rounding cannot leave a draw above
@@ -320,7 +320,7 @@ def _draw_from_moments(alpha, means, sds, uniforms, normals, inverse):
         z += cum <= uniforms
         cum += alpha[inverse, j]
     pick = (inverse[:, None], z, np.arange(z.shape[-1]))
-    return means[pick] + sds[pick] * normals, z
+    return means[pick] + np.sqrt(variances[pick]) * normals, z
 
 
 def sample_conditional(params, X, rng: np.random.Generator):

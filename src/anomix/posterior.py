@@ -162,14 +162,15 @@ class PosteriorSample:
         return same
 
     def moment_blocks(self, X):
-        """Yield ``(draws, inverse, alpha, means, sds)`` over consecutive blocks of draws: the slice
-        of draws a block covers and the fused moments at every row of ``X`` of its distinct draws,
-        shaped (distinct draws, M, rows), at most ``BLOCK_ELEMENTS`` elements (and one draw) per
-        block.  ``inverse`` maps each draw of the block to its row of the moments: a draw that
-        :attr:`repeats` its predecessor shares that one's row, so ``alpha[inverse]`` is every
-        draw's.  Repeats are found within a block, whose first draw is always evaluated, so that
-        its distinct draws hold the same set of values as the block, and a decision a consumer
-        makes once per block (``model._softmax_gate``'s check) falls as it would over every draw."""
+        """Yield ``(draws, inverse, alpha, means, variances)`` over consecutive blocks of draws: the
+        slice of draws a block covers and the mixing weights, fused means and fused variances at every
+        row of ``X`` of its distinct draws, shaped (distinct draws, M, rows), at most ``BLOCK_ELEMENTS``
+        elements (and one draw) per block.  The variances are the form the mixture density reads; the CDF
+        and draw kernels take their square roots.  ``inverse`` maps each draw of the block to its row of
+        the moments: a draw that :attr:`repeats` its predecessor shares that one's row, so
+        ``alpha[inverse]`` is every draw's.  Repeats are found within a block, whose first draw is always
+        evaluated, so that its distinct draws hold the same set of values as the block, and a decision a
+        consumer makes once per block (``model._softmax_gate``'s check) falls as it would over every draw."""
         phi = _embed_rows(X)
         step = max(1, BLOCK_ELEMENTS // max(1, len(phi) * self.n_experts))
         for start in range(0, self.n_draws, step):
@@ -392,9 +393,9 @@ def sample_posteriors(datasets, prior: PriorSpec, n_experts: int, settings: Samp
 def _pointwise(sample: PosteriorSample, data: Dataset) -> np.ndarray:
     """The (draws x points) conditional log densities at ``data``, from one pass over the fused moments."""
     ll = np.empty((sample.n_draws, len(data)))
-    for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
+    for block, inverse, alpha, means, variances in sample.moment_blocks(data.covariates):
         means -= data.responses
-        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, np.square(sds, out=sds))[inverse]
+        ll[block] = _logpdf_from_moments(_log_weights(alpha), means, variances)[inverse]
     return ll
 
 
@@ -406,10 +407,10 @@ def _coverage(sample: PosteriorSample, data: Dataset, level: float) -> tuple[flo
         raise ValueError("level must lie in (0, 1)")
     lo = (1.0 - level) / 2.0
     per_draw = np.empty(sample.n_draws)
-    for block, inverse, alpha, means, sds in sample.moment_blocks(data.covariates):
+    for block, inverse, alpha, means, variances in sample.moment_blocks(data.covariates):
         # y sits inside the central interval exactly when its CDF value
         # falls between the two tail probabilities (the CDF is monotone).
-        u = _cdf_from_moments(alpha, means, sds, data.responses)[inverse]
+        u = _cdf_from_moments(alpha, means, variances, data.responses)[inverse]
         per_draw[block] = np.mean((u >= lo) & (u <= 1.0 - lo), axis=-1)
     return float(per_draw.mean()), float(per_draw.std(ddof=1)) if sample.n_draws > 1 else 0.0
 
@@ -524,9 +525,9 @@ def sample_predictive(sample: PosteriorSample, X, rng: np.random.Generator) -> n
     and the generator's final state are those of one call over all points.
     """
     out = rng.random((sample.n_draws, len(X)))
-    for block, inverse, alpha, means, sds in sample.moment_blocks(X):
+    for block, inverse, alpha, means, variances in sample.moment_blocks(X):
         uniforms = out[block]
-        out[block], _ = _draw_from_moments(alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape), inverse)
+        out[block], _ = _draw_from_moments(alpha, means, variances, uniforms, rng.standard_normal(uniforms.shape), inverse)
     return out
 
 

@@ -30,7 +30,10 @@ term per parameter (``log_prior_per_term``).
 ``softmax_gate``, ``logistic_gate``, ``fuse`` and ``logpdf_from_moments``
 are the model's gate, fusion and mixture-density helpers written out of
 place, one new array per operation, in the order the package's in-place
-versions run the same operations.  ``draw_from_moments_argmax`` is
+versions run the same operations, and ``cdf_from_moments`` is the mixture
+CDF kernel so written.  ``fused_variances`` is every draw's fused variance
+from those gates, the form ``PosteriorSample.moment_blocks`` yields.
+``draw_from_moments_argmax`` is
 ``anomix.model._draw_from_moments`` picking each draw's expert as the
 first bin of an ``np.cumsum`` of the mixing weights that exceeds its
 uniform, where the package counts the running sums at or below it.
@@ -70,6 +73,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
+from anomix._special import ndtr
 from anomix.anomaly import PIT_EPS, WeightedUniformSumDist
 from anomix.config import SCHEMA_VERSION, PipelineConfig, _default
 from anomix.detection import AlarmWindow, DetectionReport, DetectionRow, _covered
@@ -456,18 +460,32 @@ def logpdf_from_moments(log_alpha, residuals, variances):
         return logsumexp(comp, axis=-2)
 
 
-def draw_from_moments_argmax(alpha, means, sds, uniforms, normals):
+def draw_from_moments_argmax(alpha, means, variances, uniforms, normals):
     cum = np.cumsum(alpha, axis=-2)
     cum[..., -1, :] = 1.0  # rounding must not leave a draw above the last bin
     z = (uniforms[..., None, :] < cum).argmax(axis=-2)
     pick = z[..., None, :]
     mean = np.take_along_axis(means, pick, axis=-2)[..., 0, :]
-    sd = np.take_along_axis(sds, pick, axis=-2)[..., 0, :]
+    sd = np.sqrt(np.take_along_axis(variances, pick, axis=-2)[..., 0, :])
     return mean + sd * normals, z
 
 
+def cdf_from_moments(alpha, means, variances, y):
+    """``anomix.model._cdf_from_moments`` out of place: the sds are a new array, not taken over ``variances``."""
+    return (alpha * ndtr((y[..., None, :] - means) / np.sqrt(variances))).sum(axis=-2)
+
+
+def fused_variances(sample, X) -> np.ndarray:
+    """Every draw's fused variances (draws, M, rows) at the rows of ``X``, ``beta * s_m**2 + (1 - beta) *
+    sum_j alpha_j s_j**2`` for noise sds ``s``, out of place from the gates' oracles and ``np.sum``."""
+    phi = _embed_rows(X)
+    alpha, beta = softmax_gate(sample.mixing, phi), logistic_gate(sample.behavior, phi)
+    noise_var = np.exp(sample.experts[..., -1])[..., None] ** 2
+    return beta * noise_var + (1.0 - beta) * np.sum(alpha * noise_var, axis=-2, keepdims=True)
+
+
 def stack_moments(sample, X) -> tuple:
-    """``(alpha, means, sds)`` of every draw of ``sample`` at the rows of ``X``, each (draws, M, rows),
+    """``(alpha, means, variances)`` of every draw of ``sample`` at the rows of ``X``, each (draws, M, rows),
     from one ``_moments_arrays`` call over the whole stack: no draw blocks, no repeats skipped."""
     return _moments_arrays(sample.experts, sample.mixing, sample.behavior, _embed_rows(X))
 
@@ -575,10 +593,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
     x = np.column_stack([draw_column[kind](a, b, size=spec.n_samples) for kind, a, b in spec.covariate_law])
     y, z = sample_conditional(spec.params, x, rng)
     if spec.fault_onset is not None:
-        _, _, sds = fused_moments(spec.params, x)
+        _, _, variances = fused_moments(spec.params, x)
         idx = np.arange(spec.n_samples)
         magnitude = spec.shift_sds + spec.drift_per_sample * (idx - spec.fault_onset)
-        y = y + (idx >= spec.fault_onset) * magnitude * sds[idx, z]
+        y = y + (idx >= spec.fault_onset) * magnitude * np.sqrt(variances[idx, z])
     ts = np.datetime64(spec.start, "s") + np.arange(spec.n_samples) * np.timedelta64(spec.cadence_seconds, "s")
     return Dataset(x, y, ts), z
 

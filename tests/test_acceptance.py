@@ -312,9 +312,9 @@ def test_criterion_6_fusion_identities():
                 tuple(experts), MixingGateParams(rows), BehaviorGateParams(rng.normal(size=n + 1))
             )
             x = rng.normal(size=n)
-            _, means, sds = fused_moments(model, x[None, :])
-            lo = float(means.min() - 12 * sds.max())
-            hi = float(means.max() + 12 * sds.max())
+            _, means, variances = fused_moments(model, x[None, :])
+            lo = float(means.min() - 12 * np.sqrt(variances.max()))
+            hi = float(means.max() + 12 * np.sqrt(variances.max()))
             total, _ = quad(lambda y: conditional_pdf(model, x, y), lo, hi, limit=300)
             assert abs(total - 1.0) < 1e-6
 

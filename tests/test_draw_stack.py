@@ -22,6 +22,7 @@ from scipy.special import logsumexp
 from oracles import (
     cic,
     draw,
+    fused_variances,
     lppd,
     pit_rows,
     posterior_predictive_cdf,
@@ -314,9 +315,9 @@ class TestBatchedMatchesDrawLoop:
         rendered = render_map(skeleton, sample)
         act, first, second = 0.0, 0.0, 0.0
         for d in draws:
-            alpha, means, sds = fused_moments(d, points)
+            alpha, means, variances = fused_moments(d, points)
             m = (alpha * means).sum(axis=1)
-            v = (alpha * (sds**2 + means**2)).sum(axis=1) - m**2
+            v = (alpha * (variances + means**2)).sum(axis=1) - m**2
             act, first, second = act + alpha, first + m, second + (v + m**2)
         mean = first / len(draws)
         np.testing.assert_allclose(rendered.activations, act / len(draws), **TOL)
@@ -466,6 +467,15 @@ class TestRepeatedDraws:
             patch.setattr(PosteriorSample, "repeats", property(lambda stack: np.zeros(stack.n_draws, dtype=bool)))
             want = posterior_wide_outputs(sample, data, k, seed)
         assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(repeated_stacks())
+    @example(zero_sign_case())
+    def test_moment_blocks_yield_the_fused_variances(self, case):
+        """The last array of each block is every distinct draw's fused variance, not its sd."""
+        sample, data, _ = case
+        got = every_draws_moments(sample, data.covariates)[-1]
+        np.testing.assert_allclose(got, fused_variances(sample, data.covariates), rtol=4 * np.finfo(float).eps, atol=0)
 
     @settings(max_examples=40, deadline=None)
     @given(repeated_stacks(), st.sampled_from([0.5, 0.9, 0.95]))

@@ -31,6 +31,7 @@ from anomix.model import (
     Dataset,
     PriorSpec,
     _blend,
+    _cdf_from_moments,
     _draw_from_moments,
     _embed_rows,
     _fuse,
@@ -192,9 +193,9 @@ class TestFusion:
 
     def test_fuse_uses_model_gates(self):
         model = two_component_model()
-        _, means, sds = fused_moments(model, [[0.0]])
+        _, means, variances = fused_moments(model, [[0.0]])
         # behavior intercept 40 saturates beta to 1: base experts come back
-        assert means.tolist() == [[1.0, -1.0]] and sds.tolist() == [[1.0, 1.0]]
+        assert means.tolist() == [[1.0, -1.0]] and variances.tolist() == [[1.0, 1.0]]
 
     def test_logpdf_continuous_in_beta(self):
         rng = np.random.default_rng(5)
@@ -232,9 +233,9 @@ class TestConditionalDensity:
             rows = np.vstack([rng.normal(size=(2, 3)), np.zeros(3)])
             model = make_model(experts, rows, rng.normal(size=3))
             x = rng.normal(size=2)
-            _, means, sds = fused_moments(model, x[None, :])
-            lo = means.min() - 12 * sds.max()
-            hi = means.max() + 12 * sds.max()
+            _, means, variances = fused_moments(model, x[None, :])
+            lo = means.min() - 12 * np.sqrt(variances.max())
+            hi = means.max() + 12 * np.sqrt(variances.max())
             total, _ = quad(lambda y: conditional_pdf(model, x, y), lo, hi, limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -260,8 +261,8 @@ class TestConditionalCdf:
         rows = np.vstack([rng.normal(size=(1, 2)), np.zeros(2)])
         model = make_model(experts, rows, rng.normal(size=2))
         x = np.array([0.4])
-        _, means, sds = fused_moments(model, x[None, :])
-        lo = means.min() - 12 * sds.max()
+        _, means, variances = fused_moments(model, x[None, :])
+        lo = means.min() - 12 * np.sqrt(variances.max())
         for y in np.linspace(means.min() - 2, means.max() + 2, 7):
             integral, _ = quad(lambda v: conditional_pdf(model, x, v), lo, y, limit=200)
             assert conditional_cdf_rows(model, x[None, :], [y])[0] == pytest.approx(integral, abs=1e-8)
@@ -482,7 +483,8 @@ class TestInPlaceHelpers:
     (``tests/oracles.py``).  The mixture density kernel works in place on the
     residuals and variances it is given, and leaves the log weights as they
     were; of four or more experts, whose oracle reduces with scipy, it is held
-    to ``_logsumexp``'s 4-eps bound."""
+    to ``_logsumexp``'s 4-eps bound.  The CDF kernel consumes its variances
+    only, taking the sds in place on them."""
 
     CASES = {
         "softmax_gate": (_softmax_gate, oracles.softmax_gate, ("gate", "phi")),
@@ -534,6 +536,18 @@ class TestInPlaceHelpers:
             assert_within_4_eps(got, want)
 
     @settings(max_examples=150, deadline=None)
+    @given(helper_arguments())
+    def test_cdf_from_moments(self, kwargs):
+        # The kernel takes the sds in place on its variances, here the view "sds", so the oracle reads
+        # them first; it leaves the mixing weights, the fused means and the responses as they were.
+        alpha, means, variances, y = np.exp(kwargs["log_alpha"]), kwargs["means"], kwargs["sds"], kwargs["y"]
+        want = oracles.cdf_from_moments(alpha, means, variances, y)
+        before = argument_bytes(alpha, means, y)
+        got = _cdf_from_moments(alpha, means, variances, y)
+        assert argument_bytes(alpha, means, y) == before
+        assert_bitwise_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
     @given(few_expert_inputs())
     def test_logsumexp(self, case):
         a, axis = case
@@ -565,8 +579,8 @@ def expert_picks(draw):
     uniforms[uniforms >= 1.0] = np.nextafter(1.0, 0.0)  # a uniform is below 1
     for value in (0.0, np.nextafter(1.0, 0.0)):
         uniforms[rng.random(uniforms.shape) < 0.1] = value
-    means, sds = rng.normal(size=alpha.shape), np.exp(rng.normal(size=alpha.shape))
-    return alpha, means, sds, uniforms, rng.standard_normal(uniforms.shape), inverse
+    means, variances = rng.normal(size=alpha.shape), np.exp(rng.normal(size=alpha.shape))
+    return alpha, means, variances, uniforms, rng.standard_normal(uniforms.shape), inverse
 
 
 class TestExpertPick:
@@ -578,11 +592,35 @@ class TestExpertPick:
     @settings(max_examples=300, deadline=None)
     @given(expert_picks())
     def test_bitwise_equal_to_the_cumsum_argmax(self, args):
-        alpha, means, sds, uniforms, normals, inverse = args
+        alpha, means, variances, uniforms, normals, inverse = args
         got, got_z = _draw_from_moments(*args)
-        want, want_z = oracles.draw_from_moments_argmax(alpha[inverse], means[inverse], sds[inverse], uniforms, normals)
+        want, want_z = oracles.draw_from_moments_argmax(
+            alpha[inverse], means[inverse], variances[inverse], uniforms, normals
+        )
         assert got_z.dtype == want_z.dtype and np.array_equal(got_z, want_z)
         assert_bitwise_equal(got, want)
+
+
+class TestMomentKernels:
+    """The CDF and draw kernels read fused variances and take their square roots themselves: at
+    ``sigma = sqrt(v)`` they are the normal CDF and the ``mean + sigma * normal`` draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(expert_picks(), st.integers(0, 2**32 - 1))
+    def test_cdf_is_the_normal_mixture_cdf_at_the_root_of_the_variance(self, args, seed):
+        alpha, means, variances, *_ = args
+        y = np.random.default_rng(seed).normal(scale=3.0, size=means.shape[-1])
+        want = (alpha * norm.cdf(y[None, None, :], loc=means, scale=np.sqrt(variances))).sum(axis=-2)
+        got = _cdf_from_moments(alpha, means, variances.copy(), y)
+        # ndtr is within 4.5e-16 of scipy's, and the alpha-weighted sum adds a few roundings of terms below 1.
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    def test_draw_scales_the_normals_by_the_root_of_the_variance(self):
+        alpha, means = np.ones((1, 1, 4)), np.array([[[0.0, 1.0, -2.0, 0.5]]])
+        variances = np.array([[[0.25, 4.0, 1.0, 9.0]]])  # exact squares of 0.5, 2, 1 and 3
+        normals = np.array([[1.0, -1.5, 2.0, 0.25]])
+        got, z = _draw_from_moments(alpha, means, variances, np.zeros((1, 4)), normals, np.zeros(1, np.intp))
+        assert z.tolist() == [[0, 0, 0, 0]] and got.tolist() == [[0.5, -2.0, 0.0, 1.25]]
 
 
 class TestLogLikelihood:

@@ -40,8 +40,11 @@ from anomix.model import (
     LOG_2PI,
     Dataset,
     PriorSpec,
+    _blend,
     _embed_rows,
+    _fuse,
     _log_prior_arrays,
+    _logpdf_from_moments,
     _logsumexp,
     conditional_cdf_rows,
     fused_moments,
@@ -98,8 +101,9 @@ def root_found_interval(model, x, level):
     """Equal-tailed interval of one parameter point's conditional law at ``x``,
     by root-finding its CDF inside twelve fused sds around the fused means."""
     x = np.asarray(x, dtype=float)[None, :]
-    _, means, sds = fused_moments(model, x)
-    lo, hi = means.min() - 12.0 * sds.max(), means.max() + 12.0 * sds.max()
+    _, means, variances = fused_moments(model, x)
+    sd = np.sqrt(variances.max())
+    lo, hi = means.min() - 12.0 * sd, means.max() + 12.0 * sd
     bounds = []
     for q in ((1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0):
         root = brentq(lambda v: conditional_cdf_rows(model, x, [v])[0] - q, lo, hi, xtol=1e-13, maxiter=200)
@@ -550,9 +554,10 @@ class TestLogTarget:
     @pytest.mark.parametrize("n_experts", [1, 2, 3])
     def test_pointwise_log_densities_sum_to_the_sampler_likelihood(self, n_experts):
         # Diagnose's log densities and the sampler's target reduce the same fused moments through one
-        # kernel, differing only in the fused sds' round trip and the prior sums taken off the target:
-        # over these fits the row sums sit at most 3.8e-16 from that likelihood, relative, and at most
-        # 4.3e-16 over the same fits to data seeds 4 and 9.
+        # kernel, differing only in the prior sums taken off the target: over these fits the row sums
+        # sit at most 2.2e-16 from that likelihood, relative, and at most 2.5e-16 over the same fits to
+        # data seeds 4 and 9.  Row by row, the log densities are the sampler's terms bit for bit, at
+        # M = 1-3 on all three data seeds.
         data = linear_data(40, seed=3)
         prior = PriorSpec(gate_coeff_scale=0.7, noise_log_location=0.3)
         sample = sample_posterior(data, prior, n_experts, SamplerSettings(chains=2, iterations=120, burn_in=60, seed=5))
@@ -562,7 +567,16 @@ class TestLogTarget:
         if n_experts > 1:  # at M = 1 the target carries no behavior prior term
             parts["behavior_coeffs"] = behavior
         likelihood = target - _log_prior_arrays(prior, **parts)
-        np.testing.assert_allclose(_pointwise(sample, data).sum(axis=1), likelihood, rtol=2e-15, atol=0)
+        ll = _pointwise(sample, data)
+        np.testing.assert_allclose(ll.sum(axis=1), likelihood, rtol=2e-15, atol=0)
+        # Row by row, the sampler's own terms: its parts of the kept state, fused and reduced as ``_total`` does.
+        with np.errstate(divide="ignore"):
+            (means, variances, _), (alpha, log_alpha, _), (beta, rest, _) = (
+                part(getattr(sample, name), _embed_rows(data.covariates), prior) for name, part in _PARTS.items()
+            )
+        fused, fused_var = _fuse(beta, rest, means, variances, _blend(alpha, means, variances))
+        fused -= data.responses
+        assert ll.tobytes() == _logpdf_from_moments(log_alpha, fused, fused_var).tobytes()
 
 
 def reference_log_target(experts, mixing, behavior, phi, y, prior):

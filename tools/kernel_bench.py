@@ -7,8 +7,11 @@ and the layers the README demo's stages spend their time in.
 * ``pit``: ``model._cdf_from_moments`` at monitor's draw block, 40 draws x 2
   experts x 202 rows, on moments and responses drawn like monitor's (most
   standardised residuals within 1 of 0, a few past 8, in one pattern along
-  the rows that every draw repeats).  scipy's ``ndtr`` branches on the
-  residual and costs less near 0; the package's does not.
+  the rows that every draw repeats).  The kernel takes the sds in place on
+  the fused variances it is handed, so each call gets a fresh copy of them,
+  and scipy's side takes their square root into a new array.  scipy's
+  ``ndtr`` branches on the residual and costs less near 0; the package's
+  does not.
 * ``gate``: ``model._logistic_gate`` at the sampler's shape, 4 chains x 200
   rows with 2 covariates, and at monitor's draw block, 40 draws x 202 rows.
 * ``logsumexp``: ``model._logsumexp`` at the sampler's shapes, 4 chains x 2
@@ -41,6 +44,9 @@ and the layers the README demo's stages spend their time in.
   those shapes, one dataset of 4 or 2 chains; its figure is per iteration.
 * ``psis``: ``posterior._psis_loo`` on the 800 x 200 log densities of an
   800-draw sample, the demo's draw count; its figure is per point.
+* ``pointwise``: ``posterior._pointwise`` of that sample at the same 200 rows,
+  the log-density pass alone: the fused moments of each block of draws and
+  the mixture log-density kernel over them.
 * ``diagnostics``: ``posterior.fit_diagnostics`` of that sample at the same
   200 rows, the diagnose stage per index: R-hat, the coverage pass, the
   log-density pass and one PSIS-LOO walk, which also gives the LPPD.
@@ -102,21 +108,22 @@ except ImportError:
 
 
 def pit_case(rng):
-    """Moments and a batch whose rows 140-152 are shifted 8 sds, as in monitor.  As there, the
-    draws of a posterior agree closely at each row, so every draw repeats one pattern of large
-    and small residuals along the rows, which scipy's branches learn.  39% of the standardised
+    """Mixing weights, fused means and fused variances, and a batch whose rows 140-152 are shifted
+    8 sds, as in monitor.  As there, the draws of a posterior agree closely at each row, so every
+    draw repeats one pattern of large and small residuals along the rows, which scipy's branches
+    learn.  39% of the standardised
     residuals lie within 0.5 of 0, 67% within 1 and 94% within 4; in monitor's seed-1 run, 33%,
     60% and 94%."""
     alpha = rng.dirichlet([1.0, 1.0], size=(40, 202)).swapaxes(-1, -2).copy()
     means = rng.normal(scale=0.3, size=(1, 2, 202)) + rng.normal(scale=0.05, size=(40, 2, 202))
-    sds = np.exp(rng.normal(0.0, 0.3, size=(1, 2, 1)) + rng.normal(scale=0.05, size=(40, 2, 202)))
+    variances = np.exp(2.0 * (rng.normal(0.0, 0.3, size=(1, 2, 1)) + rng.normal(scale=0.05, size=(40, 2, 202))))
     y = rng.normal(scale=1.2, size=202)
     y[140:153] += 8.0
-    return alpha, means, sds, y
+    return alpha, means, variances, y
 
 
-def scipy_pit(alpha, means, sds, y):
-    return (alpha * ndtr((y[..., None, :] - means) / sds)).sum(axis=-2)
+def scipy_pit(alpha, means, variances, y):
+    return (alpha * ndtr((y[..., None, :] - means) / np.sqrt(variances))).sum(axis=-2)
 
 
 def gate_case(rng, slots: int, rows: int):
@@ -202,6 +209,7 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     cases.update(select)
     sample = demo_sample(rng, 800)
     ll = posterior._pointwise(sample, data)
+    cases["pointwise_800x200"] = (lambda: posterior._pointwise(sample, data), None, max(1, number // 20))
     cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
     cases["diagnostics_800x200"] = (lambda: posterior.fit_diagnostics(sample, data), None, max(1, number // 20))
     skeleton = explain.embed_grid(
@@ -261,10 +269,14 @@ def main() -> None:
     parser.add_argument("--number", type=int, default=200)
     args = parser.parse_args()
     rng = np.random.default_rng(0)
-    pit = pit_case(rng)
+    alpha, means, variances, y = pit_case(rng)
     # Case name -> (the package's call, scipy's or None, calls per timing).
     cases = {
-        "pit_40x2x202": (lambda: model._cdf_from_moments(*pit), lambda: scipy_pit(*pit), args.number),
+        "pit_40x2x202": (
+            lambda: model._cdf_from_moments(alpha, means, variances.copy(), y),
+            lambda: scipy_pit(alpha, means, variances, y),
+            args.number,
+        ),
     }
     for name, shape in (("gate_4x200", (4, 200)), ("gate_40x202", (40, 202))):
         gate = gate_case(rng, *shape)
