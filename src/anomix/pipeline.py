@@ -1,12 +1,12 @@
 """End-to-end orchestration: ingestion, splits, fitting, scoring, detection.
 
-A run lives in a directory: the manifest records the config hash, seed and
-library versions, and every stage persists its artifacts there so stages
-can be re-run individually.  Timestamps are ISO-8601, day bucketing is
-UTC, and the whole pipeline is deterministic given (config, seed, input
-files).  A posterior archive holds an int64 header, the acceptance rate
-and the draw stack's three arrays; a file that is not such an archive is
-refused with its path.
+A run lives in a directory: every stage persists its artifacts there so
+stages can be re-run individually, and ``run_stages`` writes each stage's
+record and seconds to the manifest.  Timestamps are ISO-8601, day bucketing
+is UTC, and the whole pipeline is deterministic given (config, seed, input
+files), the seconds aside.  A posterior archive holds an int64 header, the
+acceptance rate and the draw stack's three arrays; a file that is not such
+an archive is refused with its path.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+import time
 import warnings
 import zipfile
 from dataclasses import astuple, dataclass, fields, replace
@@ -519,17 +520,6 @@ def _index_datasets(config: PipelineConfig, data_path):
     return datasets, len(rejected)
 
 
-def _read_manifest(run_dir: Path) -> dict:
-    manifest_path = run_dir / "manifest.json"
-    return json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
-
-
-def _write_manifest(run_dir: Path, entries: dict) -> None:
-    """Set ``entries`` in the run manifest, keeping every other recorded key."""
-    manifest = {**_read_manifest(run_dir), **entries}
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 # The failure stamps ``fit`` split around, for the later stages; not named ``failures.csv``, the input
 # log's usual name, so that a log kept in the run directory is never overwritten or read in its place.
 _FAILURE_COPY = "failure_stamps.csv"
@@ -542,7 +532,7 @@ def _read_failure_copy(run_dir: Path) -> FailureLog:
     return read_failures(path)
 
 
-def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None:
+def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> dict:
     """Ingest, split, scale and fit one posterior per target index."""
     run_dir = Path(run_dir)
     if Path(failures_path).resolve() == (run_dir / _FAILURE_COPY).resolve():
@@ -571,7 +561,7 @@ def stage_fit(config: PipelineConfig, data_path, failures_path, run_dir) -> None
     _write_csv(run_dir / _FAILURE_COPY, ["datetime"], ([t] for t in _timestamp_strings(failures.starts)))
     versions = dict(anomix=__version__, numpy=np.__version__, python=sys.version.split()[0])
     provenance = {"config_hash": config.config_hash(), "seed": config.seed, "versions": versions}
-    _write_manifest(run_dir, {**provenance, "dropped_rows": dropped, "splits": split_info})
+    return {**provenance, "dropped_rows": dropped, "splits": split_info}
 
 
 def stage_diagnose(config: PipelineConfig, run_dir) -> None:
@@ -620,14 +610,13 @@ def _read_series(path) -> AnomalyScoreSeries:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def stage_score(config: PipelineConfig, run_dir) -> None:
+def stage_score(config: PipelineConfig, run_dir) -> dict:
     """Anomaly score series per index on the test split.
 
     Each failure span is scored on its own, so that no window reaches
     across the gap between two spans.  A span shorter than one window gives
     no scores: it raises a warning and is listed per index under
-    ``skipped_spans`` in the manifest, which keeps what ``fit`` recorded
-    and the spans of indices not scored here."""
+    ``skipped_spans`` in the record returned."""
     run_dir = Path(run_dir)
     skipped, spans = {}, None
     for index in config.indices:
@@ -649,7 +638,7 @@ def stage_score(config: PipelineConfig, run_dir) -> None:
         names = ("timestamps", "as_values", "theta_low", "theta_high")
         joined = {name: np.concatenate([getattr(p, name) for p in parts]) for name in names}
         _write_series(run_dir / f"scores_{index}.csv", AnomalyScoreSeries(threshold=config.threshold, **joined))
-    _write_manifest(run_dir, {"skipped_spans": {**_read_manifest(run_dir).get("skipped_spans", {}), **skipped}})
+    return {"skipped_spans": skipped}
 
 
 def _write_alarms(path, alarms: list) -> None:
@@ -742,16 +731,27 @@ STAGES = {
 def run_stages(names, config: PipelineConfig, run_dir, data_path=None, failures_path=None) -> None:
     """Run the named stages in order; only ``fit`` reads the input files.
 
-    Any stage failure aborts with ``StageError`` naming the stage; artifacts
-    written by earlier stages stay in the run directory.  Each function is
+    The one writer of ``manifest.json``: after each stage that succeeds,
+    ``stages.<name>`` there holds its ``seconds`` and the record it returned.
+    ``fit`` starts the manifest afresh.  Any other stage's record replaces
+    its last one, but each dict in it is merged into the one it replaces,
+    so ``score --index hi_a`` replaces only ``hi_a``'s skipped spans.
+    Any stage failure aborts with ``StageError`` naming the stage; what
+    earlier stages wrote stays in the run directory.  Each function is
     looked up when its stage starts, so a wrapper set on this module's
     attribute is the one that runs.
     """
+    manifest_path = Path(run_dir) / "manifest.json"
     for name in names:
         stage = globals()[STAGES[name]]
         inputs = (data_path, failures_path) if name == "fit" else ()
         try:
-            stage(config, *inputs, run_dir)
+            start = time.perf_counter()
+            record = {**(stage(config, *inputs, run_dir) or {}), "seconds": time.perf_counter() - start}
+            manifest = json.loads(manifest_path.read_text()) if name != "fit" and manifest_path.exists() else {}
+            old = manifest.setdefault("stages", {}).get(name, {})
+            manifest["stages"][name] = {k: {**old.get(k, {}), **v} if isinstance(v, dict) else v for k, v in record.items()}
+            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         except Exception as exc:
             raise StageError(name, exc) from exc
 

@@ -25,7 +25,7 @@ from oracles import (
 
 from anomix import pipeline
 from anomix.anomaly import AnomalyScoreSeries, score_series
-from anomix.config import _PARSERS, MAX_SPAN_DAYS, PipelineConfig, load_config, parse_config
+from anomix.config import _CONSUMERS, _PARSERS, MAX_SPAN_DAYS, PipelineConfig, _default, load_config, parse_config
 from anomix.detection import AlarmPolicy, AlarmWindow, FailureLog, PoolingPolicy, pool, raise_alarms
 from anomix.model import Dataset
 from anomix.pipeline import (
@@ -594,6 +594,30 @@ class TestConfig:
 
     def test_every_field_type_has_a_parser(self):
         assert {f.type for f in fields(PipelineConfig)} <= set(_PARSERS)
+
+    @pytest.mark.parametrize("key", list(_CONSUMERS))
+    def test_default_is_its_consumers_default(self, key):
+        # Each default is declared twice, on the config key and on the field of the
+        # object that consumes it; a config left at its defaults must build that object's defaults.
+        consumer, name = _CONSUMERS[key]
+        ours = _default(next(f for f in fields(PipelineConfig) if f.name == key))
+        assert ours == _default(next(f for f in fields(consumer) if f.name == name))
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("true", True), ("True", True), ("YES", True), ("yes", True), ("1", True),
+         ("false", False), ("FALSE", False), ("No", False), ("no", False), ("0", False)],
+    )
+    def test_half_level_spellings(self, raw, value):
+        assert parse_config(default_config_text(half_level=raw)).half_level is value
+
+    @pytest.mark.parametrize("raw", ["maybe", "2", "on", ""])
+    def test_half_level_not_a_boolean_is_refused_with_its_line(self, raw):
+        text = default_config_text(half_level=raw)
+        line = [row.split("=")[0].strip() for row in text.splitlines()].index("half_level") + 1
+        expected = f"line {line}: bad value for 'half_level': expected a boolean, got {raw!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "key, value",

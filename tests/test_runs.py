@@ -71,13 +71,24 @@ def finished_run(stream, tmp_path_factory):
     return config, run_dir, json.loads((run_dir / "manifest.json").read_text())
 
 
+def without_seconds(manifest: dict) -> dict:
+    """A manifest without its stage seconds, which differ on every run."""
+    stages = {name: {k: v for k, v in record.items() if k != "seconds"} for name, record in manifest["stages"].items()}
+    return {**manifest, "stages": stages}
+
+
 class TestRunExperiment:
     def test_manifest_contents(self, finished_run):
         config, run_dir, manifest = finished_run
-        assert manifest["config_hash"] == config.config_hash()
-        assert manifest["seed"] == 11
-        assert set(manifest["versions"]) == {"anomix", "numpy", "python"}
-        assert manifest["dropped_rows"] == 0
+        assert list(manifest) == ["stages"]
+        fit = manifest["stages"]["fit"]
+        assert fit["config_hash"] == config.config_hash()
+        assert fit["seed"] == 11
+        assert set(fit["versions"]) == {"anomix", "numpy", "python"}
+        assert fit["dropped_rows"] == 0
+        assert list(manifest["stages"]) == sorted(STAGES)
+        for name, record in manifest["stages"].items():
+            assert record["seconds"] >= 0, name
 
     def test_expected_artifacts(self, finished_run):
         # The complete list, so that a file added beside these, or one kept
@@ -151,14 +162,19 @@ class TestRunExperiment:
         assert (run_dir / "alarms_hi_a.csv").exists()
 
     def test_reproducible_outputs(self, stream, finished_run, tmp_path):
+        # A second run writes the same files with the same bytes, the manifest's stage seconds aside.
         telemetry, failures = stream
-        config, first_dir, first_manifest = finished_run
+        config, first_dir, _ = finished_run
         second_dir = tmp_path / "again"
         run_stages(STAGES, config, second_dir, telemetry, failures)
-        second_manifest = json.loads((second_dir / "manifest.json").read_text())
-        assert second_manifest["config_hash"] == first_manifest["config_hash"]
-        for name in ("scores_hi_a.csv", "scores_hi_b.csv", "detection_report.csv", "diagnostics.csv"):
-            assert (second_dir / name).read_text() == (first_dir / name).read_text(), name
+        names = sorted(path.name for path in first_dir.iterdir())
+        assert sorted(path.name for path in second_dir.iterdir()) == names
+        for name in names:
+            first, second = (directory / name for directory in (first_dir, second_dir))
+            if name == "manifest.json":
+                assert without_seconds(json.loads(second.read_text())) == without_seconds(json.loads(first.read_text()))
+            else:
+                assert second.read_bytes() == first.read_bytes(), name
 
     def test_a_fit_drops_the_kept_posterior_parses(self, stream, finished_run, tmp_path):
         telemetry, failures = stream
@@ -238,6 +254,25 @@ class TestRunExperiment:
         assert called == [("fit", ("data.csv", "failures.csv", tmp_path))] + [
             (name, (tmp_path,)) for name in list(STAGES)[1:-1]
         ]
+
+    def test_manifest_keeps_the_records_before_a_failure_and_fit_starts_it_afresh(self, monkeypatch, tmp_path):
+        # Each stand-in stage returns a record naming itself; detect fails.  The
+        # manifest an earlier run left, here one of the old top-level layout, goes.
+        for name, function in STAGES.items():
+            monkeypatch.setattr(pipeline, function, lambda config, *args, name=name: {"ran": name})
+
+        def broken(config, run_dir):
+            raise ValueError("no scores")
+
+        monkeypatch.setattr(pipeline, "stage_detect", broken)
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text('{"seed": 3, "skipped_spans": {}}\n')
+        with pytest.raises(StageError, match="stage 'detect' failed: no scores"):
+            run_stages(STAGES, None, tmp_path, "data.csv", "failures.csv")
+        manifest = json.loads(manifest_path.read_text())
+        assert without_seconds(manifest) == {"stages": {name: {"ran": name} for name in ("fit", "diagnose", "score")}}
+        run_stages(["fit"], None, tmp_path, "data.csv", "failures.csv")
+        assert without_seconds(json.loads(manifest_path.read_text())) == {"stages": {"fit": {"ran": "fit"}}}
 
 
 class TestDiagnoseWarnings:
@@ -440,14 +475,14 @@ class TestScoreSpans:
         config = parse_config(default_config_text(**dict(FAST, iterations=150, burn_in=50, window_k=10)))
         run_dir = tmp_path / "run"
         stage_fit(config, telemetry, failures, run_dir)
-        messages = recorded_warnings(lambda: stage_score(config, run_dir))
+        record = {}
+        messages = recorded_warnings(lambda: record.update(stage_score(config, run_dir)))
         span = {"start": "2024-03-19T18:00:00", "end": "2024-03-24T18:00:00", "rows": 10}
         assert messages == [
             f"index {index!r}: failure span {span['start']} to {span['end']} has 10 test rows, fewer than 11; skipped"
             for index in config.indices
         ]
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["skipped_spans"] == {index: [span] for index in config.indices}
+        assert record == {"skipped_spans": {index: [span] for index in config.indices}}
         for index in config.indices:
             scored = (run_dir / f"scores_{index}.csv").read_text().strip().splitlines()[1:]
             assert len(scored) == 121 - 10
@@ -562,17 +597,34 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
 
     def test_score_keeps_what_fit_recorded(self, finished_run, tmp_path):
-        # Scoring one index rewrites that index's skipped spans and nothing
-        # else: seed and config hash stay as fit wrote them.
+        # Scoring one index rewrites that index's skipped spans and the stage's
+        # seconds and nothing else: what fit and the other stages recorded stays.
         _, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
         recorded = json.loads((copy / "manifest.json").read_text())
-        assert set(recorded["skipped_spans"]) == {"hi_a", "hi_b"}
+        assert set(recorded["stages"]["score"]["skipped_spans"]) == {"hi_a", "hi_b"}
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**FAST))
         assert main(["score", "--config", str(config_path), "--out", str(copy),
                      "--index", "hi_a"]) == 0
-        assert json.loads((copy / "manifest.json").read_text()) == recorded
+        rescored = json.loads((copy / "manifest.json").read_text())
+        assert rescored["stages"]["score"].pop("seconds") >= 0
+        del recorded["stages"]["score"]["seconds"]
+        assert rescored == recorded
+
+    def test_index_run_replaces_only_that_index_entries(self, finished_run, tmp_path):
+        # Spans recorded for both indices: scoring hi_a replaces hi_a's alone.
+        _, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        stale = [{"start": "2024-01-01T00:00:00", "end": "2024-01-02T00:00:00", "rows": 3}]
+        manifest["stages"]["score"]["skipped_spans"] = {"hi_a": stale, "hi_b": stale}
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(default_config_text(**FAST))
+        assert main(["score", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
+        rescored = json.loads((copy / "manifest.json").read_text())
+        assert rescored["stages"]["score"]["skipped_spans"] == {"hi_a": [], "hi_b": stale}
 
     def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
         _, run_dir, _ = finished_run

@@ -9,6 +9,11 @@ the run directory, sorted by name, so two checkouts compare with
 
     diff <(python tools/run_digest.py PARENT) <(python tools/run_digest.py .)
 
+The digest of ``manifest.json`` is taken of its JSON without the
+``seconds`` of each entry under ``stages``, which differ on every run;
+``file_digest`` gives both the printed digests and those ``--against``
+compares, so two runs of one checkout print the same lines.
+
 The demo runs in ``--work`` if given (kept), else in a temporary directory
 (removed).  ``--against DIR`` names the run directory of another demo, such
 as ``WORK/run`` of an earlier ``--work`` run, and says how far the files
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -75,7 +81,18 @@ def digests(checkout: Path, work: Path) -> list:
     anomix(checkout, work, SIMULATE)
     anomix(checkout, work, RUN)
     files = sorted(p for p in (work / "run").rglob("*") if p.is_file())
-    return [(hashlib.sha256(p.read_bytes()).hexdigest(), str(p.relative_to(work / "run"))) for p in files]
+    return [(file_digest(p), str(p.relative_to(work / "run"))) for p in files]
+
+
+def file_digest(path: Path) -> str:
+    """SHA-256 of a run file; of ``manifest.json`` without the stage seconds, as the module docstring says."""
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        for record in manifest.get("stages", {}).values():
+            record.pop("seconds", None)
+        data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _csv_pairs(ours: Path, theirs: Path):
@@ -137,7 +154,7 @@ def against_lines(rows: list, run_dir: Path, against: Path) -> list:
     for digest, name in rows:
         if name not in theirs:
             lines.append(f"only here  {name}")
-        elif hashlib.sha256(theirs[name].read_bytes()).hexdigest() != digest:
+        elif file_digest(theirs[name]) != digest:
             lines.append(f"differs  {name}  {compare(run_dir / name, theirs[name])}")
     ours = {name for _, name in rows}
     lines += [f"only in {against}  {name}" for name in sorted(theirs) if name not in ours]
