@@ -3,14 +3,16 @@
 One verb per pipeline stage plus ``simulate`` for synthetic inputs and
 ``run`` for the whole protocol.  Every verb reads and writes a run
 directory; stage verbs expect the artifacts of the stages before them.
-Exit status: 0 done, 1 a stage failed, 2 bad config, override or
+Every setting of a stage verb comes from its config file, and each stage
+reads only the keys it consumes, so working on one index or re-running
+``detect`` and ``evaluate`` under another policy takes a second config
+file.  Exit status: 0 done, 1 a stage failed, 2 a bad config or
 ``simulate`` arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import sys
 
@@ -23,23 +25,6 @@ __all__ = ["main"]
 # The stage verbs, in protocol order; plot data is written by ``run`` alone.
 _VERBS = [name for name in STAGES if name != "plot"] + ["run"]
 _READS_INPUTS = {"fit", "run"}
-# Each config override: its type, its help and the verbs whose stages read it.
-_OVERRIDES = {
-    "seed": (int, "override the config seed", {"fit", "run"}),
-    "threshold": (float, "override the score threshold", {"score", "detect", "run"}),
-    "patience": (int, "override the alarm patience", {"detect", "run"}),
-    "quorum": (int, "override the pooling quorum", {"detect", "run"}),
-}
-
-
-def _load(args) -> object:
-    config = load_config(args.config)
-    overrides = {name: getattr(args, name) for name in _OVERRIDES if getattr(args, name, None) is not None}
-    if getattr(args, "index", None):
-        if args.index not in config.indices:
-            raise ValueError(f"unknown index {args.index!r}; config declares {config.indices}")
-        overrides["indices"] = [args.index]
-    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         if verb in _READS_INPUTS:
             p.add_argument("--data", required=True, help="telemetry CSV")
             p.add_argument("--failures", required=True, help="failure log CSV")
-        else:
-            # Fitting a subset of the indices would change covariates and seeds.
-            p.add_argument("--index", default=None, help="restrict to one target index")
-        for name, (kind, text, verbs) in _OVERRIDES.items():
-            if verb in verbs:
-                p.add_argument(f"--{name}", type=kind, default=None, help=text)
     return parser
 
 
@@ -93,7 +72,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = _load(args)
+        config = load_config(args.config)
     except OSError as exc:
         print(f"{args.config}: {exc.strerror or exc}", file=sys.stderr)
         return 2

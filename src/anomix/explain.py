@@ -49,10 +49,6 @@ class GateGeometry:
     def n_directions(self) -> int:
         return self.slopes.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.slopes.shape[1]
-
 
 @dataclass(frozen=True)
 class ExplanationMap:
@@ -139,13 +135,13 @@ def default_score_grid(n_directions: int, points_per_axis: int = 41) -> np.ndarr
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def embed_grid(geometry: GateGeometry, score_grid, feature_means=None) -> ExplanationMap:
+def embed_grid(geometry: GateGeometry, score_grid) -> ExplanationMap:
     """Lift a grid of gate scores to fictitious covariate points.
 
-    Each point is the minimum-norm solution of ``slopes @ x = v - b``
-    offset by the feature means, so the gate recovers the requested scores
-    exactly while features outside the gated subspace stay at their
-    training means.
+    Each point is the minimum-norm solution of ``slopes @ x = v - b``, so
+    the gate recovers the requested scores exactly while features outside
+    the gated subspace stay at 0, the training means of the standardised
+    covariates.
     """
     grid = np.asarray(score_grid, dtype=float)
     if grid.ndim == 1:
@@ -154,14 +150,8 @@ def embed_grid(geometry: GateGeometry, score_grid, feature_means=None) -> Explan
         raise ValueError(
             f"grid dimension {grid.shape[1]} does not match {geometry.n_directions} directions"
         )
-    means = (
-        np.zeros(geometry.n_features)
-        if feature_means is None
-        else np.asarray(feature_means, dtype=float)
-    )
     pinv = np.linalg.pinv(geometry.slopes)
-    residual = grid - geometry.intercepts - means @ geometry.slopes.T
-    points = means + residual @ pinv.T
+    points = (grid - geometry.intercepts) @ pinv.T
     arrows = geometry.slopes.T
     return ExplanationMap(grid=grid, points=points, arrows=arrows)
 

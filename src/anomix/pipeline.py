@@ -656,7 +656,7 @@ def stage_detect(config: PipelineConfig, run_dir) -> None:
     """Per-index alarms plus the pooled consensus score and its alarms.
 
     Both use ``config.threshold``, not the threshold the score files were
-    written with, so an override applies to the consensus too."""
+    written with, so a second config's threshold applies to the consensus too."""
     run_dir = Path(run_dir)
     policy = AlarmPolicy(config.threshold, config.patience)
     serieses = []
@@ -697,7 +697,6 @@ def stage_explain(config: PipelineConfig, run_dir) -> None:
         except ValueError as exc:  # a rank-deficient gate has no 2D map
             warnings.warn(f"index {index!r}: no explanation map, since {exc}", RuntimeWarning)
             continue
-        # The covariates are standardised on the train split, so their means there are 0.
         rendered = render_map(embed_grid(geometry, default_score_grid(geometry.n_directions)), sample)
         header = (
             [f"score_{j}" for j in range(rendered.grid.shape[1])]
@@ -731,11 +730,13 @@ STAGES = {
 def run_stages(names, config: PipelineConfig, run_dir, data_path=None, failures_path=None) -> None:
     """Run the named stages in order; only ``fit`` reads the input files.
 
-    The one writer of ``manifest.json``: after each stage that succeeds,
-    ``stages.<name>`` there holds its ``seconds`` and the record it returned.
-    ``fit`` starts the manifest afresh.  Any other stage's record replaces
-    its last one, but each dict in it is merged into the one it replaces,
-    so ``score --index hi_a`` replaces only ``hi_a``'s skipped spans.
+    The one writer of ``manifest.json``, whose one key is ``stages``: after
+    each stage that succeeds, ``stages.<name>`` holds its ``seconds`` and
+    the record it returned.  ``fit`` starts the manifest afresh; any other
+    stage keeps only the ``stages`` of the manifest it finds.  Its record
+    replaces its last one, but each dict in it is merged into the one it
+    replaces, so ``score`` under a config that declares ``indices = hi_a``
+    replaces only ``hi_a``'s skipped spans.
     Any stage failure aborts with ``StageError`` naming the stage; what
     earlier stages wrote stays in the run directory.  Each function is
     looked up when its stage starts, so a wrapper set on this module's
@@ -748,10 +749,11 @@ def run_stages(names, config: PipelineConfig, run_dir, data_path=None, failures_
         try:
             start = time.perf_counter()
             record = {**(stage(config, *inputs, run_dir) or {}), "seconds": time.perf_counter() - start}
-            manifest = json.loads(manifest_path.read_text()) if name != "fit" and manifest_path.exists() else {}
-            old = manifest.setdefault("stages", {}).get(name, {})
-            manifest["stages"][name] = {k: {**old.get(k, {}), **v} if isinstance(v, dict) else v for k, v in record.items()}
-            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            kept = json.loads(manifest_path.read_text()) if name != "fit" and manifest_path.exists() else {}
+            stages = kept.get("stages", {})
+            old = stages.get(name, {})
+            stages[name] = {k: {**old.get(k, {}), **v} if isinstance(v, dict) else v for k, v in record.items()}
+            manifest_path.write_text(json.dumps({"stages": stages}, indent=2, sort_keys=True) + "\n")
         except Exception as exc:
             raise StageError(name, exc) from exc
 

@@ -177,22 +177,6 @@ class TestEmbedGrid:
             recovered = skeleton.points @ slopes.T + b
             np.testing.assert_allclose(recovered, grid, atol=1e-8)
 
-    def test_round_trip_with_feature_means(self):
-        rng = np.random.default_rng(9)
-        slopes = rng.normal(size=(2, 5))
-        b = rng.normal(size=2)
-        means = rng.normal(size=5)
-        geo = gate_geometry(sample_from_gate(full_gate(slopes, b), 3, 5))
-        grid = default_score_grid(2, points_per_axis=4)
-        skeleton = embed_grid(geo, grid, feature_means=means)
-        recovered = skeleton.points @ slopes.T + b
-        np.testing.assert_allclose(recovered, grid, atol=1e-8)
-        # off-span component stays at the means
-        pinv = np.linalg.pinv(slopes)
-        span_proj = pinv @ slopes
-        off = skeleton.points - means
-        np.testing.assert_allclose(off @ (np.eye(5) - span_proj.T), 0.0, atol=1e-8)
-
     def test_one_direction_grid_is_a_line(self):
         slopes = np.array([[1.0, 2.0, -1.0, 0.5]])
         geo = gate_geometry(sample_from_gate(full_gate(slopes, np.array([0.2])), 2, 4))

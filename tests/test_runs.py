@@ -404,8 +404,7 @@ class TestArtifactRoundTrip:
         assert not (copy / "explain_hi_b_map.csv").exists()
 
         sample = load_posterior(copy / "posterior_hi_a.npz")
-        means = _load_split(copy / "train_hi_a.npz").covariates.mean(axis=0)
-        rendered = render_map(embed_grid(gate_geometry(sample), default_score_grid(2), means), sample)
+        rendered = render_map(embed_grid(gate_geometry(sample), default_score_grid(2)), sample)
         header, rows = read_csv(copy / "explain_hi_a_map.csv")
         assert header == [
             "score_0", "score_1", "x_0", "x_1", "activation_0", "activation_1", "activation_2",
@@ -572,29 +571,17 @@ class TestCli:
         for verb in ("diagnose", "score", "detect", "evaluate", "explain"):
             assert main([verb, *base]) == 0
 
-    def test_seed_and_threshold_overrides(self, stream, finished_run, tmp_path):
-        config, run_dir, _ = finished_run
-        config_path = tmp_path / "run.cfg"
+    def test_a_looser_policy_config_fires_more_alarms(self, finished_run, tmp_path):
+        _, run_dir, _ = finished_run
+        copy = shutil.copytree(run_dir, tmp_path / "run")
+        config_path, looser_path = tmp_path / "run.cfg", tmp_path / "looser.cfg"
         config_path.write_text(default_config_text(**FAST))
-        before = (run_dir / "alarms_hi_a.csv").read_text()
-        assert main(["detect", "--config", str(config_path), "--out", str(run_dir),
-                     "--threshold", "0.5", "--patience", "1"]) == 0
-        after = (run_dir / "alarms_hi_a.csv").read_text()
-        assert after != before  # looser policy fires more alarms
-        assert main(["detect", "--config", str(config_path), "--out", str(run_dir)]) == 0
-        assert (run_dir / "alarms_hi_a.csv").read_text() == before
-
-    def test_index_restriction(self, finished_run, tmp_path, capsys):
-        config, run_dir, _ = finished_run
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(default_config_text(**FAST))
-        assert main(["score", "--config", str(config_path), "--out", str(run_dir),
-                     "--index", "hi_a"]) == 0
-        capsys.readouterr()
-        # An unknown index is a bad override: reported with the config path, status 2.
-        assert main(["score", "--config", str(config_path), "--out", str(run_dir),
-                     "--index", "nope"]) == 2
-        assert capsys.readouterr().err.startswith(f"{config_path}: unknown index 'nope'")
+        looser_path.write_text(default_config_text(**dict(FAST, threshold=0.5, patience=1)))
+        before = (copy / "alarms_hi_a.csv").read_text()
+        assert main(["detect", "--config", str(looser_path), "--out", str(copy)]) == 0
+        assert (copy / "alarms_hi_a.csv").read_text() != before
+        assert main(["detect", "--config", str(config_path), "--out", str(copy)]) == 0
+        assert (copy / "alarms_hi_a.csv").read_text() == before
 
     def test_score_keeps_what_fit_recorded(self, finished_run, tmp_path):
         # Scoring one index rewrites that index's skipped spans and the stage's
@@ -603,61 +590,62 @@ class TestCli:
         copy = shutil.copytree(run_dir, tmp_path / "run")
         recorded = json.loads((copy / "manifest.json").read_text())
         assert set(recorded["stages"]["score"]["skipped_spans"]) == {"hi_a", "hi_b"}
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(default_config_text(**FAST))
-        assert main(["score", "--config", str(config_path), "--out", str(copy),
-                     "--index", "hi_a"]) == 0
+        config_path = tmp_path / "hi_a.cfg"
+        config_path.write_text(default_config_text(**dict(FAST, indices=["hi_a"])))
+        assert main(["score", "--config", str(config_path), "--out", str(copy)]) == 0
         rescored = json.loads((copy / "manifest.json").read_text())
         assert rescored["stages"]["score"].pop("seconds") >= 0
         del recorded["stages"]["score"]["seconds"]
         assert rescored == recorded
 
     def test_index_run_replaces_only_that_index_entries(self, finished_run, tmp_path):
-        # Spans recorded for both indices: scoring hi_a replaces hi_a's alone.
+        # Spans recorded for both indices: scoring hi_a alone replaces hi_a's alone.
         _, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
         manifest = json.loads((copy / "manifest.json").read_text())
         stale = [{"start": "2024-01-01T00:00:00", "end": "2024-01-02T00:00:00", "rows": 3}]
         manifest["stages"]["score"]["skipped_spans"] = {"hi_a": stale, "hi_b": stale}
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(default_config_text(**FAST))
-        assert main(["score", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
+        config_path = tmp_path / "hi_a.cfg"
+        config_path.write_text(default_config_text(**dict(FAST, indices=["hi_a"])))
+        assert main(["score", "--config", str(config_path), "--out", str(copy)]) == 0
         rescored = json.loads((copy / "manifest.json").read_text())
         assert rescored["stages"]["score"]["skipped_spans"] == {"hi_a": [], "hi_b": stale}
 
-    def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
+    def test_a_manifest_of_the_old_layout_keeps_only_its_stages(self, finished_run, tmp_path):
+        # A manifest written before the stages layout held fit's record at its top level.
         _, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        old = {**manifest["stages"]["fit"], "skipped_spans": manifest["stages"]["score"]["skipped_spans"]}
+        del old["seconds"]
+        (copy / "manifest.json").write_text(json.dumps(old))
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**FAST))
-        before = (copy / "pooled_scores.csv").read_text()
-        assert main(["detect", "--config", str(config_path), "--out", str(copy),
-                     "--threshold", "0.3", "--patience", "1"]) == 0
-        assert (copy / "pooled_scores.csv").read_text() != before
-        scores = [pipeline._read_series(copy / f"scores_{index}.csv").as_values for index in FAST["indices"]]
-        pooled = pipeline._read_series(copy / "pooled_scores.csv").as_values
-        np.testing.assert_array_equal(pooled == 1.0, (scores[0] >= 0.3) & (scores[1] >= 0.3))
+        assert main(["score", "--config", str(config_path), "--out", str(copy)]) == 0
+        rescored = json.loads((copy / "manifest.json").read_text())
+        assert list(rescored) == ["stages"] and list(rescored["stages"]) == ["score"]
 
-    def test_quorum_override_past_the_indices_is_refused(self, finished_run, tmp_path, capsys):
-        # Quorum 3 of two indices could raise no pooled alarm; one index chosen with --index pools nothing.
-        _, run_dir, _ = finished_run
+    def test_threshold_override_applies_to_the_consensus(self, finished_run, tmp_path):
+        # detect's config threshold drives the consensus, whatever threshold score wrote.
+        config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(default_config_text(**FAST))
-        before = {path.name: path.read_bytes() for path in copy.iterdir()}
-        base = ["detect", "--config", str(config_path), "--out", str(copy), "--quorum", "3"]
-        assert main(base) == 2
-        reason = "quorum 3 exceeds the 2 indices, so no pooled alarm can be raised"
-        assert capsys.readouterr().err == f"{config_path}: bad values for 'indices', 'quorum': {reason}\n"
-        assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
-        assert main([*base, "--index", "hi_a"]) == 0
+        config_path = tmp_path / "looser.cfg"
+        config_path.write_text(default_config_text(**dict(FAST, threshold=0.3, patience=1)))
+        before = (copy / "pooled_scores.csv").read_text()
+        assert main(["detect", "--config", str(config_path), "--out", str(copy)]) == 0
+        assert (copy / "pooled_scores.csv").read_text() != before
+        scores = [pipeline._read_series(copy / f"scores_{index}.csv") for index in FAST["indices"]]
+        assert {series.threshold for series in scores} == {config.threshold}
+        pooled = pipeline._read_series(copy / "pooled_scores.csv").as_values
+        values = [series.as_values for series in scores]
+        np.testing.assert_array_equal(pooled == 1.0, (values[0] >= 0.3) & (values[1] >= 0.3))
 
     def test_single_index_evaluate_ignores_pooled_alarms(self, finished_run, tmp_path):
         config, run_dir, _ = finished_run
         copy = shutil.copytree(run_dir, tmp_path / "run")
-        config_path = tmp_path / "run.cfg"
-        config_path.write_text(default_config_text(**FAST))
+        config_path = tmp_path / "hi_a.cfg"
+        config_path.write_text(default_config_text(**dict(FAST, indices=["hi_a"])))
         # hi_a's own report, from a directory that holds no pooled files.
         alone = shutil.copytree(run_dir, tmp_path / "alone")
         for name in ("pooled_scores.csv", "pooled_alarms.csv"):
@@ -666,36 +654,40 @@ class TestCli:
         expected = (alone / "detection_report.csv").read_text()
         # A stale pooled file with no alarms must not stand in for hi_a's.
         (copy / "pooled_alarms.csv").write_text("onset,end\n")
-        assert main(["evaluate", "--config", str(config_path), "--out", str(copy), "--index", "hi_a"]) == 0
+        assert main(["evaluate", "--config", str(config_path), "--out", str(copy)]) == 0
         assert (copy / "detection_report.csv").read_text() == expected
 
     @pytest.mark.parametrize(
         "verb, flag",
-        [("evaluate", "--threshold"), ("evaluate", "--patience"), ("evaluate", "--quorum")]
-        + [(verb, "--seed") for verb in ("diagnose", "score", "detect", "evaluate", "explain")]
-        + [("score", "--patience"), ("score", "--quorum")],
+        [
+            (verb, flag)
+            for verb in ("fit", "diagnose", "score", "detect", "evaluate", "explain", "run")
+            for flag in ("--seed", "--threshold", "--patience", "--quorum", "--index")
+            if (flag, verb) not in {("--index", "fit"), ("--index", "run")}  # test_fitting_verbs_refuse_index
+        ],
     )
     def test_verb_refuses_a_flag_its_stages_do_not_read(self, tmp_path, capsys, verb, flag):
-        # evaluate reads the alarms detect wrote, score raises no alarm and
-        # pools nothing, and only fit and run draw, so such a flag would do nothing.
+        # Every setting comes from the config file, so no stage verb takes one as a flag.
+        inputs = ["--data", str(tmp_path / "t.csv"), "--failures", str(tmp_path / "f.csv")]
+        argv = [verb, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run")]
         with pytest.raises(SystemExit) as exit_info:
-            main([verb, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"), flag, "1"])
+            main([*argv, *(inputs if verb in ("fit", "run") else []), flag, "1"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_each_verb_takes_exactly_its_flags(self):
         (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        located = {"config", "out", "index"}
-        inputs = {"config", "out", "seed", "data", "failures"}
+        located = {"config", "out"}
+        inputs = located | {"data", "failures"}
         expected = {
             "fit": inputs,
             "diagnose": located,
-            "score": located | {"threshold"},
-            "detect": located | {"threshold", "patience", "quorum"},
+            "score": located,
+            "detect": located,
             "evaluate": located,
             "explain": located,
-            "run": inputs | {"threshold", "patience", "quorum"},
+            "run": inputs,
         }
         got = {
             verb: {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
@@ -703,7 +695,7 @@ class TestCli:
             if verb != "simulate"
         }
         assert got == expected
-        assert sum(map(len, got.values())) == 32
+        assert sum(map(len, got.values())) == 18
 
     @pytest.mark.parametrize("verb", ["fit", "run"])
     def test_fitting_verbs_refuse_index(self, stream, tmp_path, capsys, verb):
@@ -765,35 +757,33 @@ class TestCli:
         write_two_index_stream(tmp_path / "b", n_samples=1, onset_index=None, failure_index=0)
 
     @pytest.mark.parametrize(
-        "text, argv",
+        "text",
         [
-            (default_config_text(**dict(FAST, quorum=0)), []),
-            (default_config_text(**FAST) + "tau = 0.9\n", []),
-            (default_config_text(**FAST), ["--patience", "0"]),
-            (default_config_text(**dict(FAST, validity_days=[1, 10**20])), []),
+            default_config_text(**dict(FAST, quorum=0)),
+            default_config_text(**FAST) + "tau = 0.9\n",
+            default_config_text(**dict(FAST, patience=0)),
+            default_config_text(**dict(FAST, validity_days=[1, 10**20])),
         ],
     )
-    def test_config_error_exit_code(self, tmp_path, capsys, text, argv):
-        # A bad file or override is reported before any stage runs.
+    def test_config_error_exit_code(self, tmp_path, capsys, text):
+        # A bad file is reported before any stage runs.
         config_path = tmp_path / "run.cfg"
         config_path.write_text(text)
         run_dir = tmp_path / "run"
-        assert main(["detect", "--config", str(config_path), "--out", str(run_dir), *argv]) == 2
+        assert main(["detect", "--config", str(config_path), "--out", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{config_path}: ") and "Traceback" not in err
         assert not run_dir.exists()
 
     @pytest.mark.parametrize(
-        "overrides, argv, key",
-        [({"window_k": 12}, [], "window_k"), ({"seed": -1}, [], "seed"), ({}, ["--seed", "-5"], "seed")],
-        ids=["window_k-12", "seed--1", "seed-override--5"],
+        "overrides, key", [({"window_k": 12}, "window_k"), ({"seed": -1}, "seed")], ids=["window_k-12", "seed--1"]
     )
-    def test_fit_refuses_a_bad_key_before_fitting(self, tmp_path, capsys, overrides, argv, key):
+    def test_fit_refuses_a_bad_key_before_fitting(self, tmp_path, capsys, overrides, key):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(default_config_text(**dict(FAST, **overrides)))
         run_dir = tmp_path / "run"
         paths = ["--config", str(config_path), "--out", str(run_dir), "--data", "t.csv", "--failures", "f.csv"]
-        assert main(["fit", *paths, *argv]) == 2
+        assert main(["fit", *paths]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{config_path}: ") and f"bad value for {key!r}: " in err
         assert not run_dir.exists()

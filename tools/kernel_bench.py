@@ -212,9 +212,7 @@ def layer_cases(rng, number: int) -> tuple[dict, dict]:
     cases["pointwise_800x200"] = (lambda: posterior._pointwise(sample, data), None, max(1, number // 20))
     cases["psis_800x200"] = (lambda: posterior._psis_loo(ll), None, max(1, number // 20))
     cases["diagnostics_800x200"] = (lambda: posterior.fit_diagnostics(sample, data), None, max(1, number // 20))
-    skeleton = explain.embed_grid(
-        explain.gate_geometry(sample), explain.default_score_grid(1), data.covariates.mean(axis=0)
-    )
+    skeleton = explain.embed_grid(explain.gate_geometry(sample), explain.default_score_grid(1))
     cases["render_map_800x41"] = (lambda: explain.render_map(skeleton, sample), None, max(1, number // 20))
     rhat_sample = demo_sample(np.random.default_rng(4), 800)  # its own generator: the other cases keep their inputs
     cases["rhat_800x14"] = (lambda: posterior._rhat_max(rhat_sample), None, max(1, number // 20))
