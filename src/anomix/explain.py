@@ -8,7 +8,8 @@ the fitted gates into a readable map of expert regions, predictive means
 and predictive spread.
 
 All geometry is computed from the posterior expectation of the gate
-coefficients.
+coefficients, with at most one SVD per map; the embedding builds its
+pseudo-inverse from the directions, so a two-expert map calls no LAPACK.
 """
 
 from __future__ import annotations
@@ -68,17 +69,25 @@ class ExplanationMap:
 
 
 def _geometry(slopes: np.ndarray, intercepts: np.ndarray, rank_error: str) -> GateGeometry:
-    """Geometry of a full-row-rank slope matrix, from its Moore-Penrose pseudo-inverse.
+    """Geometry of a full-row-rank slope matrix, from at most one SVD.
 
-    Column i of the pseudo-inverse meets slope row i at 1 and every other
+    A single row is its own orthogonal component, so it is ``a_star[0]``
+    as it stands; an all-zero row has rank 0.  Two or more rows take one
+    SVD, which gives both the rank and the Moore-Penrose pseudo-inverse:
+    column i of the pseudo-inverse meets slope row i at 1 and every other
     row at 0, so it lies along ``a_star[i]``; scaled by its squared norm it
     is that row's component orthogonal to the others.  A rank-deficient
     matrix raises ``rank_error``, formatted with the achieved ``rank``.
     """
-    rank = np.linalg.matrix_rank(slopes, tol=RANK_RTOL * np.linalg.norm(slopes, 2))
-    if rank < slopes.shape[0]:
+    if len(slopes) == 1:
+        if not slopes.any():
+            raise ValueError(rank_error.format(rank=0))
+        return GateGeometry(slopes, intercepts, (slopes[0],))
+    u, sv, vt = np.linalg.svd(slopes, full_matrices=False)
+    rank = (sv > RANK_RTOL * sv[0]).sum()
+    if rank < len(slopes):
         raise ValueError(rank_error.format(rank=rank))
-    pinv = np.linalg.pinv(slopes)
+    pinv = vt.T @ ((1.0 / sv)[:, None] * u.T)  # np.linalg.pinv's arithmetic, on this SVD
     a_star = pinv.T / (pinv * pinv).sum(axis=0)[:, None]
     return GateGeometry(slopes, intercepts, tuple(a_star))
 
@@ -121,9 +130,11 @@ def reduced_geometry(sample: PosteriorSample) -> GateGeometry:
 
     Grid coordinates are the two principal score directions (centered, so
     intercepts are zero); they no longer correspond to single experts.
+    ``reduce_svd``'s rows are orthogonal and refused below rank 2, so each
+    is its own disentangled direction and no second factorisation is taken.
     """
-    slopes = sample.mixing.mean(axis=0)[:-1, 1:]
-    return _geometry(reduce_svd(slopes), np.zeros(2), "reduced gate matrix has rank {rank} < 2")
+    rows = reduce_svd(sample.mixing.mean(axis=0)[:-1, 1:])
+    return GateGeometry(rows, np.zeros(2), tuple(rows))
 
 
 def default_score_grid(n_directions: int, points_per_axis: int = 41) -> np.ndarray:
@@ -150,8 +161,13 @@ def embed_grid(geometry: GateGeometry, score_grid) -> ExplanationMap:
         raise ValueError(
             f"grid dimension {grid.shape[1]} does not match {geometry.n_directions} directions"
         )
-    pinv = np.linalg.pinv(geometry.slopes)
-    points = (grid - geometry.intercepts) @ pinv.T
+    # Column i of the pseudo-inverse is a_star[i] / |a_star[i]|^2, taken on each
+    # row scaled by its largest entry so that no square overflows or underflows.
+    star = np.stack(geometry.a_star)
+    scale = np.abs(star).max(axis=1, keepdims=True)
+    unit = star / scale
+    pinv_t = unit / ((unit * unit).sum(axis=1, keepdims=True) * scale)
+    points = (grid - geometry.intercepts) @ pinv_t
     arrows = geometry.slopes.T
     return ExplanationMap(grid=grid, points=points, arrows=arrows)
 

@@ -598,13 +598,17 @@ def _rank_normal(draws: np.ndarray) -> tuple:
     return _normal_scores(n)[up + down].reshape(draws.shape), order
 
 
+@functools.lru_cache(maxsize=4)
 def _normal_scores(n: int) -> np.ndarray:
     """Normal score of each mid-rank r = k / 2 that n pooled draws can take, k = 0 .. 2n - 2:
-    the inverse normal CDF of (r + 1 - 0.375) / (n + 0.25)."""
+    the inverse normal CDF of (r + 1 - 0.375) / (n + 0.25).  Kept per ``n``, read-only, since
+    every R-hat of a sample ranks the same pooled draw count twice."""
     from statistics import NormalDist  # imported on use: it pulls in fractions and decimal, and only R-hat needs it
 
     inv_cdf = NormalDist().inv_cdf
-    return np.array([inv_cdf(p) for p in ((np.arange(2 * n - 1) / 2 + 1.0 - 0.375) / (n + 0.25)).tolist()])
+    scores = np.array([inv_cdf(p) for p in ((np.arange(2 * n - 1) / 2 + 1.0 - 0.375) / (n + 0.25)).tolist()])
+    scores.flags.writeable = False
+    return scores
 
 
 def _rhat(z: np.ndarray) -> np.ndarray:

@@ -114,6 +114,11 @@ class TestGateGeometry:
             gate_geometry(three)
         assert reduce_svd(slopes).shape == (2, 3)
 
+    def test_an_all_zero_single_row_has_rank_0(self):
+        sample = sample_from_gate(full_gate(np.zeros((1, 3)), np.array([0.3])), 2, 3)
+        with pytest.raises(ValueError, match="rank 0 < 1; no 2-D map exists$"):
+            gate_geometry(sample)
+
     def test_single_expert_has_no_geometry(self):
         sample = sample_from_gate(np.zeros((1, 3)), 1, 2)
         with pytest.raises(ValueError):
@@ -153,6 +158,53 @@ class TestAgainstLeastSquares:
         geo = (reduced_geometry if kind == "reduced" else gate_geometry)(sample)
         bound = 1e-12 * np.linalg.norm(geo.slopes, 2)
         np.testing.assert_allclose(np.stack(geo.a_star), orthogonal_directions_lstsq(geo.slopes), rtol=0, atol=bound)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["1 row", "2 rows", "3 rows", "reduced"]),
+        log_cond=st.floats(0.0, 3.0),
+        log_scale=st.floats(-100.0, 100.0),
+        log_grid=st.floats(-3.0, 3.0),
+    )
+    def test_embedding_reproduces_the_grid_at_every_scale(self, seed, kind, log_cond, log_scale, log_grid):
+        # Slopes of 2-norm 1e-100 to 1e100: the squares the pseudo-inverse divides by stay finite and nonzero.
+        rng = np.random.default_rng(seed)
+        rows = {"1 row": 1, "2 rows": 2, "3 rows": 3, "reduced": 4}[kind]
+        slopes = conditioned_slopes(rng, rows, rows + 2, 10**log_cond, 10**log_scale)
+        sample = sample_from_gate(full_gate(slopes, rng.normal(size=rows)), rows + 1, rows + 2)
+        geo = (reduced_geometry if kind == "reduced" else gate_geometry)(sample)
+        grid = default_score_grid(geo.n_directions, points_per_axis=5) * 10**log_grid
+        points = embed_grid(geo, grid).points
+        assert np.all(np.isfinite(points))
+        bound = 1e-11 * np.abs(grid - geo.intercepts).max()
+        np.testing.assert_allclose(points @ geo.slopes.T + geo.intercepts, grid, rtol=0, atol=bound)
+
+
+class TestNoLapackAtTwoExperts:
+    """At two experts a map needs no factorisation; at three, its geometry and embedding take one SVD."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for name in ("pinv", "matrix_rank", "norm"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: pytest.fail(f"np.linalg.{name} called"))
+        return calls
+
+    def test_two_experts_take_no_svd(self, svd_calls):
+        sample = sample_from_gate(full_gate(np.array([[1.0, -2.0, 0.5]]), np.array([0.3])), 2, 3)
+        rendered = render_map(embed_grid(gate_geometry(sample), default_score_grid(1)), sample)
+        assert rendered.predictive_sd.shape == (41,)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("geometry, experts", [(gate_geometry, 3), (reduced_geometry, 5)])
+    def test_more_experts_take_one_svd(self, svd_calls, geometry, experts):
+        slopes = np.random.default_rng(17).normal(size=(experts - 1, 4))
+        sample = sample_from_gate(full_gate(slopes, np.zeros(experts - 1)), experts, 4)
+        embed_grid(geometry(sample), default_score_grid(2, points_per_axis=3))
+        assert len(svd_calls) == 1
 
 
 class TestEmbedGrid:

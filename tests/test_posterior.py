@@ -61,6 +61,7 @@ from anomix.posterior import (
     _point_blocks,
     _pointwise,
     _psis_loo,
+    _normal_scores,
     _quantiles,
     _rank_normal,
     _rhat_max,
@@ -455,6 +456,14 @@ class TestRankNormal:
         want = ndtri((rank_normal_ranks(flat) - 0.375) / (len(flat) + 0.25)).reshape(shape)
         # The standard library's inverse normal is within 8 ulp of scipy's; a rank off by one moves a score far more.
         assert np.all(np.abs(_rank_normal(draws)[0] - want) <= 8 * np.spacing(np.abs(want)))
+
+    def test_scores_are_kept_per_draw_count_read_only(self):
+        scores = _normal_scores(74)
+        assert _normal_scores(74) is scores and not scores.flags.writeable
+        kept = scores.copy()
+        z, _ = _rank_normal(np.random.default_rng(3).normal(size=(2, 37, 2)))
+        z += 1.0  # each call's scores are its own array
+        np.testing.assert_array_equal(scores, kept)
 
 
 class TestCic:

@@ -764,6 +764,7 @@ class TestCli:
             default_config_text(**dict(FAST, patience=0)),
             default_config_text(**dict(FAST, validity_days=[1, 10**20])),
         ],
+        ids=["quorum-0", "unknown-key-tau", "patience-0", "validity_days-1e20"],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, text):
         # A bad file is reported before any stage runs.

@@ -2,7 +2,11 @@
 ``anomaly.score_series`` at monitor's shape, the sum-CDF table's build and one sum-CDF call,
 and the layers the README demo's stages spend their time in.
 
-    python tools/kernel_bench.py [--rounds 15] [--number 200]
+    python tools/kernel_bench.py [--rounds 15] [--number 200] [--case NAME ...]
+
+``--case NAME``, repeatable, runs only the named cases (the names are
+those of the output lines, e.g. ``render_map_800x41``); an unknown name is
+refused with the list of names.
 
 * ``pit``: ``model._cdf_from_moments`` at monitor's draw block, 40 draws x 2
   experts x 202 rows, on moments and responses drawn like monitor's (most
@@ -265,6 +269,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--number", type=int, default=200)
+    parser.add_argument("--case", action="append", metavar="NAME", help="run only this case (repeatable)")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
     alpha, means, variances, y = pit_case(rng)
@@ -302,6 +307,11 @@ def main() -> None:
         cases[f"lookup_{name}"] = (lambda dist=dist, q=q: anomaly.sum_cdf(dist, q), None, args.number)
     layers, per_unit = layer_cases(rng, args.number)
     cases.update(layers)
+    unknown = sorted(set(args.case or ()) - set(cases))
+    if unknown:
+        parser.error(f"unknown case {', '.join(unknown)}; the cases are: {', '.join(cases)}")
+    if args.case:
+        cases = {name: call for name, call in cases.items() if name in args.case}
     times = {name: {"anomix": [], "scipy": []} for name in cases}
     for _ in range(args.rounds):
         for name, (ours, theirs, number) in cases.items():
@@ -319,12 +329,14 @@ def main() -> None:
             medians["peak_blocks"] = peak_blocks(cases[name][0], residents[name])
         result[name] = {key: round(value, 3) for key, value in medians.items()}
         print(name, "  ".join(f"{key} {value:.3f}" for key, value in result[name].items()))
-    calls, queries = sum_cdf_queries(data, sample)
-    result["score_100x202_k10"].update(sum_cdf_calls=calls, sum_cdf_queries=queries)
-    print(f"score_100x202_k10 sum_cdf: {calls} call(s), {queries} queries (19200 at one per draw and window)")
-    distinct = int((~repeating.repeats).sum())
-    result["score_repeats_100x202_k10"].update(distinct_draws=distinct, draws=repeating.n_draws)
-    print(f"score_repeats_100x202_k10: {distinct} of {repeating.n_draws} draws distinct")
+    if "score_100x202_k10" in result:
+        calls, queries = sum_cdf_queries(data, sample)
+        result["score_100x202_k10"].update(sum_cdf_calls=calls, sum_cdf_queries=queries)
+        print(f"score_100x202_k10 sum_cdf: {calls} call(s), {queries} queries (19200 at one per draw and window)")
+    if "score_repeats_100x202_k10" in result:
+        distinct = int((~repeating.repeats).sum())
+        result["score_repeats_100x202_k10"].update(distinct_draws=distinct, draws=repeating.n_draws)
+        print(f"score_repeats_100x202_k10: {distinct} of {repeating.n_draws} draws distinct")
     versions = {
         "anomix": __version__, "numpy": np.__version__, "scipy": scipy_version, "python": platform.python_version()
     }
